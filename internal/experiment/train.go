@@ -148,12 +148,15 @@ func TrainOracles(specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[c
 	return TrainOraclesOn(engine.New(), specs, baseSeed, cfg)
 }
 
-// TrainOraclesOn generates training data on eng (the episode fan-out
-// dominates the wall clock) and trains one network per attack vector
-// sequentially, so the fitted weights stay deterministic in baseSeed.
+// TrainOraclesOn generates the training data for every spec on eng
+// (the forced-episode fan-out), then fits the networks as one batch of
+// engine jobs, so up to the engine's worker count of them train at
+// once. Spec i's split, initial weights, dropout masks and minibatch
+// order all draw from its own stats.NewRNG(baseSeed+i+77), never from
+// the engine's job seed, so the fitted weights are bit-identical at any
+// worker count and in any completion order.
 func TrainOraclesOn(eng *engine.Engine, specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[core.Vector]core.Oracle, []TrainedOracle, error) {
-	oracles := make(map[core.Vector]core.Oracle, len(specs))
-	infos := make([]TrainedOracle, 0, len(specs))
+	data := make([]nn.Dataset, len(specs))
 	for i, spec := range specs {
 		ds, err := GenerateOracleDataOn(eng, spec, baseSeed+int64(i)*10_000)
 		if err != nil {
@@ -162,15 +165,30 @@ func TrainOraclesOn(eng *engine.Engine, specs []OracleSpec, baseSeed int64, cfg 
 		if ds.Len() == 0 {
 			return nil, nil, fmt.Errorf("oracle data: no samples for %v", spec.Vector)
 		}
+		data[i] = ds
+	}
+	// The fits are plain jobs: no episode scratch, lanes or progress.
+	fits := eng.With(engine.WithWorkerState(nil), engine.WithEpisodeBatch(1), engine.WithProgress(nil))
+	idx := make([]int, len(specs))
+	for i := range idx {
+		idx[i] = i
+	}
+	infos, err := engine.Map(fits, 0, idx, func(_ context.Context, _ int64, i int) (TrainedOracle, error) {
 		rng := stats.NewRNG(baseSeed + int64(i) + 77)
-		train, val := ds.Split(0.6, rng)
+		train, val := data[i].Split(0.6, rng)
 		net := nn.NewRegressor(core.EncodeDim, rng)
 		res, err := nn.Train(net, train, val, cfg, rng)
 		if err != nil {
-			return nil, nil, err
+			return TrainedOracle{}, fmt.Errorf("%v oracle: %w", specs[i].Vector, err)
 		}
-		oracles[spec.Vector] = &core.NNOracle{Net: net}
-		infos = append(infos, TrainedOracle{Vector: spec.Vector, Net: net, Result: res, Samples: ds.Len()})
+		return TrainedOracle{Vector: specs[i].Vector, Net: net, Result: res, Samples: data[i].Len()}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	oracles := make(map[core.Vector]core.Oracle, len(infos))
+	for _, in := range infos {
+		oracles[in.Vector] = &core.NNOracle{Net: in.Net}
 	}
 	return oracles, infos, nil
 }

@@ -1,0 +1,102 @@
+package experiment
+
+import (
+	"math"
+	"testing"
+
+	"github.com/robotack/robotack/internal/core"
+	"github.com/robotack/robotack/internal/engine"
+	"github.com/robotack/robotack/internal/nn"
+	"github.com/robotack/robotack/internal/scenario"
+	"github.com/robotack/robotack/internal/sim"
+	"github.com/robotack/robotack/internal/stats"
+)
+
+// smallOracleSpecs is one short sweep per attack vector.
+func smallOracleSpecs() []OracleSpec {
+	return []OracleSpec{
+		{Vector: core.VectorDisappear, Sweeps: []OracleSweep{{Scenario: scenario.DS2,
+			PreferDisappearFor: sim.ClassPedestrian, TargetClass: sim.ClassPedestrian}},
+			DeltaGrid: []float64{15, 30}, SeedsPerPoint: 1},
+		{Vector: core.VectorMoveOut, Sweeps: []OracleSweep{{Scenario: scenario.DS1,
+			PreferDisappearFor: sim.ClassPedestrian, TargetClass: sim.ClassVehicle}},
+			DeltaGrid: []float64{15, 30}, SeedsPerPoint: 1},
+		{Vector: core.VectorMoveIn, Sweeps: []OracleSweep{{Scenario: scenario.DS4,
+			TargetClass: sim.ClassPedestrian}},
+			DeltaGrid: []float64{20, 40}, SeedsPerPoint: 1},
+	}
+}
+
+// sameWeights reports whether two networks hold bit-identical dense
+// weights and biases.
+func sameWeights(a, b *nn.Network) bool {
+	if len(a.Layers) != len(b.Layers) {
+		return false
+	}
+	for i, l := range a.Layers {
+		da, ok := l.(*nn.Dense)
+		if !ok {
+			continue
+		}
+		db := b.Layers[i].(*nn.Dense)
+		for _, p := range [][2][]float64{{da.W, db.W}, {da.B, db.B}} {
+			if len(p[0]) != len(p[1]) {
+				return false
+			}
+			for j := range p[0] {
+				if math.Float64bits(p[0][j]) != math.Float64bits(p[1][j]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestTrainOraclesWorkerCountInvariant: the concurrent fits give the
+// same bits at any worker count, and the same bits as fitting the
+// oracles one after another with the exported building blocks.
+func TestTrainOraclesWorkerCountInvariant(t *testing.T) {
+	const seed = 31
+	specs := smallOracleSpecs()
+	cfg := nn.TrainConfig{Epochs: 3, BatchSize: 16, LR: 1e-3}
+
+	var want []TrainedOracle
+	for i, spec := range specs {
+		ds, err := GenerateOracleDataOn(engine.New(engine.WithWorkers(1)), spec, seed+int64(i)*10_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(seed + int64(i) + 77)
+		train, val := ds.Split(0.6, rng)
+		net := nn.NewRegressor(core.EncodeDim, rng)
+		res, err := nn.Train(net, train, val, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, TrainedOracle{Vector: spec.Vector, Net: net, Result: res, Samples: ds.Len()})
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		oracles, infos, err := TrainOraclesOn(engine.New(engine.WithWorkers(workers)), specs, seed, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(infos) != len(want) || len(oracles) != len(want) {
+			t.Fatalf("workers=%d: %d infos, %d oracles, want %d", workers, len(infos), len(oracles), len(want))
+		}
+		for i, got := range infos {
+			w := want[i]
+			if got.Vector != w.Vector || got.Samples != w.Samples || got.Result != w.Result {
+				t.Errorf("workers=%d oracle %d: %v %d samples %+v, want %v %d samples %+v",
+					workers, i, got.Vector, got.Samples, got.Result, w.Vector, w.Samples, w.Result)
+			}
+			if !sameWeights(got.Net, w.Net) {
+				t.Errorf("workers=%d %v: weights differ from the sequential fit", workers, got.Vector)
+			}
+			if o, ok := oracles[got.Vector].(*core.NNOracle); !ok || o.Net != got.Net {
+				t.Errorf("workers=%d %v: oracle map does not hold the fitted network", workers, got.Vector)
+			}
+		}
+	}
+}

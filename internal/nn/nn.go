@@ -59,28 +59,37 @@ func NewDense(in, out int, rng *stats.RNG) *Dense {
 // Forward implements Layer.
 func (d *Dense) Forward(x []float64, _ bool) []float64 {
 	d.x = append(d.x[:0], x...)
-	out := make([]float64, d.Out)
-	for o := 0; o < d.Out; o++ {
-		s := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			s += row[i] * xi
-		}
-		out[o] = s
-	}
-	return out
+	return d.ForwardInto(make([]float64, d.Out), x)
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad []float64) []float64 {
-	in := make([]float64, d.In)
+	return d.backwardInto(make([]float64, d.In), grad, d.x)
+}
+
+// backwardInto accumulates the parameter gradients for upstream
+// gradient grad at layer input x, and adds dL/dx into in, which the
+// caller zeroes.
+func (d *Dense) backwardInto(in, grad, x []float64) []float64 {
+	x = x[:d.In]
+	in = in[:len(x)]
 	for o := 0; o < d.Out; o++ {
 		g := grad[o]
+		if g == 0 {
+			// An exactly-zero upstream gradient (a ReLU-inactive or
+			// dropped unit: about half of each hidden layer in training)
+			// would add ±0 to every accumulator below. Accumulators
+			// start at +0, and a float64 sum that starts at +0 is never
+			// -0 (+0 + -0 is +0, exact cancellation rounds to +0), so
+			// adding ±0 leaves each one unchanged bit for bit: skipping
+			// the row is exact for finite inputs and weights.
+			continue
+		}
 		d.gb[o] += g
-		row := d.W[o*d.In : (o+1)*d.In]
-		grow := d.gw[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			grow[i] += g * d.x[i]
+		row := d.W[o*d.In : (o+1)*d.In][:len(x)]
+		grow := d.gw[o*d.In : (o+1)*d.In][:len(x)]
+		for i, xi := range x {
+			grow[i] += g * xi
 			in[i] += g * row[i]
 		}
 	}
@@ -101,28 +110,39 @@ var _ Layer = (*ReLU)(nil)
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x []float64, _ bool) []float64 {
-	if cap(r.mask) < len(x) {
-		r.mask = make([]bool, len(x))
-	}
-	r.mask = r.mask[:len(x)]
-	out := make([]float64, len(x))
+	r.mask = resize(r.mask, len(x))
+	return reluInto(make([]float64, len(x)), r.mask, x)
+}
+
+// Backward implements Layer.
+func (r *ReLU) Backward(grad []float64) []float64 {
+	return reluBackInto(make([]float64, len(grad)), grad, r.mask)
+}
+
+// reluInto writes max(x, 0) into out and records which units are
+// active in mask.
+func reluInto(out []float64, mask []bool, x []float64) []float64 {
+	out, mask = out[:len(x)], mask[:len(x)]
 	for i, v := range x {
 		if v > 0 {
 			out[i] = v
-			r.mask[i] = true
+			mask[i] = true
 		} else {
-			r.mask[i] = false
+			out[i] = 0
+			mask[i] = false
 		}
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (r *ReLU) Backward(grad []float64) []float64 {
-	out := make([]float64, len(grad))
+// reluBackInto passes grad through the units mask marks active.
+func reluBackInto(out, grad []float64, mask []bool) []float64 {
+	out, mask = out[:len(grad)], mask[:len(grad)]
 	for i, g := range grad {
-		if r.mask[i] {
+		if mask[i] {
 			out[i] = g
+		} else {
+			out[i] = 0
 		}
 	}
 	return out
@@ -154,20 +174,8 @@ func (d *Dropout) Forward(x []float64, train bool) []float64 {
 		d.keep = nil
 		return out
 	}
-	if cap(d.keep) < len(x) {
-		d.keep = make([]bool, len(x))
-	}
-	d.keep = d.keep[:len(x)]
-	scale := 1 / (1 - d.Rate)
-	for i, v := range x {
-		if d.rng.Bernoulli(d.Rate) {
-			d.keep[i] = false
-		} else {
-			d.keep[i] = true
-			out[i] = v * scale
-		}
-	}
-	return out
+	d.keep = resize(d.keep, len(x))
+	return d.dropInto(out, d.keep, x)
 }
 
 // Backward implements Layer.
@@ -177,10 +185,36 @@ func (d *Dropout) Backward(grad []float64) []float64 {
 		copy(out, grad)
 		return out
 	}
+	return d.dropBackInto(out, grad, d.keep)
+}
+
+// dropInto draws one Bernoulli(Rate) per unit, in unit order, zeroing
+// the dropped units and scaling the kept ones (recorded in keep) into
+// out.
+func (d *Dropout) dropInto(out []float64, keep []bool, x []float64) []float64 {
+	out, keep = out[:len(x)], keep[:len(x)]
+	scale := 1 / (1 - d.Rate)
+	for i, v := range x {
+		if d.rng.Bernoulli(d.Rate) {
+			keep[i] = false
+			out[i] = 0
+		} else {
+			keep[i] = true
+			out[i] = v * scale
+		}
+	}
+	return out
+}
+
+// dropBackInto passes grad, scaled, through the units keep marks kept.
+func (d *Dropout) dropBackInto(out, grad []float64, keep []bool) []float64 {
+	out, keep = out[:len(grad)], keep[:len(grad)]
 	scale := 1 / (1 - d.Rate)
 	for i, g := range grad {
-		if d.keep[i] {
+		if keep[i] {
 			out[i] = g * scale
+		} else {
+			out[i] = 0
 		}
 	}
 	return out
@@ -412,9 +446,7 @@ func (n *Network) ZeroGrads() {
 	for _, l := range n.Layers {
 		_, grads := l.Params()
 		for _, g := range grads {
-			for i := range g {
-				g[i] = 0
-			}
+			clear(g)
 		}
 	}
 }
@@ -425,6 +457,11 @@ type Adam struct {
 
 	m, v [][]float64
 	t    int
+
+	// net is the network params and grads were collected from: Step
+	// collects them once per network, not once per step.
+	net           *Network
+	params, grads [][]float64
 }
 
 // NewAdam creates an Adam optimizer with standard hyperparameters.
@@ -435,16 +472,11 @@ func NewAdam(lr float64) *Adam {
 // Step applies one update using the gradients accumulated in n, scaled
 // by 1/batchSize.
 func (a *Adam) Step(n *Network, batchSize int) {
-	var params, grads [][]float64
-	for _, l := range n.Layers {
-		p, g := l.Params()
-		params = append(params, p...)
-		grads = append(grads, g...)
-	}
+	a.bind(n)
 	if a.m == nil {
-		a.m = make([][]float64, len(params))
-		a.v = make([][]float64, len(params))
-		for i, p := range params {
+		a.m = make([][]float64, len(a.params))
+		a.v = make([][]float64, len(a.params))
+		for i, p := range a.params {
 			a.m[i] = make([]float64, len(p))
 			a.v[i] = make([]float64, len(p))
 		}
@@ -453,15 +485,33 @@ func (a *Adam) Step(n *Network, batchSize int) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	inv := 1 / float64(batchSize)
-	for i, p := range params {
-		g := grads[i]
-		m, v := a.m[i], a.v[i]
+	// Hoisted hyperparameters: the same values, so the same arithmetic,
+	// without reloading them through a on every element.
+	lr, b1, b2, eps := a.LR, a.Beta1, a.Beta2, a.Eps
+	nb1, nb2 := 1-b1, 1-b2
+	for i, p := range a.params {
+		g := a.grads[i][:len(p)]
+		m, v := a.m[i][:len(p)], a.v[i][:len(p)]
 		for j := range p {
 			gj := g[j] * inv
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*gj
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*gj*gj
-			p[j] -= a.LR * (m[j] / c1) / (math.Sqrt(v[j]/c2) + a.Eps)
+			m[j] = b1*m[j] + nb1*gj
+			v[j] = b2*v[j] + nb2*gj*gj
+			p[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + eps)
 		}
+	}
+}
+
+// bind collects n's parameter and gradient slices, once per network.
+func (a *Adam) bind(n *Network) {
+	if a.net == n {
+		return
+	}
+	a.net = n
+	a.params, a.grads = a.params[:0], a.grads[:0]
+	for _, l := range n.Layers {
+		p, g := l.Params()
+		a.params = append(a.params, p...)
+		a.grads = append(a.grads, g...)
 	}
 }
 
@@ -515,58 +565,161 @@ type Result struct {
 	ValMAE   float64
 }
 
+// validate rejects recipes that cannot train: a batch size below 1
+// never advances through the data.
+func (c TrainConfig) validate() error {
+	switch {
+	case c.BatchSize < 1:
+		return fmt.Errorf("nn: batch size %d, want at least 1", c.BatchSize)
+	case c.Epochs < 0:
+		return fmt.Errorf("nn: negative epochs %d", c.Epochs)
+	case !(c.LR > 0):
+		return fmt.Errorf("nn: learning rate %v, want a positive number", c.LR)
+	}
+	return nil
+}
+
+// checkData rejects a dataset whose labels do not pair up with its rows
+// or whose rows are not as wide as the network's input.
+func (n *Network) checkData(name string, d Dataset) error {
+	if len(d.X) != len(d.Y) {
+		return fmt.Errorf("nn: %s set has %d rows but %d labels", name, len(d.X), len(d.Y))
+	}
+	in := n.inputDim()
+	for i, x := range d.X {
+		if in > 0 && len(x) != in {
+			return fmt.Errorf("nn: %s row %d has width %d, network input is %d", name, i, len(x), in)
+		}
+	}
+	return nil
+}
+
 // Train fits the network on train with MSE loss (Eq. 3 of the paper)
-// and evaluates on val.
+// and evaluates on val. It rejects an invalid cfg and rows of the wrong
+// width. Every activation, gradient and dropout mask lives in buffers
+// allocated once per call, so the per-sample loop does not allocate;
+// the float64 operations and dropout draws run in the same order as
+// the layers' Forward and Backward.
 func Train(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) (Result, error) {
 	if train.Len() == 0 {
 		return Result{}, errors.New("nn: empty training set")
 	}
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
+	if err := n.checkData("training", train); err != nil {
+		return Result{}, err
+	}
+	if err := n.checkData("validation", val); err != nil {
+		return Result{}, err
+	}
 	opt := NewAdam(cfg.LR)
+	opt.bind(n)
+	slots := make([]trainSlot, len(n.Layers))
+	var loss [1]float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		order := rng.Perm(train.Len())
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
+			end := min(start+cfg.BatchSize, len(order))
+			for _, g := range opt.grads {
+				clear(g)
 			}
-			n.ZeroGrads()
 			for _, j := range order[start:end] {
-				out := n.Forward(train.X[j], true)
+				out := train.X[j]
+				for i, l := range n.Layers {
+					out = slots[i].forward(l, out)
+				}
 				// d(MSE)/d(out) = 2*(out - y)
-				n.Backward([]float64{2 * (out[0] - train.Y[j])})
+				loss[0] = 2 * (out[0] - train.Y[j])
+				grad := loss[:]
+				for i := len(n.Layers) - 1; i >= 0; i-- {
+					grad = slots[i].backward(n.Layers[i], grad)
+				}
 			}
 			opt.Step(n, end-start)
 		}
 	}
-	res := Result{TrainMSE: mse(n, train)}
-	if val.Len() > 0 {
-		res.ValMSE = mse(n, val)
-		res.ValMAE = mae(n, val)
-	}
+	s := n.NewInferScratch()
+	var res Result
+	res.TrainMSE, _ = evaluate(n, s, train)
+	res.ValMSE, res.ValMAE = evaluate(n, s, val)
 	return res, nil
 }
 
-func mse(n *Network, d Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range d.X {
-		e := n.Predict(d.X[i]) - d.Y[i]
-		s += e * e
-	}
-	return s / float64(d.Len())
+// trainSlot is one layer's training buffers: its input for the current
+// sample (aliasing the previous slot's out, or the dataset row), its
+// activation, its input gradient and its ReLU or dropout mask. Each
+// buffer is sized on the first sample and reused for every later one.
+type trainSlot struct {
+	x, out, gin []float64
+	mask        []bool
 }
 
-func mae(n *Network, d Dataset) float64 {
+// forward runs l in training mode into the slot's buffers. Layer types
+// other than Dense, ReLU and Dropout run their own allocating Forward.
+func (s *trainSlot) forward(l Layer, x []float64) []float64 {
+	switch l := l.(type) {
+	case *Dense:
+		s.x = x
+		s.out = resize(s.out, l.Out)
+		return l.ForwardInto(s.out, x)
+	case *ReLU:
+		s.out, s.mask = resize(s.out, len(x)), resize(s.mask, len(x))
+		return reluInto(s.out, s.mask, x)
+	case *Dropout:
+		if l.Rate <= 0 {
+			return x
+		}
+		s.out, s.mask = resize(s.out, len(x)), resize(s.mask, len(x))
+		return l.dropInto(s.out, s.mask, x)
+	default:
+		return l.Forward(x, true)
+	}
+}
+
+// backward propagates grad through l, the layer forward last ran.
+func (s *trainSlot) backward(l Layer, grad []float64) []float64 {
+	switch l := l.(type) {
+	case *Dense:
+		s.gin = resize(s.gin, l.In)
+		clear(s.gin)
+		return l.backwardInto(s.gin, grad, s.x)
+	case *ReLU:
+		s.gin = resize(s.gin, len(grad))
+		return reluBackInto(s.gin, grad, s.mask)
+	case *Dropout:
+		if l.Rate <= 0 {
+			return grad
+		}
+		s.gin = resize(s.gin, len(grad))
+		return l.dropBackInto(s.gin, grad, s.mask)
+	default:
+		return l.Backward(grad)
+	}
+}
+
+// resize returns b with length n, reallocating only when its capacity
+// is short.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// evaluate returns the network's mean squared and mean absolute error
+// on d (zeros for an empty d), predicting through s.
+func evaluate(n *Network, s *InferScratch, d Dataset) (mse, mae float64) {
 	if d.Len() == 0 {
-		return 0
+		return 0, 0
 	}
-	s := 0.0
-	for i := range d.X {
-		s += math.Abs(n.Predict(d.X[i]) - d.Y[i])
+	for i, x := range d.X {
+		e := n.Infer(s, x)[0] - d.Y[i]
+		mse += e * e
+		mae += math.Abs(e)
 	}
-	return s / float64(d.Len())
+	k := float64(d.Len())
+	return mse / k, mae / k
 }
 
 // snapshot is the serialized form of a network's dense layers.

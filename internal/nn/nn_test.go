@@ -227,19 +227,3 @@ func BenchmarkPredict(b *testing.B) {
 		_ = n.Predict(x)
 	}
 }
-
-func BenchmarkTrainEpoch(b *testing.B) {
-	rng := stats.NewRNG(2)
-	var ds Dataset
-	for i := 0; i < 256; i++ {
-		ds.Add([]float64{rng.Uniform(-1, 1), rng.Uniform(-1, 1)}, rng.Uniform(-1, 1))
-	}
-	n := NewRegressor(2, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(n, ds, Dataset{}, TrainConfig{Epochs: 1, BatchSize: 32, LR: 1e-3}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
