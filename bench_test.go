@@ -272,29 +272,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	b.ReportMetric(float64(benchRuns*b.N)/b.Elapsed().Seconds(), "episodes/s")
 }
 
-func BenchmarkEpisodeDS1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Run(experiment.RunConfig{
-			Scenario: scenario.DS1, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEpisodeDS2Attacked(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Run(experiment.RunConfig{
-			Scenario: scenario.DS2, Seed: int64(i),
-			Attack: experiment.AttackSetup{Mode: core.ModeSmart, PreferDisappearFor: sim.ClassPedestrian},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCampaignThroughputBatched measures campaign throughput under
 // lockstep episode lanes (engine.WithEpisodeBatch). The nn sub-benchmarks
 // run trained-style NN oracles — the case batching exists for: lanes

@@ -136,16 +136,17 @@ func DefaultConfig() Config {
 // the misdetection-run model, which needs to remember which component
 // is currently inside a miss run (real detectors lose an object for
 // runs of consecutive frames, not independently per frame). All
-// per-frame storage (components, detections, track memory) is owned by
-// the struct and reused, so a warm Detect call does not allocate; the
-// returned slice is valid until the next Detect call.
+// per-frame storage (foreground runs, components, detections, track
+// memory) is owned by the struct and reused, so a warm Detect call does
+// not allocate; the returned slice is valid until the next Detect call.
+// The labeling scratch is one run record per horizontal foreground run
+// in the scanned window — a few hundred bytes per frame — instead of a
+// per-pixel visited map.
 type Detector struct {
 	cfg Config
 	rng *stats.RNG
 
-	visited []int32 // CC labeling scratch, reused across frames
-	queue   []int32
-	gen     int32
+	runs []fgRun // CC labeling scratch, reused across frames
 
 	prev, next []detTrack  // miss-run memory, double-buffered
 	comps      []component // per-frame component scratch
@@ -370,78 +371,105 @@ type component struct {
 	area int
 }
 
-// components labels 4-connected foreground regions and returns their
-// pixel bounding boxes.
-func (d *Detector) components(img *sensor.Image) []component {
-	n := img.W * img.H
-	if len(d.visited) < n {
-		d.visited = make([]int32, n)
-		d.gen = 0
-	}
-	d.gen++
-	gen := d.gen
-	comps := d.comps[:0]
-	th := d.cfg.Threshold
+// fgRun is one maximal horizontal run of foreground pixels, columns
+// [x0, x1) of row y. During labeling, parent links it into a
+// union-find forest whose root is always the component's lowest run
+// index; a root run accumulates its component's box (minX..maxX-1,
+// y..maxY) and pixel area.
+type fgRun struct {
+	x0, x1, y, parent      int
+	minX, maxX, maxY, area int
+}
 
-	// Scan only the window that can hold foreground: silhouettes cover
-	// a tiny fraction of the raster, and the full-raster scan used to
-	// dominate the whole frame loop's CPU time. The window walk is
-	// row-major like the historical full scan, so components are
-	// discovered — and reported — in the identical order.
+// components labels 4-connected foreground regions (pixels >= the
+// threshold) and returns their pixel bounding boxes.
+//
+// It scans only the window that can hold foreground — silhouettes cover
+// a tiny fraction of the raster — and labels runs, not pixels: each row
+// of the window becomes its maximal foreground runs, and a run joins
+// every run of the previous row it shares a column with (diagonal-only
+// contact does not connect). Components are reported in ascending order
+// of their root run, which is the row-major order of each component's
+// first pixel: the order a row-major flood-fill scan discovers them in.
+func (d *Detector) components(img *sensor.Image) []component {
+	th := d.cfg.Threshold
+	runs := d.runs[:0]
 	wx0, wy0, wx1, wy1 := img.ForegroundWindow(th)
-	for wy := wy0; wy < wy1; wy++ {
-		rowOff := wy * img.W
-		for wx := wx0; wx < wx1; wx++ {
-			start := rowOff + wx
-			if d.visited[start] == gen || img.Pix[start] < th {
+	above := 0 // first run of the previous row
+	for y := wy0; y < wy1; y++ {
+		row := img.Pix[y*img.W+wx0 : y*img.W+wx1]
+		rowStart := len(runs)
+		for x := 0; x < len(row); {
+			if !(row[x] >= th) {
+				x++
 				continue
 			}
-			// BFS flood fill from start.
-			minX, minY := start%img.W, start/img.W
-			maxX, maxY := minX, minY
-			area := 0
-			d.queue = d.queue[:0]
-			d.queue = append(d.queue, int32(start))
-			d.visited[start] = gen
-			for len(d.queue) > 0 {
-				p := int(d.queue[len(d.queue)-1])
-				d.queue = d.queue[:len(d.queue)-1]
-				x, y := p%img.W, p/img.W
-				area++
-				if x < minX {
-					minX = x
-				}
-				if x > maxX {
-					maxX = x
-				}
-				if y < minY {
-					minY = y
-				}
-				if y > maxY {
-					maxY = y
-				}
-				for _, q := range [4]int{p - 1, p + 1, p - img.W, p + img.W} {
-					if q < 0 || q >= n || d.visited[q] == gen {
-						continue
-					}
-					// Horizontal neighbors must stay on the same row.
-					if (q == p-1 || q == p+1) && q/img.W != y {
-						continue
-					}
-					if img.Pix[q] >= th {
-						d.visited[q] = gen
-						d.queue = append(d.queue, int32(q))
-					}
-				}
+			s := x
+			for x < len(row) && row[x] >= th {
+				x++
 			}
-			if area >= d.cfg.MinArea {
-				comps = append(comps, component{
-					box:  geom.R(float64(minX), float64(minY), float64(maxX-minX+1), float64(maxY-minY+1)),
-					area: area,
-				})
+			i := len(runs)
+			x0, x1 := wx0+s, wx0+x
+			runs = append(runs, fgRun{x0: x0, x1: x1, y: y, parent: i})
+			// Previous-row runs ending left of this one cannot touch
+			// this run or any later run of the row.
+			for above < rowStart && runs[above].x1 <= x0 {
+				above++
+			}
+			for j := above; j < rowStart && runs[j].x0 < x1; j++ {
+				union(runs, i, j)
 			}
 		}
+		above = rowStart
 	}
-	d.comps = comps
+
+	// Every root has a lower index than the rest of its component, so
+	// one ascending pass initializes each root's accumulator before any
+	// other run folds into it.
+	for i := range runs {
+		r := &runs[i]
+		root := find(runs, i)
+		r.parent = root
+		if root == i {
+			r.minX, r.maxX, r.maxY, r.area = r.x0, r.x1, r.y, r.x1-r.x0
+			continue
+		}
+		acc := &runs[root]
+		acc.minX = min(acc.minX, r.x0)
+		acc.maxX = max(acc.maxX, r.x1)
+		acc.maxY = max(acc.maxY, r.y)
+		acc.area += r.x1 - r.x0
+	}
+	comps := d.comps[:0]
+	for i := range runs {
+		r := &runs[i]
+		if r.parent != i || r.area < d.cfg.MinArea {
+			continue
+		}
+		comps = append(comps, component{
+			box:  geom.R(float64(r.minX), float64(r.y), float64(r.maxX-r.minX), float64(r.maxY-r.y+1)),
+			area: r.area,
+		})
+	}
+	d.runs, d.comps = runs, comps
 	return comps
+}
+
+// find returns the root of run i, halving the path as it goes.
+func find(runs []fgRun, i int) int {
+	for runs[i].parent != i {
+		runs[i].parent = runs[runs[i].parent].parent
+		i = runs[i].parent
+	}
+	return i
+}
+
+// union joins the trees of runs a and b under the lower root index.
+func union(runs []fgRun, a, b int) {
+	ra, rb := find(runs, a), find(runs, b)
+	if ra < rb {
+		runs[rb].parent = ra
+	} else if rb < ra {
+		runs[ra].parent = rb
+	}
 }

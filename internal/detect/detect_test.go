@@ -237,15 +237,29 @@ func TestDetectorWithCameraEndToEnd(t *testing.T) {
 	}
 }
 
+// BenchmarkDetect measures one warm Detect on a camera-rendered frame:
+// a near car in the next lane, two far cars ahead and a pedestrian,
+// anti-aliased like every frame the ADS sees. A warm Detect allocates
+// nothing.
 func BenchmarkDetect(b *testing.B) {
-	rng := stats.NewRNG(1)
-	det := NewDefault(rng)
-	img := sensor.NewImage(192, 108)
-	img.Clear(0.05)
-	for i := 0; i < 6; i++ {
-		img.FillRect(geom.R(float64(10+30*i), 50, 12, 9), 0.9)
+	w := sim.NewWorld(sim.DefaultRoad(), sim.DefaultEV())
+	for _, a := range []*sim.Actor{
+		{Class: sim.ClassVehicle, Pos: geom.V(9, -3.5), Size: sim.SizeCar},
+		{Class: sim.ClassVehicle, Pos: geom.V(45, 0), Size: sim.SizeCar},
+		{Class: sim.ClassVehicle, Pos: geom.V(80, 3.5), Size: sim.SizeCar},
+		{Class: sim.ClassPedestrian, Pos: geom.V(16, 4), Size: sim.SizePedestrian},
+	} {
+		a.Behavior = sim.Parked{}
+		w.AddActor(a)
 	}
+	img := sensor.DefaultCamera().Capture(w, 0).Image
+	det := NewDefault(stats.NewRNG(1))
+	if n := len(det.components(img)); n != 4 {
+		b.Fatalf("frame has %d components, want 4", n)
+	}
+	det.Detect(img)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = det.Detect(img)
 	}

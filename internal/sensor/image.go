@@ -24,6 +24,11 @@ import (
 // and lets the detector's connected-component scan skip the empty sky
 // and road — the two biggest CPU sinks of the frame loop. All writes
 // go through Set/Clear/FillRect/FillRectAA, which maintain the window.
+//
+// Each image also owns a one-row scratch, colCov, that FillRectAA fills
+// with the rectangle's per-column coverage; it is allocated together
+// with Pix, so it costs no extra allocation, and Clone gives the copy
+// its own.
 type Image struct {
 	W, H int
 	Pix  []float64
@@ -33,11 +38,15 @@ type Image struct {
 	base               float64
 	baseKnown          bool
 	dx0, dy0, dx1, dy1 int
+
+	colCov []float64 // FillRectAA per-column coverage scratch, len W
 }
 
 // NewImage allocates a zeroed W x H image.
 func NewImage(w, h int) *Image {
-	return &Image{W: w, H: h, Pix: make([]float64, w*h), baseKnown: true}
+	n := w * h
+	buf := make([]float64, n+w)
+	return &Image{W: w, H: h, Pix: buf[:n:n], colCov: buf[n:], baseKnown: true}
 }
 
 // markDirty grows the dirty window to include the clipped half-open
@@ -149,16 +158,32 @@ func (im *Image) FillRectAA(r geom.Rect, v float64) {
 	if x1 > im.W {
 		x1 = im.W
 	}
+	if x1 <= x0 || y1 <= y0 {
+		return
+	}
+	// Column coverage depends only on x, so it is computed once per
+	// call; each pixel then costs one multiply and the blend. The
+	// per-pixel expressions are the plain per-pixel formula's, so the
+	// raster comes out bit-identical — blending interior pixels (c == 1)
+	// too, rather than storing v, keeps that true for any pixel value.
+	if len(im.colCov) < im.W {
+		im.colCov = make([]float64, im.W)
+	}
+	cov := im.colCov[:x1-x0]
+	for i := range cov {
+		x := float64(x0 + i)
+		cov[i] = overlap(x, x+1, xLo, xHi)
+	}
 	for y := y0; y < y1; y++ {
 		cy := overlap(float64(y), float64(y)+1, yLo, yHi)
-		row := y * im.W
-		for x := x0; x < x1; x++ {
-			c := cy * overlap(float64(x), float64(x)+1, xLo, xHi)
+		row := im.Pix[y*im.W+x0 : y*im.W+x1]
+		row = row[:len(cov)] // proves row[i] in bounds: no per-pixel check
+		for i, cx := range cov {
+			c := cy * cx
 			if c <= 0 {
 				continue
 			}
-			p := &im.Pix[row+x]
-			*p = (1-c)*(*p) + c*v
+			row[i] = (1-c)*row[i] + c*v
 		}
 	}
 	im.markDirty(x0, y0, x1, y1)
