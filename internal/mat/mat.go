@@ -1,8 +1,10 @@
-// Package mat implements the small dense-matrix operations needed by the
-// Kalman filters in the tracking stack: multiplication, addition,
-// transposition and inversion (Gauss-Jordan with partial pivoting).
-// Matrices in this codebase are tiny (4x4 state, 2x2 measurement), so
-// clarity is preferred over blocked algorithms.
+// Package mat implements small dense-matrix operations — multiplication,
+// addition, transposition and inversion (Gauss-Jordan with partial
+// pivoting) — and the batched dense-layer kernel behind nn's batched
+// inference. The allocating Matrix API is the textbook reference the
+// tracker's fixed-size Kalman filter is tested against bit for bit;
+// the matrices are tiny, so clarity is preferred over blocked
+// algorithms.
 package mat
 
 import (
@@ -205,127 +207,6 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// The *Into variants below perform the same arithmetic as their
-// allocating counterparts — same operations in the same order, so the
-// results are bit-identical — but write into caller-owned matrices.
-// They exist for the Kalman hot path, which runs per track per frame
-// and must not allocate in steady state.
-
-// CopyFrom overwrites m with o's contents. Shapes must match.
-func (m *Matrix) CopyFrom(o *Matrix) {
-	m.assertSameShape(o, "CopyFrom")
-	copy(m.data, o.data)
-}
-
-// Zero sets every element of m to zero.
-func (m *Matrix) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
-// SetIdentity overwrites a square matrix with the identity.
-func (m *Matrix) SetIdentity() {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("mat: SetIdentity on non-square %dx%d matrix", m.rows, m.cols))
-	}
-	m.Zero()
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+i] = 1
-	}
-}
-
-// MulInto computes a * b into dst. dst must not alias a or b.
-func MulInto(dst, a, b *Matrix) {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: MulInto dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("mat: MulInto dst is %dx%d, want %dx%d", dst.rows, dst.cols, a.rows, b.cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.rows; i++ {
-		for k := 0; k < a.cols; k++ {
-			v := a.At(i, k)
-			if v == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				dst.data[i*dst.cols+j] += v * b.At(k, j)
-			}
-		}
-	}
-}
-
-// AddInto computes a + b into dst. dst may alias a or b.
-func AddInto(dst, a, b *Matrix) {
-	a.assertSameShape(b, "AddInto")
-	dst.assertSameShape(a, "AddInto")
-	for i := range dst.data {
-		dst.data[i] = a.data[i] + b.data[i]
-	}
-}
-
-// SubInto computes a - b into dst. dst may alias a or b.
-func SubInto(dst, a, b *Matrix) {
-	a.assertSameShape(b, "SubInto")
-	dst.assertSameShape(a, "SubInto")
-	for i := range dst.data {
-		dst.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// InverseInto inverts m into dst using the same Gauss-Jordan
-// elimination as Inverse; scratch (same shape as m) holds the working
-// copy, so the call performs no allocations. dst, scratch and m must
-// be distinct.
-func InverseInto(dst, scratch, m *Matrix) error {
-	if m.rows != m.cols {
-		return fmt.Errorf("mat: inverse of non-square %dx%d matrix", m.rows, m.cols)
-	}
-	dst.assertSameShape(m, "InverseInto")
-	scratch.assertSameShape(m, "InverseInto")
-	n := m.rows
-	a := scratch
-	a.CopyFrom(m)
-	dst.SetIdentity()
-	for col := 0; col < n; col++ {
-		pivot := col
-		maxAbs := math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > maxAbs {
-				maxAbs, pivot = v, r
-			}
-		}
-		if maxAbs < 1e-300 {
-			return ErrSingular
-		}
-		if pivot != col {
-			a.swapRows(col, pivot)
-			dst.swapRows(col, pivot)
-		}
-		p := a.At(col, col)
-		for j := 0; j < n; j++ {
-			a.Set(col, j, a.At(col, j)/p)
-			dst.Set(col, j, dst.At(col, j)/p)
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
-				dst.Set(r, j, dst.At(r, j)-f*dst.At(col, j))
-			}
-		}
-	}
-	return nil
 }
 
 func (m *Matrix) swapRows(i, j int) {

@@ -164,27 +164,3 @@ func TestDiagColVec(t *testing.T) {
 		t.Errorf("ColVec = %v", v)
 	}
 }
-
-func BenchmarkMul4x4(b *testing.B) {
-	a := Identity(4)
-	c := Identity(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = a.Mul(c)
-	}
-}
-
-func BenchmarkInverse4x4(b *testing.B) {
-	a := FromRows([][]float64{
-		{4, 1, 0, 0},
-		{1, 5, 1, 0},
-		{0, 1, 6, 1},
-		{0, 0, 1, 7},
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Inverse(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -19,152 +19,179 @@ import (
 	"github.com/robotack/robotack/internal/mat"
 )
 
+// Diagonals of the initial covariance P0 and the process noise Q.
+const (
+	p0Pos, p0Vel = 25, 16
+	qPos, qVel   = 0.15, 0.08
+)
+
+var errSingular = fmt.Errorf("kalman update: %w", mat.ErrSingular)
+
 // Kalman is a constant-velocity Kalman filter over an image-space
 // bounding-box center. State is [u, v, du, dv] in pixels and pixels per
-// frame; time steps are whole camera frames (dt = 1).
+// frame; time steps are whole camera frames (dt = 1), so the transition
+// is F = [[I, I], [0, I]] and the measurement model H = [I 0] (2x2
+// blocks), with diagonal Q and R.
 //
-// Every matrix the filter touches — state, covariance, and all
-// intermediates — is allocated once at construction and reused in
-// place, so Predict and Update perform zero heap allocations: the
-// filter runs per track per frame and used to dominate the frame
-// loop's GC pressure. The arithmetic is the exact operation sequence
-// of the textbook out-of-place formulation, so state trajectories are
-// bit-identical to the historical implementation.
+// Predict and Update are that structure written out on fixed-size
+// arrays, and they produce the same bits as the textbook formulation
+// on dense matrices (P = F·P·Fᵀ + Q, S = H·P·Hᵀ + R, K = P·Hᵀ·S⁻¹,
+// P = (I − K·H)·P, each product accumulated from +0 in ascending k,
+// skipping zero left-hand entries). Three facts make that exact for
+// finite values:
+//   - every dense dot product starts from +0, so each kept sum is
+//     written "0 + first term": a -0 operand comes out +0 there too;
+//   - an accumulator that starts at +0 never becomes -0, so adding the
+//     ±0 product of a structural zero of F, H or I − K·H (or of a zero
+//     entry the dense kernel skips) changes no bits, and those terms
+//     are dropped, as are multiplications by the 1s of F and H;
+//   - the kept terms are added in ascending k, the dense order.
+//
+// The 2x2 inverse of S is the dense Gauss-Jordan elimination with
+// partial pivoting step for step, including its zero-factor skips,
+// which are not no-ops for -0 operands. TestKalmanMatchesReference and
+// FuzzKalman hold the filter to the dense reference bit for bit.
+//
+// Products that feed an addition are wrapped in float64(...): the Go
+// spec makes an explicit conversion a rounding point, so the compiler
+// cannot fuse them into multiply-adds (as it may on arm64, ppc64le and
+// s390x) and the filter yields the same bits on every architecture.
 type Kalman struct {
-	x *mat.Matrix // 4x1 state
-	p *mat.Matrix // 4x4 covariance
+	x [4]float64  // state
+	p [16]float64 // covariance, row-major 4x4
 
-	f, fT *mat.Matrix // transition
-	q     *mat.Matrix // process noise
-	h, hT *mat.Matrix // measurement model
-	i4    *mat.Matrix // 4x4 identity
-
-	// Scratch for Predict/Update, reused every call.
-	t41        *mat.Matrix // 4x1
-	t44a, t44b *mat.Matrix // 4x4
-	t24        *mat.Matrix // 2x4
-	t42        *mat.Matrix // 4x2
-	gain       *mat.Matrix // 4x2
-	r, s       *mat.Matrix // 2x2
-	sInv, sTmp *mat.Matrix // 2x2
-	y21, hx21  *mat.Matrix // 2x1
-	gy41, pNew *mat.Matrix // 4x1, 4x4
-
-	// lastInnov is the most recent measurement residual (z - Hx), and
-	// lastInnovNorm the residual normalized by the innovation standard
-	// deviation — the statistic an intrusion detector would monitor.
-	lastInnov     geom.Vec2
-	lastInnovNorm geom.Vec2
+	// innovNorm is the last measurement residual z − Hx divided by the
+	// innovation standard deviation per axis: the statistic an
+	// intrusion detector would monitor.
+	innovNorm geom.Vec2
 }
 
 // NewKalman creates a filter initialized at the measured center with
 // zero velocity and a large initial uncertainty.
 func NewKalman(center geom.Vec2) *Kalman {
-	k := &Kalman{
-		x: mat.ColVec(center.X, center.Y, 0, 0),
-		p: mat.Diag(25, 25, 16, 16),
-		f: mat.FromRows([][]float64{
-			{1, 0, 1, 0},
-			{0, 1, 0, 1},
-			{0, 0, 1, 0},
-			{0, 0, 0, 1},
-		}),
-		q: mat.Diag(0.15, 0.15, 0.08, 0.08),
-		h: mat.FromRows([][]float64{
-			{1, 0, 0, 0},
-			{0, 1, 0, 0},
-		}),
-		i4: mat.Identity(4),
-
-		t41:  mat.New(4, 1),
-		t44a: mat.New(4, 4),
-		t44b: mat.New(4, 4),
-		t24:  mat.New(2, 4),
-		t42:  mat.New(4, 2),
-		gain: mat.New(4, 2),
-		r:    mat.New(2, 2),
-		s:    mat.New(2, 2),
-		sInv: mat.New(2, 2),
-		sTmp: mat.New(2, 2),
-		y21:  mat.New(2, 1),
-		hx21: mat.New(2, 1),
-		gy41: mat.New(4, 1),
-		pNew: mat.New(4, 4),
-	}
-	k.fT = k.f.T()
-	k.hT = k.h.T()
+	k := new(Kalman)
+	k.Reset(center)
 	return k
 }
 
 // Reset re-initializes the filter at a new measured center, exactly as
-// NewKalman would, reusing every matrix (track recycling).
+// NewKalman would (track recycling).
 func (k *Kalman) Reset(center geom.Vec2) {
-	k.x.Set(0, 0, center.X)
-	k.x.Set(1, 0, center.Y)
-	k.x.Set(2, 0, 0)
-	k.x.Set(3, 0, 0)
-	k.p.Zero()
-	k.p.Set(0, 0, 25)
-	k.p.Set(1, 1, 25)
-	k.p.Set(2, 2, 16)
-	k.p.Set(3, 3, 16)
-	k.lastInnov = geom.Vec2{}
-	k.lastInnovNorm = geom.Vec2{}
+	*k = Kalman{x: [4]float64{center.X, center.Y, 0, 0}}
+	k.p[0], k.p[5], k.p[10], k.p[15] = p0Pos, p0Pos, p0Vel, p0Vel
 }
 
-// Predict advances the state one frame: x = Fx, P = FPF' + Q.
+// Predict advances the state one frame: x = Fx, P = FPFᵀ + Q.
 func (k *Kalman) Predict() {
-	mat.MulInto(k.t41, k.f, k.x)
-	k.x.CopyFrom(k.t41)
-	mat.MulInto(k.t44a, k.f, k.p)
-	mat.MulInto(k.t44b, k.t44a, k.fT)
-	mat.AddInto(k.p, k.t44b, k.q)
+	x, p := &k.x, &k.p
+	x[0], x[1], x[2], x[3] = (0+x[0])+x[2], (0+x[1])+x[3], 0+x[2], 0+x[3]
+	// F·P adds covariance rows 2, 3 onto rows 0, 1; ·Fᵀ then adds
+	// columns 2, 3 onto columns 0, 1.
+	var a [16]float64
+	for j := 0; j < 4; j++ {
+		a[j] = (0 + p[j]) + p[8+j]
+		a[4+j] = (0 + p[4+j]) + p[12+j]
+		a[8+j] = 0 + p[8+j]
+		a[12+j] = 0 + p[12+j]
+	}
+	for i := 0; i < 16; i += 4 {
+		p[i] = (0 + a[i]) + a[i+2]
+		p[i+1] = (0 + a[i+1]) + a[i+3]
+		p[i+2] = 0 + a[i+2]
+		p[i+3] = 0 + a[i+3]
+	}
+	p[0] += qPos
+	p[5] += qPos
+	p[10] += qVel
+	p[15] += qVel
 }
 
 // Update incorporates a measured center z with per-axis measurement
 // standard deviations (sigmaU, sigmaV) in pixels.
 func (k *Kalman) Update(z geom.Vec2, sigmaU, sigmaV float64) error {
-	k.r.Zero()
-	k.r.Set(0, 0, math.Max(sigmaU*sigmaU, 1))
-	k.r.Set(1, 1, math.Max(sigmaV*sigmaV, 1))
-	// Innovation y = z - Hx and its covariance S = HPH' + R.
-	mat.MulInto(k.hx21, k.h, k.x)
-	k.y21.Set(0, 0, z.X-k.hx21.At(0, 0))
-	k.y21.Set(1, 0, z.Y-k.hx21.At(1, 0))
-	mat.MulInto(k.t24, k.h, k.p)
-	mat.MulInto(k.sTmp, k.t24, k.hT)
-	mat.AddInto(k.s, k.sTmp, k.r)
-	if err := mat.InverseInto(k.sInv, k.sTmp, k.s); err != nil {
-		return fmt.Errorf("kalman update: %w", err)
-	}
-	mat.MulInto(k.t42, k.p, k.hT)
-	mat.MulInto(k.gain, k.t42, k.sInv)
-	mat.MulInto(k.gy41, k.gain, k.y21)
-	mat.AddInto(k.x, k.x, k.gy41)
-	mat.MulInto(k.t44a, k.gain, k.h) // KH
-	mat.SubInto(k.t44b, k.i4, k.t44a)
-	mat.MulInto(k.pNew, k.t44b, k.p)
-	k.p.CopyFrom(k.pNew)
+	x, p := &k.x, &k.p
+	// Innovation y = z − Hx and its covariance S = HPHᵀ + R, with R
+	// floored at 1 px².
+	y0 := z.X - (0 + x[0])
+	y1 := z.Y - (0 + x[1])
+	s00 := (0 + p[0]) + math.Max(sigmaU*sigmaU, 1)
+	s11 := (0 + p[5]) + math.Max(sigmaV*sigmaV, 1)
 
-	k.lastInnov = geom.V(k.y21.At(0, 0), k.y21.At(1, 0))
-	k.lastInnovNorm = geom.V(
-		k.y21.At(0, 0)/math.Sqrt(k.s.At(0, 0)),
-		k.y21.At(1, 0)/math.Sqrt(k.s.At(1, 1)),
-	)
+	// S⁻¹ by Gauss-Jordan elimination with partial pivoting. Entries of
+	// the working copy that no later step reads are not computed.
+	a00, a01, a10, a11 := s00, 0+p[1], 0+p[4], s11
+	i00, i01, i10, i11 := 1.0, 0.0, 0.0, 1.0
+	maxAbs := math.Abs(a00)
+	if v := math.Abs(a10); v > maxAbs {
+		maxAbs = v
+		a00, a01, a10, a11 = a10, a11, a00, a01
+		i00, i01, i10, i11 = i10, i11, i00, i01
+	}
+	if maxAbs < 1e-300 {
+		return errSingular
+	}
+	a01 /= a00
+	i00 /= a00
+	i01 /= a00
+	if f := a10; f != 0 {
+		a11 -= float64(f * a01)
+		i10 -= float64(f * i00)
+		i11 -= float64(f * i01)
+	}
+	if math.Abs(a11) < 1e-300 {
+		return errSingular
+	}
+	i10 /= a11
+	i11 /= a11
+	if f := a01; f != 0 {
+		i00 -= float64(f * i10)
+		i01 -= float64(f * i11)
+	}
+
+	// Gain K = P·Hᵀ·S⁻¹ (4x2, row-major) and x = x + K·y.
+	var g [8]float64
+	for i := 0; i < 4; i++ {
+		ph0, ph1 := 0+p[4*i], 0+p[4*i+1]
+		g[2*i] = (0 + float64(ph0*i00)) + float64(ph1*i10)
+		g[2*i+1] = (0 + float64(ph0*i01)) + float64(ph1*i11)
+		x[i] += (0 + float64(g[2*i]*y0)) + float64(g[2*i+1]*y1)
+	}
+
+	// P = (I − K·H)·P. Row i of I − K·H is I's row minus K's row in
+	// columns 0, 1 and I's row in columns 2, 3, whose 1 in rows 2 and 3
+	// adds P's own row last.
+	var np [16]float64
+	for i := 0; i < 4; i++ {
+		var id0, id1 float64
+		switch i {
+		case 0:
+			id0 = 1
+		case 1:
+			id1 = 1
+		}
+		t0, t1 := id0-(0+g[2*i]), id1-(0+g[2*i+1])
+		for j := 0; j < 4; j++ {
+			v := (0 + float64(t0*p[j])) + float64(t1*p[4+j])
+			if i >= 2 {
+				v += p[4*i+j]
+			}
+			np[4*i+j] = v
+		}
+	}
+	k.p = np
+
+	k.innovNorm = geom.V(y0/math.Sqrt(s00), y1/math.Sqrt(s11))
 	return nil
 }
 
 // Center returns the current state estimate of the box center.
-func (k *Kalman) Center() geom.Vec2 { return geom.V(k.x.At(0, 0), k.x.At(1, 0)) }
+func (k *Kalman) Center() geom.Vec2 { return geom.V(k.x[0], k.x[1]) }
 
 // Velocity returns the estimated center velocity in pixels per frame.
-func (k *Kalman) Velocity() geom.Vec2 { return geom.V(k.x.At(2, 0), k.x.At(3, 0)) }
-
-// Innovation returns the last measurement residual in pixels.
-func (k *Kalman) Innovation() geom.Vec2 { return k.lastInnov }
+func (k *Kalman) Velocity() geom.Vec2 { return geom.V(k.x[2], k.x[3]) }
 
 // InnovationNorm returns the last residual divided by the innovation
 // standard deviation per axis. An IDS watching the perception system
 // flags updates whose normalized innovation magnitude exceeds ~1
 // consistently (paper §III-B, §VI-E).
-func (k *Kalman) InnovationNorm() geom.Vec2 { return k.lastInnovNorm }
+func (k *Kalman) InnovationNorm() geom.Vec2 { return k.innovNorm }

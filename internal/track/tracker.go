@@ -96,7 +96,7 @@ type Track struct {
 	ID    int
 	Class sim.Class
 
-	kf *Kalman
+	kf Kalman
 	// W, H are the EMA-smoothed box dimensions in pixels.
 	W, H float64
 
@@ -134,9 +134,9 @@ func (t *Track) Coasting() bool { return t.Misses > 0 }
 // Tracker is the multi-object tracker: Hungarian association of
 // detections to Kalman-filtered tracks with a tentative/confirmed/
 // deleted lifecycle. All per-frame working storage — the cost matrix,
-// the assignment solver's arrays, and dead Track objects (with their
-// Kalman matrices) — is owned by the struct and reused across frames,
-// so a warm Step performs no heap allocations.
+// the assignment solver's arrays, and dead Track objects — is owned by
+// the struct and reused across frames, so a warm Step performs no heap
+// allocations.
 type Tracker struct {
 	cfg    Config
 	tracks []*Track
@@ -148,7 +148,7 @@ type Tracker struct {
 	costRows [][]float64
 	assigned []int
 	usedDet  []bool
-	free     []*Track // recycled tracks, Kalman matrices intact
+	free     []*Track // recycled tracks
 }
 
 // NewTracker creates an empty tracker.
@@ -161,17 +161,6 @@ func (tr *Tracker) Config() Config { return tr.cfg }
 
 // Tracks returns the live tracks (both tentative and confirmed).
 func (tr *Tracker) Tracks() []*Track { return tr.tracks }
-
-// Confirmed returns only the confirmed tracks.
-func (tr *Tracker) Confirmed() []*Track {
-	out := make([]*Track, 0, len(tr.tracks))
-	for _, t := range tr.tracks {
-		if t.Confirmed {
-			out = append(out, t)
-		}
-	}
-	return out
-}
 
 // Step advances all tracks one frame and associates the new detections.
 // It returns the live track set after the update; the set is valid
@@ -258,8 +247,8 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 		}
 	}
 
-	// Unmatched detections spawn tentative tracks (recycling dead ones'
-	// Kalman matrices when available).
+	// Unmatched detections spawn tentative tracks (recycling dead ones
+	// when available).
 	for j, d := range dets {
 		if usedDet[j] {
 			continue
@@ -317,17 +306,18 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 }
 
 // spawn returns a Track initialized at the measured center, reusing a
-// recycled Track (and its Kalman filter's matrices) when one is free.
+// recycled Track when one is free.
 func (tr *Tracker) spawn(meas geom.Vec2) *Track {
+	var t *Track
 	if n := len(tr.free); n > 0 {
-		t := tr.free[n-1]
+		t = tr.free[n-1]
 		tr.free = tr.free[:n-1]
-		kf := t.kf
-		kf.Reset(meas)
-		*t = Track{kf: kf}
-		return t
+		*t = Track{}
+	} else {
+		t = new(Track)
 	}
-	return &Track{kf: NewKalman(meas)}
+	t.kf.Reset(meas)
+	return t
 }
 
 // Reset drops all tracks (start of a new episode), recycling them for
