@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
@@ -149,12 +150,15 @@ func TrainOracles(specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[c
 }
 
 // TrainOraclesOn generates the training data for every spec on eng
-// (the forced-episode fan-out), then fits the networks as one batch of
-// engine jobs, so up to the engine's worker count of them train at
-// once. Spec i's split, initial weights, dropout masks and minibatch
-// order all draw from its own stats.NewRNG(baseSeed+i+77), never from
-// the engine's job seed, so the fitted weights are bit-identical at any
-// worker count and in any completion order.
+// (the forced-episode fan-out), then fits the networks epoch by epoch
+// on eng's workers. Up to one slot job per worker takes a fit from a
+// ready queue, runs its next epoch and requeues it, so the fits advance
+// round-robin and no worker idles while any fit has epochs left. Spec
+// i's split, initial weights, dropout masks and minibatch order all
+// draw from its own stats.NewRNG(baseSeed+i+77), never from the
+// engine's job seed, and a fit runs on one goroutine at a time, so the
+// fitted weights are bit-identical at any worker count and in any
+// interleaving. Cancelling eng's context stops the fits between epochs.
 func TrainOraclesOn(eng *engine.Engine, specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[core.Vector]core.Oracle, []TrainedOracle, error) {
 	data := make([]nn.Dataset, len(specs))
 	for i, spec := range specs {
@@ -167,23 +171,20 @@ func TrainOraclesOn(eng *engine.Engine, specs []OracleSpec, baseSeed int64, cfg 
 		}
 		data[i] = ds
 	}
-	// The fits are plain jobs: no episode scratch, lanes or progress.
-	fits := eng.With(engine.WithWorkerState(nil), engine.WithEpisodeBatch(1), engine.WithProgress(nil))
-	idx := make([]int, len(specs))
-	for i := range idx {
-		idx[i] = i
-	}
-	infos, err := engine.Map(fits, 0, idx, func(_ context.Context, _ int64, i int) (TrainedOracle, error) {
+	infos := make([]TrainedOracle, len(specs))
+	trainers := make([]*nn.Trainer, len(specs))
+	for i, spec := range specs {
 		rng := stats.NewRNG(baseSeed + int64(i) + 77)
 		train, val := data[i].Split(0.6, rng)
 		net := nn.NewRegressor(core.EncodeDim, rng)
-		res, err := nn.Train(net, train, val, cfg, rng)
+		t, err := nn.NewTrainer(net, train, val, cfg, rng)
 		if err != nil {
-			return TrainedOracle{}, fmt.Errorf("%v oracle: %w", specs[i].Vector, err)
+			return nil, nil, fmt.Errorf("%v oracle: %w", spec.Vector, err)
 		}
-		return TrainedOracle{Vector: specs[i].Vector, Net: net, Result: res, Samples: data[i].Len()}, nil
-	})
-	if err != nil {
+		trainers[i] = t
+		infos[i] = TrainedOracle{Vector: spec.Vector, Net: net, Samples: data[i].Len()}
+	}
+	if err := fitRoundRobin(eng, trainers, infos); err != nil {
 		return nil, nil, err
 	}
 	oracles := make(map[core.Vector]core.Oracle, len(infos))
@@ -191,4 +192,44 @@ func TrainOraclesOn(eng *engine.Engine, specs []OracleSpec, baseSeed int64, cfg 
 		oracles[in.Vector] = &core.NNOracle{Net: in.Net}
 	}
 	return oracles, infos, nil
+}
+
+// fitRoundRobin runs every trainer to its last epoch on eng's workers
+// and stores each one's Result in infos.
+func fitRoundRobin(eng *engine.Engine, trainers []*nn.Trainer, infos []TrainedOracle) error {
+	// The ready queue holds each unfinished fit at most once, so with
+	// room for all of them a requeue never blocks.
+	ready := make(chan int, len(trainers))
+	for i := range trainers {
+		ready <- i
+	}
+	var left atomic.Int32
+	left.Store(int32(len(trainers)))
+	// The slots are plain jobs: no episode scratch, lanes or progress.
+	fits := eng.With(engine.WithWorkerState(nil), engine.WithEpisodeBatch(1), engine.WithProgress(nil))
+	slots := make([]struct{}, min(eng.Workers(), len(trainers)))
+	_, err := engine.Map(fits, 0, slots, func(ctx context.Context, _ int64, _ struct{}) (struct{}, error) {
+		for {
+			select {
+			case <-ctx.Done():
+				return struct{}{}, ctx.Err()
+			case i, ok := <-ready:
+				if !ok {
+					return struct{}{}, nil
+				}
+				if err := ctx.Err(); err != nil {
+					return struct{}{}, err
+				}
+				if trainers[i].Epoch() {
+					ready <- i
+					continue
+				}
+				infos[i].Result = trainers[i].Result()
+				if left.Add(-1) == 0 {
+					close(ready)
+				}
+			}
+		}
+	})
+	return err
 }

@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
@@ -53,20 +57,35 @@ func sameWeights(a, b *nn.Network) bool {
 	return true
 }
 
-// TestTrainOraclesWorkerCountInvariant: the concurrent fits give the
+// unevenOracleSpecs is one short sweep per attack vector with grids of
+// different lengths, so the datasets differ in size, their epochs take
+// different times and the fits finish in a different order from the
+// one they started in.
+func unevenOracleSpecs() []OracleSpec {
+	specs := smallOracleSpecs()
+	specs[0].DeltaGrid = []float64{15, 20, 25, 30, 35, 40}
+	specs[2].DeltaGrid = []float64{20, 30, 40}
+	return specs
+}
+
+// TestTrainOraclesWorkerCountInvariant: the round-robin fits give the
 // same bits at any worker count, and the same bits as fitting the
-// oracles one after another with the exported building blocks.
+// oracles one after another with the exported building blocks. Datasets
+// of different sizes make the epochs move between goroutines in orders
+// that vary with the worker count and the run.
 func TestTrainOraclesWorkerCountInvariant(t *testing.T) {
 	const seed = 31
-	specs := smallOracleSpecs()
-	cfg := nn.TrainConfig{Epochs: 3, BatchSize: 16, LR: 1e-3}
+	specs := unevenOracleSpecs()
+	cfg := nn.TrainConfig{Epochs: 5, BatchSize: 16, LR: 1e-3}
 
 	var want []TrainedOracle
+	sizes := map[int]bool{}
 	for i, spec := range specs {
 		ds, err := GenerateOracleDataOn(engine.New(engine.WithWorkers(1)), spec, seed+int64(i)*10_000)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sizes[ds.Len()] = true
 		rng := stats.NewRNG(seed + int64(i) + 77)
 		train, val := ds.Split(0.6, rng)
 		net := nn.NewRegressor(core.EncodeDim, rng)
@@ -76,8 +95,11 @@ func TestTrainOraclesWorkerCountInvariant(t *testing.T) {
 		}
 		want = append(want, TrainedOracle{Vector: spec.Vector, Net: net, Result: res, Samples: ds.Len()})
 	}
+	if len(sizes) != len(specs) {
+		t.Fatalf("dataset sizes %v: want %d different sizes", sizes, len(specs))
+	}
 
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 3, 4} {
 		oracles, infos, err := TrainOraclesOn(engine.New(engine.WithWorkers(workers)), specs, seed, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -98,5 +120,43 @@ func TestTrainOraclesWorkerCountInvariant(t *testing.T) {
 				t.Errorf("workers=%d %v: oracle map does not hold the fitted network", workers, got.Vector)
 			}
 		}
+	}
+}
+
+// TestTrainOraclesCancel: cancelling the engine's context while the
+// networks fit stops every fit between epochs. The fits here have far
+// more epochs than could run before the test's timeout, so the call
+// returns only because it observed the cancellation, and it returns
+// context.Canceled within a fraction of a second.
+func TestTrainOraclesCancel(t *testing.T) {
+	specs := smallOracleSpecs()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Data generation runs one engine batch per spec; once the last
+	// batch's last episode completes, cancel a little into the fits.
+	var batches atomic.Int32
+	cancelled := make(chan time.Time, 1)
+	progress := func(done, total int) {
+		if done == total && int(batches.Add(1)) == len(specs) {
+			time.AfterFunc(100*time.Millisecond, func() {
+				cancelled <- time.Now()
+				cancel()
+			})
+		}
+	}
+	eng := engine.New(engine.WithWorkers(2), engine.WithContext(ctx), engine.WithProgress(progress))
+	cfg := nn.TrainConfig{Epochs: math.MaxInt32, BatchSize: 16, LR: 1e-3}
+	_, _, err := TrainOraclesOn(eng, specs, 5, cfg)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	select {
+	case at := <-cancelled:
+		if d := returned.Sub(at); d > 2*time.Second {
+			t.Errorf("returned %v after the cancel, want well under one fit's time", d)
+		}
+	default:
+		t.Fatal("returned before the fits were cancelled")
 	}
 }

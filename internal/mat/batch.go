@@ -12,12 +12,14 @@ import "fmt"
 // processed four at a time so each weight row loaded from memory is
 // reused across four accumulators, and the inner loop over the input
 // dimension is unrolled four wide. Bit-identity with the unbatched
-// path is part of the contract: every (row, output) pair accumulates
-// into a single float64 in ascending input order — exactly the
-// operation sequence of the matrix-vector dot product in
-// nn.Dense.ForwardInto — so a batched row equals the unbatched result
-// bit for bit. (The unroll issues the four products as four separate
-// sequential adds; Go guarantees no floating-point reassociation.)
+// path is part of the contract: every (row, output) pair starts at the
+// bias and accumulates every term into a single float64 in ascending
+// input order. nn.Dense.ForwardInto adds the same terms in the same
+// order except those of zero inputs, which add ±0 and so change no
+// bits (it keeps them for a layer holding a -0 bias), so a batched row
+// equals the unbatched result bit for bit. (The unroll issues the four
+// products as four separate sequential adds; Go guarantees no
+// floating-point reassociation.)
 func MulBatchInto(dst, x, w, bias []float64, rows, in, out int) {
 	if rows < 0 || in < 0 || out < 0 ||
 		len(x) < rows*in || len(w) < out*in || len(bias) < out || len(dst) < rows*out {

@@ -10,8 +10,10 @@ import (
 // layer into one blocked matrix-matrix product (mat.MulBatchInto) that
 // reuses each weight row across the batch. Row r of the result is
 // bit-identical to Infer on row r of the input: the batched dense
-// kernel accumulates each output in exactly the unbatched order, and
-// the element-wise layers apply the same per-element operations.
+// kernel adds each output's terms in the unbatched order, including
+// the zero-input terms the unbatched kernel skips because they change
+// no bits, and the element-wise layers apply the same per-element
+// operations.
 
 // BatchInferenceLayer is a layer with an allocation-free batched
 // inference path. ForwardBatchInto reads rows input vectors of the
@@ -131,7 +133,7 @@ func (n *Network) inputDim() int {
 // returned slice (rows*outWidth values, row-major) aliases the scratch
 // and is valid until the next InferBatch call. Row r of the output is
 // bit-identical to Infer(s, x[r*inputDim:(r+1)*inputDim]) — the
-// batched kernels preserve the unbatched accumulation order — so
+// batched kernels add the unbatched terms in the same order — so
 // callers may batch opportunistically without changing results. A
 // stack containing a layer without a batched path falls back to
 // row-wise Forward (allocating, still correct).

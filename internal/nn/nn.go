@@ -64,13 +64,57 @@ func (d *Dense) Forward(x []float64, _ bool) []float64 {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad []float64) []float64 {
-	return d.backwardInto(make([]float64, d.In), grad, d.x)
+	nz := gather(make([]int32, 0, len(d.x)), d.x, 0, len(d.x), false)
+	return d.backwardInto(make([]float64, d.In), grad, d.x, nz, dxAll)
+}
+
+// dxMode says which entries of a Dense layer's input gradient dL/dx
+// the layers below it read in training.
+type dxMode uint8
+
+const (
+	// dxAll: every entry.
+	dxAll dxMode = iota
+	// dxNonzero: only the entries where the layer input x is nonzero.
+	// The layer directly below is a ReLU, or a ReLU followed by
+	// dropouts, so x[i] == 0 means unit i was inactive or dropped, and
+	// their backward passes write a literal 0 at i whatever dL/dx[i] is.
+	dxNonzero
+	// dxNone: no entry; no layer below has parameters.
+	dxNone
+)
+
+// dxFor decides the dxMode of a Dense layer whose lower layers are
+// below, in stack order.
+func dxFor(below []Layer) dxMode {
+	mode := dxNone
+	for _, l := range below {
+		switch l.(type) {
+		case *ReLU, *Dropout:
+		default:
+			mode = dxAll
+		}
+	}
+	if mode == dxNone {
+		return dxNone
+	}
+	i := len(below) - 1
+	for ; i >= 0; i-- {
+		if _, ok := below[i].(*Dropout); !ok {
+			break
+		}
+	}
+	if _, ok := below[i].(*ReLU); ok {
+		return dxNonzero
+	}
+	return dxAll
 }
 
 // backwardInto accumulates the parameter gradients for upstream
-// gradient grad at layer input x, and adds dL/dx into in, which the
-// caller zeroes.
-func (d *Dense) backwardInto(in, grad, x []float64) []float64 {
+// gradient grad at layer input x, whose nonzero entries nz indexes in
+// ascending order, and adds the entries of dL/dx that dx selects into
+// in, which the caller zeroes.
+func (d *Dense) backwardInto(in, grad, x []float64, nz []int32, dx dxMode) []float64 {
 	x = x[:d.In]
 	in = in[:len(x)]
 	for o := 0; o < d.Out; o++ {
@@ -82,18 +126,41 @@ func (d *Dense) backwardInto(in, grad, x []float64) []float64 {
 			// start at +0, and a float64 sum that starts at +0 is never
 			// -0 (+0 + -0 is +0, exact cancellation rounds to +0), so
 			// adding ±0 leaves each one unchanged bit for bit: skipping
-			// the row is exact for finite inputs and weights.
+			// the row is exact for finite inputs and weights. The same
+			// argument skips the weight-gradient terms of zero inputs.
 			continue
 		}
 		d.gb[o] += g
 		row := d.W[o*d.In : (o+1)*d.In][:len(x)]
 		grow := d.gw[o*d.In : (o+1)*d.In][:len(x)]
-		for i, xi := range x {
-			grow[i] += g * xi
-			in[i] += g * row[i]
+		if dx == dxNonzero {
+			for _, i := range nz {
+				grow[i] += g * x[i]
+				in[i] += g * row[i]
+			}
+			continue
+		}
+		for _, i := range nz {
+			grow[i] += g * x[i]
+		}
+		if dx == dxAll {
+			for i, w := range row {
+				in[i] += g * w
+			}
 		}
 	}
 	return in
+}
+
+// gather appends to idx the indices in [lo, hi) at which x is nonzero
+// (every index, if all is set), in ascending order. NaN is nonzero.
+func gather(idx []int32, x []float64, lo, hi int, all bool) []int32 {
+	for i := lo; i < hi; i++ {
+		if all || x[i] != 0 {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
 }
 
 // Params implements Layer.
@@ -302,18 +369,68 @@ var (
 	_ InferenceLayer = (*Dropout)(nil)
 )
 
-// ForwardInto implements InferenceLayer.
+// gatherBlock is how many inputs Dense.ForwardInto gathers at a time.
+// Its index buffer lives on the stack, so the kernel keeps no state in
+// the layer.
+const gatherBlock = 128
+
+// negZeroBits is the bit pattern of -0.
+const negZeroBits = 1 << 63
+
+// ForwardInto implements InferenceLayer. It sums only the nonzero
+// inputs, which is exact for finite weights: a zero input adds ±0, and
+// adding ±0 leaves a float64 sum unchanged unless the sum is -0. A sum
+// that starts at a bias other than -0 never becomes -0 (only -0 + -0
+// is -0, and exact cancellation rounds to +0), so a layer holding a -0
+// bias keeps the dense sum. NaN inputs are nonzero and always summed.
+// Four outputs share each pass over the gathered inputs, and each
+// output still adds its terms one at a time in ascending input order.
 func (d *Dense) ForwardInto(dst, x []float64) []float64 {
 	out := dst[:d.Out]
-	for o := 0; o < d.Out; o++ {
-		s := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			s += row[i] * xi
+	x = x[:d.In]
+	copy(out, d.B)
+	dense := false
+	for _, b := range d.B {
+		if math.Float64bits(b) == negZeroBits {
+			dense = true
+			break
+		}
+	}
+	var buf [gatherBlock]int32
+	for lo := 0; lo < len(x); lo += gatherBlock {
+		d.addRows(out, x, gather(buf[:0], x, lo, min(lo+gatherBlock, len(x)), dense))
+	}
+	return out
+}
+
+// addRows adds W[o][i]*x[i] to out[o] for every output o and every i
+// in idx, in idx order.
+func (d *Dense) addRows(out, x []float64, idx []int32) {
+	in := d.In
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		r0 := d.W[o*in : (o+1)*in]
+		r1 := d.W[(o+1)*in : (o+2)*in]
+		r2 := d.W[(o+2)*in : (o+3)*in]
+		r3 := d.W[(o+3)*in : (o+4)*in]
+		s0, s1, s2, s3 := out[o], out[o+1], out[o+2], out[o+3]
+		for _, i := range idx {
+			xi := x[i]
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(out); o++ {
+		row := d.W[o*in : (o+1)*in]
+		s := out[o]
+		for _, i := range idx {
+			s += row[i] * x[i]
 		}
 		out[o] = s
 	}
-	return out
 }
 
 // ForwardInto implements InferenceLayer.
@@ -595,64 +712,119 @@ func (n *Network) checkData(name string, d Dataset) error {
 }
 
 // Train fits the network on train with MSE loss (Eq. 3 of the paper)
-// and evaluates on val. It rejects an invalid cfg and rows of the wrong
-// width. Every activation, gradient and dropout mask lives in buffers
-// allocated once per call, so the per-sample loop does not allocate;
-// the float64 operations and dropout draws run in the same order as
-// the layers' Forward and Backward.
+// and evaluates on val: the loop over a Trainer's epochs. It rejects an
+// invalid cfg and rows of the wrong width.
 func Train(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) (Result, error) {
+	t, err := NewTrainer(n, train, val, cfg, rng)
+	if err != nil {
+		return Result{}, err
+	}
+	for t.Epoch() {
+	}
+	return t.Result(), nil
+}
+
+// Trainer fits a network one epoch at a time. NewTrainer validates the
+// recipe and data, each Epoch call runs the next epoch, and Result
+// evaluates. Every activation, gradient and dropout mask lives in
+// buffers the Trainer allocates once, so the per-sample loop does not
+// allocate. The float64 operations and the draws from rng run in the
+// same order however the epochs are spread over time, so the weights
+// depend only on how many epochs ran. A Trainer may move between
+// goroutines between calls if the hand-off is synchronized, and serves
+// one goroutine at a time.
+type Trainer struct {
+	n          *Network
+	train, val Dataset
+	cfg        TrainConfig
+	rng        *stats.RNG
+	opt        *Adam
+	slots      []trainSlot
+	epoch      int
+	loss       [1]float64 // dL/d(output) of the current sample
+}
+
+// NewTrainer prepares to fit n on train with MSE loss and evaluate it on
+// val, drawing minibatch orders from rng. It rejects an empty training
+// set, an invalid cfg and rows of the wrong width, as Train does.
+func NewTrainer(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) (*Trainer, error) {
 	if train.Len() == 0 {
-		return Result{}, errors.New("nn: empty training set")
+		return nil, errors.New("nn: empty training set")
 	}
 	if err := cfg.validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := n.checkData("training", train); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := n.checkData("validation", val); err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	opt := NewAdam(cfg.LR)
-	opt.bind(n)
-	slots := make([]trainSlot, len(n.Layers))
-	var loss [1]float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		order := rng.Perm(train.Len())
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(order))
-			for _, g := range opt.grads {
-				clear(g)
-			}
-			for _, j := range order[start:end] {
-				out := train.X[j]
-				for i, l := range n.Layers {
-					out = slots[i].forward(l, out)
-				}
-				// d(MSE)/d(out) = 2*(out - y)
-				loss[0] = 2 * (out[0] - train.Y[j])
-				grad := loss[:]
-				for i := len(n.Layers) - 1; i >= 0; i-- {
-					grad = slots[i].backward(n.Layers[i], grad)
-				}
-			}
-			opt.Step(n, end-start)
+	t := &Trainer{n: n, train: train, val: val, cfg: cfg, rng: rng,
+		opt: NewAdam(cfg.LR), slots: make([]trainSlot, len(n.Layers))}
+	t.opt.bind(n)
+	for i, l := range n.Layers {
+		if _, ok := l.(*Dense); ok {
+			t.slots[i].dx = dxFor(n.Layers[:i])
 		}
 	}
-	s := n.NewInferScratch()
+	return t, nil
+}
+
+// Epoch runs the next epoch, if one remains: a permutation of the
+// training set, then per minibatch a forward and backward pass for
+// each sample and one Adam step. It reports whether epochs remain.
+func (t *Trainer) Epoch() bool {
+	if t.epoch >= t.cfg.Epochs {
+		return false
+	}
+	t.epoch++
+	layers := t.n.Layers
+	order := t.rng.Perm(t.train.Len())
+	for start := 0; start < len(order); start += t.cfg.BatchSize {
+		end := min(start+t.cfg.BatchSize, len(order))
+		for _, g := range t.opt.grads {
+			clear(g)
+		}
+		for _, j := range order[start:end] {
+			out := t.train.X[j]
+			for i, l := range layers {
+				out = t.slots[i].forward(l, out)
+			}
+			// d(MSE)/d(out) = 2*(out - y)
+			t.loss[0] = 2 * (out[0] - t.train.Y[j])
+			grad := t.loss[:]
+			for i := len(layers) - 1; i >= 0; i-- {
+				grad = t.slots[i].backward(layers[i], grad)
+			}
+		}
+		t.opt.Step(t.n, end-start)
+	}
+	return t.epoch < t.cfg.Epochs
+}
+
+// Result evaluates the network as it stands: its mean squared error on
+// the training set and its mean squared and absolute errors on the
+// validation set.
+func (t *Trainer) Result() Result {
+	s := t.n.NewInferScratch()
 	var res Result
-	res.TrainMSE, _ = evaluate(n, s, train)
-	res.ValMSE, res.ValMAE = evaluate(n, s, val)
-	return res, nil
+	res.TrainMSE, _ = evaluate(t.n, s, t.train)
+	res.ValMSE, res.ValMAE = evaluate(t.n, s, t.val)
+	return res
 }
 
 // trainSlot is one layer's training buffers: its input for the current
 // sample (aliasing the previous slot's out, or the dataset row), its
 // activation, its input gradient and its ReLU or dropout mask. Each
 // buffer is sized on the first sample and reused for every later one.
+// A Dense slot also keeps the indices of its input's nonzero entries
+// and how much of its input gradient the layers below read.
 type trainSlot struct {
 	x, out, gin []float64
 	mask        []bool
+	nz          []int32
+	dx          dxMode
 }
 
 // forward runs l in training mode into the slot's buffers. Layer types
@@ -683,7 +855,8 @@ func (s *trainSlot) backward(l Layer, grad []float64) []float64 {
 	case *Dense:
 		s.gin = resize(s.gin, l.In)
 		clear(s.gin)
-		return l.backwardInto(s.gin, grad, s.x)
+		s.nz = gather(resize(s.nz, l.In)[:0], s.x, 0, len(s.x), false)
+		return l.backwardInto(s.gin, grad, s.x, s.nz, s.dx)
 	case *ReLU:
 		s.gin = resize(s.gin, len(grad))
 		return reluBackInto(s.gin, grad, s.mask)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -84,6 +85,53 @@ func TestTrainGolden(t *testing.T) {
 	}
 }
 
+// TestTrainerEpochsAcrossGoroutines: a Trainer whose epochs each run on
+// a goroutine of their own, handed over through a channel, ends with
+// the same weight and Result bits as Train.
+func TestTrainerEpochsAcrossGoroutines(t *testing.T) {
+	cfg := TrainConfig{Epochs: 4, BatchSize: 16, LR: 1e-3}
+	ds := syntheticOracleData(150, 8)
+	setup := func() (*Network, Dataset, Dataset, *stats.RNG) {
+		rng := stats.NewRNG(9)
+		train, val := ds.Split(0.6, rng)
+		return NewRegressor(4, rng), train, val, rng
+	}
+	want, train, val, rng := setup()
+	wantRes, err := Train(want, train, val, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, train, val, rng := setup()
+	tr, err := NewTrainer(got, train, val, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := 0
+	for more := true; more; epochs++ {
+		done := make(chan bool)
+		go func() { done <- tr.Epoch() }()
+		more = <-done
+	}
+	if epochs != cfg.Epochs {
+		t.Errorf("Epoch reported epochs left %d times, want %d", epochs-1, cfg.Epochs-1)
+	}
+	if tr.Epoch() {
+		t.Error("Epoch after the last epoch reports epochs left")
+	}
+	gotRes := tr.Result()
+	for _, f := range [][2]float64{
+		{gotRes.TrainMSE, wantRes.TrainMSE}, {gotRes.ValMSE, wantRes.ValMSE}, {gotRes.ValMAE, wantRes.ValMAE},
+	} {
+		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+			t.Errorf("Result %+v, Train's %+v", gotRes, wantRes)
+			break
+		}
+	}
+	if g, w := weightDigest(got), weightDigest(want); g != w {
+		t.Errorf("weight digest %s, Train's %s", g, w)
+	}
+}
+
 // TestTrainRejectsBadInput: configs that would loop forever or train
 // nothing meaningful, and rows whose width differs from the network's
 // input, are errors rather than hangs, panics or silent truncation.
@@ -127,28 +175,54 @@ func TestTrainRejectsBadInput(t *testing.T) {
 
 // TestTrainAllocsIndependentOfSamples: training allocates its buffers
 // once per call, so ten times the data costs no extra allocations —
-// only the per-epoch permutation and fixed set-up remain.
+// only the per-epoch permutation and fixed set-up remain. That holds
+// for Train and for the same fit driven epoch by epoch through a
+// Trainer. The count is exact, so the test collects garbage first and
+// turns the collector off while counting: a GC cycle that happens to
+// start inside the window makes the runtime allocate too.
 func TestTrainAllocsIndependentOfSamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains on 2,000 samples")
 	}
-	allocs := func(samples int) float64 {
-		train := syntheticOracleData(samples, 5)
-		val := syntheticOracleData(50, 6)
-		rng := stats.NewRNG(7)
-		n := NewRegressor(4, rng)
-		cfg := TrainConfig{Epochs: 2, BatchSize: 32, LR: 1e-3}
-		return testing.AllocsPerRun(2, func() {
-			if _, err := Train(n, train, val, cfg, rng); err != nil {
-				t.Fatal(err)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := TrainConfig{Epochs: 2, BatchSize: 32, LR: 1e-3}
+	for _, c := range []struct {
+		name string
+		fit  func(n *Network, train, val Dataset, rng *stats.RNG) error
+	}{
+		{"Train", func(n *Network, train, val Dataset, rng *stats.RNG) error {
+			_, err := Train(n, train, val, cfg, rng)
+			return err
+		}},
+		{"Trainer", func(n *Network, train, val Dataset, rng *stats.RNG) error {
+			tr, err := NewTrainer(n, train, val, cfg, rng)
+			if err != nil {
+				return err
 			}
-		})
+			for tr.Epoch() {
+			}
+			tr.Result()
+			return nil
+		}},
+	} {
+		allocs := func(samples int) float64 {
+			train := syntheticOracleData(samples, 5)
+			val := syntheticOracleData(50, 6)
+			rng := stats.NewRNG(7)
+			n := NewRegressor(4, rng)
+			return testing.AllocsPerRun(2, func() {
+				if err := c.fit(n, train, val, rng); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(200), allocs(2000)
+		if small != large {
+			t.Fatalf("%s allocs: %v at 200 samples, %v at 2000 — allocation per sample or step", c.name, small, large)
+		}
+		t.Logf("%s allocs per call: %v at both sizes", c.name, small)
 	}
-	small, large := allocs(200), allocs(2000)
-	if small != large {
-		t.Fatalf("Train allocs: %v at 200 samples, %v at 2000 — allocation per sample or step", small, large)
-	}
-	t.Logf("Train allocs per call: %v at both sizes", small)
 }
 
 // BenchmarkTrain is one oracle-sized fit: the safety hijacker's network
