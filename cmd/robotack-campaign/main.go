@@ -67,7 +67,6 @@ func run() error {
 		seed         = flag.Int64("seed", 1000, "base seed")
 		train        = flag.Bool("train", true, "train the safety-hijacker NNs first (else analytic oracle)")
 		workers      = flag.Int("workers", engine.DefaultWorkers(), "parallel episode workers")
-		episodeBatch = flag.Int("episode-batch", 1, "lockstep episode lanes per worker; lanes coalesce same-network oracle queries into batched inference (1: off)")
 		scenarioFile = flag.String("scenario-file", "", "evaluate a JSON scenario spec instead of Table II")
 		generate     = flag.Bool("generate", false, "evaluate procedurally generated scenarios instead of Table II")
 		list         = flag.Bool("list-scenarios", false, "list registered scenario specs and exit")
@@ -224,7 +223,6 @@ func run() error {
 
 	eng := engine.New(
 		engine.WithWorkers(*workers),
-		engine.WithEpisodeBatch(*episodeBatch),
 		engine.WithContext(ctx),
 		engine.WithProgress(func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\r  %d/%d episodes", done, total)

@@ -50,21 +50,20 @@ func main() {
 
 func run() error {
 	var (
-		scenarios    = flag.String("scenarios", "DS-1,DS-2,DS-3,DS-4", "comma-separated battery of smart-mode scenarios to score candidates on")
-		runs         = flag.Int("runs", 12, "episodes per battery scenario per candidate")
-		generations  = flag.Int("generations", 8, "search generations")
-		pop          = flag.Int("pop", 8, "candidates per generation (incl. the re-evaluated elite)")
-		sigma        = flag.Float64("sigma", 0.15, "initial mutation scale (fraction of each parameter's range)")
-		seed         = flag.Int64("seed", 1000, "base seed; every mutation and episode seed derives from it")
-		train        = flag.Bool("train", false, "train the safety-hijacker NNs first (else analytic oracle)")
-		workers      = flag.Int("workers", engine.DefaultWorkers(), "parallel episode workers")
-		episodeBatch = flag.Int("episode-batch", 1, "lockstep episode lanes per worker; lanes coalesce same-network oracle queries into batched inference (1: off)")
-		out          = flag.String("out", "trained-policy.json", "write the best candidate's policy artifact here")
-		storePath    = flag.String("store", "", "persist candidate evaluations to this JSONL store and resume them on re-run")
-		logPath      = flag.String("log", "", "write the byte-reproducible JSONL search log here")
-		ftdcPath     = flag.String("ftdc", "", "append periodic binary metric snapshots to this file (decode with robotack-ftdc)")
-		ftdcEvery    = flag.Duration("ftdc-interval", time.Second, "FTDC snapshot interval")
-		logCfg       obs.LogConfig
+		scenarios   = flag.String("scenarios", "DS-1,DS-2,DS-3,DS-4", "comma-separated battery of smart-mode scenarios to score candidates on")
+		runs        = flag.Int("runs", 12, "episodes per battery scenario per candidate")
+		generations = flag.Int("generations", 8, "search generations")
+		pop         = flag.Int("pop", 8, "candidates per generation (incl. the re-evaluated elite)")
+		sigma       = flag.Float64("sigma", 0.15, "initial mutation scale (fraction of each parameter's range)")
+		seed        = flag.Int64("seed", 1000, "base seed; every mutation and episode seed derives from it")
+		train       = flag.Bool("train", false, "train the safety-hijacker NNs first (else analytic oracle)")
+		workers     = flag.Int("workers", engine.DefaultWorkers(), "parallel episode workers")
+		out         = flag.String("out", "trained-policy.json", "write the best candidate's policy artifact here")
+		storePath   = flag.String("store", "", "persist candidate evaluations to this JSONL store and resume them on re-run")
+		logPath     = flag.String("log", "", "write the byte-reproducible JSONL search log here")
+		ftdcPath    = flag.String("ftdc", "", "append periodic binary metric snapshots to this file (decode with robotack-ftdc)")
+		ftdcEvery   = flag.Duration("ftdc-interval", time.Second, "FTDC snapshot interval")
+		logCfg      obs.LogConfig
 	)
 	logCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -95,7 +94,6 @@ func run() error {
 
 	eng := engine.New(
 		engine.WithWorkers(*workers),
-		engine.WithEpisodeBatch(*episodeBatch),
 		engine.WithContext(ctx),
 	)
 	logger.Info("engine ready", "workers", eng.Workers())

@@ -79,7 +79,6 @@ func run() error {
 		storeDir  = flag.String("store-dir", "", "serve a segmented segstore directory (created if missing); exclusive with -store")
 		addr      = flag.String("addr", ":8077", "listen address")
 		workers   = flag.Int("workers", engine.DefaultWorkers(), "engine workers per locally executed run")
-		epBatch   = flag.Int("episode-batch", 1, "lockstep episode lanes per engine worker for local runs; lanes coalesce same-network oracle queries into batched inference (1: off)")
 		queueDir  = flag.String("queue-dir", "", "directory for the durable run-queue journal (empty: in-memory queue, lost on restart)")
 		maxConc   = flag.Int("max-concurrent", 1, "how many queued runs execute locally at once (0: remote workers only)")
 		leaseTTL  = flag.Duration("lease-ttl", 30*time.Second, "remote-worker lease duration; a missed heartbeat requeues the job")
@@ -166,7 +165,6 @@ func run() error {
 	mux := http.NewServeMux()
 	mux.Handle("/", campaignd.New(store,
 		campaignd.WithWorkers(*workers),
-		campaignd.WithEpisodeBatch(*epBatch),
 		campaignd.WithQueue(queue),
 		campaignd.WithLogger(logger),
 		campaignd.WithTracer(tracer),

@@ -54,8 +54,7 @@ func run() error {
 		name      = flag.String("name", fmt.Sprintf("%s-%d", host, os.Getpid()), "worker name reported in leases")
 		workers   = flag.Int("workers", engine.DefaultWorkers(), "engine workers per job")
 		poll      = flag.Duration("poll", time.Second, "sleep between leases when the queue is empty")
-		batch     = flag.Int("batch", runq.DefaultPostBatch, "completed episodes buffered per episode-stream POST (result-upload batching, NOT inference batching — see -episode-batch)")
-		epBatch   = flag.Int("episode-batch", 1, "lockstep episode lanes per engine worker; lanes coalesce same-network oracle queries into batched inference (1: off)")
+		batch     = flag.Int("batch", runq.DefaultPostBatch, "completed episodes buffered per episode-stream POST (result-upload batching)")
 		metrics   = flag.String("metrics", "", "serve Prometheus text at GET /metrics on this address, e.g. :9100 (empty: no metrics server)")
 		pprofOn   = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ (needs -metrics)")
 		ftdcPath  = flag.String("ftdc", "", "append periodic binary metric snapshots to this file (decode with robotack-ftdc)")
@@ -115,19 +114,18 @@ func run() error {
 	}
 
 	w := &runq.Worker{
-		Server:       *server,
-		Name:         *name,
-		Workers:      *workers,
-		EpisodeBatch: *epBatch,
-		Poll:         *poll,
-		Batch:        *batch,
-		Log:          logger,
-		NoTrace:      !*traceOn,
-		TraceSample:  *traceN,
+		Server:      *server,
+		Name:        *name,
+		Workers:     *workers,
+		Poll:        *poll,
+		Batch:       *batch,
+		Log:         logger,
+		NoTrace:     !*traceOn,
+		TraceSample: *traceN,
 	}
 	logger.Info("worker starting",
 		"worker", *name, "server", *server, "engine_workers", *workers,
-		"episode_batch", *epBatch, "metrics", *metrics, "pprof", *pprofOn)
+		"metrics", *metrics, "pprof", *pprofOn)
 	if err := w.Run(ctx); err != nil {
 		return err
 	}

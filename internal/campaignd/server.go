@@ -75,7 +75,6 @@ func httpSeconds(pattern string) *obs.Histogram {
 type Server struct {
 	store    results.Store
 	workers  int
-	epBatch  int
 	oracles  map[core.Vector]core.Oracle
 	queue    *runq.Queue
 	ownQueue bool
@@ -94,18 +93,6 @@ func WithWorkers(n int) Option {
 	return func(s *Server) {
 		if n >= 1 {
 			s.workers = n
-		}
-	}
-}
-
-// WithEpisodeBatch sets the lockstep episode-lane count per engine
-// worker for locally executed runs (engine.WithEpisodeBatch); lanes
-// coalesce same-network oracle queries into batched inference. <=1
-// disables lanes.
-func WithEpisodeBatch(k int) Option {
-	return func(s *Server) {
-		if k >= 1 {
-			s.epBatch = k
 		}
 	}
 }
@@ -171,7 +158,7 @@ func New(store results.Store, opts ...Option) *Server {
 		s.ownQueue = true
 	}
 	if s.exec == nil {
-		s.exec = runq.LocalExecutor{Store: s.store, Oracles: s.oracles, Workers: s.workers, EpisodeBatch: s.epBatch}
+		s.exec = runq.LocalExecutor{Store: s.store, Oracles: s.oracles, Workers: s.workers}
 	}
 	s.queue.Start(s.exec)
 

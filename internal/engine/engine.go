@@ -75,13 +75,11 @@ func SplitMixSeeds(baseSeed int64, index int) int64 {
 
 // Engine runs batches of jobs on a fixed-size worker pool.
 type Engine struct {
-	workers      int
-	episodeBatch int
-	ctx          context.Context
-	progress     func(done, total int)
-	seedFn       SeedFunc
-	workerState  func() any
-	groupState   func() any
+	workers     int
+	ctx         context.Context
+	progress    func(done, total int)
+	seedFn      SeedFunc
+	workerState func() any
 }
 
 // Option configures an Engine.
@@ -131,53 +129,14 @@ func WithWorkerState(fn func() any) Option {
 	return func(e *Engine) { e.workerState = fn }
 }
 
-// WithEpisodeBatch sets the lockstep episode-lane count: each worker
-// advances k independent episodes concurrently (k lane goroutines per
-// worker slot, each with its own WithWorkerState value), which is what
-// feeds a per-worker inference batcher enough simultaneous oracle
-// queries to answer them as one batched forward pass. Lanes pull jobs
-// from the shared queue, so a lane whose episode finishes early
-// backfills immediately. Values below 2 mean no lanes (the default
-// single-episode worker loop). Seeds still derive from
-// (baseSeed, index) only, so results are byte-identical at any
-// (workers, batch) combination.
-func WithEpisodeBatch(k int) Option {
-	return func(e *Engine) {
-		if k >= 1 {
-			e.episodeBatch = k
-		}
-	}
-}
-
-// WithWorkerGroupState registers a factory producing one state value
-// per worker SLOT per batch — shared by all of the slot's episode
-// lanes, unlike WithWorkerState's per-lane values. Jobs retrieve it
-// with GroupState(ctx). It is the hook for the cross-lane inference
-// batcher; the value must be safe for concurrent use by the slot's
-// lanes.
-func WithWorkerGroupState(fn func() any) Option {
-	return func(e *Engine) { e.groupState = fn }
-}
-
 // workerStateKey carries the per-worker state in the job context.
 type workerStateKey struct{}
-
-// groupStateKey carries the per-worker-slot shared state in the job
-// context.
-type groupStateKey struct{}
 
 // WorkerState returns the value the engine's WithWorkerState factory
 // produced for the executing worker, or nil when the engine has no
 // factory (or ctx is not an engine job context).
 func WorkerState(ctx context.Context) any {
 	return ctx.Value(workerStateKey{})
-}
-
-// GroupState returns the value the engine's WithWorkerGroupState
-// factory produced for the executing worker slot (shared across its
-// episode lanes), or nil.
-func GroupState(ctx context.Context) any {
-	return ctx.Value(groupStateKey{})
 }
 
 // With derives a new Engine from e with the given options applied —
@@ -212,15 +171,6 @@ func New(opts ...Option) *Engine {
 // Workers reports the configured pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// EpisodeBatch reports the configured lockstep episode-lane count per
-// worker slot (1: the default single-episode worker loop).
-func (e *Engine) EpisodeBatch() int {
-	if e.episodeBatch < 1 {
-		return 1
-	}
-	return e.episodeBatch
-}
-
 // Context returns the engine's cancellation context, so batch
 // consumers (e.g. streaming aggregators built on StreamOrdered) can
 // distinguish a canceled batch from a completed one.
@@ -239,10 +189,9 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 	// job's result is never dropped in a cancellation race and never
 	// pins a worker to an abandoned consumer.
 	out := make(chan Result, len(jobs))
-	lanes := e.EpisodeBatch()
 	workers := e.workers
-	if max := (len(jobs) + lanes - 1) / lanes; workers > max {
-		workers = max
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
 	if workers < 1 {
 		workers = 1
@@ -271,75 +220,52 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 		mu   sync.Mutex
 		done int
 	)
-	// runLane is one job-pulling loop: the whole worker under the
-	// default single-episode mode, or one of a worker slot's lanes
-	// under WithEpisodeBatch. laneCtx carries the slot's shared group
-	// state; the lane attaches its own worker state lazily.
-	runLane := func(laneCtx context.Context) {
-		jobCtx := laneCtx
-		var jobObs struct {
-			init    bool
-			seconds obs.HistogramHandle
-			total   obs.CounterHandle
-		}
-		for i := range idx {
-			if e.workerState != nil && jobCtx == laneCtx {
-				jobCtx = context.WithValue(laneCtx, workerStateKey{}, e.workerState())
-			}
-			seed := e.seedFn(baseSeed, i)
-			en := obs.Enabled()
-			var start time.Time
-			if en {
-				if !jobObs.init {
-					jobObs.init = true
-					jobObs.seconds = jobSeconds.Handle()
-					jobObs.total = jobsTotal.Handle()
-				}
-				start = time.Now()
-			}
-			runCtx := jobCtx
-			var sp *trace.Span
-			if traced {
-				sp = sc.Tracer.StartSpan(sc, "engine-job",
-					trace.DeriveSpanID(sc.TraceID, uint64(seed), trace.StreamEngineJob))
-				runCtx = sp.Context(jobCtx)
-			}
-			v, err := jobs[i](runCtx, seed)
-			sp.Finish()
-			if en {
-				jobObs.seconds.Observe(time.Since(start).Seconds())
-				jobObs.total.Add(1)
-			}
-			if e.progress != nil {
-				mu.Lock()
-				done++
-				e.progress(done, len(jobs))
-				mu.Unlock()
-			}
-			out <- Result{Index: i, Seed: seed, Value: v, Err: err}
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			laneCtx := e.ctx
-			if e.groupState != nil {
-				laneCtx = context.WithValue(e.ctx, groupStateKey{}, e.groupState())
+			jobCtx := e.ctx
+			var jobObs struct {
+				init    bool
+				seconds obs.HistogramHandle
+				total   obs.CounterHandle
 			}
-			if lanes == 1 {
-				runLane(laneCtx)
-				return
+			for i := range idx {
+				if e.workerState != nil && jobCtx == e.ctx {
+					jobCtx = context.WithValue(e.ctx, workerStateKey{}, e.workerState())
+				}
+				seed := e.seedFn(baseSeed, i)
+				en := obs.Enabled()
+				var start time.Time
+				if en {
+					if !jobObs.init {
+						jobObs.init = true
+						jobObs.seconds = jobSeconds.Handle()
+						jobObs.total = jobsTotal.Handle()
+					}
+					start = time.Now()
+				}
+				runCtx := jobCtx
+				var sp *trace.Span
+				if traced {
+					sp = sc.Tracer.StartSpan(sc, "engine-job",
+						trace.DeriveSpanID(sc.TraceID, uint64(seed), trace.StreamEngineJob))
+					runCtx = sp.Context(jobCtx)
+				}
+				v, err := jobs[i](runCtx, seed)
+				sp.Finish()
+				if en {
+					jobObs.seconds.Observe(time.Since(start).Seconds())
+					jobObs.total.Add(1)
+				}
+				if e.progress != nil {
+					mu.Lock()
+					done++
+					e.progress(done, len(jobs))
+					mu.Unlock()
+				}
+				out <- Result{Index: i, Seed: seed, Value: v, Err: err}
 			}
-			var lwg sync.WaitGroup
-			for l := 0; l < lanes; l++ {
-				lwg.Add(1)
-				go func() {
-					defer lwg.Done()
-					runLane(laneCtx)
-				}()
-			}
-			lwg.Wait()
 		}()
 	}
 	go func() {

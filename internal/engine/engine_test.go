@@ -333,116 +333,3 @@ func TestWorkerStateAbsent(t *testing.T) {
 		t.Errorf("With mutated the base engine: state = %v, want nil", rs[0].Value)
 	}
 }
-
-// TestEpisodeBatchDeterministic verifies results are identical across
-// every (workers, episode-batch) combination — lanes change scheduling,
-// never outcomes.
-func TestEpisodeBatchDeterministic(t *testing.T) {
-	jobs := make([]Job, 50)
-	for i := range jobs {
-		jobs[i] = episode
-	}
-	var want []Result
-	for _, workers := range []int{1, 3} {
-		for _, lanes := range []int{1, 2, 4, 8} {
-			got, err := New(WithWorkers(workers), WithEpisodeBatch(lanes)).RunAll(7, jobs)
-			if err != nil {
-				t.Fatalf("workers=%d lanes=%d: %v", workers, lanes, err)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d lanes=%d: results differ from baseline", workers, lanes)
-			}
-		}
-	}
-}
-
-// TestWorkerGroupStateSharedAcrossLanes verifies a worker slot's lanes
-// all see the same group-state value while per-lane worker state stays
-// private, and that group states are never shared across worker slots.
-func TestWorkerGroupStateSharedAcrossLanes(t *testing.T) {
-	type group struct{ id int64 }
-	type lane struct{ id int64 }
-	var groups, laneStates atomic.Int64
-	eng := New(
-		WithWorkers(2),
-		WithEpisodeBatch(3),
-		WithWorkerGroupState(func() any { return &group{id: groups.Add(1)} }),
-		WithWorkerState(func() any { return &lane{id: laneStates.Add(1)} }),
-	)
-	const jobs = 36
-	var mu sync.Mutex
-	lanesPerGroup := make(map[*group]map[*lane]bool)
-	js := make([]Job, jobs)
-	for i := range js {
-		js[i] = func(ctx context.Context, _ int64) (any, error) {
-			g, ok := GroupState(ctx).(*group)
-			if !ok || g == nil {
-				return nil, errors.New("job saw no group state")
-			}
-			l, ok := WorkerState(ctx).(*lane)
-			if !ok || l == nil {
-				return nil, errors.New("job saw no lane state")
-			}
-			mu.Lock()
-			if lanesPerGroup[g] == nil {
-				lanesPerGroup[g] = map[*lane]bool{}
-			}
-			lanesPerGroup[g][l] = true
-			mu.Unlock()
-			time.Sleep(time.Millisecond) // let several lanes engage
-			return nil, nil
-		}
-	}
-	if _, err := eng.RunAll(0, js); err != nil {
-		t.Fatal(err)
-	}
-	if n := groups.Load(); n < 1 || n > 2 {
-		t.Errorf("created %d group states, want between 1 and the worker count 2", n)
-	}
-	if len(lanesPerGroup) != int(groups.Load()) {
-		t.Errorf("jobs saw %d distinct groups but %d were created", len(lanesPerGroup), groups.Load())
-	}
-	// A lane state must never appear under two groups.
-	seen := map[*lane]*group{}
-	total := 0
-	for g, ls := range lanesPerGroup {
-		if len(ls) > 3 {
-			t.Errorf("group %v served %d lanes, want at most the batch size 3", g, len(ls))
-		}
-		total += len(ls)
-		for l := range ls {
-			if prev, ok := seen[l]; ok && prev != g {
-				t.Errorf("lane state shared across groups %v and %v", prev, g)
-			}
-			seen[l] = g
-		}
-	}
-	if total != int(laneStates.Load()) {
-		t.Errorf("jobs saw %d distinct lane states but %d were created", total, laneStates.Load())
-	}
-}
-
-// TestEpisodeBatchClampsWorkers: with lanes covering all jobs, the
-// engine must not spin up extra worker slots (and their group states).
-func TestEpisodeBatchClampsWorkers(t *testing.T) {
-	var groups atomic.Int64
-	eng := New(
-		WithWorkers(8),
-		WithEpisodeBatch(4),
-		WithWorkerGroupState(func() any { return groups.Add(1) }),
-	)
-	jobs := make([]Job, 6) // ceil(6/4) = 2 slots
-	for i := range jobs {
-		jobs[i] = episode
-	}
-	if _, err := eng.RunAll(0, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if n := groups.Load(); n > 2 {
-		t.Errorf("%d worker groups created for 6 jobs at batch 4, want at most 2", n)
-	}
-}

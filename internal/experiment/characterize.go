@@ -195,8 +195,10 @@ func characterizeSegment(ctx context.Context, frames int, seed int64) (character
 			// bar counts as a misdetection for the run-length statistic
 			// (the paper uses IoU 60% on 1080p footage; on our 10x
 			// coarser raster the same localization quality corresponds
-			// to a lower IoU, so the bar is scaled down — see
-			// EXPERIMENTS.md). The center-error statistic considers
+			// to a lower IoU, so the bar is scaled down: a box a few
+			// pixels on a side loses most of its IoU to a one-pixel
+			// edge error — a 3x3 box off by one pixel in each axis
+			// scores 4/14 ≈ 0.29). The center-error statistic considers
 			// every overlapping box (paper: "only predicted bounding
 			// boxes that overlap with the ground-truth boxes").
 			const missIoU = 0.25

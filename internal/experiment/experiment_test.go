@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -321,22 +322,89 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 	c := Campaign{Name: "det", Scenario: scenario.DS2, Mode: core.ModeSmart,
 		PreferDisappearFor: sim.ClassPedestrian, ExpectCrashes: true}
-	var want CampaignResult
+	var (
+		want    CampaignResult
+		wantEps []byte
+	)
 	for i, workers := range []int{1, 4, 8} {
-		got, err := RunCampaignOn(engine.New(engine.WithWorkers(workers)), c, 12, 500, oracles)
+		mem := results.NewMemStore()
+		got, err := RunCampaignOn(engine.New(engine.WithWorkers(workers)), c, 12, 500, oracles,
+			WithSink(mem))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got.Runs != 12 {
 			t.Fatalf("workers=%d: %d runs, want 12", workers, got.Runs)
 		}
+		eps, err := mem.Episodes(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(eps) != 12 {
+			t.Fatalf("workers=%d: %d stored episodes, want 12", workers, len(eps))
+		}
+		raw, err := json.Marshal(eps)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if i == 0 {
-			want = got
+			want, wantEps = got, raw
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: aggregate differs from 1-worker run:\n got %+v\nwant %+v",
 				workers, got, want)
+		}
+		if !bytes.Equal(raw, wantEps) {
+			t.Errorf("workers=%d: stored episode records differ from 1-worker run:\n got %s\nwant %s",
+				workers, raw, wantEps)
+		}
+	}
+}
+
+// TestBatchedCampaignBitIdentical is the Table-II-level proof that a
+// campaign batch, persisted to a store, is independent of how the
+// engine's worker pool schedules it: with both NN oracle vectors
+// (disappear and move-out, each cloned per worker) every worker count
+// must store the same episode records and aggregate as one worker.
+func TestBatchedCampaignBitIdentical(t *testing.T) {
+	oracles := testOracles()
+	c := Campaign{
+		Name:               "batched-iso",
+		Scenario:           scenario.DS2,
+		Mode:               core.ModeSmart,
+		PreferDisappearFor: sim.ClassPedestrian,
+		ExpectCrashes:      true,
+	}
+	const runs = 10
+	const baseSeed = 4400
+
+	var refStore *results.MemStore
+	var refRec results.CampaignRecord
+	for _, workers := range []int{1, 2, 4} {
+		st := results.NewMemStore()
+		res, err := RunCampaignOn(engine.New(engine.WithWorkers(workers)), c, runs, baseSeed, oracles, WithSink(st))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if refStore == nil {
+			refStore, refRec = st, res.CampaignRecord
+			continue
+		}
+		if !reflect.DeepEqual(res.CampaignRecord, refRec) {
+			t.Errorf("workers=%d: aggregate differs from single-worker run:\ngot:  %+v\nwant: %+v",
+				workers, res.CampaignRecord, refRec)
+		}
+		got, err := st.Episodes(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refStore.Episodes(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != runs || !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: stored episode records differ from single-worker run", workers)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"github.com/robotack/robotack/internal/core"
-	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/perception"
@@ -134,15 +133,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 // and the pooled execution is bit-identical to a from-scratch run.
 func RunCtx(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	s := scratchFrom(ctx)
-	// Under lockstep episode lanes the worker group shares an inference
-	// batcher; this lane's episode brackets itself so parked sibling
-	// queries flush when every runnable lane has either queried or
-	// finished (see core.InferBatcher).
-	batcher, _ := engine.GroupState(ctx).(*core.InferBatcher)
-	if batcher != nil {
-		batcher.EpisodeStart()
-		defer batcher.EpisodeEnd()
-	}
 	scn, err := scenario.InstantiateSource(cfg.source(), s.arenaFor(), reseed(&s.scnRNG, cfg.Seed))
 	if err != nil {
 		return RunResult{}, fmt.Errorf("experiment: %w", err)
@@ -165,7 +155,7 @@ func RunCtx(ctx context.Context, cfg RunConfig) (RunResult, error) {
 			mcfg.Forced = &core.ForcedPlan{DeltaInject: fp.DeltaInject, K: fp.K}
 		}
 		mcfg.Policy = cfg.Attack.Policy
-		malware = s.malwareFor(batcher, mcfg, cfg.Attack.Oracles, reseed(&s.malRNG, cfg.Seed*31337+7))
+		malware = s.malwareFor(mcfg, cfg.Attack.Oracles, reseed(&s.malRNG, cfg.Seed*31337+7))
 	}
 
 	// Stage timing and span tracing are observational only: the clock,

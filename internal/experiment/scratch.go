@@ -43,7 +43,6 @@ type Scratch struct {
 	malwareCfg       core.Config
 	hasMalware       bool
 	malwareOracleGen int
-	malwareBatcher   *core.InferBatcher
 
 	// oracles are this worker's clones of the campaign's trained
 	// oracles: cloned once per worker instead of once per episode.
@@ -54,14 +53,7 @@ type Scratch struct {
 	oracles   map[core.Vector]core.Oracle
 	oracleGen int
 
-	// batched caches the batcher-wrapped view of this lane's oracle
-	// clones (see core.InferBatcher); rebuilt when the clones or the
-	// batcher change identity.
-	batched    map[core.Vector]core.Oracle
-	batchedGen int
-	batchedBy  *core.InferBatcher
-
-	// arena is the lane's reusable scenario-instantiation state: the
+	// arena is the worker's reusable scenario-instantiation state: the
 	// world, actors and behavior structs recycle across episodes.
 	arena *scenario.Arena
 
@@ -92,21 +84,14 @@ func scratchFrom(ctx context.Context) *Scratch {
 	return NewScratch()
 }
 
-// withEpisodeScratch wires a per-lane Scratch factory into eng, so
+// withEpisodeScratch wires a per-worker Scratch factory into eng, so
 // every job the returned engine runs finds a reusable scratch in its
-// context. When the engine runs lockstep episode lanes
-// (engine.WithEpisodeBatch), each worker slot additionally gets one
-// shared InferBatcher so its lanes' oracle queries coalesce into
-// batched forward passes.
+// context.
 func withEpisodeScratch(eng *engine.Engine) *engine.Engine {
-	eng = eng.With(engine.WithWorkerState(func() any { return NewScratch() }))
-	if eng.EpisodeBatch() > 1 {
-		eng = eng.With(engine.WithWorkerGroupState(func() any { return core.NewInferBatcher() }))
-	}
-	return eng
+	return eng.With(engine.WithWorkerState(func() any { return NewScratch() }))
 }
 
-// arenaFor returns the lane's scenario arena, creating it on first use.
+// arenaFor returns the worker's scenario arena, creating it on first use.
 func (s *Scratch) arenaFor() *scenario.Arena {
 	if s.arena == nil {
 		s.arena = scenario.NewArena()
@@ -190,30 +175,12 @@ func (s *Scratch) oraclesFor(src map[core.Vector]core.Oracle) map[core.Vector]co
 	return s.oracles
 }
 
-// episodeOracles returns the lane's oracle clones, wrapped for the
-// worker group's inference batcher when one is attached. The wrap is
-// cached alongside the clones; a batcher never changes identity within
-// one engine batch, but the cache keys on it anyway for direct reuse.
-func (s *Scratch) episodeOracles(b *core.InferBatcher, src map[core.Vector]core.Oracle) map[core.Vector]core.Oracle {
-	oracles := s.oraclesFor(src)
-	if b == nil || oracles == nil {
-		return oracles
-	}
-	if s.batched != nil && s.batchedGen == s.oracleGen && s.batchedBy == b {
-		return s.batched
-	}
-	s.batched = b.WrapOracles(oracles)
-	s.batchedGen = s.oracleGen
-	s.batchedBy = b
-	return s.batched
-}
-
 // malwareFor returns the scratch's malware re-armed for a new episode,
-// rebuilding it only when the attack configuration (or oracle set, or
-// batcher) differs from the previous episode's.
-func (s *Scratch) malwareFor(b *core.InferBatcher, mcfg core.Config, src map[core.Vector]core.Oracle, rng *stats.RNG) *core.Malware {
-	oracles := s.episodeOracles(b, src)
-	if s.hasMalware && s.malwareOracleGen == s.oracleGen && s.malwareBatcher == b && malwareConfigEqual(s.malwareCfg, mcfg) {
+// rebuilding it only when the attack configuration (or oracle set)
+// differs from the previous episode's.
+func (s *Scratch) malwareFor(mcfg core.Config, src map[core.Vector]core.Oracle, rng *stats.RNG) *core.Malware {
+	oracles := s.oraclesFor(src)
+	if s.hasMalware && s.malwareOracleGen == s.oracleGen && malwareConfigEqual(s.malwareCfg, mcfg) {
 		s.malware.Reset(rng)
 		return s.malware
 	}
@@ -221,7 +188,6 @@ func (s *Scratch) malwareFor(b *core.InferBatcher, mcfg core.Config, src map[cor
 	s.malwareCfg = mcfg
 	s.hasMalware = true
 	s.malwareOracleGen = s.oracleGen
-	s.malwareBatcher = b
 	return s.malware
 }
 

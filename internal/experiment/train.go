@@ -205,8 +205,8 @@ func fitRoundRobin(eng *engine.Engine, trainers []*nn.Trainer, infos []TrainedOr
 	}
 	var left atomic.Int32
 	left.Store(int32(len(trainers)))
-	// The slots are plain jobs: no episode scratch, lanes or progress.
-	fits := eng.With(engine.WithWorkerState(nil), engine.WithEpisodeBatch(1), engine.WithProgress(nil))
+	// The slots are plain jobs: no episode scratch or progress.
+	fits := eng.With(engine.WithWorkerState(nil), engine.WithProgress(nil))
 	slots := make([]struct{}, min(eng.Workers(), len(trainers)))
 	_, err := engine.Map(fits, 0, slots, func(ctx context.Context, _ int64, _ struct{}) (struct{}, error) {
 		for {

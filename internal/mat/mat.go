@@ -1,7 +1,6 @@
 // Package mat implements small dense-matrix operations — multiplication,
 // addition, transposition and inversion (Gauss-Jordan with partial
-// pivoting) — and the batched dense-layer kernel behind nn's batched
-// inference. The allocating Matrix API is the textbook reference the
+// pivoting). The allocating Matrix API is the textbook reference the
 // tracker's fixed-size Kalman filter is tested against bit for bit;
 // the matrices are tiny, so clarity is preferred over blocked
 // algorithms.

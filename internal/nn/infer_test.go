@@ -94,6 +94,63 @@ func TestInferAfterClone(t *testing.T) {
 	}
 }
 
+func buildStack(dims []int, rng *stats.RNG) *Network {
+	var n Network
+	for i := 0; i+1 < len(dims); i++ {
+		n.Layers = append(n.Layers, NewDense(dims[i], dims[i+1], rng))
+		if i+2 < len(dims) {
+			n.Layers = append(n.Layers, &ReLU{}, NewDropout(0.1, rng))
+		}
+	}
+	return &n
+}
+
+// TestInferScratchRebind is the regression test for the historical
+// sizeFor bug: the scratch cached sizing by layer COUNT, so handing a
+// warm scratch a same-depth but wider network kept the undersized
+// buffers and panicked on a slice bound. Sizing is now keyed to the
+// network's identity and recomputed on rebind.
+func TestInferScratchRebind(t *testing.T) {
+	rng := stats.NewRNG(11)
+	narrow := buildStack([]int{4, 8, 1}, rng)
+	wide := buildStack([]int{4, 64, 1}, rng) // same layer count, wider
+	s := narrow.NewInferScratch()
+	x := []float64{0.5, -1, 2, 0.25}
+	narrow.Infer(s, x)
+
+	want := wide.Forward(x, false)
+	got := wide.Infer(s, x) // must rebind + regrow, not panic
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rebound scratch output %d: got %v want %v", i, got[i], want[i])
+		}
+	}
+	// And rebinding back must keep working with the grown buffers.
+	wantN := narrow.Forward(x, false)
+	gotN := narrow.Infer(s, x)
+	if gotN[0] != wantN[0] {
+		t.Fatalf("re-rebound scratch: got %v want %v", gotN[0], wantN[0])
+	}
+}
+
+// TestInferScratchNoMidEpisodeResize: a warm, bound scratch must not
+// re-size (or re-scan the layer stack) on repeated calls with the same
+// network — the fast path is one pointer compare.
+func TestInferScratchNoMidEpisodeResize(t *testing.T) {
+	rng := stats.NewRNG(13)
+	n := NewRegressor(6, rng)
+	s := n.NewInferScratch()
+	x := make([]float64, 6)
+	n.Infer(s, x)
+	a0 := &s.a[0]
+	for i := 0; i < 50; i++ {
+		n.Infer(s, x)
+	}
+	if &s.a[0] != a0 {
+		t.Fatal("warm scratch re-sized mid-stream")
+	}
+}
+
 func BenchmarkInfer(b *testing.B) {
 	rng := stats.NewRNG(5)
 	n := NewRegressor(6, rng)

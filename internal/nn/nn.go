@@ -509,6 +509,17 @@ func (n *Network) maxWidth() int {
 	return w
 }
 
+// inputDim returns the first dense layer's input width (the network's
+// input dimensionality), or zero for a dense-free stack.
+func (n *Network) inputDim() int {
+	for _, l := range n.Layers {
+		if d, ok := l.(*Dense); ok {
+			return d.In
+		}
+	}
+	return 0
+}
+
 // NewInferScratch allocates scratch buffers sized for this network's
 // widest layer. The scratch may be reused across calls; Infer rebinds
 // (and if needed re-sizes) it if handed a different network.

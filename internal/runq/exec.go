@@ -22,10 +22,6 @@ type LocalExecutor struct {
 	Oracles map[core.Vector]core.Oracle
 	// Workers is the per-job engine pool size (<=0: one per CPU).
 	Workers int
-	// EpisodeBatch is the lockstep episode-lane count per worker
-	// (engine.WithEpisodeBatch); lanes coalesce same-network oracle
-	// queries into batched inference. <=1 disables lanes.
-	EpisodeBatch int
 }
 
 // Execute implements Executor.
@@ -33,7 +29,6 @@ func (e LocalExecutor) Execute(ctx context.Context, job Job, progress func(done,
 	eng := engine.New(
 		engine.WithContext(ctx),
 		engine.WithWorkers(e.Workers),
-		engine.WithEpisodeBatch(e.EpisodeBatch),
 		engine.WithProgress(progress),
 	)
 	var opts []experiment.RunOption

@@ -35,15 +35,8 @@ type Worker struct {
 	// Batch is how many completed episodes to buffer before posting
 	// them to the server in one request (<=0: DefaultPostBatch).
 	// Larger batches cut HTTP round-trips on fast jobs; smaller ones
-	// tighten the at-most-one-unflushed-batch crash window. This is a
-	// transport knob — it batches RESULT UPLOADS. Batched INFERENCE is
-	// EpisodeBatch.
+	// tighten the at-most-one-unflushed-batch crash window.
 	Batch int
-	// EpisodeBatch is the lockstep episode-lane count per engine worker
-	// (engine.WithEpisodeBatch): lanes coalesce same-network oracle
-	// queries into batched forward passes. <=1 disables lanes. Distinct
-	// from Batch, which only shapes HTTP traffic.
-	EpisodeBatch int
 	// Oracles are trained safety-hijacker oracles for smart-mode jobs
 	// (nil: the analytic oracle).
 	Oracles map[core.Vector]core.Oracle
@@ -201,11 +194,10 @@ func (w *Worker) RunOne(ctx context.Context) (ran bool, err error) {
 // serialize the engine fold behind the network. A worker crash loses
 // at most one unflushed batch — the requeued attempt simply re-runs
 // those episodes. Override per worker with Worker.Batch
-// (robotack-worker -batch). Unrelated to inference batching
-// (Worker.EpisodeBatch / robotack-worker -episode-batch).
+// (robotack-worker -batch).
 const DefaultPostBatch = 16
 
-// batch returns the effective episode batch size.
+// batch returns the effective upload batch size, in episodes.
 func (w *Worker) batch() int {
 	if w.Batch > 0 {
 		return w.Batch
@@ -462,7 +454,6 @@ func (w *Worker) executeJob(ctx context.Context, job Job, r *run) (results.Campa
 	eng := engine.New(
 		engine.WithContext(ctx),
 		engine.WithWorkers(w.Workers),
-		engine.WithEpisodeBatch(w.EpisodeBatch),
 		engine.WithProgress(func(done, total int) {
 			r.done.Store(int64(done))
 			r.total.Store(int64(total))

@@ -7,12 +7,13 @@ import (
 	"github.com/robotack/robotack/internal/stats"
 )
 
-// Arena is the reusable instantiation state for one episode lane: a
+// Arena is the reusable instantiation state for one engine worker: a
 // scenegen compilation arena plus a recycled Scenario header. Episodes
-// that run back to back on a lane instantiate their scenarios into the
-// same arena, which removes per-episode world construction from the
-// allocator entirely. The returned Scenario (and its world) are valid
-// until the next instantiation; an arena serves one lane at a time.
+// that run back to back on a worker instantiate their scenarios into
+// the same arena, which removes per-episode world construction from
+// the allocator entirely. The returned Scenario (and its world) are
+// valid until the next instantiation; an arena serves one worker at a
+// time.
 type Arena struct {
 	gen scenegen.Arena
 	sc  Scenario

@@ -5,8 +5,8 @@ import (
 	"github.com/robotack/robotack/internal/stats"
 )
 
-// Arena is a reusable allocation pool for compiled worlds. A lane that
-// runs episodes back to back compiles every scenario into the same
+// Arena is a reusable allocation pool for compiled worlds. A worker
+// that runs episodes back to back compiles every scenario into the same
 // arena: the world, its actors and their behavior states are recycled
 // instead of reallocated, which removes the dominant per-episode
 // allocation cost of scenario instantiation.
@@ -15,7 +15,7 @@ import (
 // an actor (including Vel and ID) and of each behavior struct
 // (including private progress state like TriggeredCross.triggered) is
 // reassigned — so a compiled world is bit-identical to one built by
-// Compile from the same (spec, rng). An arena serves one lane at a
+// Compile from the same (spec, rng). An arena serves one worker at a
 // time; it is not safe for concurrent use.
 type Arena struct {
 	compiled Compiled
