@@ -7,17 +7,18 @@ import (
 
 	"github.com/robotack/robotack/internal/geom"
 	"github.com/robotack/robotack/internal/sensor"
+	"github.com/robotack/robotack/internal/sim"
 	"github.com/robotack/robotack/internal/stats"
 )
 
 // referenceComponents is the per-pixel flood-fill labeler the run-length
 // labeler replaced, kept as the differential oracle: it scans the
 // foreground window row-major and floods each unvisited foreground
-// pixel's 4-connected region with an explicit stack.
-func referenceComponents(img *sensor.Image, th float64, minArea int) []component {
+// pixel's 4-connected region with an explicit stack. It returns the
+// boxes and areas of the components of at least minArea pixels.
+func referenceComponents(img *sensor.Image, th float64, minArea int) (boxes []geom.Rect, areas []int) {
 	n := img.W * img.H
 	visited := make([]bool, n)
-	var comps []component
 	wx0, wy0, wx1, wy1 := img.ForegroundWindow(th)
 	for wy := wy0; wy < wy1; wy++ {
 		for wx := wx0; wx < wx1; wx++ {
@@ -52,14 +53,86 @@ func referenceComponents(img *sensor.Image, th float64, minArea int) []component
 				}
 			}
 			if area >= minArea {
-				comps = append(comps, component{
-					box:  geom.R(float64(minX), float64(minY), float64(maxX-minX+1), float64(maxY-minY+1)),
-					area: area,
-				})
+				boxes = append(boxes, geom.R(float64(minX), float64(minY), float64(maxX-minX+1), float64(maxY-minY+1)))
+				areas = append(areas, area)
 			}
 		}
 	}
-	return comps
+	return boxes, areas
+}
+
+// refBottom is the detector's bottom-edge refinement from before the
+// labeler carried edge statistics: it reads the row just below box
+// through At.
+func refBottom(cfg Config, img *sensor.Image, box geom.Rect) float64 {
+	edge := box.Min.Y + box.H
+	y := int(edge)
+	if y >= img.H {
+		return edge
+	}
+	x0, x1 := int(box.Min.X), int(box.Min.X+box.W)
+	sum, n := 0.0, 0
+	for x := x0; x < x1; x++ {
+		sum += img.At(x, y)
+		n++
+	}
+	if n == 0 {
+		return edge
+	}
+	span := cfg.Foreground - cfg.Background
+	if span <= 0 {
+		return edge
+	}
+	return edge + geom.Clamp((sum/float64(n)-cfg.Background)/span, 0, 1)
+}
+
+// refCenterU is the detector's horizontal-center refinement from before
+// the labeler carried edge statistics: it reads the columns just left
+// and right of box through At.
+func refCenterU(cfg Config, img *sensor.Image, box geom.Rect) float64 {
+	y0, y1 := int(box.Min.Y), int(box.Min.Y+box.H)
+	span := cfg.Foreground - cfg.Background
+	if span <= 0 {
+		return box.Center().X
+	}
+	colFrac := func(x int) float64 {
+		if x < 0 || x >= img.W {
+			return 0
+		}
+		sum, n := 0.0, 0
+		for y := y0; y < y1; y++ {
+			sum += img.At(x, y)
+			n++
+		}
+		if n == 0 {
+			return 0
+		}
+		return geom.Clamp((sum/float64(n)-cfg.Background)/span, 0, 1)
+	}
+	left := box.Min.X - colFrac(int(box.Min.X)-1)
+	right := box.Min.X + box.W + colFrac(int(box.Min.X+box.W))
+	return (left + right) / 2
+}
+
+// referenceDetections is what a noiseless detector with cfg reports on
+// img, built from the flood-fill labeling and the pre-move refinements.
+func referenceDetections(cfg Config, img *sensor.Image) []Detection {
+	boxes, areas := referenceComponents(img, cfg.Threshold, cfg.MinArea)
+	var dets []Detection
+	for i, box := range boxes {
+		cls := sim.ClassVehicle
+		if box.H/box.W >= cfg.PedestrianAspect {
+			cls = sim.ClassPedestrian
+		}
+		dets = append(dets, Detection{
+			Box: box, Raw: box,
+			Bottom:  refBottom(cfg, img, box),
+			CenterU: refCenterU(cfg, img, box),
+			Class:   cls, Area: areas[i],
+			Score: geom.Clamp(float64(areas[i])/40.0, 0.3, 1.0),
+		})
+	}
+	return dets
 }
 
 // labelerFor returns a noiseless detector labeling at th and minArea.
@@ -70,14 +143,15 @@ func labelerFor(th float64, minArea int) *Detector {
 	return New(cfg, nil)
 }
 
-// checkAgainstReference fails t unless d labels img exactly like the
-// reference: same components, same order, same boxes and areas.
-func checkAgainstReference(t *testing.T, d *Detector, img *sensor.Image, name string) []component {
+// checkAgainstReference fails t unless d reports on img exactly what the
+// reference does on a memo-free copy of it: same components, same order,
+// same boxes, areas and refined edges, bit for bit.
+func checkAgainstReference(t *testing.T, d *Detector, img *sensor.Image, name string) []Detection {
 	t.Helper()
-	want := referenceComponents(img, d.cfg.Threshold, d.cfg.MinArea)
-	got := d.components(img)
+	want := referenceDetections(d.cfg, img.Clone())
+	got := d.Detect(img)
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s (th=%v, MinArea=%d):\n got  %v\n want %v", name, d.cfg.Threshold, d.cfg.MinArea, got, want)
+		t.Fatalf("%s (th=%v, MinArea=%d):\n got  %+v\n want %+v", name, d.cfg.Threshold, d.cfg.MinArea, got, want)
 	}
 	return got
 }
@@ -106,6 +180,10 @@ func artImage(w, h, ox, oy int, base float64, art []string) *sensor.Image {
 	return img
 }
 
+// TestComponentsMatchReference checks the detector's use of the image's
+// shared labeling: its MinArea cut, component order and edge
+// refinements, against the flood-fill labeler and the pixel loops the
+// detector ran before labeling moved onto the image.
 func TestComponentsMatchReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -197,10 +275,13 @@ func TestComponentsMatchReference(t *testing.T) {
 		}
 	}
 
-	// Seeded random anti-aliased rectangle rasters, labeled by one
-	// detector so its scratch is reused across sizes and thresholds.
+	// Seeded random anti-aliased rectangle rasters, each read by two
+	// detectors in a row, as the malware's and the ADS's detectors read
+	// one frame: the second reuses the image's labeling when it labels
+	// at the same threshold, and must report exactly what the first
+	// would have.
 	rng := stats.NewRNG(20)
-	d := labelerFor(0.5, 2)
+	first, second := labelerFor(0.5, 2), labelerFor(0.5, 2)
 	for i := 0; i < 3000; i++ {
 		w, h := 8+rng.IntN(40), 6+rng.IntN(30)
 		img := sensor.NewImage(w, h)
@@ -221,12 +302,14 @@ func TestComponentsMatchReference(t *testing.T) {
 			img.FillRectAA(geom.R(rng.Uniform(-4, fw+2), rng.Uniform(-4, fh+2),
 				rng.Uniform(0, fw/2), rng.Uniform(0, fh/2)), v)
 		}
-		d.cfg.MinArea = 1 + rng.IntN(4)
-		d.cfg.Threshold = 0.5
-		if rng.IntN(4) == 0 {
-			d.cfg.Threshold = rng.Uniform(0.1, 0.9)
+		for _, d := range [2]*Detector{first, second} {
+			d.cfg.MinArea = 1 + rng.IntN(4)
+			d.cfg.Threshold = 0.5
+			if rng.IntN(4) == 0 {
+				d.cfg.Threshold = rng.Uniform(0.1, 0.9)
+			}
+			checkAgainstReference(t, d, img, "random")
 		}
-		checkAgainstReference(t, d, img, "random")
 	}
 }
 
@@ -258,6 +341,9 @@ func fuzzRaster(data []byte) (img *sensor.Image, th float64, minArea int, ok boo
 	return img, th, minArea, true
 }
 
+// FuzzComponents runs two noiseless detectors with the same setup on one
+// raster, the second on the labeling the first left on the image, and
+// checks both against the reference.
 func FuzzComponents(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, th, minArea, ok := fuzzRaster(data)
@@ -265,5 +351,6 @@ func FuzzComponents(f *testing.F) {
 			return
 		}
 		checkAgainstReference(t, labelerFor(th, minArea), img, "fuzz")
+		checkAgainstReference(t, labelerFor(th, minArea), img, "fuzz/shared")
 	})
 }

@@ -135,21 +135,18 @@ func DefaultConfig() Config {
 // Detector is the stateful detector surrogate. It is stateful only for
 // the misdetection-run model, which needs to remember which component
 // is currently inside a miss run (real detectors lose an object for
-// runs of consecutive frames, not independently per frame). All
-// per-frame storage (foreground runs, components, detections, track
-// memory) is owned by the struct and reused, so a warm Detect call does
-// not allocate; the returned slice is valid until the next Detect call.
-// The labeling scratch is one run record per horizontal foreground run
-// in the scanned window — a few hundred bytes per frame — instead of a
-// per-pixel visited map.
+// runs of consecutive frames, not independently per frame). The pixel
+// work — connected components and the boundary intensities around each
+// — comes from sensor.Image.Components, memoized on the image, so a
+// second detector on the same unwritten frame labels nothing. All
+// per-frame storage (detections, track memory) is owned by the struct
+// and reused, so a warm Detect call does not allocate; the returned
+// slice is valid until the next Detect call.
 type Detector struct {
 	cfg Config
 	rng *stats.RNG
 
-	runs []fgRun // CC labeling scratch, reused across frames
-
 	prev, next []detTrack  // miss-run memory, double-buffered
-	comps      []component // per-frame component scratch
 	out        []Detection // per-frame output scratch
 }
 
@@ -181,16 +178,20 @@ func (d *Detector) SetRNG(rng *stats.RNG) { d.rng = rng }
 // reported detections. The returned slice is reused by the next Detect
 // call.
 func (d *Detector) Detect(img *sensor.Image) []Detection {
-	comps := d.components(img)
+	comps := img.Components(d.cfg.Threshold)
 	out := d.out[:0]
 	for i := range d.prev {
 		d.prev[i].seen = false
 	}
 	next := d.next[:0]
 
-	for _, c := range comps {
-		cls := d.classify(c.box)
-		tr := d.associate(c.box)
+	for i := range comps {
+		c := &comps[i]
+		if c.Area < d.cfg.MinArea {
+			continue
+		}
+		cls := d.classify(c.Box)
+		tr := d.associate(c.Box)
 		missLeft := 0
 		if tr != nil {
 			tr.seen = true
@@ -201,22 +202,22 @@ func (d *Detector) Detect(img *sensor.Image) []Detection {
 			// No miss model, no jitter.
 		case missLeft > 0:
 			missLeft--
-			next = append(next, detTrack{box: c.box, class: cls, missLeft: missLeft})
+			next = append(next, detTrack{box: c.Box, class: cls, missLeft: missLeft})
 			continue
 		default:
 			mp := d.missParams(cls)
 			if d.rng.Bernoulli(mp.StartProb) {
-				run := d.sampleRun(mp, c.box.H)
+				run := d.sampleRun(mp, c.Box.H)
 				// This frame counts as the first frame of the run.
-				next = append(next, detTrack{box: c.box, class: cls, missLeft: run - 1})
+				next = append(next, detTrack{box: c.Box, class: cls, missLeft: run - 1})
 				continue
 			}
 		}
-		next = append(next, detTrack{box: c.box, class: cls})
+		next = append(next, detTrack{box: c.Box, class: cls})
 
-		box := c.box
-		bottom := d.refineBottom(img, c.box)
-		centerU := d.refineCenterU(img, c.box)
+		box := c.Box
+		bottom := d.refineBottom(c)
+		centerU := d.refineCenterU(c)
 		if !d.cfg.DisableNoise {
 			np := d.noiseParams(cls)
 			scale := d.noiseScale()
@@ -226,10 +227,10 @@ func (d *Detector) Detect(img *sensor.Image) []Detection {
 			bottom += dy
 			centerU += dx
 		}
-		score := geom.Clamp(float64(c.area)/40.0, 0.3, 1.0)
+		score := geom.Clamp(float64(c.Area)/40.0, 0.3, 1.0)
 		out = append(out, Detection{
-			Box: box, Raw: c.box, Bottom: bottom, CenterU: centerU,
-			Class: cls, Area: c.area, Score: score,
+			Box: box, Raw: c.Box, Bottom: bottom, CenterU: centerU,
+			Class: cls, Area: c.Area, Score: score,
 		})
 	}
 	d.prev, d.next, d.out = next, d.prev[:0], out
@@ -316,160 +317,33 @@ func (d *Detector) associate(box geom.Rect) *detTrack {
 // refineBottom recovers the sub-pixel bottom edge of a component from
 // the anti-aliased partial-coverage intensity of the row just below its
 // full-coverage extent.
-func (d *Detector) refineBottom(img *sensor.Image, box geom.Rect) float64 {
-	edge := box.Min.Y + box.H
-	y := int(edge)
-	if y >= img.H {
-		return edge
-	}
-	x0, x1 := int(box.Min.X), int(box.Min.X+box.W)
-	sum, n := 0.0, 0
-	for x := x0; x < x1; x++ {
-		sum += img.At(x, y)
-		n++
-	}
-	if n == 0 {
-		return edge
-	}
+func (d *Detector) refineBottom(c *sensor.Component) float64 {
+	edge := c.Box.Min.Y + c.Box.H
 	span := d.cfg.Foreground - d.cfg.Background
 	if span <= 0 {
 		return edge
 	}
-	frac := geom.Clamp((sum/float64(n)-d.cfg.Background)/span, 0, 1)
-	return edge + frac
+	return edge + d.coverage(c.Below, c.BelowIn, span)
 }
 
 // refineCenterU recovers the sub-pixel horizontal center from the
 // partial-coverage intensity of the columns just outside the component.
-func (d *Detector) refineCenterU(img *sensor.Image, box geom.Rect) float64 {
-	y0, y1 := int(box.Min.Y), int(box.Min.Y+box.H)
+func (d *Detector) refineCenterU(c *sensor.Component) float64 {
+	box := c.Box
 	span := d.cfg.Foreground - d.cfg.Background
 	if span <= 0 {
 		return box.Center().X
 	}
-	colFrac := func(x int) float64 {
-		if x < 0 || x >= img.W {
-			return 0
-		}
-		sum, n := 0.0, 0
-		for y := y0; y < y1; y++ {
-			sum += img.At(x, y)
-			n++
-		}
-		if n == 0 {
-			return 0
-		}
-		return geom.Clamp((sum/float64(n)-d.cfg.Background)/span, 0, 1)
-	}
-	left := box.Min.X - colFrac(int(box.Min.X)-1)
-	right := box.Min.X + box.W + colFrac(int(box.Min.X+box.W))
+	left := box.Min.X - d.coverage(c.Left, c.LeftIn, span)
+	right := box.Min.X + box.W + d.coverage(c.Right, c.RightIn, span)
 	return (left + right) / 2
 }
 
-type component struct {
-	box  geom.Rect
-	area int
-}
-
-// fgRun is one maximal horizontal run of foreground pixels, columns
-// [x0, x1) of row y. During labeling, parent links it into a
-// union-find forest whose root is always the component's lowest run
-// index; a root run accumulates its component's box (minX..maxX-1,
-// y..maxY) and pixel area.
-type fgRun struct {
-	x0, x1, y, parent      int
-	minX, maxX, maxY, area int
-}
-
-// components labels 4-connected foreground regions (pixels >= the
-// threshold) and returns their pixel bounding boxes.
-//
-// It scans only the window that can hold foreground — silhouettes cover
-// a tiny fraction of the raster — and labels runs, not pixels: each row
-// of the window becomes its maximal foreground runs, and a run joins
-// every run of the previous row it shares a column with (diagonal-only
-// contact does not connect). Components are reported in ascending order
-// of their root run, which is the row-major order of each component's
-// first pixel: the order a row-major flood-fill scan discovers them in.
-func (d *Detector) components(img *sensor.Image) []component {
-	th := d.cfg.Threshold
-	runs := d.runs[:0]
-	wx0, wy0, wx1, wy1 := img.ForegroundWindow(th)
-	above := 0 // first run of the previous row
-	for y := wy0; y < wy1; y++ {
-		row := img.Pix[y*img.W+wx0 : y*img.W+wx1]
-		rowStart := len(runs)
-		for x := 0; x < len(row); {
-			if !(row[x] >= th) {
-				x++
-				continue
-			}
-			s := x
-			for x < len(row) && row[x] >= th {
-				x++
-			}
-			i := len(runs)
-			x0, x1 := wx0+s, wx0+x
-			runs = append(runs, fgRun{x0: x0, x1: x1, y: y, parent: i})
-			// Previous-row runs ending left of this one cannot touch
-			// this run or any later run of the row.
-			for above < rowStart && runs[above].x1 <= x0 {
-				above++
-			}
-			for j := above; j < rowStart && runs[j].x0 < x1; j++ {
-				union(runs, i, j)
-			}
-		}
-		above = rowStart
+// coverage decodes the mean intensity of a boundary row or column into
+// the fraction of it the object covers: 0 for a line outside the raster.
+func (d *Detector) coverage(mean float64, in bool, span float64) float64 {
+	if !in {
+		return 0
 	}
-
-	// Every root has a lower index than the rest of its component, so
-	// one ascending pass initializes each root's accumulator before any
-	// other run folds into it.
-	for i := range runs {
-		r := &runs[i]
-		root := find(runs, i)
-		r.parent = root
-		if root == i {
-			r.minX, r.maxX, r.maxY, r.area = r.x0, r.x1, r.y, r.x1-r.x0
-			continue
-		}
-		acc := &runs[root]
-		acc.minX = min(acc.minX, r.x0)
-		acc.maxX = max(acc.maxX, r.x1)
-		acc.maxY = max(acc.maxY, r.y)
-		acc.area += r.x1 - r.x0
-	}
-	comps := d.comps[:0]
-	for i := range runs {
-		r := &runs[i]
-		if r.parent != i || r.area < d.cfg.MinArea {
-			continue
-		}
-		comps = append(comps, component{
-			box:  geom.R(float64(r.minX), float64(r.y), float64(r.maxX-r.minX), float64(r.maxY-r.y+1)),
-			area: r.area,
-		})
-	}
-	d.runs, d.comps = runs, comps
-	return comps
-}
-
-// find returns the root of run i, halving the path as it goes.
-func find(runs []fgRun, i int) int {
-	for runs[i].parent != i {
-		runs[i].parent = runs[runs[i].parent].parent
-		i = runs[i].parent
-	}
-	return i
-}
-
-// union joins the trees of runs a and b under the lower root index.
-func union(runs []fgRun, a, b int) {
-	ra, rb := find(runs, a), find(runs, b)
-	if ra < rb {
-		runs[rb].parent = ra
-	} else if rb < ra {
-		runs[ra].parent = rb
-	}
+	return geom.Clamp((mean-d.cfg.Background)/span, 0, 1)
 }

@@ -430,6 +430,16 @@ func TestCompactExported(t *testing.T) {
 	defer s.Close()
 	storetest.Fill(t, s, "dirty", 80)
 	storetest.Fill(t, s, "clean", 40)
+	// Keep the background compactor off "dirty": with a rewrite marked
+	// as already queued, the out-of-order append below enqueues none, so
+	// the shard is still off the fast path when Compact runs.
+	sh, err := s.getShard("dirty", false)
+	if err != nil || sh == nil {
+		t.Fatal(err)
+	}
+	sh.mu.Lock()
+	sh.compactQueued = true
+	sh.mu.Unlock()
 	if err := s.Append(storetest.Episode("dirty", 2)); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,17 @@ import (
 // when the base intensity is known, every pixel outside the window
 // still holds it. Silhouettes cover a tiny fraction of the raster, so
 // the window lets Clear rewrite only what the previous frame painted
-// and lets the detector's connected-component scan skip the empty sky
-// and road — the two biggest CPU sinks of the frame loop. All writes
-// go through Set/Clear/FillRect/FillRectAA, which maintain the window.
+// and lets the connected-component scan skip the empty sky and road —
+// the two biggest CPU sinks of the frame loop. Pix may be read freely
+// but written only through Set, Clear, FillRect and FillRectAA, which
+// maintain the window.
+//
+// The image also memoizes its last labeling (see Components), keyed on
+// the threshold: the malware's detector and the ADS's label one
+// unwritten frame once between them. Every write method drops the
+// memo, so a frame the tap perturbs is labeled afresh. Because
+// Components writes the memo, an image is not safe for concurrent use,
+// not even by readers.
 //
 // Each image also owns a one-row scratch, colCov, that FillRectAA fills
 // with the rectangle's per-column coverage; it is allocated together
@@ -40,6 +48,13 @@ type Image struct {
 	dx0, dy0, dx1, dy1 int
 
 	colCov []float64 // FillRectAA per-column coverage scratch, len W
+
+	// Labeling memo: while memoOK, comps is the labeling at threshold
+	// memoTh. runs is the labeler's scratch.
+	memoOK bool
+	memoTh float64
+	runs   []fgRun
+	comps  []Component
 }
 
 // NewImage allocates a zeroed W x H image.
@@ -50,8 +65,10 @@ func NewImage(w, h int) *Image {
 }
 
 // markDirty grows the dirty window to include the clipped half-open
-// rectangle [x0,x1) x [y0,y1).
+// rectangle [x0,x1) x [y0,y1) and drops the labeling memo. Every write
+// except Clear goes through it.
 func (im *Image) markDirty(x0, y0, x1, y1 int) {
+	im.memoOK = false
 	if x1 <= x0 || y1 <= y0 {
 		return
 	}
@@ -104,6 +121,7 @@ func (im *Image) Set(x, y int, v float64) {
 // Clear resets every pixel to v. When v is the base the raster was
 // last cleared to, only the dirty window is rewritten.
 func (im *Image) Clear(v float64) {
+	im.memoOK = false
 	if im.baseKnown && v == im.base {
 		for y := im.dy0; y < im.dy1; y++ {
 			row := y * im.W
@@ -198,7 +216,8 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 	return hi - lo
 }
 
-// Clone returns a deep copy of the image, dirty window included.
+// Clone returns a deep copy of the image, dirty window included. The
+// copy starts without a labeling memo.
 func (im *Image) Clone() *Image {
 	c := NewImage(im.W, im.H)
 	copy(c.Pix, im.Pix)
