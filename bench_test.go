@@ -9,6 +9,7 @@
 package robotack_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -33,7 +34,7 @@ const benchRuns = 20
 func campaignMetrics(b *testing.B, c experiment.Campaign, oracles map[core.Vector]core.Oracle) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunCampaign(c, benchRuns, 4000+int64(i), oracles)
+		res, err := experiment.RunCampaignOn(engine.New(), c, benchRuns, 4000+int64(i), oracles)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +58,10 @@ func BenchmarkTable2(b *testing.B) {
 // metrics are the distribution fits of Fig. 5.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := experiment.Characterize(3000, int64(i)+1)
+		c, err := experiment.CharacterizeOn(engine.New(), 3000, int64(i)+1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(c.Pedestrian.MissRuns.P99, "ped-p99-frames")
 		b.ReportMetric(c.Vehicle.MissRuns.P99, "veh-p99-frames")
 		b.ReportMetric(c.Pedestrian.ErrX.Sigma, "ped-sigma-x")
@@ -73,11 +77,11 @@ func BenchmarkFig6(b *testing.B) {
 	for _, c := range campaigns {
 		b.Run(c.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				withSH, err := experiment.RunCampaign(c, benchRuns, 6000, nil)
+				withSH, err := experiment.RunCampaignOn(engine.New(), c, benchRuns, 6000, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				noSH, err := experiment.RunCampaign(c.WithoutSH(), benchRuns, 6000, nil)
+				noSH, err := experiment.RunCampaignOn(engine.New(), c.WithoutSH(), benchRuns, 6000, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -93,7 +97,7 @@ func BenchmarkFig7(b *testing.B) {
 	for _, c := range experiment.TableIICampaigns()[:6] {
 		b.Run(c.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunCampaign(c, benchRuns, 7000, nil)
+				res, err := experiment.RunCampaignOn(engine.New(), c, benchRuns, 7000, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,7 +121,7 @@ func BenchmarkFig8(b *testing.B) {
 		SeedsPerPoint: 1,
 	}
 	for i := 0; i < b.N; i++ {
-		_, infos, err := experiment.TrainOracles([]experiment.OracleSpec{spec}, 8000,
+		_, infos, err := experiment.TrainOraclesOn(engine.New(), []experiment.OracleSpec{spec}, 8000,
 			nn.TrainConfig{Epochs: 25, BatchSize: 32, LR: 1e-3})
 		if err != nil {
 			b.Fatal(err)
@@ -134,7 +138,7 @@ func BenchmarkHeadline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var smart, random []experiment.CampaignResult
 		for _, c := range campaigns {
-			res, err := experiment.RunCampaign(c, benchRuns/2, 9000, nil)
+			res, err := experiment.RunCampaignOn(engine.New(), c, benchRuns/2, 9000, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -240,7 +244,7 @@ func BenchmarkEpisode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := c.cfg
 				cfg.Seed = int64(i)
-				if _, err := experiment.Run(cfg); err != nil {
+				if _, err := experiment.RunCtx(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

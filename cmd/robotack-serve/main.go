@@ -22,16 +22,16 @@
 //	DELETE /runs/{id}                  cancel a run
 //	POST /lease, /runs/{id}/...        remote-worker protocol (robotack-worker)
 //
-// The store backend is autodetected from the -store path (an existing
-// or ".jsonl"-suffixed path is the JSONL FileStore; a directory is the
-// segmented segstore), or forced segmented with -store-dir — the
+// The store backend is autodetected from the -store path: an existing
+// file or a new ".jsonl"-suffixed path is the JSONL FileStore; a
+// directory or any other new path is the segmented segstore, the
 // backend for million-episode sweeps, whose open cost tracks index
 // size rather than record count.
 //
 // Usage:
 //
 //	robotack-serve -store results.jsonl
-//	robotack-serve -store-dir results.seg -queue-dir queue/
+//	robotack-serve -store results.seg -queue-dir queue/
 //	robotack-serve -store results.jsonl -queue-dir queue/ -max-concurrent 2
 //	robotack-serve -store results.jsonl -addr :9090 -workers 4 -lease-ttl 30s
 //	robotack-serve -store results.jsonl -log-level debug -log-json
@@ -61,7 +61,6 @@ import (
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
-	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/runq"
 	"github.com/robotack/robotack/internal/segstore"
 )
@@ -76,7 +75,6 @@ func main() {
 func run() error {
 	var (
 		storePath = flag.String("store", "", "results store to serve: JSONL file or segstore directory, autodetected (created if missing)")
-		storeDir  = flag.String("store-dir", "", "serve a segmented segstore directory (created if missing); exclusive with -store")
 		addr      = flag.String("addr", ":8077", "listen address")
 		workers   = flag.Int("workers", engine.DefaultWorkers(), "engine workers per locally executed run")
 		queueDir  = flag.String("queue-dir", "", "directory for the durable run-queue journal (empty: in-memory queue, lost on restart)")
@@ -93,8 +91,8 @@ func run() error {
 	)
 	logCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	if (*storePath == "") == (*storeDir == "") {
-		return fmt.Errorf("exactly one of -store or -store-dir is required")
+	if *storePath == "" {
+		return fmt.Errorf("-store is required")
 	}
 	logger, err := logCfg.Logger(os.Stderr)
 	if err != nil {
@@ -107,12 +105,7 @@ func run() error {
 	compactLog := segstore.WithErrorLog(func(campaign string, err error) {
 		logger.Warn("shard compaction failed", "campaign", campaign, "err", err)
 	})
-	var store results.DurableStore
-	if *storeDir != "" {
-		store, err = segstore.Open(*storeDir, compactLog)
-	} else {
-		store, err = segstore.OpenAny(*storePath, compactLog)
-	}
+	store, err := segstore.OpenAny(*storePath, compactLog)
 	if err != nil {
 		return err
 	}
@@ -190,12 +183,8 @@ func run() error {
 	if durable == "" {
 		durable = "in-memory"
 	}
-	served := *storePath
-	if *storeDir != "" {
-		served = *storeDir
-	}
 	logger.Info("serving",
-		"store", served, "addr", *addr, "queue", durable,
+		"store", *storePath, "addr", *addr, "queue", durable,
 		"local_slots", *maxConc, "workers_per_run", *workers, "lease_ttl", *leaseTTL,
 		"metrics", *metrics, "pprof", *pprofOn)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -1,5 +1,7 @@
 // Pedestrian crossing under attack: the paper's DS-2 scenario with a
-// Move_Out hijack of the crossing pedestrian, traced frame by frame.
+// Move_Out hijack of the crossing pedestrian, traced frame by frame by
+// stepping the episode experiment.RunCtx runs (Scratch.Start, then
+// Episode.Step once per frame).
 // The printout shows the EV yielding in the golden run and driving into
 // the conflict once the hijack displaces the perceived pedestrian.
 // After the trace, the same attack is surveyed across a batch of seeds
@@ -14,44 +16,33 @@ import (
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
-	"github.com/robotack/robotack/internal/perception"
 	"github.com/robotack/robotack/internal/planner"
 	"github.com/robotack/robotack/internal/scenario"
-	"github.com/robotack/robotack/internal/sensor"
 	"github.com/robotack/robotack/internal/sim"
-	"github.com/robotack/robotack/internal/stats"
 )
 
 func main() {
 	const seed = 3
-	scn, err := scenario.Build(scenario.DS2, stats.NewRNG(seed))
+	ep, err := experiment.NewScratch().Start(context.Background(), experiment.RunConfig{
+		Scenario: scenario.DS2,
+		Seed:     seed,
+		Attack: experiment.AttackSetup{
+			Mode:               core.ModeSmart,
+			PreferDisappearFor: sim.ClassVehicle, // pedestrians get Move_Out
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := scn.World
-	cam := sensor.DefaultCamera()
-	adsRNG := stats.NewRNG(seed*7919 + 13)
-	ads := perception.NewDefault(cam, adsRNG)
-	lidar := sensor.NewLidar(adsRNG.Split())
-	pl := planner.New(planner.DefaultConfig(scn.CruiseSpeed))
+	w, malware := ep.Scenario().World, ep.Malware()
+	ped := w.Actor(ep.Scenario().TargetID)
 	safety := planner.DefaultSafetyConfig()
 
-	mcfg := core.DefaultConfig(core.ModeSmart)
-	mcfg.Matcher.PreferDisappearFor = sim.ClassVehicle // pedestrians get Move_Out
-	malware := core.New(mcfg, cam, nil, stats.NewRNG(seed*31337+7))
-
-	ped := w.Actor(scn.TargetID)
 	fmt.Println("frame  t(s)  EV speed  mode             ped gap  ped lat  attacking  delta")
-	for i := 0; i < scn.Frames() && !w.Halted; i++ {
-		frame := cam.Capture(w, i)
-		malware.SetEVSpeed(w.EV.Speed)
-		malware.Process(frame.Image, i)
-		objs := ads.Process(frame.Image, lidar.Scan(w))
-		d := pl.Plan(objs, ads.Fusion.Config(), w.EV, w.Road)
-		w.Step(d.Accel)
+	for i := 0; ep.Step(); i++ {
 		if i%15 == 0 || w.Halted {
 			fmt.Printf("%5d %5.1f %8.1f  %-16v %7.1f %8.2f %10v %6.1f\n",
-				i, w.Time(), w.EV.Speed, d.Mode,
+				i, w.Time(), w.EV.Speed, ep.Decision().Mode,
 				ped.Pos.X-w.EV.Pos.X, ped.Pos.Y, malware.Attacking(),
 				safety.GroundTruthDelta(w))
 		}

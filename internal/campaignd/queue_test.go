@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/robotack/robotack/internal/core"
+	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/runq"
@@ -483,7 +484,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	// A local run of the same campaign produces the identical record.
 	local := results.NewMemStore()
 	c := experiment.Campaign{Name: "remote-ds2", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
-	if _, err := experiment.RunCampaign(c, 4, 300, nil, experiment.WithSink(local)); err != nil {
+	if _, err := experiment.RunCampaignOn(engine.New(), c, 4, 300, nil, experiment.WithSink(local)); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := local.Campaigns()

@@ -75,7 +75,6 @@ func httpSeconds(pattern string) *obs.Histogram {
 type Server struct {
 	store    results.Store
 	workers  int
-	oracles  map[core.Vector]core.Oracle
 	queue    *runq.Queue
 	ownQueue bool
 	exec     runq.Executor
@@ -95,12 +94,6 @@ func WithWorkers(n int) Option {
 			s.workers = n
 		}
 	}
-}
-
-// WithOracles supplies trained safety-hijacker oracles to locally
-// executed runs (default: the analytic oracle).
-func WithOracles(o map[core.Vector]core.Oracle) Option {
-	return func(s *Server) { s.oracles = o }
 }
 
 // WithQueue serves an externally owned queue (e.g. a durable one
@@ -158,7 +151,7 @@ func New(store results.Store, opts ...Option) *Server {
 		s.ownQueue = true
 	}
 	if s.exec == nil {
-		s.exec = runq.LocalExecutor{Store: s.store, Oracles: s.oracles, Workers: s.workers}
+		s.exec = runq.LocalExecutor{Store: s.store, Workers: s.workers}
 	}
 	s.queue.Start(s.exec)
 

@@ -51,13 +51,8 @@ type Result struct {
 	Err error
 }
 
-// SeedFunc derives a job's seed from the batch base seed and the job
-// index. It must be a pure function of its arguments — that is what
-// makes a batch replay exactly under any worker count.
-type SeedFunc func(baseSeed int64, index int) int64
-
-// AdditiveSeeds is the default derivation, baseSeed + index. It
-// matches the repo's historical sequential campaigns, so a parallel
+// AdditiveSeeds is the engine's job-seed derivation, baseSeed + index.
+// It matches the repo's historical sequential campaigns, so a parallel
 // campaign reproduces the sequential results bit for bit.
 func AdditiveSeeds(baseSeed int64, index int) int64 {
 	return baseSeed + int64(index)
@@ -78,7 +73,6 @@ type Engine struct {
 	workers     int
 	ctx         context.Context
 	progress    func(done, total int)
-	seedFn      SeedFunc
 	workerState func() any
 }
 
@@ -106,15 +100,6 @@ func WithContext(ctx context.Context) Option {
 // job completes, with the number done and the batch total.
 func WithProgress(fn func(done, total int)) Option {
 	return func(e *Engine) { e.progress = fn }
-}
-
-// WithSeedDerivation replaces the default AdditiveSeeds derivation.
-func WithSeedDerivation(fn SeedFunc) Option {
-	return func(e *Engine) {
-		if fn != nil {
-			e.seedFn = fn
-		}
-	}
 }
 
 // WithWorkerState registers a factory producing one state value per
@@ -155,12 +140,11 @@ func (e *Engine) With(opts ...Option) *Engine {
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // New creates an Engine. With no options it uses DefaultWorkers
-// workers, a background context and AdditiveSeeds.
+// workers and a background context.
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		workers: DefaultWorkers(),
 		ctx:     context.Background(),
-		seedFn:  AdditiveSeeds,
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -234,7 +218,7 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 				if e.workerState != nil && jobCtx == e.ctx {
 					jobCtx = context.WithValue(e.ctx, workerStateKey{}, e.workerState())
 				}
-				seed := e.seedFn(baseSeed, i)
+				seed := AdditiveSeeds(baseSeed, i)
 				en := obs.Enabled()
 				var start time.Time
 				if en {

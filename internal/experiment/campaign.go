@@ -275,19 +275,14 @@ func execute(eng *engine.Engine, rr recordedRun) (results.CampaignRecord, error)
 	return rec, errors.Join(errs...)
 }
 
-// RunCampaign executes runs episodes of the campaign with seeds derived
-// from baseSeed, on a default engine (one worker per CPU). The
-// aggregate is bit-identical to a sequential run: episode seeds depend
-// only on (baseSeed, index) and results fold in index order.
-func RunCampaign(c Campaign, runs int, baseSeed int64, oracles map[core.Vector]core.Oracle, opts ...RunOption) (CampaignResult, error) {
-	return RunCampaignOn(engine.New(), c, runs, baseSeed, oracles, opts...)
-}
-
-// RunCampaignOn executes the campaign's episodes on eng, which
-// controls worker count, cancellation and progress reporting. On
-// cancellation the partial aggregate is returned along with the
-// context's error joined onto any per-run failures. Options attach a
-// results sink and resume a previously persisted campaign.
+// RunCampaignOn executes runs episodes of the campaign with seeds
+// derived from baseSeed on eng, which controls worker count,
+// cancellation and progress reporting. The aggregate is bit-identical
+// to a sequential run: episode seeds depend only on (baseSeed, index)
+// and results fold in index order. On cancellation the partial
+// aggregate is returned along with the context's error joined onto any
+// per-run failures. Options attach a results sink and resume a
+// previously persisted campaign.
 func RunCampaignOn(eng *engine.Engine, c Campaign, runs int, baseSeed int64, oracles map[core.Vector]core.Oracle, opts ...RunOption) (CampaignResult, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -328,11 +323,6 @@ func RunCampaignOn(eng *engine.Engine, c Campaign, runs int, baseSeed int64, ora
 		},
 	})
 	return CampaignResult{Campaign: c, CampaignRecord: rec}, err
-}
-
-// RunGolden executes attack-free episodes on a default engine.
-func RunGolden(src scenario.Source, runs int, baseSeed int64, opts ...RunOption) (GoldenResult, error) {
-	return RunGoldenOn(engine.New(), src, runs, baseSeed, opts...)
 }
 
 // RunGoldenOn executes attack-free episodes on eng. Records persist

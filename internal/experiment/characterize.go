@@ -43,21 +43,15 @@ type characterizePools struct {
 	missRuns, errX, errY map[sim.Class][]float64
 }
 
-// Characterize reproduces the paper's §VI-A measurement on a default
-// engine: it drives a mixed-traffic world for the given number of
-// frames (the paper used a 10-minute manual drive, 9000 frames), runs
-// the noisy detector against ground-truth projections, and fits the
-// misdetection-run and bbox-error distributions.
-func Characterize(frames int, seed int64) Characterization {
-	c, _ := CharacterizeOn(engine.New(), frames, seed)
-	return c
-}
-
-// CharacterizeOn runs the characterization drive on eng, one engine
-// job per segment of at most characterizeSegmentFrames frames. Sample
-// pools merge in segment order, so the fits are identical for any
-// worker count; for frames within a single segment the result matches
-// the historical sequential drive exactly.
+// CharacterizeOn reproduces the paper's §VI-A measurement: it drives a
+// mixed-traffic world for the given number of frames (the paper used a
+// 10-minute manual drive, 9000 frames), runs the noisy detector against
+// ground-truth projections, and fits the misdetection-run and
+// bbox-error distributions. The drive runs on eng, one engine job per
+// segment of at most characterizeSegmentFrames frames. Sample pools
+// merge in segment order, so the fits are identical for any worker
+// count; for frames within a single segment the result matches the
+// historical sequential drive exactly.
 func CharacterizeOn(eng *engine.Engine, frames int, seed int64) (Characterization, error) {
 	var segments []int
 	for rem := frames; rem > 0; rem -= characterizeSegmentFrames {

@@ -28,7 +28,7 @@ func TestGoldenRunsMostlySafe(t *testing.T) {
 		t.Skip("campaign test")
 	}
 	for _, id := range scenario.All() {
-		res, err := RunGolden(id, 10, 900)
+		res, err := RunGoldenOn(engine.New(), id, 10, 900)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,14 +44,14 @@ func TestSmartAttackBeatsGoldenOnPedestrians(t *testing.T) {
 	}
 	c := Campaign{Name: "DS-2-Disappear-R", Scenario: scenario.DS2, Mode: core.ModeSmart,
 		PreferDisappearFor: sim.ClassPedestrian, ExpectCrashes: true}
-	atk, err := RunCampaign(c, 10, 300, nil)
+	atk, err := RunCampaignOn(engine.New(), c, 10, 300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if atk.Launched < 8 {
 		t.Fatalf("launched %d/10; the smart malware should fire in nearly every DS-2 run", atk.Launched)
 	}
-	golden, err := RunGolden(scenario.DS2, 10, 300)
+	golden, err := RunGoldenOn(engine.New(), scenario.DS2, 10, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func TestRandomBaselineWeakerThanSmartOnPed(t *testing.T) {
 	}
 	smart := Campaign{Name: "s", Scenario: scenario.DS2, Mode: core.ModeSmart,
 		PreferDisappearFor: sim.ClassPedestrian, ExpectCrashes: true}
-	sRes, err := RunCampaign(smart, 12, 100, nil)
+	sRes, err := RunCampaignOn(engine.New(), smart, 12, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	random := Campaign{Name: "r", Scenario: scenario.DS5, Mode: core.ModeRandom, ExpectCrashes: true}
-	rRes, err := RunCampaign(random, 12, 100, nil)
+	rRes, err := RunCampaignOn(engine.New(), random, 12, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,10 @@ func TestCharacterizeRecoversFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization test")
 	}
-	c := Characterize(2500, 5)
+	c, err := CharacterizeOn(engine.New(), 2500, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Vehicle.Samples < 500 || c.Pedestrian.Samples < 300 {
 		t.Fatalf("too few samples: veh=%d ped=%d", c.Vehicle.Samples, c.Pedestrian.Samples)
 	}
@@ -177,7 +180,7 @@ func TestOracleDataGeneration(t *testing.T) {
 		DeltaGrid:     []float64{15, 25},
 		SeedsPerPoint: 1,
 	}
-	ds, err := GenerateOracleData(spec, 1234)
+	ds, err := GenerateOracleDataOn(engine.New(), spec, 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +205,7 @@ func TestTrainOraclesSmall(t *testing.T) {
 		DeltaGrid:     []float64{15, 25, 35},
 		SeedsPerPoint: 1,
 	}}
-	oracles, infos, err := TrainOracles(specs, 777, nn.TrainConfig{Epochs: 20, BatchSize: 32, LR: 1e-3})
+	oracles, infos, err := TrainOraclesOn(engine.New(), specs, 777, nn.TrainConfig{Epochs: 20, BatchSize: 32, LR: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

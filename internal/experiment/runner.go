@@ -11,11 +11,13 @@ import (
 	"math"
 
 	"github.com/robotack/robotack/internal/core"
+	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/perception"
 	"github.com/robotack/robotack/internal/planner"
 	"github.com/robotack/robotack/internal/scenario"
+	"github.com/robotack/robotack/internal/sensor"
 	"github.com/robotack/robotack/internal/sim"
 )
 
@@ -121,31 +123,84 @@ func targetDelta(w *sim.World, targetID sim.ActorID, safety planner.SafetyConfig
 	return safety.Delta(gap, w.EV.Speed)
 }
 
-// Run executes one closed-loop episode.
-func Run(cfg RunConfig) (RunResult, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
 // RunCtx executes one closed-loop episode under a cancellation
 // context: a canceled ctx aborts the frame loop promptly and returns
 // ctx.Err(). The episode itself is deterministic in cfg.Seed: when ctx
 // is an engine job context the episode reuses the worker's Scratch,
 // and the pooled execution is bit-identical to a from-scratch run.
+// Outside an engine batch it runs on a throwaway Scratch.
 func RunCtx(ctx context.Context, cfg RunConfig) (RunResult, error) {
-	s := scratchFrom(ctx)
-	scn, err := scenario.InstantiateSource(cfg.source(), s.arenaFor(), reseed(&s.scnRNG, cfg.Seed))
-	if err != nil {
-		return RunResult{}, fmt.Errorf("experiment: %w", err)
+	s, ok := engine.WorkerState(ctx).(*Scratch)
+	if !ok || s == nil {
+		s = NewScratch()
 	}
-	w := scn.World
-	cam := s.cam
-	adsRNG := reseed(&s.adsRNG, cfg.Seed*7919+13)
-	ads := s.pipeline(adsRNG)
-	lidar := s.lidarFor(reseed(&s.lidarRNG, adsRNG.SplitSeed()))
-	pl := s.plannerFor(planner.DefaultConfig(scn.CruiseSpeed))
-	safety := planner.DefaultSafetyConfig()
+	ep, err := s.Start(ctx, cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	for ep.Step() {
+	}
+	return ep.Result()
+}
 
-	var malware *core.Malware
+// Episode is one closed-loop episode in progress, stepped a frame at a
+// time: the paper's Fig. 1 loop of camera capture, the malware's tap
+// (Algorithm 1), LiDAR, the ADS's detect, track and fuse stages, the
+// planner and the world step. RunCtx is the loop over it. An Episode
+// belongs to the Scratch that started it and is valid until that
+// Scratch starts the next one.
+type Episode struct {
+	ctx     context.Context
+	s       *Scratch
+	scn     *scenario.Scenario
+	malware *core.Malware
+	safety  planner.SafetyConfig
+	recycle bool
+
+	// Observation only (see obs.go): never read back by the episode.
+	en bool
+	fo *frameObs
+	sp *trace.Span
+
+	// frame and d are the last frame's camera frame and planner
+	// decision; res.Frames is the next frame's index.
+	frame    *sensor.Frame
+	d        planner.Decision
+	launched bool
+	over     bool
+	err      error
+	res      RunResult
+}
+
+// Start begins cfg's episode on s: it instantiates the scenario and
+// resets s's pipeline, LiDAR, planner and, for an attack, malware, each
+// on its stream derived from cfg.Seed. The Episode is s's own, so a
+// pooled episode allocates nothing new. Step checks ctx before every
+// 16th frame, and a trace span context in ctx gives the episode a span.
+func (s *Scratch) Start(ctx context.Context, cfg RunConfig) (*Episode, error) {
+	scn, err := scenario.InstantiateSource(cfg.source(), &s.arena, reseed(&s.scnRNG, cfg.Seed))
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	e := &s.ep
+	*e = Episode{ctx: ctx, s: s, scn: scn, safety: planner.DefaultSafetyConfig(), recycle: cfg.recycleTrace}
+	adsRNG := reseed(&s.adsRNG, cfg.Seed*7919+13)
+	if s.ads == nil {
+		s.ads = perception.NewDefault(s.cam, adsRNG)
+	} else {
+		s.ads.Detector.SetRNG(adsRNG)
+		s.ads.Reset()
+	}
+	if lidarRNG := reseed(&s.lidarRNG, adsRNG.SplitSeed()); s.lidar == nil {
+		s.lidar = sensor.NewLidar(lidarRNG)
+	} else {
+		s.lidar.Reset(lidarRNG)
+	}
+	if pcfg := planner.DefaultConfig(scn.CruiseSpeed); s.pl == nil {
+		s.pl = planner.New(pcfg)
+	} else {
+		s.pl.Reconfigure(pcfg)
+	}
 	if cfg.Attack.Mode != 0 {
 		mcfg := core.DefaultConfig(cfg.Attack.Mode)
 		if cfg.Attack.PreferDisappearFor != 0 {
@@ -155,7 +210,7 @@ func RunCtx(ctx context.Context, cfg RunConfig) (RunResult, error) {
 			mcfg.Forced = &core.ForcedPlan{DeltaInject: fp.DeltaInject, K: fp.K}
 		}
 		mcfg.Policy = cfg.Attack.Policy
-		malware = s.malwareFor(mcfg, cfg.Attack.Oracles, reseed(&s.malRNG, cfg.Seed*31337+7))
+		e.malware = s.malwareFor(mcfg, cfg.Attack.Oracles, reseed(&s.malRNG, cfg.Seed*31337+7))
 	}
 
 	// Stage timing and span tracing are observational only: the clock,
@@ -163,84 +218,102 @@ func RunCtx(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	// or result fields, so the episode is bit-identical with metrics and
 	// tracing on, off, or absent (TestCampaignMetricsInert,
 	// TestCampaignTracesInert).
-	en := obs.Enabled()
-	fo := s.frameObsHandles()
-	var sp *trace.Span
+	e.en = obs.Enabled()
+	e.fo = s.frameObsHandles()
 	if sc, ok := trace.FromContext(ctx); ok {
-		sp = sc.Tracer.StartEpisode(sc, cfg.Seed)
-		defer sp.Finish()
+		e.sp = sc.Tracer.StartEpisode(sc, cfg.Seed)
 	}
 
-	res := RunResult{MinDelta: safety.MaxDSafe}
-	if cfg.recycleTrace {
-		res.DeltaTrace = s.trace[:0]
-		defer func() { s.trace = res.DeltaTrace }()
+	e.res.MinDelta = e.safety.MaxDSafe
+	if e.recycle {
+		e.res.DeltaTrace = s.trace[:0]
 	}
-	launched := false
-	for i := 0; i < scn.Frames() && !w.Halted; i++ {
-		if i%16 == 0 && ctx.Err() != nil {
-			return res, ctx.Err()
-		}
-		// Stage latencies are sampled (1 frame in 16): seven clock reads
-		// per frame cost ~12% episode throughput, sampled they are noise,
-		// and the histograms are statistical either way. Frame/episode
-		// counters stay exact. Span stage annotation rides the same
-		// sampled frames, scaled back at analysis time.
-		sampledFrame := i&15 == 0
-		spFrame := sp
-		if !sampledFrame {
-			spFrame = nil
-		}
-		clk := startStageClock(en && sampledFrame, spFrame)
-		frame := cam.CaptureInto(&s.capture, w, i)
-		clk.tick(fo, perception.StageSensor)
-		if malware != nil {
-			malware.SetEVSpeed(w.EV.Speed)
-			malware.Process(frame.Image, i)
-			clk.tick(fo, perception.StageMalware)
-		}
-		scan := lidar.Scan(w)
-		clk.tick(fo, perception.StageLidar)
-		dets := ads.StageDetect(frame.Image)
-		clk.tick(fo, perception.StageDetectIdx)
-		tracks := ads.StageTrack(dets)
-		clk.tick(fo, perception.StageTrackIdx)
-		objs := ads.StageFuse(tracks, scan)
-		clk.tick(fo, perception.StageFusionIdx)
-		d := pl.Plan(objs, ads.Fusion.Config(), w.EV, w.Road)
-		clk.tick(fo, perception.StagePlan)
-		w.Step(d.Accel)
-		res.Frames++
-		sp.FrameDone(sampledFrame)
-		if en {
-			fo.frames.Add(1)
-		}
+	return e, nil
+}
 
-		if malware != nil && !launched && malware.Log().Launched {
-			launched = true
+// Step runs the episode's next frame and reports whether it ran one.
+// It returns false, without running a frame, once the scenario's frames
+// are spent, the world has halted, or ctx, checked before every 16th
+// frame, is found canceled (so up to 15 frames may run after
+// cancellation); Result then holds the outcome.
+func (e *Episode) Step() bool {
+	if e.over {
+		return false
+	}
+	s, w, i := e.s, e.scn.World, e.res.Frames
+	if i >= e.scn.Frames() || w.Halted {
+		e.finish()
+		return false
+	}
+	if i%16 == 0 && e.ctx.Err() != nil {
+		e.err = e.ctx.Err()
+		e.finish()
+		return false
+	}
+	// Stage latencies are sampled (1 frame in 16): seven clock reads
+	// per frame cost ~12% episode throughput, sampled they are noise,
+	// and the histograms are statistical either way. Frame/episode
+	// counters stay exact. Span stage annotation rides the same
+	// sampled frames, scaled back at analysis time.
+	sampledFrame := i&15 == 0
+	var clk stageClock
+	if sampledFrame {
+		clk = startStageClock(e.en, e.sp)
+	}
+	fo := e.fo
+	e.frame = s.cam.CaptureInto(&s.capture, w, i)
+	clk.tick(fo, perception.StageSensor)
+	if e.malware != nil {
+		e.malware.SetEVSpeed(w.EV.Speed)
+		e.malware.Process(e.frame.Image, i)
+		clk.tick(fo, perception.StageMalware)
+	}
+	scan := s.lidar.Scan(w)
+	clk.tick(fo, perception.StageLidar)
+	dets := s.ads.StageDetect(e.frame.Image)
+	clk.tick(fo, perception.StageDetectIdx)
+	tracks := s.ads.StageTrack(dets)
+	clk.tick(fo, perception.StageTrackIdx)
+	objs := s.ads.StageFuse(tracks, scan)
+	clk.tick(fo, perception.StageFusionIdx)
+	e.d = s.pl.Plan(objs, s.ads.Fusion.Config(), w.EV, w.Road)
+	clk.tick(fo, perception.StagePlan)
+	w.Step(e.d.Accel)
+	e.res.Frames++
+	e.sp.FrameDone(sampledFrame)
+	if e.en {
+		fo.frames.Add(1)
+	}
+
+	e.launched = e.launched || e.malware != nil && e.malware.Log().Launched
+	if e.launched || e.malware == nil {
+		e.res.EB = e.res.EB || e.d.Mode == planner.ModeEmergencyBrake
+		if gd := e.safety.GroundTruthDelta(w); gd < e.res.MinDelta {
+			e.res.MinDelta = gd
 		}
-		counting := launched || malware == nil
-		if counting {
-			if d.Mode == planner.ModeEmergencyBrake {
-				res.EB = true
-			}
-			gd := safety.GroundTruthDelta(w)
-			if gd < res.MinDelta {
-				res.MinDelta = gd
-			}
-			if launched {
-				res.DeltaTrace = append(res.DeltaTrace, targetDelta(w, scn.TargetID, safety))
-			}
+		if e.launched {
+			e.res.DeltaTrace = append(e.res.DeltaTrace, targetDelta(w, e.scn.TargetID, e.safety))
 		}
 	}
-	if w.Halted {
-		res.Crashed = true
+	return true
+}
+
+// finish ends the episode: the scratch gets its trace array back, the
+// span finishes, and an episode that ran to its end has its outcome
+// settled.
+func (e *Episode) finish() {
+	e.over = true
+	if e.recycle {
+		e.s.trace = e.res.DeltaTrace
 	}
-	if res.MinDelta < safety.AccidentDelta {
-		res.Crashed = true
+	e.sp.Finish()
+	if e.err != nil {
+		return
 	}
-	if malware != nil {
-		log := malware.Log()
+	res := &e.res
+	res.Crashed = e.scn.World.Halted || res.MinDelta < e.safety.AccidentDelta
+	if e.malware != nil {
+		log := e.malware.Log()
 		res.Launched = log.Launched
 		res.LaunchFrame = log.LaunchFrame
 		res.Vector = log.Vector
@@ -251,21 +324,30 @@ func RunCtx(ctx context.Context, cfg RunConfig) (RunResult, error) {
 		res.LaunchState = log.LaunchState
 		res.PredictedDelta = log.PredictedDelta
 		if log.Launched && len(res.DeltaTrace) > 0 {
-			idx := log.K
-			if idx >= len(res.DeltaTrace) {
-				idx = len(res.DeltaTrace) - 1
-			}
-			res.RealizedDelta = res.DeltaTrace[idx]
+			res.RealizedDelta = res.DeltaTrace[min(log.K, len(res.DeltaTrace)-1)]
 		}
 		if !log.Launched {
 			// An attack that never fired caused whatever happened, so
 			// do not attribute golden noise to it.
-			res.EB = false
-			res.Crashed = false
+			res.EB, res.Crashed = false, false
 		}
 	}
-	if en {
-		fo.episodes.Add(1)
+	if e.en {
+		e.fo.episodes.Add(1)
 	}
-	return res, nil
 }
+
+// Result returns the outcome once Step has reported the episode over,
+// with ctx's error if it was canceled (the result then covers only the
+// frames that ran).
+func (e *Episode) Result() (RunResult, error) { return e.res, e.err }
+
+// Scenario returns the episode's scenario; its World is the live world
+// Step advances.
+func (e *Episode) Scenario() *scenario.Scenario { return e.scn }
+
+// Decision returns the planner's decision on the last frame Step ran.
+func (e *Episode) Decision() planner.Decision { return e.d }
+
+// Malware returns the episode's malware, nil for a golden episode.
+func (e *Episode) Malware() *core.Malware { return e.malware }

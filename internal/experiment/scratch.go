@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"context"
-
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/perception"
@@ -55,7 +53,7 @@ type Scratch struct {
 
 	// arena is the worker's reusable scenario-instantiation state: the
 	// world, actors and behavior structs recycle across episodes.
-	arena *scenario.Arena
+	arena scenario.Arena
 
 	// Pooled episode RNG streams, reseeded per episode instead of
 	// reallocated (a rand source is ~5 KB).
@@ -68,6 +66,10 @@ type Scratch struct {
 	// fobs holds this worker's shard-pinned metric handles (see
 	// obs.go); built lazily on the first instrumented episode.
 	fobs frameObs
+
+	// ep is the episode Start hands out, reused so starting one
+	// allocates nothing.
+	ep Episode
 }
 
 // NewScratch returns an empty episode scratch.
@@ -75,28 +77,11 @@ func NewScratch() *Scratch {
 	return &Scratch{cam: sensor.DefaultCamera()}
 }
 
-// scratchFrom returns the engine worker's scratch, or a fresh one for
-// callers outside an engine batch (direct Run/RunCtx).
-func scratchFrom(ctx context.Context) *Scratch {
-	if s, ok := engine.WorkerState(ctx).(*Scratch); ok && s != nil {
-		return s
-	}
-	return NewScratch()
-}
-
 // withEpisodeScratch wires a per-worker Scratch factory into eng, so
 // every job the returned engine runs finds a reusable scratch in its
 // context.
 func withEpisodeScratch(eng *engine.Engine) *engine.Engine {
 	return eng.With(engine.WithWorkerState(func() any { return NewScratch() }))
-}
-
-// arenaFor returns the worker's scenario arena, creating it on first use.
-func (s *Scratch) arenaFor() *scenario.Arena {
-	if s.arena == nil {
-		s.arena = scenario.NewArena()
-	}
-	return s.arena
 }
 
 // reseed returns *p rewound to seed, allocating the stream only once.
@@ -108,39 +93,6 @@ func reseed(p **stats.RNG, seed int64) *stats.RNG {
 		(*p).Reseed(seed)
 	}
 	return *p
-}
-
-// pipeline returns the scratch's ADS perception stack reset for a new
-// episode driven by rng.
-func (s *Scratch) pipeline(rng *stats.RNG) *perception.Pipeline {
-	if s.ads == nil {
-		s.ads = perception.NewDefault(s.cam, rng)
-		return s.ads
-	}
-	s.ads.Detector.SetRNG(rng)
-	s.ads.Reset()
-	return s.ads
-}
-
-// lidarFor returns the scratch's LiDAR reset to a new noise stream.
-func (s *Scratch) lidarFor(rng *stats.RNG) *sensor.Lidar {
-	if s.lidar == nil {
-		s.lidar = sensor.NewLidar(rng)
-		return s.lidar
-	}
-	s.lidar.Reset(rng)
-	return s.lidar
-}
-
-// plannerFor returns the scratch's planner reconfigured for the
-// episode's cruise speed.
-func (s *Scratch) plannerFor(cfg planner.Config) *planner.Planner {
-	if s.pl == nil {
-		s.pl = planner.New(cfg)
-		return s.pl
-	}
-	s.pl.Reconfigure(cfg)
-	return s.pl
 }
 
 // oraclesFor returns this worker's clones of src, cloning only when

@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/results"
+	"github.com/robotack/robotack/internal/scenario"
 )
 
 // TestSmartCampaignsRespectStealthCaps holds the paper's stealth
@@ -52,4 +55,57 @@ func TestSmartCampaignsRespectStealthCaps(t *testing.T) {
 			t.Errorf("%s: no episode launched, so the caps went unchecked", c.Name)
 		}
 	}
+}
+
+// neverFire is a trigger policy that declines every attack the matcher
+// proposes, counting the proposals.
+type neverFire struct{ consulted *int }
+
+func (p neverFire) Consult(core.PolicyInput, *core.SafetyHijacker) (core.PolicyDecision, error) {
+	*p.consulted++
+	return core.PolicyDecision{}, nil
+}
+
+// TestSilentMalwareInvisible holds the other side of stealth: malware
+// that sits on the camera link but never fires leaves the drive exactly
+// as golden. For DS-1 to DS-5 and seeds 1-4 it steps a golden episode
+// and a smart-mode one whose trigger policy never fires side by side,
+// and requires the same frame count and, on every frame, the same EV
+// position, EV speed and planner mode.
+func TestSilentMalwareInvisible(t *testing.T) {
+	ctx := context.Background()
+	golden, silent := NewScratch(), NewScratch()
+	consulted, frames := 0, 0
+	for _, id := range scenario.All() {
+		for seed := int64(1); seed <= 4; seed++ {
+			g, gErr := golden.Start(ctx, RunConfig{Scenario: id, Seed: seed})
+			m, mErr := silent.Start(ctx, RunConfig{Scenario: id, Seed: seed,
+				Attack: AttackSetup{Mode: core.ModeSmart, Policy: neverFire{&consulted}}})
+			if err := errors.Join(gErr, mErr); err != nil {
+				t.Fatal(err)
+			}
+			gw, mw := g.Scenario().World, m.Scenario().World
+			for i := 0; ; i++ {
+				more := g.Step()
+				if m.Step() != more {
+					t.Fatalf("%v seed %d: one episode ended after %d frames, the other did not", id, seed, i)
+				}
+				if !more {
+					break
+				}
+				frames++
+				if gw.EV.Pos != mw.EV.Pos || gw.EV.Speed != mw.EV.Speed || g.Decision().Mode != m.Decision().Mode {
+					t.Fatalf("%v seed %d frame %d: silent malware moved the EV: golden %v %v %v, silent %v %v %v",
+						id, seed, i, gw.EV.Pos, gw.EV.Speed, g.Decision().Mode, mw.EV.Pos, mw.EV.Speed, m.Decision().Mode)
+				}
+			}
+			if res, _ := m.Result(); res.Launched {
+				t.Fatalf("%v seed %d: a policy that never fires launched an attack", id, seed)
+			}
+		}
+	}
+	if consulted == 0 {
+		t.Fatal("the policy was never consulted, so the silent malware never proposed an attack")
+	}
+	t.Logf("%d frames matched; the policy declined %d proposals", frames, consulted)
 }

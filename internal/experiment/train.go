@@ -69,15 +69,6 @@ func DefaultOracleSpecs() []OracleSpec {
 	}
 }
 
-// GenerateOracleData runs the spec's forced attacks on a default
-// engine and harvests one training sample per (launch state, elapsed
-// frames) pair: the input is the paper's [delta, vrel, arel, k] and
-// the label is the realized ground-truth safety potential k frames
-// after launch.
-func GenerateOracleData(spec OracleSpec, baseSeed int64) (nn.Dataset, error) {
-	return GenerateOracleDataOn(engine.New(), spec, baseSeed)
-}
-
 // forcedRun is one grid point of a training sweep.
 type forcedRun struct {
 	sweep   OracleSweep
@@ -85,7 +76,10 @@ type forcedRun struct {
 	kMax    int
 }
 
-// GenerateOracleDataOn runs the spec's forced attacks on eng. The
+// GenerateOracleDataOn runs the spec's forced attacks on eng and
+// harvests one training sample per (launch state, elapsed frames) pair:
+// the input is the paper's [delta, vrel, arel, k] and the label is the
+// realized ground-truth safety potential k frames after launch. The
 // sweep grid is flattened into one batch of engine jobs; the dataset
 // folds in grid order, so it is identical for any worker count (and to
 // the historical sequential generator, whose j-th run used seed
@@ -142,23 +136,18 @@ type TrainedOracle struct {
 	Samples int
 }
 
-// TrainOracles generates data and trains one network per attack vector,
-// using the paper's architecture and 60/40 split. Data generation runs
-// on a default engine.
-func TrainOracles(specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[core.Vector]core.Oracle, []TrainedOracle, error) {
-	return TrainOraclesOn(engine.New(), specs, baseSeed, cfg)
-}
-
-// TrainOraclesOn generates the training data for every spec on eng
-// (the forced-episode fan-out), then fits the networks epoch by epoch
-// on eng's workers. Up to one slot job per worker takes a fit from a
-// ready queue, runs its next epoch and requeues it, so the fits advance
-// round-robin and no worker idles while any fit has epochs left. Spec
-// i's split, initial weights, dropout masks and minibatch order all
-// draw from its own stats.NewRNG(baseSeed+i+77), never from the
-// engine's job seed, and a fit runs on one goroutine at a time, so the
-// fitted weights are bit-identical at any worker count and in any
-// interleaving. Cancelling eng's context stops the fits between epochs.
+// TrainOraclesOn trains one network per attack vector, using the
+// paper's architecture and 60/40 split. It generates the training data
+// for every spec on eng (the forced-episode fan-out), then fits the
+// networks epoch by epoch on eng's workers. Up to one slot job per
+// worker takes a fit from a ready queue, runs its next epoch and
+// requeues it, so the fits advance round-robin and no worker idles
+// while any fit has epochs left. Spec i's split, initial weights,
+// dropout masks and minibatch order all draw from its own
+// stats.NewRNG(baseSeed+i+77), never from the engine's job seed, and a
+// fit runs on one goroutine at a time, so the fitted weights are
+// bit-identical at any worker count and in any interleaving. Cancelling
+// eng's context stops the fits between epochs.
 func TrainOraclesOn(eng *engine.Engine, specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[core.Vector]core.Oracle, []TrainedOracle, error) {
 	data := make([]nn.Dataset, len(specs))
 	for i, spec := range specs {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -83,14 +84,14 @@ func TestPaperTriggerBitIdentical(t *testing.T) {
 func TestPaperTriggerFrameByFrame(t *testing.T) {
 	for _, id := range []scenario.ID{scenario.DS1, scenario.DS2, scenario.DS3, scenario.DS4, scenario.DS5} {
 		for _, seed := range []int64{1, 77, 4242} {
-			legacy, err := experiment.Run(experiment.RunConfig{
+			legacy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
 				Scenario: id, Seed: seed,
 				Attack: experiment.AttackSetup{Mode: core.ModeSmart},
 			})
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", id, seed, err)
 			}
-			viaPolicy, err := experiment.Run(experiment.RunConfig{
+			viaPolicy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
 				Scenario: id, Seed: seed,
 				Attack: experiment.AttackSetup{Mode: core.ModeSmart, Policy: PaperTrigger{}},
 			})
@@ -115,14 +116,14 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []scenario.ID{scenario.DS1, scenario.DS2, scenario.DS3} {
-		legacy, err := experiment.Run(experiment.RunConfig{
+		legacy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
 			Scenario: id, Seed: 1234,
 			Attack: experiment.AttackSetup{Mode: core.ModeSmart},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaParams, err := experiment.Run(experiment.RunConfig{
+		viaParams, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
 			Scenario: id, Seed: 1234,
 			Attack: experiment.AttackSetup{Mode: core.ModeSmart, Policy: pol},
 		})

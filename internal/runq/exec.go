@@ -9,17 +9,16 @@ import (
 	"github.com/robotack/robotack/internal/results"
 )
 
-// LocalExecutor runs jobs in-process: each job gets its own engine
-// (cancellable via the job's context, which is how DELETE /runs/{id}
-// stops a run mid-flight), episodes stream into the store as they
-// complete, and a resuming attempt folds the store's episodes back so
-// the aggregate is bit-identical to an uninterrupted run.
+// LocalExecutor runs jobs in-process with the analytic oracle: each job
+// gets its own engine (cancellable via the job's context, which is how
+// DELETE /runs/{id} stops a run mid-flight), episodes stream into the
+// store as they complete, and a resuming attempt folds the store's
+// episodes back so the aggregate is bit-identical to an uninterrupted
+// run.
 type LocalExecutor struct {
 	// Store receives episode records and the final aggregate; it is
 	// also the resume source for re-executed jobs.
 	Store results.Store
-	// Oracles are the trained safety-hijacker oracles (nil: analytic).
-	Oracles map[core.Vector]core.Oracle
 	// Workers is the per-job engine pool size (<=0: one per CPU).
 	Workers int
 }
@@ -38,7 +37,7 @@ func (e LocalExecutor) Execute(ctx context.Context, job Job, progress func(done,
 			opts = append(opts, experiment.WithResume(e.Store))
 		}
 	}
-	_, err := ExecuteRequest(eng, job.Request, e.Oracles, opts...)
+	_, err := ExecuteRequest(eng, job.Request, nil, opts...)
 	return err
 }
 

@@ -1,13 +1,14 @@
 package runq
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"github.com/robotack/robotack/internal/results"
 )
 
 // journalFile is the queue's on-disk log inside the queue directory.
@@ -130,39 +131,29 @@ func compactJournal(dir string, old *os.File, jobs map[int]*Job) (*os.File, erro
 }
 
 // replay folds the journal bytes last-wins into a job map, returning
-// how many leading bytes parsed cleanly. An unparsable final line —
-// the disk state a kill -9 mid-append leaves — is tolerated and
-// excluded from the good length; corruption anywhere earlier is an
-// error, because silently skipping it could resurrect stale states.
+// how many leading bytes parsed cleanly, under results.ScanJSONL's
+// torn-tail rule: an unparsable final line — the disk state a kill -9
+// mid-append leaves — is tolerated and excluded from the good length;
+// corruption anywhere earlier is an error, because silently skipping it
+// could resurrect stale states.
 func replay(raw []byte, path string) (map[int]*Job, int, error) {
 	jobs := make(map[int]*Job)
-	offset, lineno := 0, 0
-	for offset < len(raw) {
-		end := len(raw)
-		next := end
-		if nl := bytes.IndexByte(raw[offset:], '\n'); nl >= 0 {
-			end = offset + nl
-			next = end + 1
+	good, err := results.ScanJSONL(raw, func(lineno int, line []byte) error {
+		var l journalLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			return fmt.Errorf("runq: %s:%d: %w: %w", path, lineno, results.ErrMalformedLine, err)
 		}
-		line := raw[offset:end]
-		lineno++
-		if len(bytes.TrimSpace(line)) > 0 {
-			var l journalLine
-			if err := json.Unmarshal(line, &l); err != nil {
-				if len(bytes.TrimSpace(raw[next:])) == 0 {
-					return jobs, offset, nil
-				}
-				return nil, 0, fmt.Errorf("runq: %s:%d: %w", path, lineno, err)
-			}
-			if l.Kind != kindJob || l.Job == nil {
-				return nil, 0, fmt.Errorf("runq: %s:%d: unknown record kind %q", path, lineno, l.Kind)
-			}
-			j := *l.Job
-			jobs[j.ID] = &j
+		if l.Kind != kindJob || l.Job == nil {
+			return fmt.Errorf("runq: %s:%d: unknown record kind %q", path, lineno, l.Kind)
 		}
-		offset = next
+		j := *l.Job
+		jobs[j.ID] = &j
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	return jobs, offset, nil
+	return jobs, good, nil
 }
 
 // appendJob writes one job snapshot to the journal (no-op when the

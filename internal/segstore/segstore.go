@@ -217,7 +217,7 @@ func open(dir string, ro bool, opts ...Option) (*Store, error) {
 
 // checkMarker verifies (or, for a new writer dir, creates) the
 // segstore.json layout marker. A non-empty directory without the
-// marker is refused rather than adopted: pointing -store-dir at a
+// marker is refused rather than adopted: pointing a store path at a
 // random directory must not scribble a store into it.
 func (s *Store) checkMarker() error {
 	path := filepath.Join(s.dir, markerFile)

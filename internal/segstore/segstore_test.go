@@ -343,16 +343,21 @@ func TestCompactionRestoresFastPath(t *testing.T) {
 	s := openSmall(t, dir)
 	defer s.Close()
 	storetest.Fill(t, s, "cmp", 150)
+	// Mark a rewrite as already queued, so the out-of-order append below
+	// leaves the background compactor off the shard this test rewrites.
+	sh, err := s.getShard("cmp", false)
+	if err != nil || sh == nil {
+		t.Fatal(err)
+	}
+	sh.mu.Lock()
+	sh.compactQueued = true
+	sh.mu.Unlock()
 	// A worker retry re-appends an old index out of order.
 	if err := s.Append(storetest.Episode("cmp", 3)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := s.Episodes("cmp")
 	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := s.getShard("cmp", false)
-	if err != nil || sh == nil {
 		t.Fatal(err)
 	}
 	sh.mu.Lock()
