@@ -195,7 +195,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 // step indefinitely. The allocs/op metric is the pipeline's per-frame
 // GC pressure — the quantity the pooled pipeline drives to zero.
 func BenchmarkFrame(b *testing.B) {
-	scn, err := scenario.DS1.Instantiate(stats.NewRNG(1))
+	scn, err := scenario.InstantiateSource(scenario.DS1, nil, stats.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 // completes — a JSONL file or a segmented segstore directory,
 // autodetected from the path; -resume folds already-persisted episodes
 // back into the aggregates (bit-identically) instead of re-running
-// them, and -compare diffs two stores' campaign aggregates (the two
-// sides may use different backends).
+// them. robotack-store diff compares two stores' campaign aggregates
+// (the two sides may use different backends).
 //
 // Usage:
 //
@@ -24,7 +24,6 @@
 //	robotack-campaign -generate -runs 100  # scenario-diversity sweep
 //	robotack-campaign -runs 100 -out sweep.jsonl       # persist records
 //	robotack-campaign -runs 100 -out sweep.jsonl -resume  # pick up an interrupted sweep
-//	robotack-campaign -out new.jsonl -compare old.jsonl   # diff two stores and exit
 //	robotack-campaign -policy trained.json  # evaluate a searched policy next to the paper trigger
 //	robotack-campaign -list-scenarios
 //	robotack-campaign -list-policies
@@ -39,7 +38,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
@@ -48,7 +46,6 @@ import (
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/policy"
-	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
 	"github.com/robotack/robotack/internal/scenegen"
 	"github.com/robotack/robotack/internal/segstore"
@@ -74,11 +71,9 @@ func run() error {
 		listPolicies = flag.Bool("list-policies", false, "list known policy artifact kinds and exit")
 		out          = flag.String("out", "", "append episode and campaign records to this results store (JSONL file or segstore directory, autodetected)")
 		resume       = flag.Bool("resume", false, "fold episodes already persisted in -out back into the aggregates instead of re-running them")
-		compare      = flag.String("compare", "", "diff this store against -out and exit (no campaigns run)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprofile   = flag.String("memprofile", "", "write a pprof heap profile (after the sweep) to this file")
-		ftdcPath     = flag.String("ftdc", "", "append periodic binary metric snapshots to this file (decode with robotack-ftdc)")
-		ftdcEvery    = flag.Duration("ftdc-interval", time.Second, "FTDC snapshot interval")
+		ftdcPath     = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
 		traceDir     = flag.String("trace", "", "directory for span-trace segments (inspect with robotack-trace); empty: tracing off")
 		traceN       = flag.Int("trace-sample", 0, "episode-span sampling, 1-in-N (0: default 1-in-16)")
 		logCfg       obs.LogConfig
@@ -91,7 +86,7 @@ func run() error {
 	}
 
 	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, *ftdcEvery)
+		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
 		if err != nil {
 			return fmt.Errorf("ftdc capture: %w", err)
 		}
@@ -157,26 +152,6 @@ func run() error {
 		fmt.Printf("policy: %s (kind %s, from %s)\n", polLabel, art.Kind, *policyFile)
 	}
 
-	if *compare != "" {
-		if *out == "" {
-			return fmt.Errorf("-compare needs -out: the two stores to diff")
-		}
-		old, err := segstore.LoadAny(*compare)
-		if err != nil {
-			return err
-		}
-		cur, err := segstore.LoadAny(*out)
-		if err != nil {
-			return err
-		}
-		diffs, err := results.Diff(old, cur)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("diff %s → %s\n", *compare, *out)
-		fmt.Print(results.FormatDiff(diffs))
-		return nil
-	}
 	if *resume && *out == "" {
 		return fmt.Errorf("-resume needs -out: the store holding the interrupted sweep")
 	}

@@ -28,7 +28,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
@@ -61,8 +60,7 @@ func run() error {
 		out         = flag.String("out", "trained-policy.json", "write the best candidate's policy artifact here")
 		storePath   = flag.String("store", "", "persist candidate evaluations to this JSONL store and resume them on re-run")
 		logPath     = flag.String("log", "", "write the byte-reproducible JSONL search log here")
-		ftdcPath    = flag.String("ftdc", "", "append periodic binary metric snapshots to this file (decode with robotack-ftdc)")
-		ftdcEvery   = flag.Duration("ftdc-interval", time.Second, "FTDC snapshot interval")
+		ftdcPath    = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
 		logCfg      obs.LogConfig
 	)
 	logCfg.RegisterFlags(flag.CommandLine)
@@ -78,7 +76,7 @@ func run() error {
 	}
 
 	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, *ftdcEvery)
+		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
 		if err != nil {
 			return fmt.Errorf("ftdc capture: %w", err)
 		}

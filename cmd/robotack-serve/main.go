@@ -14,7 +14,6 @@
 //	GET  /campaigns/{name}/summary     Table II text for one campaign
 //	GET  /summary                      Table II + headline summary for the store
 //	GET  /stores                       size and format stats for the served store
-//	GET  /diff?other=path              diff the store against another store
 //	GET  /diff?a=name&b=name           diff two campaigns within the store
 //	POST /runs                         queue a campaign
 //	GET  /runs | /runs/{id}            queued runs' progress
@@ -26,7 +25,9 @@
 // file or a new ".jsonl"-suffixed path is the JSONL FileStore; a
 // directory or any other new path is the segmented segstore, the
 // backend for million-episode sweeps, whose open cost tracks index
-// size rather than record count.
+// size rather than record count. To diff the served store against
+// another store, run robotack-store diff on the two paths: it opens
+// both read-only, so it is safe beside a running server.
 //
 // Usage:
 //
@@ -82,8 +83,7 @@ func run() error {
 		leaseTTL  = flag.Duration("lease-ttl", 30*time.Second, "remote-worker lease duration; a missed heartbeat requeues the job")
 		metrics   = flag.Bool("metrics", true, "record metrics and serve Prometheus text at GET /metrics")
 		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		ftdcPath  = flag.String("ftdc", "", "append periodic binary metric snapshots to this file (decode with robotack-ftdc)")
-		ftdcEvery = flag.Duration("ftdc-interval", time.Second, "FTDC snapshot interval")
+		ftdcPath  = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
 		traceDir  = flag.String("trace", "", "directory for span-trace segments (inspect with robotack-trace); empty: tracing off")
 		traceCap  = flag.Int("trace-cap", 64, "trace-segment ring size cap in MiB; oldest segments are deleted beyond it")
 		traceN    = flag.Int("trace-sample", 0, "episode-span sampling, 1-in-N (0: default 1-in-16)")
@@ -144,7 +144,7 @@ func run() error {
 	}
 
 	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, *ftdcEvery)
+		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
 		if err != nil {
 			return fmt.Errorf("ftdc capture: %w", err)
 		}

@@ -50,18 +50,17 @@ func run() error {
 		host = "worker"
 	}
 	var (
-		server    = flag.String("server", "", "robotack-serve base URL, e.g. http://host:8077")
-		name      = flag.String("name", fmt.Sprintf("%s-%d", host, os.Getpid()), "worker name reported in leases")
-		workers   = flag.Int("workers", engine.DefaultWorkers(), "engine workers per job")
-		poll      = flag.Duration("poll", time.Second, "sleep between leases when the queue is empty")
-		batch     = flag.Int("batch", runq.DefaultPostBatch, "completed episodes buffered per episode-stream POST (result-upload batching)")
-		metrics   = flag.String("metrics", "", "serve Prometheus text at GET /metrics on this address, e.g. :9100 (empty: no metrics server)")
-		pprofOn   = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ (needs -metrics)")
-		ftdcPath  = flag.String("ftdc", "", "append periodic binary metric snapshots to this file (decode with robotack-ftdc)")
-		ftdcEvery = flag.Duration("ftdc-interval", time.Second, "FTDC snapshot interval")
-		traceOn   = flag.Bool("trace", true, "forward span traces for traced jobs to the server's trace sink")
-		traceN    = flag.Int("trace-sample", 0, "episode-span sampling, 1-in-N (0: default 1-in-16)")
-		logCfg    obs.LogConfig
+		server   = flag.String("server", "", "robotack-serve base URL, e.g. http://host:8077")
+		name     = flag.String("name", fmt.Sprintf("%s-%d", host, os.Getpid()), "worker name reported in leases")
+		workers  = flag.Int("workers", engine.DefaultWorkers(), "engine workers per job")
+		poll     = flag.Duration("poll", time.Second, "sleep between leases when the queue is empty")
+		batch    = flag.Int("batch", runq.DefaultPostBatch, "completed episodes buffered per episode-stream POST (result-upload batching)")
+		metrics  = flag.String("metrics", "", "serve Prometheus text at GET /metrics on this address, e.g. :9100 (empty: no metrics server)")
+		pprofOn  = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ (needs -metrics)")
+		ftdcPath = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
+		traceOn  = flag.Bool("trace", true, "forward span traces for traced jobs to the server's trace sink")
+		traceN   = flag.Int("trace-sample", 0, "episode-span sampling, 1-in-N (0: default 1-in-16)")
+		logCfg   obs.LogConfig
 	)
 	logCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -102,7 +101,7 @@ func run() error {
 	}
 
 	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, *ftdcEvery)
+		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
 		if err != nil {
 			return fmt.Errorf("ftdc capture: %w", err)
 		}

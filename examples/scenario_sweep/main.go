@@ -52,12 +52,13 @@ func main() {
 	flag.Parse()
 
 	gen := scenegen.NewGenerator(scenegen.DefaultSpace())
+	ar := scenegen.NewArena() // holds each spec's overlap-check world
 
 	// One generated world per seed; each runs golden and attacked.
 	var eps []episode
 	for i := 0; i < numScenarios; i++ {
 		seed := int64(baseSeed + i)
-		spec, err := gen.Generate(stats.NewRNG(seed), fmt.Sprintf("gen-%03d", i))
+		spec, err := gen.Generate(ar, stats.NewRNG(seed), fmt.Sprintf("gen-%03d", i))
 		if err != nil {
 			log.Fatal(err)
 		}

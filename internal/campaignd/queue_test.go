@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -541,5 +543,56 @@ func TestServeInlineSpecAndGenerate(t *testing.T) {
 	}
 	if eps, err := store.Episodes("gen-golden"); err != nil || len(eps) != 2 {
 		t.Fatalf("generate episodes = %d (%v), want 2", len(eps), err)
+	}
+}
+
+// TestServeRejectsOversizedScenarios: an inline spec or generator space
+// beyond scenegen's caps (MaxActors, MaxDuration) answers 400 and
+// queues nothing — on a durable queue, nothing reaches the journal, so
+// a restart cannot requeue it.
+func TestServeRejectsOversizedScenarios(t *testing.T) {
+	dir := t.TempDir()
+	q, err := runq.Open(dir, runq.WithMaxConcurrent(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Shutdown(context.Background())
+	ts := newTestServerFrom(t, New(results.NewMemStore(), WithQueue(q)))
+
+	specBody := func(edit func(*scenegen.Spec)) string {
+		spec := scenegen.DS5Spec()
+		spec.Name = "huge"
+		edit(spec)
+		raw, err := json.Marshal(map[string]any{"spec": spec, "mode": "golden", "runs": 2, "seed": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	for name, body := range map[string]string{
+		"count 1e9":        specBody(func(s *scenegen.Spec) { s.Actors[1].Count = 1_000_000_000 }),
+		"count_extra 1e9":  specBody(func(s *scenegen.Spec) { s.Actors[1].CountExtra = 1_000_000_000 }),
+		"65 actors":        specBody(func(s *scenegen.Spec) { s.Actors[1].Count = 59 }), // 1 + (59+2) + 2 + 1
+		"duration 1e9 s":   specBody(func(s *scenegen.Spec) { s.Duration = 1e9 }),
+		"max_extras 1e9":   `{"generate":{"max_extras":1000000000},"mode":"golden","runs":2,"seed":1}`,
+		"max_extras 64":    `{"generate":{"max_extras":64},"mode":"golden","runs":2,"seed":1}`,
+		"duration max 601": `{"generate":{"duration":{"min":20,"max":601}},"mode":"golden","runs":2,"seed":1}`,
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	var runs []RunStatus
+	getJSON(t, ts.URL+"/runs", &runs)
+	if len(runs) != 0 {
+		t.Fatalf("rejected requests queued %d runs", len(runs))
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "queue.jsonl")); err != nil || fi.Size() != 0 {
+		t.Fatalf("journal after rejected requests: %v, %v", fi, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package campaignd is the HTTP campaign service: it serves a
 // results.Store (campaign list, per-campaign records and episodes,
-// Table II summaries, store-vs-store diffs) and queues new campaign
-// runs on a durable run queue (internal/runq) — jobs survive
+// Table II summaries, campaign-vs-campaign diffs) and queues new
+// campaign runs on a durable run queue (internal/runq) — jobs survive
 // restarts, execute under a bounded local concurrency, can be leased
 // by remote robotack-worker processes, stream their episodes into the
 // same store, and report live progress over Server-Sent Events. It is
@@ -28,7 +28,6 @@ import (
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/runq"
-	"github.com/robotack/robotack/internal/segstore"
 )
 
 // httpSeconds returns the request-latency histogram series for one
@@ -52,9 +51,10 @@ func httpSeconds(pattern string) *obs.Histogram {
 //	GET  /campaigns/{name}/summary     Table II text for one campaign
 //	GET  /summary                      Table II text for the whole store
 //	GET  /stores                       size and format stats for the served store
-//	GET  /diff?other=path              diff the store against another store
-//	                                   (JSONL file or segstore directory)
 //	GET  /diff?a=name&b=name           diff two campaigns within the store
+//
+// Diffing two stores is robotack-store diff's job: the service never
+// opens a path a client names.
 //
 // Run-queue endpoints:
 //
@@ -353,18 +353,6 @@ func storeStats(store results.Store) (results.StoreStats, error) {
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	switch {
-	case q.Get("other") != "":
-		other, err := segstore.LoadAny(q.Get("other"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		diffs, err := results.Diff(s.store, other)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, diffs)
 	case q.Get("a") != "" && q.Get("b") != "":
 		ra, err := s.aggregate(q.Get("a"))
 		if err != nil {
@@ -382,7 +370,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, results.DiffRecords(q.Get("a")+" vs "+q.Get("b"), ra, rb))
 	default:
-		writeError(w, http.StatusBadRequest, "diff needs ?other=store (JSONL file or segstore dir) or ?a=campaign&b=campaign")
+		writeError(w, http.StatusBadRequest, "diff needs ?a=campaign&b=campaign")
 	}
 }
 

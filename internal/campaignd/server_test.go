@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -155,32 +154,13 @@ func TestServeDiff(t *testing.T) {
 		t.Errorf("EB delta = %v, want -0.6", d.EBRateDelta)
 	}
 
-	// Store-vs-store against a JSONL file on disk.
-	path := filepath.Join(t.TempDir(), "other.jsonl")
-	fs, err := results.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	improved := results.NewCampaign("alpha", "DS-1", core.ModeSmart, true, 10)
-	improved.Runs, improved.EBs, improved.Crashes = 10, 10, 6
-	if err := fs.PutCampaign(improved); err != nil {
-		t.Fatal(err)
-	}
-	fs.Close()
-
-	var diffs []results.CampaignDiff
-	getJSON(t, ts.URL+"/diff?other="+path, &diffs)
-	if len(diffs) != 3 { // alpha, beta, interrupted
-		t.Fatalf("diffs = %+v, want 3", diffs)
-	}
-	for _, dd := range diffs {
-		if dd.Name == "alpha" && !approx(dd.EBRateDelta, 0.2) {
-			t.Errorf("alpha EB delta = %v, want 0.2", dd.EBRateDelta)
-		}
-	}
-
 	if resp := getJSON(t, ts.URL+"/diff", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bare diff: status %d, want 400", resp.StatusCode)
+	}
+	// The service never opens a path a client names: store-vs-store
+	// diffs are robotack-store diff's job.
+	if resp := getJSON(t, ts.URL+"/diff?other=/dev/zero", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("diff?other: status %d, want 400", resp.StatusCode)
 	}
 }
 

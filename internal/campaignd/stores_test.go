@@ -2,11 +2,9 @@ package campaignd
 
 import (
 	"net/http"
-	"path/filepath"
 	"testing"
 
 	"github.com/robotack/robotack/internal/results"
-	"github.com/robotack/robotack/internal/segstore"
 )
 
 func TestStoresEndpoint(t *testing.T) {
@@ -53,55 +51,5 @@ func TestStoresEndpointFallback(t *testing.T) {
 	}
 	if st.Campaigns != 2 || st.Episodes != 3 {
 		t.Errorf("stats = %+v, want 2 campaigns / 3 episodes counted through the interface", st)
-	}
-}
-
-// TestDiffOtherSegstoreDir points /diff?other= at a segstore directory:
-// the autodetecting loader must accept it and the diff against an
-// identical in-memory store must be all-zero.
-func TestDiffOtherSegstoreDir(t *testing.T) {
-	served := seededStore(t)
-	dir := filepath.Join(t.TempDir(), "other.seg")
-	other, err := segstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := served.Campaigns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := other.PutCampaign(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range served.EpisodeCampaigns() {
-		eps, err := served.Episodes(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ep := range eps {
-			if err := other.Append(ep); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := other.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ts := newTestServer(t, served)
-	var diffs []results.CampaignDiff
-	resp := getJSON(t, ts.URL+"/diff?other="+dir, &diffs)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /diff?other=<segstore dir> = %d", resp.StatusCode)
-	}
-	if len(diffs) != 3 {
-		t.Fatalf("got %d campaign diffs, want 3", len(diffs))
-	}
-	for _, d := range diffs {
-		if d.A == nil || d.B == nil || d.RunsDelta != 0 || d.EBRateDelta != 0 || d.CrashRateDelta != 0 {
-			t.Errorf("campaign %q: nonzero diff %+v", d.Name, d)
-		}
 	}
 }

@@ -31,6 +31,10 @@ import (
 
 const ftdcMagic = "robotack-ftdc\x01"
 
+// FTDCInterval is the snapshot interval every binary's -ftdc capture
+// uses.
+const FTDCInterval = time.Second
+
 // Snapshot is one decoded capture point.
 type Snapshot struct {
 	TS      int64 // unix nanoseconds

@@ -395,3 +395,43 @@ func TestFileStoreConcurrentAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestLockDir: a second lock on a locked directory fails until the
+// first lock file is closed.
+func TestLockDir(t *testing.T) {
+	dir := t.TempDir()
+	a, err := LockDir(dir, "x.lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := LockDir(dir, "x.lock"); err == nil {
+		b.Close()
+		t.Fatal("second LockDir on a locked directory succeeded")
+	}
+	a.Close()
+	b, err := LockDir(dir, "x.lock")
+	if err != nil {
+		t.Fatalf("lock not released on close: %v", err)
+	}
+	b.Close()
+}
+
+// TestWriteFileAtomic: the file is replaced whole and the staging file
+// does not outlive the call.
+func TestWriteFileAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	for _, want := range []string{"first\n", "second, longer\n", ""} {
+		if err := WriteFileAtomic(path, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("read back %q, %v; want %q", got, err, want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("staging file left behind: %v", err)
+		}
+	}
+	if err := WriteFileAtomic(filepath.Join(path, "under-a-file"), nil); err == nil {
+		t.Error("write under a regular file succeeded")
+	}
+}

@@ -14,14 +14,13 @@ import (
 // journalFile is the queue's on-disk log inside the queue directory.
 const journalFile = "queue.jsonl"
 
-// lockFileName is the queue directory's exclusivity lock. The lock
+// lockFileName is the queue directory's exclusivity lock
+// (results.LockDir): two robotack-serve processes on one -queue-dir
+// would double-execute jobs and interleave journal writers. The lock
 // lives on its own file — never renamed, held for the queue's whole
 // lifetime — so journal compaction can atomically swap queue.jsonl
 // underneath it without opening a double-server window.
 const lockFileName = "queue.lock"
-
-// compactTmpFile is the staging file for journal compaction.
-const compactTmpFile = "queue.jsonl.tmp"
 
 // journalLine is the JSONL envelope: one self-describing record per
 // line. Every state transition appends the job's full snapshot, and
@@ -45,14 +44,9 @@ func openJournal(dir string) (journal, lock *os.File, jobs map[int]*Job, err err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("runq: create queue dir: %w", err)
 	}
-	lockPath := filepath.Join(dir, lockFileName)
-	lock, err = os.OpenFile(lockPath, os.O_CREATE|os.O_RDWR, 0o644)
+	lock, err = results.LockDir(dir, lockFileName)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("runq: open lock: %w", err)
-	}
-	if err := lockFile(lock); err != nil {
-		lock.Close()
-		return nil, nil, nil, fmt.Errorf("runq: %s: %w", lockPath, err)
+		return nil, nil, nil, fmt.Errorf("runq: %w", err)
 	}
 	path := filepath.Join(dir, journalFile)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
@@ -85,41 +79,27 @@ func openJournal(dir string) (journal, lock *os.File, jobs map[int]*Job, err err
 }
 
 // compactJournal rewrites the journal to its last-wins state: one
-// snapshot line per job, in id order. The replacement is staged in a
-// temp file and renamed over queue.jsonl, so a crash at any point
-// leaves either the old journal or the complete compacted one — never
-// a partial state. The caller's directory lock (queue.lock) is
+// snapshot line per job, in id order. results.WriteFileAtomic stages
+// the replacement and renames it over queue.jsonl, so a crash at any
+// point leaves either the old journal or the complete compacted one —
+// never a partial state. The caller's directory lock (queue.lock) is
 // untouched by the swap. Returns the reopened journal handle.
 func compactJournal(dir string, old *os.File, jobs map[int]*Job) (*os.File, error) {
 	path := filepath.Join(dir, journalFile)
-	tmpPath := filepath.Join(dir, compactTmpFile)
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return nil, fmt.Errorf("runq: compact: %w", err)
-	}
 	ids := make([]int, 0, len(jobs))
 	for id := range jobs {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	var buf []byte
 	for _, id := range ids {
-		if err := appendJob(tmp, jobs[id]); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
+		line, err := encodeJob(jobs[id])
+		if err != nil {
 			return nil, fmt.Errorf("runq: compact: %w", err)
 		}
+		buf = append(buf, line...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return nil, fmt.Errorf("runq: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return nil, fmt.Errorf("runq: compact: %w", err)
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		os.Remove(tmpPath)
+	if err := results.WriteFileAtomic(path, buf); err != nil {
 		return nil, fmt.Errorf("runq: compact: %w", err)
 	}
 	old.Close() // the old inode is gone from the directory
@@ -156,17 +136,25 @@ func replay(raw []byte, path string) (map[int]*Job, int, error) {
 	return jobs, good, nil
 }
 
+// encodeJob renders one job snapshot as a journal line.
+func encodeJob(j *Job) ([]byte, error) {
+	raw, err := json.Marshal(journalLine{Kind: kindJob, Job: j})
+	if err != nil {
+		return nil, fmt.Errorf("runq: encode job %d: %w", j.ID, err)
+	}
+	return append(raw, '\n'), nil
+}
+
 // appendJob writes one job snapshot to the journal (no-op when the
 // queue is memory-only).
 func appendJob(f *os.File, j *Job) error {
 	if f == nil {
 		return nil
 	}
-	raw, err := json.Marshal(journalLine{Kind: kindJob, Job: j})
+	raw, err := encodeJob(j)
 	if err != nil {
-		return fmt.Errorf("runq: encode job %d: %w", j.ID, err)
+		return err
 	}
-	raw = append(raw, '\n')
 	if _, err := f.Write(raw); err != nil {
 		return fmt.Errorf("runq: journal job %d: %w", j.ID, err)
 	}

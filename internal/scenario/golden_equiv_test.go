@@ -151,6 +151,9 @@ func TestRegistryBuildsMatchLegacyBuilders(t *testing.T) {
 		DS4: legacyDS4,
 		DS5: legacyDS5,
 	}
+	// One arena serves every build, so the comparison also covers
+	// recycled actors, behaviors and world.
+	ar := NewArena()
 	for _, id := range All() {
 		build := legacy[id]
 		// Seed -1 stands for the nominal nil-RNG build; the positive
@@ -162,7 +165,7 @@ func TestRegistryBuildsMatchLegacyBuilders(t *testing.T) {
 				wantRNG, gotRNG = stats.NewRNG(seed), stats.NewRNG(seed)
 			}
 			want := build(wantRNG)
-			got, err := Build(id, gotRNG)
+			got, err := id.Instantiate(ar, gotRNG)
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", id, seed, err)
 			}

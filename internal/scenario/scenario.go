@@ -8,28 +8,50 @@
 // through the Source interface.
 //
 // All built-in scenarios run on a 50 kph road with the EV cruising at
-// 45 kph, as in the paper. Builders accept an optional jitter RNG; the
-// experiment harness uses it to vary initial conditions across runs the
-// way distinct LGSVL episodes would.
+// 45 kph, as in the paper. Every Source instantiates into a reusable
+// Arena and takes an optional jitter RNG; the experiment harness uses
+// it to vary initial conditions across runs the way distinct LGSVL
+// episodes would.
 package scenario
 
 import (
 	"fmt"
 
-	"github.com/robotack/robotack/internal/scenegen"
 	"github.com/robotack/robotack/internal/sim"
-	"github.com/robotack/robotack/internal/stats"
 )
 
 // ID enumerates the paper's driving scenarios.
 type ID int
 
-// Driving scenarios DS-1 through DS-5.
+// Driving scenarios DS-1 through DS-5, each compiled from its built-in
+// scenegen registry spec (scenegen.DS1Spec..DS5Spec).
 const (
+	// DS1 is the vehicle-following scenario: a target vehicle cruises
+	// at 25 kph, 60 m ahead of the EV, in the EV lane. Golden
+	// behaviour: the EV closes the gap and settles ~20 m behind the TV.
+	// Used for the Disappear and Move_Out attacks on a vehicle.
 	DS1 ID = iota + 1
+	// DS2 is the jaywalking-pedestrian scenario: a pedestrian waits at
+	// the roadside and crosses the street when the EV comes within the
+	// trigger gap. Golden behaviour: the EV brakes and stops more than
+	// 10 m away. Used for the Disappear and Move_Out attacks on a
+	// pedestrian.
 	DS2
+	// DS3 is the parked-vehicle scenario: a target vehicle is parked in
+	// the parking lane. Golden behaviour: the EV keeps its lane and
+	// speed. Used for the Move_In attack on a vehicle.
 	DS3
+	// DS4 is the walking-pedestrian scenario: a pedestrian walks
+	// longitudinally toward the EV in the parking lane for 5 m, then
+	// stands still. Golden behaviour: the EV slows to ~35 kph while the
+	// pedestrian moves, then resumes. Used for the Move_In attack on a
+	// pedestrian.
 	DS4
+	// DS5 is the mixed-traffic baseline scenario: the EV follows a
+	// target vehicle exactly as in DS-1, with additional NPC vehicles
+	// at random speeds and positions in the opposite lane and behind
+	// the EV. The random-attack baseline (Table II row
+	// DS-5-Baseline-Random) runs on this scenario.
 	DS5
 )
 
@@ -71,77 +93,6 @@ type Scenario struct {
 
 // Frames returns the scenario length in camera frames.
 func (s *Scenario) Frames() int { return int(s.Duration * sim.CameraHz) }
-
-// FromCompiled wraps a compiled scenegen spec into a Scenario,
-// recovering the paper ID when the spec is a built-in DS.
-func FromCompiled(c *scenegen.Compiled) *Scenario {
-	return &Scenario{
-		ID:          idFromName(c.Name),
-		Name:        c.Name,
-		World:       c.World,
-		TargetID:    c.TargetID,
-		TargetClass: c.TargetClass,
-		CruiseSpeed: c.CruiseSpeed,
-		Duration:    c.Duration,
-	}
-}
-
-// Build constructs the scenario with the given ID from its registry
-// spec. rng may be nil for the nominal (jitter-free) variant. The
-// registry build is bit-identical to the historical hand-built
-// scenarios (see the golden-equivalence test).
-func Build(id ID, rng *stats.RNG) (*Scenario, error) {
-	if id < DS1 || id > DS5 {
-		return nil, fmt.Errorf("scenario: unknown scenario %s", id)
-	}
-	spec, ok := scenegen.Lookup(id.String())
-	if !ok {
-		return nil, fmt.Errorf("scenario: registry is missing built-in %s", id)
-	}
-	c, err := scenegen.Compile(spec, rng)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return FromCompiled(c), nil
-}
-
-func mustBuild(id ID, rng *stats.RNG) *Scenario {
-	s, err := Build(id, rng)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// BuildDS1 is the vehicle-following scenario: a target vehicle cruises
-// at 25 kph, 60 m ahead of the EV, in the EV lane. Golden behaviour:
-// the EV closes the gap and settles ~20 m behind the TV. Used for the
-// Disappear and Move_Out attacks on a vehicle.
-func BuildDS1(rng *stats.RNG) *Scenario { return mustBuild(DS1, rng) }
-
-// BuildDS2 is the jaywalking-pedestrian scenario: a pedestrian waits at
-// the roadside and crosses the street when the EV comes within the
-// trigger gap. Golden behaviour: the EV brakes and stops more than 10 m
-// away. Used for the Disappear and Move_Out attacks on a pedestrian.
-func BuildDS2(rng *stats.RNG) *Scenario { return mustBuild(DS2, rng) }
-
-// BuildDS3 is the parked-vehicle scenario: a target vehicle is parked
-// in the parking lane. Golden behaviour: the EV keeps its lane and
-// speed. Used for the Move_In attack on a vehicle.
-func BuildDS3(rng *stats.RNG) *Scenario { return mustBuild(DS3, rng) }
-
-// BuildDS4 is the walking-pedestrian scenario: a pedestrian walks
-// longitudinally toward the EV in the parking lane for 5 m, then stands
-// still. Golden behaviour: the EV slows to ~35 kph while the pedestrian
-// moves, then resumes. Used for the Move_In attack on a pedestrian.
-func BuildDS4(rng *stats.RNG) *Scenario { return mustBuild(DS4, rng) }
-
-// BuildDS5 is the mixed-traffic baseline scenario: the EV follows a
-// target vehicle exactly as in DS-1, with additional NPC vehicles at
-// random speeds and positions in the opposite lane and behind the EV.
-// The random-attack baseline (Table II row DS-5-Baseline-Random) runs
-// on this scenario.
-func BuildDS5(rng *stats.RNG) *Scenario { return mustBuild(DS5, rng) }
 
 // All returns all five scenario IDs in order.
 func All() []ID { return []ID{DS1, DS2, DS3, DS4, DS5} }

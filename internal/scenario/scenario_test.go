@@ -10,12 +10,19 @@ import (
 	"github.com/robotack/robotack/internal/stats"
 )
 
+// build instantiates id's scenario into a fresh arena.
+func build(t *testing.T, id ID, rng *stats.RNG) *Scenario {
+	t.Helper()
+	s, err := InstantiateSource(id, nil, rng)
+	if err != nil {
+		t.Fatalf("%v: %v", id, err)
+	}
+	return s
+}
+
 func TestBuildAll(t *testing.T) {
 	for _, id := range All() {
-		s, err := Build(id, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", id, err)
-		}
+		s := build(t, id, nil)
 		if s.ID != id {
 			t.Errorf("%v: ID = %v", id, s.ID)
 		}
@@ -32,7 +39,7 @@ func TestBuildAll(t *testing.T) {
 }
 
 // TestUnknownIDFormatting pins the shared unknown-ID style: String()
-// renders DS-?(n) and Build's error embeds exactly that rendering.
+// renders DS-?(n) and Instantiate's error embeds exactly that rendering.
 func TestUnknownIDFormatting(t *testing.T) {
 	cases := []struct {
 		id       ID
@@ -48,23 +55,23 @@ func TestUnknownIDFormatting(t *testing.T) {
 		if got := tc.id.String(); got != tc.str {
 			t.Errorf("ID(%d).String() = %q, want %q", int(tc.id), got, tc.str)
 		}
-		_, err := Build(tc.id, nil)
+		_, err := tc.id.Instantiate(NewArena(), nil)
 		if err == nil {
-			t.Fatalf("Build(%d) succeeded, want error", int(tc.id))
+			t.Fatalf("Instantiate(%d) succeeded, want error", int(tc.id))
 		}
 		if err.Error() != tc.buildErr {
-			t.Errorf("Build(%d) error = %q, want %q", int(tc.id), err.Error(), tc.buildErr)
+			t.Errorf("Instantiate(%d) error = %q, want %q", int(tc.id), err.Error(), tc.buildErr)
 		}
 	}
 	for _, id := range All() {
-		if _, err := Build(id, nil); err != nil {
-			t.Errorf("Build(%v) = %v, want success", id, err)
+		if _, err := id.Instantiate(NewArena(), nil); err != nil {
+			t.Errorf("Instantiate(%v) = %v, want success", id, err)
 		}
 	}
 }
 
 func TestDS1Structure(t *testing.T) {
-	s := BuildDS1(nil)
+	s := build(t, DS1, nil)
 	tv := s.World.Actor(s.TargetID)
 	if tv.Class != sim.ClassVehicle {
 		t.Errorf("target class = %v", tv.Class)
@@ -78,7 +85,7 @@ func TestDS1Structure(t *testing.T) {
 }
 
 func TestDS2PedestrianCrossesEVLane(t *testing.T) {
-	s := BuildDS2(nil)
+	s := build(t, DS2, nil)
 	ped := s.World.Actor(s.TargetID)
 	if ped.Class != sim.ClassPedestrian {
 		t.Fatalf("target class = %v", ped.Class)
@@ -99,7 +106,7 @@ func TestDS2PedestrianCrossesEVLane(t *testing.T) {
 }
 
 func TestDS3ParkedOutOfCorridor(t *testing.T) {
-	s := BuildDS3(nil)
+	s := build(t, DS3, nil)
 	tv := s.World.Actor(s.TargetID)
 	if s.World.Road.InEVCorridor(tv.Pos.Y, tv.Size.Width, s.World.EV.Size.Width) {
 		t.Fatal("parked TV must start outside the EV corridor")
@@ -107,7 +114,7 @@ func TestDS3ParkedOutOfCorridor(t *testing.T) {
 }
 
 func TestDS4PedestrianStops(t *testing.T) {
-	s := BuildDS4(nil)
+	s := build(t, DS4, nil)
 	ped := s.World.Actor(s.TargetID)
 	startX := ped.Pos.X
 	for i := 0; i < s.Frames(); i++ {
@@ -119,7 +126,7 @@ func TestDS4PedestrianStops(t *testing.T) {
 }
 
 func TestDS5HasNPCs(t *testing.T) {
-	s := BuildDS5(stats.NewRNG(1))
+	s := build(t, DS5, stats.NewRNG(1))
 	if len(s.World.Actors) < 5 {
 		t.Fatalf("DS-5 actors = %d, want >= 5", len(s.World.Actors))
 	}
@@ -136,8 +143,8 @@ func TestDS5HasNPCs(t *testing.T) {
 
 func TestJitterBoundsAndDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		a := BuildDS1(stats.NewRNG(seed))
-		b := BuildDS1(stats.NewRNG(seed))
+		a := build(t, DS1, stats.NewRNG(seed))
+		b := build(t, DS1, stats.NewRNG(seed))
 		tvA, tvB := a.World.Actor(a.TargetID), b.World.Actor(b.TargetID)
 		if tvA.Pos != tvB.Pos {
 			t.Fatal("same seed must give same scenario")
@@ -152,7 +159,7 @@ func TestJitterBoundsAndDeterminism(t *testing.T) {
 }
 
 func TestNilJitterIsNominal(t *testing.T) {
-	a, b := BuildDS2(nil), BuildDS2(nil)
+	a, b := build(t, DS2, nil), build(t, DS2, nil)
 	if a.World.Actor(a.TargetID).Pos != b.World.Actor(b.TargetID).Pos {
 		t.Fatal("nil-jitter scenarios must be identical")
 	}
@@ -160,7 +167,8 @@ func TestNilJitterIsNominal(t *testing.T) {
 
 // TestSources covers the Source implementations: IDs, named registry
 // lookups, in-memory specs and the procedural generator all produce
-// runnable scenarios, and equal seeds give equal worlds.
+// runnable scenarios, and equal seeds give equal worlds (each
+// instantiated into its own fresh arena).
 func TestSources(t *testing.T) {
 	srcs := []Source{
 		DS2,
@@ -172,11 +180,11 @@ func TestSources(t *testing.T) {
 		if src.Label() == "" {
 			t.Errorf("%T: empty label", src)
 		}
-		a, err := src.Instantiate(stats.NewRNG(11))
+		a, err := InstantiateSource(src, nil, stats.NewRNG(11))
 		if err != nil {
 			t.Fatalf("%s: %v", src.Label(), err)
 		}
-		b, err := src.Instantiate(stats.NewRNG(11))
+		b, err := InstantiateSource(src, nil, stats.NewRNG(11))
 		if err != nil {
 			t.Fatalf("%s: %v", src.Label(), err)
 		}
@@ -191,40 +199,45 @@ func TestSources(t *testing.T) {
 		}
 	}
 	// ID, Named and FromSpec views of DS-2 agree with each other too.
-	want, _ := DS2.Instantiate(stats.NewRNG(4))
+	want := build(t, DS2, stats.NewRNG(4))
 	for _, src := range srcs[1:3] {
-		got, err := src.Instantiate(stats.NewRNG(4))
+		got, err := InstantiateSource(src, nil, stats.NewRNG(4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: differs from Build(DS2)", src.Label())
+			t.Errorf("%s: differs from DS2", src.Label())
 		}
 	}
-	if _, err := Named("no-such-scenario").Instantiate(nil); err == nil {
+	if _, err := Named("no-such-scenario").Instantiate(NewArena(), nil); err == nil {
 		t.Error("unknown name must fail to instantiate")
 	}
 }
 
-// TestArenaInstantiateBitIdentical: every built-in source kind must
-// produce a world through the arena path that is deep-equal to the
-// allocating path from the same rng stream — including correct reset of
-// behavior progress state when an arena is reused across scenarios.
+// TestArenaInstantiateBitIdentical: every source kind, a generator
+// included, must produce a world in a reused arena that is deep-equal
+// to one instantiated into a fresh arena from the same rng stream —
+// including correct reset of behavior progress state when an arena is
+// reused across scenarios — and must leave the rng stream in the same
+// state.
 func TestArenaInstantiateBitIdentical(t *testing.T) {
-	sources := []Source{DS1, DS2, DS3, DS4, DS5, Named("DS-5")}
+	sources := []Source{
+		DS1, DS2, DS3, DS4, DS5,
+		Named("DS-5"),
+		FromSpec(scenegen.DS2Spec()),
+		FromGenerator(scenegen.NewGenerator(scenegen.DefaultSpace())),
+		FromGenerator(scenegen.NewGenerator(scenegen.Space{MaxExtras: 12})),
+	}
 	ar := NewArena()
 	for round := 0; round < 3; round++ { // reuse the arena across all sources
 		for _, src := range sources {
-			as, ok := src.(ArenaSource)
-			if !ok {
-				t.Fatalf("%s does not implement ArenaSource", src.Label())
-			}
 			seed := int64(round*100 + 7)
-			want, err := src.Instantiate(stats.NewRNG(seed))
+			wantRNG, gotRNG := stats.NewRNG(seed), stats.NewRNG(seed)
+			want, err := InstantiateSource(src, nil, wantRNG)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := as.InstantiateInto(ar, stats.NewRNG(seed))
+			got, err := src.Instantiate(ar, gotRNG)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,6 +261,12 @@ func TestArenaInstantiateBitIdentical(t *testing.T) {
 					t.Fatalf("%s round %d actor %d behavior: got %#v want %#v", src.Label(), round, i, ga.Behavior, wa.Behavior)
 				}
 			}
+			if !reflect.DeepEqual(got.World, want.World) {
+				t.Fatalf("%s round %d: worlds differ", src.Label(), round)
+			}
+			if wantRNG.Float64() != gotRNG.Float64() {
+				t.Fatalf("%s round %d: fresh and reused arenas consumed different amounts of randomness", src.Label(), round)
+			}
 		}
 	}
 }
@@ -257,11 +276,11 @@ func TestArenaInstantiateBitIdentical(t *testing.T) {
 func TestArenaInstantiateSteadyStateAllocs(t *testing.T) {
 	ar := NewArena()
 	rng := stats.NewRNG(1)
-	if _, err := DS5.InstantiateInto(ar, rng); err != nil {
+	if _, err := DS5.Instantiate(ar, rng); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DS5.InstantiateInto(ar, rng); err != nil {
+		if _, err := DS5.Instantiate(ar, rng); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -270,5 +289,36 @@ func TestArenaInstantiateSteadyStateAllocs(t *testing.T) {
 	// above zero rather than pinning the variable-count growth path.
 	if allocs > 1 {
 		t.Fatalf("steady-state arena instantiate allocates %.1f times, want ~0", allocs)
+	}
+}
+
+// TestGeneratedInstantiateAllocs pins what a warm arena allocates per
+// generated scenario (the source every served generate request runs):
+// the sampled spec and the generator's bookkeeping only. The overlap
+// check and the episode's world both compile into the arena, and the
+// check names actors only in its error; when it compiled a throwaway
+// world and named every actor up front, this read 30.
+func TestGeneratedInstantiateAllocs(t *testing.T) {
+	const seeds = 64
+	src := FromGenerator(scenegen.NewGenerator(scenegen.Space{}))
+	ar := NewArena()
+	rng := stats.NewRNG(0)
+	for s := int64(0); s < seeds; s++ { // warm the pools for every seed
+		rng.Reseed(s)
+		if _, err := src.Instantiate(ar, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var s int64
+	allocs := testing.AllocsPerRun(seeds, func() {
+		rng.Reseed(s % seeds)
+		s++
+		if _, err := src.Instantiate(ar, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs per warm generated instantiation", allocs)
+	if allocs > 12 {
+		t.Fatalf("warm generated instantiate allocates %.1f times, want <= 12", allocs)
 	}
 }

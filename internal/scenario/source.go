@@ -19,16 +19,23 @@ import (
 type Source interface {
 	// Label names the source in reports and error messages.
 	Label() string
-	// Instantiate builds a fresh scenario; rng may be nil for the
-	// nominal variant where the source supports one.
-	Instantiate(rng *stats.RNG) (*Scenario, error)
+	// Instantiate builds the scenario into ar; it and its world are
+	// valid until ar's next instantiation. rng may be nil for the
+	// nominal variant where the source supports one. Equal rng streams
+	// give bit-identical worlds in a fresh arena and in a reused one.
+	Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error)
 }
 
 // Label implements Source.
 func (id ID) Label() string { return id.String() }
 
-// Instantiate implements Source.
-func (id ID) Instantiate(rng *stats.RNG) (*Scenario, error) { return Build(id, rng) }
+// Instantiate implements Source: it compiles the ID's registry spec.
+func (id ID) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
+	if id < DS1 || id > DS5 {
+		return nil, fmt.Errorf("scenario: unknown scenario %s", id)
+	}
+	return namedSource(id.String()).Instantiate(ar, rng)
+}
 
 // FromSpec returns a Source that compiles the given spec each episode.
 // The spec is shared, not copied; it must not be mutated afterwards.
@@ -38,12 +45,8 @@ type specSource struct{ spec *scenegen.Spec }
 
 func (s specSource) Label() string { return s.spec.Name }
 
-func (s specSource) Instantiate(rng *stats.RNG) (*Scenario, error) {
-	c, err := scenegen.Compile(s.spec, rng)
-	if err != nil {
-		return nil, err
-	}
-	return FromCompiled(c), nil
+func (s specSource) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
+	return ar.compile(s.spec, rng)
 }
 
 // Named returns a Source that resolves name in the scenegen registry at
@@ -54,39 +57,33 @@ type namedSource string
 
 func (n namedSource) Label() string { return string(n) }
 
-func (n namedSource) Instantiate(rng *stats.RNG) (*Scenario, error) {
+func (n namedSource) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
 	spec, ok := scenegen.Lookup(string(n))
 	if !ok {
 		return nil, fmt.Errorf("scenario: no registered scenario %q (have %v)", string(n), scenegen.Names())
 	}
-	c, err := scenegen.Compile(spec, rng)
-	if err != nil {
-		return nil, err
-	}
-	return FromCompiled(c), nil
+	return ar.compile(spec, rng)
 }
 
 // FromGenerator returns a Source that samples a fresh procedural
 // scenario from gen on every instantiation — each episode seed yields a
 // different world from the generator's space, which is what a
-// scenario-diversity campaign sweeps over.
+// scenario-diversity campaign sweeps over. The generated spec is new
+// each call; its overlap check and its world both compile into the
+// arena.
 func FromGenerator(gen *scenegen.Generator) Source { return genSource{gen} }
 
 type genSource struct{ gen *scenegen.Generator }
 
 func (g genSource) Label() string { return "generated" }
 
-func (g genSource) Instantiate(rng *stats.RNG) (*Scenario, error) {
+func (g genSource) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
 	if rng == nil {
 		rng = stats.NewRNG(0)
 	}
-	spec, err := g.gen.Generate(rng, "generated")
+	spec, err := g.gen.Generate(&ar.gen, rng, "generated")
 	if err != nil {
 		return nil, err
 	}
-	c, err := scenegen.Compile(spec, nil)
-	if err != nil {
-		return nil, err
-	}
-	return FromCompiled(c), nil
+	return ar.compile(spec, nil)
 }

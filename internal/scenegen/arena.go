@@ -1,9 +1,6 @@
 package scenegen
 
-import (
-	"github.com/robotack/robotack/internal/sim"
-	"github.com/robotack/robotack/internal/stats"
-)
+import "github.com/robotack/robotack/internal/sim"
 
 // Arena is a reusable allocation pool for compiled worlds. A worker
 // that runs episodes back to back compiles every scenario into the same
@@ -14,9 +11,9 @@ import (
 // Recycled objects are fully overwritten at reuse time — every field of
 // an actor (including Vel and ID) and of each behavior struct
 // (including private progress state like TriggeredCross.triggered) is
-// reassigned — so a compiled world is bit-identical to one built by
-// Compile from the same (spec, rng). An arena serves one worker at a
-// time; it is not safe for concurrent use.
+// reassigned — so a world compiled into a reused arena is bit-identical
+// to one compiled into a fresh arena from the same (spec, rng). An
+// arena serves one worker at a time; it is not safe for concurrent use.
 type Arena struct {
 	compiled Compiled
 	world    *sim.World
@@ -32,13 +29,6 @@ type Arena struct {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
-
-// Compile is the pooled equivalent of the package-level Compile: the
-// returned Compiled (and its world) live in the arena and are valid
-// until the next Compile call on it.
-func (ar *Arena) Compile(spec *Spec, rng *stats.RNG) (*Compiled, error) {
-	return compile(ar, spec, rng)
-}
 
 // begin resets the pool cursors and produces the world for a new
 // compilation.

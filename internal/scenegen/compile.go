@@ -20,40 +20,28 @@ type Compiled struct {
 	Duration    float64
 }
 
-// Compile instantiates the spec: it draws every jittered parameter from
-// rng (nil: nominal values) in declaration order and assembles the
-// world. Equal (spec, seed) pairs compile to identical worlds; the
-// jitter stream order is part of the format's contract because the
-// built-in DS specs must replay the historical hand-built scenarios bit
-// for bit.
-func Compile(spec *Spec, rng *stats.RNG) (*Compiled, error) {
-	return compile(nil, spec, rng)
-}
-
-// compile is the shared body of Compile and Arena.Compile: a nil arena
-// allocates fresh objects, a non-nil arena recycles its pools. Both
-// paths draw the identical jitter stream and produce bit-identical
-// worlds.
-func compile(ar *Arena, spec *Spec, rng *stats.RNG) (*Compiled, error) {
+// Compile instantiates the spec into the arena: it draws every
+// jittered parameter from rng (nil: nominal values) in declaration
+// order and assembles the world. Equal (spec, seed) pairs compile to
+// identical worlds, in a fresh arena or a reused one; the jitter stream
+// order is part of the format's contract because the built-in DS specs
+// must replay the historical hand-built scenarios bit for bit. The
+// returned Compiled (and its world) live in the arena and are valid
+// until the next Compile call on it.
+func (ar *Arena) Compile(spec *Spec, rng *stats.RNG) (*Compiled, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	ev := sim.DefaultEV()
 	ev.Speed = spec.EVSpeed.Sample(rng)
-	var w *sim.World
-	var out *Compiled
-	if ar != nil {
-		w = ar.begin(spec.Road.road(), ev)
-		out = &ar.compiled
-		*out = Compiled{}
-	} else {
-		w = sim.NewWorld(spec.Road.road(), ev)
-		out = &Compiled{}
+	w := ar.begin(spec.Road.road(), ev)
+	out := &ar.compiled
+	*out = Compiled{
+		Name:        spec.Name,
+		World:       w,
+		CruiseSpeed: spec.CruiseSpeed,
+		Duration:    spec.Duration,
 	}
-	out.Name = spec.Name
-	out.World = w
-	out.CruiseSpeed = spec.CruiseSpeed
-	out.Duration = spec.Duration
 	for ai := range spec.Actors {
 		as := &spec.Actors[ai]
 		n := as.count()
@@ -61,7 +49,7 @@ func compile(ar *Arena, spec *Spec, rng *stats.RNG) (*Compiled, error) {
 			n += rng.IntN(as.CountExtra)
 		}
 		for i := 0; i < n; i++ {
-			a, err := instantiate(ar, as, i, rng)
+			a, err := ar.instantiate(as, i, rng)
 			if err != nil {
 				return nil, fmt.Errorf("scenegen: %s: actor %d: %w", spec.Name, ai, err)
 			}
@@ -77,7 +65,7 @@ func compile(ar *Arena, spec *Spec, rng *stats.RNG) (*Compiled, error) {
 
 // instantiate builds the i-th instance of an actor spec, drawing jitter
 // in the spec's declared order (position first unless BehaviorFirst).
-func instantiate(ar *Arena, as *ActorSpec, i int, rng *stats.RNG) (*sim.Actor, error) {
+func (ar *Arena) instantiate(as *ActorSpec, i int, rng *stats.RNG) (*sim.Actor, error) {
 	class, err := parseClass(as.Class)
 	if err != nil {
 		return nil, err
@@ -95,21 +83,16 @@ func instantiate(ar *Arena, as *ActorSpec, i int, rng *stats.RNG) (*sim.Actor, e
 		y = as.Y.Sample(rng)
 	}
 	if as.BehaviorFirst {
-		behavior, err = buildBehavior(ar, &as.Behavior, rng)
+		behavior, err = ar.buildBehavior(&as.Behavior, rng)
 		samplePos()
 	} else {
 		samplePos()
-		behavior, err = buildBehavior(ar, &as.Behavior, rng)
+		behavior, err = ar.buildBehavior(&as.Behavior, rng)
 	}
 	if err != nil {
 		return nil, err
 	}
-	var a *sim.Actor
-	if ar != nil {
-		a = ar.takeActor()
-	} else {
-		a = new(sim.Actor)
-	}
+	a := ar.takeActor()
 	// Full overwrite: recycled actors carry stale ID/Vel state.
 	*a = sim.Actor{
 		Class:    class,
@@ -125,35 +108,20 @@ func instantiate(ar *Arena, as *ActorSpec, i int, rng *stats.RNG) (*sim.Actor, e
 // Behaviors drawn from the arena are fully overwritten, so recycled
 // progress state (TriggeredCross.triggered, WalkThenStop.walked, the
 // lazily-defaulted SafeCruise gaps) resets to the fresh zero values.
-func buildBehavior(ar *Arena, b *BehaviorSpec, rng *stats.RNG) (sim.Behavior, error) {
+func (ar *Arena) buildBehavior(b *BehaviorSpec, rng *stats.RNG) (sim.Behavior, error) {
 	switch b.Kind {
 	case BehaviorCruise:
-		var c *sim.Cruise
-		if ar != nil {
-			c = ar.takeCruise()
-		} else {
-			c = new(sim.Cruise)
-		}
+		c := ar.takeCruise()
 		*c = sim.Cruise{Speed: b.Speed.Sample(rng)}
 		return c, nil
 	case BehaviorParked:
 		return sim.Parked{}, nil
 	case BehaviorSafeCruise:
-		var s *sim.SafeCruise
-		if ar != nil {
-			s = ar.takeSafeCruise()
-		} else {
-			s = new(sim.SafeCruise)
-		}
+		s := ar.takeSafeCruise()
 		*s = sim.SafeCruise{Speed: b.Speed.Sample(rng)}
 		return s, nil
 	case BehaviorTriggeredCross:
-		var t *sim.TriggeredCross
-		if ar != nil {
-			t = ar.takeTriggeredCross()
-		} else {
-			t = new(sim.TriggeredCross)
-		}
+		t := ar.takeTriggeredCross()
 		*t = sim.TriggeredCross{
 			TriggerGap: b.TriggerGap.Sample(rng),
 			CrossSpeed: b.Speed.Sample(rng),
@@ -161,12 +129,7 @@ func buildBehavior(ar *Arena, b *BehaviorSpec, rng *stats.RNG) (sim.Behavior, er
 		}
 		return t, nil
 	case BehaviorWalkThenStop:
-		var w *sim.WalkThenStop
-		if ar != nil {
-			w = ar.takeWalkThenStop()
-		} else {
-			w = new(sim.WalkThenStop)
-		}
+		w := ar.takeWalkThenStop()
 		*w = sim.WalkThenStop{
 			Speed:    b.Speed.Sample(rng),
 			Distance: b.Distance,
@@ -179,18 +142,18 @@ func buildBehavior(ar *Arena, b *BehaviorSpec, rng *stats.RNG) (sim.Behavior, er
 
 // CheckOverlapFree reports an error when any two actors' footprints, or
 // an actor's and the EV's, overlap at t = 0. The generator uses it as a
-// final validity guard on sampled worlds.
+// final validity guard on sampled worlds; it allocates only the error.
 func CheckOverlapFree(w *sim.World) error {
-	rects := []geom.Rect{geom.RectFromCenter(w.EV.Pos, w.EV.Size.Length, w.EV.Size.Width)}
-	names := []string{"EV"}
+	ev := geom.RectFromCenter(w.EV.Pos, w.EV.Size.Length, w.EV.Size.Width)
 	for _, a := range w.Actors {
-		rects = append(rects, a.Footprint())
-		names = append(names, fmt.Sprintf("actor %d (%v)", a.ID, a.Class))
+		if !ev.Intersect(a.Footprint()).Empty() {
+			return fmt.Errorf("scenegen: EV overlaps actor %d (%v) at t=0", a.ID, a.Class)
+		}
 	}
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			if !rects[i].Intersect(rects[j]).Empty() {
-				return fmt.Errorf("scenegen: %s overlaps %s at t=0", names[i], names[j])
+	for i, a := range w.Actors {
+		for _, b := range w.Actors[i+1:] {
+			if !a.Footprint().Intersect(b.Footprint()).Empty() {
+				return fmt.Errorf("scenegen: actor %d (%v) overlaps actor %d (%v) at t=0", a.ID, a.Class, b.ID, b.Class)
 			}
 		}
 	}

@@ -132,7 +132,9 @@ func (sp Space) WithDefaults() Space {
 
 // Validate rejects spaces whose episodes could never generate —
 // inverted ranges, non-positive speeds or durations, negative counts
-// or weights, unknown target kinds. Apply WithDefaults first:
+// or weights, unknown target kinds — and spaces that could exceed the
+// spec bounds: a duration above MaxDuration, or more than MaxActors-1
+// background actors beside the target. Apply WithDefaults first:
 // zero-valued fields mean "use the default", not errors.
 func (sp Space) Validate() error {
 	for _, c := range []struct {
@@ -162,6 +164,12 @@ func (sp Space) Validate() error {
 	}
 	if sp.MaxExtras < sp.MinExtras {
 		return fmt.Errorf("scenegen: max_extras %d < min_extras %d", sp.MaxExtras, sp.MinExtras)
+	}
+	if sp.MaxExtras > MaxActors-1 {
+		return fmt.Errorf("scenegen: max_extras %d exceeds %d", sp.MaxExtras, MaxActors-1)
+	}
+	if sp.Duration.Max > MaxDuration {
+		return fmt.Errorf("scenegen: duration: max %g exceeds %d s", sp.Duration.Max, MaxDuration)
 	}
 	for _, w := range []struct {
 		name string
@@ -240,8 +248,9 @@ func (o *occupancy) place(rng *stats.RNG, l lane, xr Range, length float64) (flo
 // Generate samples one concrete scenario spec named name. The result
 // always validates, contains exactly one reachable target ahead of the
 // EV, and compiles to a world with no initial footprint overlaps; the
-// same rng seed always yields the same spec.
-func (g *Generator) Generate(rng *stats.RNG, name string) (*Spec, error) {
+// same rng seed always yields the same spec. The overlap check compiles
+// the spec into ar, so ar's previous world is overwritten.
+func (g *Generator) Generate(ar *Arena, rng *stats.RNG, name string) (*Spec, error) {
 	sp := g.Space
 	occ := &occupancy{gap: sp.MinGap}
 	// The EV sits at the origin of the EV lane.
@@ -291,10 +300,7 @@ func (g *Generator) Generate(rng *stats.RNG, name string) (*Spec, error) {
 		}
 	}
 
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("scenegen: generate %s: %w", name, err)
-	}
-	c, err := Compile(spec, nil)
+	c, err := ar.Compile(spec, nil)
 	if err != nil {
 		return nil, fmt.Errorf("scenegen: generate %s: %w", name, err)
 	}

@@ -2,10 +2,12 @@ package scenegen
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/robotack/robotack/internal/geom"
 	"github.com/robotack/robotack/internal/sim"
 	"github.com/robotack/robotack/internal/stats"
 )
@@ -91,7 +93,7 @@ func TestValidateTargetRules(t *testing.T) {
 func TestCompileBuiltins(t *testing.T) {
 	for _, spec := range builtinSpecs() {
 		for _, rng := range []*stats.RNG{nil, stats.NewRNG(3)} {
-			c, err := Compile(spec, rng)
+			c, err := NewArena().Compile(spec, rng)
 			if err != nil {
 				t.Fatalf("%s: %v", spec.Name, err)
 			}
@@ -132,12 +134,13 @@ func TestParamSample(t *testing.T) {
 // specs, and different seeds explore the space.
 func TestGeneratorDeterminism(t *testing.T) {
 	gen := NewGenerator(DefaultSpace())
+	ar := NewArena()
 	for seed := int64(0); seed < 30; seed++ {
-		a, err := gen.Generate(stats.NewRNG(seed), "g")
+		a, err := gen.Generate(ar, stats.NewRNG(seed), "g")
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		b, err := gen.Generate(stats.NewRNG(seed), "g")
+		b, err := gen.Generate(NewArena(), stats.NewRNG(seed), "g")
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -145,8 +148,8 @@ func TestGeneratorDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: same seed produced different specs\n%+v\n%+v", seed, a, b)
 		}
 	}
-	a, _ := gen.Generate(stats.NewRNG(1), "g")
-	b, _ := gen.Generate(stats.NewRNG(2), "g")
+	a, _ := gen.Generate(ar, stats.NewRNG(1), "g")
+	b, _ := gen.Generate(ar, stats.NewRNG(2), "g")
 	if reflect.DeepEqual(a, b) {
 		t.Error("distinct seeds produced identical specs")
 	}
@@ -157,16 +160,17 @@ func TestGeneratorDeterminism(t *testing.T) {
 // initial footprint overlaps.
 func TestGeneratorValidity(t *testing.T) {
 	gen := NewGenerator(DefaultSpace())
+	ar := NewArena()
 	kinds := map[string]int{}
 	for seed := int64(0); seed < 200; seed++ {
-		spec, err := gen.Generate(stats.NewRNG(seed), fmt.Sprintf("gen-%d", seed))
+		spec, err := gen.Generate(ar, stats.NewRNG(seed), fmt.Sprintf("gen-%d", seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		c, err := Compile(spec, nil)
+		c, err := ar.Compile(spec, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -191,9 +195,10 @@ func TestGeneratorValidity(t *testing.T) {
 // spreads: the generator must produce both sparse and busy worlds.
 func TestGeneratedSweepDensityVaries(t *testing.T) {
 	gen := NewGenerator(DefaultSpace())
+	ar := NewArena()
 	minN, maxN := 1<<30, 0
 	for seed := int64(0); seed < 100; seed++ {
-		spec, err := gen.Generate(stats.NewRNG(seed), "g")
+		spec, err := gen.Generate(ar, stats.NewRNG(seed), "g")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +214,215 @@ func TestCheckOverlapFree(t *testing.T) {
 	ev := sim.DefaultEV()
 	w := sim.NewWorld(sim.DefaultRoad(), ev)
 	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: sim.DefaultEV().Pos, Size: sim.SizeCar})
-	if err := CheckOverlapFree(w); err == nil {
-		t.Error("actor on top of the EV must be reported")
+	if err := CheckOverlapFree(w); err == nil || err.Error() != "scenegen: EV overlaps actor 1 (vehicle) at t=0" {
+		t.Errorf("actor on top of the EV: %v", err)
 	}
+	w = sim.NewWorld(sim.DefaultRoad(), ev)
+	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(40, 0), Size: sim.SizeCar})
+	w.AddActor(&sim.Actor{Class: sim.ClassPedestrian, Pos: geom.V(60, 3.5), Size: sim.SizePedestrian})
+	if err := CheckOverlapFree(w); err != nil {
+		t.Errorf("separate actors: %v", err)
+	}
+	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(61, 3.5), Size: sim.SizeCar})
+	if err := CheckOverlapFree(w); err == nil || err.Error() != "scenegen: actor 2 (pedestrian) overlaps actor 3 (vehicle) at t=0" {
+		t.Errorf("overlapping actors: %v", err)
+	}
+}
+
+// TestSpecBounds: a spec may expand to at most MaxActors actors (every
+// group at its largest count) and run at most MaxDuration seconds, and
+// Parse enforces the same caps on JSON.
+func TestSpecBounds(t *testing.T) {
+	group := func(count, extra int) func(*Spec) {
+		return func(s *Spec) {
+			s.Actors = append(s.Actors, ActorSpec{
+				Class: ClassVehicle, Size: SizeCar, X: P(-40),
+				Behavior: BehaviorSpec{Kind: BehaviorParked},
+				Count:    count, CountExtra: extra,
+			})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Spec)
+		ok   bool
+	}{
+		{"64 actors", group(63, 0), true},
+		{"65 actors", group(64, 0), false},
+		{"count_extra up to 64", group(1, 63), true},
+		{"count_extra up to 65", group(1, 64), false},
+		{"count 1e9", group(1_000_000_000, 0), false},
+		{"count_extra 1e9", group(1, 1_000_000_000), false},
+		{"counts that overflow a sum", group(math.MaxInt, math.MaxInt), false},
+		{"65 single actors", func(s *Spec) {
+			for range 64 {
+				group(1, 0)(s)
+			}
+		}, false},
+		{"duration 600 s", func(s *Spec) { s.Duration = MaxDuration }, true},
+		{"duration 600.5 s", func(s *Spec) { s.Duration = 600.5 }, false},
+		{"duration 1e9 s", func(s *Spec) { s.Duration = 1e9 }, false},
+		{"duration NaN", func(s *Spec) { s.Duration = math.NaN() }, false},
+	} {
+		spec := DS1Spec()
+		tc.edit(spec)
+		err := spec.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if math.IsNaN(spec.Duration) {
+			continue // JSON cannot carry NaN
+		}
+		data, merr := spec.JSON()
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if _, err := Parse(data); (err == nil) != tc.ok {
+			t.Errorf("%s: Parse = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	// The built-ins sit far inside the caps.
+	for _, spec := range builtinSpecs() {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
+		}
+	}
+}
+
+// TestSpaceBounds: a generator space may add at most MaxActors-1
+// background actors to its target and draw durations of at most
+// MaxDuration seconds.
+func TestSpaceBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sp   Space
+		ok   bool
+	}{
+		{"default", Space{}, true},
+		{"max_extras 63", Space{MaxExtras: 63}, true},
+		{"max_extras 64", Space{MaxExtras: 64}, false},
+		{"max_extras 1e9", Space{MaxExtras: 1_000_000_000}, false},
+		{"min and max_extras 1e9", Space{MinExtras: 1_000_000_000, MaxExtras: 1_000_000_000}, false},
+		{"duration up to 600 s", Space{Duration: Range{20, 600}}, true},
+		{"duration up to 601 s", Space{Duration: Range{20, 601}}, false},
+		{"duration up to 1e9 s", Space{Duration: Range{1, 1e9}}, false},
+	} {
+		err := tc.sp.WithDefaults().Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	// The largest allowed space still generates specs within the caps.
+	gen := NewGenerator(Space{MaxExtras: MaxActors - 1, Duration: Range{MaxDuration, MaxDuration}})
+	ar := NewArena()
+	for seed := int64(0); seed < 20; seed++ {
+		spec, err := gen.Generate(ar, stats.NewRNG(seed), "g")
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(spec.Actors) > MaxActors || spec.Duration > MaxDuration {
+			t.Fatalf("seed %d: %d actors, %g s", seed, len(spec.Actors), spec.Duration)
+		}
+	}
+}
+
+// dirtyArena returns an arena whose pools hold every behavior kind with
+// stepped progress state (triggered crossings, walked distances,
+// defaulted safe-cruise gaps, non-zero velocities), so whatever compiles
+// into it next must overwrite everything it recycles.
+func dirtyArena(t *testing.T) *Arena {
+	t.Helper()
+	ar := NewArena()
+	for _, spec := range builtinSpecs() {
+		c, err := ar.Compile(spec, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 150 && !c.World.Halted; i++ {
+			c.World.Step(0)
+		}
+	}
+	return ar
+}
+
+// sameBits reports whether a and b hold equal values, comparing floats
+// by bit pattern so that NaN matches NaN and -0 does not match 0.
+func sameBits(a, b reflect.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		if a.Elem().Type() != b.Elem().Type() {
+			return false
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		panic("sameBits: unhandled kind " + a.Kind().String())
+	}
+}
+
+// FuzzSpecParse feeds arbitrary bytes to Parse. Whatever it accepts
+// must stay within MaxActors and MaxDuration, and must compile to
+// bit-identical worlds, drawing the same randomness, in a fresh arena
+// and in a reused one, both nominally and with jitter. Floats compare
+// by bit pattern, because extreme jitters can produce NaN. The seed
+// corpus in testdata/fuzz/FuzzSpecParse holds the five built-in specs,
+// the README's bus-stop spec and one generated spec.
+func FuzzSpecParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		reused := dirtyArena(t)
+		for _, seed := range []int64{-1, 1} {
+			var freshRNG, reusedRNG *stats.RNG
+			if seed >= 0 {
+				freshRNG, reusedRNG = stats.NewRNG(seed), stats.NewRNG(seed)
+			}
+			want, werr := NewArena().Compile(spec, freshRNG)
+			got, gerr := reused.Compile(spec, reusedRNG)
+			if werr != nil || gerr != nil {
+				t.Fatalf("seed %d: accepted spec fails to compile: fresh %v, reused %v", seed, werr, gerr)
+			}
+			if n := len(want.World.Actors); n > MaxActors || want.Duration > MaxDuration {
+				t.Fatalf("seed %d: accepted spec compiles to %d actors over %g s", seed, n, want.Duration)
+			}
+			if !sameBits(reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()) {
+				t.Fatalf("seed %d: reused arena's world differs from a fresh arena's\n got %+v\nwant %+v", seed, got, want)
+			}
+			if freshRNG != nil && math.Float64bits(freshRNG.Float64()) != math.Float64bits(reusedRNG.Float64()) {
+				t.Fatalf("seed %d: fresh and reused arenas drew different amounts of randomness", seed)
+			}
+		}
+	})
 }

@@ -207,15 +207,29 @@ func validateBehavior(b *BehaviorSpec) error {
 	}
 }
 
+// Size bounds on what one spec or generator space may ask for. Every
+// built-in, generated and example spec stays far below them; they stop
+// a single served request from making each of its episodes allocate an
+// unbounded world or run for an unbounded number of frames.
+const (
+	// MaxActors caps the actors a spec expands to, every group at its
+	// largest count.
+	MaxActors = 64
+	// MaxDuration caps an episode's length in seconds: the paper's
+	// 10-minute drive.
+	MaxDuration = 600
+)
+
 // Validate checks the spec's structural invariants: non-empty name,
-// positive duration and cruise speed, known classes/sizes/behaviors,
-// non-negative jitters and exactly one non-group target actor.
+// positive duration of at most MaxDuration, positive cruise speed,
+// known classes/sizes/behaviors, non-negative jitters, at most
+// MaxActors actors and exactly one non-group target actor.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenegen: spec has no name")
 	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("scenegen: %s: duration %v must be positive", s.Name, s.Duration)
+	if !(s.Duration > 0 && s.Duration <= MaxDuration) {
+		return fmt.Errorf("scenegen: %s: duration %v must be in (0, %d] s", s.Name, s.Duration, MaxDuration)
 	}
 	if s.CruiseSpeed <= 0 {
 		return fmt.Errorf("scenegen: %s: cruise speed %v must be positive", s.Name, s.CruiseSpeed)
@@ -223,7 +237,7 @@ func (s *Spec) Validate() error {
 	if len(s.Actors) == 0 {
 		return fmt.Errorf("scenegen: %s: no actors", s.Name)
 	}
-	targets := 0
+	targets, actors := 0, 0
 	for i := range s.Actors {
 		a := &s.Actors[i]
 		if _, err := parseClass(a.Class); err != nil {
@@ -238,6 +252,10 @@ func (s *Spec) Validate() error {
 		if a.Count < 0 || a.CountExtra < 0 {
 			return fmt.Errorf("scenegen: %s: actor %d has negative count", s.Name, i)
 		}
+		if a.Count > MaxActors || a.CountExtra > MaxActors {
+			return fmt.Errorf("scenegen: %s: actor %d expands to more than %d actors", s.Name, i, MaxActors)
+		}
+		actors += a.count() + max(a.CountExtra-1, 0)
 		for _, p := range []Param{a.X, a.Y, a.Behavior.Speed, a.Behavior.TriggerGap} {
 			if p.Jitter < 0 {
 				return fmt.Errorf("scenegen: %s: actor %d has negative jitter", s.Name, i)
@@ -255,6 +273,9 @@ func (s *Spec) Validate() error {
 	}
 	if targets != 1 {
 		return fmt.Errorf("scenegen: %s: want exactly 1 target actor, have %d", s.Name, targets)
+	}
+	if actors > MaxActors {
+		return fmt.Errorf("scenegen: %s: expands to up to %d actors, more than %d", s.Name, actors, MaxActors)
 	}
 	return nil
 }

@@ -120,7 +120,7 @@ func (s *Store) compactShard(sh *shard) (bool, error) {
 		sh.w.Close()
 		sh.w = nil
 	}
-	if err := writeFileAtomic(filepath.Join(sh.dir, currentFile), []byte(genName(newGen)+"\n")); err != nil {
+	if err := results.WriteFileAtomic(filepath.Join(sh.dir, currentFile), []byte(genName(newGen)+"\n")); err != nil {
 		return false, err
 	}
 	oldDir := sh.genDir
@@ -166,7 +166,7 @@ func writeGeneration(dir, name string, eps []results.EpisodeRecord, segBytes int
 		f = nil
 		m.hasAgg = m.sorted && m.n > 0
 		m.agg = agg
-		if err := writeFileAtomic(filepath.Join(dir, idxName(m.seq)), encodeIdx(&m)); err != nil {
+		if err := results.WriteFileAtomic(filepath.Join(dir, idxName(m.seq)), encodeIdx(&m)); err != nil {
 			return err
 		}
 		m.agg = nil
@@ -209,7 +209,7 @@ func writeGeneration(dir, name string, eps []results.EpisodeRecord, segBytes int
 		return nil, fmt.Errorf("segstore: create active segment: %w", err)
 	}
 	af.Close()
-	if err := writeFileAtomic(filepath.Join(dir, manifestFile), encodeManifest(sealed)); err != nil {
+	if err := results.WriteFileAtomic(filepath.Join(dir, manifestFile), encodeManifest(sealed)); err != nil {
 		return nil, err
 	}
 	if d, err := os.Open(dir); err == nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Format autodetection for the CLI layer: every binary that accepts a
-// results-store path (-store, -out, -compare, store diff/stats) routes
+// results-store path (-store, -out, store diff/stats) routes
 // through OpenAny/LoadAny so operators never spell the backend out. It
 // lives here rather than in results because results cannot import its
 // own backends.

@@ -34,9 +34,11 @@ const (
 	// markerFile identifies a directory as a segstore (and carries the
 	// layout version for future migrations).
 	markerFile = "segstore.json"
-	// lockFileName is the store's exclusivity lock — its own file, never
-	// renamed, so generation swaps and log compaction happen underneath
-	// it (the runq queue.lock discipline).
+	// lockFileName is the store's exclusivity lock (results.LockDir):
+	// two writers on one store directory would interleave segment
+	// appends and race the compactor's generation swap. It is its own
+	// file, never renamed, so generation swaps and log compaction happen
+	// underneath it (the runq queue.lock discipline).
 	lockFileName = "store.lock"
 	// campaignsFile is the aggregates log at the store root: the same
 	// last-wins JSONL envelope as FileStore, holding only campaign
@@ -175,15 +177,9 @@ func open(dir string, ro bool, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	if !ro {
-		lockPath := filepath.Join(dir, lockFileName)
-		lf, err := os.OpenFile(lockPath, os.O_CREATE|os.O_RDWR, 0o644)
+		lf, err := results.LockDir(dir, lockFileName)
 		if err != nil {
-			return fail(fmt.Errorf("segstore: open lock: %w", err))
-		}
-		if err := lockFile(lf); err != nil {
-			lf.Close()
-			s.lockF = nil
-			return fail(fmt.Errorf("segstore: %s: %w", lockPath, err))
+			return fail(fmt.Errorf("segstore: %w", err))
 		}
 		s.lockF = lf
 	}
@@ -244,7 +240,7 @@ func (s *Store) checkMarker() error {
 			return fmt.Errorf("segstore: refusing to initialize non-empty directory %s", s.dir)
 		}
 	}
-	return writeFileAtomic(path, []byte("{\"v\":1}\n"))
+	return results.WriteFileAtomic(path, []byte("{\"v\":1}\n"))
 }
 
 // openLog replays campaigns.jsonl into the aggregate map.
@@ -378,7 +374,7 @@ func (s *Store) getShard(name string, create bool) (*shard, error) {
 	if err := os.MkdirAll(genDir, 0o755); err != nil {
 		return nil, fmt.Errorf("segstore: create shard: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, currentFile), []byte(genName(0)+"\n")); err != nil {
+	if err := results.WriteFileAtomic(filepath.Join(dir, currentFile), []byte(genName(0)+"\n")); err != nil {
 		return nil, err
 	}
 	sh = &shard{
@@ -504,7 +500,7 @@ func (s *Store) compactLogLocked() error {
 		live[recs[i].Name] = int64(len(raw)) + 1
 	}
 	path := filepath.Join(s.dir, campaignsFile)
-	if err := writeFileAtomic(path, buf); err != nil {
+	if err := results.WriteFileAtomic(path, buf); err != nil {
 		return err
 	}
 	s.logF.Close() // old inode is gone from the directory

@@ -330,7 +330,7 @@ func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMet
 	}
 	if !ro {
 		m.agg = agg
-		if err := writeFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
+		if err := results.WriteFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
 			return segMeta{}, nil, err
 		}
 		m.agg = nil
@@ -365,7 +365,7 @@ func (s *shard) sealedAgg(i int) (*results.CampaignRecord, error) {
 
 // writeManifest atomically replaces the shard's sealed-segment cache.
 func (s *shard) writeManifest() error {
-	return writeFileAtomic(filepath.Join(s.genDir, manifestFile), encodeManifest(s.sealed))
+	return results.WriteFileAtomic(filepath.Join(s.genDir, manifestFile), encodeManifest(s.sealed))
 }
 
 // seal closes the active segment: sync, write its .idx (header plus
@@ -387,7 +387,7 @@ func (s *shard) seal() error {
 	m := s.active
 	m.hasAgg = m.sorted && m.n > 0
 	m.agg = s.activeAgg
-	if err := writeFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil {
+	if err := results.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil {
 		return err
 	}
 	m.agg = nil
@@ -444,7 +444,7 @@ func (s *shard) closeWriter() error {
 	m := s.active
 	m.hasAgg = false
 	m.agg = nil
-	if err := writeFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil && firstErr == nil {
+	if err := results.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -545,32 +545,4 @@ func listSegs(genDir string) ([]int, error) {
 	}
 	sort.Ints(seqs)
 	return seqs, nil
-}
-
-// writeFileAtomic stages content in a temp file, fsyncs, and renames it
-// into place — the runq compactJournal idiom, so a crash at any point
-// leaves either the old file or the complete new one.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("segstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("segstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segstore: install %s: %w", filepath.Base(path), err)
-	}
-	return nil
 }

@@ -115,7 +115,7 @@ func TestFrameStepZeroAllocs(t *testing.T) {
 // TestEpisodeResetLowAlloc guards the per-episode reset path: resetting
 // the warm pipeline stack for a new episode must not rebuild it.
 func TestEpisodeResetLowAlloc(t *testing.T) {
-	scn, err := scenario.DS1.Instantiate(stats.NewRNG(1))
+	scn, err := scenario.InstantiateSource(scenario.DS1, nil, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
