@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
@@ -71,58 +69,13 @@ func run() error {
 		listPolicies = flag.Bool("list-policies", false, "list known policy artifact kinds and exit")
 		out          = flag.String("out", "", "append episode and campaign records to this results store (JSONL file or segstore directory, autodetected)")
 		resume       = flag.Bool("resume", false, "fold episodes already persisted in -out back into the aggregates instead of re-running them")
-		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memprofile   = flag.String("memprofile", "", "write a pprof heap profile (after the sweep) to this file")
-		ftdcPath     = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
-		traceDir     = flag.String("trace", "", "directory for span-trace segments (inspect with robotack-trace); empty: tracing off")
-		traceN       = flag.Int("trace-sample", 0, "episode-span sampling, 1-in-N (0: default 1-in-16)")
-		logCfg       obs.LogConfig
+		tel          obs.Flags
 	)
-	logCfg.RegisterFlags(flag.CommandLine)
+	tel.RegisterLog(flag.CommandLine)
+	tel.RegisterFTDC(flag.CommandLine)
+	tel.RegisterTrace(flag.CommandLine)
+	tel.RegisterProfiles(flag.CommandLine)
 	flag.Parse()
-	logger, err := logCfg.Logger(os.Stderr)
-	if err != nil {
-		return err
-	}
-
-	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
-		if err != nil {
-			return fmt.Errorf("ftdc capture: %w", err)
-		}
-		defer func() {
-			if err := capture.Stop(); err != nil {
-				logger.Warn("ftdc capture stop", "err", err)
-			}
-		}()
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		path := *memprofile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				logger.Error("-memprofile", "err", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the end-of-sweep live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				logger.Error("-memprofile", "err", err)
-			}
-		}()
-	}
 
 	if *list {
 		for _, name := range scenegen.Names() {
@@ -137,6 +90,16 @@ func run() error {
 		return nil
 	}
 
+	if *resume && *out == "" {
+		return fmt.Errorf("-resume needs -out: the store holding the interrupted sweep")
+	}
+
+	_, tracer, err := tel.Start("campaign")
+	if err != nil {
+		return err
+	}
+	defer tel.Stop()
+
 	var pol core.TriggerPolicy
 	var polLabel string
 	if *policyFile != "" {
@@ -150,10 +113,6 @@ func run() error {
 		}
 		polLabel = art.Label()
 		fmt.Printf("policy: %s (kind %s, from %s)\n", polLabel, art.Kind, *policyFile)
-	}
-
-	if *resume && *out == "" {
-		return fmt.Errorf("-resume needs -out: the store holding the interrupted sweep")
 	}
 
 	var opts []experiment.RunOption
@@ -176,24 +135,13 @@ func run() error {
 	// Local tracing: one root span covers the sweep; engine-job and
 	// sampled episode spans (with frame-stage breakdowns) nest under it
 	// via the engine's context.
-	if *traceDir != "" {
-		sink, err := trace.NewFileSink(*traceDir, trace.DefaultCapBytes)
-		if err != nil {
-			return fmt.Errorf("trace sink: %w", err)
-		}
-		tr := trace.New("campaign", sink, trace.WithSampleEvery(*traceN))
+	if tracer != nil {
 		tid := trace.DeriveTraceID("robotack-campaign", *seed)
-		root := tr.StartSpan(trace.SpanContext{Tracer: tr, TraceID: tid},
+		root := tracer.StartSpan(trace.SpanContext{Tracer: tracer, TraceID: tid},
 			"run", trace.DeriveSpanID(tid, 0, trace.StreamRun))
 		root.SetAttr("campaign", "robotack-campaign")
 		ctx = root.Context(ctx)
-		defer func() {
-			root.Finish()
-			if err := tr.Close(); err != nil {
-				logger.Warn("trace sink close", "err", err)
-			}
-		}()
-		fmt.Printf("trace dir: %s\n", *traceDir)
+		defer root.Finish()
 	}
 
 	eng := engine.New(

@@ -37,14 +37,15 @@ func run() error {
 		seed    = flag.Int64("seed", 1, "seed")
 		workers = flag.Int("workers", engine.DefaultWorkers(), "parallel segment workers")
 		out     = flag.String("out", "", "write the characterization (distribution fits) as JSON")
-		logCfg  obs.LogConfig
+		tel     obs.Flags
 	)
-	logCfg.RegisterFlags(flag.CommandLine)
+	tel.RegisterLog(flag.CommandLine)
 	flag.Parse()
-	logger, err := logCfg.Logger(os.Stderr)
+	logger, _, err := tel.Start("characterize")
 	if err != nil {
 		return err
 	}
+	defer tel.Stop()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -60,32 +60,22 @@ func run() error {
 		out         = flag.String("out", "trained-policy.json", "write the best candidate's policy artifact here")
 		storePath   = flag.String("store", "", "persist candidate evaluations to this JSONL store and resume them on re-run")
 		logPath     = flag.String("log", "", "write the byte-reproducible JSONL search log here")
-		ftdcPath    = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
-		logCfg      obs.LogConfig
+		tel         obs.Flags
 	)
-	logCfg.RegisterFlags(flag.CommandLine)
+	tel.RegisterLog(flag.CommandLine)
+	tel.RegisterFTDC(flag.CommandLine)
 	flag.Parse()
-	logger, err := logCfg.Logger(os.Stderr)
-	if err != nil {
-		return err
-	}
 
 	battery, err := parseBattery(*scenarios)
 	if err != nil {
 		return err
 	}
 
-	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
-		if err != nil {
-			return fmt.Errorf("ftdc capture: %w", err)
-		}
-		defer func() {
-			if err := capture.Stop(); err != nil {
-				logger.Warn("ftdc capture stop", "err", err)
-			}
-		}()
+	logger, _, err := tel.Start("search")
+	if err != nil {
+		return err
 	}
+	defer tel.Stop()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

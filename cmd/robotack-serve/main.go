@@ -61,7 +61,6 @@ import (
 	"github.com/robotack/robotack/internal/campaignd"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/obs"
-	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/runq"
 	"github.com/robotack/robotack/internal/segstore"
 )
@@ -81,26 +80,24 @@ func run() error {
 		queueDir  = flag.String("queue-dir", "", "directory for the durable run-queue journal (empty: in-memory queue, lost on restart)")
 		maxConc   = flag.Int("max-concurrent", 1, "how many queued runs execute locally at once (0: remote workers only)")
 		leaseTTL  = flag.Duration("lease-ttl", 30*time.Second, "remote-worker lease duration; a missed heartbeat requeues the job")
-		metrics   = flag.Bool("metrics", true, "record metrics and serve Prometheus text at GET /metrics")
 		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		ftdcPath  = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
-		traceDir  = flag.String("trace", "", "directory for span-trace segments (inspect with robotack-trace); empty: tracing off")
-		traceCap  = flag.Int("trace-cap", 64, "trace-segment ring size cap in MiB; oldest segments are deleted beyond it")
-		traceN    = flag.Int("trace-sample", 0, "episode-span sampling, 1-in-N (0: default 1-in-16)")
-		logCfg    obs.LogConfig
+		tel       obs.Flags
 	)
-	logCfg.RegisterFlags(flag.CommandLine)
+	tel.RegisterLog(flag.CommandLine)
+	tel.RegisterFTDC(flag.CommandLine)
+	tel.RegisterTrace(flag.CommandLine)
 	flag.Parse()
 	if *storePath == "" {
 		return fmt.Errorf("-store is required")
 	}
-	logger, err := logCfg.Logger(os.Stderr)
+	// Submitted runs get deterministic trace IDs, queue and engine spans
+	// land in the -trace sink, and remote workers' spans arrive over
+	// POST /runs/{id}/spans into the same sink.
+	logger, tracer, err := tel.Start("serve")
 	if err != nil {
 		return err
 	}
-	if !*metrics {
-		obs.SetEnabled(false)
-	}
+	defer tel.Stop()
 
 	compactLog := segstore.WithErrorLog(func(campaign string, err error) {
 		logger.Warn("shard compaction failed", "campaign", campaign, "err", err)
@@ -116,23 +113,6 @@ func run() error {
 		}
 	}()
 
-	// Tracing: submitted runs get deterministic trace IDs, queue and
-	// engine spans land in the segment ring, and remote workers' spans
-	// arrive over POST /runs/{id}/spans into the same sink.
-	var tracer *trace.Tracer
-	if *traceDir != "" {
-		sink, err := trace.NewFileSink(*traceDir, int64(*traceCap)<<20)
-		if err != nil {
-			return fmt.Errorf("trace sink: %w", err)
-		}
-		tracer = trace.New("serve", sink, trace.WithSampleEvery(*traceN))
-		defer func() {
-			if err := tracer.Close(); err != nil {
-				logger.Warn("trace sink close", "err", err)
-			}
-		}()
-	}
-
 	queue, err := runq.Open(*queueDir,
 		runq.WithMaxConcurrent(*maxConc),
 		runq.WithLeaseTTL(*leaseTTL),
@@ -143,28 +123,13 @@ func run() error {
 		return err
 	}
 
-	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
-		if err != nil {
-			return fmt.Errorf("ftdc capture: %w", err)
-		}
-		defer func() {
-			if err := capture.Stop(); err != nil {
-				logger.Warn("ftdc capture stop", "err", err)
-			}
-		}()
-	}
-
 	mux := http.NewServeMux()
 	mux.Handle("/", campaignd.New(store,
 		campaignd.WithWorkers(*workers),
 		campaignd.WithQueue(queue),
 		campaignd.WithLogger(logger),
-		campaignd.WithTracer(tracer),
 	))
-	if *metrics {
-		mux.Handle("GET /metrics", obs.Handler(obs.Default))
-	}
+	mux.Handle("GET /metrics", obs.Handler(obs.Default))
 	if *pprofOn {
 		obs.RegisterPprof(mux)
 	}
@@ -186,7 +151,7 @@ func run() error {
 	logger.Info("serving",
 		"store", *storePath, "addr", *addr, "queue", durable,
 		"local_slots", *maxConc, "workers_per_run", *workers, "lease_ttl", *leaseTTL,
-		"metrics", *metrics, "pprof", *pprofOn)
+		"pprof", *pprofOn)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

@@ -50,14 +50,15 @@ func run() error {
 		vector       = flag.String("vector", "", "steer Table I's Move_Out/Disappear choice: disappear-vehicles | disappear-pedestrians")
 		seed         = flag.Int64("seed", 1, "episode seed")
 		out          = flag.String("out", "", "append the episode's record to this JSONL results store")
-		logCfg       obs.LogConfig
+		tel          obs.Flags
 	)
-	logCfg.RegisterFlags(flag.CommandLine)
+	tel.RegisterLog(flag.CommandLine)
 	flag.Parse()
-	logger, err := logCfg.Logger(os.Stderr)
+	logger, _, err := tel.Start("sim")
 	if err != nil {
 		return err
 	}
+	defer tel.Stop()
 
 	if *list {
 		for _, name := range scenegen.Names() {

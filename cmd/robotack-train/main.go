@@ -42,14 +42,15 @@ func run() error {
 		out     = flag.String("out", "", "directory to save model JSON files (optional)")
 		report  = flag.String("report", "", "write the per-vector training report (samples, MSE/MAE) as JSON")
 		workers = flag.Int("workers", engine.DefaultWorkers(), "parallel episode workers")
-		logCfg  obs.LogConfig
+		tel     obs.Flags
 	)
-	logCfg.RegisterFlags(flag.CommandLine)
+	tel.RegisterLog(flag.CommandLine)
 	flag.Parse()
-	logger, err := logCfg.Logger(os.Stderr)
+	logger, _, err := tel.Start("train")
 	if err != nil {
 		return err
 	}
+	defer tel.Stop()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

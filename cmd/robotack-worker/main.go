@@ -13,7 +13,6 @@
 //	robotack-worker -server http://queuehost:8077
 //	robotack-worker -server http://queuehost:8077 -name rack7 -workers 8
 //	robotack-worker -server http://queuehost:8077 -poll 2s
-//	robotack-worker -server http://queuehost:8077 -batch 64
 //	robotack-worker -server http://queuehost:8077 -metrics :9100 -pprof
 //	robotack-worker -server http://queuehost:8077 -log-json -ftdc worker.ftdc
 //
@@ -50,33 +49,28 @@ func run() error {
 		host = "worker"
 	}
 	var (
-		server   = flag.String("server", "", "robotack-serve base URL, e.g. http://host:8077")
-		name     = flag.String("name", fmt.Sprintf("%s-%d", host, os.Getpid()), "worker name reported in leases")
-		workers  = flag.Int("workers", engine.DefaultWorkers(), "engine workers per job")
-		poll     = flag.Duration("poll", time.Second, "sleep between leases when the queue is empty")
-		batch    = flag.Int("batch", runq.DefaultPostBatch, "completed episodes buffered per episode-stream POST (result-upload batching)")
-		metrics  = flag.String("metrics", "", "serve Prometheus text at GET /metrics on this address, e.g. :9100 (empty: no metrics server)")
-		pprofOn  = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ (needs -metrics)")
-		ftdcPath = flag.String("ftdc", "", "append a binary metric snapshot to this file every second (decode with robotack-ftdc)")
-		traceOn  = flag.Bool("trace", true, "forward span traces for traced jobs to the server's trace sink")
-		traceN   = flag.Int("trace-sample", 0, "episode-span sampling, 1-in-N (0: default 1-in-16)")
-		logCfg   obs.LogConfig
+		server  = flag.String("server", "", "robotack-serve base URL, e.g. http://host:8077")
+		name    = flag.String("name", fmt.Sprintf("%s-%d", host, os.Getpid()), "worker name reported in leases")
+		workers = flag.Int("workers", engine.DefaultWorkers(), "engine workers per job")
+		poll    = flag.Duration("poll", time.Second, "sleep between leases when the queue is empty")
+		metrics = flag.String("metrics", "", "serve Prometheus text at GET /metrics on this address, e.g. :9100 (empty: no metrics server)")
+		pprofOn = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ (needs -metrics)")
+		tel     obs.Flags
 	)
-	logCfg.RegisterFlags(flag.CommandLine)
+	tel.RegisterLog(flag.CommandLine)
+	tel.RegisterFTDC(flag.CommandLine)
 	flag.Parse()
 	if *server == "" {
 		return fmt.Errorf("-server is required")
 	}
-	if *batch < 1 {
-		return fmt.Errorf("-batch must be >= 1 (got %d)", *batch)
-	}
 	if *pprofOn && *metrics == "" {
 		return fmt.Errorf("-pprof needs -metrics to provide the listen address")
 	}
-	logger, err := logCfg.Logger(os.Stderr)
+	logger, _, err := tel.Start("worker")
 	if err != nil {
 		return err
 	}
+	defer tel.Stop()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -100,27 +94,12 @@ func run() error {
 		}()
 	}
 
-	if *ftdcPath != "" {
-		capture, err := obs.StartCapture(obs.Default, *ftdcPath, obs.FTDCInterval)
-		if err != nil {
-			return fmt.Errorf("ftdc capture: %w", err)
-		}
-		defer func() {
-			if err := capture.Stop(); err != nil {
-				logger.Warn("ftdc capture stop", "err", err)
-			}
-		}()
-	}
-
 	w := &runq.Worker{
-		Server:      *server,
-		Name:        *name,
-		Workers:     *workers,
-		Poll:        *poll,
-		Batch:       *batch,
-		Log:         logger,
-		NoTrace:     !*traceOn,
-		TraceSample: *traceN,
+		Server:  *server,
+		Name:    *name,
+		Workers: *workers,
+		Poll:    *poll,
+		Log:     logger,
 	}
 	logger.Info("worker starting",
 		"worker", *name, "server", *server, "engine_workers", *workers,

@@ -547,9 +547,9 @@ func TestServeInlineSpecAndGenerate(t *testing.T) {
 }
 
 // TestServeRejectsOversizedScenarios: an inline spec or generator space
-// beyond scenegen's caps (MaxActors, MaxDuration) answers 400 and
-// queues nothing — on a durable queue, nothing reaches the journal, so
-// a restart cannot requeue it.
+// beyond scenegen's caps (MaxActors, MaxDuration), or a run count
+// beyond runq.MaxRuns, answers 400 and queues nothing — on a durable
+// queue, nothing reaches the journal, so a restart cannot requeue it.
 func TestServeRejectsOversizedScenarios(t *testing.T) {
 	dir := t.TempDir()
 	q, err := runq.Open(dir, runq.WithMaxConcurrent(0))
@@ -577,6 +577,7 @@ func TestServeRejectsOversizedScenarios(t *testing.T) {
 		"max_extras 1e9":   `{"generate":{"max_extras":1000000000},"mode":"golden","runs":2,"seed":1}`,
 		"max_extras 64":    `{"generate":{"max_extras":64},"mode":"golden","runs":2,"seed":1}`,
 		"duration max 601": `{"generate":{"duration":{"min":20,"max":601}},"mode":"golden","runs":2,"seed":1}`,
+		"runs MaxRuns+1":   fmt.Sprintf(`{"scenario":"DS-2","mode":"smart","runs":%d,"seed":1}`, runq.MaxRuns+1),
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -594,5 +595,93 @@ func TestServeRejectsOversizedScenarios(t *testing.T) {
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "queue.jsonl")); err != nil || fi.Size() != 0 {
 		t.Fatalf("journal after rejected requests: %v, %v", fi, err)
+	}
+}
+
+// TestServeRequestBounds: a run of exactly runq.MaxRuns episodes is
+// accepted (the queue is remote-only, so nothing executes it); a body
+// beyond its route's limit answers 413 and queues or appends nothing;
+// and /complete accepts the largest aggregate a MaxRuns smart run can
+// fold, whose measured size sizes maxCompleteBytes.
+func TestServeRequestBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an 83 MiB aggregate")
+	}
+	store := results.NewMemStore()
+	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Shutdown(context.Background())
+	ts := newTestServerFrom(t, New(store, WithQueue(q)))
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	st := postRun(t, ts.URL, fmt.Sprintf(`{"scenario":"DS-2","mode":"smart","name":"max","runs":%d,"seed":1}`, runq.MaxRuns))
+	if st.Total != runq.MaxRuns {
+		t.Fatalf("accepted run total %d, want %d", st.Total, runq.MaxRuns)
+	}
+
+	name := strings.Repeat("x", maxBodyBytes)
+	if got := post("/runs", []byte(`{"scenario":"DS-2","mode":"smart","runs":2,"seed":1,"name":"`+name+`"}`)); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST /runs: status %d, want 413", got)
+	}
+	var runs []RunStatus
+	getJSON(t, ts.URL+"/runs", &runs)
+	if len(runs) != 1 {
+		t.Fatalf("queue holds %d runs after the oversized request, want 1", len(runs))
+	}
+
+	lease, _ := json.Marshal(runq.LeaseRequest{Worker: "w1"})
+	if got := post("/lease", lease); got != http.StatusOK {
+		t.Fatalf("lease: status %d", got)
+	}
+	// A batch of valid episodes for the leased job, too many for one body.
+	batch := runq.EpisodesRequest{Worker: "w1"}
+	for i := 0; i < 8192; i++ {
+		batch.Episodes = append(batch.Episodes, results.EpisodeRecord{Campaign: "max", Index: i, Scenario: "DS-2", Mode: core.ModeSmart})
+	}
+	raw, _ := json.Marshal(batch)
+	if len(raw) <= maxBodyBytes {
+		t.Fatalf("episode batch is %d bytes, not beyond the %d-byte limit", len(raw), maxBodyBytes)
+	}
+	if got := post(fmt.Sprintf("/runs/%d/episodes", st.ID), raw); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized episode batch: status %d, want 413", got)
+	}
+	if eps, _ := store.Episodes("max"); len(eps) != 0 {
+		t.Fatalf("oversized batch appended %d episodes", len(eps))
+	}
+
+	// The largest aggregate a MaxRuns smart run folds: every episode
+	// launched and unsuccessful ("false" is the longer bool), two-digit
+	// K and K', and every float at its longest JSON form (24 bytes).
+	agg := results.NewCampaign("max", "DS-2", core.ModeSmart, true, 1)
+	longest := -1.2345678901234567e-300
+	ep := results.EpisodeRecord{Launched: true, K: 99, KPrime: 99, MinDelta: longest, PredictedDelta: longest, RealizedDelta: longest}
+	for i := 0; i < runq.MaxRuns; i++ {
+		agg.Fold(ep)
+	}
+	raw, err = json.Marshal(runq.CompleteRequest{Worker: "w1", Campaign: &agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg = results.CampaignRecord{}
+	t.Logf("MaxRuns smart aggregate: %.1f MiB", float64(len(raw))/(1<<20))
+	if len(raw) > maxCompleteBytes {
+		t.Fatalf("MaxRuns aggregate is %d bytes, beyond the %d-byte /complete limit", len(raw), maxCompleteBytes)
+	}
+	if got := post(fmt.Sprintf("/runs/%d/complete", st.ID), raw); got != http.StatusOK {
+		t.Fatalf("complete with a MaxRuns aggregate: status %d", got)
+	}
+	if final, _ := q.Get(st.ID); final.State != runq.StateDone {
+		t.Fatalf("job state %q after complete, want done", final.State)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/obs"
-	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/runq"
 )
@@ -78,7 +77,6 @@ type Server struct {
 	queue    *runq.Queue
 	ownQueue bool
 	exec     runq.Executor
-	tracer   *trace.Tracer
 	log      *slog.Logger
 	mux      *http.ServeMux
 }
@@ -97,9 +95,10 @@ func WithWorkers(n int) Option {
 }
 
 // WithQueue serves an externally owned queue (e.g. a durable one
-// opened on a -queue-dir). The caller keeps responsibility for
-// shutting it down; without this option the server creates and owns a
-// memory-only queue.
+// opened on a -queue-dir, or a traced one: POST /runs/{id}/spans emits
+// workers' forwarded spans through the queue's runq.WithTracer). The
+// caller keeps responsibility for shutting it down; without this
+// option the server creates and owns an untraced memory-only queue.
 func WithQueue(q *runq.Queue) Option {
 	return func(s *Server) { s.queue = q }
 }
@@ -108,16 +107,6 @@ func WithQueue(q *runq.Queue) Option {
 // default runs jobs on per-job engines into the served store).
 func WithExecutor(exec runq.Executor) Option {
 	return func(s *Server) { s.exec = exec }
-}
-
-// WithTracer enables span tracing: a server-created queue gets the
-// tracer (submitted runs carry deterministic trace IDs and emit
-// lifecycle spans), and POST /runs/{id}/spans ingests workers'
-// forwarded spans into the same sink. A queue supplied via WithQueue
-// keeps its own tracer configuration (runq.WithTracer) — pass the same
-// tracer to both. Nil is a no-op.
-func WithTracer(t *trace.Tracer) Option {
-	return func(s *Server) { s.tracer = t }
 }
 
 // WithLogger sets the server's structured logger for request-level
@@ -143,7 +132,7 @@ func New(store results.Store, opts ...Option) *Server {
 		opt(s)
 	}
 	if s.queue == nil {
-		q, err := runq.Open("", runq.WithTracer(s.tracer)) // memory-only queues cannot fail to open
+		q, err := runq.Open("") // memory-only queues cannot fail to open
 		if err != nil {
 			panic(err)
 		}
@@ -413,9 +402,8 @@ func statusOf(j runq.Job) RunStatus {
 }
 
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	req, ok := decodeBody[RunRequest](w, r, maxBodyBytes)
+	if !ok {
 		return
 	}
 	// Validate before Submit so a client fault reads as 400 while a
@@ -570,17 +558,35 @@ func workerError(w http.ResponseWriter, err error) {
 	}
 }
 
-func decodeBody[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
+// Request-body limits. Every body but /complete's is a run request, a
+// lease, heartbeat or fail report, or one worker batch (16 episodes or
+// 128 spans): kilobytes. /complete carries the campaign aggregate,
+// whose per-episode slices grow with runs; a runq.MaxRuns smart
+// aggregate with every episode launched and every float at its longest
+// JSON form measures 83 MiB (TestServeRequestBounds).
+const (
+	maxBodyBytes     = 1 << 20
+	maxCompleteBytes = 96 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes,
+// answering 413 beyond the limit and 400 for malformed JSON.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64) (T, bool) {
 	var v T
-	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad request body: %v", err)
 		return v, false
 	}
 	return v, true
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[runq.LeaseRequest](w, r)
+	req, ok := decodeBody[runq.LeaseRequest](w, r, maxBodyBytes)
 	if !ok {
 		return
 	}
@@ -607,7 +613,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.HeartbeatRequest](w, r)
+	req, ok := decodeBody[runq.HeartbeatRequest](w, r, maxBodyBytes)
 	if !ok {
 		return
 	}
@@ -626,7 +632,7 @@ func (s *Server) handleWorkerEpisodes(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.EpisodesRequest](w, r)
+	req, ok := decodeBody[runq.EpisodesRequest](w, r, maxBodyBytes)
 	if !ok {
 		return
 	}
@@ -673,7 +679,7 @@ func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.SpansRequest](w, r)
+	req, ok := decodeBody[runq.SpansRequest](w, r, maxBodyBytes)
 	if !ok {
 		return
 	}
@@ -705,7 +711,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.CompleteRequest](w, r)
+	req, ok := decodeBody[runq.CompleteRequest](w, r, maxCompleteBytes)
 	if !ok {
 		return
 	}
@@ -731,7 +737,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.FailRequest](w, r)
+	req, ok := decodeBody[runq.FailRequest](w, r, maxBodyBytes)
 	if !ok {
 		return
 	}

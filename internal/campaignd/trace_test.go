@@ -30,7 +30,7 @@ func TestLeaseCarriesTraceHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(store, WithQueue(q), WithTracer(tracer))
+	srv := New(store, WithQueue(q))
 	defer q.Shutdown(context.Background())
 	ts := newTestServerFrom(t, srv)
 
@@ -132,7 +132,7 @@ func TestWorkerTraceContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(store, WithQueue(q), WithTracer(tracer))
+	srv := New(store, WithQueue(q))
 	defer q.Shutdown(context.Background())
 
 	// Record the worker's lease-protocol headers on the way through.
@@ -152,8 +152,7 @@ func TestWorkerTraceContinuity(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	w := &runq.Worker{Server: ts.URL, Name: "tw1", Workers: 2, Poll: 20 * time.Millisecond,
-		TraceSample: 1} // sample every episode: the continuity check needs them
+	w := &runq.Worker{Server: ts.URL, Name: "tw1", Workers: 2, Poll: 20 * time.Millisecond}
 	workerDone := make(chan struct{})
 	go func() {
 		defer close(workerDone)

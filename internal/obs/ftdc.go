@@ -31,6 +31,15 @@ import (
 
 const ftdcMagic = "robotack-ftdc\x01"
 
+// Schema bounds: a capture names at most maxFTDCSeries series, each at
+// most maxFTDCName bytes long. The default registry holds a few hundred
+// series with names under 100 bytes; the bounds keep a corrupt or
+// hostile schema chunk from sizing allocations.
+const (
+	maxFTDCSeries = 1 << 16
+	maxFTDCName   = 1 << 10
+)
+
 // FTDCInterval is the snapshot interval every binary's -ftdc capture
 // uses.
 const FTDCInterval = time.Second
@@ -52,13 +61,13 @@ type Encoder struct {
 	buf    []byte
 }
 
-// NewEncoder writes the magic header and returns an encoder.
+// NewEncoder writes the magic header through to w, so a capture that
+// dies before its first snapshot still decodes, and returns an encoder.
 func NewEncoder(w io.Writer) (*Encoder, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(ftdcMagic); err != nil {
+	if _, err := io.WriteString(w, ftdcMagic); err != nil {
 		return nil, err
 	}
-	return &Encoder{w: bw, buf: make([]byte, binary.MaxVarintLen64)}, nil
+	return &Encoder{w: bufio.NewWriter(w), buf: make([]byte, binary.MaxVarintLen64)}, nil
 }
 
 func (e *Encoder) putUvarint(v uint64) {
@@ -145,11 +154,17 @@ func Decode(r io.Reader) ([]Snapshot, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ftdc: schema count: %w", err)
 			}
+			if n > maxFTDCSeries {
+				return nil, fmt.Errorf("ftdc: schema of %d series, more than %d", n, maxFTDCSeries)
+			}
 			names = make([]string, n)
 			for i := range names {
 				l, err := binary.ReadUvarint(br)
 				if err != nil {
 					return nil, fmt.Errorf("ftdc: name length: %w", err)
+				}
+				if l > maxFTDCName {
+					return nil, fmt.Errorf("ftdc: series name of %d bytes, more than %d", l, maxFTDCName)
 				}
 				b := make([]byte, l)
 				if _, err := io.ReadFull(br, b); err != nil {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -57,11 +59,67 @@ func TestFTDCRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFTDCRejectsGarbage: a file without the magic header is refused.
+// TestFTDCRejectsGarbage: a file without the magic header, or with a
+// schema beyond the decoder's bounds, is refused with an error instead
+// of an allocation sized by the file.
 func TestFTDCRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not a capture file at all"))); err == nil {
-		t.Fatal("decoding garbage succeeded")
+	for name, in := range map[string]string{
+		"no magic": "not a capture file at all",
+		// 21 bytes claiming about 2^41 series: out of memory before
+		// the schema count was bounded.
+		"schema count": ftdcMagic + "S\xdd\xdd\xdd\xdd\xddD",
+		"name length":  ftdcMagic + "S\x01\xff\xff\xff\xff\x0f",
+	} {
+		if _, err := Decode(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: decoding succeeded", name)
+		}
 	}
+}
+
+// FuzzFTDCDecode: Decode returns an error, never crashes, on any input,
+// and whatever it accepts round-trips through the Encoder bit for bit.
+// The seed corpus in testdata/fuzz holds a real robotack-campaign
+// capture.
+func FuzzFTDCDecode(f *testing.F) {
+	f.Add([]byte(ftdcMagic + "S\xdd\xdd\xdd\xdd\xddD"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snaps, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		enc, err := NewEncoder(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range snaps {
+			samples := make([]Sample, 0, len(s.Metrics))
+			for name, v := range s.Metrics {
+				samples = append(samples, Sample{name, v})
+			}
+			sort.Slice(samples, func(i, j int) bool { return samples[i].Name < samples[j].Name })
+			if err := enc.Encode(s.TS, samples); err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded capture: %v", err)
+		}
+		if len(again) != len(snaps) {
+			t.Fatalf("re-encoded capture holds %d snapshots, want %d", len(again), len(snaps))
+		}
+		for i, s := range snaps {
+			if again[i].TS != s.TS || len(again[i].Metrics) != len(s.Metrics) {
+				t.Fatalf("snapshot %d: ts %d with %d series, want ts %d with %d", i, again[i].TS, len(again[i].Metrics), s.TS, len(s.Metrics))
+			}
+			for name, v := range s.Metrics {
+				if got, ok := again[i].Metrics[name]; !ok || math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("snapshot %d: %s = %v, want %v", i, name, got, v)
+				}
+			}
+		}
+	})
 }
 
 // TestCaptureLifecycle: StartCapture writes a decodable file whose

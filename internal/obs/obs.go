@@ -1,8 +1,9 @@
 // Package obs is the repo-wide observability layer: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms) whose
 // hot-path recording is allocation-free and lock-free, Prometheus text
-// exposition (prom.go), a shared log/slog setup (log.go), and an
-// FTDC-style compact binary time-series capture (ftdc.go).
+// exposition (prom.go), an FTDC-style compact binary time-series
+// capture (ftdc.go), and the telemetry flag set every binary shares
+// (flags.go).
 //
 // The layer is observational only: nothing recorded here may ever feed
 // back into seeds, RNG draws or result records, so campaigns are

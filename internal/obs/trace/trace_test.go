@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -471,4 +473,37 @@ func TestStageAddZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("StageAdd/FrameDone allocate %.1f per frame, want 0", allocs)
 	}
+}
+
+// FuzzTraceDecode: DecodeAll returns spans or an error, never crashes,
+// on any segment bytes, and the spans it accepts re-encode to a segment
+// that decodes to the same spans; a traceparent ParseTraceparent accepts
+// formats back to the same IDs. The seed corpus in testdata/fuzz holds
+// a real robotack-campaign segment.
+func FuzzTraceDecode(f *testing.F) {
+	f.Add([]byte(FormatTraceparent(0x820f347dee64e83c, 0x1f)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if tid, sid, ok := ParseTraceparent(string(data)); ok {
+			if t2, s2, ok := ParseTraceparent(FormatTraceparent(tid, sid)); !ok || t2 != tid || s2 != sid {
+				t.Fatalf("traceparent %q: reformatted IDs (%x, %x, %v), want (%x, %x)", data, t2, s2, ok, tid, sid)
+			}
+		}
+		spans, err := DecodeAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		seg := []byte(fileMagic)
+		for i := range spans {
+			rec := appendSpan(nil, &spans[i])
+			seg = binary.AppendUvarint(seg, uint64(len(rec)))
+			seg = append(seg, rec...)
+		}
+		again, err := DecodeAll(bytes.NewReader(seg))
+		if err != nil {
+			t.Fatalf("re-encoded segment: %v", err)
+		}
+		if !reflect.DeepEqual(again, spans) {
+			t.Fatalf("re-encoded segment decodes to %+v, want %+v", again, spans)
+		}
+	})
 }

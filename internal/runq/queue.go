@@ -364,20 +364,7 @@ func (q *Queue) Cancel(id int) error {
 			}
 		}
 	}
-	now := time.Now()
-	if j.State == StateRunning {
-		q.traceExecEndLocked(j, now, "cancelled")
-	}
-	q.traceRunEndLocked(j, now, StateCancelled)
-	j.State = StateCancelled
-	j.Worker = ""
-	j.lease = time.Time{}
-	count(qCancelled)
-	q.dropRateLocked(id)
-	q.log.Info("job cancelled", "job", id, "attempt", j.Attempt)
-	q.journalLocked(j)
-	q.publishLocked(j)
-	q.gaugesLocked()
+	q.finishLocked(j, StateCancelled, "")
 	if cancel := q.cancels[id]; cancel != nil {
 		cancel()
 	}
@@ -553,35 +540,47 @@ func (q *Queue) runLocal(ctx context.Context, cancel context.CancelFunc, job Job
 		// Cancel already recorded the terminal state; the executor just
 		// returned from the context cancellation.
 	case err == nil:
-		now := time.Now()
-		q.traceExecEndLocked(j, now, "done")
-		q.traceRunEndLocked(j, now, StateDone)
-		j.State = StateDone
-		j.Done = j.Total
-		j.Worker = ""
-		count(qCompleted)
-		q.dropRateLocked(j.ID)
-		q.log.Info("job done", "job", j.ID, "attempt", j.Attempt, "runs", j.Total)
-		q.journalLocked(j)
-		q.publishLocked(j)
+		q.finishLocked(j, StateDone, "")
 	case q.ctx.Err() != nil && errors.Is(err, context.Canceled):
 		// Shutdown interrupted the job; hand it to the next process.
 		q.requeueLocked(j)
 	default:
-		now := time.Now()
-		q.traceExecEndLocked(j, now, "failed")
-		q.traceRunEndLocked(j, now, StateFailed)
-		j.State = StateFailed
-		j.Error = err.Error()
-		j.Worker = ""
-		count(qFailed)
-		q.dropRateLocked(j.ID)
-		q.log.Warn("job failed", "job", j.ID, "attempt", j.Attempt, "err", err)
-		q.journalLocked(j)
-		q.publishLocked(j)
+		q.finishLocked(j, StateFailed, err.Error())
 	}
-	q.gaugesLocked()
 	q.dispatchLocked()
+}
+
+// finishLocked moves a job into a terminal state: a running job's
+// exec span closes with the state as its outcome, the run span closes,
+// the job leaves its worker and lease, and the transition is counted,
+// logged, journaled and published. msg is a failed job's error.
+func (q *Queue) finishLocked(j *Job, state State, msg string) {
+	now := time.Now()
+	if j.State == StateRunning {
+		q.traceExecEndLocked(j, now, string(state))
+	}
+	q.traceRunEndLocked(j, now, state)
+	attrs := []any{"job", j.ID, "worker", j.Worker, "attempt", j.Attempt}
+	j.State = state
+	j.Error = msg
+	j.Worker = ""
+	j.lease = time.Time{}
+	switch state {
+	case StateDone:
+		j.Done = j.Total
+		count(qCompleted)
+		q.log.Info("job done", append(attrs, "runs", j.Total)...)
+	case StateFailed:
+		count(qFailed)
+		q.log.Warn("job failed", append(attrs, "err", msg)...)
+	case StateCancelled:
+		count(qCancelled)
+		q.log.Info("job cancelled", attrs...)
+	}
+	q.dropRateLocked(j.ID)
+	q.journalLocked(j)
+	q.publishLocked(j)
+	q.gaugesLocked()
 }
 
 // LocalWorker is the reserved worker name of the queue's own
@@ -683,19 +682,7 @@ func (q *Queue) Complete(id int, worker string) error {
 	if !j.remotelyLeasedBy(worker) {
 		return ErrLeaseLost
 	}
-	now := time.Now()
-	q.traceExecEndLocked(j, now, "done")
-	q.traceRunEndLocked(j, now, StateDone)
-	j.State = StateDone
-	j.Done = j.Total
-	j.Worker = ""
-	j.lease = time.Time{}
-	count(qCompleted)
-	q.dropRateLocked(id)
-	q.log.Info("job done", "job", id, "worker", worker, "attempt", j.Attempt, "runs", j.Total)
-	q.journalLocked(j)
-	q.publishLocked(j)
-	q.gaugesLocked()
+	q.finishLocked(j, StateDone, "")
 	return nil
 }
 
@@ -718,20 +705,7 @@ func (q *Queue) Fail(id int, worker, msg string, requeue bool) error {
 			"job", id, "worker", worker, "attempt", j.Attempt, "err", msg)
 		q.requeueLocked(j)
 	} else {
-		now := time.Now()
-		q.traceExecEndLocked(j, now, "failed")
-		q.traceRunEndLocked(j, now, StateFailed)
-		j.State = StateFailed
-		j.Error = msg
-		j.Worker = ""
-		j.lease = time.Time{}
-		count(qFailed)
-		q.dropRateLocked(id)
-		q.log.Warn("job failed",
-			"job", id, "worker", worker, "attempt", j.Attempt, "err", msg)
-		q.journalLocked(j)
-		q.publishLocked(j)
-		q.gaugesLocked()
+		q.finishLocked(j, StateFailed, msg)
 	}
 	q.mu.Unlock()
 	q.dispatch()

@@ -42,6 +42,12 @@ type Request struct {
 	Resume bool `json:"resume,omitempty"`
 }
 
+// MaxRuns caps a request's episode count. A job's executor sizes its
+// batch by runs, so an unbounded count would let one request exhaust
+// the memory of whichever process runs it; a million episodes is far
+// beyond any sweep the paper's evaluation needs.
+const MaxRuns = 1_000_000
+
 // ParseMode maps the request's mode string to the core attack mode
 // (golden, the attack-free baseline, is mode 0).
 func ParseMode(s string) (core.Mode, error) {
@@ -60,7 +66,7 @@ func ParseMode(s string) (core.Mode, error) {
 }
 
 // Validate checks the request without touching the engine: the mode
-// parses, runs is positive, and exactly one scenario source is given
+// parses, runs is in [1, MaxRuns], and exactly one scenario source is given
 // and well-formed. It is the POST-time gate — a journaled job is
 // always executable.
 func (r *Request) Validate() error {
@@ -68,8 +74,8 @@ func (r *Request) Validate() error {
 	if err != nil {
 		return err
 	}
-	if r.Runs <= 0 {
-		return fmt.Errorf("runs must be positive, got %d", r.Runs)
+	if r.Runs <= 0 || r.Runs > MaxRuns {
+		return fmt.Errorf("runs must be in [1, %d], got %d", MaxRuns, r.Runs)
 	}
 	if r.Policy != nil {
 		if mode != core.ModeSmart {

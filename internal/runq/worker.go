@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,11 +33,6 @@ type Worker struct {
 	Name string
 	// Workers is the per-job engine pool size (<=0: one per CPU).
 	Workers int
-	// Batch is how many completed episodes to buffer before posting
-	// them to the server in one request (<=0: DefaultPostBatch).
-	// Larger batches cut HTTP round-trips on fast jobs; smaller ones
-	// tighten the at-most-one-unflushed-batch crash window.
-	Batch int
 	// Oracles are trained safety-hijacker oracles for smart-mode jobs
 	// (nil: the analytic oracle).
 	Oracles map[core.Vector]core.Oracle
@@ -55,14 +51,6 @@ type Worker struct {
 	// Log receives the worker's structured progress and error records,
 	// with worker/job/attempt attributes (default: discard).
 	Log *slog.Logger
-	// NoTrace disables span tracing for jobs that carry a TraceRef. By
-	// default a traced job gets a per-job tracer whose spans (worker-job,
-	// engine-job, sampled episodes, slow exemplars) are forwarded to the
-	// server's sink over POST /runs/{id}/spans.
-	NoTrace bool
-	// TraceSample overrides the episode-span sampling rate, 1-in-N
-	// (<=0: trace.DefaultSampleEvery).
-	TraceSample int
 
 	// sleep is the interruptible wait, overridable in tests.
 	sleep func(ctx context.Context, d time.Duration) bool
@@ -188,22 +176,13 @@ func (w *Worker) RunOne(ctx context.Context) (ran bool, err error) {
 	return true, nil
 }
 
-// DefaultPostBatch is how many completed episodes the worker
-// buffers before posting them in one request: a paper-scale job is
-// thousands of episodes, and one synchronous round-trip each would
-// serialize the engine fold behind the network. A worker crash loses
-// at most one unflushed batch — the requeued attempt simply re-runs
-// those episodes. Override per worker with Worker.Batch
-// (robotack-worker -batch).
-const DefaultPostBatch = 16
-
-// batch returns the effective upload batch size, in episodes.
-func (w *Worker) batch() int {
-	if w.Batch > 0 {
-		return w.Batch
-	}
-	return DefaultPostBatch
-}
+// postBatch is how many completed episodes the worker buffers before
+// posting them in one request: a paper-scale job is thousands of
+// episodes, and one synchronous round-trip each would serialize the
+// engine fold behind the network. A worker crash loses at most one
+// unflushed batch — the requeued attempt simply re-runs those
+// episodes.
+const postBatch = 16
 
 // run is the per-lease state shared by the engine's progress callback,
 // the heartbeat loop and the episode sink.
@@ -229,7 +208,7 @@ type run struct {
 // reporting completion.
 func (r *run) Append(ep results.EpisodeRecord) error {
 	r.buf = append(r.buf, ep)
-	if len(r.buf) < r.w.batch() {
+	if len(r.buf) < postBatch {
 		return nil
 	}
 	return r.flush()
@@ -322,17 +301,18 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	r := &run{w: w, jobID: job.ID, cancel: cancel}
 	r.total.Store(int64(job.Total))
 
-	// A traced job gets a per-job tracer whose spans forward to the
+	// A traced job gets a per-job tracer whose spans (worker-job,
+	// engine-job, sampled episodes, slow exemplars) forward to the
 	// server's sink: the worker-job span nests under the attempt's lease
 	// span (both sides derive its ID from the journaled TraceRef), and
 	// engine-job/episode spans nest under worker-job via the context.
 	var jobSpan *trace.Span
 	var tr *trace.Tracer
 	var fwd *spanForwarder
-	if job.Trace != nil && !w.NoTrace {
+	if job.Trace != nil {
 		r.traceparent = job.Trace.Traceparent(job.Attempt)
 		fwd = &spanForwarder{r: r}
-		tr = trace.New(w.Name, fwd, trace.WithSampleEvery(w.TraceSample))
+		tr = trace.New(w.Name, fwd)
 		sc := trace.SpanContext{
 			Tracer:  tr,
 			TraceID: uint64(job.Trace.TraceID),
@@ -397,28 +377,35 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 const spanForwarderBatch = 128
 
 // spanForwarder is a trace.Sink that ships the worker's completed
-// spans to the server's /runs/{id}/spans endpoint in batches. Spans
-// are observability, not results: a failed post is logged and the
-// batch dropped, never retried — the job's outcome must not hinge on
-// span delivery.
+// spans to the server's /runs/{id}/spans endpoint in batches. Every
+// engine worker finishes spans into it, so the buffer is swapped under
+// mu and posted outside it. Spans are observability, not results: a
+// failed post is logged and the batch dropped, never retried — the
+// job's outcome must not hinge on span delivery.
 type spanForwarder struct {
 	r   *run
+	mu  sync.Mutex
 	buf []trace.SpanData
 }
 
 func (f *spanForwarder) Emit(d *trace.SpanData) {
+	f.mu.Lock()
 	f.buf = append(f.buf, d.Clone())
-	if len(f.buf) >= spanForwarderBatch {
+	full := len(f.buf) >= spanForwarderBatch
+	f.mu.Unlock()
+	if full {
 		f.flush()
 	}
 }
 
 func (f *spanForwarder) flush() {
-	if len(f.buf) == 0 {
-		return
-	}
+	f.mu.Lock()
 	batch := f.buf
 	f.buf = nil
+	f.mu.Unlock()
+	if len(batch) == 0 {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	status, err := f.r.w.postJSON(ctx, fmt.Sprintf("/runs/%d/spans", f.r.jobID), f.r.traceparent,
