@@ -294,28 +294,70 @@ func TestMalwareSmartLaunchesOnApproach(t *testing.T) {
 	}
 }
 
-func TestMalwareSingleShot(t *testing.T) {
+// TestMalwareFiresOnce holds the malware to one attack per episode and
+// to inertness once that attack has ended: it must launch and finish on
+// a closing lead vehicle, never launch again, and from the attack's end
+// on leave every frame's pixels, its dirty window and its attack log as
+// they were.
+func TestMalwareFiresOnce(t *testing.T) {
 	cam := sensor.DefaultCamera()
 	ev := sim.DefaultEV()
 	ev.Speed = sim.Kph(45)
 	w := sim.NewWorld(sim.DefaultRoad(), ev)
-	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(55, 0), Size: sim.SizeSUV,
+	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(60, 0), Size: sim.SizeSUV,
 		Behavior: &sim.Cruise{Speed: sim.Kph(25)}})
 	m := New(DefaultConfig(ModeSmart), cam, nil, stats.NewRNG(2))
+	th := detect.DefaultConfig().Threshold
 
-	launches := 0
+	const spent = 200 // frames checked after the attack ends
+	launches, endFrame := 0, -1
 	wasAttacking := false
-	for i := 0; i < 15*40 && !w.Halted; i++ {
+	var endLog AttackLog
+	pix := make([]uint64, cam.W*cam.H)
+	for i := 0; endFrame < 0 || i <= endFrame+spent; i++ {
+		if endFrame < 0 && (w.Halted || i >= 15*40) {
+			t.Fatalf("frame %d: attack launched %d times and never ended", i, launches)
+		}
+		accel := 0.0 // the EV coasts until the attack ends, then stops
+		if endFrame >= 0 {
+			accel = -w.EV.MaxBrake
+		}
 		frame := cam.Capture(w, i)
+		img := frame.Image
+		for j, v := range img.Pix {
+			pix[j] = math.Float64bits(v)
+		}
+		x0, y0, x1, y1 := img.ForegroundWindow(th)
 		m.SetEVSpeed(w.EV.Speed)
-		m.Process(frame.Image, i)
+		m.Process(img, i)
 		if m.Attacking() && !wasAttacking {
 			launches++
 		}
+		if wasAttacking && !m.Attacking() {
+			endFrame = i
+			endLog = m.Log()
+		}
 		wasAttacking = m.Attacking()
-		w.Step(0)
+		w.Step(accel)
+		if endFrame < 0 || i == endFrame {
+			continue
+		}
+		for j, v := range img.Pix {
+			if math.Float64bits(v) != pix[j] {
+				t.Fatalf("frame %d, %d after the attack: Process wrote pixel (%d, %d)", i, i-endFrame, j%img.W, j/img.W)
+			}
+		}
+		if gx0, gy0, gx1, gy1 := img.ForegroundWindow(th); [4]int{gx0, gy0, gx1, gy1} != [4]int{x0, y0, x1, y1} {
+			t.Fatalf("frame %d: window %v after Process, %v before", i, [4]int{gx0, gy0, gx1, gy1}, [4]int{x0, y0, x1, y1})
+		}
+		if got := m.Log(); got != endLog {
+			t.Fatalf("frame %d: log %+v, want %+v as at the attack's last frame", i, got, endLog)
+		}
 	}
-	if launches > 1 {
-		t.Errorf("launches = %d, want at most 1 (SingleShot)", launches)
+	if launches != 1 {
+		t.Errorf("launches = %d, want 1", launches)
+	}
+	if !endLog.Launched || endLog.K < 1 {
+		t.Errorf("log at the attack's end = %+v, want a launched attack", endLog)
 	}
 }

@@ -182,7 +182,7 @@ type Object struct {
 const lidarOwnsRangeFrames = 8
 
 // Confident reports whether the object clears the planner threshold.
-func (o *Object) Confident(cfg Config) bool { return o.Confidence >= cfg.Confident }
+func (o *Object) Confident(cfg *Config) bool { return o.Confidence >= cfg.Confident }
 
 // Fusion is the sensor-fusion stage. Its per-frame working storage —
 // back-projected camera observations, the returned snapshot and

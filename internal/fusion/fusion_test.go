@@ -127,11 +127,11 @@ func TestResetClears(t *testing.T) {
 func TestConfidentHelper(t *testing.T) {
 	cfg := DefaultConfig()
 	o := Object{Confidence: cfg.Confident + 0.01}
-	if !o.Confident(cfg) {
+	if !o.Confident(&cfg) {
 		t.Error("object above threshold should be confident")
 	}
 	o.Confidence = cfg.Confident - 0.01
-	if o.Confident(cfg) {
+	if o.Confident(&cfg) {
 		t.Error("object below threshold should not be confident")
 	}
 }

@@ -108,10 +108,10 @@ func (r Rect) Contains(p Vec2) bool {
 
 // Intersect returns the intersection of r and o (possibly empty).
 func (r Rect) Intersect(o Rect) Rect {
-	x1 := math.Max(r.Min.X, o.Min.X)
-	y1 := math.Max(r.Min.Y, o.Min.Y)
-	x2 := math.Min(r.Min.X+r.W, o.Min.X+o.W)
-	y2 := math.Min(r.Min.Y+r.H, o.Min.Y+o.H)
+	x1 := Max(r.Min.X, o.Min.X)
+	y1 := Max(r.Min.Y, o.Min.Y)
+	x2 := Min(r.Min.X+r.W, o.Min.X+o.W)
+	y2 := Min(r.Min.Y+r.H, o.Min.Y+o.H)
 	if x2 <= x1 || y2 <= y1 {
 		return Rect{}
 	}
@@ -127,10 +127,10 @@ func (r Rect) Union(o Rect) Rect {
 	if o.Empty() {
 		return r
 	}
-	x1 := math.Min(r.Min.X, o.Min.X)
-	y1 := math.Min(r.Min.Y, o.Min.Y)
-	x2 := math.Max(r.Min.X+r.W, o.Min.X+o.W)
-	y2 := math.Max(r.Min.Y+r.H, o.Min.Y+o.H)
+	x1 := Min(r.Min.X, o.Min.X)
+	y1 := Min(r.Min.Y, o.Min.Y)
+	x2 := Max(r.Min.X+r.W, o.Min.X+o.W)
+	y2 := Max(r.Min.Y+r.H, o.Min.Y+o.H)
 	return Rect{Min: Vec2{x1, y1}, W: x2 - x1, H: y2 - y1}
 }
 
@@ -152,6 +152,27 @@ func (r Rect) IoU(o Rect) float64 {
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.2f,%.2f %.2fx%.2f]", r.Min.X, r.Min.Y, r.W, r.H)
+}
+
+// Max returns math.Max(x, y), bit for bit, but inlines where
+// math.Max is a call (into assembly on amd64). Without a NaN argument
+// it is the builtin max, which the Go spec makes agree with math.Max
+// there, ±0 and ±Inf included. With one it is math.Max itself: the
+// builtin would return a NaN taken from its arguments where math.Max
+// returns its own, and NaN where math.Max(NaN, +Inf) is +Inf.
+func Max(x, y float64) float64 {
+	if x == x && y == y {
+		return max(x, y)
+	}
+	return math.Max(x, y)
+}
+
+// Min returns math.Min(x, y), bit for bit; see Max.
+func Min(x, y float64) float64 {
+	if x == x && y == y {
+		return min(x, y)
+	}
+	return math.Min(x, y)
 }
 
 // Clamp restricts x to the closed interval [lo, hi].

@@ -106,6 +106,72 @@ func TestIntersectUnion(t *testing.T) {
 	if got := (Rect{}).Union(a); got != a {
 		t.Errorf("empty Union a = %v, want %v", got, a)
 	}
+
+	// Edges at -0, +0, NaN and ±Inf: Intersect and Union must give the
+	// bits that math.Max and math.Min give, NaN results and
+	// math.Max(NaN, +Inf) = +Inf included. x86's default NaN (sign set)
+	// is one math.Max and math.Min never return.
+	nz, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+	xnan := math.Float64frombits(0xfff8000000000000)
+	edges := []struct {
+		name string
+		a, b Rect
+	}{
+		{"-0 and +0 corners", R(nz, 0, 2, 2), R(0, nz, 2, 2)},
+		{"-0 corners", R(nz, nz, 2, 2), R(nz, nz, 3, 3)},
+		{"-0 far edges", R(-2, -2, 2, 2), R(-3, -3, 3, 3)},
+		{"NaN corner", R(nan, 0, 2, 2), R(0, 0, 2, 2)},
+		{"x86 NaN corner", R(xnan, xnan, 2, 2), R(1, 1, 2, 2)},
+		{"NaN extent", R(0, 0, nan, 2), R(1, 1, 2, 2)},
+		{"NaN and +Inf", R(nan, nan, 2, 2), R(inf, inf, 2, 2)},
+		{"NaN and -Inf", R(-inf, -inf, 2, 2), R(xnan, nan, 2, 2)},
+		{"NaN and infinite extent", R(0, 0, nan, nan), R(0, 0, inf, inf)},
+		{"unbounded", R(-inf, -inf, inf, inf), R(0, 0, 1, 1)},
+		{"infinite corners", R(inf, -inf, 1, 1), R(-inf, inf, 1, 1)},
+		{"infinite extents", R(0, 0, inf, inf), R(1, -inf, 2, inf)},
+	}
+	bits := func(r Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.Min.X), math.Float64bits(r.Min.Y),
+			math.Float64bits(r.W), math.Float64bits(r.H)}
+	}
+	for _, e := range edges {
+		for _, p := range [2][2]Rect{{e.a, e.b}, {e.b, e.a}} {
+			r, o := p[0], p[1]
+			if got, want := r.Intersect(o), refIntersect(r, o); bits(got) != bits(want) {
+				t.Errorf("%s: %v.Intersect(%v) = %x, want %x", e.name, r, o, bits(got), bits(want))
+			}
+			if got, want := r.Union(o), refUnion(r, o); bits(got) != bits(want) {
+				t.Errorf("%s: %v.Union(%v) = %x, want %x", e.name, r, o, bits(got), bits(want))
+			}
+		}
+	}
+}
+
+// refIntersect and refUnion are Intersect and Union written with
+// math.Max and math.Min.
+func refIntersect(r, o Rect) Rect {
+	x1 := math.Max(r.Min.X, o.Min.X)
+	y1 := math.Max(r.Min.Y, o.Min.Y)
+	x2 := math.Min(r.Min.X+r.W, o.Min.X+o.W)
+	y2 := math.Min(r.Min.Y+r.H, o.Min.Y+o.H)
+	if x2 <= x1 || y2 <= y1 {
+		return Rect{}
+	}
+	return Rect{Min: Vec2{x1, y1}, W: x2 - x1, H: y2 - y1}
+}
+
+func refUnion(r, o Rect) Rect {
+	if r.Empty() {
+		return o
+	}
+	if o.Empty() {
+		return r
+	}
+	x1 := math.Min(r.Min.X, o.Min.X)
+	y1 := math.Min(r.Min.Y, o.Min.Y)
+	x2 := math.Max(r.Min.X+r.W, o.Min.X+o.W)
+	y2 := math.Max(r.Min.Y+r.H, o.Min.Y+o.H)
+	return Rect{Min: Vec2{x1, y1}, W: x2 - x1, H: y2 - y1}
 }
 
 func TestIoU(t *testing.T) {

@@ -188,14 +188,14 @@ func (p *Planner) Reconfigure(cfg Config) {
 // predicted (not yet physical) corridor entries to persist for
 // EntryStreak frames before they count — one noisy frame of lateral
 // velocity must not brake the EV.
-func (p *Planner) selectTarget(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road sim.Road) (float64, *Target) {
-	cfg := p.cfg
+func (p *Planner) selectTarget(objs []fusion.Object, fcfg *fusion.Config, ev *sim.EV, road *sim.Road) (float64, *Target) {
+	cfg := &p.cfg
 	clear(p.seen)
 	seen := p.seen
 	best := cfg.Safety.MaxDSafe
 	var target *Target
 	for i := range objs {
-		o := objs[i]
+		o := &objs[i]
 		if !o.Confident(fcfg) {
 			continue
 		}
@@ -213,7 +213,7 @@ func (p *Planner) selectTarget(objs []fusion.Object, fcfg fusion.Config, ev sim.
 				vy = 0
 			}
 			horizon := CorridorHorizonFor(o.Class)
-			if InCorridorNowOrSoon(o.Rel.Y, vy, o.Size.Width, ev.Size.Width, horizon, road) {
+			if InCorridorNowOrSoon(o.Rel.Y, vy, o.Size.Width, ev.Size.Width, horizon, *road) {
 				seen[o.ID] = true
 				if p.entryStreak[o.ID] < 2*cfg.EntryStreak {
 					p.entryStreak[o.ID]++
@@ -237,7 +237,7 @@ func (p *Planner) selectTarget(objs []fusion.Object, fcfg fusion.Config, ev sim.
 		gap = math.Max(gap, 0)
 		if gap < best {
 			best = gap
-			p.tgt = Target{Object: o, Gap: gap, Closing: -o.Vel.X}
+			p.tgt = Target{Object: *o, Gap: gap, Closing: -o.Vel.X}
 			target = &p.tgt
 		}
 	}
@@ -251,14 +251,14 @@ func (p *Planner) selectTarget(objs []fusion.Object, fcfg fusion.Config, ev sim.
 
 // Plan computes the actuation command from the fused world model.
 func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road sim.Road) Decision {
-	cfg := p.cfg
-	dsafe, target := p.selectTarget(objs, fcfg, ev, road)
+	cfg := &p.cfg
+	dsafe, target := p.selectTarget(objs, &fcfg, &ev, &road)
 	dstop := cfg.Safety.DStop(ev.Speed)
 	delta := dsafe - dstop
 
 	targetSpeed := cfg.CruiseSpeed
 	mode := ModeCruise
-	if p.pedestrianCaution(objs, fcfg, ev, road) {
+	if p.pedestrianCaution(objs, &ev, &road) {
 		p.cautionHold = 30
 	} else if p.cautionHold > 0 {
 		p.cautionHold--
@@ -287,7 +287,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 	// a comfortable stop before its longitudinal position well before
 	// the corridor-entry logic fires (DS-2 golden: stop >10 m away).
 	// The reaction latches and extrapolates through perception gaps.
-	if ped := p.crossingPedestrian(objs, ev, road); ped != nil {
+	if ped := p.crossingPedestrian(objs, &ev, &road); ped != nil {
 		p.crossingHold = 15
 		p.crossingRelX = ped.Rel.X
 	} else if p.crossingHold > 0 {
@@ -414,7 +414,7 @@ const pedCautionConfidence = 0.25
 // crossingPedestrian returns the nearest confident pedestrian ahead
 // that is laterally heading for the EV corridor (|vy| above deadband,
 // moving toward the lane center, inside the caution band).
-func (p *Planner) crossingPedestrian(objs []fusion.Object, ev sim.EV, road sim.Road) *fusion.Object {
+func (p *Planner) crossingPedestrian(objs []fusion.Object, ev *sim.EV, road *sim.Road) *fusion.Object {
 	var best *fusion.Object
 	for i := range objs {
 		o := &objs[i]
@@ -451,9 +451,10 @@ func (p *Planner) crossingPedestrian(objs []fusion.Object, ev sim.EV, road sim.R
 
 // pedestrianCaution reports whether a plausibly-real moving pedestrian
 // is close enough to the corridor to warrant a speed cap.
-func (p *Planner) pedestrianCaution(objs []fusion.Object, _ fusion.Config, ev sim.EV, road sim.Road) bool {
+func (p *Planner) pedestrianCaution(objs []fusion.Object, ev *sim.EV, road *sim.Road) bool {
 	half := (ev.Size.Width+0.6)/2 + p.cfg.PedCautionLateral
-	for _, o := range objs {
+	for i := range objs {
+		o := &objs[i]
 		if o.Class != sim.ClassPedestrian || o.Confidence < pedCautionConfidence {
 			continue
 		}

@@ -107,7 +107,7 @@ func (c SafetyConfig) DSafe(objs []fusion.Object, fcfg fusion.Config, ev sim.EV,
 	var target *Target
 	for i := range objs {
 		o := objs[i]
-		if !o.Confident(fcfg) {
+		if !o.Confident(&fcfg) {
 			continue
 		}
 		horizon := CorridorHorizonFor(o.Class)

@@ -160,7 +160,8 @@ func (c *Camera) CaptureInto(buf *CaptureBuffer, w *sim.World, frameIndex int) *
 	sort.Sort(&buf.sorter)
 
 	truth := buf.frame.Truth[:0]
-	for _, r := range rel {
+	for i := range rel {
+		r := &rel[i]
 		box, ok := c.Project(r.Pos, r.Size)
 		if !ok {
 			continue

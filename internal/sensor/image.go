@@ -124,14 +124,15 @@ func (im *Image) Clear(v float64) {
 	im.memoOK = false
 	if im.baseKnown && v == im.base {
 		for y := im.dy0; y < im.dy1; y++ {
-			row := y * im.W
-			for x := im.dx0; x < im.dx1; x++ {
-				im.Pix[row+x] = v
+			row := im.Pix[y*im.W+im.dx0 : y*im.W+im.dx1]
+			for x := range row {
+				row[x] = v
 			}
 		}
 	} else {
-		for i := range im.Pix {
-			im.Pix[i] = v
+		pix := im.Pix
+		for i := range pix {
+			pix[i] = v
 		}
 		im.base = v
 		im.baseKnown = true
@@ -209,7 +210,7 @@ func (im *Image) FillRectAA(r geom.Rect, v float64) {
 
 // overlap returns the length of the intersection of [a0,a1] and [b0,b1].
 func overlap(a0, a1, b0, b1 float64) float64 {
-	lo, hi := math.Max(a0, b0), math.Min(a1, b1)
+	lo, hi := geom.Max(a0, b0), geom.Min(a1, b1)
 	if hi <= lo {
 		return 0
 	}

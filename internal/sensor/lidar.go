@@ -68,7 +68,8 @@ func (l *Lidar) rangeFor(c sim.Class) float64 {
 func (l *Lidar) Scan(w *sim.World) []Detection {
 	out := l.out[:0]
 	l.rel = w.RelativeInto(l.rel)
-	for _, r := range l.rel {
+	for i := range l.rel {
+		r := &l.rel[i]
 		if r.Pos.X < 1 || r.Pos.X > l.rangeFor(r.Class) {
 			continue
 		}

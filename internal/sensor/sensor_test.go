@@ -48,7 +48,7 @@ func TestImageClone(t *testing.T) {
 
 // referenceFillRectAA is the per-pixel form of FillRectAA, kept as the
 // differential oracle for its span-based kernel: both coverages and the
-// blend are evaluated pixel by pixel.
+// blend are evaluated pixel by pixel, with coverage from refOverlap.
 func referenceFillRectAA(im *Image, r geom.Rect, v float64) {
 	yLo, yHi := r.Min.Y, r.Min.Y+r.H
 	xLo, xHi := r.Min.X, r.Min.X+r.W
@@ -57,9 +57,9 @@ func referenceFillRectAA(im *Image, r geom.Rect, v float64) {
 	x0 := max(int(math.Floor(xLo)), 0)
 	x1 := min(int(math.Ceil(xHi)), im.W)
 	for y := y0; y < y1; y++ {
-		cy := overlap(float64(y), float64(y)+1, yLo, yHi)
+		cy := refOverlap(float64(y), float64(y)+1, yLo, yHi)
 		for x := x0; x < x1; x++ {
-			c := cy * overlap(float64(x), float64(x)+1, xLo, xHi)
+			c := cy * refOverlap(float64(x), float64(x)+1, xLo, xHi)
 			if c <= 0 {
 				continue
 			}
@@ -68,6 +68,17 @@ func referenceFillRectAA(im *Image, r geom.Rect, v float64) {
 		}
 	}
 	im.markDirty(x0, y0, x1, y1)
+}
+
+// refOverlap is the reference's interval overlap. It uses math.Max and
+// math.Min rather than the kernel's own overlap, so the reference does
+// not check the kernel's min and max against themselves.
+func refOverlap(a0, a1, b0, b1 float64) float64 {
+	lo, hi := math.Max(a0, b0), math.Min(a1, b1)
+	if hi <= lo {
+		return 0
+	}
+	return hi - lo
 }
 
 // sameRaster fails t unless got and want hold bitwise-equal pixels and
@@ -86,24 +97,29 @@ func sameRaster(t *testing.T, name string, got, want *Image) {
 	}
 }
 
+// The fill tests' raster size, and the fixed rectangles they mix into
+// random fills (and seed FuzzFillRectAA with).
+const fillW, fillH = 40, 24
+
+var fillRectAAFixed = []geom.Rect{
+	geom.R(3.25, 4.5, 10.75, 6.125),      // sub-pixel on every edge
+	geom.R(5, 6, 7, 3),                   // pixel-aligned
+	geom.R(-6.5, -3.25, 10, 8),           // partly off the top-left
+	geom.R(fillW-4.5, fillH-2.75, 12, 9), // partly off the bottom-right
+	geom.R(-20, 5, 8, 4),                 // fully off-raster left
+	geom.R(fillW+3, fillH+1, 5, 5),       // fully off-raster right and below
+	geom.R(8, 8, 0, 5),                   // zero width
+	geom.R(8, 8, 5, 0),                   // zero height
+	geom.R(12.5, 10.5, -4, 3),            // negative width
+	geom.R(12.5, 10.5, 3, -4),            // negative height
+	geom.R(-10, -10, fillW+20, fillH+20), // covers the whole raster
+	geom.R(17.9, 3.1, 0.15, 0.3),         // inside one pixel
+	geom.R(math.NaN(), 2, 4, 4),          // non-finite edge
+	geom.R(2, 2, math.Inf(1), 4),         // unbounded width
+}
+
 func TestFillRectAAMatchesReference(t *testing.T) {
-	const w, h = 40, 24
-	fixed := []geom.Rect{
-		geom.R(3.25, 4.5, 10.75, 6.125), // sub-pixel on every edge
-		geom.R(5, 6, 7, 3),              // pixel-aligned
-		geom.R(-6.5, -3.25, 10, 8),      // partly off the top-left
-		geom.R(w-4.5, h-2.75, 12, 9),    // partly off the bottom-right
-		geom.R(-20, 5, 8, 4),            // fully off-raster left
-		geom.R(w+3, h+1, 5, 5),          // fully off-raster right and below
-		geom.R(8, 8, 0, 5),              // zero width
-		geom.R(8, 8, 5, 0),              // zero height
-		geom.R(12.5, 10.5, -4, 3),       // negative width
-		geom.R(12.5, 10.5, 3, -4),       // negative height
-		geom.R(-10, -10, w+20, h+20),    // covers the whole raster
-		geom.R(17.9, 3.1, 0.15, 0.3),    // inside one pixel
-		geom.R(math.NaN(), 2, 4, 4),     // non-finite edge
-		geom.R(2, 2, math.Inf(1), 4),    // unbounded width
-	}
+	const w, h = fillW, fillH
 	rng := stats.NewRNG(13)
 	for round := 0; round < 500; round++ {
 		got, want := NewImage(w, h), NewImage(w, h)
@@ -119,7 +135,7 @@ func TestFillRectAAMatchesReference(t *testing.T) {
 		for n := 0; n < 1+rng.IntN(8); n++ {
 			r := geom.R(rng.Uniform(-8, w+4), rng.Uniform(-8, h+4), rng.Uniform(-2, w/2), rng.Uniform(-2, h/2))
 			if rng.IntN(3) == 0 {
-				r = fixed[rng.IntN(len(fixed))]
+				r = fillRectAAFixed[rng.IntN(len(fillRectAAFixed))]
 			}
 			v := []float64{0.9, 0.05, rng.Float64()}[rng.IntN(3)]
 			got.FillRectAA(r, v)
@@ -136,6 +152,36 @@ func TestFillRectAAMatchesReference(t *testing.T) {
 		sameRaster(t, "clone", gc, wc)
 		sameRaster(t, "original after clone fill", got, before)
 	}
+}
+
+// FuzzFillRectAA holds the span fill to the per-pixel reference, dirty
+// window included, for one fill of an arbitrary rectangle (sub-pixel,
+// negative, NaN or infinite edges and sizes) with an arbitrary value,
+// over a background or a foreground base. bad%4 optionally puts +Inf,
+// -Inf or NaN at pixel index at, before the fill.
+func FuzzFillRectAA(f *testing.F) {
+	for i, r := range fillRectAAFixed {
+		f.Add(r.Min.X, r.Min.Y, r.W, r.H, 0.9, i%3 == 0, uint8(i%4), uint16(9*fillW+10))
+	}
+	f.Add(3.25, 4.5, 10.75, 6.125, math.NaN(), false, uint8(0), uint16(0))
+	f.Add(math.Inf(-1), 2.0, math.Inf(1), 4.0, 0.05, true, uint8(3), uint16(100))
+	f.Fuzz(func(t *testing.T, x, y, w, h, v float64, fg bool, bad uint8, at uint16) {
+		got, want := NewImage(fillW, fillH), NewImage(fillW, fillH)
+		if fg {
+			got.Clear(0.6)
+			want.Clear(0.6)
+		}
+		if k := bad % 4; k != 0 {
+			nf := [...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[k-1]
+			i := int(at) % (fillW * fillH)
+			got.Set(i%fillW, i/fillW, nf)
+			want.Set(i%fillW, i/fillW, nf)
+		}
+		r := geom.R(x, y, w, h)
+		got.FillRectAA(r, v)
+		referenceFillRectAA(want, r, v)
+		sameRaster(t, "fill", got, want)
+	})
 }
 
 func TestProjectBackProjectRoundTrip(t *testing.T) {

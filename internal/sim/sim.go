@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/robotack/robotack/internal/geom"
 )
@@ -280,22 +281,22 @@ func (w *World) Relative() []RelState {
 	return w.RelativeInto(make([]RelState, 0, len(w.Actors)))
 }
 
-// RelativeInto appends the relative states of all actors into dst
-// (re-sliced to zero first) and returns it — the allocation-free
-// variant for per-frame callers (camera, LiDAR) that own a reusable
-// buffer.
+// RelativeInto writes the relative states of all actors into dst,
+// resliced to their number (grown only if too short), and returns it —
+// the allocation-free variant for per-frame callers (camera, LiDAR)
+// that own a reusable buffer. Every field of every entry is written in
+// place, so nothing of dst's old contents survives.
 func (w *World) RelativeInto(dst []RelState) []RelState {
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], len(w.Actors))[:len(w.Actors)]
 	evVel := geom.V(w.EV.Speed, 0)
-	for _, a := range w.Actors {
-		dst = append(dst, RelState{
-			ID:     a.ID,
-			Class:  a.Class,
-			Pos:    a.Pos.Sub(w.EV.Pos),
-			Vel:    a.Vel.Sub(evVel),
-			Size:   a.Size,
-			InLane: w.Road.InEVCorridor(a.Pos.Y, a.Size.Width, w.EV.Size.Width),
-		})
+	for i, a := range w.Actors {
+		r := &dst[i]
+		r.ID = a.ID
+		r.Class = a.Class
+		r.Pos = a.Pos.Sub(w.EV.Pos)
+		r.Vel = a.Vel.Sub(evVel)
+		r.Size = a.Size
+		r.InLane = w.Road.InEVCorridor(a.Pos.Y, a.Size.Width, w.EV.Size.Width)
 	}
 	return dst
 }

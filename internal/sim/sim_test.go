@@ -238,6 +238,34 @@ func TestRelativeStates(t *testing.T) {
 	if math.Abs(rel[0].Vel.X-(-6)) > 1e-9 {
 		t.Errorf("rel vel = %v, want -6", rel[0].Vel.X)
 	}
+
+	// RelativeInto fills a reused buffer in place: one left over from a
+	// world with more actors, every entry dirty, must come back equal
+	// to a fresh Relative() field for field.
+	w = newTestWorld()
+	w.AddActor(&Actor{Class: ClassVehicle, Pos: geom.V(30, 0.4), Size: SizeSUV, Behavior: &Cruise{Speed: 5}})
+	w.AddActor(&Actor{Class: ClassPedestrian, Pos: geom.V(20, 6), Size: SizePedestrian, Behavior: Parked{}})
+	w.Step(0)
+	dirty := make([]RelState, 5)
+	for i := range dirty {
+		dirty[i] = RelState{ID: 99, Class: 9, Pos: geom.V(-1, -2), Vel: geom.V(3, 4),
+			Size: Size{Length: 7, Width: 8, Height: 9}, InLane: true}
+	}
+	got, want := w.RelativeInto(dirty), w.Relative()
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("len = %d and %d, want 2", len(got), len(want))
+	}
+	if &got[0] != &dirty[0] {
+		t.Error("RelativeInto did not reuse a long enough buffer")
+	}
+	if !want[0].InLane || want[1].InLane {
+		t.Fatalf("InLane = %v, %v; want one in-lane and one out-of-lane actor", want[0].InLane, want[1].InLane)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
 }
 
 func TestInEVCorridor(t *testing.T) {

@@ -114,8 +114,8 @@ func (k *Kalman) Update(z geom.Vec2, sigmaU, sigmaV float64) error {
 	// floored at 1 px².
 	y0 := z.X - (0 + x[0])
 	y1 := z.Y - (0 + x[1])
-	s00 := (0 + p[0]) + math.Max(sigmaU*sigmaU, 1)
-	s11 := (0 + p[5]) + math.Max(sigmaV*sigmaV, 1)
+	s00 := (0 + p[0]) + geom.Max(sigmaU*sigmaU, 1)
+	s11 := (0 + p[5]) + geom.Max(sigmaV*sigmaV, 1)
 
 	// S⁻¹ by Gauss-Jordan elimination with partial pivoting. Entries of
 	// the working copy that no later step reads are not computed.

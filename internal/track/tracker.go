@@ -1,8 +1,6 @@
 package track
 
 import (
-	"math"
-
 	"github.com/robotack/robotack/internal/detect"
 	"github.com/robotack/robotack/internal/geom"
 	"github.com/robotack/robotack/internal/sim"
@@ -53,17 +51,17 @@ func DefaultConfig() Config {
 // given width, for the given class. The trajectory hijacker uses the
 // same formula (threat model: attacker knows the ADS internals) as its
 // lambda constraint in Eq. 4.
-func (c Config) Gate(cls sim.Class, boxW float64) float64 {
+func (c *Config) Gate(cls sim.Class, boxW float64) float64 {
 	k := c.VehicleGateWidths
 	if cls == sim.ClassPedestrian {
 		k = c.PedestrianGateWidths
 	}
-	return math.Max(k*boxW, c.GateFloorPx)
+	return geom.Max(k*boxW, c.GateFloorPx)
 }
 
 // NoiseStd returns the per-axis measurement noise standard deviation in
 // pixels for a box of the given size, per the Fig. 5 class models.
-func (c Config) NoiseStd(cls sim.Class, box geom.Rect) (sigmaU, sigmaV float64) {
+func (c *Config) NoiseStd(cls sim.Class, box geom.Rect) (sigmaU, sigmaV float64) {
 	np := c.VehicleNoise
 	if cls == sim.ClassPedestrian {
 		np = c.PedestrianNoise
@@ -77,7 +75,7 @@ func (c Config) NoiseStd(cls sim.Class, box geom.Rect) (sigmaU, sigmaV float64) 
 // calibration any production perception stack applies once the Fig. 5
 // characterization is known. Without it, the non-zero means (e.g.
 // pedestrian MuY = 0.186) bias the mono-camera depth systematically.
-func (c Config) Measurement(cls sim.Class, d detect.Detection) geom.Vec2 {
+func (c *Config) Measurement(cls sim.Class, d *detect.Detection) geom.Vec2 {
 	np := c.VehicleNoise
 	if cls == sim.ClassPedestrian {
 		np = c.PedestrianNoise
@@ -189,7 +187,8 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 			row := flat[i*nD : (i+1)*nD]
 			pbox := t.Box()
 			gate := tr.cfg.Gate(t.Class, pbox.W)
-			for j, d := range dets {
+			for j := range dets {
+				d := &dets[j]
 				dist := pbox.Center().Dist(d.Box.Center())
 				iou := pbox.IoU(d.Box)
 				if dist > gate {
@@ -230,7 +229,7 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 			continue
 		}
 		usedDet[j] = true
-		d := dets[j]
+		d := &dets[j]
 		su, sv := tr.cfg.NoiseStd(t.Class, d.Box)
 		// A singular innovation covariance cannot occur with R floored
 		// at 1 px^2; treat it as a miss if it ever does.
@@ -249,10 +248,11 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 
 	// Unmatched detections spawn tentative tracks (recycling dead ones
 	// when available).
-	for j, d := range dets {
+	for j := range dets {
 		if usedDet[j] {
 			continue
 		}
+		d := &dets[j]
 		t := tr.spawn(tr.cfg.Measurement(d.Class, d))
 		t.ID = tr.nextID
 		t.Class = d.Class
