@@ -297,8 +297,8 @@ func TestMalwareSmartLaunchesOnApproach(t *testing.T) {
 // TestMalwareFiresOnce holds the malware to one attack per episode and
 // to inertness once that attack has ended: it must launch and finish on
 // a closing lead vehicle, never launch again, and from the attack's end
-// on leave every frame's pixels, its dirty window and its attack log as
-// they were.
+// on leave every frame's pixels, its foreground window and its attack
+// log as they were.
 func TestMalwareFiresOnce(t *testing.T) {
 	cam := sensor.DefaultCamera()
 	ev := sim.DefaultEV()
@@ -324,8 +324,8 @@ func TestMalwareFiresOnce(t *testing.T) {
 		}
 		frame := cam.Capture(w, i)
 		img := frame.Image
-		for j, v := range img.Pix {
-			pix[j] = math.Float64bits(v)
+		for j := range pix {
+			pix[j] = math.Float64bits(img.At(j%img.W, j/img.W))
 		}
 		x0, y0, x1, y1 := img.ForegroundWindow(th)
 		m.SetEVSpeed(w.EV.Speed)
@@ -342,8 +342,8 @@ func TestMalwareFiresOnce(t *testing.T) {
 		if endFrame < 0 || i == endFrame {
 			continue
 		}
-		for j, v := range img.Pix {
-			if math.Float64bits(v) != pix[j] {
+		for j, want := range pix {
+			if math.Float64bits(img.At(j%img.W, j/img.W)) != want {
 				t.Fatalf("frame %d, %d after the attack: Process wrote pixel (%d, %d)", i, i-endFrame, j%img.W, j/img.W)
 			}
 		}

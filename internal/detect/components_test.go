@@ -14,16 +14,21 @@ import (
 // referenceComponents is the per-pixel flood-fill labeler the run-length
 // labeler replaced, kept as the differential oracle: it scans the
 // foreground window row-major and floods each unvisited foreground
-// pixel's 4-connected region with an explicit stack. It returns the
-// boxes and areas of the components of at least minArea pixels.
+// pixel's 4-connected region with an explicit stack. It reads each
+// pixel through At once, up front. It returns the boxes and areas of
+// the components of at least minArea pixels.
 func referenceComponents(img *sensor.Image, th float64, minArea int) (boxes []geom.Rect, areas []int) {
 	n := img.W * img.H
+	pix := make([]float64, n)
+	for i := range pix {
+		pix[i] = img.At(i%img.W, i/img.W)
+	}
 	visited := make([]bool, n)
 	wx0, wy0, wx1, wy1 := img.ForegroundWindow(th)
 	for wy := wy0; wy < wy1; wy++ {
 		for wx := wx0; wx < wx1; wx++ {
 			start := wy*img.W + wx
-			if visited[start] || img.Pix[start] < th {
+			if visited[start] || pix[start] < th {
 				continue
 			}
 			minX, minY := wx, wy
@@ -46,7 +51,7 @@ func referenceComponents(img *sensor.Image, th float64, minArea int) (boxes []ge
 					if (q == p-1 || q == p+1) && q/img.W != y {
 						continue
 					}
-					if img.Pix[q] >= th {
+					if pix[q] >= th {
 						visited[q] = true
 						stack = append(stack, q)
 					}
@@ -158,7 +163,8 @@ func checkAgainstReference(t *testing.T, d *Detector, img *sensor.Image, name st
 
 // artImage renders art into a w x h image cleared to base, top-left
 // corner at (ox, oy). Every pixel whose value differs from base goes
-// through Set, so the dirty window is the bounding box of those pixels.
+// through Set, so the foreground window is the bounding box of those
+// pixels.
 func artImage(w, h, ox, oy int, base float64, art []string) *sensor.Image {
 	const th = 0.5
 	values := map[rune]float64{
@@ -317,10 +323,11 @@ func TestComponentsMatchReference(t *testing.T) {
 // byte 0 is the width minus 2 (mod 31), byte 1 the threshold and byte 3
 // the background (both /255), byte 2 the MinArea (mod 4); every further
 // byte is one pixel (/255), row-major. Pixels equal to the background
-// are left untouched, so the dirty window is their bounding box. Rasters
-// are at least two columns wide: on a single column p+1 is the pixel
-// below p, and the reference's same-row test for horizontal neighbors
-// rejects it, so the reference never connects vertically there.
+// are left untouched, so the foreground window is their bounding box.
+// Rasters are at least two columns wide: on a single column p+1 is the
+// pixel below p, and the reference's same-row test for horizontal
+// neighbors rejects it, so the reference never connects vertically
+// there.
 func fuzzRaster(data []byte) (img *sensor.Image, th float64, minArea int, ok bool) {
 	if len(data) < 5 {
 		return nil, 0, 0, false

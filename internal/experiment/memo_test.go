@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 
 	"github.com/robotack/robotack/internal/core"
@@ -15,6 +14,19 @@ import (
 // NaN that non-smart modes log as "no oracle forecast" as equal to
 // itself.
 func sameBits(a, b any) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+
+// samePixels reports whether images a and b, of one size, hold equal
+// pixels.
+func samePixels(a, b *sensor.Image) bool {
+	for y := 0; y < a.H; y++ {
+		for x := 0; x < a.W; x++ {
+			if a.At(x, y) != b.At(x, y) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // TestLabelMemoInvisible holds the image's labeling memo to the paper's
 // threat model (§III-D): the malware and the ADS share one labeling of
@@ -85,7 +97,7 @@ func TestLabelMemoInvisible(t *testing.T) {
 					break
 				}
 				img := e.frame.Image
-				if !slices.Equal(cleanImg.Pix, img.Pix) {
+				if !samePixels(cleanImg, img) {
 					written++
 				}
 				if got, dets := shadow.Detect(img.Clone()), s.ads.LastDetections(); !sameBits(got, dets) {

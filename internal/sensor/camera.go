@@ -113,11 +113,10 @@ func (c *Camera) BoxClipped(box geom.Rect) bool {
 		box.Min.Y+box.H >= float64(c.H)-1
 }
 
-// CaptureBuffer owns the raster, the ground-truth slice and the sort
+// CaptureBuffer owns the image, the ground-truth slice and the sort
 // scratch one camera capture needs, so the per-frame render reuses one
-// image allocation for a whole episode (at 192x108 float64 pixels a
-// fresh raster per frame was ~166 KB of garbage 15 times per simulated
-// second — the single largest GC source in the frame loop).
+// image, with its write list and labeling scratch, for a whole episode:
+// a warm capture allocates nothing.
 type CaptureBuffer struct {
 	frame  Frame
 	rel    []sim.RelState
@@ -142,7 +141,7 @@ func (c *Camera) Capture(w *sim.World, frameIndex int) *Frame {
 	return c.CaptureInto(&CaptureBuffer{}, w, frameIndex)
 }
 
-// CaptureInto renders the world into buf's frame, reusing its raster
+// CaptureInto renders the world into buf's frame, reusing its image
 // and slices: zero heap allocations once the buffer is warm. The
 // returned frame (and its image) is valid until the next CaptureInto
 // with the same buffer.

@@ -11,19 +11,20 @@ import (
 )
 
 // referenceComponents is the per-pixel flood-fill labeler the run-length
-// labeler replaced, kept as the differential oracle: it scans the
+// labeler replaced, kept as the differential oracle. It runs on the
+// raster model, not on the image under test: it scans the raster's
 // foreground window row-major and floods each unvisited foreground
 // pixel's 4-connected region with an explicit stack. Edge statistics
 // come from refBelow and refColumn.
-func referenceComponents(img *Image, th float64) []Component {
-	n := img.W * img.H
+func referenceComponents(img *raster, th float64) []Component {
+	n := img.w * img.h
 	visited := make([]bool, n)
 	var comps []Component
-	wx0, wy0, wx1, wy1 := img.ForegroundWindow(th)
+	wx0, wy0, wx1, wy1 := img.window(th)
 	for wy := wy0; wy < wy1; wy++ {
 		for wx := wx0; wx < wx1; wx++ {
-			start := wy*img.W + wx
-			if visited[start] || img.Pix[start] < th {
+			start := wy*img.w + wx
+			if visited[start] || img.pix[start] < th {
 				continue
 			}
 			minX, minY := wx, wy
@@ -34,19 +35,19 @@ func referenceComponents(img *Image, th float64) []Component {
 			for len(stack) > 0 {
 				p := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				x, y := p%img.W, p/img.W
+				x, y := p%img.w, p/img.w
 				area++
 				minX, maxX = min(minX, x), max(maxX, x)
 				minY, maxY = min(minY, y), max(maxY, y)
-				for _, q := range [4]int{p - 1, p + 1, p - img.W, p + img.W} {
+				for _, q := range [4]int{p - 1, p + 1, p - img.w, p + img.w} {
 					if q < 0 || q >= n || visited[q] {
 						continue
 					}
 					// Horizontal neighbors must stay on the same row.
-					if (q == p-1 || q == p+1) && q/img.W != y {
+					if (q == p-1 || q == p+1) && q/img.w != y {
 						continue
 					}
-					if img.Pix[q] >= th {
+					if img.pix[q] >= th {
 						visited[q] = true
 						stack = append(stack, q)
 					}
@@ -67,17 +68,16 @@ func referenceComponents(img *Image, th float64) []Component {
 
 // refBelow is the detector's bottom-edge pixel loop from before the
 // labeler carried edge statistics: the mean of the row just below box
-// over its columns, read through At, and whether that row lies inside
-// the raster.
-func refBelow(img *Image, box geom.Rect) (float64, bool) {
+// over its columns, and whether that row lies inside the raster.
+func refBelow(img *raster, box geom.Rect) (float64, bool) {
 	y := int(box.Min.Y + box.H)
-	if y >= img.H {
+	if y >= img.h {
 		return 0, false
 	}
 	x0, x1 := int(box.Min.X), int(box.Min.X+box.W)
 	sum, n := 0.0, 0
 	for x := x0; x < x1; x++ {
-		sum += img.At(x, y)
+		sum += img.at(x, y)
 		n++
 	}
 	if n == 0 {
@@ -88,15 +88,15 @@ func refBelow(img *Image, box geom.Rect) (float64, bool) {
 
 // refColumn is the detector's side-column pixel loop from before the
 // labeler carried edge statistics: the mean of column x over box's
-// rows, read through At, and whether x lies inside the raster.
-func refColumn(img *Image, box geom.Rect, x int) (float64, bool) {
-	if x < 0 || x >= img.W {
+// rows, and whether x lies inside the raster.
+func refColumn(img *raster, box geom.Rect, x int) (float64, bool) {
+	if x < 0 || x >= img.w {
 		return 0, false
 	}
 	y0, y1 := int(box.Min.Y), int(box.Min.Y+box.H)
 	sum, n := 0.0, 0
 	for y := y0; y < y1; y++ {
-		sum += img.At(x, y)
+		sum += img.at(x, y)
 		n++
 	}
 	if n == 0 {
@@ -105,13 +105,13 @@ func refColumn(img *Image, box geom.Rect, x int) (float64, bool) {
 	return sum / float64(n), true
 }
 
-// checkAgainstReference fails t unless img labels at th exactly like the
-// reference run on a memo-free copy: same components in the same order,
+// checkAgainstReference fails t unless m's image labels at th exactly
+// like the reference on m's raster: same components in the same order,
 // with the same boxes, areas and edge statistics.
-func checkAgainstReference(t *testing.T, img *Image, th float64, name string) []Component {
+func checkAgainstReference(t *testing.T, m mirror, th float64, name string) []Component {
 	t.Helper()
-	want := referenceComponents(img.Clone(), th)
-	got := img.Components(th)
+	want := referenceComponents(m.ref, th)
+	got := m.im.Components(th)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s (th=%v):\n got  %+v\n want %+v", name, th, got, want)
 	}
@@ -120,8 +120,8 @@ func checkAgainstReference(t *testing.T, img *Image, th float64, name string) []
 
 // artImage renders art into a w x h image cleared to base, top-left
 // corner at (ox, oy). Every pixel whose value differs from base goes
-// through Set, so the dirty window is the bounding box of those pixels.
-func artImage(w, h, ox, oy int, base float64, art []string) *Image {
+// through Set, so the window is the bounding box of those pixels.
+func artImage(w, h, ox, oy int, base float64, art []string) mirror {
 	const th = 0.5
 	values := map[rune]float64{
 		'#': 0.9,
@@ -130,16 +130,16 @@ func artImage(w, h, ox, oy int, base float64, art []string) *Image {
 		'-': math.Nextafter(th, 0), // just below it: background
 		'.': 0.05,
 	}
-	img := NewImage(w, h)
-	img.Clear(base)
+	m := newMirror(w, h)
+	m.Clear(base)
 	for y, line := range art {
 		for x, c := range line {
 			if v := values[c]; v != base {
-				img.Set(ox+x, oy+y, v)
+				m.Set(ox+x, oy+y, v)
 			}
 		}
 	}
-	return img
+	return m
 }
 
 func TestComponentsMatchReference(t *testing.T) {
@@ -236,7 +236,7 @@ func TestComponentsMatchReference(t *testing.T) {
 	rng := stats.NewRNG(20)
 	for i := 0; i < 1500; i++ {
 		w, h := 8+rng.IntN(40), 6+rng.IntN(30)
-		img := NewImage(w, h)
+		img := newMirror(w, h)
 		for frame := 0; frame < 2; frame++ {
 			base := 0.05
 			if rng.IntN(10) == 0 {
@@ -265,20 +265,20 @@ func TestComponentsMatchReference(t *testing.T) {
 // is the width minus 2 (mod 31), bytes 1 and 2 the thresholds and byte 3
 // the background (all /255); every further byte is one pixel (/255),
 // row-major. Pixels equal to the background are left untouched, so the
-// dirty window is their bounding box. Rasters are at least two columns
-// wide: on a single column p+1 is the pixel below p, and the reference's
+// window is their bounding box. Rasters are at least two columns wide:
+// on a single column p+1 is the pixel below p, and the reference's
 // same-row test for horizontal neighbors rejects it, so the reference
 // never connects vertically there.
-func fuzzRaster(data []byte) (img *Image, th, th2 float64, ok bool) {
+func fuzzRaster(data []byte) (img mirror, th, th2 float64, ok bool) {
 	if len(data) < 5 {
-		return nil, 0, 0, false
+		return mirror{}, 0, 0, false
 	}
 	w := 2 + int(data[0]%31)
 	th, th2 = float64(data[1])/255, float64(data[2])/255
 	base := float64(data[3]) / 255
 	pix := data[4:min(len(data), 4+32*32)]
 	h := (len(pix) + w - 1) / w
-	img = NewImage(w, h)
+	img = newMirror(w, h)
 	img.Clear(base)
 	for k, b := range pix {
 		if v := float64(b) / 255; v != base {
@@ -303,8 +303,9 @@ func FuzzComponents(f *testing.F) {
 }
 
 // FuzzLabelMemo runs a script of labelings at two thresholds interleaved
-// with writes, and checks every labeling, memoized or not, against the
-// reference run on a memo-free copy of the raster.
+// with writes, mirrored onto the raster model. It checks every labeling,
+// memoized or not, against the reference on the raster, and every
+// pixel's bits and the window at the end of the script.
 //
 // Bytes 0-5 are the width (2 + b%15), the height (1 + b%16), the two
 // thresholds (b/255), the background (b/255) and a pixel count (b mod
@@ -318,9 +319,9 @@ func FuzzComponents(f *testing.F) {
 //	3  FillRect(x, y, w, h, v)      integer rectangle, may overhang
 //	4  FillRectAA(x, y, w, h, v)    fractional rectangle, may overhang
 //	5  Clear(v)
-//	6  Set(x, y, At(x, y))          a pixel of the dirty window (any pixel
-//	                                when it is empty) rewritten with its
-//	                                own value
+//	6  Set(x, y, v)                 a pixel of the window (any pixel when
+//	                                it is empty) rewritten with its own
+//	                                value v, read from the raster
 //
 // The script stops at the first step whose operands run past the end.
 func FuzzLabelMemo(f *testing.F) {
@@ -333,7 +334,7 @@ func FuzzLabelMemo(f *testing.F) {
 		base := float64(data[4]) / 255
 		npix := int(data[5]) % (w*h + 1)
 		data = data[6:]
-		img := NewImage(w, h)
+		img := newMirror(w, h)
 		img.Clear(base)
 		for k := 0; k < npix && k < len(data); k++ {
 			if v := float64(data[k]) / 255; v != base {
@@ -346,7 +347,7 @@ func FuzzLabelMemo(f *testing.F) {
 		for step := 0; len(data) > 0; step++ {
 			op := int(data[0] % 7)
 			if len(data) < 1+arity[op] {
-				return
+				break
 			}
 			a := data[1 : 1+arity[op]]
 			data = data[1+arity[op]:]
@@ -365,13 +366,15 @@ func FuzzLabelMemo(f *testing.F) {
 			case 5:
 				img.Clear(float64(a[0]) / 255)
 			case 6:
-				x0, y0, x1, y1 := img.dx0, img.dy0, img.dx1, img.dy1
+				r := img.ref
+				x0, y0, x1, y1 := r.dx0, r.dy0, r.dx1, r.dy1
 				if x1 <= x0 || y1 <= y0 {
 					x0, y0, x1, y1 = 0, 0, w, h
 				}
 				x, y := x0+int(a[0])%(x1-x0), y0+int(a[1])%(y1-y0)
-				img.Set(x, y, img.At(x, y))
+				img.Set(x, y, r.at(x, y))
 			}
 		}
+		sameRaster(t, "end of script", img.im, img.ref)
 	})
 }

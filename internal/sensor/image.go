@@ -1,5 +1,5 @@
 // Package sensor models the EV's sensors: the front camera (a pinhole
-// model rendering actor silhouettes into a grayscale raster — the pixel
+// model rendering actor silhouettes into a grayscale image — the pixel
 // surface the trajectory hijacker perturbs) and the LiDAR (a range
 // sensor with per-class registration distance, reproducing the paper's
 // observation that LiDAR registers vehicles much farther out than
@@ -12,101 +12,133 @@ import (
 	"github.com/robotack/robotack/internal/geom"
 )
 
-// Image is a grayscale raster with intensities in [0, 1]. The camera
-// renders into it and the detector and the trajectory hijacker read and
-// write it. 192x108 cells stand in for the paper's 1920x1080 camera
-// (DESIGN.md §5).
+// Image is a W x H grayscale image with intensities in [0, 1]. The
+// camera renders into it and the detector and the trajectory hijacker
+// read and write it. 192x108 pixels stand in for the paper's 1920x1080
+// camera.
 //
-// The image tracks the dirty window of writes since the last Clear:
-// when the base intensity is known, every pixel outside the window
-// still holds it. Silhouettes cover a tiny fraction of the raster, so
-// the window lets Clear rewrite only what the previous frame painted
-// and lets the connected-component scan skip the empty sky and road —
-// the two biggest CPU sinks of the frame loop. Pix may be read freely
-// but written only through Set, Clear, FillRect and FillRectAA, which
-// maintain the window.
+// An image stores no pixels. It holds the intensity of its last Clear,
+// the base, and the writes since then, in order: Set, FillRect and
+// FillRectAA each append one record of the clipped pixel box they
+// cover and their value. A pixel's intensity is the base folded through
+// every write whose box holds it (At), so clearing and painting a
+// camera frame cost a few records, not a pass over its 20,736 pixels.
+// Components labels the grid the writes' edges cut the image into,
+// whose cells hold equal pixels. Every pixel outside the writes'
+// bounding box holds the base.
 //
 // The image also memoizes its last labeling (see Components), keyed on
 // the threshold: the malware's detector and the ADS's label one
 // unwritten frame once between them. Every write method drops the
-// memo, so a frame the tap perturbs is labeled afresh. Because
+// memo (a write that clips to nothing changes no pixel and keeps it),
+// so a frame the tap perturbs is labeled afresh. Because
 // Components writes the memo, an image is not safe for concurrent use,
 // not even by readers.
-//
-// Each image also owns a one-row scratch, colCov, that FillRectAA fills
-// with the rectangle's per-column coverage; it is allocated together
-// with Pix, so it costs no extra allocation, and Clone gives the copy
-// its own.
 type Image struct {
 	W, H int
-	Pix  []float64
 
-	// base is the intensity every pixel outside the dirty window holds
-	// (valid while baseKnown); dx0..dy1 is the half-open dirty window.
-	base               float64
-	baseKnown          bool
-	dx0, dy0, dx1, dy1 int
-
-	colCov []float64 // FillRectAA per-column coverage scratch, len W
+	base   float64 // every pixel's intensity after the last Clear
+	writes []write // the writes since the last Clear, in order
+	// bx0..by1 is the half-open bounding box of the writes' boxes,
+	// empty when there are none.
+	bx0, by0, bx1, by1 int
 
 	// Labeling memo: while memoOK, comps is the labeling at threshold
-	// memoTh. runs is the labeler's scratch.
+	// memoTh. grid and runs are the labeler's scratch.
 	memoOK bool
 	memoTh float64
+	grid   cellGrid
 	runs   []fgRun
 	comps  []Component
 }
 
-// NewImage allocates a zeroed W x H image.
-func NewImage(w, h int) *Image {
-	n := w * h
-	buf := make([]float64, n+w)
-	return &Image{W: w, H: h, Pix: buf[:n:n], colCov: buf[n:], baseKnown: true}
+// write is one Set, FillRect or FillRectAA: the clipped, non-empty,
+// half-open pixel box [x0,x1) x [y0,y1) it covers and its value v. A
+// plain write stores v in every pixel of the box. An anti-aliased one
+// (aa) blends each pixel toward v by its coverage cy*cx, where cx[0],
+// cx[1] and cx[2] are the coverage of the box's first, middle and last
+// column and cy the same for its rows (see FillRectAA).
+type write struct {
+	x0, y0, x1, y1 int
+	v              float64
+	aa             bool
+	cx, cy         [3]float64
 }
 
-// markDirty grows the dirty window to include the clipped half-open
-// rectangle [x0,x1) x [y0,y1) and drops the labeling memo. Every write
-// except Clear goes through it.
-func (im *Image) markDirty(x0, y0, x1, y1 int) {
+// class returns the coverage index of coordinate i in the box's span
+// [lo, hi) on one axis: 0 for the first, 2 for the last and 1 for every
+// one in between. A one-pixel span is its own first.
+func class(i, lo, hi int) int {
+	switch i {
+	case lo:
+		return 0
+	case hi - 1:
+		return 2
+	}
+	return 1
+}
+
+// apply writes w onto the pixel at *p, which lies in w's box with row
+// and column coverage indices ry and rx.
+func (w *write) apply(p *float64, ry, rx int) {
+	if !w.aa {
+		*p = w.v
+		return
+	}
+	c := w.cy[ry] * w.cx[rx]
+	if c <= 0 {
+		return
+	}
+	// Written through the pointer, as a per-pixel raster fill writes
+	// it, so the compiler keeps the addition's operand order: on x86 a
+	// NaN sum takes the first operand's payload.
+	*p = (1-c)*(*p) + c*w.v
+}
+
+// NewImage returns a W x H image with every pixel 0.
+func NewImage(w, h int) *Image {
+	return &Image{W: w, H: h}
+}
+
+// push appends a write of v over the clipped, non-empty box [x0,x1) x
+// [y0,y1), grows the bounding box, drops the labeling memo and returns
+// the record.
+func (im *Image) push(x0, y0, x1, y1 int, v float64) *write {
 	im.memoOK = false
-	if x1 <= x0 || y1 <= y0 {
-		return
+	if len(im.writes) == 0 {
+		im.bx0, im.by0, im.bx1, im.by1 = x0, y0, x1, y1
+	} else {
+		im.bx0, im.by0 = min(im.bx0, x0), min(im.by0, y0)
+		im.bx1, im.by1 = max(im.bx1, x1), max(im.by1, y1)
 	}
-	if im.dx1 <= im.dx0 || im.dy1 <= im.dy0 { // empty window
-		im.dx0, im.dy0, im.dx1, im.dy1 = x0, y0, x1, y1
-		return
-	}
-	if x0 < im.dx0 {
-		im.dx0 = x0
-	}
-	if y0 < im.dy0 {
-		im.dy0 = y0
-	}
-	if x1 > im.dx1 {
-		im.dx1 = x1
-	}
-	if y1 > im.dy1 {
-		im.dy1 = y1
-	}
+	im.writes = append(im.writes, write{x0: x0, y0: y0, x1: x1, y1: y1, v: v})
+	return &im.writes[len(im.writes)-1]
 }
 
 // ForegroundWindow returns a half-open window guaranteed to contain
-// every pixel with intensity >= th. It is the whole raster unless the
-// untouched-background intensity is known to be below th, in which
-// case it is the dirty window of writes since the last Clear.
+// every pixel with intensity >= th. It is the bounding box of the
+// writes since the last Clear when the base is below th, and the whole
+// image otherwise.
 func (im *Image) ForegroundWindow(th float64) (x0, y0, x1, y1 int) {
-	if im.baseKnown && im.base < th {
-		return im.dx0, im.dy0, im.dx1, im.dy1
+	if im.base < th {
+		return im.bx0, im.by0, im.bx1, im.by1
 	}
 	return 0, 0, im.W, im.H
 }
 
-// At returns the intensity at (x, y), or 0 outside the raster.
+// At returns the intensity at (x, y), or 0 outside the image.
 func (im *Image) At(x, y int) float64 {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return 0
 	}
-	return im.Pix[y*im.W+x]
+	p := im.base
+	for i := range im.writes {
+		w := &im.writes[i]
+		if x >= w.x0 && x < w.x1 && y >= w.y0 && y < w.y1 {
+			w.apply(&p, class(y, w.y0, w.y1), class(x, w.x0, w.x1))
+		}
+	}
+	return p
 }
 
 // Set writes the intensity at (x, y); out-of-bounds writes are ignored.
@@ -114,43 +146,24 @@ func (im *Image) Set(x, y int, v float64) {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return
 	}
-	im.Pix[y*im.W+x] = v
-	im.markDirty(x, y, x+1, y+1)
+	im.push(x, y, x+1, y+1, v)
 }
 
-// Clear resets every pixel to v. When v is the base the raster was
-// last cleared to, only the dirty window is rewritten.
+// Clear resets every pixel to v.
 func (im *Image) Clear(v float64) {
 	im.memoOK = false
-	if im.baseKnown && v == im.base {
-		for y := im.dy0; y < im.dy1; y++ {
-			row := im.Pix[y*im.W+im.dx0 : y*im.W+im.dx1]
-			for x := range row {
-				row[x] = v
-			}
-		}
-	} else {
-		pix := im.Pix
-		for i := range pix {
-			pix[i] = v
-		}
-		im.base = v
-		im.baseKnown = true
-	}
-	im.dx0, im.dy0, im.dx1, im.dy1 = 0, 0, 0, 0
+	im.base = v
+	im.writes = im.writes[:0]
+	im.bx0, im.by0, im.bx1, im.by1 = 0, 0, 0, 0
 }
 
 // FillRect paints the axis-aligned pixel rectangle r with intensity v,
-// clipped to the raster.
+// clipped to the image.
 func (im *Image) FillRect(r geom.Rect, v float64) {
 	x0, y0, x1, y1 := clipRect(r, im.W, im.H)
-	for y := y0; y < y1; y++ {
-		row := y * im.W
-		for x := x0; x < x1; x++ {
-			im.Pix[row+x] = v
-		}
+	if x1 > x0 && y1 > y0 {
+		im.push(x0, y0, x1, y1, v)
 	}
-	im.markDirty(x0, y0, x1, y1)
 }
 
 // FillRectAA paints r with intensity v using box-filter anti-aliasing:
@@ -158,93 +171,56 @@ func (im *Image) FillRect(r geom.Rect, v float64) {
 // fractional edge intensities let the detector recover object borders
 // with sub-pixel precision, standing in for the 10x finer pixel grid of
 // the paper's 1920x1080 camera.
+//
+// A pixel's coverage is cy*cx, its row's overlap with r times its
+// column's, and the pixel becomes (1-c)*p + c*v; a pixel with c <= 0
+// keeps its value. Every column strictly inside the clipped box has the
+// same coverage. For finite edges it is exactly (x+1) - x: floor(xLo)
+// <= x0 < x gives xLo < x, and x+1 <= x1-1 <= ceil(xHi)-1 gives
+// x+1 < xHi. An edge int cannot hold (NaN, infinite or past ±2^63)
+// clips the box to the image border, and every inner column then meets
+// that edge alike. Rows behave the same way, so the record keeps three
+// coverages per axis: the first, the middle and the last column and
+// row.
 func (im *Image) FillRectAA(r geom.Rect, v float64) {
 	yLo, yHi := r.Min.Y, r.Min.Y+r.H
 	xLo, xHi := r.Min.X, r.Min.X+r.W
-	y0 := int(math.Floor(yLo))
-	y1 := int(math.Ceil(yHi))
-	x0 := int(math.Floor(xLo))
-	x1 := int(math.Ceil(xHi))
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y1 > im.H {
-		y1 = im.H
-	}
-	if x1 > im.W {
-		x1 = im.W
-	}
+	y0 := max(int(math.Floor(yLo)), 0)
+	y1 := min(int(math.Ceil(yHi)), im.H)
+	x0 := max(int(math.Floor(xLo)), 0)
+	x1 := min(int(math.Ceil(xHi)), im.W)
 	if x1 <= x0 || y1 <= y0 {
 		return
 	}
-	// Column coverage depends only on x, so it is computed once per
-	// call; each pixel then costs one multiply and the blend. The
-	// per-pixel expressions are the plain per-pixel formula's, so the
-	// raster comes out bit-identical — blending interior pixels (c == 1)
-	// too, rather than storing v, keeps that true for any pixel value.
-	if len(im.colCov) < im.W {
-		im.colCov = make([]float64, im.W)
+	w := im.push(x0, y0, x1, y1, v)
+	w.aa = true
+	for k, x := range [3]int{x0, x0 + 1, x1 - 1} {
+		w.cx[k] = coverage(x, xLo, xHi)
 	}
-	cov := im.colCov[:x1-x0]
-	for i := range cov {
-		x := float64(x0 + i)
-		cov[i] = overlap(x, x+1, xLo, xHi)
+	for k, y := range [3]int{y0, y0 + 1, y1 - 1} {
+		w.cy[k] = coverage(y, yLo, yHi)
 	}
-	for y := y0; y < y1; y++ {
-		cy := overlap(float64(y), float64(y)+1, yLo, yHi)
-		row := im.Pix[y*im.W+x0 : y*im.W+x1]
-		row = row[:len(cov)] // proves row[i] in bounds: no per-pixel check
-		for i, cx := range cov {
-			c := cy * cx
-			if c <= 0 {
-				continue
-			}
-			row[i] = (1-c)*row[i] + c*v
-		}
-	}
-	im.markDirty(x0, y0, x1, y1)
 }
 
-// overlap returns the length of the intersection of [a0,a1] and [b0,b1].
-func overlap(a0, a1, b0, b1 float64) float64 {
-	lo, hi := geom.Max(a0, b0), geom.Min(a1, b1)
-	if hi <= lo {
+// coverage returns the length of the intersection of pixel span
+// [i, i+1] with [lo, hi].
+func coverage(i int, lo, hi float64) float64 {
+	a := float64(i)
+	l, h := geom.Max(a, lo), geom.Min(a+1, hi)
+	if h <= l {
 		return 0
 	}
-	return hi - lo
+	return h - l
 }
 
-// Clone returns a deep copy of the image, dirty window included. The
-// copy starts without a labeling memo.
+// Clone returns a deep copy of the image, its writes included. The copy
+// starts without a labeling memo.
 func (im *Image) Clone() *Image {
 	c := NewImage(im.W, im.H)
-	copy(c.Pix, im.Pix)
-	c.base, c.baseKnown = im.base, im.baseKnown
-	c.dx0, c.dy0, c.dx1, c.dy1 = im.dx0, im.dy0, im.dx1, im.dy1
+	c.base = im.base
+	c.writes = append([]write(nil), im.writes...)
+	c.bx0, c.by0, c.bx1, c.by1 = im.bx0, im.by0, im.bx1, im.by1
 	return c
-}
-
-// Bounds returns the raster rectangle in pixel coordinates.
-func (im *Image) Bounds() geom.Rect {
-	return geom.R(0, 0, float64(im.W), float64(im.H))
-}
-
-// MassAbove returns the number of pixels in r with intensity >= thresh.
-func (im *Image) MassAbove(r geom.Rect, thresh float64) int {
-	x0, y0, x1, y1 := clipRect(r, im.W, im.H)
-	n := 0
-	for y := y0; y < y1; y++ {
-		row := y * im.W
-		for x := x0; x < x1; x++ {
-			if im.Pix[row+x] >= thresh {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 func clipRect(r geom.Rect, w, h int) (x0, y0, x1, y1 int) {
