@@ -41,7 +41,7 @@ func campaignMetrics(b *testing.B, c experiment.Campaign, oracles map[core.Vecto
 		b.ReportMetric(100*res.EBRate(), "EB%")
 		b.ReportMetric(100*res.CrashRate(), "crash%")
 		b.ReportMetric(res.MedianK(), "medK")
-		b.ReportMetric(res.MedianKPrime(), "medK'")
+		b.ReportMetric(stats.Median(res.KPrimes), "medK'")
 	}
 }
 
@@ -101,7 +101,7 @@ func BenchmarkFig7(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.MedianKPrime(), "medK'")
+				b.ReportMetric(stats.Median(res.KPrimes), "medK'")
 			}
 		})
 	}

@@ -1,13 +1,13 @@
 // Command robotack-train generates the safety hijacker's training data
 // (forced attacks with predefined delta_inject and k, paper §IV-B),
-// trains one neural oracle per attack vector, reports validation error,
-// and optionally saves the weights. The forced-attack sweeps fan out
+// trains one neural oracle per attack vector and reports validation
+// error. The weights are not saved: campaigns retrain their oracles
+// deterministically from their seed. The forced-attack sweeps fan out
 // across an engine worker pool; training stays deterministic in -seed
 // for any -workers value.
 //
 // Usage:
 //
-//	robotack-train -out models/
 //	robotack-train -workers 4
 //	robotack-train -report training.json   # persist the training report
 package main
@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
@@ -39,7 +37,6 @@ func run() error {
 	var (
 		seed    = flag.Int64("seed", 9000, "base seed")
 		epochs  = flag.Int("epochs", 60, "training epochs")
-		out     = flag.String("out", "", "directory to save model JSON files (optional)")
 		report  = flag.String("report", "", "write the per-vector training report (samples, MSE/MAE) as JSON")
 		workers = flag.Int("workers", engine.DefaultWorkers(), "parallel episode workers")
 		tel     obs.Flags
@@ -66,17 +63,6 @@ func run() error {
 	for _, info := range infos {
 		fmt.Printf("%v: %d samples, train MSE %.2f, validation MSE %.2f, validation MAE %.2f m\n",
 			info.Vector, info.Samples, info.Result.TrainMSE, info.Result.ValMSE, info.Result.ValMAE)
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				return err
-			}
-			name := strings.ToLower(strings.ReplaceAll(info.Vector.String(), "_", "-"))
-			path := filepath.Join(*out, name+".json")
-			if err := info.Net.Save(path); err != nil {
-				return err
-			}
-			fmt.Printf("  saved %s\n", path)
-		}
 	}
 	if *report != "" {
 		type vectorReport struct {

@@ -40,7 +40,7 @@ func TestFlagSurface(t *testing.T) {
 		{"robotack-sim", log,
 			[]string{"-generate", "-list-scenarios", "-mode string", "-out string", "-scenario int", "-scenario-file string", "-seed int", "-vector string"}},
 		{"robotack-train", log,
-			[]string{"-epochs int", "-out string", "-report string", "-seed int", "-workers int"}},
+			[]string{"-epochs int", "-report string", "-seed int", "-workers int"}},
 		{"robotack-characterize", log,
 			[]string{"-frames int", "-out string", "-seed int", "-workers int"}},
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -103,8 +104,9 @@ func WithQueue(q *runq.Queue) Option {
 	return func(s *Server) { s.queue = q }
 }
 
-// WithExecutor replaces the local executor (tests use stubs; the
-// default runs jobs on per-job engines into the served store).
+// WithExecutor replaces the local executor, which by default runs jobs
+// on per-job engines into the served store. Test seam: the campaignd
+// queue tests run jobs on stub executors through it.
 func WithExecutor(exec runq.Executor) Option {
 	return func(s *Server) { s.exec = exec }
 }
@@ -180,10 +182,6 @@ func (s *Server) handle(pattern string, fn http.HandlerFunc) {
 		if wk := r.Header.Get(runq.WorkerHeader); wk != "" {
 			s.log.Debug("worker request", "route", pattern, "worker", wk,
 				"traceparent", r.Header.Get(runq.TraceparentHeader))
-		}
-		if !obs.Enabled() {
-			fn(w, r)
-			return
 		}
 		start := time.Now()
 		fn(w, r)
@@ -570,19 +568,26 @@ const (
 )
 
 // decodeBody decodes a JSON request body of at most limit bytes,
-// answering 413 beyond the limit and 400 for malformed JSON.
+// answering 413 beyond the limit and 400 for malformed JSON or for
+// anything but whitespace after the one value.
 func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64) (T, bool) {
 	var v T
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&v); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(&v)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return v, true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
 		}
-		writeError(w, status, "bad request body: %v", err)
-		return v, false
 	}
-	return v, true
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "bad request body: %v", err)
+	return v, false
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {

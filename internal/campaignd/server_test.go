@@ -184,6 +184,7 @@ func TestServeLaunchValidation(t *testing.T) {
 		`{"generate":{"target_kinds":["warp-gate"]},"mode":"smart","runs":2,"seed":1}`,   // unknown target kind
 		`{"generate":{"ev_speed":{"min":-5,"max":-1}},"mode":"smart","runs":2,"seed":1}`, // degenerate space
 		`not json`,
+		`{"scenario":"DS-2","mode":"smart","runs":2,"seed":1} {"runs":3}`, // a second value
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", bytes.NewBufferString(body))
 		if err != nil {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,12 +71,18 @@ func TestLeaseCarriesTraceHeaders(t *testing.T) {
 		t.Fatalf("trace ID %s, want %016x (deterministic from name+seed)", lease.Job.Trace.TraceID, wantTID)
 	}
 	hdr := resp.Header.Get(runq.TraceparentHeader)
-	gotTID, gotSpan, ok := trace.ParseTraceparent(hdr)
-	if !ok || gotTID != wantTID {
-		t.Fatalf("lease Traceparent header %q: parsed (%x, ok=%v), want trace %x", hdr, gotTID, ok, wantTID)
-	}
 	if hdr != lease.Job.Trace.Traceparent(lease.Job.Attempt) {
 		t.Errorf("header %q disagrees with TraceRef.Traceparent %q", hdr, lease.Job.Trace.Traceparent(lease.Job.Attempt))
+	}
+	// 00-<32 hex trace-id, our ID in the low half>-<16 hex span>-01
+	f := strings.Split(hdr, "-")
+	if len(f) != 4 || len(f[1]) != 32 {
+		t.Fatalf("lease Traceparent header %q is not 00-<32 hex>-<16 hex>-01", hdr)
+	}
+	gotTID, errT := strconv.ParseUint(f[1][16:], 16, 64)
+	gotSpan, errS := strconv.ParseUint(f[2], 16, 64)
+	if errT != nil || errS != nil || gotTID != wantTID {
+		t.Fatalf("lease Traceparent header %q: trace %x, want %x", hdr, gotTID, wantTID)
 	}
 	if gotSpan == 0 {
 		t.Error("lease span ID zero")

@@ -99,7 +99,7 @@ func TestSafetyHijackerDecide(t *testing.T) {
 	if !dec.Attack {
 		t.Fatal("should attack from delta=22")
 	}
-	if dec.K < 1 || dec.K > sh.KMax(sim.ClassVehicle) {
+	if dec.K < 1 || dec.K > sh.cfg.KMax(sim.ClassVehicle) {
 		t.Errorf("K = %d outside bounds", dec.K)
 	}
 	if dec.PredictedDelta > DefaultSafetyHijackerConfig().Gamma+1e-9 {
@@ -117,7 +117,7 @@ func TestSafetyHijackerDecide(t *testing.T) {
 
 func TestSafetyHijackerKMaxClassBound(t *testing.T) {
 	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(), nil)
-	if sh.KMax(sim.ClassPedestrian) >= sh.KMax(sim.ClassVehicle) {
+	if sh.cfg.KMax(sim.ClassPedestrian) >= sh.cfg.KMax(sim.ClassVehicle) {
 		t.Error("pedestrian KMax must be smaller (tighter stealth window)")
 	}
 }
@@ -217,7 +217,7 @@ func TestTrajectoryHijackerReachesOmegaThenHolds(t *testing.T) {
 	if got := th.Offset(); math.Abs(got-omega) > 1e-6 {
 		t.Errorf("offset = %v, want omega = %v", got, omega)
 	}
-	if !th.Holding() {
+	if !th.holding {
 		t.Error("hijacker should be holding after reaching omega")
 	}
 	if kp := th.ShiftFrames(); kp < 2 || kp > 15 {
@@ -268,7 +268,7 @@ func TestMalwareSmartLaunchesOnApproach(t *testing.T) {
 
 	m := New(DefaultConfig(ModeSmart), cam, nil, stats.NewRNG(2))
 	for i := 0; i < 15*30 && !w.Halted; i++ {
-		frame := cam.Capture(w, i)
+		frame := cam.CaptureInto(&sensor.CaptureBuffer{}, w, i)
 		m.SetEVSpeed(w.EV.Speed)
 		m.Process(frame.Image, i)
 		w.Step(0) // EV coasts; we only test the malware's decisions here
@@ -322,7 +322,7 @@ func TestMalwareFiresOnce(t *testing.T) {
 		if endFrame >= 0 {
 			accel = -w.EV.MaxBrake
 		}
-		frame := cam.Capture(w, i)
+		frame := cam.CaptureInto(&sensor.CaptureBuffer{}, w, i)
 		img := frame.Image
 		for j := range pix {
 			pix[j] = math.Float64bits(img.At(j%img.W, j/img.W))

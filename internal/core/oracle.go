@@ -196,9 +196,6 @@ func NewSafetyHijacker(cfg SafetyHijackerConfig, oracles map[Vector]Oracle) *Saf
 	return &SafetyHijacker{cfg: cfg, oracles: all}
 }
 
-// KMax returns the stealth bound on attack duration for a class.
-func (sh *SafetyHijacker) KMax(cls sim.Class) int { return sh.cfg.KMax(cls) }
-
 // KMax returns the configured stealth bound on attack duration for a
 // class.
 func (cfg SafetyHijackerConfig) KMax(cls sim.Class) int {

@@ -178,10 +178,6 @@ func (th *TrajectoryHijacker) Perturb(img *sensor.Image, det detect.Detection, a
 	return step * th.direction
 }
 
-// Holding reports whether the hijacker has reached Omega and is now
-// maintaining the faked trajectory (the K - K' phase of §VI-E).
-func (th *TrajectoryHijacker) Holding() bool { return th.holding }
-
 // applyShift rewrites the silhouette of box shifted by the accumulated
 // offset: the vacated strip becomes background, the newly covered strip
 // becomes foreground. Only pixels overlapping the original or shifted

@@ -302,7 +302,7 @@ func TestComponentsMatchReference(t *testing.T) {
 			case 0:
 				v = 0.05 // erase: splits what it crosses
 			case 1:
-				v = rng.Float64()
+				v = rng.Uniform(0, 1)
 			}
 			fw, fh := float64(w), float64(h)
 			img.FillRectAA(geom.R(rng.Uniform(-4, fw+2), rng.Uniform(-4, fh+2),

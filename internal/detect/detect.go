@@ -164,9 +164,6 @@ func New(cfg Config, rng *stats.RNG) *Detector {
 	return &Detector{cfg: cfg, rng: rng}
 }
 
-// NewDefault creates a detector with DefaultConfig.
-func NewDefault(rng *stats.RNG) *Detector { return New(DefaultConfig(), rng) }
-
 // Reset clears the miss-run memory (start of a new episode).
 func (d *Detector) Reset() { d.prev = d.prev[:0] }
 
@@ -235,13 +232,6 @@ func (d *Detector) Detect(img *sensor.Image) []Detection {
 	}
 	d.prev, d.next, d.out = next, d.prev[:0], out
 	return out
-}
-
-// SampleMissRun draws one misdetection run length (frames) for a class
-// at the reference small-box size; exported for characterization and
-// tests.
-func (d *Detector) SampleMissRun(cls sim.Class) int {
-	return d.sampleRun(d.missParams(cls), 4)
 }
 
 // sampleRun draws a run length. The heavy tail (multi-second blackouts)

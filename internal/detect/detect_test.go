@@ -85,7 +85,7 @@ func TestDetectMergesTouchingComponents(t *testing.T) {
 
 func TestNoiseDistributionMatchesFig5(t *testing.T) {
 	rng := stats.NewRNG(42)
-	det := NewDefault(rng)
+	det := New(DefaultConfig(), rng)
 	img := sensor.NewImage(192, 108)
 	boxW, boxH := 12.0, 9.0
 	var nx, ny []float64
@@ -118,7 +118,7 @@ func TestNoiseDistributionMatchesFig5(t *testing.T) {
 
 func TestMissRunsAreContinuousAndExponential(t *testing.T) {
 	rng := stats.NewRNG(7)
-	det := NewDefault(rng)
+	det := New(DefaultConfig(), rng)
 	img := sensor.NewImage(192, 108)
 
 	var runs []float64
@@ -163,11 +163,12 @@ func TestMissRunsAreContinuousAndExponential(t *testing.T) {
 
 func TestPedestrianMissRunsShorterThanVehicle(t *testing.T) {
 	rng := stats.NewRNG(9)
-	det := NewDefault(rng)
+	det := New(DefaultConfig(), rng)
 	var ped, veh []float64
 	for i := 0; i < 20000; i++ {
-		ped = append(ped, float64(det.SampleMissRun(sim.ClassPedestrian)))
-		veh = append(veh, float64(det.SampleMissRun(sim.ClassVehicle)))
+		// One run at the reference small-box height of 4 px.
+		ped = append(ped, float64(det.sampleRun(det.missParams(sim.ClassPedestrian), 4)))
+		veh = append(veh, float64(det.sampleRun(det.missParams(sim.ClassVehicle), 4)))
 	}
 	if stats.Mean(ped) >= stats.Mean(veh) {
 		t.Errorf("mean ped run %v should be < mean veh run %v", stats.Mean(ped), stats.Mean(veh))
@@ -213,7 +214,7 @@ func TestDetectorWithCameraEndToEnd(t *testing.T) {
 	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(30, 0), Size: sim.SizeCar, Behavior: sim.Parked{}})
 	w.AddActor(&sim.Actor{Class: sim.ClassPedestrian, Pos: geom.V(18, 4), Size: sim.SizePedestrian, Behavior: sim.Parked{}})
 	cam := sensor.DefaultCamera()
-	frame := cam.Capture(w, 0)
+	frame := cam.CaptureInto(&sensor.CaptureBuffer{}, w, 0)
 	dets := noiselessDetector().Detect(frame.Image)
 	if len(dets) != 2 {
 		t.Fatalf("detections = %d, want 2", len(dets))
@@ -255,9 +256,9 @@ func BenchmarkDetect(b *testing.B) {
 		w.AddActor(a)
 	}
 	cam := sensor.DefaultCamera()
-	frame := cam.Capture(w, 0)
+	frame := cam.CaptureInto(&sensor.CaptureBuffer{}, w, 0)
 	img := frame.Image
-	det := NewDefault(stats.NewRNG(1))
+	det := New(DefaultConfig(), stats.NewRNG(1))
 	th := det.cfg.Threshold
 	if n := len(img.Components(th)); n != 4 {
 		b.Fatalf("frame has %d components, want 4", n)

@@ -209,26 +209,13 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 		go func() {
 			defer wg.Done()
 			jobCtx := e.ctx
-			var jobObs struct {
-				init    bool
-				seconds obs.HistogramHandle
-				total   obs.CounterHandle
-			}
+			seconds, total := jobSeconds.Handle(), jobsTotal.Handle()
 			for i := range idx {
 				if e.workerState != nil && jobCtx == e.ctx {
 					jobCtx = context.WithValue(e.ctx, workerStateKey{}, e.workerState())
 				}
 				seed := AdditiveSeeds(baseSeed, i)
-				en := obs.Enabled()
-				var start time.Time
-				if en {
-					if !jobObs.init {
-						jobObs.init = true
-						jobObs.seconds = jobSeconds.Handle()
-						jobObs.total = jobsTotal.Handle()
-					}
-					start = time.Now()
-				}
+				start := time.Now()
 				runCtx := jobCtx
 				var sp *trace.Span
 				if traced {
@@ -238,10 +225,8 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 				}
 				v, err := jobs[i](runCtx, seed)
 				sp.Finish()
-				if en {
-					jobObs.seconds.Observe(time.Since(start).Seconds())
-					jobObs.total.Add(1)
-				}
+				seconds.Observe(time.Since(start).Seconds())
+				total.Add(1)
 				if e.progress != nil {
 					mu.Lock()
 					done++

@@ -14,7 +14,6 @@ import (
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/nn"
-	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
@@ -27,7 +26,7 @@ func TestGoldenRunsMostlySafe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
 	}
-	for _, id := range scenario.All() {
+	for id := scenario.DS1; id <= scenario.DS5; id++ {
 		res, err := RunGoldenOn(engine.New(), id, 10, 900)
 		if err != nil {
 			t.Fatal(err)
@@ -412,48 +411,10 @@ func TestBatchedCampaignBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignMetricsInert: the observability layer never feeds back
-// into results — the same campaign persists byte-identical episode and
-// aggregate records with metrics recording off and on.
-func TestCampaignMetricsInert(t *testing.T) {
-	t.Cleanup(func() { obs.SetEnabled(true) })
-	c := Campaign{Name: "inert", Scenario: scenario.DS2, Mode: core.ModeSmart,
-		PreferDisappearFor: sim.ClassPedestrian, ExpectCrashes: true}
-
-	runOnce := func(enabled bool) []byte {
-		t.Helper()
-		obs.SetEnabled(enabled)
-		mem := results.NewMemStore()
-		res, err := RunCampaignOn(engine.New(engine.WithWorkers(4)), c, 8, 500, nil,
-			WithSink(mem))
-		if err != nil {
-			t.Fatalf("metrics=%v: %v", enabled, err)
-		}
-		eps, err := mem.Episodes("inert")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := json.Marshal(struct {
-			Result   CampaignResult
-			Episodes []results.EpisodeRecord
-		}{res, eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-
-	off := runOnce(false)
-	on := runOnce(true)
-	if string(off) != string(on) {
-		t.Errorf("records differ with metrics on vs off:\noff %s\non  %s", off, on)
-	}
-}
-
-// TestCampaignTracesInert: span tracing, like metrics, never feeds
-// back into results — the same campaign persists byte-identical
-// episode and aggregate records with tracing off and on, even while
-// the traced run writes real spans through the durable binary sink.
+// TestCampaignTracesInert: span tracing never feeds back into results —
+// the same campaign persists byte-identical episode and aggregate
+// records with tracing off and on, even while the traced run writes
+// real spans through the durable binary sink.
 func TestCampaignTracesInert(t *testing.T) {
 	c := Campaign{Name: "traced-inert", Scenario: scenario.DS2, Mode: core.ModeSmart,
 		PreferDisappearFor: sim.ClassPedestrian, ExpectCrashes: true}

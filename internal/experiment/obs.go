@@ -74,33 +74,28 @@ func (s *Scratch) frameObsHandles() *frameObs {
 	return &s.fobs
 }
 
-// stageClock times consecutive stages within one frame: each tick
-// observes the span since the previous tick into the stage's histogram
-// (when metrics are on) and into the episode span's stage slot (when
-// the frame is span-annotated), then restarts. A clock started with
-// neither destination is free — every method is a branch.
+// stageClock times consecutive stages within one sampled frame: each
+// tick observes the span since the previous tick into the stage's
+// histogram and into the episode span's stage slot (when the frame is
+// span-annotated), then restarts. The zero clock, on unsampled frames,
+// is free — every tick is a branch.
 type stageClock struct {
-	t       time.Time
-	metrics bool
-	sp      *trace.Span
+	t  time.Time
+	on bool
+	sp *trace.Span
 }
 
-func startStageClock(metricsOn bool, sp *trace.Span) stageClock {
-	if !metricsOn && sp == nil {
-		return stageClock{}
-	}
-	return stageClock{t: time.Now(), metrics: metricsOn, sp: sp}
+func startStageClock(sp *trace.Span) stageClock {
+	return stageClock{t: time.Now(), on: true, sp: sp}
 }
 
 func (c *stageClock) tick(fo *frameObs, stage int) {
-	if !c.metrics && c.sp == nil {
+	if !c.on {
 		return
 	}
 	now := time.Now()
 	d := now.Sub(c.t)
-	if c.metrics {
-		fo.stage[stage].Observe(d.Seconds())
-	}
+	fo.stage[stage].Observe(d.Seconds())
 	c.sp.StageAdd(stage, d) // nil-safe
 	c.t = now
 }

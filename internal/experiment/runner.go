@@ -12,7 +12,6 @@ import (
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
-	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/perception"
 	"github.com/robotack/robotack/internal/planner"
@@ -158,7 +157,6 @@ type Episode struct {
 	recycle bool
 
 	// Observation only (see obs.go): never read back by the episode.
-	en bool
 	fo *frameObs
 	sp *trace.Span
 
@@ -215,10 +213,9 @@ func (s *Scratch) Start(ctx context.Context, cfg RunConfig) (*Episode, error) {
 
 	// Stage timing and span tracing are observational only: the clock,
 	// counters and span never feed back into the simulation, RNG streams
-	// or result fields, so the episode is bit-identical with metrics and
-	// tracing on, off, or absent (TestCampaignMetricsInert,
-	// TestCampaignTracesInert).
-	e.en = obs.Enabled()
+	// or result fields. Metrics are write-only outside internal/obs
+	// (TestNoTestOnlyCode), and the episode is bit-identical with
+	// tracing on, off, or absent (TestCampaignTracesInert).
 	e.fo = s.frameObsHandles()
 	if sc, ok := trace.FromContext(ctx); ok {
 		e.sp = sc.Tracer.StartEpisode(sc, cfg.Seed)
@@ -258,7 +255,7 @@ func (e *Episode) Step() bool {
 	sampledFrame := i&15 == 0
 	var clk stageClock
 	if sampledFrame {
-		clk = startStageClock(e.en, e.sp)
+		clk = startStageClock(e.sp)
 	}
 	fo := e.fo
 	e.frame = s.cam.CaptureInto(&s.capture, w, i)
@@ -281,9 +278,7 @@ func (e *Episode) Step() bool {
 	w.Step(e.d.Accel)
 	e.res.Frames++
 	e.sp.FrameDone(sampledFrame)
-	if e.en {
-		fo.frames.Add(1)
-	}
+	fo.frames.Add(1)
 
 	e.launched = e.launched || e.malware != nil && e.malware.Log().Launched
 	if e.launched || e.malware == nil {
@@ -332,9 +327,7 @@ func (e *Episode) finish() {
 			res.EB, res.Crashed = false, false
 		}
 	}
-	if e.en {
-		e.fo.episodes.Add(1)
-	}
+	e.fo.episodes.Add(1)
 }
 
 // Result returns the outcome once Step has reported the episode over,

@@ -76,7 +76,7 @@ func TestSilentMalwareInvisible(t *testing.T) {
 	ctx := context.Background()
 	golden, silent := NewScratch(), NewScratch()
 	consulted, frames := 0, 0
-	for _, id := range scenario.All() {
+	for id := scenario.DS1; id <= scenario.DS5; id++ {
 		for seed := int64(1); seed <= 4; seed++ {
 			g, gErr := golden.Start(ctx, RunConfig{Scenario: id, Seed: seed})
 			m, mErr := silent.Start(ctx, RunConfig{Scenario: id, Seed: seed,

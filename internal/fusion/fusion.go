@@ -227,7 +227,7 @@ type camObs struct {
 // Step fuses the current camera tracks and LiDAR detections into the
 // world model and returns a snapshot of it. dt is the frame period in
 // seconds. The returned slice is reused by the next Step call; callers
-// that retain a snapshot across frames must use Objects instead.
+// that retain a snapshot across frames must copy it.
 func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float64) []Object {
 	// Decay first: confirmation this frame must fight the decay.
 	for _, o := range f.objects {
@@ -398,15 +398,6 @@ func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float6
 		out = append(out, *o)
 	}
 	f.out = out
-	return out
-}
-
-// Objects returns a snapshot of the current world model.
-func (f *Fusion) Objects() []Object {
-	out := make([]Object, len(f.objects))
-	for i, o := range f.objects {
-		out[i] = *o
-	}
 	return out
 }
 

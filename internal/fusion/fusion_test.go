@@ -119,7 +119,7 @@ func TestResetClears(t *testing.T) {
 	f := New(DefaultConfig(), sensor.DefaultCamera())
 	f.Step(nil, []sensor.Detection{lidarDet(40, 0, sim.ClassVehicle)}, dt)
 	f.Reset()
-	if len(f.Objects()) != 0 {
+	if len(f.objects) != 0 {
 		t.Error("Reset left objects")
 	}
 }

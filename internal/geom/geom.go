@@ -34,9 +34,6 @@ func (v Vec2) Sub(o Vec2) Vec2 { return Vec2{v.X - o.X, v.Y - o.Y} }
 // Scale returns v scaled by s.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
-// Dot returns the dot product of v and o.
-func (v Vec2) Dot(o Vec2) float64 { return v.X*o.X + v.Y*o.Y }
-
 // Norm returns the Euclidean length of v.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -51,11 +48,6 @@ func (v Vec2) Unit() Vec2 {
 		return Vec2{}
 	}
 	return v.Scale(1 / n)
-}
-
-// Lerp linearly interpolates between v and o; t=0 yields v, t=1 yields o.
-func (v Vec2) Lerp(o Vec2, t float64) Vec2 {
-	return Vec2{v.X + (o.X-v.X)*t, v.Y + (o.Y-v.Y)*t}
 }
 
 // String implements fmt.Stringer.
@@ -78,9 +70,6 @@ func RectFromCenter(c Vec2, w, h float64) Rect {
 	return Rect{Min: Vec2{c.X - w/2, c.Y - h/2}, W: w, H: h}
 }
 
-// Max returns the max corner of r.
-func (r Rect) Max() Vec2 { return Vec2{r.Min.X + r.W, r.Min.Y + r.H} }
-
 // Center returns the center point of r.
 func (r Rect) Center() Vec2 { return Vec2{r.Min.X + r.W/2, r.Min.Y + r.H/2} }
 
@@ -100,12 +89,6 @@ func (r Rect) Translate(d Vec2) Rect {
 	return Rect{Min: r.Min.Add(d), W: r.W, H: r.H}
 }
 
-// Contains reports whether p lies inside r (inclusive of the min edge,
-// exclusive of the max edge, the raster convention).
-func (r Rect) Contains(p Vec2) bool {
-	return p.X >= r.Min.X && p.X < r.Min.X+r.W && p.Y >= r.Min.Y && p.Y < r.Min.Y+r.H
-}
-
 // Intersect returns the intersection of r and o (possibly empty).
 func (r Rect) Intersect(o Rect) Rect {
 	x1 := Max(r.Min.X, o.Min.X)
@@ -115,22 +98,6 @@ func (r Rect) Intersect(o Rect) Rect {
 	if x2 <= x1 || y2 <= y1 {
 		return Rect{}
 	}
-	return Rect{Min: Vec2{x1, y1}, W: x2 - x1, H: y2 - y1}
-}
-
-// Union returns the smallest rectangle containing both r and o. If one
-// of the rectangles is empty, the other is returned.
-func (r Rect) Union(o Rect) Rect {
-	if r.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return r
-	}
-	x1 := Min(r.Min.X, o.Min.X)
-	y1 := Min(r.Min.Y, o.Min.Y)
-	x2 := Max(r.Min.X+r.W, o.Min.X+o.W)
-	y2 := Max(r.Min.Y+r.H, o.Min.Y+o.H)
 	return Rect{Min: Vec2{x1, y1}, W: x2 - x1, H: y2 - y1}
 }
 

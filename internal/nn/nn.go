@@ -6,11 +6,9 @@
 package nn
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 
 	"github.com/robotack/robotack/internal/stats"
 )
@@ -556,29 +554,6 @@ func (n *Network) Infer(s *InferScratch, x []float64) []float64 {
 	return cur
 }
 
-// Predict runs the network in inference mode and returns the scalar
-// output.
-func (n *Network) Predict(x []float64) float64 {
-	return n.Forward(x, false)[0]
-}
-
-// Backward propagates an output gradient through the stack.
-func (n *Network) Backward(grad []float64) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-}
-
-// ZeroGrads clears accumulated gradients.
-func (n *Network) ZeroGrads() {
-	for _, l := range n.Layers {
-		_, grads := l.Params()
-		for _, g := range grads {
-			clear(g)
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) over a network's parameters.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -904,65 +879,4 @@ func evaluate(n *Network, s *InferScratch, d Dataset) (mse, mae float64) {
 	}
 	k := float64(d.Len())
 	return mse / k, mae / k
-}
-
-// snapshot is the serialized form of a network's dense layers.
-type snapshot struct {
-	Dims    []int       `json:"dims"`
-	Weights [][]float64 `json:"weights"`
-	Biases  [][]float64 `json:"biases"`
-	Dropout float64     `json:"dropout"`
-}
-
-// Save writes the network weights to a JSON file.
-func (n *Network) Save(path string) error {
-	snap := snapshot{}
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dense); ok {
-			if len(snap.Dims) == 0 {
-				snap.Dims = append(snap.Dims, d.In)
-			}
-			snap.Dims = append(snap.Dims, d.Out)
-			snap.Weights = append(snap.Weights, d.W)
-			snap.Biases = append(snap.Biases, d.B)
-		}
-		if dr, ok := l.(*Dropout); ok {
-			snap.Dropout = dr.Rate
-		}
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("nn save: %w", err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// Load reads a network saved by Save. The reconstructed network uses
-// ReLU+dropout between dense layers, matching NewRegressor's topology.
-func Load(path string, rng *stats.RNG) (*Network, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn load: %w", err)
-	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("nn load: %w", err)
-	}
-	if len(snap.Dims) < 2 || len(snap.Weights) != len(snap.Dims)-1 {
-		return nil, errors.New("nn load: malformed snapshot")
-	}
-	n := &Network{}
-	for i := 0; i < len(snap.Weights); i++ {
-		d := NewDense(snap.Dims[i], snap.Dims[i+1], rng)
-		if len(snap.Weights[i]) != len(d.W) || len(snap.Biases[i]) != len(d.B) {
-			return nil, errors.New("nn load: dimension mismatch")
-		}
-		copy(d.W, snap.Weights[i])
-		copy(d.B, snap.Biases[i])
-		n.Layers = append(n.Layers, d)
-		if i < len(snap.Weights)-1 {
-			n.Layers = append(n.Layers, &ReLU{}, NewDropout(snap.Dropout, rng))
-		}
-	}
-	return n, nil
 }

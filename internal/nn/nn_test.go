@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"github.com/robotack/robotack/internal/stats"
@@ -35,9 +34,13 @@ func TestGradientCheck(t *testing.T) {
 		return e * e
 	}
 
-	n.ZeroGrads()
+	// Fresh layers hold zero gradients; backpropagate dL/dout through
+	// the stack, last layer first.
 	out := n.Forward(x, false)
-	n.Backward([]float64{2 * (out[0] - y)})
+	grad := []float64{2 * (out[0] - y)}
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		grad = n.Layers[i].Backward(grad)
+	}
 
 	const eps = 1e-6
 	for li, l := range n.Layers {
@@ -191,39 +194,5 @@ func TestRegressorArchitecture(t *testing.T) {
 	out := n.Forward(make([]float64, 6), false)
 	if len(out) != 1 {
 		t.Errorf("output dim = %d", len(out))
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := stats.NewRNG(23)
-	n := NewRegressor(4, rng)
-	x := []float64{0.1, -0.2, 0.3, 0.7}
-	want := n.Predict(x)
-
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := n.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path, stats.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Predict(x); math.Abs(got-want) > 1e-12 {
-		t.Errorf("loaded prediction %v, want %v", got, want)
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json"), stats.NewRNG(1)); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}
-
-func BenchmarkPredict(b *testing.B) {
-	n := NewRegressor(6, stats.NewRNG(1))
-	x := []float64{10, -5, 0.5, 0, 0, 30}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = n.Predict(x)
 	}
 }

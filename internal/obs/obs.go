@@ -5,11 +5,13 @@
 // capture (ftdc.go), and the telemetry flag set every binary shares
 // (flags.go).
 //
-// The layer is observational only: nothing recorded here may ever feed
-// back into seeds, RNG draws or result records, so campaigns are
-// bit-identical with metrics on, off, or absent. Recording is gated by
-// a single atomic flag (Enabled/SetEnabled) that instrumented hot
-// loops check once per iteration batch.
+// The layer is write-only for the rest of the program: outside this
+// package no code reads a metric back (Counter.Value, Gauge.Value,
+// Registry.Gather, Registry.WritePrometheus), only package main serves
+// Handler, and this package imports nothing of the module but
+// internal/obs/trace. A recorded value can reach an HTTP scrape or an
+// FTDC file, never a seed, an RNG draw or a result record;
+// TestNoTestOnlyCode holds all three rules.
 //
 // Hot-path contract: Counter.Add, Gauge.Set/Add and Histogram.Observe
 // perform only atomic operations on preallocated memory — zero heap
@@ -28,17 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// disabled is inverted so the zero value means "metrics on".
-var disabled atomic.Bool
-
-// Enabled reports whether metric recording is on (the default).
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled turns metric recording on or off process-wide. Off, the
-// instrumented hot paths skip their timing and counting entirely;
-// registries still serve whatever was recorded before.
-func SetEnabled(on bool) { disabled.Store(!on) }
 
 // Label is one constant key="value" pair attached to a series at
 // registration. Labels distinguish series within a family (e.g. the
@@ -168,10 +159,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Add accumulates v (negative to decrease). Allocation-free.
 func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
 
-// Inc and Dec adjust the gauge by one.
-func (g *Gauge) Inc() { g.Add(1) }
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the gauge's current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -233,12 +220,6 @@ func (h *Histogram) snapshot() (buckets []uint64, sum float64, count uint64) {
 		count += b
 	}
 	return buckets, sum, count
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	_, _, n := h.snapshot()
-	return n
 }
 
 // ExpBuckets returns n exponentially growing bucket bounds starting at

@@ -62,11 +62,15 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := r.Counter("race_total", "").Value(); got != goroutines*perG {
-		t.Errorf("counter lost increments: got %d, want %d", got, goroutines*perG)
+	got := map[string]float64{}
+	for _, sm := range r.Gather() {
+		got[sm.Name] = sm.Value
 	}
-	if got := r.Histogram("race_seconds", "", ExpBuckets(1e-6, 10, 6)).Count(); got != goroutines*perG {
-		t.Errorf("histogram lost observations: got %d, want %d", got, goroutines*perG)
+	if got["race_total"] != goroutines*perG {
+		t.Errorf("counter lost increments: got %v, want %d", got["race_total"], goroutines*perG)
+	}
+	if got["race_seconds_count"] != goroutines*perG {
+		t.Errorf("histogram lost observations: got %v, want %d", got["race_seconds_count"], goroutines*perG)
 	}
 }
 
@@ -160,22 +164,6 @@ func TestGatherHistogramSeries(t *testing.T) {
 		if got[name] != v {
 			t.Errorf("%s = %v, want %v", name, got[name], v)
 		}
-	}
-}
-
-// TestEnabledToggle: SetEnabled is a pure gate for callers; it must
-// not disturb previously recorded values.
-func TestEnabledToggle(t *testing.T) {
-	if !Enabled() {
-		t.Fatal("metrics must default to enabled")
-	}
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("SetEnabled(false) did not take")
-	}
-	SetEnabled(true)
-	if !Enabled() {
-		t.Fatal("SetEnabled(true) did not take")
 	}
 }
 

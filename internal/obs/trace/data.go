@@ -52,25 +52,6 @@ func FormatTraceparent(traceID, spanID uint64) string {
 	return fmt.Sprintf("00-%032x-%016x-01", traceID, spanID)
 }
 
-// ParseTraceparent extracts the trace and parent span IDs from a
-// traceparent header value. ok is false for anything malformed — an
-// absent or garbled header simply means "untraced".
-func ParseTraceparent(s string) (traceID, spanID uint64, ok bool) {
-	// 00-<32 hex>-<16 hex>-<2 hex>
-	if len(s) != 55 || s[0] != '0' || s[1] != '0' || s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return 0, 0, false
-	}
-	t, err := strconv.ParseUint(s[19:35], 16, 64) // low 64 bits of the 128-bit field
-	if err != nil {
-		return 0, 0, false
-	}
-	p, err := strconv.ParseUint(s[36:52], 16, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return t, p, t != 0 && p != 0
-}
-
 // SpanData is one completed span — the unit the sinks persist and the
 // worker protocol forwards. Durations and timestamps are nanoseconds;
 // Stages holds per-frame-stage accumulated latency for episode spans

@@ -26,7 +26,8 @@ type NopSink struct{}
 // Emit implements Sink.
 func (NopSink) Emit(*SpanData) {}
 
-// CollectSink buffers cloned spans in memory — the test double.
+// CollectSink buffers cloned spans in memory. Test seam: the trace,
+// campaignd and frame-step tests collect spans in it.
 type CollectSink struct {
 	mu    sync.Mutex
 	spans []SpanData
@@ -39,7 +40,8 @@ func (c *CollectSink) Emit(d *SpanData) {
 	c.spans = append(c.spans, d.Clone())
 }
 
-// Spans returns a snapshot of everything emitted so far.
+// Spans returns a snapshot of everything emitted so far. Test seam: the
+// tests that collect spans read them back through it.
 func (c *CollectSink) Spans() []SpanData {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,7 +85,8 @@ type FileSink struct {
 // SinkOption configures a FileSink.
 type SinkOption func(*FileSink)
 
-// WithSegmentBytes overrides the segment roll threshold.
+// WithSegmentBytes overrides the segment roll threshold. Test seam:
+// TestFileSinkRingCap rolls small segments with it.
 func WithSegmentBytes(n int64) SinkOption {
 	return func(s *FileSink) {
 		if n > 0 {
@@ -221,16 +224,6 @@ func (s *FileSink) Emit(d *SpanData) {
 			s.w = nil
 		}
 	}
-}
-
-// Flush pushes buffered spans to disk so concurrent readers see them.
-func (s *FileSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return nil
-	}
-	return s.w.Flush()
 }
 
 // Close flushes and closes the active segment.

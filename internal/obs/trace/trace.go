@@ -157,9 +157,8 @@ type Tracer struct {
 	sampleN uint64
 	pool    sync.Pool
 
-	slowN int
-	mu    sync.Mutex
-	slow  []SpanData
+	mu   sync.Mutex
+	slow []SpanData
 }
 
 // Option configures a Tracer.
@@ -174,22 +173,14 @@ const DefaultSampleEvery = 16
 // tracer retains and emits (flagged as exemplars) when it closes.
 const DefaultSlowExemplars = 8
 
-// WithSampleEvery sets the episode sampling rate to 1-in-n (n <= 1:
-// every episode).
+// WithSampleEvery sets the episode sampling rate to 1-in-n: n = 1
+// samples every episode, and n < 1 keeps DefaultSampleEvery. Test seam:
+// TestFrameStepZeroAllocs and TestCampaignTracesInert set the sampling
+// rate with it.
 func WithSampleEvery(n int) Option {
 	return func(t *Tracer) {
 		if n >= 1 {
 			t.sampleN = uint64(n)
-		}
-	}
-}
-
-// WithSlowExemplars sets how many slowest unsampled episodes to retain
-// (0 disables exemplars).
-func WithSlowExemplars(n int) Option {
-	return func(t *Tracer) {
-		if n >= 0 {
-			t.slowN = n
 		}
 	}
 }
@@ -204,21 +195,12 @@ func New(service string, sink Sink, opts ...Option) *Tracer {
 		service: service,
 		sink:    sink,
 		sampleN: DefaultSampleEvery,
-		slowN:   DefaultSlowExemplars,
 	}
 	t.pool.New = func() any { return new(Span) }
 	for _, opt := range opts {
 		opt(t)
 	}
 	return t
-}
-
-// Service reports the tracer's service name.
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
 }
 
 // StartSpan begins a span under sc with the given deterministic span
@@ -274,14 +256,11 @@ func (t *Tracer) Emit(d *SpanData) {
 }
 
 // offerSlow competes an unsampled finished episode for an exemplar
-// slot: the slowN slowest survive, by wall duration.
+// slot: the DefaultSlowExemplars slowest survive, by wall duration.
 func (t *Tracer) offerSlow(d *SpanData) {
-	if t.slowN <= 0 {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.slow) < t.slowN {
+	if len(t.slow) < DefaultSlowExemplars {
 		t.slow = append(t.slow, d.Clone())
 		return
 	}
@@ -337,11 +316,6 @@ func (s *Span) Context(ctx context.Context) context.Context {
 		SpanID:  uint64(s.d.SpanID),
 	})
 }
-
-// Sampled reports whether the span will be emitted on Finish. Callers
-// may use it to skip annotation work for unsampled spans — but
-// StageAdd and FrameDone are cheap enough to call unconditionally.
-func (s *Span) Sampled() bool { return s != nil && s.d.Sampled }
 
 // StageAdd accumulates d of stage latency into the span's stage slot.
 // Allocation-free: a fixed array add and two stores.

@@ -40,7 +40,7 @@ func vehicleWorld(depth float64) *sim.World {
 func stepFrames(p *Pipeline, cam *sensor.Camera, w *sim.World, lidar *sensor.Lidar, n int) []fusion.Object {
 	var objs []fusion.Object
 	for i := 0; i < n; i++ {
-		frame := cam.Capture(w, i)
+		frame := cam.CaptureInto(&sensor.CaptureBuffer{}, w, i)
 		var ld []sensor.Detection
 		if lidar != nil {
 			ld = lidar.Scan(w)
@@ -157,7 +157,7 @@ func TestFusedVelocityTracksRelativeMotion(t *testing.T) {
 	lidar := sensor.NewLidar(nil)
 	var objs []fusion.Object
 	for i := 0; i < 45; i++ {
-		frame := cam.Capture(w, i)
+		frame := cam.CaptureInto(&sensor.CaptureBuffer{}, w, i)
 		objs = p.Process(frame.Image, lidar.Scan(w))
 		w.Step(0)
 	}
@@ -188,7 +188,9 @@ func TestResetClearsState(t *testing.T) {
 	p := noiselessPipeline(cam)
 	stepFrames(p, cam, vehicleWorld(30), sensor.NewLidar(nil), 10)
 	p.Reset()
-	if len(p.Fusion.Objects()) != 0 || len(p.Tracker.Tracks()) != 0 || p.LastDetections() != nil {
+	// A step with no input returns whatever objects the fusion still
+	// holds, decayed by one frame.
+	if len(p.Fusion.Step(nil, nil, sim.DT)) != 0 || len(p.Tracker.Tracks()) != 0 || p.LastDetections() != nil {
 		t.Error("Reset left state behind")
 	}
 }
@@ -204,7 +206,7 @@ func BenchmarkPipelineFrame(b *testing.B) {
 			Size: sim.SizeCar, Behavior: sim.Parked{}})
 	}
 	lidar := sensor.NewLidar(nil)
-	frame := cam.Capture(w, 0)
+	frame := cam.CaptureInto(&sensor.CaptureBuffer{}, w, 0)
 	ld := lidar.Scan(w)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -55,9 +55,6 @@ func (p *PID) Override(value float64) float64 {
 	return p.output
 }
 
-// Output returns the current actuation value.
-func (p *PID) Output() float64 { return p.output }
-
 // Reset clears all controller state.
 func (p *PID) Reset() {
 	p.integral = 0

@@ -161,9 +161,6 @@ func New(cfg Config) *Planner {
 	}
 }
 
-// Config returns the planner configuration.
-func (p *Planner) Config() Config { return p.cfg }
-
 // Reset clears controller state for a new episode.
 func (p *Planner) Reset() {
 	p.pid.Reset()

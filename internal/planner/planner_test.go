@@ -12,7 +12,7 @@ import (
 // truthObjects fabricates a perfect fused world model from simulator
 // ground truth, letting planner tests run without the perception stack.
 func truthObjects(w *sim.World) []fusion.Object {
-	rel := w.Relative()
+	rel := w.RelativeInto(nil)
 	out := make([]fusion.Object, 0, len(rel))
 	for i, r := range rel {
 		out = append(out, fusion.Object{
@@ -63,8 +63,10 @@ func TestInCorridorNowOrSoon(t *testing.T) {
 	}
 }
 
+// TestDSafeSelectsNearestConfident: Definition 4 on a fused world model,
+// as Plan computes it — d_safe is the gap to the nearest confident
+// in-corridor object ahead, and that object is the target.
 func TestDSafeSelectsNearestConfident(t *testing.T) {
-	scfg := DefaultSafetyConfig()
 	fcfg := fusion.DefaultConfig()
 	ev := sim.DefaultEV()
 	road := sim.DefaultRoad()
@@ -74,21 +76,23 @@ func TestDSafeSelectsNearestConfident(t *testing.T) {
 		{ID: 3, Class: sim.ClassVehicle, Rel: geom.V(20, 0), Size: sim.SizeCar, Confidence: 0.3}, // not confident
 		{ID: 4, Class: sim.ClassVehicle, Rel: geom.V(25, 3.5), Size: sim.SizeCar, Confidence: 1}, // out of lane
 	}
-	dsafe, target := scfg.DSafe(objs, fcfg, ev, road)
-	if target == nil || target.Object.ID != 2 {
-		t.Fatalf("target = %+v, want object 2", target)
+	d := New(DefaultConfig(sim.Kph(45))).Plan(objs, fcfg, ev, road)
+	if d.TargetID != 2 {
+		t.Fatalf("target = %d, want object 2", d.TargetID)
 	}
 	want := 30 - sim.SizeCar.Length/2 - ev.Size.Length/2
-	if math.Abs(dsafe-want) > 1e-9 {
-		t.Errorf("dsafe = %v, want %v", dsafe, want)
+	if math.Abs(d.DSafe-want) > 1e-9 {
+		t.Errorf("dsafe = %v, want %v", d.DSafe, want)
 	}
 }
 
+// TestDSafeClearCorridor: with no objects Plan has no target and d_safe
+// is MaxDSafe.
 func TestDSafeClearCorridor(t *testing.T) {
-	scfg := DefaultSafetyConfig()
-	dsafe, target := scfg.DSafe(nil, fusion.DefaultConfig(), sim.DefaultEV(), sim.DefaultRoad())
-	if target != nil || dsafe != scfg.MaxDSafe {
-		t.Errorf("dsafe = %v target = %v, want max and nil", dsafe, target)
+	cfg := DefaultConfig(sim.Kph(45))
+	d := New(cfg).Plan(nil, fusion.DefaultConfig(), sim.DefaultEV(), sim.DefaultRoad())
+	if d.TargetID != 0 || d.DSafe != cfg.Safety.MaxDSafe {
+		t.Errorf("dsafe = %v target = %d, want max and none", d.DSafe, d.TargetID)
 	}
 }
 
@@ -256,7 +260,7 @@ func TestEmergencyBrakeOnSuddenObstacle(t *testing.T) {
 	if d.Mode != ModeEmergencyBrake {
 		t.Fatalf("mode = %v, want emergency-brake", d.Mode)
 	}
-	if d.Accel > -p.Config().EBBrake+1e-9 {
+	if d.Accel > -p.cfg.EBBrake+1e-9 {
 		t.Errorf("accel = %v, want immediate max braking (PID bypass)", d.Accel)
 	}
 }
@@ -300,12 +304,12 @@ func TestPIDOverrideAndReset(t *testing.T) {
 	if got := pid.Override(-7); got != -7 {
 		t.Errorf("Override = %v", got)
 	}
-	if pid.Output() != -7 {
-		t.Errorf("Output = %v", pid.Output())
+	if pid.output != -7 {
+		t.Errorf("output = %v", pid.output)
 	}
 	pid.Reset()
-	if pid.Output() != 0 {
-		t.Errorf("after Reset Output = %v", pid.Output())
+	if pid.output != 0 {
+		t.Errorf("after Reset output = %v", pid.output)
 	}
 }
 

@@ -98,35 +98,6 @@ type Target struct {
 	Closing float64
 }
 
-// DSafe implements Definition 4 on a fused world model: the distance
-// the EV can travel without colliding with the nearest confident
-// in-corridor (now or soon) object ahead. It returns MaxDSafe and a nil
-// target when the corridor is clear.
-func (c SafetyConfig) DSafe(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road sim.Road) (float64, *Target) {
-	best := c.MaxDSafe
-	var target *Target
-	for i := range objs {
-		o := objs[i]
-		if !o.Confident(&fcfg) {
-			continue
-		}
-		horizon := CorridorHorizonFor(o.Class)
-		if !InCorridorNowOrSoon(o.Rel.Y, o.Vel.Y, o.Size.Width, ev.Size.Width, horizon, road) {
-			continue
-		}
-		gap := o.Rel.X - o.Size.Length/2 - ev.Size.Length/2
-		if gap < -o.Size.Length { // behind the EV
-			continue
-		}
-		gap = math.Max(gap, 0)
-		if gap < best {
-			best = gap
-			target = &Target{Object: o, Gap: gap, Closing: -o.Vel.X}
-		}
-	}
-	return best, target
-}
-
 // GroundTruthDelta computes the safety potential from simulator ground
 // truth; the experiment harness uses it to classify accidents exactly
 // as the paper does (min delta over the run).

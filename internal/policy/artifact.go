@@ -3,7 +3,9 @@ package policy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -57,11 +59,6 @@ type Artifact struct {
 	Generations int      `json:"generations,omitempty"`
 	Fitness     float64  `json:"fitness,omitempty"`
 	TrainedOn   []string `json:"trained_on,omitempty"`
-}
-
-// PaperArtifact returns the artifact form of the paper trigger.
-func PaperArtifact() Artifact {
-	return Artifact{V: Version, Kind: KindPaper, Name: KindPaper}
 }
 
 // Label names the policy in campaign names and reports.
@@ -135,13 +132,17 @@ func (a *Artifact) Save(path string) error {
 }
 
 // Parse decodes an artifact strictly — unknown fields are schema
-// drift, not noise — and validates it.
+// drift, not noise, and anything but whitespace after the one JSON
+// value is an error — and validates it.
 func Parse(raw []byte) (*Artifact, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var a Artifact
 	if err := dec.Decode(&a); err != nil {
 		return nil, fmt.Errorf("policy: parse artifact: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, errors.New("policy: parse artifact: trailing data after the JSON value")
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err

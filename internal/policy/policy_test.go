@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"path/filepath"
@@ -202,8 +203,18 @@ func TestArtifactErrors(t *testing.T) {
 		}
 	}
 
-	if _, err := Parse([]byte(`{"v":1,"kind":"paper","bogus":true}`)); err == nil {
-		t.Error("Parse accepted an unknown field")
+	for _, raw := range []string{
+		`{"v":1,"kind":"paper","bogus":true}`,            // unknown field
+		`{"v":1,"kind":"paper"}}`,                        // trailing brace
+		`{"v":1,"kind":"paper"} garbage`,                 // trailing garbage
+		`{"v":1,"kind":"paper"} {"v":99,"kind":"bogus"}`, // a second value
+	} {
+		if _, err := Parse([]byte(raw)); err == nil {
+			t.Errorf("Parse accepted %q", raw)
+		}
+	}
+	if _, err := Parse([]byte("{\"v\":1,\"kind\":\"paper\"}\n\t ")); err != nil {
+		t.Errorf("Parse rejected trailing whitespace: %v", err)
 	}
 }
 
@@ -219,12 +230,45 @@ func TestClampAndMutateStayInBounds(t *testing.T) {
 }
 
 func TestPaperArtifactBuilds(t *testing.T) {
-	a := PaperArtifact()
+	a := Artifact{V: Version, Kind: KindPaper}
 	pol, err := a.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := pol.(PaperTrigger); !ok {
-		t.Fatalf("PaperArtifact built %T", pol)
+		t.Fatalf("paper artifact built %T", pol)
 	}
+}
+
+// FuzzPolicyParse: Parse never crashes, and whatever it accepts is one
+// valid JSON value, builds, and re-marshals to canonical bytes that
+// parse and marshal to the same bytes again. The seed corpus in
+// testdata/fuzz/FuzzPolicyParse holds the paper artifact, a param
+// artifact as robotack-search writes it, and malformed inputs: an
+// unknown field and three kinds of trailing data.
+func FuzzPolicyParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		a, err := Parse(raw)
+		if err != nil {
+			return
+		}
+		if !json.Valid(raw) {
+			t.Fatalf("Parse accepted invalid JSON %q", raw)
+		}
+		if _, err := a.Build(); err != nil {
+			t.Fatalf("accepted artifact %q does not build: %v", raw, err)
+		}
+		canon, err := a.Marshal()
+		if err != nil {
+			t.Fatalf("accepted artifact %q does not marshal: %v", raw, err)
+		}
+		back, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q does not parse: %v", canon, err)
+		}
+		again, err := back.Marshal()
+		if err != nil || !bytes.Equal(again, canon) {
+			t.Fatalf("canonical form %q re-marshals to %q (%v)", canon, again, err)
+		}
+	})
 }

@@ -187,9 +187,7 @@ func Train(eng *engine.Engine, cfg TrainerConfig) (SearchResult, error) {
 				return res, fmt.Errorf("policy: gen %d cand %d: %w", gen, cand, err)
 			}
 			res.Evaluated++
-			if obs.Enabled() {
-				searchCandidates.Add(1)
-			}
+			searchCandidates.Add(1)
 			if err := logLine(cfg.Log, c); err != nil {
 				return res, err
 			}
@@ -200,10 +198,8 @@ func Train(eng *engine.Engine, cfg TrainerConfig) (SearchResult, error) {
 		}
 		elite = best
 		res.Best = best
-		if obs.Enabled() {
-			searchGenerations.Add(1)
-			searchBestFitness.Set(best.Fitness)
-		}
+		searchGenerations.Add(1)
+		searchBestFitness.Set(best.Fitness)
 		if err := logElite(cfg.Log, gen, best); err != nil {
 			return res, err
 		}

@@ -105,9 +105,6 @@ func replayStore(raw []byte, path string) (*MemStore, int, error) {
 	return mem, good, nil
 }
 
-// Path reports the store's file path.
-func (s *FileStore) Path() string { return s.path }
-
 func (s *FileStore) writeLine(l line) error {
 	raw, err := json.Marshal(l)
 	if err != nil {

@@ -170,6 +170,3 @@ func (c *CampaignRecord) CrashRate() float64 {
 
 // MedianK returns the median attack duration in frames.
 func (c *CampaignRecord) MedianK() float64 { return stats.Median(c.Ks) }
-
-// MedianKPrime returns the median shift time K' in frames.
-func (c *CampaignRecord) MedianKPrime() float64 { return stats.Median(c.KPrimes) }

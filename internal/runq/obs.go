@@ -2,8 +2,9 @@ package runq
 
 // Queue instrumentation: lifecycle counters and live gauges for the
 // run queue, plus the per-job episode-rate tracker that feeds SSE
-// progress events. All of it is observational — journal bytes and job
-// state transitions are identical with metrics on or off.
+// progress events. All of it is observational: nothing outside
+// internal/obs reads a metric back, so journal bytes and job state
+// transitions cannot depend on it.
 
 import (
 	"time"
@@ -34,19 +35,10 @@ var (
 		"Jobs currently executing (local and remote).")
 )
 
-func count(c *obs.Counter) {
-	if obs.Enabled() {
-		c.Add(1)
-	}
-}
-
 // gaugesLocked refreshes the depth/running gauges after a state
 // transition. Transitions are rare next to episodes, so the job scan
 // is cheap.
 func (q *Queue) gaugesLocked() {
-	if !obs.Enabled() {
-		return
-	}
 	qDepth.Set(float64(len(q.pending)))
 	running := 0
 	for _, j := range q.jobs {

@@ -98,7 +98,9 @@ func WithLeaseTTL(d time.Duration) Option {
 const DefaultCompactionThreshold = 1 << 20
 
 // WithCompactionThreshold overrides the startup-compaction trigger
-// size in bytes. Zero or negative disables compaction.
+// size in bytes. Zero or negative disables compaction. Test seam:
+// TestJournalCompactionReplayEquivalent compacts a small journal with
+// it.
 func WithCompactionThreshold(n int64) Option {
 	return func(q *Queue) { q.compactThreshold = n }
 }
@@ -249,7 +251,7 @@ func (q *Queue) expireLeases() {
 		if j.State == StateRunning && !j.lease.IsZero() && now.After(j.lease) {
 			q.log.Warn("lease expired; requeueing",
 				"job", j.ID, "worker", j.Worker, "attempt", j.Attempt)
-			count(qExpired)
+			qExpired.Add(1)
 			q.requeueLocked(j)
 		}
 	}
@@ -264,7 +266,7 @@ func (q *Queue) requeueLocked(j *Job) {
 	j.Worker = ""
 	j.lease = time.Time{}
 	q.pending = append([]int{j.ID}, q.pending...)
-	count(qRequeued)
+	qRequeued.Add(1)
 	q.dropRateLocked(j.ID)
 	q.journalLocked(j)
 	q.publishLocked(j)
@@ -307,7 +309,7 @@ func (q *Queue) Submit(req Request) (Job, error) {
 		q.mu.Unlock()
 		return Job{}, err
 	}
-	count(qSubmitted)
+	qSubmitted.Add(1)
 	q.log.Info("job submitted",
 		"job", j.ID, "scenario", req.Label(), "mode", req.Mode, "runs", req.Runs)
 	q.publishLocked(j)
@@ -498,7 +500,7 @@ func (q *Queue) dispatchLocked() {
 		j.Attempt++
 		j.Worker = LocalWorker
 		j.lease = time.Time{}
-		count(qLeased)
+		qLeased.Add(1)
 		q.traceDequeuedLocked(j, time.Now())
 		q.observeRateLocked(id, j.Done)
 		q.log.Info("job dispatched locally", "job", id, "attempt", j.Attempt)
@@ -568,13 +570,13 @@ func (q *Queue) finishLocked(j *Job, state State, msg string) {
 	switch state {
 	case StateDone:
 		j.Done = j.Total
-		count(qCompleted)
+		qCompleted.Add(1)
 		q.log.Info("job done", append(attrs, "runs", j.Total)...)
 	case StateFailed:
-		count(qFailed)
+		qFailed.Add(1)
 		q.log.Warn("job failed", append(attrs, "err", msg)...)
 	case StateCancelled:
-		count(qCancelled)
+		qCancelled.Add(1)
 		q.log.Info("job cancelled", attrs...)
 	}
 	q.dropRateLocked(j.ID)
@@ -605,7 +607,7 @@ func (q *Queue) Lease(worker string) (job Job, ok bool) {
 	j.Worker = worker
 	now := time.Now()
 	j.lease = now.Add(q.leaseTTL)
-	count(qLeased)
+	qLeased.Add(1)
 	q.traceDequeuedLocked(j, now)
 	q.observeRateLocked(id, j.Done)
 	q.log.Info("job leased", "job", id, "worker", worker, "attempt", j.Attempt)
@@ -643,7 +645,7 @@ func (q *Queue) Heartbeat(id int, worker string, done, total int) error {
 	}
 	now := time.Now()
 	j.lease = now.Add(q.leaseTTL)
-	count(qRenewed)
+	qRenewed.Add(1)
 	q.traceHeartbeatLocked(j, now)
 	if done > j.Done {
 		j.Done = done

@@ -93,6 +93,3 @@ type Scenario struct {
 
 // Frames returns the scenario length in camera frames.
 func (s *Scenario) Frames() int { return int(s.Duration * sim.CameraHz) }
-
-// All returns all five scenario IDs in order.
-func All() []ID { return []ID{DS1, DS2, DS3, DS4, DS5} }

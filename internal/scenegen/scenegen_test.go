@@ -1,6 +1,7 @@
 package scenegen
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -47,7 +48,7 @@ func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
 // back and requires a deep-equal spec — the format loses nothing.
 func TestSpecJSONRoundTrip(t *testing.T) {
 	for _, spec := range builtinSpecs() {
-		data, err := spec.JSON()
+		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", spec.Name, err)
 		}
@@ -65,10 +66,23 @@ func TestParseRejectsUnknownFieldsAndInvalidSpecs(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","typo_field":1}`)); err == nil {
 		t.Error("unknown fields must be rejected")
 	}
+	// One spec per input: anything but whitespace after it is rejected.
+	ds1, err := json.Marshal(DS1Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"}", " " + string(ds1)} {
+		if _, err := Parse(append(ds1[:len(ds1):len(ds1)], tail...)); err == nil {
+			t.Errorf("Parse accepted the DS-1 spec followed by %.20q", tail)
+		}
+	}
+	if _, err := Parse(append(ds1, " \n"...)); err != nil {
+		t.Errorf("Parse rejected trailing whitespace: %v", err)
+	}
 	// Structurally valid JSON, semantically invalid spec (no target).
 	spec := DS1Spec()
 	spec.Actors[0].Target = false
-	data, err := spec.JSON()
+	data, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +139,7 @@ func TestParamSample(t *testing.T) {
 	// seeded stream stays aligned after sampling one.
 	a, b := stats.NewRNG(7), stats.NewRNG(7)
 	P(3).Sample(a)
-	if a.Float64() != b.Float64() {
+	if a.Uniform(0, 1) != b.Uniform(0, 1) {
 		t.Error("zero-jitter Sample consumed randomness")
 	}
 }
@@ -273,7 +287,7 @@ func TestSpecBounds(t *testing.T) {
 		if math.IsNaN(spec.Duration) {
 			continue // JSON cannot carry NaN
 		}
-		data, merr := spec.JSON()
+		data, merr := json.Marshal(spec)
 		if merr != nil {
 			t.Fatal(merr)
 		}
@@ -391,7 +405,8 @@ func sameBits(a, b reflect.Value) bool {
 }
 
 // FuzzSpecParse feeds arbitrary bytes to Parse. Whatever it accepts
-// must stay within MaxActors and MaxDuration, and must compile to
+// must be one valid JSON value, must stay within MaxActors and
+// MaxDuration, and must compile to
 // bit-identical worlds, drawing the same randomness, in a fresh arena
 // and in a reused one, both nominally and with jitter. Floats compare
 // by bit pattern, because extreme jitters can produce NaN. The seed
@@ -402,6 +417,9 @@ func FuzzSpecParse(f *testing.F) {
 		spec, err := Parse(data)
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("Parse accepted invalid JSON %q", data)
 		}
 		reused := dirtyArena(t)
 		for _, seed := range []int64{-1, 1} {
@@ -420,7 +438,7 @@ func FuzzSpecParse(f *testing.F) {
 			if !sameBits(reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()) {
 				t.Fatalf("seed %d: reused arena's world differs from a fresh arena's\n got %+v\nwant %+v", seed, got, want)
 			}
-			if freshRNG != nil && math.Float64bits(freshRNG.Float64()) != math.Float64bits(reusedRNG.Float64()) {
+			if freshRNG != nil && math.Float64bits(freshRNG.Uniform(0, 1)) != math.Float64bits(reusedRNG.Uniform(0, 1)) {
 				t.Fatalf("seed %d: fresh and reused arenas drew different amounts of randomness", seed)
 			}
 		}

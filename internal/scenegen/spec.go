@@ -11,7 +11,9 @@ package scenegen
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/robotack/robotack/internal/sim"
@@ -280,14 +282,18 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Parse decodes and validates a JSON spec. Unknown fields are rejected
-// so typos in hand-written spec files surface as errors.
+// Parse decodes and validates a JSON spec. Unknown fields, and
+// anything but whitespace after the one JSON value, are rejected so
+// typos in hand-written spec files surface as errors.
 func Parse(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenegen: parse spec: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, errors.New("scenegen: parse spec: trailing data after the JSON value")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -302,9 +308,4 @@ func LoadFile(path string) (*Spec, error) {
 		return nil, fmt.Errorf("scenegen: %w", err)
 	}
 	return Parse(data)
-}
-
-// JSON renders the spec as indented JSON.
-func (s *Spec) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

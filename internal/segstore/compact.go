@@ -132,7 +132,7 @@ func (s *Store) compactShard(sh *shard) (bool, error) {
 	sh.recomputeSealedFast()
 	os.RemoveAll(oldDir)
 
-	count(mCompactions)
+	mCompactions.Add(1)
 	gaugeAdd(gSegments, float64(len(sealed)+1-oldSegs))
 	gaugeAdd(gBytes, float64(sh.bytes()-oldBytes))
 	return true, nil

@@ -3,7 +3,8 @@ package segstore
 // Store instrumentation: append/roll/compaction lifecycle counters,
 // the index-hit vs raw-scan split that shows whether queries are
 // actually riding the metadata, and live size gauges. Observational
-// only — on-disk bytes are identical with metrics on or off.
+// only: nothing outside internal/obs reads a metric back, so on-disk
+// bytes cannot depend on it.
 
 import (
 	"github.com/robotack/robotack/internal/obs"
@@ -28,20 +29,14 @@ var (
 		"Record bytes currently stored across all open segmented stores.")
 )
 
-func count(c *obs.Counter) {
-	if obs.Enabled() {
-		c.Add(1)
-	}
-}
-
 func countN(c *obs.Counter, n int64) {
-	if obs.Enabled() && n > 0 {
+	if n > 0 {
 		c.Add(uint64(n))
 	}
 }
 
 func gaugeAdd(g *obs.Gauge, d float64) {
-	if obs.Enabled() && d != 0 {
+	if d != 0 {
 		g.Add(d)
 	}
 }

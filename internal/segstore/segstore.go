@@ -86,8 +86,9 @@ type OpenStats struct {
 // Option configures Open and Load.
 type Option func(*Store)
 
-// WithSegmentBytes overrides the segment roll threshold (tests use
-// small values to force multi-segment shards).
+// WithSegmentBytes overrides the segment roll threshold. Test seam: the
+// multi-segment segstore tests and benchmarks roll small segments with
+// it.
 func WithSegmentBytes(n int64) Option {
 	return func(s *Store) {
 		if n > 0 {
@@ -322,11 +323,9 @@ func (s *Store) openShards() error {
 	return nil
 }
 
-// OpenStats reports what this store's open had to read.
+// OpenStats reports what this store's open had to read. Test seam:
+// TestOpenReadsIndexesNotRecords checks what an open read through it.
 func (s *Store) OpenStats() OpenStats { return s.openStats }
-
-// Dir reports the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) segmentCount() int {
 	s.mu.RLock()
@@ -422,13 +421,13 @@ func (s *Store) Append(ep results.EpisodeRecord) error {
 	wasFast := sh.fastPath()
 	foldAppend(&sh.active, &sh.activeAgg, &ep)
 	sh.active.bytes += int64(len(raw))
-	count(mAppends)
+	mAppends.Add(1)
 	gaugeAdd(gBytes, float64(len(raw)))
 	if sh.active.bytes >= s.segBytes {
 		if err := sh.seal(); err != nil {
 			return err
 		}
-		count(mRolls)
+		mRolls.Add(1)
 		gaugeAdd(gSegments, 1)
 	}
 	if wasFast && !sh.fastPath() {
@@ -546,9 +545,9 @@ func (s *Store) episodesLocked(sh *shard) ([]results.EpisodeRecord, error) {
 	}
 	fast := sh.fastPath()
 	if fast {
-		count(mIndexHits)
+		mIndexHits.Add(1)
 	} else {
-		count(mRawScans)
+		mRawScans.Add(1)
 	}
 	out := make([]results.EpisodeRecord, 0, n)
 	var fold map[int]results.EpisodeRecord
@@ -636,11 +635,11 @@ func (s *Store) AggregateEpisodes(name string) (*results.CampaignRecord, error) 
 		if agg, err := s.mergeAggsLocked(sh); err != nil {
 			return nil, err
 		} else if agg != nil {
-			count(mIndexHits)
+			mIndexHits.Add(1)
 			return agg, nil
 		}
 	}
-	count(mRawScans)
+	mRawScans.Add(1)
 	eps, err := s.episodesLocked(sh)
 	if err != nil {
 		return nil, err

@@ -134,13 +134,6 @@ func (s *relDepthSorter) Len() int           { return len(s.rel) }
 func (s *relDepthSorter) Less(i, j int) bool { return s.rel[i].Pos.X > s.rel[j].Pos.X }
 func (s *relDepthSorter) Swap(i, j int)      { s.rel[i], s.rel[j] = s.rel[j], s.rel[i] }
 
-// Capture renders the world into a fresh frame. Actors are drawn far to
-// near so that nearer objects occlude farther ones, as a real camera
-// would observe.
-func (c *Camera) Capture(w *sim.World, frameIndex int) *Frame {
-	return c.CaptureInto(&CaptureBuffer{}, w, frameIndex)
-}
-
 // CaptureInto renders the world into buf's frame, reusing its image
 // and slices: zero heap allocations once the buffer is warm. The
 // returned frame (and its image) is valid until the next CaptureInto

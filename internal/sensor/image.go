@@ -127,6 +127,8 @@ func (im *Image) ForegroundWindow(th float64) (x0, y0, x1, y1 int) {
 }
 
 // At returns the intensity at (x, y), or 0 outside the image.
+// Production reads the image only through Components. Test seam: the
+// sensor, detect, core and experiment tests read pixels through it.
 func (im *Image) At(x, y int) float64 {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return 0
@@ -142,6 +144,8 @@ func (im *Image) At(x, y int) float64 {
 }
 
 // Set writes the intensity at (x, y); out-of-bounds writes are ignored.
+// Production writes only through FillRectAA. Test seam: the sensor and
+// detect tests draw single pixels with it.
 func (im *Image) Set(x, y int, v float64) {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return
@@ -214,7 +218,8 @@ func coverage(i int, lo, hi float64) float64 {
 }
 
 // Clone returns a deep copy of the image, its writes included. The copy
-// starts without a labeling memo.
+// starts without a labeling memo. Test seam: TestImageClone and the
+// detect and experiment tests copy frames with it.
 func (im *Image) Clone() *Image {
 	c := NewImage(im.W, im.H)
 	c.base = im.base

@@ -258,7 +258,7 @@ func TestFillRectAAMatchesReference(t *testing.T) {
 			if rng.IntN(3) == 0 {
 				r = fillRectAAFixed[rng.IntN(len(fillRectAAFixed))]
 			}
-			v := []float64{0.9, 0.05, rng.Float64()}[rng.IntN(3)]
+			v := []float64{0.9, 0.05, rng.Uniform(0, 1)}[rng.IntN(3)]
 			m.FillRectAA(r, v)
 			sameRaster(t, "fill", m.im, m.ref)
 		}
@@ -374,7 +374,7 @@ func TestCaptureRendersSilhouette(t *testing.T) {
 	w := newSensorWorld()
 	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(30, 0), Size: sim.SizeCar, Behavior: sim.Parked{}})
 	c := DefaultCamera()
-	frame := c.Capture(w, 0)
+	frame := c.CaptureInto(&CaptureBuffer{}, w, 0)
 	if len(frame.Truth) != 1 {
 		t.Fatalf("truth count = %d", len(frame.Truth))
 	}
@@ -399,7 +399,7 @@ func TestCaptureOcclusionOrder(t *testing.T) {
 	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(60, 0), Size: sim.SizeCar, Behavior: sim.Parked{}})
 	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(20, 0), Size: sim.SizeBus, Behavior: sim.Parked{}})
 	c := DefaultCamera()
-	frame := c.Capture(w, 0)
+	frame := c.CaptureInto(&CaptureBuffer{}, w, 0)
 	if len(frame.Truth) != 2 {
 		t.Fatalf("truth count = %d", len(frame.Truth))
 	}
@@ -412,7 +412,7 @@ func TestCaptureOcclusionOrder(t *testing.T) {
 func TestCaptureSkipsBehind(t *testing.T) {
 	w := newSensorWorld()
 	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(-20, 0), Size: sim.SizeCar, Behavior: sim.Parked{}})
-	frame := DefaultCamera().Capture(w, 0)
+	frame := DefaultCamera().CaptureInto(&CaptureBuffer{}, w, 0)
 	if len(frame.Truth) != 0 {
 		t.Error("actor behind the EV must not be captured")
 	}

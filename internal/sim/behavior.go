@@ -62,9 +62,6 @@ func (f *FollowRoute) Step(a *Actor, _ *World, dt float64) {
 	a.Vel = geom.Vec2{}
 }
 
-// Done reports whether the route has been fully consumed.
-func (f *FollowRoute) Done() bool { return f.next >= len(f.Waypoints) }
-
 // TriggeredCross models DS-2's jaywalking pedestrian: the actor stands
 // still until the EV's longitudinal gap to it falls below TriggerGap,
 // then crosses laterally from its current y to ToY at CrossSpeed and
@@ -98,9 +95,6 @@ func (t *TriggeredCross) Step(a *Actor, w *World, dt float64) {
 	a.Vel = geom.V(0, geom.Sign(dy)*t.CrossSpeed)
 }
 
-// Crossing reports whether the pedestrian has started walking.
-func (t *TriggeredCross) Crossing() bool { return t.triggered }
-
 // WalkThenStop models DS-4's pedestrian: walk longitudinally toward the
 // EV (negative x) for Distance meters, then stand still for the rest of
 // the scenario.
@@ -121,6 +115,3 @@ func (ws *WalkThenStop) Step(a *Actor, _ *World, dt float64) {
 	a.Vel = geom.V(-ws.Speed, 0)
 	ws.walked += ws.Speed * dt
 }
-
-// Moving reports whether the pedestrian is still walking.
-func (ws *WalkThenStop) Moving() bool { return ws.walked < ws.Distance }

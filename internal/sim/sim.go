@@ -276,11 +276,6 @@ type RelState struct {
 	InLane bool
 }
 
-// Relative returns the relative states of all actors (ground truth).
-func (w *World) Relative() []RelState {
-	return w.RelativeInto(make([]RelState, 0, len(w.Actors)))
-}
-
 // RelativeInto writes the relative states of all actors into dst,
 // resliced to their number (grown only if too short), and returns it —
 // the allocation-free variant for per-frame callers (camera, LiDAR)

@@ -160,11 +160,12 @@ func TestFollowRoute(t *testing.T) {
 		{Pos: geom.V(60, 5), Speed: 5},
 	}}
 	id := w.AddActor(&Actor{Class: ClassVehicle, Pos: geom.V(50, 0), Size: SizeCar, Behavior: route})
-	for i := 0; i < 15*5 && !route.Done(); i++ {
+	done := func() bool { return route.next >= len(route.Waypoints) }
+	for i := 0; i < 15*5 && !done(); i++ {
 		w.Step(0)
 	}
 	a := w.Actor(id)
-	if !route.Done() {
+	if !done() {
 		t.Fatal("route not finished")
 	}
 	if a.Pos.Dist(geom.V(60, 5)) > 0.5 {
@@ -184,13 +185,13 @@ func TestTriggeredCross(t *testing.T) {
 		Class: ClassPedestrian, Pos: geom.V(80, 6), Size: SizePedestrian, Behavior: cross,
 	})
 	w.Step(0)
-	if cross.Crossing() {
+	if cross.triggered {
 		t.Fatal("should not trigger at 80 m gap")
 	}
 	for i := 0; i < 15*8; i++ {
 		w.Step(0)
 	}
-	if !cross.Crossing() {
+	if !cross.triggered {
 		t.Fatal("pedestrian never triggered")
 	}
 	a := w.Actor(id)
@@ -212,7 +213,7 @@ func TestWalkThenStop(t *testing.T) {
 		w.Step(0)
 	}
 	a := w.Actor(id)
-	if walk.Moving() {
+	if walk.walked < walk.Distance {
 		t.Fatal("pedestrian should have stopped")
 	}
 	if math.Abs(a.Pos.X-55) > 0.2 {
@@ -228,7 +229,7 @@ func TestRelativeStates(t *testing.T) {
 		Behavior: &Cruise{Speed: 4},
 	})
 	w.Step(0)
-	rel := w.Relative()
+	rel := w.RelativeInto(nil)
 	if len(rel) != 1 {
 		t.Fatalf("len = %d", len(rel))
 	}
@@ -241,7 +242,7 @@ func TestRelativeStates(t *testing.T) {
 
 	// RelativeInto fills a reused buffer in place: one left over from a
 	// world with more actors, every entry dirty, must come back equal
-	// to a fresh Relative() field for field.
+	// to a fresh RelativeInto(nil) field for field.
 	w = newTestWorld()
 	w.AddActor(&Actor{Class: ClassVehicle, Pos: geom.V(30, 0.4), Size: SizeSUV, Behavior: &Cruise{Speed: 5}})
 	w.AddActor(&Actor{Class: ClassPedestrian, Pos: geom.V(20, 6), Size: SizePedestrian, Behavior: Parked{}})
@@ -251,7 +252,7 @@ func TestRelativeStates(t *testing.T) {
 		dirty[i] = RelState{ID: 99, Class: 9, Pos: geom.V(-1, -2), Vel: geom.V(3, 4),
 			Size: Size{Length: 7, Width: 8, Height: 9}, InLane: true}
 	}
-	got, want := w.RelativeInto(dirty), w.Relative()
+	got, want := w.RelativeInto(dirty), w.RelativeInto(nil)
 	if len(got) != 2 || len(want) != 2 {
 		t.Fatalf("len = %d and %d, want 2", len(got), len(want))
 	}

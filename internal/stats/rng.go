@@ -1,14 +1,11 @@
 // Package stats provides the deterministic randomness and the statistics
 // toolkit used across the reproduction: seeded RNG streams, Gaussian and
 // exponential sampling with maximum-likelihood fitting (used to
-// regenerate the Fig. 5 characterization), percentiles, histograms and
-// five-number boxplot summaries (Figs. 6 and 7).
+// regenerate the Fig. 5 characterization), percentiles and five-number
+// boxplot summaries (Figs. 6 and 7).
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random stream. Every stochastic component in the
 // codebase receives one by injection so that whole campaigns replay
@@ -45,9 +42,6 @@ func (g *RNG) SplitSeed() int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // IntN returns a uniform sample in [0, n).
 func (g *RNG) IntN(n int) int { return g.r.Intn(n) }
 
@@ -58,19 +52,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64(
 // deviation.
 func (g *RNG) Normal(mean, sigma float64) float64 {
 	return mean + sigma*g.r.NormFloat64()
-}
-
-// TruncNormal returns a Gaussian sample truncated (by rejection) to
-// [lo, hi]. It falls back to clamping after 64 rejections, which can only
-// happen for pathological bounds far outside the distribution's mass.
-func (g *RNG) TruncNormal(mean, sigma, lo, hi float64) float64 {
-	for i := 0; i < 64; i++ {
-		v := g.Normal(mean, sigma)
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Min(math.Max(mean, lo), hi)
 }
 
 // Exponential returns an exponential sample with rate lambda
@@ -84,6 +65,3 @@ func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle permutes the n elements using the provided swap function.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -177,108 +177,3 @@ func (b BoxStats) String() string {
 	return fmt.Sprintf("min=%.2f q1=%.2f med=%.2f q3=%.2f max=%.2f (n=%d)",
 		b.Min, b.Q1, b.Median, b.Q3, b.Max, b.N)
 }
-
-// Histogram is a fixed-width binned count of a sample, used to print the
-// Fig. 5 panels as text.
-type Histogram struct {
-	Lo, Hi float64
-	Width  float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-}
-
-// NewHistogram builds a histogram with nbins equal bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Width: (hi - lo) / float64(nbins), Counts: make([]int, nbins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.Width)
-		if i >= len(h.Counts) { // guard against floating-point edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// AddAll records every observation in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
-// LinearFit is a least-squares line y = A + B*x.
-type LinearFit struct {
-	A, B float64
-	R2   float64
-}
-
-// FitLinear computes the ordinary least-squares line through (xs, ys).
-func FitLinear(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("stats: mismatched lengths %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: degenerate x sample")
-	}
-	b := sxy / sxx
-	fit := LinearFit{A: my - b*mx, B: b}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		fit.R2 = 1
-	}
-	return fit, nil
-}
-
-// MeanAbsError returns mean(|a-b|) over paired samples.
-func MeanAbsError(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: mismatched lengths %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(len(a)), nil
-}

@@ -138,61 +138,10 @@ func TestBoxOrderedProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.AddAll([]float64{-1, 0, 1.9, 2, 9.9, 10, 11})
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-}
-
-func TestFitLinear(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{1, 3, 5, 7, 9} // y = 1 + 2x
-	fit, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.A-1) > 1e-9 || math.Abs(fit.B-2) > 1e-9 {
-		t.Errorf("fit = %+v", fit)
-	}
-	if math.Abs(fit.R2-1) > 1e-9 {
-		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-	if _, err := FitLinear(xs, ys[:3]); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	if _, err := FitLinear([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("degenerate x should fail")
-	}
-}
-
-func TestMeanAbsError(t *testing.T) {
-	got, err := MeanAbsError([]float64{1, 2, 3}, []float64{2, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Errorf("MAE = %v, want 1", got)
-	}
-	if _, err := MeanAbsError([]float64{1}, nil); err == nil {
-		t.Error("mismatch should fail")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(99), NewRNG(99)
 	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
+		if a.Uniform(0, 1) != b.Uniform(0, 1) {
 			t.Fatal("same seed must give same stream")
 		}
 	}
@@ -204,26 +153,12 @@ func TestRNGSplitIndependence(t *testing.T) {
 	c2 := parent.Split()
 	same := 0
 	for i := 0; i < 100; i++ {
-		if c1.Float64() == c2.Float64() {
+		if c1.Uniform(0, 1) == c2.Uniform(0, 1) {
 			same++
 		}
 	}
 	if same > 2 {
 		t.Errorf("sibling streams correlate: %d/100 equal draws", same)
-	}
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	rng := NewRNG(3)
-	for i := 0; i < 1000; i++ {
-		v := rng.TruncNormal(0, 1, -0.5, 0.5)
-		if v < -0.5 || v > 0.5 {
-			t.Fatalf("sample %v outside bounds", v)
-		}
-	}
-	// Pathological bounds: falls back to clamped mean.
-	if v := rng.TruncNormal(0, 0.001, 100, 200); v != 100 {
-		t.Errorf("fallback = %v, want 100", v)
 	}
 }
 
@@ -252,13 +187,13 @@ func TestRNGUniformRange(t *testing.T) {
 func TestReseedMatchesFresh(t *testing.T) {
 	pooled := NewRNG(1)
 	for i := 0; i < 100; i++ {
-		pooled.Float64() // dirty the stream
+		pooled.Uniform(0, 1) // dirty the stream
 	}
 	for _, seed := range []int64{42, -7, 0, 1 << 40} {
 		pooled.Reseed(seed)
 		fresh := NewRNG(seed)
 		for i := 0; i < 50; i++ {
-			if got, want := pooled.Float64(), fresh.Float64(); got != want {
+			if got, want := pooled.Uniform(0, 1), fresh.Uniform(0, 1); got != want {
 				t.Fatalf("seed %d draw %d: reseeded %v, fresh %v", seed, i, got, want)
 			}
 		}
@@ -273,7 +208,7 @@ func TestSplitSeedMatchesSplit(t *testing.T) {
 	recycled := NewRNG(0)
 	recycled.Reseed(b.SplitSeed())
 	for i := 0; i < 50; i++ {
-		if got, want := recycled.Float64(), child.Float64(); got != want {
+		if got, want := recycled.Uniform(0, 1), child.Uniform(0, 1); got != want {
 			t.Fatalf("draw %d: recycled child %v, split child %v", i, got, want)
 		}
 	}

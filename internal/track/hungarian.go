@@ -154,21 +154,3 @@ func (s *hungarianScratch) solve(cost [][]float64) []int {
 	}
 	return out
 }
-
-// Hungarian solves the rectangular assignment problem for the given
-// cost matrix (rows = workers, cols = jobs) and returns assignment[r] =
-// assigned column for each row, or -1 when the row is unassigned
-// (possible when cols < rows). It minimizes total cost in O(n^3) — the
-// "M" stage in the paper's Fig. 1. The Tracker uses the scratch-based
-// solver directly; this wrapper allocates fresh working storage per
-// call.
-func Hungarian(cost [][]float64) []int {
-	var s hungarianScratch
-	res := s.solve(cost)
-	if res == nil {
-		return nil
-	}
-	out := make([]int, len(res))
-	copy(out, res)
-	return out
-}

@@ -12,11 +12,10 @@
 package track
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"github.com/robotack/robotack/internal/geom"
-	"github.com/robotack/robotack/internal/mat"
 )
 
 // Diagonals of the initial covariance P0 and the process noise Q.
@@ -25,7 +24,9 @@ const (
 	qPos, qVel   = 0.15, 0.08
 )
 
-var errSingular = fmt.Errorf("kalman update: %w", mat.ErrSingular)
+// errSingular is Update's error when the innovation covariance S has no
+// inverse; the Tracker counts such an update as a miss.
+var errSingular = errors.New("kalman update: matrix is singular")
 
 // Kalman is a constant-velocity Kalman filter over an image-space
 // bounding-box center. State is [u, v, du, dv] in pixels and pixels per
@@ -59,23 +60,10 @@ var errSingular = fmt.Errorf("kalman update: %w", mat.ErrSingular)
 type Kalman struct {
 	x [4]float64  // state
 	p [16]float64 // covariance, row-major 4x4
-
-	// innovNorm is the last measurement residual z − Hx divided by the
-	// innovation standard deviation per axis: the statistic an
-	// intrusion detector would monitor.
-	innovNorm geom.Vec2
 }
 
-// NewKalman creates a filter initialized at the measured center with
-// zero velocity and a large initial uncertainty.
-func NewKalman(center geom.Vec2) *Kalman {
-	k := new(Kalman)
-	k.Reset(center)
-	return k
-}
-
-// Reset re-initializes the filter at a new measured center, exactly as
-// NewKalman would (track recycling).
+// Reset initializes the filter at a measured center with zero velocity
+// and a large initial uncertainty.
 func (k *Kalman) Reset(center geom.Vec2) {
 	*k = Kalman{x: [4]float64{center.X, center.Y, 0, 0}}
 	k.p[0], k.p[5], k.p[10], k.p[15] = p0Pos, p0Pos, p0Vel, p0Vel
@@ -179,19 +167,8 @@ func (k *Kalman) Update(z geom.Vec2, sigmaU, sigmaV float64) error {
 		}
 	}
 	k.p = np
-
-	k.innovNorm = geom.V(y0/math.Sqrt(s00), y1/math.Sqrt(s11))
 	return nil
 }
 
 // Center returns the current state estimate of the box center.
 func (k *Kalman) Center() geom.Vec2 { return geom.V(k.x[0], k.x[1]) }
-
-// Velocity returns the estimated center velocity in pixels per frame.
-func (k *Kalman) Velocity() geom.Vec2 { return geom.V(k.x[2], k.x[3]) }
-
-// InnovationNorm returns the last residual divided by the innovation
-// standard deviation per axis. An IDS watching the perception system
-// flags updates whose normalized innovation magnitude exceeds ~1
-// consistently (paper §III-B, §VI-E).
-func (k *Kalman) InnovationNorm() geom.Vec2 { return k.innovNorm }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestKalmanConvergesToConstantVelocity(t *testing.T) {
-	k := NewKalman(geom.V(10, 50))
+	k := newKalman(geom.V(10, 50))
 	// Object moves +2 px/frame in u, -0.5 in v; noiseless measurements.
 	for i := 1; i <= 60; i++ {
 		k.Predict()
@@ -20,7 +20,7 @@ func TestKalmanConvergesToConstantVelocity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v := k.Velocity()
+	v := geom.V(k.x[2], k.x[3])
 	if math.Abs(v.X-2) > 0.1 || math.Abs(v.Y+0.5) > 0.1 {
 		t.Errorf("velocity = %v, want (2, -0.5)", v)
 	}
@@ -32,7 +32,7 @@ func TestKalmanConvergesToConstantVelocity(t *testing.T) {
 
 func TestKalmanSmoothsNoise(t *testing.T) {
 	rng := stats.NewRNG(5)
-	k := NewKalman(geom.V(100, 60))
+	k := newKalman(geom.V(100, 60))
 	const sigma = 6.0
 	var rawErr, filtErr []float64
 	for i := 1; i <= 400; i++ {
@@ -58,7 +58,7 @@ func TestKalmanSmoothsNoise(t *testing.T) {
 // the noise envelope) while steadily moving the estimate.
 func TestKalmanAbsorbsSubSigmaDrift(t *testing.T) {
 	const sigma = 4.0
-	k := NewKalman(geom.V(100, 60))
+	k := newKalman(geom.V(100, 60))
 	// Warm up on a static object.
 	for i := 0; i < 40; i++ {
 		k.Predict()
@@ -72,11 +72,13 @@ func TestKalmanAbsorbsSubSigmaDrift(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		k.Predict()
 		pos += sigma * 0.8 // attacker-style drift, below 1 sigma/frame
+		// Normalized innovation |y|/sqrt(S) on u: the residual against
+		// the prediction over its standard deviation, R floored at 1 px².
+		if in := math.Abs(pos-k.x[0]) / math.Sqrt(k.p[0]+math.Max(sigma*sigma, 1)); in > maxInnov {
+			maxInnov = in
+		}
 		if err := k.Update(geom.V(pos, 60), sigma, sigma); err != nil {
 			t.Fatal(err)
-		}
-		if in := math.Abs(k.InnovationNorm().X); in > maxInnov {
-			maxInnov = in
 		}
 	}
 	// Under constant sub-sigma drift the steady-state normalized
@@ -96,7 +98,8 @@ func TestHungarianSimple(t *testing.T) {
 		{2, 0, 5},
 		{3, 2, 2},
 	}
-	got := Hungarian(cost)
+	var s hungarianScratch
+	got := s.solve(cost)
 	want := []int{1, 0, 2}
 	total := 0.0
 	for i, j := range got {
@@ -117,7 +120,8 @@ func TestHungarianRectangular(t *testing.T) {
 		{9, 1},
 		{2, 2},
 	}
-	got := Hungarian(cost)
+	var s hungarianScratch
+	got := s.solve(cost)
 	assignedCols := map[int]bool{}
 	n := 0
 	for _, j := range got {
@@ -138,20 +142,23 @@ func TestHungarianRectangular(t *testing.T) {
 }
 
 func TestHungarianEmpty(t *testing.T) {
-	if got := Hungarian(nil); got != nil {
-		t.Errorf("Hungarian(nil) = %v", got)
+	var s hungarianScratch
+	if got := s.solve(nil); got != nil {
+		t.Errorf("solve(nil) = %v", got)
 	}
-	got := Hungarian([][]float64{{}, {}})
+	got := s.solve([][]float64{{}, {}})
 	if len(got) != 2 || got[0] != -1 || got[1] != -1 {
 		t.Errorf("no-column result = %v", got)
 	}
 }
 
-// Property: Hungarian is optimal for random 4x4 matrices (checked
-// against brute force over all permutations).
+// Property: the assignment solver is optimal for random 4x4 matrices
+// (checked against brute force over all permutations). One solver runs
+// every trial, as the Tracker reuses its own across frames.
 func TestHungarianOptimality(t *testing.T) {
 	rng := stats.NewRNG(17)
 	perms := permutations([]int{0, 1, 2, 3})
+	var s hungarianScratch
 	for trial := 0; trial < 200; trial++ {
 		cost := make([][]float64, 4)
 		for i := range cost {
@@ -160,7 +167,7 @@ func TestHungarianOptimality(t *testing.T) {
 				cost[i][j] = rng.Uniform(0, 10)
 			}
 		}
-		got := Hungarian(cost)
+		got := s.solve(cost)
 		gotTotal := 0.0
 		for i, j := range got {
 			gotTotal += cost[i][j]
@@ -176,7 +183,7 @@ func TestHungarianOptimality(t *testing.T) {
 			}
 		}
 		if gotTotal > best+1e-9 {
-			t.Fatalf("trial %d: Hungarian total %v > optimal %v", trial, gotTotal, best)
+			t.Fatalf("trial %d: solver total %v > optimal %v", trial, gotTotal, best)
 		}
 	}
 }
@@ -334,8 +341,9 @@ func BenchmarkHungarian8x8(b *testing.B) {
 			cost[i][j] = rng.Uniform(0, 10)
 		}
 	}
+	var s hungarianScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Hungarian(cost)
+		_ = s.solve(cost)
 	}
 }

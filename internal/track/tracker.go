@@ -115,16 +115,6 @@ func (t *Track) Box() geom.Rect {
 	return geom.R(s.X-t.W/2, s.Y-t.H, t.W, t.H)
 }
 
-// Center returns the Kalman state estimate (u, v_bottom).
-func (t *Track) Center() geom.Vec2 { return t.kf.Center() }
-
-// VelocityPx returns the estimated center velocity in px/frame.
-func (t *Track) VelocityPx() geom.Vec2 { return t.kf.Velocity() }
-
-// InnovationNorm exposes the filter's normalized innovation for IDS
-// monitoring (§VI-E).
-func (t *Track) InnovationNorm() geom.Vec2 { return t.kf.InnovationNorm() }
-
 // Coasting reports whether the track is currently surviving on
 // prediction only.
 func (t *Track) Coasting() bool { return t.Misses > 0 }
@@ -153,9 +143,6 @@ type Tracker struct {
 func NewTracker(cfg Config) *Tracker {
 	return &Tracker{cfg: cfg, nextID: 1}
 }
-
-// Config returns the tracker's configuration.
-func (tr *Tracker) Config() Config { return tr.cfg }
 
 // Tracks returns the live tracks (both tentative and confirmed).
 func (tr *Tracker) Tracks() []*Track { return tr.tracks }

@@ -10,7 +10,6 @@ import (
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/experiment"
-	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/perception"
 	"github.com/robotack/robotack/internal/planner"
@@ -24,16 +23,14 @@ import (
 // experiment.Episode.Step, to allocate nothing once warm, for golden
 // DS-1 (detections, confirmed tracks, fused objects, a braking target)
 // and for smart DS-2, whose malware runs its own perception stack and
-// attacks inside the measured frames. Both run with metrics on and
-// under a sample-every-1 trace, so the proof covers the instrumented
-// loop. A first run of the same episode warms the Scratch: every free
-// list reaches that trajectory's high-water mark, and the trajectory is
-// fixed by the seed. Lest it pass vacuously, it fails if the episode
+// attacks inside the measured frames. Both run with metrics recording
+// and under a sample-every-1 trace, so the proof covers the
+// instrumented loop. A first run of the same episode warms the
+// Scratch: every free list reaches that trajectory's high-water mark,
+// and the trajectory is fixed by the seed. Lest it pass vacuously, it fails if the episode
 // ends early, if the planner targets no fused object in the stepped
 // frames, or if no sampled, stage-annotated episode span is recorded.
 func TestFrameStepZeroAllocs(t *testing.T) {
-	defer obs.SetEnabled(obs.Enabled())
-	obs.SetEnabled(true)
 	cases := []struct {
 		name string
 		cfg  experiment.RunConfig
