@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/robotack/robotack/internal/detect"
 	"github.com/robotack/robotack/internal/geom"
+	"github.com/robotack/robotack/internal/nn"
 	"github.com/robotack/robotack/internal/sensor"
 	"github.com/robotack/robotack/internal/sim"
 	"github.com/robotack/robotack/internal/stats"
@@ -143,6 +145,58 @@ func TestNNOracleRoundTrip(t *testing.T) {
 	_ = ds // Encode shape check only: the NN training is covered in nn tests.
 	if got := len(ds.x[0]); got != EncodeDim {
 		t.Fatalf("encode dim = %d, want %d", got, EncodeDim)
+	}
+}
+
+// TestNNOracleClonesShareNet: the CloneOracles of one NNOracle share
+// its network, and goroutines predicting through them at once get the
+// bits one goroutine gets. Under -race it also shows that inference
+// only reads the shared network.
+func TestNNOracleClonesShareNet(t *testing.T) {
+	rng := stats.NewRNG(21)
+	src := &NNOracle{Net: nn.NewRegressor(EncodeDim, rng)}
+	type query struct {
+		s State
+		k int
+	}
+	queries := make([]query, 64)
+	for i := range queries {
+		queries[i] = query{State{
+			Delta:   rng.Uniform(5, 60),
+			VRel:    geom.V(rng.Uniform(-10, 2), rng.Uniform(-1, 1)),
+			ARel:    geom.V(rng.Uniform(-3, 3), rng.Uniform(-1, 1)),
+			EVSpeed: 12.5,
+		}, 1 + rng.IntN(60)}
+	}
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		want[i] = src.PredictDelta(q.s, q.k)
+	}
+	got := make([][]float64, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		clone := src.CloneOracle().(*NNOracle)
+		if clone == src || clone.Net != src.Net {
+			t.Fatal("CloneOracle must return a new oracle on the same network")
+		}
+		got[w] = make([]float64, len(queries))
+		wg.Add(1)
+		go func(o Oracle, out []float64) {
+			defer wg.Done()
+			for range 3 {
+				for i, q := range queries {
+					out[i] = o.PredictDelta(q.s, q.k)
+				}
+			}
+		}(clone, got[w])
+	}
+	wg.Wait()
+	for w, out := range got {
+		for i := range want {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("goroutine %d query %d: %v, one goroutine %v", w, i, out[i], want[i])
+			}
+		}
 	}
 }
 

@@ -118,7 +118,8 @@ func CloneOracles(oracles map[Vector]Oracle) map[Vector]Oracle {
 // Oracle. Predictions run through the network's pooled inference path
 // (nn.Network.Infer), so a warm PredictDelta call performs zero heap
 // allocations; the scratch makes an NNOracle single-goroutine —
-// concurrent episodes clone it (OracleCloner).
+// concurrent episodes clone it (OracleCloner), and the clones share
+// Net.
 type NNOracle struct {
 	Net *nn.Network
 
@@ -138,10 +139,10 @@ func (o *NNOracle) PredictDelta(s State, k int) float64 {
 	return o.Net.Infer(o.scratch, o.in)[0]
 }
 
-// CloneOracle implements OracleCloner: the network's inference scratch
-// is per-goroutine, so each concurrent episode runner gets its own
-// copy of the weights and scratch.
-func (o *NNOracle) CloneOracle() Oracle { return &NNOracle{Net: o.Net.Clone()} }
+// CloneOracle implements OracleCloner: inference only reads the
+// network's weights, so the clone shares Net and gets a scratch of its
+// own.
+func (o *NNOracle) CloneOracle() Oracle { return &NNOracle{Net: o.Net} }
 
 // SafetyHijackerConfig parametrizes the when-to-attack decision.
 type SafetyHijackerConfig struct {

@@ -12,8 +12,9 @@
 //     pixel perturbations bounded by the Kalman noise envelope and the
 //     Hungarian association constraint.
 //
-// Malware ties the three together per Algorithm 1 and implements the
-// sensor.Tap interface so it can be installed on the camera link.
+// Malware ties the three together per Algorithm 1 and sits on the
+// camera link, where it sees and may rewrite every frame before the
+// ADS does.
 // Baseline-Random and "R w/o SH" (random timing) variants are provided
 // for the paper's comparisons.
 package core

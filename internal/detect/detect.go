@@ -153,7 +153,6 @@ type Detector struct {
 // detTrack is the internal per-component memory for the miss-run model.
 type detTrack struct {
 	box      geom.Rect
-	class    sim.Class
 	missLeft int
 	seen     bool
 }
@@ -199,18 +198,18 @@ func (d *Detector) Detect(img *sensor.Image) []Detection {
 			// No miss model, no jitter.
 		case missLeft > 0:
 			missLeft--
-			next = append(next, detTrack{box: c.Box, class: cls, missLeft: missLeft})
+			next = append(next, detTrack{box: c.Box, missLeft: missLeft})
 			continue
 		default:
 			mp := d.missParams(cls)
 			if d.rng.Bernoulli(mp.StartProb) {
 				run := d.sampleRun(mp, c.Box.H)
 				// This frame counts as the first frame of the run.
-				next = append(next, detTrack{box: c.Box, class: cls, missLeft: run - 1})
+				next = append(next, detTrack{box: c.Box, missLeft: run - 1})
 				continue
 			}
 		}
-		next = append(next, detTrack{box: c.Box, class: cls})
+		next = append(next, detTrack{box: c.Box})
 
 		box := c.Box
 		bottom := d.refineBottom(c)

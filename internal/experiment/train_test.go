@@ -37,12 +37,8 @@ func sameWeights(a, b *nn.Network) bool {
 	if len(a.Layers) != len(b.Layers) {
 		return false
 	}
-	for i, l := range a.Layers {
-		da, ok := l.(*nn.Dense)
-		if !ok {
-			continue
-		}
-		db := b.Layers[i].(*nn.Dense)
+	for i, da := range a.Layers {
+		db := b.Layers[i]
 		for _, p := range [][2][]float64{{da.W, db.W}, {da.B, db.B}} {
 			if len(p[0]) != len(p[1]) {
 				return false

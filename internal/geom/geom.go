@@ -40,16 +40,6 @@ func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 // Dist returns the Euclidean distance between v and o.
 func (v Vec2) Dist(o Vec2) float64 { return v.Sub(o).Norm() }
 
-// Unit returns the unit vector in the direction of v, or the zero vector
-// if v has (near-)zero length.
-func (v Vec2) Unit() Vec2 {
-	n := v.Norm()
-	if n < 1e-12 {
-		return Vec2{}
-	}
-	return v.Scale(1 / n)
-}
-
 // String implements fmt.Stringer.
 func (v Vec2) String() string { return fmt.Sprintf("(%.3f, %.3f)", v.X, v.Y) }
 

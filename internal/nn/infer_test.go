@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"github.com/robotack/robotack/internal/stats"
@@ -8,7 +9,8 @@ import (
 
 // TestInferMatchesForward is the golden equivalence test for the
 // pooled inference path: for random networks across layer shapes,
-// Infer must produce bit-identical outputs to Forward(x, false).
+// Infer must produce outputs bit-identical to the reference's forward
+// pass, refInfer.
 func TestInferMatchesForward(t *testing.T) {
 	shapes := [][]int{
 		{1, 1},
@@ -19,27 +21,21 @@ func TestInferMatchesForward(t *testing.T) {
 	}
 	rng := stats.NewRNG(42)
 	for _, dims := range shapes {
-		var n Network
-		for i := 0; i+1 < len(dims); i++ {
-			n.Layers = append(n.Layers, NewDense(dims[i], dims[i+1], rng))
-			if i+2 < len(dims) {
-				n.Layers = append(n.Layers, &ReLU{}, NewDropout(0.1, rng))
-			}
-		}
+		n := stack(rng, dims...)
 		s := n.NewInferScratch()
 		for trial := 0; trial < 25; trial++ {
 			x := make([]float64, dims[0])
 			for i := range x {
 				x[i] = rng.Normal(0, 2)
 			}
-			want := n.Forward(x, false)
+			want := refInfer(n, x)
 			got := n.Infer(s, x)
 			if len(got) != len(want) {
-				t.Fatalf("shape %v: Infer returned %d outputs, Forward %d", dims, len(got), len(want))
+				t.Fatalf("shape %v: Infer returned %d outputs, the reference %d", dims, len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("shape %v trial %d: Infer[%d] = %v, Forward = %v (must be bit-identical)",
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("shape %v trial %d: Infer[%d] = %v, reference = %v (must be bit-identical)",
 						dims, trial, i, got[i], want[i])
 				}
 			}
@@ -81,30 +77,6 @@ func TestInferZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInferAfterClone verifies a cloned network's inference path
-// agrees with the original's training-mode-off forward pass.
-func TestInferAfterClone(t *testing.T) {
-	rng := stats.NewRNG(99)
-	n := NewRegressor(6, rng)
-	clone := n.Clone()
-	s := clone.NewInferScratch()
-	x := []float64{30, -4, 0.5, 0.1, 0, 1.2}
-	if got, want := clone.Infer(s, x)[0], n.Forward(x, false)[0]; got != want {
-		t.Fatalf("clone Infer = %v, original Forward = %v", got, want)
-	}
-}
-
-func buildStack(dims []int, rng *stats.RNG) *Network {
-	var n Network
-	for i := 0; i+1 < len(dims); i++ {
-		n.Layers = append(n.Layers, NewDense(dims[i], dims[i+1], rng))
-		if i+2 < len(dims) {
-			n.Layers = append(n.Layers, &ReLU{}, NewDropout(0.1, rng))
-		}
-	}
-	return &n
-}
-
 // TestInferScratchRebind is the regression test for the historical
 // sizeFor bug: the scratch cached sizing by layer COUNT, so handing a
 // warm scratch a same-depth but wider network kept the undersized
@@ -112,13 +84,13 @@ func buildStack(dims []int, rng *stats.RNG) *Network {
 // network's identity and recomputed on rebind.
 func TestInferScratchRebind(t *testing.T) {
 	rng := stats.NewRNG(11)
-	narrow := buildStack([]int{4, 8, 1}, rng)
-	wide := buildStack([]int{4, 64, 1}, rng) // same layer count, wider
+	narrow := stack(rng, 4, 8, 1)
+	wide := stack(rng, 4, 64, 1) // same layer count, wider
 	s := narrow.NewInferScratch()
 	x := []float64{0.5, -1, 2, 0.25}
 	narrow.Infer(s, x)
 
-	want := wide.Forward(x, false)
+	want := refInfer(wide, x)
 	got := wide.Infer(s, x) // must rebind + regrow, not panic
 	for i := range want {
 		if got[i] != want[i] {
@@ -126,7 +98,7 @@ func TestInferScratchRebind(t *testing.T) {
 		}
 	}
 	// And rebinding back must keep working with the grown buffers.
-	wantN := narrow.Forward(x, false)
+	wantN := refInfer(narrow, x)
 	gotN := narrow.Infer(s, x)
 	if gotN[0] != wantN[0] {
 		t.Fatalf("re-rebound scratch: got %v want %v", gotN[0], wantN[0])
@@ -160,16 +132,5 @@ func BenchmarkInfer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Infer(s, x)
-	}
-}
-
-func BenchmarkForward(b *testing.B) {
-	rng := stats.NewRNG(5)
-	n := NewRegressor(6, rng)
-	x := []float64{12, -1.5, 0.2, 0.4, -0.1, 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Forward(x, false)
 	}
 }

@@ -13,19 +13,6 @@ import (
 	"github.com/robotack/robotack/internal/stats"
 )
 
-// Layer is one differentiable stage of a network.
-type Layer interface {
-	// Forward computes the layer output. train enables stochastic
-	// behaviour (dropout).
-	Forward(x []float64, train bool) []float64
-	// Backward consumes dL/dOutput and returns dL/dInput, accumulating
-	// parameter gradients internally.
-	Backward(grad []float64) []float64
-	// Params returns parameter and gradient slices (paired); empty for
-	// parameterless layers.
-	Params() (params, grads [][]float64)
-}
-
 // Dense is a fully connected layer: y = Wx + b.
 type Dense struct {
 	In, Out int
@@ -33,10 +20,7 @@ type Dense struct {
 	B       []float64
 
 	gw, gb []float64
-	x      []float64
 }
-
-var _ Layer = (*Dense)(nil)
 
 // NewDense creates a dense layer with He-initialized weights.
 func NewDense(in, out int, rng *stats.RNG) *Dense {
@@ -54,67 +38,16 @@ func NewDense(in, out int, rng *stats.RNG) *Dense {
 	return d
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x []float64, _ bool) []float64 {
-	d.x = append(d.x[:0], x...)
-	return d.ForwardInto(make([]float64, d.Out), x)
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(grad []float64) []float64 {
-	nz := gather(make([]int32, 0, len(d.x)), d.x, 0, len(d.x), false)
-	return d.backwardInto(make([]float64, d.In), grad, d.x, nz, dxAll)
-}
-
-// dxMode says which entries of a Dense layer's input gradient dL/dx
-// the layers below it read in training.
-type dxMode uint8
-
-const (
-	// dxAll: every entry.
-	dxAll dxMode = iota
-	// dxNonzero: only the entries where the layer input x is nonzero.
-	// The layer directly below is a ReLU, or a ReLU followed by
-	// dropouts, so x[i] == 0 means unit i was inactive or dropped, and
-	// their backward passes write a literal 0 at i whatever dL/dx[i] is.
-	dxNonzero
-	// dxNone: no entry; no layer below has parameters.
-	dxNone
-)
-
-// dxFor decides the dxMode of a Dense layer whose lower layers are
-// below, in stack order.
-func dxFor(below []Layer) dxMode {
-	mode := dxNone
-	for _, l := range below {
-		switch l.(type) {
-		case *ReLU, *Dropout:
-		default:
-			mode = dxAll
-		}
-	}
-	if mode == dxNone {
-		return dxNone
-	}
-	i := len(below) - 1
-	for ; i >= 0; i-- {
-		if _, ok := below[i].(*Dropout); !ok {
-			break
-		}
-	}
-	if _, ok := below[i].(*ReLU); ok {
-		return dxNonzero
-	}
-	return dxAll
-}
-
 // backwardInto accumulates the parameter gradients for upstream
 // gradient grad at layer input x, whose nonzero entries nz indexes in
-// ascending order, and adds the entries of dL/dx that dx selects into
-// in, which the caller zeroes.
-func (d *Dense) backwardInto(in, grad, x []float64, nz []int32, dx dxMode) []float64 {
+// ascending order. If dx is set it also adds dL/dx at the entries nz
+// indexes into in, which the caller zeroes. The layer below every
+// Dense layer but the first is a hidden layer's ReLU and dropout, whose
+// output is 0 at every other entry and whose backward pass writes a
+// literal 0 there whatever dL/dx holds; nothing reads the first
+// layer's dL/dx.
+func (d *Dense) backwardInto(in, grad, x []float64, nz []int32, dx bool) {
 	x = x[:d.In]
-	in = in[:len(x)]
 	for o := 0; o < d.Out; o++ {
 		g := grad[o]
 		if g == 0 {
@@ -131,7 +64,7 @@ func (d *Dense) backwardInto(in, grad, x []float64, nz []int32, dx dxMode) []flo
 		d.gb[o] += g
 		row := d.W[o*d.In : (o+1)*d.In][:len(x)]
 		grow := d.gw[o*d.In : (o+1)*d.In][:len(x)]
-		if dx == dxNonzero {
+		if dx {
 			for _, i := range nz {
 				grow[i] += g * x[i]
 				in[i] += g * row[i]
@@ -141,13 +74,7 @@ func (d *Dense) backwardInto(in, grad, x []float64, nz []int32, dx dxMode) []flo
 		for _, i := range nz {
 			grow[i] += g * x[i]
 		}
-		if dx == dxAll {
-			for i, w := range row {
-				in[i] += g * w
-			}
-		}
 	}
-	return in
 }
 
 // gather appends to idx the indices in [lo, hi) at which x is nonzero
@@ -161,211 +88,63 @@ func gather(idx []int32, x []float64, lo, hi int, all bool) []int32 {
 	return idx
 }
 
-// Params implements Layer.
-func (d *Dense) Params() (params, grads [][]float64) {
-	return [][]float64{d.W, d.B}, [][]float64{d.gw, d.gb}
-}
+// dropoutRate is the paper's dropout rate, and dropScale the inverted
+// dropout's scale on a kept unit. The constants are typed, so
+// 1/(1-dropoutRate) rounds each step as the same float64 arithmetic at
+// run time does.
+const (
+	dropoutRate float64 = 0.1
+	dropScale           = 1 / (1 - dropoutRate)
+)
 
-// ReLU is the rectified linear activation.
-type ReLU struct {
-	mask []bool
-}
-
-var _ Layer = (*ReLU)(nil)
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x []float64, _ bool) []float64 {
-	r.mask = resize(r.mask, len(x))
-	return reluInto(make([]float64, len(x)), r.mask, x)
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad []float64) []float64 {
-	return reluBackInto(make([]float64, len(grad)), grad, r.mask)
-}
-
-// reluInto writes max(x, 0) into out and records which units are
-// active in mask.
-func reluInto(out []float64, mask []bool, x []float64) []float64 {
-	out, mask = out[:len(x)], mask[:len(x)]
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-			mask[i] = true
+// reluDropout is a hidden layer's ReLU and then its inverted dropout,
+// in place on the layer's activation h. keep holds one draw per unit:
+// a unit passes, scaled by dropScale, where it is active (h > 0) and
+// kept, and becomes +0 elsewhere. On return keep marks the units that
+// passed.
+func reluDropout(h []float64, keep []bool) {
+	keep = keep[:len(h)]
+	for i, v := range h {
+		if keep[i] && v > 0 {
+			h[i] = v * dropScale
 		} else {
-			out[i] = 0
-			mask[i] = false
-		}
-	}
-	return out
-}
-
-// reluBackInto passes grad through the units mask marks active.
-func reluBackInto(out, grad []float64, mask []bool) []float64 {
-	out, mask = out[:len(grad)], mask[:len(grad)]
-	for i, g := range grad {
-		if mask[i] {
-			out[i] = g
-		} else {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
-// Params implements Layer.
-func (r *ReLU) Params() (params, grads [][]float64) { return nil, nil }
-
-// Dropout zeroes activations with probability Rate during training
-// (inverted dropout: survivors are scaled by 1/(1-Rate)).
-type Dropout struct {
-	Rate float64
-	rng  *stats.RNG
-	keep []bool
-}
-
-var _ Layer = (*Dropout)(nil)
-
-// NewDropout creates a dropout layer.
-func NewDropout(rate float64, rng *stats.RNG) *Dropout {
-	return &Dropout{Rate: rate, rng: rng}
-}
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x []float64, train bool) []float64 {
-	out := make([]float64, len(x))
-	if !train || d.Rate <= 0 {
-		copy(out, x)
-		d.keep = nil
-		return out
-	}
-	d.keep = resize(d.keep, len(x))
-	return d.dropInto(out, d.keep, x)
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(grad []float64) []float64 {
-	out := make([]float64, len(grad))
-	if d.keep == nil {
-		copy(out, grad)
-		return out
-	}
-	return d.dropBackInto(out, grad, d.keep)
-}
-
-// dropInto draws one Bernoulli(Rate) per unit, in unit order, zeroing
-// the dropped units and scaling the kept ones (recorded in keep) into
-// out.
-func (d *Dropout) dropInto(out []float64, keep []bool, x []float64) []float64 {
-	out, keep = out[:len(x)], keep[:len(x)]
-	scale := 1 / (1 - d.Rate)
-	for i, v := range x {
-		if d.rng.Bernoulli(d.Rate) {
 			keep[i] = false
-			out[i] = 0
-		} else {
-			keep[i] = true
-			out[i] = v * scale
+			h[i] = 0
 		}
 	}
-	return out
 }
 
-// dropBackInto passes grad, scaled, through the units keep marks kept.
-func (d *Dropout) dropBackInto(out, grad []float64, keep []bool) []float64 {
-	out, keep = out[:len(grad)], keep[:len(grad)]
-	scale := 1 / (1 - d.Rate)
+// reluDropoutBack is reluDropout's backward pass, in place on dL/dh:
+// the units keep marks as passed scale by dropScale, the rest become +0.
+func reluDropoutBack(grad []float64, keep []bool) {
+	keep = keep[:len(grad)]
 	for i, g := range grad {
 		if keep[i] {
-			out[i] = g * scale
+			grad[i] = g * dropScale
 		} else {
-			out[i] = 0
+			grad[i] = 0
 		}
 	}
-	return out
 }
 
-// Params implements Layer.
-func (d *Dropout) Params() (params, grads [][]float64) { return nil, nil }
-
-// Network is a sequential stack of layers.
+// Network is the safety hijacker's regressor: dense layers with a ReLU
+// after every one but the last and, in training, an inverted dropout of
+// rate 0.1 after each ReLU. The last layer is linear.
 type Network struct {
-	Layers []Layer
+	Layers []*Dense
 }
 
 // NewRegressor builds the paper's safety-hijacker architecture: three
 // hidden layers (100, 100, 50) with ReLU and dropout 0.1, and a linear
 // scalar output.
 func NewRegressor(inputDim int, rng *stats.RNG) *Network {
-	return &Network{Layers: []Layer{
+	return &Network{Layers: []*Dense{
 		NewDense(inputDim, 100, rng),
-		&ReLU{},
-		NewDropout(0.1, rng),
 		NewDense(100, 100, rng),
-		&ReLU{},
-		NewDropout(0.1, rng),
 		NewDense(100, 50, rng),
-		&ReLU{},
-		NewDropout(0.1, rng),
 		NewDense(50, 1, rng),
 	}}
 }
-
-// Clone returns an independent inference copy of the network: dense
-// weights and biases are deep-copied and every layer gets fresh
-// forward-pass scratch state. Layers keep per-call activation caches
-// (Dense.x, ReLU.mask), so a single Network must not be shared across
-// goroutines — parallel episode runners clone the trained oracle nets
-// instead. Clones carry no dropout RNG; they are for inference
-// (train=false) only.
-func (n *Network) Clone() *Network {
-	out := &Network{Layers: make([]Layer, 0, len(n.Layers))}
-	for _, l := range n.Layers {
-		switch l := l.(type) {
-		case *Dense:
-			d := &Dense{
-				In: l.In, Out: l.Out,
-				W:  append([]float64(nil), l.W...),
-				B:  append([]float64(nil), l.B...),
-				gw: make([]float64, len(l.gw)),
-				gb: make([]float64, len(l.gb)),
-			}
-			out.Layers = append(out.Layers, d)
-		case *ReLU:
-			out.Layers = append(out.Layers, &ReLU{})
-		case *Dropout:
-			out.Layers = append(out.Layers, &Dropout{Rate: l.Rate})
-		default:
-			panic(fmt.Sprintf("nn: Clone: unsupported layer %T", l))
-		}
-	}
-	return out
-}
-
-// Forward runs the network. train enables dropout.
-func (n *Network) Forward(x []float64, train bool) []float64 {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// InferenceLayer is a layer with an allocation-free inference path.
-// ForwardInto computes the layer's inference output (train=false
-// semantics: dropout is the identity) into dst and returns dst
-// re-sliced to the output length. dst must not alias x, and its
-// capacity must cover the layer's output width. The arithmetic is the
-// same sequence of float64 operations as Forward(x, false), so the
-// two paths produce bit-identical outputs.
-type InferenceLayer interface {
-	ForwardInto(dst, x []float64) []float64
-}
-
-var (
-	_ InferenceLayer = (*Dense)(nil)
-	_ InferenceLayer = (*ReLU)(nil)
-	_ InferenceLayer = (*Dropout)(nil)
-)
 
 // gatherBlock is how many inputs Dense.ForwardInto gathers at a time.
 // Its index buffer lives on the stack, so the kernel keeps no state in
@@ -375,7 +154,8 @@ const gatherBlock = 128
 // negZeroBits is the bit pattern of -0.
 const negZeroBits = 1 << 63
 
-// ForwardInto implements InferenceLayer. It sums only the nonzero
+// ForwardInto computes y = Wx + b into dst and returns dst re-sliced to
+// the output width. dst must not alias x. It sums only the nonzero
 // inputs, which is exact for finite weights: a zero input adds ±0, and
 // adding ±0 leaves a float64 sum unchanged unless the sum is -0. A sum
 // that starts at a bias other than -0 never becomes -0 (only -0 + -0
@@ -431,91 +211,31 @@ func (d *Dense) addRows(out, x []float64, idx []int32) {
 	}
 }
 
-// ForwardInto implements InferenceLayer.
-func (r *ReLU) ForwardInto(dst, x []float64) []float64 {
-	out := dst[:len(x)]
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
-// ForwardInto implements InferenceLayer. Inference-mode dropout is the
-// identity.
-func (d *Dropout) ForwardInto(dst, x []float64) []float64 {
-	out := dst[:len(x)]
-	copy(out, x)
-	return out
-}
-
-// InferScratch holds the ping-pong activation buffers for Infer, plus
-// the cached structural facts of the network it was sized for (widest
-// activation, whether every layer has an inference path) so the
-// per-prediction call does no type-assertion rescans. One scratch
-// serves one goroutine; concurrent episodes each own one.
+// InferScratch holds the ping-pong activation buffers for Infer and the
+// network they were sized for. One scratch serves one goroutine;
+// concurrent episodes each own one, and may share the network.
 type InferScratch struct {
 	a, b []float64
-
-	net      *Network // the network the cache below was computed for
-	width    int
-	allInfer bool
+	net  *Network
 }
 
-// sizeFor (re)computes the cached structure for n. The per-call fast
-// path is a single pointer compare; the full rescan runs only at
-// construction or when the scratch is rebound to a different network —
-// sizing is hoisted out of the prediction loop, so a warm scratch can
-// never silently grow (or, worse, stay undersized for a same-depth but
-// wider network, which the historical layer-count check allowed)
-// mid-episode.
+// sizeFor sizes the buffers for n. The per-call fast path is a single
+// pointer compare; the width scan runs only at construction or when
+// the scratch is rebound to a different network, so a warm scratch
+// never grows mid-episode.
 func (s *InferScratch) sizeFor(n *Network) {
 	if s.net == n {
 		return
 	}
 	s.net = n
-	s.width = n.maxWidth()
-	s.allInfer = true
-	for _, l := range n.Layers {
-		if _, ok := l.(InferenceLayer); !ok {
-			s.allInfer = false
-			break
-		}
+	width := 1
+	for _, d := range n.Layers {
+		width = max(width, d.Out)
 	}
-	if len(s.a) < s.width {
-		s.a = make([]float64, s.width)
-		s.b = make([]float64, s.width)
+	if len(s.a) < width {
+		s.a = make([]float64, width)
+		s.b = make([]float64, width)
 	}
-}
-
-// maxWidth returns the widest activation the network produces.
-func (n *Network) maxWidth() int {
-	w := 1
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dense); ok {
-			if d.In > w {
-				w = d.In
-			}
-			if d.Out > w {
-				w = d.Out
-			}
-		}
-	}
-	return w
-}
-
-// inputDim returns the first dense layer's input width (the network's
-// input dimensionality), or zero for a dense-free stack.
-func (n *Network) inputDim() int {
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dense); ok {
-			return d.In
-		}
-	}
-	return 0
 }
 
 // NewInferScratch allocates scratch buffers sized for this network's
@@ -527,36 +247,42 @@ func (n *Network) NewInferScratch() *InferScratch {
 	return s
 }
 
-// Infer runs the network in inference mode writing every activation
-// into s's ping-pong buffers: zero heap allocations after the scratch
-// is warm. The returned slice aliases the scratch and is valid until
-// the next Infer call. Outputs are bit-identical to Forward(x, false).
-// A stack containing a layer without an inference path falls back to
-// Forward (allocating, still correct).
+// Infer runs the network in inference mode, where dropout is the
+// identity: each layer's ForwardInto into s's ping-pong buffers, then
+// the ReLU in place on every hidden layer. A warm call allocates
+// nothing. It reads only the layers' weights and biases, so goroutines
+// with a scratch each may share n. The returned slice aliases the
+// scratch and is valid until the next Infer call.
 func (n *Network) Infer(s *InferScratch, x []float64) []float64 {
-	if s == nil {
-		return n.Forward(x, false)
-	}
 	s.sizeFor(n)
-	if !s.allInfer {
-		return n.Forward(x, false)
-	}
-	cur := x
-	useA := true
-	for _, l := range n.Layers {
-		dst := s.a
-		if !useA {
-			dst = s.b
+	last := len(n.Layers) - 1
+	dst, spare := s.a, s.b
+	for i, d := range n.Layers {
+		x = d.ForwardInto(dst, x)
+		if i < last {
+			for j, v := range x {
+				if !(v > 0) {
+					x[j] = 0
+				}
+			}
 		}
-		cur = l.(InferenceLayer).ForwardInto(dst, cur)
-		useA = !useA
+		dst, spare = spare, dst
 	}
-	return cur
+	return x
 }
+
+// Adam's hyperparameters, the standard ones. They are typed constants,
+// so 1-beta1 and 1-beta2 round as the same float64 arithmetic at run
+// time does.
+const (
+	beta1   float64 = 0.9
+	beta2   float64 = 0.999
+	adamEps float64 = 1e-8
+)
 
 // Adam is the Adam optimizer (Kingma & Ba) over a network's parameters.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float64
+	LR float64
 
 	m, v [][]float64
 	t    int
@@ -569,7 +295,7 @@ type Adam struct {
 
 // NewAdam creates an Adam optimizer with standard hyperparameters.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return &Adam{LR: lr}
 }
 
 // Step applies one update using the gradients accumulated in n, scaled
@@ -585,21 +311,18 @@ func (a *Adam) Step(n *Network, batchSize int) {
 		}
 	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(beta1, float64(a.t))
+	c2 := 1 - math.Pow(beta2, float64(a.t))
 	inv := 1 / float64(batchSize)
-	// Hoisted hyperparameters: the same values, so the same arithmetic,
-	// without reloading them through a on every element.
-	lr, b1, b2, eps := a.LR, a.Beta1, a.Beta2, a.Eps
-	nb1, nb2 := 1-b1, 1-b2
+	lr := a.LR
 	for i, p := range a.params {
 		g := a.grads[i][:len(p)]
 		m, v := a.m[i][:len(p)], a.v[i][:len(p)]
 		for j := range p {
 			gj := g[j] * inv
-			m[j] = b1*m[j] + nb1*gj
-			v[j] = b2*v[j] + nb2*gj*gj
-			p[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + eps)
+			m[j] = beta1*m[j] + (1-beta1)*gj
+			v[j] = beta2*v[j] + (1-beta2)*gj*gj
+			p[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + adamEps)
 		}
 	}
 }
@@ -611,10 +334,9 @@ func (a *Adam) bind(n *Network) {
 	}
 	a.net = n
 	a.params, a.grads = a.params[:0], a.grads[:0]
-	for _, l := range n.Layers {
-		p, g := l.Params()
-		a.params = append(a.params, p...)
-		a.grads = append(a.grads, g...)
+	for _, d := range n.Layers {
+		a.params = append(a.params, d.W, d.B)
+		a.grads = append(a.grads, d.gw, d.gb)
 	}
 }
 
@@ -688,10 +410,9 @@ func (n *Network) checkData(name string, d Dataset) error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("nn: %s set has %d rows but %d labels", name, len(d.X), len(d.Y))
 	}
-	in := n.inputDim()
 	for i, x := range d.X {
-		if in > 0 && len(x) != in {
-			return fmt.Errorf("nn: %s row %d has width %d, network input is %d", name, i, len(x), in)
+		if len(n.Layers) > 0 && len(x) != n.Layers[0].In {
+			return fmt.Errorf("nn: %s row %d has width %d, network input is %d", name, i, len(x), n.Layers[0].In)
 		}
 	}
 	return nil
@@ -730,9 +451,21 @@ type Trainer struct {
 	loss       [1]float64 // dL/d(output) of the current sample
 }
 
+// trainSlot is one layer's training buffers: its input for the current
+// sample (aliasing the slot below's out, or the dataset row) and the
+// indices of that input's nonzero entries, its activation, its input
+// gradient (none for the first layer) and, for a hidden layer, its
+// dropout mask.
+type trainSlot struct {
+	x, out, gin []float64
+	nz          []int32
+	keep        []bool
+}
+
 // NewTrainer prepares to fit n on train with MSE loss and evaluate it on
-// val, drawing minibatch orders from rng. It rejects an empty training
-// set, an invalid cfg and rows of the wrong width, as Train does.
+// val, drawing minibatch orders and dropout masks from rng. It rejects
+// an empty training set, an invalid cfg and rows of the wrong width, as
+// Train does.
 func NewTrainer(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) (*Trainer, error) {
 	if train.Len() == 0 {
 		return nil, errors.New("nn: empty training set")
@@ -749,9 +482,14 @@ func NewTrainer(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG)
 	t := &Trainer{n: n, train: train, val: val, cfg: cfg, rng: rng,
 		opt: NewAdam(cfg.LR), slots: make([]trainSlot, len(n.Layers))}
 	t.opt.bind(n)
-	for i, l := range n.Layers {
-		if _, ok := l.(*Dense); ok {
-			t.slots[i].dx = dxFor(n.Layers[:i])
+	for i, d := range n.Layers {
+		s := &t.slots[i]
+		s.out, s.nz = make([]float64, d.Out), make([]int32, 0, d.In)
+		if i > 0 {
+			s.gin = make([]float64, d.In)
+		}
+		if i < len(n.Layers)-1 {
+			s.keep = make([]bool, d.Out)
 		}
 	}
 	return t, nil
@@ -765,7 +503,6 @@ func (t *Trainer) Epoch() bool {
 		return false
 	}
 	t.epoch++
-	layers := t.n.Layers
 	order := t.rng.Perm(t.train.Len())
 	for start := 0; start < len(order); start += t.cfg.BatchSize {
 		end := min(start+t.cfg.BatchSize, len(order))
@@ -773,20 +510,47 @@ func (t *Trainer) Epoch() bool {
 			clear(g)
 		}
 		for _, j := range order[start:end] {
-			out := t.train.X[j]
-			for i, l := range layers {
-				out = t.slots[i].forward(l, out)
-			}
+			out := t.forward(t.train.X[j])
 			// d(MSE)/d(out) = 2*(out - y)
 			t.loss[0] = 2 * (out[0] - t.train.Y[j])
-			grad := t.loss[:]
-			for i := len(layers) - 1; i >= 0; i-- {
-				grad = t.slots[i].backward(layers[i], grad)
-			}
+			t.backward(t.loss[:])
 		}
 		t.opt.Step(t.n, end-start)
 	}
 	return t.epoch < t.cfg.Epochs
+}
+
+// forward runs the network in training mode on x into the slots. Each
+// hidden layer draws one Bernoulli(dropoutRate) per unit, in unit
+// order, whatever the unit's sign, and drops the unit on true.
+func (t *Trainer) forward(x []float64) []float64 {
+	for i, d := range t.n.Layers {
+		s := &t.slots[i]
+		s.x = x
+		x = d.ForwardInto(s.out, x)
+		if s.keep != nil {
+			for j := range s.keep {
+				s.keep[j] = !t.rng.Bernoulli(dropoutRate)
+			}
+			reluDropout(x, s.keep)
+		}
+	}
+	return x
+}
+
+// backward propagates grad, dL/d(output) of the sample forward last
+// ran, down the slots, accumulating every layer's parameter gradients.
+func (t *Trainer) backward(grad []float64) {
+	for i := len(t.n.Layers) - 1; i >= 0; i-- {
+		s := &t.slots[i]
+		if s.keep != nil {
+			reluDropoutBack(grad, s.keep)
+		}
+		s.nz = gather(s.nz[:0], s.x, 0, len(s.x), false)
+		clear(s.gin)
+		t.n.Layers[i].backwardInto(s.gin, grad, s.x, s.nz, s.gin != nil)
+		grad = s.gin
+	}
 }
 
 // Result evaluates the network as it stands: its mean squared error on
@@ -798,72 +562,6 @@ func (t *Trainer) Result() Result {
 	res.TrainMSE, _ = evaluate(t.n, s, t.train)
 	res.ValMSE, res.ValMAE = evaluate(t.n, s, t.val)
 	return res
-}
-
-// trainSlot is one layer's training buffers: its input for the current
-// sample (aliasing the previous slot's out, or the dataset row), its
-// activation, its input gradient and its ReLU or dropout mask. Each
-// buffer is sized on the first sample and reused for every later one.
-// A Dense slot also keeps the indices of its input's nonzero entries
-// and how much of its input gradient the layers below read.
-type trainSlot struct {
-	x, out, gin []float64
-	mask        []bool
-	nz          []int32
-	dx          dxMode
-}
-
-// forward runs l in training mode into the slot's buffers. Layer types
-// other than Dense, ReLU and Dropout run their own allocating Forward.
-func (s *trainSlot) forward(l Layer, x []float64) []float64 {
-	switch l := l.(type) {
-	case *Dense:
-		s.x = x
-		s.out = resize(s.out, l.Out)
-		return l.ForwardInto(s.out, x)
-	case *ReLU:
-		s.out, s.mask = resize(s.out, len(x)), resize(s.mask, len(x))
-		return reluInto(s.out, s.mask, x)
-	case *Dropout:
-		if l.Rate <= 0 {
-			return x
-		}
-		s.out, s.mask = resize(s.out, len(x)), resize(s.mask, len(x))
-		return l.dropInto(s.out, s.mask, x)
-	default:
-		return l.Forward(x, true)
-	}
-}
-
-// backward propagates grad through l, the layer forward last ran.
-func (s *trainSlot) backward(l Layer, grad []float64) []float64 {
-	switch l := l.(type) {
-	case *Dense:
-		s.gin = resize(s.gin, l.In)
-		clear(s.gin)
-		s.nz = gather(resize(s.nz, l.In)[:0], s.x, 0, len(s.x), false)
-		return l.backwardInto(s.gin, grad, s.x, s.nz, s.dx)
-	case *ReLU:
-		s.gin = resize(s.gin, len(grad))
-		return reluBackInto(s.gin, grad, s.mask)
-	case *Dropout:
-		if l.Rate <= 0 {
-			return grad
-		}
-		s.gin = resize(s.gin, len(grad))
-		return l.dropBackInto(s.gin, grad, s.mask)
-	default:
-		return l.Backward(grad)
-	}
-}
-
-// resize returns b with length n, reallocating only when its capacity
-// is short.
-func resize[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
 }
 
 // evaluate returns the network's mean squared and mean absolute error

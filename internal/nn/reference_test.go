@@ -11,12 +11,18 @@ import (
 // refTrain is the per-sample trainer the zero-skipping kernels replaced,
 // kept as the reference they must match bit for bit: the same epoch,
 // minibatch and Adam loop as Train, a dense forward over every input,
-// and a Dense backward whose only skip is the zero-gradient row. It
-// evaluates with the same dense forward.
+// a Dense backward whose only skip is the zero-gradient row, and the
+// ReLU and the dropout of each hidden layer as two steps of their own,
+// each into a fresh buffer. It draws the dropout masks from rng, one
+// draw per unit in unit order, after the minibatch order. It evaluates
+// with the same dense forward and the ReLU alone.
 func refTrain(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) Result {
 	opt := NewAdam(cfg.LR)
 	opt.bind(n)
-	slots := make([]refSlot, len(n.Layers))
+	last := len(n.Layers) - 1
+	xs := make([][]float64, len(n.Layers))
+	active := make([][]bool, len(n.Layers))
+	kept := make([][]bool, len(n.Layers))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		order := rng.Perm(train.Len())
 		for start := 0; start < len(order); start += cfg.BatchSize {
@@ -26,12 +32,21 @@ func refTrain(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) R
 			}
 			for _, j := range order[start:end] {
 				out := train.X[j]
-				for i, l := range n.Layers {
-					out = slots[i].forward(l, out)
+				for i, d := range n.Layers {
+					xs[i] = out
+					out = refDenseForward(d, out)
+					if i < last {
+						out, active[i] = refReLU(out)
+						out, kept[i] = refDropout(out, rng)
+					}
 				}
 				grad := []float64{2 * (out[0] - train.Y[j])}
-				for i := len(n.Layers) - 1; i >= 0; i-- {
-					grad = slots[i].backward(n.Layers[i], grad)
+				for i := last; i >= 0; i-- {
+					if i < last {
+						grad = refDropoutBack(grad, kept[i])
+						grad = refReLUBack(grad, active[i])
+					}
+					grad = refDenseBackward(n.Layers[i], grad, xs[i])
 				}
 			}
 			opt.Step(n, end-start)
@@ -41,48 +56,6 @@ func refTrain(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) R
 	res.TrainMSE, _ = refEvaluate(n, train)
 	res.ValMSE, res.ValMAE = refEvaluate(n, val)
 	return res
-}
-
-// refSlot is one layer's state between refTrain's forward and backward
-// passes: the Dense input or the ReLU or dropout mask.
-type refSlot struct {
-	x    []float64
-	mask []bool
-}
-
-func (s *refSlot) forward(l Layer, x []float64) []float64 {
-	switch l := l.(type) {
-	case *Dense:
-		s.x = x
-		return refDenseForward(l, x)
-	case *ReLU:
-		s.mask = make([]bool, len(x))
-		return reluInto(make([]float64, len(x)), s.mask, x)
-	case *Dropout:
-		if l.Rate <= 0 {
-			return x
-		}
-		s.mask = make([]bool, len(x))
-		return l.dropInto(make([]float64, len(x)), s.mask, x)
-	default:
-		return l.Forward(x, true)
-	}
-}
-
-func (s *refSlot) backward(l Layer, grad []float64) []float64 {
-	switch l := l.(type) {
-	case *Dense:
-		return refDenseBackward(l, grad, s.x)
-	case *ReLU:
-		return reluBackInto(make([]float64, len(grad)), grad, s.mask)
-	case *Dropout:
-		if l.Rate <= 0 {
-			return grad
-		}
-		return l.dropBackInto(make([]float64, len(grad)), grad, s.mask)
-	default:
-		return l.Backward(grad)
-	}
 }
 
 // refDenseForward is the dense matrix-vector product: every output
@@ -120,44 +93,84 @@ func refDenseBackward(d *Dense, grad, x []float64) []float64 {
 	return in
 }
 
-// refEvaluate is evaluate with a dense inference forward.
+// refReLU returns max(x, 0), with +0 for every unit that is not
+// positive, and the units that are.
+func refReLU(x []float64) (out []float64, active []bool) {
+	out, active = make([]float64, len(x)), make([]bool, len(x))
+	for i, v := range x {
+		if v > 0 {
+			out[i], active[i] = v, true
+		}
+	}
+	return out, active
+}
+
+// refReLUBack passes grad through the active units, +0 elsewhere.
+func refReLUBack(grad []float64, active []bool) []float64 {
+	out := make([]float64, len(grad))
+	for i, g := range grad {
+		if active[i] {
+			out[i] = g
+		}
+	}
+	return out
+}
+
+// refRate is the paper's dropout rate, a variable so that the
+// reference computes its scale at run time.
+var refRate = 0.1
+
+// refDropout draws one Bernoulli(refRate) per unit, in unit order,
+// and returns x with the drawn units at +0 and the others scaled by
+// 1/(1-refRate), and the units it kept.
+func refDropout(x []float64, rng *stats.RNG) (out []float64, kept []bool) {
+	out, kept = make([]float64, len(x)), make([]bool, len(x))
+	scale := 1 / (1 - refRate)
+	for i, v := range x {
+		if !rng.Bernoulli(refRate) {
+			out[i], kept[i] = v*scale, true
+		}
+	}
+	return out, kept
+}
+
+// refDropoutBack passes grad, scaled by 1/(1-refRate), through the kept
+// units, +0 elsewhere.
+func refDropoutBack(grad []float64, kept []bool) []float64 {
+	out := make([]float64, len(grad))
+	scale := 1 / (1 - refRate)
+	for i, g := range grad {
+		if kept[i] {
+			out[i] = g * scale
+		}
+	}
+	return out
+}
+
+// refInfer is the reference's inference pass: the dense forward of
+// every layer and the ReLU of every hidden one.
+func refInfer(n *Network, x []float64) []float64 {
+	for i, d := range n.Layers {
+		x = refDenseForward(d, x)
+		if i < len(n.Layers)-1 {
+			x, _ = refReLU(x)
+		}
+	}
+	return x
+}
+
+// refEvaluate is evaluate through refInfer.
 func refEvaluate(n *Network, d Dataset) (mse, mae float64) {
 	if d.Len() == 0 {
 		return 0, 0
 	}
 	for i, x := range d.X {
-		for _, l := range n.Layers {
-			switch l := l.(type) {
-			case *Dense:
-				x = refDenseForward(l, x)
-			case *ReLU:
-				x = reluInto(make([]float64, len(x)), make([]bool, len(x)), x)
-			case *Dropout:
-			default:
-				x = l.Forward(x, false)
-			}
-		}
-		e := x[0] - d.Y[i]
+		e := refInfer(n, x)[0] - d.Y[i]
 		mse += e * e
 		mae += math.Abs(e)
 	}
 	k := float64(d.Len())
 	return mse / k, mae / k
-}
-
-// halve is a layer type Trainer has no kernel for: y = x/2.
-type halve struct{}
-
-func (halve) Forward(x []float64, _ bool) []float64 { return scaled(x, 0.5) }
-func (halve) Backward(grad []float64) []float64     { return scaled(grad, 0.5) }
-func (halve) Params() (params, grads [][]float64)   { return nil, nil }
-
-func scaled(x []float64, k float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v * k
-	}
-	return out
 }
 
 // trainCase is one network, dataset and recipe for the differential
@@ -197,12 +210,8 @@ func (c trainCase) check(t *testing.T) {
 			t.Errorf("%s: %s = %v, reference %v", c.name, f.name, f.got, f.want)
 		}
 	}
-	for li, l := range got.Layers {
-		d, ok := l.(*Dense)
-		if !ok {
-			continue
-		}
-		ref := want.Layers[li].(*Dense)
+	for li, d := range got.Layers {
+		ref := want.Layers[li]
 		for _, p := range []struct {
 			name      string
 			got, want []float64
@@ -220,11 +229,9 @@ func (c trainCase) check(t *testing.T) {
 // of every Dense layer set to -0.
 func negativeZeroBiases(rng *stats.RNG) *Network {
 	n := NewRegressor(4, rng)
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dense); ok {
-			for o := 0; o < len(d.B); o += 2 {
-				d.B[o] = math.Copysign(0, -1)
-			}
+	for _, d := range n.Layers {
+		for o := 0; o < len(d.B); o += 2 {
+			d.B[o] = math.Copysign(0, -1)
 		}
 	}
 	return n
@@ -252,21 +259,19 @@ func withZeros(ds Dataset, seed int64) Dataset {
 	return out
 }
 
-// stack builds Dense layers of the given widths with the given layers
-// between consecutive ones.
-func stack(rng *stats.RNG, dims []int, between func(rng *stats.RNG) []Layer) *Network {
+// stack builds a network of Dense layers of the given widths, input
+// first.
+func stack(rng *stats.RNG, dims ...int) *Network {
 	n := &Network{}
 	for i := 0; i+1 < len(dims); i++ {
 		n.Layers = append(n.Layers, NewDense(dims[i], dims[i+1], rng))
-		if i+2 < len(dims) {
-			n.Layers = append(n.Layers, between(rng)...)
-		}
 	}
 	return n
 }
 
 // TestTrainMatchesReference holds Train, with its zero-skipping forward
-// and backward kernels, to the dense per-sample reference bit for bit.
+// and backward kernels and its fused ReLU-then-dropout kernel, to the
+// dense per-sample reference bit for bit.
 func TestTrainMatchesReference(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the dense reference may fuse multiply-adds on %s", runtime.GOARCH)
@@ -280,22 +285,10 @@ func TestTrainMatchesReference(t *testing.T) {
 		{name: "regressor", build: regressor, train: train, val: val, cfg: cfg},
 		{name: "negative-zero biases", build: negativeZeroBiases, train: zTrain, val: zVal, cfg: cfg},
 		{name: "zero and negative-zero inputs", build: regressor, train: zTrain, val: zVal, cfg: cfg},
-		{name: "dense-dense", build: func(rng *stats.RNG) *Network {
-			return stack(rng, []int{4, 6, 5, 1}, func(*stats.RNG) []Layer { return nil })
-		}, train: zTrain, val: zVal, cfg: cfg},
-		{name: "dropout rate 0", build: func(rng *stats.RNG) *Network {
-			return stack(rng, []int{4, 20, 10, 1}, func(rng *stats.RNG) []Layer {
-				return []Layer{&ReLU{}, NewDropout(0, rng)}
-			})
-		}, train: zTrain, val: zVal, cfg: cfg},
-		{name: "two dropouts", build: func(rng *stats.RNG) *Network {
-			return stack(rng, []int{4, 20, 10, 1}, func(rng *stats.RNG) []Layer {
-				return []Layer{&ReLU{}, NewDropout(0.3, rng), NewDropout(0.2, rng)}
-			})
-		}, train: train, val: val, cfg: cfg},
-		{name: "other layer type", build: func(rng *stats.RNG) *Network {
-			return stack(rng, []int{4, 20, 10, 1}, func(*stats.RNG) []Layer { return []Layer{&ReLU{}, halve{}} })
-		}, train: zTrain, val: zVal, cfg: cfg},
+		{name: "linear", build: func(rng *stats.RNG) *Network { return stack(rng, 4, 1) },
+			train: zTrain, val: zVal, cfg: cfg},
+		{name: "narrow hidden layers", build: func(rng *stats.RNG) *Network { return stack(rng, 4, 6, 5, 1) },
+			train: zTrain, val: zVal, cfg: cfg},
 		{name: "batch size 1", build: regressor, train: zTrain, val: zVal,
 			cfg: TrainConfig{Epochs: 2, BatchSize: 1, LR: 1e-3}},
 		{name: "ragged last batch", build: regressor, train: Dataset{X: zTrain.X[:50], Y: zTrain.Y[:50]}, val: zVal,
@@ -362,15 +355,14 @@ func (r *fuzzBytes) value() float64 {
 	}
 }
 
-// FuzzTrainStep decodes a small stack, dataset and recipe from the fuzz
-// bytes and holds Train to refTrain bit for bit. Byte 0 sets the input
-// width (1-4) and the number of hidden Dense layers (0-2); each hidden
-// layer takes a width byte and a flags byte: bit 0 adds a ReLU, bit 1 a
-// dropout of rate {0, 0.1, 0.25, 0.5}[bits 2-3], bit 4 -0 biases on the
-// even outputs, bit 5 a second dropout. The output layer takes a flags
-// byte for its bias. Then come the recipe (epochs 0-3, batch size 1-6,
-// learning rate, seed) and up to 12 training and 4 validation rows of
-// input values and a label. Values stay finite, which is the domain the
+// FuzzTrainStep decodes a small network, dataset and recipe from the
+// fuzz bytes and holds Train to refTrain bit for bit. Byte 0 sets the
+// input width (1-4) and the number of hidden layers (0-2); each hidden
+// layer takes a width byte and a flags byte whose bit 4 sets -0 biases
+// on the even outputs. The output layer takes a flags byte for its
+// bias. Then come the recipe (epochs 0-3, batch size 1-6, learning
+// rate, seed) and up to 12 training and 4 validation rows of input
+// values and a label. Values stay finite, which is the domain the
 // exactness argument covers.
 func FuzzTrainStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -384,38 +376,24 @@ func FuzzTrainStep(f *testing.F) {
 			out   int
 			flags byte
 		}
-		var hidden []layerSpec
+		var layers []layerSpec
 		for range int(head/4) % 3 {
-			hidden = append(hidden, layerSpec{out: 1 + int(r.next()%8), flags: r.next()})
+			layers = append(layers, layerSpec{out: 1 + int(r.next()%8), flags: r.next()})
 		}
-		outFlags := r.next()
-		rates := []float64{0, 0.1, 0.25, 0.5}
+		layers = append(layers, layerSpec{out: 1, flags: r.next()})
 		build := func(rng *stats.RNG) *Network {
 			n := &Network{}
 			width := in
-			addDense := func(out int, flags byte) {
-				d := NewDense(width, out, rng)
-				if flags&16 != 0 {
-					for o := 0; o < out; o += 2 {
+			for _, l := range layers {
+				d := NewDense(width, l.out, rng)
+				if l.flags&16 != 0 {
+					for o := 0; o < l.out; o += 2 {
 						d.B[o] = math.Copysign(0, -1)
 					}
 				}
 				n.Layers = append(n.Layers, d)
-				width = out
+				width = l.out
 			}
-			for _, h := range hidden {
-				addDense(h.out, h.flags)
-				if h.flags&1 != 0 {
-					n.Layers = append(n.Layers, &ReLU{})
-				}
-				if h.flags&2 != 0 {
-					n.Layers = append(n.Layers, NewDropout(rates[h.flags>>2&3], rng))
-				}
-				if h.flags&32 != 0 {
-					n.Layers = append(n.Layers, NewDropout(0.2, rng))
-				}
-			}
-			addDense(1, outFlags)
 			return n
 		}
 		cfg := TrainConfig{Epochs: int(r.next() % 4), BatchSize: 1 + int(r.next()%6),

@@ -32,11 +32,7 @@ func syntheticOracleData(n int, seed int64) Dataset {
 func weightDigest(n *Network) string {
 	h := sha256.New()
 	var b [8]byte
-	for _, l := range n.Layers {
-		d, ok := l.(*Dense)
-		if !ok {
-			continue
-		}
+	for _, d := range n.Layers {
 		for _, p := range [][]float64{d.W, d.B} {
 			for _, v := range p {
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))

@@ -38,14 +38,6 @@ type Worker struct {
 	Oracles map[core.Vector]core.Oracle
 	// Poll is how long to sleep when the queue is empty (default 1s).
 	Poll time.Duration
-	// BackoffBase and BackoffMax bound the jittered exponential
-	// backoff applied after consecutive lease/heartbeat HTTP failures:
-	// the first retry waits ~BackoffBase (default 100ms), doubling per
-	// failure up to BackoffMax (default 5s), and one success resets it.
-	// A restarting server is not hammered by a fleet of reconnecting
-	// workers — the jitter spreads their retries out.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
 	// Log receives the worker's structured progress and error records,
@@ -73,25 +65,27 @@ func (w *Worker) log() *slog.Logger {
 	return obs.Discard()
 }
 
+// backoffBase and backoffMax bound the jittered exponential backoff
+// applied after consecutive lease/heartbeat HTTP failures: the first
+// retry waits ~backoffBase, doubling per failure up to backoffMax, and
+// one success resets it. A restarting server is not hammered by a
+// fleet of reconnecting workers — the jitter spreads their retries
+// out.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
+
 // backoffDelay returns the wait before the n-th consecutive retry
-// (n >= 1): BackoffBase doubled per failure, capped at BackoffMax,
+// (n >= 1): backoffBase doubled per failure, capped at backoffMax,
 // with the final wait jittered uniformly over [d/2, d) so retrying
 // workers desynchronize.
 func (w *Worker) backoffDelay(n int) time.Duration {
-	base, max := w.BackoffBase, w.BackoffMax
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	d := base
-	for i := 1; i < n && d < max; i++ {
+	d := backoffBase
+	for i := 1; i < n && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, backoffMax)
 	rnd := w.jitter
 	if rnd == nil {
 		rnd = func() float64 { return float64(time.Now().UnixNano()%1000) / 1000 }

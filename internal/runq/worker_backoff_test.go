@@ -78,12 +78,10 @@ func TestWorkerBackoffOnFlakyServer(t *testing.T) {
 	var mu sync.Mutex
 	var sleeps []time.Duration
 	w := &Worker{
-		Server:      ts.URL,
-		Name:        "flaky-test",
-		Workers:     1,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffMax:  time.Second,
-		jitter:      func() float64 { return 0.5 },
+		Server:  ts.URL,
+		Name:    "flaky-test",
+		Workers: 1,
+		jitter:  func() float64 { return 0.5 },
 		sleep: func(ctx context.Context, d time.Duration) bool {
 			mu.Lock()
 			sleeps = append(sleeps, d)
@@ -98,8 +96,8 @@ func TestWorkerBackoffOnFlakyServer(t *testing.T) {
 
 	// The worker is done once the job completes and it goes back to
 	// idle polling (a sleep of exactly the poll interval, 1s default,
-	// can't be a backoff here: the cap is 1s and jitter 0.5 keeps
-	// backoffs at 3/4 of their step).
+	// can't be a backoff here: jitter 0.5 keeps backoffs at 3/4 of
+	// their step, and no step is 4/3 s).
 	deadline := time.After(10 * time.Second)
 	for {
 		srv.mu.Lock()
@@ -122,16 +120,16 @@ func TestWorkerBackoffOnFlakyServer(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	// With jitter pinned at 0.5 every backoff is exactly 3/4 of its
-	// step: 75ms, 150ms, 300ms, 600ms, then capped at 750ms.
+	// step: 75ms doubling to 2.4s, then capped at 3.75s (3/4 of 5s).
 	want := []time.Duration{
 		75 * time.Millisecond,
 		150 * time.Millisecond,
 		300 * time.Millisecond,
 		600 * time.Millisecond,
-		750 * time.Millisecond,
-		750 * time.Millisecond,
-		750 * time.Millisecond,
-		750 * time.Millisecond,
+		1200 * time.Millisecond,
+		2400 * time.Millisecond,
+		3750 * time.Millisecond,
+		3750 * time.Millisecond,
 	}
 	if len(sleeps) < len(want) {
 		t.Fatalf("recorded %d sleeps, want at least %d: %v", len(sleeps), len(want), sleeps)
@@ -153,7 +151,7 @@ func TestWorkerBackoffOnFlakyServer(t *testing.T) {
 // TestBackoffDelayBounds checks the raw schedule: growth, cap, and
 // jitter staying within [d/2, d).
 func TestBackoffDelayBounds(t *testing.T) {
-	w := &Worker{BackoffBase: 100 * time.Millisecond, BackoffMax: 5 * time.Second}
+	w := &Worker{}
 	prevHi := time.Duration(0)
 	for n := 1; n <= 10; n++ {
 		step := 100 * time.Millisecond << (n - 1)

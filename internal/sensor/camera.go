@@ -165,21 +165,3 @@ func (c *Camera) CaptureInto(buf *CaptureBuffer, w *sim.World, frameIndex int) *
 	buf.frame.Truth = truth
 	return &buf.frame
 }
-
-// Tap is the man-in-the-middle interception point on the camera link
-// (the Argus-style Ethernet tap of the paper's threat model, §III-B).
-// A Tap sees — and may rewrite — every frame before the ADS perception
-// stack does. The ground-truth labels are NOT exposed to the tap: the
-// malware must run its own inference, as in the paper.
-type Tap interface {
-	// Process may mutate frame.Image in place.
-	Process(img *Image, frameIndex int)
-}
-
-// NopTap is the benign pass-through tap.
-type NopTap struct{}
-
-var _ Tap = NopTap{}
-
-// Process implements Tap.
-func (NopTap) Process(*Image, int) {}

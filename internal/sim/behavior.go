@@ -29,39 +29,6 @@ func (Parked) Step(a *Actor, _ *World, _ float64) {
 	a.Vel = geom.Vec2{}
 }
 
-// Waypoint is one leg of a FollowRoute.
-type Waypoint struct {
-	Pos   geom.Vec2
-	Speed float64
-}
-
-// FollowRoute walks the actor through a series of waypoints at the
-// per-leg speed, then stops. It models the LGSVL Python-API waypoint
-// actors used to script the paper's scenarios.
-type FollowRoute struct {
-	Waypoints []Waypoint
-	next      int
-}
-
-var _ Behavior = (*FollowRoute)(nil)
-
-// Step implements Behavior.
-func (f *FollowRoute) Step(a *Actor, _ *World, dt float64) {
-	for f.next < len(f.Waypoints) {
-		wp := f.Waypoints[f.next]
-		to := wp.Pos.Sub(a.Pos)
-		dist := to.Norm()
-		if dist < math.Max(wp.Speed*dt, 1e-6) {
-			a.Pos = wp.Pos
-			f.next++
-			continue
-		}
-		a.Vel = to.Unit().Scale(wp.Speed)
-		return
-	}
-	a.Vel = geom.Vec2{}
-}
-
 // TriggeredCross models DS-2's jaywalking pedestrian: the actor stands
 // still until the EV's longitudinal gap to it falls below TriggerGap,
 // then crosses laterally from its current y to ToY at CrossSpeed and

@@ -152,31 +152,6 @@ func TestGroundTruthGapIgnoresBehind(t *testing.T) {
 	}
 }
 
-func TestFollowRoute(t *testing.T) {
-	w := newTestWorld()
-	w.EV.Speed = 0
-	route := &FollowRoute{Waypoints: []Waypoint{
-		{Pos: geom.V(60, 0), Speed: 5},
-		{Pos: geom.V(60, 5), Speed: 5},
-	}}
-	id := w.AddActor(&Actor{Class: ClassVehicle, Pos: geom.V(50, 0), Size: SizeCar, Behavior: route})
-	done := func() bool { return route.next >= len(route.Waypoints) }
-	for i := 0; i < 15*5 && !done(); i++ {
-		w.Step(0)
-	}
-	a := w.Actor(id)
-	if !done() {
-		t.Fatal("route not finished")
-	}
-	if a.Pos.Dist(geom.V(60, 5)) > 0.5 {
-		t.Errorf("final pos = %v", a.Pos)
-	}
-	w.Step(0)
-	if a.Vel.Norm() != 0 {
-		t.Error("actor should stop after route")
-	}
-}
-
 func TestTriggeredCross(t *testing.T) {
 	w := newTestWorld()
 	w.EV.Speed = 10

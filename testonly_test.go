@@ -43,9 +43,11 @@ var testSeams = map[string]string{
 // fails on any package-level function, method or type under internal/
 // that none of them references. A reference from inside the
 // declaration itself (a recursive call, a method's receiver) does not
-// count. A method is exempt when its receiver implements an interface
-// of the program, or a standard one, that has a method of its name; a
-// declaration in testSeams is exempt and must say why in its doc.
+// count, and neither does a compile-time interface assertion,
+// var _ I = (*T)(nil). A method is exempt when its receiver implements
+// an interface of the program, or a standard one, that has a method of
+// its name; a declaration in testSeams is exempt and must say why in
+// its doc.
 //
 // The same pass holds metrics write-only: outside internal/obs no code
 // reads a counter, gauge or registry, only package main serves
@@ -300,13 +302,33 @@ func (l *loader) eachUse(f *ast.File, fn func(*ast.Ident, types.Object)) {
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				var self types.Object
-				if ts, ok := spec.(*ast.TypeSpec); ok {
-					self = l.info.Defs[ts.Name]
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					self = l.info.Defs[s.Name]
+				case *ast.ValueSpec:
+					if l.assertion(s) {
+						continue
+					}
 				}
 				walk(spec, self)
 			}
 		}
 	}
+}
+
+// assertion reports whether s declares only blank variables of an
+// interface type, as a compile-time check like var _ I = (*T)(nil)
+// does. Such a check references neither I nor T.
+func (l *loader) assertion(s *ast.ValueSpec) bool {
+	if s.Type == nil {
+		return false
+	}
+	for _, name := range s.Names {
+		if name.Name != "_" {
+			return false
+		}
+	}
+	return types.IsInterface(l.info.Types[s.Type].Type)
 }
 
 // interfaces returns every interface with methods that the module
