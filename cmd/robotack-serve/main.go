@@ -99,10 +99,7 @@ func run() error {
 	}
 	defer tel.Stop()
 
-	compactLog := segstore.WithErrorLog(func(campaign string, err error) {
-		logger.Warn("shard compaction failed", "campaign", campaign, "err", err)
-	})
-	store, err := segstore.OpenAny(*storePath, compactLog)
+	store, err := segstore.OpenAny(*storePath)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,8 @@
 // Command robotack-store is the operator's tool for results stores: it
 // migrates JSONL logs into the segmented segstore layout, reports a
 // store's size and format, diffs two stores (of either backend), and
-// forces a segstore's pending shard compactions to run now.
+// rewrites the segstore shards that out-of-order re-appends took off
+// the sorted fast path (nothing else rewrites them).
 //
 // Subcommands:
 //

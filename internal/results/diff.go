@@ -39,12 +39,11 @@ type episodeLister interface {
 	EpisodeCampaigns() []string
 }
 
-// Aggregator is the optional Store fast path for rebuilding a
-// campaign's aggregate from its episode records: an indexed store
-// (segstore) merges per-segment partial aggregates instead of reading
-// — or even returning — raw records. Implementations must produce
-// exactly Aggregate(identity-of-lowest-index-episode, Episodes(name))
-// and nil when no episodes exist.
+// Aggregator is the optional Store extension for rebuilding a
+// campaign's aggregate from its episode records; segstore implements
+// it. Implementations must produce exactly
+// Aggregate(identity-of-lowest-index-episode, Episodes(name)) and nil
+// when no episodes exist.
 type Aggregator interface {
 	AggregateEpisodes(name string) (*CampaignRecord, error)
 }

@@ -54,7 +54,7 @@ const (
 // what campaignd's GET /stores reports and what parity tests compare
 // across backends. Counts are exact unless Estimated is set (a
 // segmented store whose metadata cannot prove episode distinctness
-// until its compactor runs reports an upper bound).
+// reports an upper bound until robotack-store compact rewrites it).
 type StoreStats struct {
 	Format    string `json:"format"`
 	Path      string `json:"path,omitempty"`

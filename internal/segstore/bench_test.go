@@ -114,7 +114,7 @@ func benchFixture(b *testing.B, kind string, n int) string {
 var benchSizes = []int{2000, 200000}
 
 // BenchmarkSegstoreOpen measures a writer open (lock, campaigns log,
-// per-shard manifests and close caches — no record parsing). The
+// per-segment index headers and close caches — no record parsing). The
 // acceptance bar: n=200000 within 2× of n=2000.
 func BenchmarkSegstoreOpen(b *testing.B) {
 	for _, n := range benchSizes {

@@ -10,7 +10,7 @@ import (
 	"github.com/robotack/robotack/internal/results"
 )
 
-// The compactor restores a shard's sorted fast path after out-of-order
+// A shard rewrite restores the sorted fast path after out-of-order
 // re-appends (worker retries on a resumed campaign) by rewriting it
 // last-wins in index order into a fresh generation directory and
 // swapping CURRENT — the multi-file analogue of runq's staged journal
@@ -18,41 +18,12 @@ import (
 // shard being rewritten blocks only for the duration of its own
 // rewrite.
 
-// enqueueCompactLocked schedules a shard rewrite (caller holds
-// sh.mu). A full queue just drops the request: the shard stays
-// correct (queries fall back to the last-wins fold) and the next
-// fast-path-breaking append retries.
-func (s *Store) enqueueCompactLocked(sh *shard) {
-	if sh.compactQueued || s.ro {
-		return
-	}
-	s.compactMu.Lock()
-	if !s.compactClosed {
-		select {
-		case s.compactCh <- sh:
-			sh.compactQueued = true
-		default:
-		}
-	}
-	s.compactMu.Unlock()
-}
-
-// compactor drains the rewrite queue until Close.
-func (s *Store) compactor() {
-	defer s.wg.Done()
-	for sh := range s.compactCh {
-		if _, err := s.compactShard(sh); err != nil && s.logErr != nil {
-			s.logErr(sh.name, err)
-		}
-	}
-}
-
 // Compact synchronously rewrites every shard that has fallen off the
-// sorted fast path — the `robotack-store compact` entry point, for
-// operators who want a store's layout settled now (before archiving or
-// diffing it) rather than whenever the background compactor next runs.
-// Shards already on the fast path are untouched. Returns the number of
-// shards rewritten.
+// sorted fast path — the `robotack-store compact` entry point. Nothing
+// else rewrites a shard: one off the fast path stays correct, folded
+// last-wins by Episodes and counted as an upper bound by Stats, until
+// Compact runs. Shards already on the fast path are untouched. Returns
+// the number of shards rewritten.
 func (s *Store) Compact() (int, error) {
 	if s.ro {
 		return 0, errReadOnly
@@ -82,17 +53,16 @@ func (s *Store) Compact() (int, error) {
 
 // compactShard rewrites one shard into generation gen+1: all records,
 // folded last-wins and sorted by episode index, re-segmented at the
-// roll threshold with fresh indexes and MANIFEST, then CURRENT swapped
-// and the old generation removed. A crash anywhere leaves either the
-// old complete generation or the new one — never a mix — because
-// CURRENT is the single commit point. Reports whether it rewrote
-// anything (a shard already on the fast path is left alone).
+// roll threshold with fresh indexes, then CURRENT swapped and the old
+// generation removed. A crash anywhere leaves either the old complete
+// generation or the new one — never a mix — because CURRENT is the
+// single commit point. Reports whether it rewrote anything (a shard
+// already on the fast path is left alone).
 func (s *Store) compactShard(sh *shard) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.compactQueued = false
 	if sh.fastPath() {
-		return false, nil // a later append already rolled into a clean state
+		return false, nil
 	}
 	eps, err := s.episodesLocked(sh)
 	if err != nil {
@@ -110,7 +80,7 @@ func (s *Store) compactShard(sh *shard) (bool, error) {
 	if err := os.MkdirAll(newDir, 0o755); err != nil {
 		return false, fmt.Errorf("segstore: create generation: %w", err)
 	}
-	sealed, err := writeGeneration(newDir, sh.name, eps, s.segBytes)
+	sealed, err := writeGeneration(newDir, eps, s.segBytes)
 	if err != nil {
 		return false, err
 	}
@@ -128,7 +98,6 @@ func (s *Store) compactShard(sh *shard) (bool, error) {
 	sh.genDir = newDir
 	sh.sealed = sealed
 	sh.active = segMeta{seq: len(sealed), sorted: true}
-	sh.activeAgg = nil
 	sh.recomputeSealedFast()
 	os.RemoveAll(oldDir)
 
@@ -139,15 +108,14 @@ func (s *Store) compactShard(sh *shard) (bool, error) {
 }
 
 // writeGeneration lays out sorted records as sealed segments (rolled at
-// segBytes) plus an empty active segment, with per-segment indexes and
-// the MANIFEST. Everything is synced before the caller commits the
-// generation via CURRENT.
-func writeGeneration(dir, name string, eps []results.EpisodeRecord, segBytes int64) ([]segMeta, error) {
+// segBytes) plus an empty active segment, with per-segment indexes.
+// Everything is synced before the caller commits the generation via
+// CURRENT.
+func writeGeneration(dir string, eps []results.EpisodeRecord, segBytes int64) ([]segMeta, error) {
 	sort.Slice(eps, func(i, j int) bool { return eps[i].Index < eps[j].Index })
 	var sealed []segMeta
 	var f *os.File
 	var m segMeta
-	var agg *results.CampaignRecord
 	defer func() {
 		if f != nil {
 			f.Close()
@@ -164,19 +132,15 @@ func writeGeneration(dir, name string, eps []results.EpisodeRecord, segBytes int
 			return fmt.Errorf("segstore: close segment: %w", err)
 		}
 		f = nil
-		m.hasAgg = m.sorted && m.n > 0
-		m.agg = agg
 		if err := results.WriteFileAtomic(filepath.Join(dir, idxName(m.seq)), encodeIdx(&m)); err != nil {
 			return err
 		}
-		m.agg = nil
 		sealed = append(sealed, m)
 		return nil
 	}
 	for i := range eps {
 		if f == nil {
 			m = segMeta{seq: len(sealed), sorted: true}
-			agg = nil
 			nf, err := os.OpenFile(filepath.Join(dir, segName(m.seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 			if err != nil {
 				return nil, fmt.Errorf("segstore: create segment: %w", err)
@@ -191,7 +155,7 @@ func writeGeneration(dir, name string, eps []results.EpisodeRecord, segBytes int
 		if _, err := f.Write(raw); err != nil {
 			return nil, fmt.Errorf("segstore: write segment: %w", err)
 		}
-		foldAppend(&m, &agg, &eps[i])
+		m.add(eps[i].Index)
 		m.bytes += int64(len(raw))
 		if m.bytes >= segBytes {
 			if err := seal(); err != nil {
@@ -209,9 +173,6 @@ func writeGeneration(dir, name string, eps []results.EpisodeRecord, segBytes int
 		return nil, fmt.Errorf("segstore: create active segment: %w", err)
 	}
 	af.Close()
-	if err := results.WriteFileAtomic(filepath.Join(dir, manifestFile), encodeManifest(sealed)); err != nil {
-		return nil, err
-	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()

@@ -2,37 +2,31 @@ package segstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
-
-	"github.com/robotack/robotack/internal/core"
-	"github.com/robotack/robotack/internal/results"
 )
 
-// On-disk binary formats. Every file is a varint-packed payload behind
-// a 4-byte magic and ends with a little-endian CRC32 (IEEE) of all
+// A segment's <seq>.idx file is its header alone, varint-packed behind
+// a 4-byte magic and ending in a little-endian CRC32 (IEEE) of all
 // preceding bytes, so a torn or bit-rotted index is rejected and
-// rebuilt from its segment instead of silently misdescribing it.
+// rebuilt from its segment instead of silently misdescribing it:
 //
-//	<seq>.idx  — one sealed segment's header plus, when the segment is
-//	             sorted, its partial campaign aggregate (binary, not
-//	             JSON: ~5 float64s per launched episode instead of a
-//	             re-parse of every record).
-//	MANIFEST   — the headers of all sealed segments in one small file,
-//	             so open reads one file per campaign instead of one per
-//	             segment. It is a cache: stale or missing manifests are
-//	             rebuilt from the authoritative .idx files.
+//	"RSX1" | uvarint version | uvarint flags | uvarint n |
+//	varint minIdx | varint maxIdx | uvarint bytes | CRC32
 const (
-	idxMagic      = "RSX1"
-	manifestMagic = "RSM1"
-	codecVersion  = 1
+	idxMagic     = "RSX1"
+	codecVersion = 1
+	// flagSorted is the only flag a header may carry. Older writers also
+	// set 1<<1 on sorted sealed segments and appended a partial campaign
+	// aggregate; such an index decodes as stale, so open rescans its
+	// segment and rewrites it.
+	flagSorted = 1
 )
 
 // segMeta describes one segment: enough to answer count/range/size
-// queries, to prove episode-index distinctness (sorted, non-overlapping
-// segments need no last-wins fold), and — via the partial aggregate —
-// to rebuild campaign summaries without touching the records.
+// queries and to prove episode-index distinctness (sorted,
+// non-overlapping segments need no last-wins fold).
 type segMeta struct {
 	seq    int
 	n      int   // record lines
@@ -40,221 +34,85 @@ type segMeta struct {
 	maxIdx int   // highest episode index
 	bytes  int64 // clean byte length of the .seg file
 	// sorted: episode indexes strictly increase through the segment,
-	// which implies they are distinct and were folded in index order —
-	// the precondition for the partial aggregate being usable.
+	// which implies they are distinct.
 	sorted bool
-	hasAgg bool
-	// agg is the segment's partial aggregate; lazily loaded from the
-	// .idx file for sealed segments (nil until needed).
-	agg *results.CampaignRecord
-}
-
-const (
-	flagSorted = 1 << iota
-	flagHasAgg
-)
-
-func (m *segMeta) flags() uint64 {
-	var f uint64
-	if m.sorted {
-		f |= flagSorted
-	}
-	if m.hasAgg {
-		f |= flagHasAgg
-	}
-	return f
-}
-
-// appendCRC seals a payload with its trailing checksum.
-func appendCRC(b []byte) []byte {
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-// checkCRC verifies and strips the trailing checksum.
-func checkCRC(b []byte, what string) ([]byte, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("segstore: %s: too short", what)
-	}
-	payload, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("segstore: %s: checksum mismatch", what)
-	}
-	return payload, nil
 }
 
 // encodeIdx renders one segment's .idx file contents.
 func encodeIdx(m *segMeta) []byte {
+	var flags uint64
+	if m.sorted {
+		flags = flagSorted
+	}
 	b := make([]byte, 0, 64)
 	b = append(b, idxMagic...)
 	b = binary.AppendUvarint(b, codecVersion)
-	b = binary.AppendUvarint(b, m.flags())
+	b = binary.AppendUvarint(b, flags)
 	b = binary.AppendUvarint(b, uint64(m.n))
 	b = binary.AppendVarint(b, int64(m.minIdx))
 	b = binary.AppendVarint(b, int64(m.maxIdx))
 	b = binary.AppendUvarint(b, uint64(m.bytes))
-	if m.hasAgg {
-		b = encodeAgg(b, m.agg)
-	}
-	return appendCRC(b)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// decodeIdx parses a .idx file. seq comes from the file name.
+// decodeIdx parses a .idx file; seq comes from the file name. A header
+// is accepted only if a segment could match it: counts that stay
+// non-negative as ints, no more records than bytes (every record is a
+// non-empty line), and minIdx <= maxIdx when it holds records. Callers
+// still check bytes against the segment file before trusting n.
 func decodeIdx(raw []byte, seq int) (segMeta, error) {
-	payload, err := checkCRC(raw, "segment index")
-	if err != nil {
-		return segMeta{}, err
+	if len(raw) < len(idxMagic)+4 {
+		return segMeta{}, errors.New("segstore: segment index: too short")
 	}
-	r, err := newReader(payload, idxMagic, "segment index")
-	if err != nil {
-		return segMeta{}, err
+	payload, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
+	if crc32.ChecksumIEEE(payload) != sum {
+		return segMeta{}, errors.New("segstore: segment index: checksum mismatch")
 	}
-	flags := r.uvarint()
+	if string(payload[:len(idxMagic)]) != idxMagic {
+		return segMeta{}, errors.New("segstore: segment index: bad magic")
+	}
+	r := reader{b: payload, off: len(idxMagic)}
+	version, flags := r.uvarint(), r.uvarint()
+	n, minIdx, maxIdx, size := r.uvarint(), r.varint(), r.varint(), r.uvarint()
 	m := segMeta{
 		seq:    seq,
+		n:      int(n),
+		minIdx: int(minIdx),
+		maxIdx: int(maxIdx),
+		bytes:  int64(size),
 		sorted: flags&flagSorted != 0,
-		hasAgg: flags&flagHasAgg != 0,
-		n:      int(r.uvarint()),
-		minIdx: int(r.varint()),
-		maxIdx: int(r.varint()),
-		bytes:  int64(r.uvarint()),
 	}
-	if m.hasAgg {
-		m.agg = r.agg()
+	var err error
+	switch {
+	case r.err != nil:
+		err = r.err
+	case version != codecVersion:
+		err = fmt.Errorf("version %d is newer than supported %d", version, codecVersion)
+	case flags&^flagSorted != 0:
+		err = fmt.Errorf("unsupported flags %#x", flags)
+	case r.off != len(payload):
+		err = fmt.Errorf("%d trailing bytes", len(payload)-r.off)
+	case m.n < 0 || uint64(m.n) != n || m.bytes < 0:
+		err = fmt.Errorf("count %d or length %d out of range", n, size)
+	case int64(m.minIdx) != minIdx || int64(m.maxIdx) != maxIdx:
+		err = fmt.Errorf("index range [%d, %d] out of range", minIdx, maxIdx)
+	case int64(m.n) > m.bytes:
+		err = fmt.Errorf("%d records in %d bytes", m.n, m.bytes)
+	case m.n > 0 && m.minIdx > m.maxIdx:
+		err = fmt.Errorf("index range [%d, %d] is inverted", m.minIdx, m.maxIdx)
 	}
-	if err := r.finish("segment index"); err != nil {
-		return segMeta{}, err
+	if err != nil {
+		return segMeta{}, fmt.Errorf("segstore: segment index: %w", err)
 	}
 	return m, nil
 }
 
-// encodeManifest renders the sealed-segment header cache.
-func encodeManifest(sealed []segMeta) []byte {
-	b := make([]byte, 0, 16+32*len(sealed))
-	b = append(b, manifestMagic...)
-	b = binary.AppendUvarint(b, codecVersion)
-	b = binary.AppendUvarint(b, uint64(len(sealed)))
-	for i := range sealed {
-		m := &sealed[i]
-		b = binary.AppendUvarint(b, uint64(m.seq))
-		b = binary.AppendUvarint(b, m.flags())
-		b = binary.AppendUvarint(b, uint64(m.n))
-		b = binary.AppendVarint(b, int64(m.minIdx))
-		b = binary.AppendVarint(b, int64(m.maxIdx))
-		b = binary.AppendUvarint(b, uint64(m.bytes))
-	}
-	return appendCRC(b)
-}
-
-// decodeManifest parses a MANIFEST into headers (aggs stay lazy).
-func decodeManifest(raw []byte) ([]segMeta, error) {
-	payload, err := checkCRC(raw, "manifest")
-	if err != nil {
-		return nil, err
-	}
-	r, err := newReader(payload, manifestMagic, "manifest")
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.uvarint())
-	if n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("segstore: manifest: absurd segment count %d", n)
-	}
-	out := make([]segMeta, 0, n)
-	for i := 0; i < n; i++ {
-		seq := int(r.uvarint())
-		flags := r.uvarint()
-		out = append(out, segMeta{
-			seq:    seq,
-			sorted: flags&flagSorted != 0,
-			hasAgg: flags&flagHasAgg != 0,
-			n:      int(r.uvarint()),
-			minIdx: int(r.varint()),
-			maxIdx: int(r.varint()),
-			bytes:  int64(r.uvarint()),
-		})
-	}
-	if err := r.finish("manifest"); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// encodeAgg appends a CampaignRecord in the compact binary form: fixed
-// counters as varints, slices as raw float64 bit patterns, successes as
-// packed bits. Roughly 41 bytes per launched episode — an order of
-// magnitude under the JSONL records it summarizes, which is what keeps
-// the index under its bytes-per-episode budget.
-func encodeAgg(b []byte, c *results.CampaignRecord) []byte {
-	b = binary.AppendUvarint(b, uint64(c.V))
-	b = appendString(b, c.Name)
-	b = appendString(b, c.Scenario)
-	b = binary.AppendVarint(b, int64(c.Mode))
-	b = appendBool(b, c.ExpectCrashes)
-	b = binary.AppendVarint(b, c.BaseSeed)
-	for _, v := range []int{
-		c.Runs, c.Launched, c.EBs, c.Crashes,
-		c.PedLaunched, c.PedEBs, c.VehLaunched, c.VehEBs,
-	} {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	for _, s := range [][]float64{c.Ks, c.KPrimes, c.MinDeltas, c.Predicted, c.Realized} {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		for _, v := range s {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(c.Successes)))
-	var acc byte
-	for i, v := range c.Successes {
-		if v {
-			acc |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			b = append(b, acc)
-			acc = 0
-		}
-	}
-	if len(c.Successes)%8 != 0 {
-		b = append(b, acc)
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// reader is a bounds-checked cursor over a codec payload. The first
-// decode error sticks; finish reports it (or trailing garbage).
+// reader is a bounds-checked varint cursor over an index payload. The
+// first decode error sticks.
 type reader struct {
 	b   []byte
 	off int
 	err error
-}
-
-func newReader(payload []byte, magic, what string) (*reader, error) {
-	if len(payload) < len(magic) || string(payload[:len(magic)]) != magic {
-		return nil, fmt.Errorf("segstore: %s: bad magic", what)
-	}
-	r := &reader{b: payload, off: len(magic)}
-	if v := r.uvarint(); r.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("segstore: %s: version %d is newer than supported %d", what, v, codecVersion)
-	}
-	return r, r.err
-}
-
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
 }
 
 func (r *reader) uvarint() uint64 {
@@ -263,7 +121,7 @@ func (r *reader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		r.fail(fmt.Errorf("truncated varint at offset %d", r.off))
+		r.err = fmt.Errorf("truncated varint at offset %d", r.off)
 		return 0
 	}
 	r.off += n
@@ -276,103 +134,9 @@ func (r *reader) varint() int64 {
 	}
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		r.fail(fmt.Errorf("truncated varint at offset %d", r.off))
+		r.err = fmt.Errorf("truncated varint at offset %d", r.off)
 		return 0
 	}
 	r.off += n
 	return v
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail(fmt.Errorf("truncated payload at offset %d (want %d bytes)", r.off, n))
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) str() string { return string(r.take(int(r.uvarint()))) }
-
-func (r *reader) bool() bool {
-	b := r.take(1)
-	return len(b) == 1 && b[0] != 0
-}
-
-func (r *reader) f64s() []float64 {
-	n := int(r.uvarint())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	raw := r.take(8 * n)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
-}
-
-func (r *reader) bools() []bool {
-	n := int(r.uvarint())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	raw := r.take((n + 7) / 8)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = raw[i/8]&(1<<(i%8)) != 0
-	}
-	return out
-}
-
-// agg decodes the binary CampaignRecord. Empty slices decode to nil,
-// matching what results.Aggregate produces for campaigns with no
-// launched episodes — the round trip is exact, including NaN bit
-// patterns (float64 bits are stored verbatim).
-func (r *reader) agg() *results.CampaignRecord {
-	c := &results.CampaignRecord{
-		V:             int(r.uvarint()),
-		Name:          r.str(),
-		Scenario:      r.str(),
-		Mode:          core.Mode(r.varint()),
-		ExpectCrashes: r.bool(),
-		BaseSeed:      r.varint(),
-	}
-	for _, dst := range []*int{
-		&c.Runs, &c.Launched, &c.EBs, &c.Crashes,
-		&c.PedLaunched, &c.PedEBs, &c.VehLaunched, &c.VehEBs,
-	} {
-		*dst = int(r.uvarint())
-	}
-	c.Ks = r.f64s()
-	c.KPrimes = r.f64s()
-	c.MinDeltas = r.f64s()
-	c.Predicted = r.f64s()
-	c.Realized = r.f64s()
-	c.Successes = r.bools()
-	if r.err != nil {
-		return nil
-	}
-	return c
-}
-
-// finish reports a sticky decode error or trailing garbage.
-func (r *reader) finish(what string) error {
-	if r.err != nil {
-		return fmt.Errorf("segstore: %s: %w", what, r.err)
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("segstore: %s: %d trailing bytes", what, len(r.b)-r.off)
-	}
-	return nil
 }

@@ -16,9 +16,9 @@ var (
 	mRolls = obs.NewCounter("robotack_segstore_rolls_total",
 		"Active segments sealed after reaching the size threshold.")
 	mCompactions = obs.NewCounter("robotack_segstore_compactions_total",
-		"Shard generation rewrites completed by the background compactor.")
+		"Shard generation rewrites completed by Compact.")
 	mIndexHits = obs.NewCounter("robotack_segstore_index_hits_total",
-		"Queries answered from segment metadata (sorted fast path or partial aggregates).")
+		"Queries that concatenated segments on the sorted fast path (no last-wins fold).")
 	mRawScans = obs.NewCounter("robotack_segstore_raw_scans_total",
 		"Queries that had to re-parse segment records (fast path unavailable).")
 	mOpenScanned = obs.NewCounter("robotack_segstore_open_scanned_bytes_total",

@@ -2,13 +2,12 @@
 // million-episode sweeps. The JSONL FileStore re-parses its entire log
 // on every open and holds every record in memory; a segstore directory
 // shards records by campaign, rolls each shard's append-only segment
-// file at a size threshold, and keeps a compact binary index (count,
-// episode-index range, byte length, partial aggregate) per sealed
-// segment plus a per-shard MANIFEST of those headers. Opening reads
-// campaign aggregates and index metadata — not records — so open time
-// and campaign queries stay flat as the store grows; a background
-// compactor rewrites a shard (last-wins, index order) whenever
-// out-of-order re-appends break its sorted fast path.
+// file at a size threshold, and keeps a fixed binary header (count,
+// episode-index range, byte length, sorted flag) per segment. Opening
+// reads campaign aggregates and those headers — not records — so open
+// time and campaign queries stay flat as the store grows. Out-of-order
+// re-appends take a shard off its sorted fast path; it stays correct
+// (queries fold it last-wins) until Compact rewrites it in index order.
 //
 // It is a drop-in results.DurableStore with FileStore's crash-safety
 // contract: appends are visible after a kill -9, a torn final line is
@@ -36,7 +35,7 @@ const (
 	markerFile = "segstore.json"
 	// lockFileName is the store's exclusivity lock (results.LockDir):
 	// two writers on one store directory would interleave segment
-	// appends and race the compactor's generation swap. It is its own
+	// appends and race Compact's generation swap. It is its own
 	// file, never renamed, so generation swaps and log compaction happen
 	// underneath it (the runq queue.lock discipline).
 	lockFileName = "store.lock"
@@ -76,8 +75,8 @@ type OpenStats struct {
 	// ScannedBytes is raw segment data parsed line by line (un-indexed
 	// active tails, segments with missing or stale indexes).
 	ScannedBytes int64
-	// IndexBytes is metadata read instead: manifests, segment indexes,
-	// and the campaigns log.
+	// IndexBytes is metadata read instead: segment indexes and the
+	// campaigns log.
 	IndexBytes int64
 	// Segments is the live segment-file count across shards.
 	Segments int
@@ -95,15 +94,6 @@ func WithSegmentBytes(n int64) Option {
 			s.segBytes = n
 		}
 	}
-}
-
-// WithErrorLog routes background-compaction failures to fn (the store
-// has no logger of its own; robotack-serve wires this to its slog). A
-// failed rewrite is not data loss — the shard stays correct on the
-// fold path and the next fast-path-breaking append retries — but an
-// operator should hear about a disk that keeps refusing rewrites.
-func WithErrorLog(fn func(campaign string, err error)) Option {
-	return func(s *Store) { s.logErr = fn }
 }
 
 // Store is the segmented results backend. It implements
@@ -127,14 +117,8 @@ type Store struct {
 	logBytes  int64
 	liveBytes map[string]int64 // per-campaign live line length
 
-	compactMu     sync.Mutex
-	compactCh     chan *shard
-	compactClosed bool
-	wg            sync.WaitGroup
-
 	closed    atomic.Bool
 	openStats OpenStats
-	logErr    func(campaign string, err error)
 }
 
 // Open opens (creating if needed) a segstore directory for reading and
@@ -193,22 +177,6 @@ func open(dir string, ro bool, opts ...Option) (*Store, error) {
 	s.openStats.Segments = s.segmentCount()
 	gaugeAdd(gSegments, float64(s.openStats.Segments))
 	gaugeAdd(gBytes, float64(s.recordBytes()))
-	if !ro {
-		s.compactCh = make(chan *shard, 64)
-		s.wg.Add(1)
-		go s.compactor()
-		// Shards that lost their fast path before the last shutdown get
-		// repaired now rather than on their next unlucky query.
-		s.mu.RLock()
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			if !sh.fastPath() {
-				s.enqueueCompactLocked(sh)
-			}
-			sh.mu.Unlock()
-		}
-		s.mu.RUnlock()
-	}
 	return s, nil
 }
 
@@ -418,8 +386,7 @@ func (s *Store) Append(ep results.EpisodeRecord) error {
 	if _, err := sh.w.Write(raw); err != nil {
 		return fmt.Errorf("segstore: append to %s: %w", sh.segPath(sh.active.seq), err)
 	}
-	wasFast := sh.fastPath()
-	foldAppend(&sh.active, &sh.activeAgg, &ep)
+	sh.active.add(ep.Index)
 	sh.active.bytes += int64(len(raw))
 	mAppends.Add(1)
 	gaugeAdd(gBytes, float64(len(raw)))
@@ -429,11 +396,6 @@ func (s *Store) Append(ep results.EpisodeRecord) error {
 		}
 		mRolls.Add(1)
 		gaugeAdd(gSegments, 1)
-	}
-	if wasFast && !sh.fastPath() {
-		// An out-of-order re-append (a worker retry after resume) broke
-		// the sorted invariant; the compactor restores it off-line.
-		s.enqueueCompactLocked(sh)
 	}
 	return nil
 }
@@ -527,7 +489,8 @@ func (s *Store) Campaigns() ([]results.CampaignRecord, error) {
 
 // Episodes implements results.Store: only the named campaign's shard
 // is read. On the sorted fast path segments concatenate directly; a
-// shard with duplicate keys falls back to the last-wins fold.
+// shard off it (out-of-order re-appends since the last Compact) takes
+// the last-wins fold.
 func (s *Store) Episodes(campaign string) ([]results.EpisodeRecord, error) {
 	sh, err := s.getShard(campaign, false)
 	if sh == nil || err != nil {
@@ -549,10 +512,12 @@ func (s *Store) episodesLocked(sh *shard) ([]results.EpisodeRecord, error) {
 	} else {
 		mRawScans.Add(1)
 	}
-	out := make([]results.EpisodeRecord, 0, n)
+	// Nothing is sized from n: it comes from index headers, and records
+	// are counted as they parse.
+	out := []results.EpisodeRecord{}
 	var fold map[int]results.EpisodeRecord
 	if !fast {
-		fold = make(map[int]results.EpisodeRecord, n)
+		fold = map[int]results.EpisodeRecord{}
 	}
 	read := func(seq int) error {
 		raw, err := os.ReadFile(sh.segPath(seq))
@@ -616,110 +581,22 @@ func (s *Store) EpisodeCampaigns() []string {
 	return out
 }
 
-// AggregateEpisodes implements results.Aggregator: on the fast path a
-// campaign's aggregate is the merge of its segments' partial
-// aggregates — index metadata, not records. The result is exactly what
-// results.Aggregate produces from Episodes (same fold, same order).
+// AggregateEpisodes implements results.Aggregator: results.Aggregate
+// over Episodes, with the identity of the lowest-index episode.
 func (s *Store) AggregateEpisodes(name string) (*results.CampaignRecord, error) {
-	sh, err := s.getShard(name, false)
-	if sh == nil || err != nil {
+	eps, err := s.Episodes(name)
+	if err != nil || len(eps) == 0 {
 		return nil, err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	n, _ := sh.episodes()
-	if n == 0 {
-		return nil, nil
-	}
-	if sh.fastPath() {
-		if agg, err := s.mergeAggsLocked(sh); err != nil {
-			return nil, err
-		} else if agg != nil {
-			mIndexHits.Add(1)
-			return agg, nil
-		}
-	}
-	mRawScans.Add(1)
-	eps, err := s.episodesLocked(sh)
-	if err != nil {
-		return nil, err
-	}
-	if len(eps) == 0 {
-		return nil, nil
 	}
 	meta := results.NewCampaign(name, eps[0].Scenario, eps[0].Mode, eps[0].ExpectCrashes, 0)
 	rec := results.Aggregate(meta, eps)
 	return &rec, nil
 }
 
-// mergeAggsLocked merges per-segment partial aggregates in segment
-// order. Fold gates per-episode fields on the aggregate's identity
-// (mode, crash eligibility), so the merge is exact if and only if all
-// segments agree on that identity; mixed-identity shards return nil
-// and take the raw fold instead.
-func (s *Store) mergeAggsLocked(sh *shard) (*results.CampaignRecord, error) {
-	aggs := make([]*results.CampaignRecord, 0, len(sh.sealed)+1)
-	for i := range sh.sealed {
-		if sh.sealed[i].n == 0 {
-			continue
-		}
-		a, err := s.shardSealedAgg(sh, i)
-		if err != nil {
-			return nil, err
-		}
-		if a == nil {
-			return nil, nil
-		}
-		aggs = append(aggs, a)
-	}
-	if sh.active.n > 0 {
-		// After a reopen the active aggregate is rebuilt on demand — one
-		// segment scan, bounded by the roll threshold.
-		if err := sh.ensureActiveAgg(); err != nil {
-			return nil, err
-		}
-		if sh.activeAgg == nil {
-			return nil, nil
-		}
-		aggs = append(aggs, sh.activeAgg)
-	}
-	if len(aggs) == 0 {
-		return nil, nil
-	}
-	first := aggs[0]
-	out := results.NewCampaign(sh.name, first.Scenario, first.Mode, first.ExpectCrashes, 0)
-	for _, a := range aggs {
-		if a.Scenario != out.Scenario || a.Mode != out.Mode || a.ExpectCrashes != out.ExpectCrashes {
-			return nil, nil
-		}
-		out.Runs += a.Runs
-		out.Launched += a.Launched
-		out.EBs += a.EBs
-		out.Crashes += a.Crashes
-		out.PedLaunched += a.PedLaunched
-		out.PedEBs += a.PedEBs
-		out.VehLaunched += a.VehLaunched
-		out.VehEBs += a.VehEBs
-		out.Ks = append(out.Ks, a.Ks...)
-		out.KPrimes = append(out.KPrimes, a.KPrimes...)
-		out.MinDeltas = append(out.MinDeltas, a.MinDeltas...)
-		out.Predicted = append(out.Predicted, a.Predicted...)
-		out.Realized = append(out.Realized, a.Realized...)
-		out.Successes = append(out.Successes, a.Successes...)
-	}
-	return &out, nil
-}
-
-// shardSealedAgg wraps shard.sealedAgg with the store's read-only rule
-// (never repair indexes from the read path).
-func (s *Store) shardSealedAgg(sh *shard, i int) (*results.CampaignRecord, error) {
-	return sh.sealedAgg(i)
-}
-
 // Stats implements results.StatsProvider from metadata alone. Episode
 // counts are exact when every shard's fast path proves its keys
-// distinct; a shard awaiting compaction reports an upper bound and
-// flips Estimated.
+// distinct; a shard off it reports an upper bound and flips Estimated
+// until Compact rewrites it.
 func (s *Store) Stats() (results.StoreStats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -769,20 +646,12 @@ func (s *Store) Sync() error {
 	return firstErr
 }
 
-// Close stops the compactor, writes each shard's active-segment index
-// as a scan cache for the next open, and releases the lock. A store
-// killed without Close loses only that cache — the next open rescans
-// active tails.
+// Close writes each shard's active-segment index as a scan cache for
+// the next open and releases the lock. A store killed without Close
+// loses only that cache — the next open rescans active tails.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
-	}
-	if !s.ro {
-		s.compactMu.Lock()
-		s.compactClosed = true
-		close(s.compactCh)
-		s.compactMu.Unlock()
-		s.wg.Wait()
 	}
 	var firstErr error
 	s.mu.Lock()

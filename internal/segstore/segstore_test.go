@@ -1,11 +1,14 @@
 package segstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -119,31 +122,38 @@ func TestNameEscapingRoundTrip(t *testing.T) {
 }
 
 func TestIdxCodecRoundTrip(t *testing.T) {
-	agg := results.NewCampaign("cdc", "DS-2", 1, true, 0)
-	for i := 0; i < 9; i++ {
-		agg.Fold(storetest.Episode("cdc", i))
+	for _, m := range []segMeta{
+		{seq: 3, n: 9, minIdx: 0, maxIdx: 8, bytes: 12345, sorted: true},
+		// Unsorted: duplicates or reordering.
+		{seq: 4, n: 5, minIdx: 2, maxIdx: 40, bytes: 1700},
+		// The empty active segment.
+		{seq: 5, sorted: true},
+		// Signed, wide indexes.
+		{seq: 6, n: 2, minIdx: -3, maxIdx: 1 << 40, bytes: 1 << 41},
+	} {
+		got, err := decodeIdx(encodeIdx(&m), m.seq)
+		if err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		if got != m {
+			t.Fatalf("header changed: %+v -> %+v", m, got)
+		}
 	}
-	m := segMeta{seq: 3, n: 9, minIdx: 0, maxIdx: 8, bytes: 12345, sorted: true, hasAgg: true, agg: &agg}
-	got, err := decodeIdx(encodeIdx(&m), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.n != m.n || got.minIdx != m.minIdx || got.maxIdx != m.maxIdx ||
-		got.bytes != m.bytes || !got.sorted || !got.hasAgg {
-		t.Fatalf("header changed: %+v", got)
-	}
-	if !reflect.DeepEqual(got.agg, &agg) {
-		t.Fatalf("aggregate changed:\n got %+v\nwant %+v", got.agg, &agg)
-	}
+}
 
-	sealed := []segMeta{m, {seq: 4, n: 2, minIdx: 9, maxIdx: 10, bytes: 77, sorted: true, hasAgg: true}}
-	metas, err := decodeManifest(encodeManifest(sealed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(metas) != 2 || metas[0].n != 9 || metas[1].minIdx != 9 || !metas[1].hasAgg {
-		t.Fatalf("manifest changed: %+v", metas)
-	}
+// sealIdx CRC-seals a hand-built index payload.
+func sealIdx(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+}
+
+// idxPayload is encodeIdx's layout with every field chosen freely.
+func idxPayload(flags, n uint64, minIdx, maxIdx int64, size uint64) []byte {
+	b := append([]byte(idxMagic), codecVersion)
+	b = binary.AppendUvarint(b, flags)
+	b = binary.AppendUvarint(b, n)
+	b = binary.AppendVarint(b, minIdx)
+	b = binary.AppendVarint(b, maxIdx)
+	return binary.AppendUvarint(b, size)
 }
 
 func TestIdxCodecRejectsCorruption(t *testing.T) {
@@ -162,9 +172,267 @@ func TestIdxCodecRejectsCorruption(t *testing.T) {
 			t.Errorf("%s index accepted", mutate.name)
 		}
 	}
-	if _, err := decodeManifest(encodeIdx(&m)); err == nil {
-		t.Error("manifest decoder accepted an idx payload (magic not checked)")
+	// An older writer's index of a sorted sealed segment: flag 1<<1 and
+	// a partial aggregate after the header.
+	aggIdx, err := os.ReadFile(filepath.Join(oldLayout, "c", "sorted", genName(0), idxName(0)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	newer := idxPayload(flagSorted, 1, 5, 5, 10)
+	newer[len(idxMagic)] = codecVersion + 1
+	// CRC-valid headers that no segment could match. None may decode:
+	// open would trust their counts.
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"aggregate-carrying", aggIdx},
+		{"aggregate flag", sealIdx(idxPayload(flagSorted|1<<1, 1, 5, 5, 10))},
+		{"newer version", sealIdx(newer)},
+		{"count negative as int", sealIdx(idxPayload(flagSorted, 1<<63, 0, 2, 990))},
+		{"length negative as int", sealIdx(idxPayload(flagSorted, 3, 0, 2, 1<<63))},
+		{"more records than bytes", sealIdx(idxPayload(flagSorted, 991, 0, 990, 990))},
+		{"inverted range", sealIdx(idxPayload(0, 3, 9, 2, 990))},
+	} {
+		if m, err := decodeIdx(tc.raw, 0); err == nil {
+			t.Errorf("%s index accepted as %+v", tc.name, m)
+		}
+	}
+}
+
+// FuzzIdxDecode: decodeIdx never panics, and any header it accepts
+// could describe a segment — a count and a length that stay
+// non-negative, no more records than bytes, an ordered index range
+// when it holds records — and decodes unchanged after a re-encode. The
+// seed corpus (testdata/fuzz/FuzzIdxDecode) holds a sorted header, an
+// unsorted one, an older writer's aggregate-flagged one and a truncated
+// one.
+func FuzzIdxDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := decodeIdx(raw, 7)
+		if err != nil {
+			return
+		}
+		if m.seq != 7 || m.n < 0 || m.bytes < 0 || int64(m.n) > m.bytes || (m.n > 0 && m.minIdx > m.maxIdx) {
+			t.Fatalf("accepted an impossible header: %+v", m)
+		}
+		again, err := decodeIdx(encodeIdx(&m), 7)
+		if err != nil || again != m {
+			t.Fatalf("re-encode changed the header: %+v -> %+v (%v)", m, again, err)
+		}
+	})
+}
+
+// TestOpenDistrustsImpossibleIndex: a CRC-valid .idx whose count a
+// segment cannot hold is stale, not trusted. Open rescans the segment
+// and rewrites its index, and Stats and Episodes see the records.
+func TestOpenDistrustsImpossibleIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    func(size int64) uint64
+	}{
+		{"count negative as int", func(int64) uint64 { return 1 << 63 }},
+		{"count above length", func(size int64) uint64 { return uint64(size) + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, WithSegmentBytes(800)) // three records seal segment 0
+			if err != nil {
+				t.Fatal(err)
+			}
+			storetest.Fill(t, s, "bad", 4)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			genDir := filepath.Join(dir, shardsDir, escapeName("bad"), genName(0))
+			fi, err := os.Stat(filepath.Join(genDir, segName(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := sealIdx(idxPayload(flagSorted, tc.n(fi.Size()), 0, 2, uint64(fi.Size())))
+			if err := os.WriteFile(filepath.Join(genDir, idxName(0)), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err = Open(dir, WithSegmentBytes(800))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if st := s.OpenStats(); st.ScannedBytes != fi.Size() {
+				t.Errorf("open scanned %d bytes, want the %d of the segment behind the bad index", st.ScannedBytes, fi.Size())
+			}
+			st, err := s.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Episodes != 4 || st.Estimated {
+				t.Errorf("stats = %+v, want exactly 4 episodes", st)
+			}
+			eps, err := s.Episodes("bad")
+			if err != nil || len(eps) != 4 {
+				t.Fatalf("Episodes = %d records, %v; want 4", len(eps), err)
+			}
+			raw, err := os.ReadFile(filepath.Join(genDir, idxName(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := decodeIdx(raw, 0); err != nil || m.n != 3 {
+				t.Errorf("rewritten index = %+v, %v; want 3 records", m, err)
+			}
+		})
+	}
+}
+
+// oldLayout is a store an older segstore wrote, before indexes became
+// headers alone: 4 KiB segments; campaign "sorted", appended in index
+// order with its aggregate stored, whose sealed .idx files carry
+// partial aggregates beside a MANIFEST; and campaign "shuffled",
+// appended in random order, which background compaction left at
+// generation g000002 with the same kind of indexes.
+const oldLayout = "testdata/oldlayout"
+
+// foldSegments reads a store's records straight from the .seg files of
+// each shard's CURRENT generation, folded last-wins and sorted by index.
+func foldSegments(t *testing.T, dir string) map[string][]results.EpisodeRecord {
+	t.Helper()
+	out := map[string][]results.EpisodeRecord{}
+	shards, err := filepath.Glob(filepath.Join(dir, shardsDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range shards {
+		cur, err := os.ReadFile(filepath.Join(sh, currentFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(sh, strings.TrimSpace(string(cur)), "*"+segSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold := map[int]results.EpisodeRecord{}
+		for _, seg := range segs { // Glob sorts, and names are zero-padded
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+				if line == "" {
+					continue
+				}
+				var ep results.EpisodeRecord
+				if err := json.Unmarshal([]byte(line), &ep); err != nil {
+					t.Fatalf("%s: %v", seg, err)
+				}
+				fold[ep.Index] = ep
+			}
+		}
+		var eps []results.EpisodeRecord
+		for _, ep := range fold {
+			eps = append(eps, ep)
+		}
+		sort.Slice(eps, func(i, j int) bool { return eps[i].Index < eps[j].Index })
+		out[eps[0].Campaign] = eps
+	}
+	return out
+}
+
+// TestOpenOldLayout: a store an older segstore wrote reads as the fold
+// of its segments, read-only and after a writer open; the writer open
+// deletes every MANIFEST and rewrites the aggregate-carrying indexes
+// as headers, after which a reopen scans no record.
+func TestOpenOldLayout(t *testing.T) {
+	want := foldSegments(t, oldLayout)
+	if len(want["sorted"]) != 100 || len(want["shuffled"]) != 80 {
+		t.Fatalf("fixture holds %d sorted and %d shuffled episodes, want 100 and 80",
+			len(want["sorted"]), len(want["shuffled"]))
+	}
+	check := func(t *testing.T, s *Store, dir string) {
+		t.Helper()
+		wantStats := results.StoreStats{Format: results.FormatSegstore, Path: dir, Campaigns: 1, Episodes: 180}
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && (strings.HasSuffix(path, segSuffix) || d.Name() == campaignsFile) {
+				fi, err := d.Info()
+				if err != nil {
+					return err
+				}
+				wantStats.BytesEstimate += fi.Size()
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s.Stats(); err != nil || st != wantStats {
+			t.Errorf("Stats = %+v, %v; want %+v", st, err, wantStats)
+		}
+		for name, eps := range want {
+			got, err := s.Episodes(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, eps) {
+				t.Errorf("%s: Episodes differ from the segments' last-wins fold", name)
+			}
+			agg, err := s.AggregateEpisodes(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAgg := results.Aggregate(results.NewCampaign(name, eps[0].Scenario, eps[0].Mode, eps[0].ExpectCrashes, 0), eps)
+			if agg == nil || !reflect.DeepEqual(*agg, wantAgg) {
+				t.Errorf("%s: AggregateEpisodes = %+v, want %+v", name, agg, wantAgg)
+			}
+		}
+	}
+
+	ro, err := Load(oldLayout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, ro, oldLayout)
+	ro.Close()
+
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(oldLayout)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.OpenStats(); st.ScannedBytes == 0 {
+		t.Error("writer open trusted the older indexes: scanned 0 bytes")
+	}
+	check(t, s, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := filepath.Glob(filepath.Join(dir, shardsDir, "*", "g*", oldManifestFile)); len(m) > 0 {
+		t.Errorf("writer open left %v", m)
+	}
+	idxs, err := filepath.Glob(filepath.Join(dir, shardsDir, "*", "g*", "*"+idxSuffix))
+	if err != nil || len(idxs) != 15 {
+		t.Fatalf("%d indexes (%v), want 15: 13 sealed, 2 active", len(idxs), err)
+	}
+	for _, p := range idxs {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeIdx(raw, 0); err != nil {
+			t.Errorf("%s not rewritten: %v", p, err)
+		}
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.OpenStats(); st.ScannedBytes != 0 {
+		t.Errorf("second open scanned %d bytes, want 0", st.ScannedBytes)
+	}
+	check(t, s, dir)
 }
 
 // TestOpenReadsIndexesNotRecords pins the tentpole property
@@ -224,38 +492,6 @@ func TestOpenReadsIndexesNotRecords(t *testing.T) {
 	}
 	if st.ScannedBytes > 2*smallSeg+2048 {
 		t.Errorf("crash recovery scanned %d bytes; want bounded by the two active tails (~%d)", st.ScannedBytes, 2*smallSeg)
-	}
-}
-
-// TestManifestRebuiltFromIdx covers the middle recovery tier: a stale
-// or missing MANIFEST falls back to per-segment indexes without
-// touching records.
-func TestManifestRebuiltFromIdx(t *testing.T) {
-	dir := t.TempDir()
-	s := openSmall(t, dir)
-	storetest.Fill(t, s, "m", 400)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sh := filepath.Join(dir, shardsDir, escapeName("m"))
-	gen, err := readCurrent(sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(sh, genName(gen), manifestFile)); err != nil {
-		t.Fatal(err)
-	}
-	s = openSmall(t, dir)
-	defer s.Close()
-	if st := s.OpenStats(); st.ScannedBytes != 0 {
-		t.Errorf("manifest rebuild scanned %d raw bytes, want 0 (idx fallback)", st.ScannedBytes)
-	}
-	if _, err := os.Stat(filepath.Join(sh, genName(gen), manifestFile)); err != nil {
-		t.Errorf("writer did not repair the manifest: %v", err)
-	}
-	eps, err := s.Episodes("m")
-	if err != nil || len(eps) != 400 {
-		t.Fatalf("records harmed by manifest loss: %d, %v", len(eps), err)
 	}
 }
 
@@ -336,22 +572,17 @@ func TestResumeParityWithFileStore(t *testing.T) {
 }
 
 // TestCompactionRestoresFastPath drives the out-of-order append path
-// and the generation rewrite directly (white-box: the background
-// goroutine's work, called synchronously).
+// and one shard's generation rewrite directly (white-box: Compact's
+// per-shard step).
 func TestCompactionRestoresFastPath(t *testing.T) {
 	dir := t.TempDir()
 	s := openSmall(t, dir)
 	defer s.Close()
 	storetest.Fill(t, s, "cmp", 150)
-	// Mark a rewrite as already queued, so the out-of-order append below
-	// leaves the background compactor off the shard this test rewrites.
 	sh, err := s.getShard("cmp", false)
 	if err != nil || sh == nil {
 		t.Fatal(err)
 	}
-	sh.mu.Lock()
-	sh.compactQueued = true
-	sh.mu.Unlock()
 	// A worker retry re-appends an old index out of order.
 	if err := s.Append(storetest.Episode("cmp", 3)); err != nil {
 		t.Fatal(err)
@@ -435,16 +666,6 @@ func TestCompactExported(t *testing.T) {
 	defer s.Close()
 	storetest.Fill(t, s, "dirty", 80)
 	storetest.Fill(t, s, "clean", 40)
-	// Keep the background compactor off "dirty": with a rewrite marked
-	// as already queued, the out-of-order append below enqueues none, so
-	// the shard is still off the fast path when Compact runs.
-	sh, err := s.getShard("dirty", false)
-	if err != nil || sh == nil {
-		t.Fatal(err)
-	}
-	sh.mu.Lock()
-	sh.compactQueued = true
-	sh.mu.Unlock()
 	if err := s.Append(storetest.Episode("dirty", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -487,8 +708,8 @@ func TestCompactExported(t *testing.T) {
 	}
 }
 
-// TestAggregateEpisodesMatchesRawFold checks the partial-aggregate
-// merge against results.Aggregate across append patterns.
+// TestAggregateEpisodesMatchesRawFold checks AggregateEpisodes against
+// results.Aggregate over Episodes across append patterns.
 func TestAggregateEpisodesMatchesRawFold(t *testing.T) {
 	check := func(t *testing.T, s *Store, name string) {
 		t.Helper()
@@ -568,7 +789,7 @@ func TestAggregateEpisodesMatchesRawFold(t *testing.T) {
 		if st := s.OpenStats(); st.ScannedBytes != 0 {
 			t.Fatalf("reopen scanned %d bytes", st.ScannedBytes)
 		}
-		check(t, s, "x") // merged purely from idx-file aggregates
+		check(t, s, "x")
 	})
 }
 
@@ -590,7 +811,7 @@ func TestIndexCompactness(t *testing.T) {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		if strings.HasSuffix(path, idxSuffix) || d.Name() == manifestFile {
+		if strings.HasSuffix(path, idxSuffix) {
 			fi, err := d.Info()
 			if err != nil {
 				return err
@@ -602,7 +823,7 @@ func TestIndexCompactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const fixedOverhead = 4096 // magics, manifest headers, empty-store floor
+	const fixedOverhead = 4096 // magics, close caches, empty-store floor
 	if idxBytes > n*maxIndexBytesPerEpisode+fixedOverhead {
 		t.Errorf("index metadata is %d bytes for %d episodes (%.1f B/episode), budget %d B/episode",
 			idxBytes, n, float64(idxBytes)/n, maxIndexBytesPerEpisode)

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,25 +19,28 @@ import (
 //	    CURRENT          → name of the live generation dir ("g000000")
 //	    g000000/
 //	        000000.seg   sealed segment: EpisodeRecord JSON lines
-//	        000000.idx   its header + partial aggregate (see index.go)
+//	        000000.idx   its header (see index.go)
 //	        000001.seg   ...
 //	        000001.idx
 //	        000002.seg   highest seq: the active (appendable) segment
-//	        MANIFEST     sealed-segment header cache
 //
 // The highest-numbered .seg is always the active segment; everything
-// below it is sealed and immutable. The compactor rewrites a shard
-// into a fresh generation dir and swaps CURRENT, so readers never see
-// a half-rewritten shard and the store's flock file is never renamed.
+// below it is sealed and immutable. Compact rewrites a shard into a
+// fresh generation dir and swaps CURRENT, so readers never see a
+// half-rewritten shard and the store's flock file is never renamed.
 //
 // Only segment *metadata* lives in memory. Records are read from the
 // segment files on demand, which is what lets a million-episode store
 // open without touching a million records.
 const (
-	currentFile  = "CURRENT"
-	manifestFile = "MANIFEST"
-	segSuffix    = ".seg"
-	idxSuffix    = ".idx"
+	currentFile = "CURRENT"
+	segSuffix   = ".seg"
+	idxSuffix   = ".idx"
+	// oldManifestFile is the sealed-header cache older writers kept in
+	// each generation dir. A writer open deletes it before rewriting any
+	// stale .idx, so an older binary opening the store later cannot
+	// trust it over the rewritten indexes.
+	oldManifestFile = "MANIFEST"
 )
 
 type shard struct {
@@ -52,20 +56,13 @@ type shard struct {
 
 	sealed []segMeta // immutable segments, ascending seq
 	active segMeta   // the appendable tail segment
-	// activeAgg is the running partial aggregate of the active segment,
-	// folded on each append while the segment stays sorted.
-	activeAgg *results.CampaignRecord
-	w         *os.File // active segment writer; opened lazily
+	w      *os.File  // active segment writer; opened lazily
 
 	// sealedFast and sealedMaxIdx summarize the sealed segments for the
 	// fast-path check: every sealed segment sorted, ranges strictly
 	// ascending in seq order. Maintained O(1) per seal.
 	sealedFast   bool
 	sealedMaxIdx int
-
-	// compactQueued debounces the background compactor: set when the
-	// shard is enqueued, cleared when its rewrite finishes.
-	compactQueued bool
 }
 
 func genName(gen int) string            { return fmt.Sprintf("g%06d", gen) }
@@ -76,8 +73,7 @@ func (s *shard) idxPath(seq int) string { return filepath.Join(s.genDir, idxName
 
 // fastPath reports whether the shard's episode indexes are provably
 // distinct and ascending across segments — the condition under which
-// Episodes can concatenate segments without a last-wins fold and
-// AggregateEpisodes can merge partial aggregates.
+// Episodes can concatenate segments without a last-wins fold.
 func (s *shard) fastPath() bool {
 	if !s.sealedFast || !s.active.sorted {
 		return false
@@ -124,13 +120,12 @@ func (s *shard) recomputeSealedFast() {
 	}
 }
 
-// scanSegment parses a segment file, rebuilding its metadata and — when
-// the records are sorted — its partial aggregate. The torn-tail rule is
-// the shared one (results.ScanJSONL): an unparsable final line is
-// excluded from the clean length; interior corruption is a hard error.
-func scanSegment(raw []byte, seq int, name string) (segMeta, *results.CampaignRecord, error) {
+// scanSegment parses a segment file, rebuilding its metadata. The
+// torn-tail rule is the shared one (results.ScanJSONL): an unparsable
+// final line is excluded from the clean length; interior corruption is
+// a hard error.
+func scanSegment(raw []byte, seq int, name string) (segMeta, error) {
 	m := segMeta{seq: seq, sorted: true}
-	var agg *results.CampaignRecord
 	good, err := results.ScanJSONL(raw, func(lineno int, line []byte) error {
 		var ep results.EpisodeRecord
 		if err := json.Unmarshal(line, &ep); err != nil {
@@ -139,51 +134,40 @@ func scanSegment(raw []byte, seq int, name string) (segMeta, *results.CampaignRe
 		if ep.Campaign != name {
 			return fmt.Errorf("segstore: segment %d line %d: campaign %q in shard %q", seq, lineno, ep.Campaign, name)
 		}
-		foldAppend(&m, &agg, &ep)
+		m.add(ep.Index)
 		return nil
 	})
 	if err != nil {
-		return segMeta{}, nil, err
+		return segMeta{}, err
 	}
 	m.bytes = int64(good)
-	if !m.sorted {
-		agg = nil
-	}
-	m.hasAgg = m.sorted && m.n > 0
-	return m, agg, nil
+	return m, nil
 }
 
-// foldAppend advances a segment's metadata (and, while sorted, its
-// partial aggregate) by one record — shared by the live append path and
-// segment scans so both derive identical state.
-func foldAppend(m *segMeta, agg **results.CampaignRecord, ep *results.EpisodeRecord) {
+// add advances a segment's metadata by one record with episode index
+// idx — shared by the live append path, segment scans and Compact so
+// all derive identical state.
+func (m *segMeta) add(idx int) {
 	if m.n == 0 {
-		m.minIdx, m.maxIdx = ep.Index, ep.Index
+		m.minIdx, m.maxIdx = idx, idx
 	} else {
-		if ep.Index <= m.maxIdx {
+		if idx <= m.maxIdx {
 			m.sorted = false
-			*agg = nil
 		}
-		if ep.Index < m.minIdx {
-			m.minIdx = ep.Index
+		if idx < m.minIdx {
+			m.minIdx = idx
 		}
-		if ep.Index > m.maxIdx {
-			m.maxIdx = ep.Index
+		if idx > m.maxIdx {
+			m.maxIdx = idx
 		}
-	}
-	if m.sorted {
-		if *agg == nil {
-			c := results.NewCampaign(ep.Campaign, ep.Scenario, ep.Mode, ep.ExpectCrashes, 0)
-			*agg = &c
-		}
-		(*agg).Fold(*ep)
 	}
 	m.n++
 }
 
 // openShard recovers one campaign's shard from disk. ro suppresses all
 // repair writes (index rewrites, torn-tail truncation, stale-generation
-// cleanup) so concurrent read-only loads never race the owning writer.
+// and old MANIFEST cleanup) so concurrent read-only loads never race
+// the owning writer.
 // It reports the bytes of raw segment data it had to parse and of index
 // metadata it read, feeding OpenStats.
 func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
@@ -209,42 +193,20 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 		return s, 0, 0, nil
 	}
 	activeSeq := seqs[len(seqs)-1]
-	sealedSeqs := seqs[:len(seqs)-1]
 
-	// Sealed segments: MANIFEST first (one small read), falling back to
-	// per-segment .idx files, falling back to a raw scan (repairing the
-	// .idx when we own the store).
-	manifest := map[int]segMeta{}
-	if raw, err := os.ReadFile(filepath.Join(s.genDir, manifestFile)); err == nil {
-		if metas, err := decodeManifest(raw); err == nil {
-			idxBytes += int64(len(raw))
-			for _, m := range metas {
-				manifest[m.seq] = m
-			}
+	if !ro {
+		if err := os.Remove(filepath.Join(s.genDir, oldManifestFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, 0, 0, fmt.Errorf("segstore: remove old manifest: %w", err)
 		}
 	}
-	staleManifest := len(manifest) != len(sealedSeqs)
-	for _, seq := range sealedSeqs {
-		m, ok := manifest[seq]
-		if ok {
-			if fi, err := os.Stat(s.segPath(seq)); err != nil || fi.Size() != m.bytes {
-				ok = false // the cache disagrees with the segment itself
-			}
-		}
-		if !ok {
-			staleManifest = true
-			var err error
-			m, _, err = recoverSealed(s, seq, ro, &scanned, &idxBytes)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-		}
-		s.sealed = append(s.sealed, m)
-	}
-	if staleManifest && !ro {
-		if err := s.writeManifest(); err != nil {
+	// Sealed segments: each one's .idx, falling back to a raw scan
+	// (repairing the .idx when we own the store).
+	for _, seq := range seqs[:len(seqs)-1] {
+		m, err := recoverSealed(s, seq, ro, &scanned, &idxBytes)
+		if err != nil {
 			return nil, 0, 0, err
 		}
+		s.sealed = append(s.sealed, m)
 	}
 	s.recomputeSealedFast()
 
@@ -261,8 +223,6 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 		if m, err := decodeIdx(idxRaw, activeSeq); err == nil && m.bytes == fi.Size() {
 			idxBytes += int64(len(idxRaw))
 			s.active = m
-			s.activeAgg = m.agg
-			s.active.agg = nil
 			adopted = true
 		}
 	}
@@ -271,7 +231,7 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("segstore: read active segment: %w", err)
 		}
-		m, agg, err := scanSegment(raw, activeSeq, name)
+		m, err := scanSegment(raw, activeSeq, name)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("segstore: %s: %w", s.segPath(activeSeq), err)
 		}
@@ -284,7 +244,6 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 			}
 		}
 		s.active = m
-		s.activeAgg = agg
 	}
 	if !ro {
 		// Generations other than CURRENT are leftovers from a crashed
@@ -297,26 +256,25 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 
 // recoverSealed loads one sealed segment's metadata from its .idx, or
 // rescans the segment (rewriting the .idx unless read-only).
-func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMeta, *results.CampaignRecord, error) {
+func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMeta, error) {
 	segPath := s.segPath(seq)
 	fi, err := os.Stat(segPath)
 	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("segstore: missing segment: %w", err)
+		return segMeta{}, fmt.Errorf("segstore: missing segment: %w", err)
 	}
 	if raw, err := os.ReadFile(s.idxPath(seq)); err == nil {
 		if m, err := decodeIdx(raw, seq); err == nil && m.bytes == fi.Size() {
 			*idxBytes += int64(len(raw))
-			m.agg = nil // stays lazy; reloaded from the .idx when needed
-			return m, nil, nil
+			return m, nil
 		}
 	}
 	raw, err := os.ReadFile(segPath)
 	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("segstore: read segment: %w", err)
+		return segMeta{}, fmt.Errorf("segstore: read segment: %w", err)
 	}
-	m, agg, err := scanSegment(raw, seq, s.name)
+	m, err := scanSegment(raw, seq, s.name)
 	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("segstore: %s: %w", segPath, err)
+		return segMeta{}, fmt.Errorf("segstore: %s: %w", segPath, err)
 	}
 	*scanned += int64(len(raw))
 	if m.bytes < int64(len(raw)) {
@@ -324,53 +282,20 @@ func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMet
 		// between the roll's write and its seal bookkeeping.
 		if !ro {
 			if err := os.Truncate(segPath, m.bytes); err != nil {
-				return segMeta{}, nil, fmt.Errorf("segstore: drop torn tail: %w", err)
+				return segMeta{}, fmt.Errorf("segstore: drop torn tail: %w", err)
 			}
 		}
 	}
 	if !ro {
-		m.agg = agg
 		if err := results.WriteFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
-			return segMeta{}, nil, err
+			return segMeta{}, err
 		}
-		m.agg = nil
 	}
-	return m, agg, nil
+	return m, nil
 }
 
-// sealedAgg returns a sealed segment's partial aggregate, reading it
-// from the .idx file on first use. Returns nil when the segment has
-// none (unsorted, or empty).
-func (s *shard) sealedAgg(i int) (*results.CampaignRecord, error) {
-	m := &s.sealed[i]
-	if !m.hasAgg {
-		return nil, nil
-	}
-	if m.agg == nil {
-		raw, err := os.ReadFile(s.idxPath(m.seq))
-		if err != nil {
-			return nil, fmt.Errorf("segstore: read segment index: %w", err)
-		}
-		dec, err := decodeIdx(raw, m.seq)
-		if err != nil {
-			return nil, err
-		}
-		if dec.agg == nil {
-			return nil, fmt.Errorf("segstore: %s: aggregate missing", s.idxPath(m.seq))
-		}
-		m.agg = dec.agg
-	}
-	return m.agg, nil
-}
-
-// writeManifest atomically replaces the shard's sealed-segment cache.
-func (s *shard) writeManifest() error {
-	return results.WriteFileAtomic(filepath.Join(s.genDir, manifestFile), encodeManifest(s.sealed))
-}
-
-// seal closes the active segment: sync, write its .idx (header plus
-// partial aggregate when sorted), move it to the sealed list, refresh
-// the MANIFEST, and start the next segment. The ordering makes every
+// seal closes the active segment: sync, write its .idx, move it to the
+// sealed list, and start the next segment. The ordering makes every
 // crash window recoverable: the segment's own bytes are durable before
 // any metadata describes them, and metadata is rebuilt from segments
 // whenever it is missing or stale.
@@ -385,19 +310,12 @@ func (s *shard) seal() error {
 		s.w = nil
 	}
 	m := s.active
-	m.hasAgg = m.sorted && m.n > 0
-	m.agg = s.activeAgg
 	if err := results.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil {
 		return err
 	}
-	m.agg = nil
 	s.sealed = append(s.sealed, m)
 	s.recomputeSealedFast() // sealing is rare; the rescan is segment count, not records
-	if err := s.writeManifest(); err != nil {
-		return err
-	}
 	s.active = segMeta{seq: m.seq + 1, sorted: true}
-	s.activeAgg = nil
 	return nil
 }
 
@@ -406,11 +324,6 @@ func (s *shard) seal() error {
 func (s *shard) openWriter() error {
 	if s.w != nil {
 		return nil
-	}
-	// The running aggregate must cover the whole segment before any new
-	// record folds into it.
-	if err := s.ensureActiveAgg(); err != nil {
-		return err
 	}
 	f, err := os.OpenFile(s.segPath(s.active.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -425,11 +338,9 @@ func (s *shard) openWriter() error {
 }
 
 // closeWriter seals nothing; it writes the active segment's .idx as a
-// scan cache for the next open and releases the descriptor. The cache
-// is header-only — no partial aggregate — so open cost stays a few
-// dozen bytes per shard no matter how full the active segment is; the
-// aggregate is rebuilt lazily (one bounded segment scan) by
-// ensureActiveAgg when next needed.
+// scan cache for the next open and releases the descriptor, so open
+// cost stays a few dozen bytes per shard no matter how full the active
+// segment is.
 func (s *shard) closeWriter() error {
 	var firstErr error
 	if s.w != nil {
@@ -441,38 +352,10 @@ func (s *shard) closeWriter() error {
 		}
 		s.w = nil
 	}
-	m := s.active
-	m.hasAgg = false
-	m.agg = nil
-	if err := results.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil && firstErr == nil {
+	if err := results.WriteFileAtomic(s.idxPath(s.active.seq), encodeIdx(&s.active)); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// ensureActiveAgg rebuilds the active segment's running aggregate after
-// a reopen adopted a header-only close cache. The scan is bounded by
-// the roll threshold, and it must run before any append folds into the
-// aggregate — a fold starting mid-segment would silently drop the
-// earlier records from the campaign's fast-path summary.
-func (s *shard) ensureActiveAgg() error {
-	if s.activeAgg != nil || !s.active.sorted || s.active.n == 0 {
-		return nil
-	}
-	raw, err := os.ReadFile(s.segPath(s.active.seq))
-	if err != nil {
-		return fmt.Errorf("segstore: read active segment: %w", err)
-	}
-	m, agg, err := scanSegment(raw, s.active.seq, s.name)
-	if err != nil {
-		return fmt.Errorf("segstore: %s: %w", s.segPath(s.active.seq), err)
-	}
-	if m.n != s.active.n || m.bytes != s.active.bytes || !m.sorted {
-		return fmt.Errorf("segstore: %s: segment diverged from its index (%d/%d records, %d/%d bytes)",
-			s.segPath(s.active.seq), m.n, s.active.n, m.bytes, s.active.bytes)
-	}
-	s.activeAgg = agg
-	return nil
 }
 
 // readCurrent resolves the live generation, tolerating a missing or
