@@ -42,9 +42,10 @@
 //	curl -N localhost:8077/runs/1/events
 //	curl -s localhost:8077/metrics
 //
-// On SIGINT/SIGTERM the server stops leasing, cancels in-flight jobs
-// (journaling them as queued so a restart resumes them), flushes the
-// queue journal and the store, and exits 0.
+// On SIGINT/SIGTERM the server stops leasing, answers parked lease
+// requests with 204, cancels in-flight jobs (journaling them as queued
+// so a restart resumes them), flushes the queue journal and the store,
+// and exits 0.
 package main
 
 import (
@@ -154,9 +155,10 @@ func run() error {
 	}
 
 	// Drain the queue after the listener closes: no new submissions or
-	// leases can arrive, in-flight jobs are cancelled and journaled as
-	// queued, and the journal is flushed — a restart with the same
-	// -queue-dir picks them all up again.
+	// leases can arrive, parked lease requests are answered, in-flight
+	// jobs are cancelled and journaled as queued, and the journal is
+	// flushed — a restart with the same -queue-dir picks them all up
+	// again.
 	logger.Info("shutting down: draining run queue")
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

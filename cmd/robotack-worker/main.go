@@ -8,6 +8,12 @@
 // requeues, and the next executor resumes from the episodes that
 // already landed, bit-identically.
 //
+// An idle worker's lease request parks on the server until a job
+// arrives (a long poll), so a queued job starts without waiting out a
+// poll interval. -poll is the minimum interval between lease requests
+// when a server answers without waiting: one that predates long-poll
+// leases, or one shutting down.
+//
 // Usage:
 //
 //	robotack-worker -server http://queuehost:8077
@@ -52,7 +58,7 @@ func run() error {
 		server  = flag.String("server", "", "robotack-serve base URL, e.g. http://host:8077")
 		name    = flag.String("name", fmt.Sprintf("%s-%d", host, os.Getpid()), "worker name reported in leases")
 		workers = flag.Int("workers", engine.DefaultWorkers(), "engine workers per job")
-		poll    = flag.Duration("poll", time.Second, "sleep between leases when the queue is empty")
+		poll    = flag.Duration("poll", time.Second, "minimum interval between lease requests when a server answers without waiting")
 		metrics = flag.String("metrics", "", "serve Prometheus text at GET /metrics on this address, e.g. :9100 (empty: no metrics server)")
 		pprofOn = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ (needs -metrics)")
 		tel     obs.Flags

@@ -66,7 +66,8 @@ func httpSeconds(pattern string) *obs.Histogram {
 //
 // Remote-worker protocol (see runq's protocol types):
 //
-//	POST /lease                        lease the next queued job
+//	POST /lease                        lease the next queued job, waiting up
+//	                                   to wait_ms for one on an empty queue
 //	POST /runs/{id}/heartbeat          keep the lease alive, report progress
 //	POST /runs/{id}/episodes           stream episode records into the store
 //	POST /runs/{id}/spans              forward a traced job's worker spans
@@ -599,7 +600,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "worker name required (and %q is reserved)", runq.LocalWorker)
 		return
 	}
-	job, ok := s.queue.Lease(req.Worker)
+	// A parked request waits on its own context, so a worker that hangs
+	// up stops waiting; Shutdown releases the rest.
+	job, ok := s.queue.Lease(r.Context(), req.Worker, req.Wait())
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return

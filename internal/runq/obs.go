@@ -31,6 +31,8 @@ var (
 		"Remote leases that expired without a heartbeat.")
 	qDepth = obs.NewGauge("robotack_runq_queue_depth",
 		"Jobs currently waiting in the queue.")
+	qParked = obs.NewGauge("robotack_runq_leases_parked",
+		"Remote lease requests currently parked on an empty queue.")
 	qRunning = obs.NewGauge("robotack_runq_jobs_running",
 		"Jobs currently executing (local and remote).")
 )

@@ -1,6 +1,8 @@
 package runq
 
 import (
+	"time"
+
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/results"
 )
@@ -8,7 +10,9 @@ import (
 // The wire types of the remote-worker protocol. A worker process on
 // another machine drives the queue over five verbs:
 //
-//	POST /lease                  LeaseRequest  → LeaseResponse (204: empty queue)
+//	POST /lease                  LeaseRequest  → LeaseResponse; on an empty queue the
+//	                             request parks up to wait_ms (capped at MaxLeaseWait)
+//	                             for a job, then answers 204
 //	POST /runs/{id}/heartbeat    HeartbeatRequest; 409 means the lease is lost
 //	POST /runs/{id}/episodes     EpisodesRequest, streamed in batches as episodes complete
 //	POST /runs/{id}/spans        SpansRequest, the worker's trace spans (traced jobs only)
@@ -39,6 +43,17 @@ type LeaseRequest struct {
 	// Worker is the worker's self-chosen name; heartbeats, episode
 	// appends and completion must carry the same name.
 	Worker string `json:"worker"`
+	// WaitMillis is how long the request may wait on an empty queue
+	// for a job to arrive, in milliseconds; the server caps it at
+	// MaxLeaseWait. Zero or absent asks for an answer at once. A
+	// server that predates the field ignores it and answers at once.
+	WaitMillis int64 `json:"wait_ms,omitempty"`
+}
+
+// Wait is the request's wait as a duration, clamped to
+// [0, MaxLeaseWait].
+func (r LeaseRequest) Wait() time.Duration {
+	return time.Duration(min(max(r.WaitMillis, 0), MaxLeaseWait.Milliseconds())) * time.Millisecond
 }
 
 // LeaseResponse hands one job to the worker.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,6 +58,7 @@ type Queue struct {
 	rates   map[int]*rateState         // per running job, derived, unjournaled
 	cancels map[int]context.CancelFunc // local in-flight jobs
 	running int                        // local in-flight count
+	parked  []*parkedLease             // lease requests waiting for a job, oldest first
 	closed  bool
 	started bool
 
@@ -205,22 +207,20 @@ func Open(dir string, opts ...Option) (*Queue, error) {
 }
 
 // Start launches the dispatcher and the lease sweeper. Jobs submitted
-// before Start stay queued until it is called; calling it twice is a
-// no-op.
+// before Start wait for it, unless a remote worker leases them first;
+// calling it twice is a no-op.
 func (q *Queue) Start(exec Executor) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.started || q.closed {
-		q.mu.Unlock()
 		return
 	}
 	q.started = true
 	q.exec = exec
 	q.ctx, q.cancel = context.WithCancel(context.Background())
-	q.mu.Unlock()
-
 	q.wg.Add(1)
 	go q.sweep()
-	q.dispatch()
+	q.dispatchLocked()
 }
 
 // sweep periodically requeues remote jobs whose lease expired without
@@ -314,9 +314,9 @@ func (q *Queue) Submit(req Request) (Job, error) {
 		"job", j.ID, "scenario", req.Label(), "mode", req.Mode, "runs", req.Runs)
 	q.publishLocked(j)
 	q.gaugesLocked()
-	snap := *j
+	snap := *j // as accepted: queued, whatever dispatch does next
+	q.dispatchLocked()
 	q.mu.Unlock()
-	q.dispatch()
 	return snap, nil
 }
 
@@ -480,33 +480,18 @@ func (q *Queue) progress(id int, done, total int) {
 	q.publishLocked(j)
 }
 
-// dispatch starts queued jobs on the local executor while slots are
-// free.
-func (q *Queue) dispatch() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.dispatchLocked()
-}
-
+// dispatchLocked is the one point where queued jobs go out: first to
+// the local executor while it has free slots, then to parked lease
+// requests, oldest first. Every path that makes a job leasable ends
+// here under the same lock, so a remote worker parked in Lease never
+// takes a job a free local slot would have run. A parked request
+// whose context is already done is released unleased.
 func (q *Queue) dispatchLocked() {
-	if !q.started || q.closed || q.ctx.Err() != nil {
+	if q.closed {
 		return
 	}
-	for q.running < q.maxConcurrent && len(q.pending) > 0 {
-		id := q.pending[0]
-		q.pending = q.pending[1:]
-		j := q.jobs[id]
-		j.State = StateRunning
-		j.Attempt++
-		j.Worker = LocalWorker
-		j.lease = time.Time{}
-		qLeased.Add(1)
-		q.traceDequeuedLocked(j, time.Now())
-		q.observeRateLocked(id, j.Done)
-		q.log.Info("job dispatched locally", "job", id, "attempt", j.Attempt)
-		q.journalLocked(j)
-		q.publishLocked(j)
-		q.gaugesLocked()
+	for q.started && q.running < q.maxConcurrent && len(q.pending) > 0 {
+		j := q.startLocked(LocalWorker)
 		q.running++
 		ctx, cancel := context.WithCancel(q.ctx)
 		if q.traced(j) {
@@ -518,9 +503,19 @@ func (q *Queue) dispatchLocked() {
 				SpanID:  execSpanID(j.Trace, j.Attempt),
 			})
 		}
-		q.cancels[id] = cancel
+		q.cancels[j.ID] = cancel
 		q.wg.Add(1)
 		go q.runLocal(ctx, cancel, *j)
+	}
+	for len(q.pending) > 0 && len(q.parked) > 0 {
+		p := q.parked[0]
+		q.parked = q.parked[1:]
+		qParked.Add(-1)
+		if p.ctx.Err() != nil {
+			close(p.grant)
+			continue
+		}
+		p.grant <- q.leaseLocked(p.worker)
 	}
 }
 
@@ -589,34 +584,111 @@ func (q *Queue) finishLocked(j *Job, state State, msg string) {
 // dispatcher; remote workers may not lease under it.
 const LocalWorker = "local"
 
-// Lease hands the next queued job to a remote worker. The returned
-// job's Request.Resume reflects whether this attempt must fold
-// already-persisted episodes. ok is false when nothing is queued (or
-// the worker name is the reserved local sentinel).
-func (q *Queue) Lease(worker string) (job Job, ok bool) {
+// MaxLeaseWait caps how long one lease request may park on an empty
+// queue (LeaseRequest.Wait clamps the wait a worker asks for to it).
+const MaxLeaseWait = 30 * time.Second
+
+// parkedLease is one Lease call waiting for a job. dispatchLocked
+// sends it its job on grant (buffered, so the send never blocks under
+// the lock); Shutdown, Close and a hand-off that finds its context done
+// close grant instead, releasing it unleased.
+type parkedLease struct {
+	ctx    context.Context
+	worker string
+	grant  chan Job
+}
+
+// Lease hands the next queued job to a remote worker. When nothing is
+// queued it parks for up to wait, until a job becomes leasable, ctx is
+// done or the queue shuts down; wait <= 0 answers at once. The
+// returned job's Request.Resume reflects whether this attempt must
+// fold already-persisted episodes. ok is false when no job was leased,
+// and always when ctx is already done or the worker name is the
+// reserved local sentinel. A job leased to a caller that then goes
+// away is requeued when its lease expires, like any silent worker's.
+func (q *Queue) Lease(ctx context.Context, worker string, wait time.Duration) (job Job, ok bool) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || worker == LocalWorker || len(q.pending) == 0 {
+	if q.closed || worker == LocalWorker || ctx.Err() != nil {
+		q.mu.Unlock()
 		return Job{}, false
 	}
+	if len(q.pending) > 0 {
+		job = q.leaseLocked(worker)
+		q.mu.Unlock()
+		return job, true
+	}
+	if wait <= 0 {
+		q.mu.Unlock()
+		return Job{}, false
+	}
+	p := &parkedLease{ctx: ctx, worker: worker, grant: make(chan Job, 1)}
+	q.parked = append(q.parked, p)
+	qParked.Add(1)
+	q.mu.Unlock()
+
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case job, ok = <-p.grant:
+		return job, ok
+	case <-ctx.Done():
+	case <-t.C:
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if i := slices.Index(q.parked, p); i >= 0 {
+		q.parked = slices.Delete(q.parked, i, i+1)
+		qParked.Add(-1)
+		return Job{}, false
+	}
+	// Off the list: granted or released between the wake-up and the
+	// lock, so grant holds a job or is closed and this never blocks.
+	job, ok = <-p.grant
+	return job, ok
+}
+
+// leaseLocked leases the head of the queue to a remote worker.
+func (q *Queue) leaseLocked(worker string) Job {
+	j := q.startLocked(worker)
+	snap := *j
+	snap.Request.Resume = j.Resume()
+	return snap
+}
+
+// startLocked moves the head of the queue to Running under worker: a
+// remote worker's lease expires after the TTL unless renewed, the
+// local dispatcher's never does (its context keeps the job alive).
+func (q *Queue) startLocked(worker string) *Job {
 	id := q.pending[0]
 	q.pending = q.pending[1:]
 	j := q.jobs[id]
+	now := time.Now()
 	j.State = StateRunning
 	j.Attempt++
 	j.Worker = worker
-	now := time.Now()
-	j.lease = now.Add(q.leaseTTL)
+	if worker == LocalWorker {
+		j.lease = time.Time{}
+		q.log.Info("job dispatched locally", "job", id, "attempt", j.Attempt)
+	} else {
+		j.lease = now.Add(q.leaseTTL)
+		q.log.Info("job leased", "job", id, "worker", worker, "attempt", j.Attempt)
+	}
 	qLeased.Add(1)
 	q.traceDequeuedLocked(j, now)
 	q.observeRateLocked(id, j.Done)
-	q.log.Info("job leased", "job", id, "worker", worker, "attempt", j.Attempt)
 	q.journalLocked(j)
 	q.publishLocked(j)
 	q.gaugesLocked()
-	snap := *j
-	snap.Request.Resume = j.Resume()
-	return snap, true
+	return j
+}
+
+// releaseParkedLocked answers every parked lease request unleased.
+func (q *Queue) releaseParkedLocked() {
+	for _, p := range q.parked {
+		close(p.grant)
+	}
+	qParked.Add(-float64(len(q.parked)))
+	q.parked = nil
 }
 
 // LeaseTTL reports the heartbeat deadline workers must beat.
@@ -693,34 +765,34 @@ func (q *Queue) Complete(id int, worker string) error {
 // without it the job is terminally failed.
 func (q *Queue) Fail(id int, worker, msg string, requeue bool) error {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
-		q.mu.Unlock()
 		return ErrNotFound
 	}
 	if !j.remotelyLeasedBy(worker) {
-		q.mu.Unlock()
 		return ErrLeaseLost
 	}
 	if requeue {
 		q.log.Warn("worker returned job; requeueing",
 			"job", id, "worker", worker, "attempt", j.Attempt, "err", msg)
 		q.requeueLocked(j)
+		q.dispatchLocked()
 	} else {
 		q.finishLocked(j, StateFailed, msg)
 	}
-	q.mu.Unlock()
-	q.dispatch()
 	return nil
 }
 
 // Shutdown stops the queue gracefully: no new submissions or leases,
-// in-flight local jobs are cancelled (and requeued in the journal so
-// the next process resumes them), and the journal is flushed and
-// closed. It waits for in-flight work up to ctx's deadline.
+// parked lease requests are answered unleased at once, in-flight local
+// jobs are cancelled (and requeued in the journal so the next process
+// resumes them), and the journal is flushed and closed. It waits for
+// in-flight work up to ctx's deadline.
 func (q *Queue) Shutdown(ctx context.Context) error {
 	q.mu.Lock()
 	q.closed = true
+	q.releaseParkedLocked()
 	cancel := q.cancel
 	q.mu.Unlock()
 	if cancel != nil {
@@ -753,13 +825,15 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 	return waitErr
 }
 
-// Close releases the journal file without waiting for anything — the
-// crash-adjacent teardown for queues that were never started (journal
-// writers, tests). Started queues should use Shutdown.
+// Close releases the journal file and any parked lease requests
+// without waiting for anything — the crash-adjacent teardown for
+// queues that were never started (journal writers, tests). Started
+// queues should use Shutdown.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
+	q.releaseParkedLocked()
 	var err error
 	if q.journal != nil {
 		err = q.journal.Close()

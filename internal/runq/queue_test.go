@@ -215,14 +215,14 @@ func TestLeaseHeartbeatExpiryAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j1, ok := q.Lease("w1")
+	j1, ok := q.Lease(context.Background(), "w1", 0)
 	if !ok || j1.ID != sub.ID || j1.Attempt != 1 {
 		t.Fatalf("lease = %+v ok=%v", j1, ok)
 	}
 	if j1.Request.Resume {
 		t.Error("first attempt should not resume")
 	}
-	if _, ok := q.Lease("w2"); ok {
+	if _, ok := q.Lease(context.Background(), "w2", 0); ok {
 		t.Fatal("second lease should find an empty queue")
 	}
 	if err := q.Heartbeat(j1.ID, "w2", 0, 0); !errors.Is(err, runq.ErrLeaseLost) {
@@ -248,7 +248,7 @@ func TestLeaseHeartbeatExpiryAndResume(t *testing.T) {
 	}
 
 	// The next worker inherits attempt 2 and must resume.
-	j2, ok := q.Lease("w2")
+	j2, ok := q.Lease(context.Background(), "w2", 0)
 	if !ok || j2.Attempt != 2 || !j2.Request.Resume {
 		t.Fatalf("re-lease = %+v ok=%v, want attempt 2 with resume", j2, ok)
 	}
@@ -275,7 +275,7 @@ func TestFailRequeueHandsJobBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.Lease("w1"); !ok {
+	if _, ok := q.Lease(context.Background(), "w1", 0); !ok {
 		t.Fatal("lease failed")
 	}
 	if err := q.Fail(sub.ID, "w1", "worker shut down", true); err != nil {
@@ -285,7 +285,7 @@ func TestFailRequeueHandsJobBack(t *testing.T) {
 	if j.State != runq.StateQueued {
 		t.Fatalf("state after requeue-fail = %s, want queued", j.State)
 	}
-	if _, ok := q.Lease("w2"); !ok {
+	if _, ok := q.Lease(context.Background(), "w2", 0); !ok {
 		t.Fatal("requeued job not leasable")
 	}
 	if err := q.Fail(sub.ID, "w2", "boom", false); err != nil {
@@ -379,7 +379,7 @@ func TestCrashReplayBitIdentical(t *testing.T) {
 	if _, err := q0.Submit(request); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q0.Lease("doomed"); !ok {
+	if _, ok := q0.Lease(context.Background(), "doomed", 0); !ok {
 		t.Fatal("lease failed")
 	}
 	if err := q0.Close(); err != nil { // kill -9: no state transition hits the journal

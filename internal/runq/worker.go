@@ -36,9 +36,13 @@ type Worker struct {
 	// Oracles are trained safety-hijacker oracles for smart-mode jobs
 	// (nil: the analytic oracle).
 	Oracles map[core.Vector]core.Oracle
-	// Poll is how long to sleep when the queue is empty (default 1s).
+	// Poll is the minimum interval between lease requests when a server
+	// answers without waiting (default 1s): one that predates long-poll
+	// leases, or one shutting down. Against a server that parks empty
+	// lease requests the worker leases again as soon as one returns.
 	Poll time.Duration
-	// Client is the HTTP client (default http.DefaultClient).
+	// Client is the HTTP client (default http.DefaultClient). A Timeout
+	// on it must exceed the 10 s a lease request may wait on the server.
 	Client *http.Client
 	// Log receives the worker's structured progress and error records,
 	// with worker/job/attempt attributes (default: discard).
@@ -93,6 +97,12 @@ func (w *Worker) backoffDelay(n int) time.Duration {
 	return d/2 + time.Duration(rnd()*float64(d/2))
 }
 
+// leaseWait is how long a lease request asks the server to park on an
+// empty queue (see LeaseRequest.WaitMillis). An expired wait costs one
+// 204 and an immediate new request, so it only needs to be long next
+// to a round trip.
+const leaseWait = 10 * time.Second
+
 // wait sleeps for d or until ctx is cancelled; false means cancelled.
 func (w *Worker) wait(ctx context.Context, d time.Duration) bool {
 	if w.sleep != nil {
@@ -111,10 +121,11 @@ func (w *Worker) wait(ctx context.Context, d time.Duration) bool {
 // Run leases and executes jobs until ctx is cancelled. A job in
 // flight at cancellation is aborted and handed back to the queue
 // (fail with requeue), so another worker — or the server's own
-// dispatcher — resumes it from the store's episodes. Lease failures
-// (an unreachable or erroring server) retry under jittered exponential
-// backoff instead of the flat poll interval. Returns nil on a clean
-// shutdown.
+// dispatcher — resumes it from the store's episodes. An empty lease
+// that the server held for its wait is followed by the next at once;
+// one answered sooner than Poll is followed by a sleep of Poll. Lease
+// failures (an unreachable or erroring server) retry under jittered
+// exponential backoff instead. Returns nil on a clean shutdown.
 func (w *Worker) Run(ctx context.Context) error {
 	poll := w.Poll
 	if poll <= 0 {
@@ -125,6 +136,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return nil
 		}
+		asked := time.Now()
 		ran, err := w.RunOne(ctx)
 		if ctx.Err() != nil {
 			return nil
@@ -140,8 +152,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		fails = 0
-		if ran {
-			continue // drain the queue without sleeping
+		if ran || time.Since(asked) >= poll {
+			continue // drain the queue, or re-park, without sleeping
 		}
 		if !w.wait(ctx, poll) {
 			return nil
@@ -150,10 +162,10 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // RunOne leases and executes at most one job. ran is false when the
-// queue had nothing for us.
+// queue had nothing for us within the lease wait.
 func (w *Worker) RunOne(ctx context.Context) (ran bool, err error) {
 	var lease LeaseResponse
-	status, err := w.postJSON(ctx, "/lease", "", LeaseRequest{Worker: w.Name}, &lease)
+	status, err := w.postJSON(ctx, "/lease", "", LeaseRequest{Worker: w.Name, WaitMillis: leaseWait.Milliseconds()}, &lease)
 	if err != nil {
 		return false, fmt.Errorf("lease: %w", err)
 	}

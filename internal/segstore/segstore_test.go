@@ -50,7 +50,7 @@ func corruptStore(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs, err := listSegs(filepath.Join(sh, genName(gen)))
+	seqs, _, err := listSegs(filepath.Join(sh, genName(gen)))
 	if err != nil || len(seqs) == 0 {
 		t.Fatalf("no segments in torn shard: %v", err)
 	}
@@ -478,7 +478,7 @@ func TestOpenReadsIndexesNotRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqs, err := listSegs(filepath.Join(sh, genName(gen)))
+		seqs, _, err := listSegs(filepath.Join(sh, genName(gen)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1032,5 +1032,97 @@ func TestConcurrentAppendsAndQueries(t *testing.T) {
 		if len(eps) != 200 {
 			t.Errorf("%s: %d episodes, want 200", name, len(eps))
 		}
+	}
+}
+
+// TestCloseAfterRollReopensOnNextSegment: a Close right after a roll
+// leaves the new, empty segment on disk, so a reopen appends there and
+// the sealed segment stays untouched. A store an older writer closed
+// the same way, with an .idx but no .seg for the next segment, still
+// opens; read-only loads leave the orphan .idx, a writer removes it.
+func TestCloseAfterRollReopensOnNextSegment(t *testing.T) {
+	const name = "roll"
+	dir := t.TempDir()
+	genDir := filepath.Join(dir, shardsDir, escapeName(name), genName(0))
+	fill := func() {
+		s, err := Open(dir, WithSegmentBytes(900))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ { // the fourth append crosses 900 bytes and rolls
+			if err := s.Append(storetest.Episode(name, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill()
+	sealed, err := os.ReadFile(filepath.Join(genDir, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, orphans, err := listSegs(genDir); err != nil || len(orphans) != 0 {
+		t.Fatalf("Close left index files without segments: %v (%v)", orphans, err)
+	}
+
+	s, err := Open(dir, WithSegmentBytes(900))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[name]
+	if len(sh.sealed) != 1 || sh.active.seq != 1 || sh.active.n != 0 || sh.active.bytes != 0 {
+		t.Fatalf("reopened shard: %d sealed, active seq %d with %d records (%d B); want 1 sealed and an empty seq 1",
+			len(sh.sealed), sh.active.seq, sh.active.n, sh.active.bytes)
+	}
+	if err := s.Append(storetest.Episode(name, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(filepath.Join(genDir, segName(0))); err != nil || string(raw) != string(sealed) {
+		t.Fatalf("sealed segment changed on the next append (%d -> %d B, %v)", len(sealed), len(raw), err)
+	}
+	next, err := os.ReadFile(filepath.Join(genDir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ep results.EpisodeRecord
+	if err := json.Unmarshal(next, &ep); err != nil || ep.Index != 4 {
+		t.Fatalf("segment 1 holds %q, want episode 4 alone", next)
+	}
+
+	// The older writer's layout: segment 0 sealed, an .idx for a
+	// segment 1 that was never created.
+	dir = t.TempDir()
+	genDir = filepath.Join(dir, shardsDir, escapeName(name), genName(0))
+	fill()
+	if err := os.Remove(filepath.Join(genDir, segName(1))); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(genDir, idxName(1))
+	ro, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eps, err := ro.Episodes(name); err != nil || len(eps) != 4 {
+		t.Fatalf("read-only load: %d episodes (%v), want 4", len(eps), err)
+	}
+	ro.Close()
+	if _, err := os.Stat(orphan); err != nil {
+		t.Fatalf("read-only load touched the orphan index: %v", err)
+	}
+	s, err = Open(dir, WithSegmentBytes(900))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("writer open left the orphan index (stat: %v)", err)
+	}
+	if eps, err := s.Episodes(name); err != nil || len(eps) != 4 {
+		t.Fatalf("writer open: %d episodes (%v), want 4", len(eps), err)
 	}
 }

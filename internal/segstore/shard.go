@@ -181,9 +181,18 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 	s.gen = gen
 	s.genDir = filepath.Join(dir, genName(gen))
 
-	seqs, err := listSegs(s.genDir)
+	seqs, orphans, err := listSegs(s.genDir)
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	if !ro {
+		// An .idx without its .seg describes nothing (older writers
+		// left one when they closed right after a roll).
+		for _, name := range orphans {
+			if err := os.Remove(filepath.Join(s.genDir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, 0, 0, fmt.Errorf("segstore: remove orphan index: %w", err)
+			}
+		}
 	}
 	if len(seqs) == 0 {
 		// A freshly created (or crash-interrupted-at-birth) generation:
@@ -298,7 +307,9 @@ func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMet
 // sealed list, and start the next segment. The ordering makes every
 // crash window recoverable: the segment's own bytes are durable before
 // any metadata describes them, and metadata is rebuilt from segments
-// whenever it is missing or stale.
+// whenever it is missing or stale. The next segment's file is created
+// here, not on its first append, so a Close before that append leaves
+// it as the highest .seg, the one a reopen appends to.
 func (s *shard) seal() error {
 	if s.w != nil {
 		if err := s.w.Sync(); err != nil {
@@ -316,7 +327,7 @@ func (s *shard) seal() error {
 	s.sealed = append(s.sealed, m)
 	s.recomputeSealedFast() // sealing is rare; the rescan is segment count, not records
 	s.active = segMeta{seq: m.seq + 1, sorted: true}
-	return nil
+	return s.openWriter()
 }
 
 // openWriter makes the active segment appendable (lazily, so read-heavy
@@ -340,7 +351,8 @@ func (s *shard) openWriter() error {
 // closeWriter seals nothing; it writes the active segment's .idx as a
 // scan cache for the next open and releases the descriptor, so open
 // cost stays a few dozen bytes per shard no matter how full the active
-// segment is.
+// segment is. A shard whose first append never happened has no active
+// segment file, and gets no .idx either.
 func (s *shard) closeWriter() error {
 	var firstErr error
 	if s.w != nil {
@@ -351,6 +363,8 @@ func (s *shard) closeWriter() error {
 			firstErr = err
 		}
 		s.w = nil
+	} else if _, err := os.Stat(s.segPath(s.active.seq)); err != nil {
+		return nil
 	}
 	if err := results.WriteFileAtomic(s.idxPath(s.active.seq), encodeIdx(&s.active)); err != nil && firstErr == nil {
 		firstErr = err
@@ -407,25 +421,32 @@ func removeStaleGens(dir string, live int) {
 	}
 }
 
-// listSegs returns the generation's segment sequence numbers ascending.
-func listSegs(genDir string) ([]int, error) {
+// listSegs returns the generation's segment sequence numbers
+// ascending, and the names of its .idx files that have no .seg.
+func listSegs(genDir string) (seqs []int, orphans []string, err error) {
 	entries, err := os.ReadDir(genDir)
 	if err != nil {
-		return nil, fmt.Errorf("segstore: read generation dir: %w", err)
+		return nil, nil, fmt.Errorf("segstore: read generation dir: %w", err)
 	}
-	var seqs []int
+	names := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		name := e.Name()
+		names[name] = true
 		if e.IsDir() || !strings.HasSuffix(name, segSuffix) {
 			continue
 		}
 		var seq int
 		base := strings.TrimSuffix(name, segSuffix)
 		if n, err := fmt.Sscanf(base, "%06d", &seq); n != 1 || err != nil || segName(seq) != name {
-			return nil, fmt.Errorf("segstore: unexpected file %s in %s", name, genDir)
+			return nil, nil, fmt.Errorf("segstore: unexpected file %s in %s", name, genDir)
 		}
 		seqs = append(seqs, seq)
 	}
+	for name := range names {
+		if base, ok := strings.CutSuffix(name, idxSuffix); ok && !names[base+segSuffix] {
+			orphans = append(orphans, name)
+		}
+	}
 	sort.Ints(seqs)
-	return seqs, nil
+	return seqs, orphans, nil
 }
