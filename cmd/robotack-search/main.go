@@ -35,9 +35,9 @@ import (
 	"github.com/robotack/robotack/internal/nn"
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/policy"
-	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
 	"github.com/robotack/robotack/internal/scenegen"
+	"github.com/robotack/robotack/internal/segstore"
 )
 
 func main() {
@@ -58,7 +58,7 @@ func run() error {
 		train       = flag.Bool("train", false, "train the safety-hijacker NNs first (else analytic oracle)")
 		workers     = flag.Int("workers", engine.DefaultWorkers(), "parallel episode workers")
 		out         = flag.String("out", "trained-policy.json", "write the best candidate's policy artifact here")
-		storePath   = flag.String("store", "", "persist candidate evaluations to this JSONL store and resume them on re-run")
+		storePath   = flag.String("store", "", "persist candidate evaluations to this results store (JSONL file or segstore directory, autodetected) and resume them on re-run")
 		logPath     = flag.String("log", "", "write the byte-reproducible JSONL search log here")
 		tel         obs.Flags
 	)
@@ -109,7 +109,7 @@ func run() error {
 	}
 
 	if *storePath != "" {
-		store, err := results.Open(*storePath)
+		store, err := segstore.OpenAny(*storePath)
 		if err != nil {
 			return err
 		}

@@ -27,9 +27,9 @@ import (
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/obs"
-	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
 	"github.com/robotack/robotack/internal/scenegen"
+	"github.com/robotack/robotack/internal/segstore"
 	"github.com/robotack/robotack/internal/sim"
 )
 
@@ -49,7 +49,7 @@ func run() error {
 		mode         = flag.String("mode", "smart", "attack mode: golden | smart | nosh | random")
 		vector       = flag.String("vector", "", "steer Table I's Move_Out/Disappear choice: disappear-vehicles | disappear-pedestrians")
 		seed         = flag.Int64("seed", 1, "episode seed")
-		out          = flag.String("out", "", "append the episode's record to this JSONL results store")
+		out          = flag.String("out", "", "append the episode's record to this results store (JSONL file or segstore directory, autodetected)")
 		tel          obs.Flags
 	)
 	tel.RegisterLog(flag.CommandLine)
@@ -137,7 +137,7 @@ func run() error {
 	fmt.Printf("min safety potential: %.1f m\n", res.MinDelta)
 
 	if *out != "" {
-		store, err := results.Open(*out)
+		store, err := segstore.OpenAny(*out)
 		if err != nil {
 			return err
 		}

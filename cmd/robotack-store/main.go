@@ -107,11 +107,7 @@ func statsOf(path string) (results.StoreStats, error) {
 	if err != nil {
 		return results.StoreStats{}, err
 	}
-	sp, ok := store.(results.StatsProvider)
-	if !ok {
-		return results.StoreStats{}, fmt.Errorf("store %s does not report stats", path)
-	}
-	st, err := sp.Stats()
+	st, err := store.Stats()
 	if err != nil {
 		return results.StoreStats{}, err
 	}

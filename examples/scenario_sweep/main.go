@@ -27,6 +27,7 @@ import (
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
 	"github.com/robotack/robotack/internal/scenegen"
+	"github.com/robotack/robotack/internal/segstore"
 	"github.com/robotack/robotack/internal/stats"
 )
 
@@ -48,7 +49,7 @@ type outcome struct {
 }
 
 func main() {
-	outPath := flag.String("out", "", "persist episode/campaign records to this JSONL store")
+	outPath := flag.String("out", "", "persist episode/campaign records to this results store (JSONL file or segstore directory, autodetected)")
 	flag.Parse()
 
 	gen := scenegen.NewGenerator(scenegen.DefaultSpace())
@@ -138,7 +139,7 @@ func main() {
 	// a cross-version diff) can consume without re-simulating.
 	var store results.Store = results.NewMemStore()
 	if *outPath != "" {
-		fs, err := results.Open(*outPath)
+		fs, err := segstore.OpenAny(*outPath)
 		if err != nil {
 			log.Fatal(err)
 		}

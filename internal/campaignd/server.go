@@ -305,37 +305,14 @@ func splitByMode(recs []results.CampaignRecord) (robo, base []results.CampaignRe
 // handleStores reports the served store's size and format — the cheap
 // "how big is this thing / is it still growing" probe behind
 // `curl /stores`, an array so a future multi-store server keeps the
-// shape. Backends without StatsProvider (custom test stores) still get
-// an entry: campaign count from the Store interface, flagged Estimated
-// because episode and byte totals are unknowable through it.
+// shape.
 func (s *Server) handleStores(w http.ResponseWriter, r *http.Request) {
-	st, err := storeStats(s.store)
+	st, err := s.store.Stats()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, []results.StoreStats{st})
-}
-
-func storeStats(store results.Store) (results.StoreStats, error) {
-	if sp, ok := store.(results.StatsProvider); ok {
-		return sp.Stats()
-	}
-	recs, err := store.Campaigns()
-	if err != nil {
-		return results.StoreStats{}, err
-	}
-	st := results.StoreStats{Format: "unknown", Campaigns: len(recs), Estimated: true}
-	if lister, ok := store.(interface{ EpisodeCampaigns() []string }); ok {
-		for _, name := range lister.EpisodeCampaigns() {
-			eps, err := store.Episodes(name)
-			if err != nil {
-				return results.StoreStats{}, err
-			}
-			st.Episodes += len(eps)
-		}
-	}
-	return st, nil
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {

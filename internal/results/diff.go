@@ -32,13 +32,6 @@ func DiffRecords(name string, a, b *CampaignRecord) CampaignDiff {
 	return d
 }
 
-// episodeLister is the optional Store extension that names campaigns
-// having episode records but no stored aggregate (e.g. interrupted
-// runs); both built-in stores implement it.
-type episodeLister interface {
-	EpisodeCampaigns() []string
-}
-
 // Aggregator is the optional Store extension for rebuilding a
 // campaign's aggregate from its episode records; segstore implements
 // it. Implementations must produce exactly
@@ -100,10 +93,8 @@ func Diff(a, b Store) ([]CampaignDiff, error) {
 			names[recs[j].Name] = true
 			byName[i][recs[j].Name] = &recs[j]
 		}
-		if el, ok := s.(episodeLister); ok {
-			for _, n := range el.EpisodeCampaigns() {
-				names[n] = true
-			}
+		for _, n := range s.EpisodeCampaigns() {
+			names[n] = true
 		}
 	}
 	sorted := make([]string, 0, len(names))

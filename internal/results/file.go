@@ -2,10 +2,7 @@ package results
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 )
 
@@ -22,45 +19,61 @@ const (
 	kindCampaign = "campaign"
 )
 
-// FileStore is the JSONL-backed Store: an append-only log on disk
+// StoreLine encodes ep, or c when ep is nil, as one line of the
+// FileStore format, newline included, for Log.Append. segstore's
+// campaigns log holds the same lines.
+func StoreLine(ep *EpisodeRecord, c *CampaignRecord) ([]byte, error) {
+	l := line{Kind: kindCampaign, Campaign: c}
+	if ep != nil {
+		l = line{Kind: kindEpisode, Episode: ep}
+	}
+	raw, err := json.Marshal(l)
+	if err != nil {
+		return nil, fmt.Errorf("results: encode record: %w", err)
+	}
+	return append(raw, '\n'), nil
+}
+
+// ParseStoreLine decodes one line of the FileStore format into its one
+// record: an episode or a campaign, the other nil. A line that is not
+// JSON fails with ErrMalformedLine, so ScanJSONL's torn-tail rule
+// applies to it; an unknown kind does not.
+func ParseStoreLine(data []byte) (*EpisodeRecord, *CampaignRecord, error) {
+	var l line
+	if err := json.Unmarshal(data, &l); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", ErrMalformedLine, err)
+	}
+	switch {
+	case l.Kind == kindEpisode && l.Episode != nil:
+		return l.Episode, nil, nil
+	case l.Kind == kindCampaign && l.Campaign != nil:
+		return nil, l.Campaign, nil
+	}
+	return nil, nil, fmt.Errorf("unknown record kind %q", l.Kind)
+}
+
+// FileStore is the JSONL-backed Store: an append-only Log on disk
 // mirrored by an in-memory index for queries. Appends go straight to
 // the file, so an interrupted campaign keeps every episode that
 // completed; re-opening folds duplicate (campaign, index) keys and
 // repeated campaign aggregates last-wins, exactly like a log replay.
-// A torn final line — the state a kill -9 mid-append leaves — is
-// dropped and truncated on open, so the next append starts on a clean
-// line boundary (the same rule as runq's journal replay).
+// The Log repairs the tail a crash or a failed append leaves.
 type FileStore struct {
 	mu   sync.Mutex
 	mem  *MemStore
-	f    *os.File
+	log  *Log
 	path string
 }
 
 // Open opens (creating if needed) a JSONL store for reading and
 // appending. A torn final line is cut from the file.
 func Open(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	mem := NewMemStore()
+	log, err := OpenLog(path, replayInto(mem, path))
 	if err != nil {
-		return nil, fmt.Errorf("results: open store: %w", err)
-	}
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("results: %s: %w", path, err)
-	}
-	mem, good, err := replayStore(raw, path)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if good < len(raw) {
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("results: %s: drop torn tail: %w", path, err)
-		}
-	}
-	return &FileStore{mem: mem, f: f, path: path}, nil
+	return &FileStore{mem: mem, log: log, path: path}, nil
 }
 
 // Load reads a JSONL store into memory without holding the file open —
@@ -68,61 +81,44 @@ func Open(path string) (*FileStore, error) {
 // final line is tolerated and ignored (never truncated: the writer
 // that owns the file does that on its next open).
 func Load(path string) (*MemStore, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("results: load store: %w", err)
+	mem := NewMemStore()
+	if _, err := ReplayLog(path, replayInto(mem, path)); err != nil {
+		return nil, err
 	}
-	mem, _, err := replayStore(raw, path)
-	return mem, err
+	return mem, nil
 }
 
-// replayStore folds envelope lines into a fresh MemStore, returning
-// the clean byte length per the ScanJSONL torn-tail rule.
-func replayStore(raw []byte, path string) (*MemStore, int, error) {
-	mem := NewMemStore()
-	good, err := ScanJSONL(raw, func(lineno int, data []byte) error {
-		var l line
-		if err := json.Unmarshal(data, &l); err != nil {
-			return fmt.Errorf("results: %s:%d: %w: %w", path, lineno, ErrMalformedLine, err)
-		}
+// replayInto folds FileStore lines into mem, last-wins.
+func replayInto(mem *MemStore, path string) func(lineno int, data []byte) error {
+	return func(lineno int, data []byte) error {
+		ep, c, err := ParseStoreLine(data)
 		switch {
-		case l.Kind == kindEpisode && l.Episode != nil:
-			if err := mem.Append(*l.Episode); err != nil {
-				return fmt.Errorf("results: %s:%d: %w", path, lineno, err)
-			}
-		case l.Kind == kindCampaign && l.Campaign != nil:
-			if err := mem.PutCampaign(*l.Campaign); err != nil {
-				return fmt.Errorf("results: %s:%d: %w", path, lineno, err)
-			}
+		case err != nil:
+		case ep != nil:
+			err = mem.Append(*ep)
 		default:
-			return fmt.Errorf("results: %s:%d: unknown record kind %q", path, lineno, l.Kind)
+			err = mem.PutCampaign(*c)
+		}
+		if err != nil {
+			return fmt.Errorf("results: %s:%d: %w", path, lineno, err)
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, 0, err
 	}
-	return mem, good, nil
-}
-
-func (s *FileStore) writeLine(l line) error {
-	raw, err := json.Marshal(l)
-	if err != nil {
-		return fmt.Errorf("results: encode record: %w", err)
-	}
-	raw = append(raw, '\n')
-	if _, err := s.f.Write(raw); err != nil {
-		return fmt.Errorf("results: append to %s: %w", s.path, err)
-	}
-	return nil
 }
 
 // Append implements Sink: the episode is written to the log before it
 // is visible to queries, so a crash never loses an acknowledged record.
 func (s *FileStore) Append(ep EpisodeRecord) error {
+	if err := tooNew("episode", ep.V); err != nil {
+		return err
+	}
+	raw, err := StoreLine(&ep, nil)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeLine(line{Kind: kindEpisode, Episode: &ep}); err != nil {
+	if err := s.log.Append(raw); err != nil {
 		return err
 	}
 	return s.mem.Append(ep)
@@ -131,9 +127,16 @@ func (s *FileStore) Append(ep EpisodeRecord) error {
 // PutCampaign implements Store; upserts append a fresh line and the
 // loader keeps the last one.
 func (s *FileStore) PutCampaign(c CampaignRecord) error {
+	if err := tooNew("campaign", c.V); err != nil {
+		return err
+	}
+	raw, err := StoreLine(nil, &c)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeLine(line{Kind: kindCampaign, Campaign: &c}); err != nil {
+	if err := s.log.Append(raw); err != nil {
 		return err
 	}
 	return s.mem.PutCampaign(c)
@@ -147,11 +150,11 @@ func (s *FileStore) Episodes(campaign string) ([]EpisodeRecord, error) {
 	return s.mem.Episodes(campaign)
 }
 
-// EpisodeCampaigns lists campaign names that have episode records.
+// EpisodeCampaigns implements Store.
 func (s *FileStore) EpisodeCampaigns() []string { return s.mem.EpisodeCampaigns() }
 
-// Stats implements StatsProvider: record counts from the in-memory
-// mirror, bytes from the log file itself.
+// Stats implements Store: record counts from the in-memory mirror,
+// bytes from the log.
 func (s *FileStore) Stats() (StoreStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,9 +164,7 @@ func (s *FileStore) Stats() (StoreStats, error) {
 	}
 	st.Format = FormatJSONL
 	st.Path = s.path
-	if fi, err := s.f.Stat(); err == nil {
-		st.BytesEstimate = fi.Size()
-	}
+	st.BytesEstimate = s.log.Size()
 	return st, nil
 }
 
@@ -171,12 +172,12 @@ func (s *FileStore) Stats() (StoreStats, error) {
 func (s *FileStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.Sync()
+	return s.log.Sync()
 }
 
 // Close syncs and closes the underlying file.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return errors.Join(s.f.Sync(), s.f.Close())
+	return s.log.Close()
 }

@@ -15,12 +15,13 @@ type Sink interface {
 }
 
 // Store is a durable collection of campaign and episode records with
-// the four operations every consumer needs: append episodes, upsert
-// campaign aggregates, list campaigns, and query one campaign's
-// episodes. Episodes are keyed by (campaign, index) — appending the
-// same key again replaces the record, which is what lets an
-// interrupted campaign re-append safely. Implementations are safe for
-// concurrent use.
+// the operations every consumer needs: append episodes, upsert
+// campaign aggregates, list campaigns, query one campaign's episodes,
+// name the campaigns that have episodes, and report the store's size.
+// Episodes are keyed by (campaign, index) — appending the same key
+// again replaces the record, which is what lets an interrupted
+// campaign re-append safely. Implementations are safe for concurrent
+// use.
 type Store interface {
 	Sink
 	// PutCampaign upserts a campaign's aggregate record.
@@ -30,6 +31,11 @@ type Store interface {
 	// Episodes returns one campaign's episode records sorted by index.
 	// A campaign with no records yields an empty slice, not an error.
 	Episodes(campaign string) ([]EpisodeRecord, error)
+	// EpisodeCampaigns lists, sorted, the campaigns that have episode
+	// records, whether or not an aggregate was stored (an interrupted
+	// run has none).
+	EpisodeCampaigns() []string
+	StatsProvider
 }
 
 // DurableStore is a Store with an on-disk lifecycle: flushable and
@@ -66,9 +72,18 @@ type StoreStats struct {
 	Estimated     bool  `json:"estimated,omitempty"`
 }
 
-// StatsProvider is the optional Store extension behind GET /stores.
+// StatsProvider reports a store's size: GET /stores and
+// robotack-store stats read it.
 type StatsProvider interface {
 	Stats() (StoreStats, error)
+}
+
+// tooNew rejects a record of a newer schema than this build reads.
+func tooNew(kind string, v int) error {
+	if v > Version {
+		return fmt.Errorf("results: %s record v%d is newer than supported v%d", kind, v, Version)
+	}
+	return nil
 }
 
 // episodeSizeEstimate approximates one record's resident footprint:
@@ -108,8 +123,8 @@ func NewMemStore() *MemStore {
 // Validation and size accounting happen before the lock is taken; the
 // critical section is the map insert and two counter updates.
 func (s *MemStore) Append(ep EpisodeRecord) error {
-	if ep.V > Version {
-		return fmt.Errorf("results: episode record v%d is newer than supported v%d", ep.V, Version)
+	if err := tooNew("episode", ep.V); err != nil {
+		return err
 	}
 	est := episodeSizeEstimate(&ep)
 	s.mu.Lock()
@@ -131,8 +146,8 @@ func (s *MemStore) Append(ep EpisodeRecord) error {
 
 // PutCampaign implements Store.
 func (s *MemStore) PutCampaign(c CampaignRecord) error {
-	if c.V > Version {
-		return fmt.Errorf("results: campaign record v%d is newer than supported v%d", c.V, Version)
+	if err := tooNew("campaign", c.V); err != nil {
+		return err
 	}
 	est := campaignSizeEstimate(&c)
 	s.mu.Lock()
@@ -170,8 +185,7 @@ func (s *MemStore) Episodes(campaign string) ([]EpisodeRecord, error) {
 	return out, nil
 }
 
-// EpisodeCampaigns lists the campaign names that have episode records
-// (whether or not an aggregate was stored), sorted.
+// EpisodeCampaigns implements Store.
 func (s *MemStore) EpisodeCampaigns() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -183,7 +197,7 @@ func (s *MemStore) EpisodeCampaigns() []string {
 	return out
 }
 
-// Stats implements StatsProvider. Counts are maintained incrementally
+// Stats implements Store. Counts are maintained incrementally
 // on the write path, so this is O(1) under a read lock.
 func (s *MemStore) Stats() (StoreStats, error) {
 	s.mu.RLock()

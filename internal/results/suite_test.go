@@ -119,3 +119,26 @@ func TestFileStoreStats(t *testing.T) {
 		t.Errorf("bytes estimate %d != file size %d", st.BytesEstimate, fi.Size())
 	}
 }
+
+// TestFileStoreRejectsNewerSchemaUnwritten: a record of a newer schema
+// is rejected before it reaches the log, so the next open, which would
+// refuse it, still succeeds.
+func TestFileStoreRejectsNewerSchemaUnwritten(t *testing.T) {
+	dir := t.TempDir()
+	s := openFileStore(t, dir)
+	ep := storetest.Episode("new", 0)
+	ep.V = results.Version + 1
+	c := results.NewCampaign("new", "DS-2", 1, true, 0)
+	c.V = results.Version + 1
+	if s.Append(ep) == nil || s.PutCampaign(c) == nil {
+		t.Fatal("a newer-schema record was accepted")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openFileStore(t, dir)
+	defer s.Close()
+	if st, err := s.Stats(); err != nil || st.Campaigns != 0 || st.Episodes != 0 || st.BytesEstimate != 0 {
+		t.Fatalf("store after rejected records: %+v (%v), want empty", st, err)
+	}
+}

@@ -3,7 +3,6 @@ package runq
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,8 +26,8 @@ const lockFileName = "queue.lock"
 // replay keeps the last line per id — the same last-wins idiom as the
 // results store, so the journal is crash-safe by construction: a torn
 // process leaves a valid prefix (plus at most one partial final line,
-// which replay drops and truncates) and the previous state of every
-// job.
+// which results.Log cuts on the next open) and the previous state of
+// every job.
 type journalLine struct {
 	Kind string `json:"kind"`
 	Job  *Job   `json:"job,omitempty"`
@@ -40,7 +39,7 @@ const kindJob = "job"
 // takes an exclusive lock on dir/queue.lock so two server processes
 // cannot share one queue dir, and replays the log into a job map. The
 // returned lock file must stay open for the queue's lifetime.
-func openJournal(dir string) (journal, lock *os.File, jobs map[int]*Job, err error) {
+func openJournal(dir string) (journal *results.Log, lock *os.File, jobs map[int]*Job, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("runq: create queue dir: %w", err)
 	}
@@ -49,76 +48,8 @@ func openJournal(dir string) (journal, lock *os.File, jobs map[int]*Job, err err
 		return nil, nil, nil, fmt.Errorf("runq: %w", err)
 	}
 	path := filepath.Join(dir, journalFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		lock.Close()
-		return nil, nil, nil, fmt.Errorf("runq: open journal: %w", err)
-	}
-	fail := func(err error) (*os.File, *os.File, map[int]*Job, error) {
-		f.Close()
-		lock.Close()
-		return nil, nil, nil, err
-	}
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		return fail(fmt.Errorf("runq: %s: %w", path, err))
-	}
-	jobs, good, err := replay(raw, path)
-	if err != nil {
-		return fail(err)
-	}
-	if good < len(raw) {
-		// A torn final line from a crash mid-append: cut it so the
-		// next append starts on a clean line boundary instead of
-		// concatenating onto garbage.
-		if err := f.Truncate(int64(good)); err != nil {
-			return fail(fmt.Errorf("runq: %s: drop torn tail: %w", path, err))
-		}
-	}
-	return f, lock, jobs, nil
-}
-
-// compactJournal rewrites the journal to its last-wins state: one
-// snapshot line per job, in id order. results.WriteFileAtomic stages
-// the replacement and renames it over queue.jsonl, so a crash at any
-// point leaves either the old journal or the complete compacted one —
-// never a partial state. The caller's directory lock (queue.lock) is
-// untouched by the swap. Returns the reopened journal handle.
-func compactJournal(dir string, old *os.File, jobs map[int]*Job) (*os.File, error) {
-	path := filepath.Join(dir, journalFile)
-	ids := make([]int, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var buf []byte
-	for _, id := range ids {
-		line, err := encodeJob(jobs[id])
-		if err != nil {
-			return nil, fmt.Errorf("runq: compact: %w", err)
-		}
-		buf = append(buf, line...)
-	}
-	if err := results.WriteFileAtomic(path, buf); err != nil {
-		return nil, fmt.Errorf("runq: compact: %w", err)
-	}
-	old.Close() // the old inode is gone from the directory
-	nf, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runq: compact: reopen journal: %w", err)
-	}
-	return nf, nil
-}
-
-// replay folds the journal bytes last-wins into a job map, returning
-// how many leading bytes parsed cleanly, under results.ScanJSONL's
-// torn-tail rule: an unparsable final line — the disk state a kill -9
-// mid-append leaves — is tolerated and excluded from the good length;
-// corruption anywhere earlier is an error, because silently skipping it
-// could resurrect stale states.
-func replay(raw []byte, path string) (map[int]*Job, int, error) {
-	jobs := make(map[int]*Job)
-	good, err := results.ScanJSONL(raw, func(lineno int, line []byte) error {
+	jobs = make(map[int]*Job)
+	journal, err = results.OpenLog(path, func(lineno int, line []byte) error {
 		var l journalLine
 		if err := json.Unmarshal(line, &l); err != nil {
 			return fmt.Errorf("runq: %s:%d: %w: %w", path, lineno, results.ErrMalformedLine, err)
@@ -131,9 +62,36 @@ func replay(raw []byte, path string) (map[int]*Job, int, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		lock.Close()
+		return nil, nil, nil, err
 	}
-	return jobs, good, nil
+	return journal, lock, jobs, nil
+}
+
+// compactJournal rewrites the journal to its last-wins state: one
+// snapshot line per job, in id order. results.Log.Rewrite stages the
+// replacement and renames it over queue.jsonl, so a crash at any point
+// leaves either the old journal or the complete compacted one — never
+// a partial state. The caller's directory lock (queue.lock) is
+// untouched by the swap.
+func compactJournal(journal *results.Log, jobs map[int]*Job) error {
+	ids := make([]int, 0, len(jobs))
+	for id := range jobs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var buf []byte
+	for _, id := range ids {
+		line, err := encodeJob(jobs[id])
+		if err != nil {
+			return fmt.Errorf("runq: compact: %w", err)
+		}
+		buf = append(buf, line...)
+	}
+	if err := journal.Rewrite(buf); err != nil {
+		return fmt.Errorf("runq: compact: %w", err)
+	}
+	return nil
 }
 
 // encodeJob renders one job snapshot as a journal line.
@@ -147,15 +105,15 @@ func encodeJob(j *Job) ([]byte, error) {
 
 // appendJob writes one job snapshot to the journal (no-op when the
 // queue is memory-only).
-func appendJob(f *os.File, j *Job) error {
-	if f == nil {
+func appendJob(journal *results.Log, j *Job) error {
+	if journal == nil {
 		return nil
 	}
 	raw, err := encodeJob(j)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(raw); err != nil {
+	if err := journal.Append(raw); err != nil {
 		return fmt.Errorf("runq: journal job %d: %w", j.ID, err)
 	}
 	return nil

@@ -14,6 +14,7 @@ import (
 
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
+	"github.com/robotack/robotack/internal/results"
 )
 
 // Errors the queue's operations return; the HTTP layer maps them to
@@ -52,7 +53,7 @@ type Queue struct {
 	jobs    map[int]*Job
 	pending []int // queued job ids, FIFO; requeues go to the front
 	nextID  int
-	journal *os.File
+	journal *results.Log
 	lockf   *os.File // held for the queue's lifetime (dir exclusivity)
 	subs    map[int]map[chan Event]bool
 	rates   map[int]*rateState         // per running job, derived, unjournaled
@@ -147,14 +148,6 @@ func Open(dir string, opts ...Option) (*Queue, error) {
 		q.lockf = lock
 		q.jobs = jobs
 	}
-	closeAll := func() {
-		if q.journal != nil {
-			q.journal.Close()
-		}
-		if q.lockf != nil {
-			q.lockf.Close()
-		}
-	}
 	now := time.Now()
 	for id, j := range q.jobs {
 		if id > q.nextID {
@@ -175,7 +168,7 @@ func Open(dir string, opts ...Option) (*Queue, error) {
 			j.Worker = ""
 			j.lease = time.Time{}
 			if err := appendJob(q.journal, j); err != nil {
-				closeAll()
+				q.closeFilesLocked()
 				return nil, err
 			}
 		}
@@ -184,14 +177,10 @@ func Open(dir string, opts ...Option) (*Queue, error) {
 	// state transition ever made; above the threshold, rewrite it to
 	// one last-wins line per job. Replay of the compacted journal is
 	// equivalent by construction — it IS the replayed state.
-	if q.journal != nil && q.compactThreshold > 0 {
-		if st, err := q.journal.Stat(); err == nil && st.Size() > q.compactThreshold {
-			nf, err := compactJournal(dir, q.journal, q.jobs)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			q.journal = nf
+	if q.journal != nil && q.compactThreshold > 0 && q.journal.Size() > q.compactThreshold {
+		if err := compactJournal(q.journal, q.jobs); err != nil {
+			q.closeFilesLocked()
+			return nil, err
 		}
 	}
 	ids := make([]int, 0, len(q.jobs))
@@ -811,22 +800,14 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.journal != nil {
-		err := errors.Join(q.journal.Sync(), q.journal.Close())
-		q.journal = nil
-		if waitErr == nil {
-			waitErr = err
-		}
-	}
-	if q.lockf != nil {
-		q.lockf.Close()
-		q.lockf = nil
+	if err := q.closeFilesLocked(); waitErr == nil {
+		waitErr = err
 	}
 	return waitErr
 }
 
-// Close releases the journal file and any parked lease requests
-// without waiting for anything — the crash-adjacent teardown for
+// Close flushes and releases the journal file and answers any parked
+// lease requests without waiting for in-flight work — the teardown for
 // queues that were never started (journal writers, tests). Started
 // queues should use Shutdown.
 func (q *Queue) Close() error {
@@ -834,6 +815,12 @@ func (q *Queue) Close() error {
 	defer q.mu.Unlock()
 	q.closed = true
 	q.releaseParkedLocked()
+	return q.closeFilesLocked()
+}
+
+// closeFilesLocked flushes and closes the journal and releases the
+// queue directory's lock.
+func (q *Queue) closeFilesLocked() error {
 	var err error
 	if q.journal != nil {
 		err = q.journal.Close()

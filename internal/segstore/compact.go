@@ -114,24 +114,21 @@ func (s *Store) compactShard(sh *shard) (bool, error) {
 func writeGeneration(dir string, eps []results.EpisodeRecord, segBytes int64) ([]segMeta, error) {
 	sort.Slice(eps, func(i, j int) bool { return eps[i].Index < eps[j].Index })
 	var sealed []segMeta
-	var f *os.File
+	var w *results.Log
 	var m segMeta
 	defer func() {
-		if f != nil {
-			f.Close()
+		if w != nil {
+			w.Close()
 		}
 	}()
 	seal := func() error {
-		if f == nil {
+		if w == nil {
 			return nil
 		}
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("segstore: sync segment: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := w.Close(); err != nil {
 			return fmt.Errorf("segstore: close segment: %w", err)
 		}
-		f = nil
+		w = nil
 		if err := results.WriteFileAtomic(filepath.Join(dir, idxName(m.seq)), encodeIdx(&m)); err != nil {
 			return err
 		}
@@ -139,21 +136,21 @@ func writeGeneration(dir string, eps []results.EpisodeRecord, segBytes int64) ([
 		return nil
 	}
 	for i := range eps {
-		if f == nil {
+		if w == nil {
 			m = segMeta{seq: len(sealed), sorted: true}
-			nf, err := os.OpenFile(filepath.Join(dir, segName(m.seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+			nw, err := results.OpenLogAt(filepath.Join(dir, segName(m.seq)), 0)
 			if err != nil {
-				return nil, fmt.Errorf("segstore: create segment: %w", err)
+				return nil, err
 			}
-			f = nf
+			w = nw
 		}
 		raw, err := json.Marshal(eps[i])
 		if err != nil {
 			return nil, fmt.Errorf("segstore: encode episode: %w", err)
 		}
 		raw = append(raw, '\n')
-		if _, err := f.Write(raw); err != nil {
-			return nil, fmt.Errorf("segstore: write segment: %w", err)
+		if err := w.Append(raw); err != nil {
+			return nil, err
 		}
 		m.add(eps[i].Index)
 		m.bytes += int64(len(raw))
@@ -168,11 +165,11 @@ func writeGeneration(dir string, eps []results.EpisodeRecord, segBytes int64) ([
 	}
 	// The empty active segment, so reopen sees seq len(sealed) as the
 	// appendable tail rather than mistaking the last sealed segment.
-	af, err := os.OpenFile(filepath.Join(dir, segName(len(sealed))), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	aw, err := results.OpenLogAt(filepath.Join(dir, segName(len(sealed))), 0)
 	if err != nil {
-		return nil, fmt.Errorf("segstore: create active segment: %w", err)
+		return nil, err
 	}
-	af.Close()
+	aw.Close()
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()

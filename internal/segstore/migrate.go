@@ -3,7 +3,6 @@ package segstore
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,8 +17,8 @@ import (
 // episodes append in file order, so a log whose episodes were written
 // in index order (the normal case) lands directly on the sorted fast
 // path. The destination must be empty or nonexistent: migration never
-// merges into live data. A torn final line in the source is tolerated,
-// matching the readers.
+// merges into live data. A torn final line in the source is tolerated
+// under the readers' rule (results.ScanJSONL).
 func MigrateFromJSONL(src, dst string, opts ...Option) (migrated results.StoreStats, err error) {
 	fi, statErr := os.Stat(dst)
 	if statErr == nil && fi.IsDir() {
@@ -49,42 +48,38 @@ func MigrateFromJSONL(src, dst string, opts ...Option) (migrated results.StoreSt
 		}
 	}()
 
-	type envelope struct {
-		Kind     string                  `json:"kind"`
-		Episode  *results.EpisodeRecord  `json:"episode,omitempty"`
-		Campaign *results.CampaignRecord `json:"campaign,omitempty"`
-	}
+	// The source streams line by line under results.ScanJSONL's
+	// torn-tail rule: a line that does not parse is dropped only when
+	// nothing but blank lines follows it, so it is held until the next
+	// non-blank line or the end of the file decides.
 	r := bufio.NewReaderSize(f, 1<<20)
-	lineno := 0
-	for {
+	var torn error
+	for lineno := 1; ; lineno++ {
 		line, rerr := r.ReadBytes('\n')
-		atEOF := errors.Is(rerr, io.EOF)
-		if rerr != nil && !atEOF {
+		if rerr != nil && !errors.Is(rerr, io.EOF) {
 			return results.StoreStats{}, fmt.Errorf("segstore: migrate: read %s: %w", src, rerr)
 		}
-		lineno++
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var l envelope
-			if jerr := json.Unmarshal(trimmed, &l); jerr != nil {
-				if atEOF {
-					break // torn tail from a crashed writer: tolerated
-				}
-				return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: %w", src, lineno, jerr)
+		if len(bytes.TrimSpace(line)) > 0 {
+			if torn != nil {
+				return results.StoreStats{}, torn
 			}
+			ep, c, err := results.ParseStoreLine(line)
 			switch {
-			case l.Kind == "episode" && l.Episode != nil:
-				if aerr := store.Append(*l.Episode); aerr != nil {
-					return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: %w", src, lineno, aerr)
-				}
-			case l.Kind == kindCampaign && l.Campaign != nil:
-				if perr := store.PutCampaign(*l.Campaign); perr != nil {
-					return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: %w", src, lineno, perr)
-				}
+			case err != nil:
+			case ep != nil:
+				err = store.Append(*ep)
 			default:
-				return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: unknown record kind %q", src, lineno, l.Kind)
+				err = store.PutCampaign(*c)
+			}
+			if err != nil {
+				err = fmt.Errorf("segstore: migrate: %s:%d: %w", src, lineno, err)
+				if !errors.Is(err, results.ErrMalformedLine) {
+					return results.StoreStats{}, err
+				}
+				torn = err
 			}
 		}
-		if atEOF {
+		if rerr != nil {
 			break
 		}
 	}

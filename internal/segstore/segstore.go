@@ -10,16 +10,16 @@
 // (queries fold it last-wins) until Compact rewrites it in index order.
 //
 // It is a drop-in results.DurableStore with FileStore's crash-safety
-// contract: appends are visible after a kill -9, a torn final line is
-// dropped and truncated on the next writer open, and resuming a
-// campaign produces aggregates bit-identical to an uninterrupted run.
+// contract: appends are visible after a kill -9, the campaigns log and
+// the active segments append through results.Log (which repairs the
+// tail a crash or a failed append leaves), and resuming a campaign
+// produces aggregates bit-identical to an uninterrupted run.
 package segstore
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,8 +39,8 @@ const (
 	// file, never renamed, so generation swaps and log compaction happen
 	// underneath it (the runq queue.lock discipline).
 	lockFileName = "store.lock"
-	// campaignsFile is the aggregates log at the store root: the same
-	// last-wins JSONL envelope as FileStore, holding only campaign
+	// campaignsFile is the aggregates log at the store root: FileStore
+	// lines (results.StoreLine), last-wins, holding only campaign
 	// records (episodes live in the shards).
 	campaignsFile = "campaigns.jsonl"
 	// shardsDir holds one directory per campaign.
@@ -58,15 +58,6 @@ const (
 type marker struct {
 	V int `json:"v"`
 }
-
-// logLine is the campaigns.jsonl envelope — identical on the wire to
-// FileStore's campaign lines, so migrated aggregates are byte-familiar.
-type logLine struct {
-	Kind     string                  `json:"kind"`
-	Campaign *results.CampaignRecord `json:"campaign,omitempty"`
-}
-
-const kindCampaign = "campaign"
 
 // OpenStats reports what Open had to read: the proof that the store is
 // index-driven. A clean reopen scans (nearly) zero raw bytes no matter
@@ -97,8 +88,7 @@ func WithSegmentBytes(n int64) Option {
 }
 
 // Store is the segmented results backend. It implements
-// results.DurableStore plus the optional StatsProvider, Aggregator and
-// episode-listing extensions.
+// results.DurableStore plus the optional Aggregator extension.
 type Store struct {
 	dir      string
 	ro       bool
@@ -112,8 +102,10 @@ type Store struct {
 	campaigns map[string]results.CampaignRecord
 
 	// logMu serializes campaigns.jsonl appends and compaction.
+	// logBytes, the log's clean length, is written under logMu and mu
+	// both, so Stats reads it under mu alone.
 	logMu     sync.Mutex
-	logF      *os.File
+	log       *results.Log
 	logBytes  int64
 	liveBytes map[string]int64 // per-campaign live line length
 
@@ -122,9 +114,9 @@ type Store struct {
 }
 
 // Open opens (creating if needed) a segstore directory for reading and
-// appending, taking an exclusive lock on it. Torn tails anywhere — the
-// campaigns log or any segment — are dropped and truncated, exactly
-// like FileStore and the runq journal.
+// appending, taking an exclusive lock on it. results.Log repairs the
+// tails of the campaigns log and of any segment it has to scan, exactly
+// as for FileStore and the runq journal.
 func Open(dir string, opts ...Option) (*Store, error) { return open(dir, false, opts...) }
 
 // Load opens a segstore directory read-only, without locking it: the
@@ -153,8 +145,8 @@ func open(dir string, ro bool, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	fail := func(err error) (*Store, error) {
-		if s.logF != nil {
-			s.logF.Close()
+		if s.log != nil {
+			s.log.Close()
 		}
 		if s.lockF != nil {
 			s.lockF.Close()
@@ -174,9 +166,10 @@ func open(dir string, ro bool, opts ...Option) (*Store, error) {
 	if err := s.openShards(); err != nil {
 		return fail(err)
 	}
-	s.openStats.Segments = s.segmentCount()
+	// No other goroutine has s yet, so its shards need no locks.
+	s.openStats.Segments = s.segmentCountLocked()
 	gaugeAdd(gSegments, float64(s.openStats.Segments))
-	gaugeAdd(gBytes, float64(s.recordBytes()))
+	gaugeAdd(gBytes, float64(s.recordBytesLocked()))
 	return s, nil
 }
 
@@ -215,49 +208,37 @@ func (s *Store) checkMarker() error {
 // openLog replays campaigns.jsonl into the aggregate map.
 func (s *Store) openLog() error {
 	path := filepath.Join(s.dir, campaignsFile)
-	var raw []byte
-	if s.ro {
-		b, err := os.ReadFile(path)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("segstore: %s: %w", path, err)
+	replay := func(lineno int, line []byte) error {
+		_, c, err := results.ParseStoreLine(line)
+		switch {
+		case err != nil:
+		case c == nil:
+			err = errors.New("episode record in the campaigns log")
+		case c.V > results.Version:
+			err = fmt.Errorf("campaign record v%d is newer than supported v%d", c.V, results.Version)
 		}
-		raw = b
-	} else {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 		if err != nil {
-			return fmt.Errorf("segstore: open campaigns log: %w", err)
+			return fmt.Errorf("segstore: %s:%d: %w", path, lineno, err)
 		}
-		s.logF = f
-		if raw, err = io.ReadAll(f); err != nil {
-			return fmt.Errorf("segstore: %s: %w", path, err)
-		}
-	}
-	good, err := results.ScanJSONL(raw, func(lineno int, line []byte) error {
-		var l logLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			return fmt.Errorf("segstore: %s:%d: %w: %w", path, lineno, results.ErrMalformedLine, err)
-		}
-		if l.Kind != kindCampaign || l.Campaign == nil {
-			return fmt.Errorf("segstore: %s:%d: unknown record kind %q", path, lineno, l.Kind)
-		}
-		if l.Campaign.V > results.Version {
-			return fmt.Errorf("segstore: %s:%d: campaign record v%d is newer than supported v%d",
-				path, lineno, l.Campaign.V, results.Version)
-		}
-		s.campaigns[l.Campaign.Name] = *l.Campaign
-		s.liveBytes[l.Campaign.Name] = int64(len(line)) + 1
+		s.campaigns[c.Name] = *c
+		s.liveBytes[c.Name] = int64(len(line)) + 1
 		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !s.ro && good < len(raw) {
-		if err := s.logF.Truncate(int64(good)); err != nil {
-			return fmt.Errorf("segstore: %s: drop torn tail: %w", path, err)
+	if s.ro {
+		n, err := results.ReplayLog(path, replay)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
 		}
+		s.logBytes = n
+	} else {
+		l, err := results.OpenLog(path, replay)
+		if err != nil {
+			return err
+		}
+		s.log = l
+		s.logBytes = l.Size()
 	}
-	s.logBytes = int64(good)
-	s.openStats.IndexBytes += int64(good)
+	s.openStats.IndexBytes += s.logBytes
 	return nil
 }
 
@@ -294,30 +275,6 @@ func (s *Store) openShards() error {
 // OpenStats reports what this store's open had to read. Test seam:
 // TestOpenReadsIndexesNotRecords checks what an open read through it.
 func (s *Store) OpenStats() OpenStats { return s.openStats }
-
-func (s *Store) segmentCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.sealed) + 1
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-func (s *Store) recordBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var b int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		b += sh.bytes()
-		sh.mu.Unlock()
-	}
-	return b + s.logBytes
-}
 
 var errReadOnly = errors.New("segstore: store is read-only")
 var errClosed = errors.New("segstore: store is closed")
@@ -383,8 +340,8 @@ func (s *Store) Append(ep results.EpisodeRecord) error {
 	if err := sh.openWriter(); err != nil {
 		return err
 	}
-	if _, err := sh.w.Write(raw); err != nil {
-		return fmt.Errorf("segstore: append to %s: %w", sh.segPath(sh.active.seq), err)
+	if err := sh.w.Append(raw); err != nil {
+		return err
 	}
 	sh.active.add(ep.Index)
 	sh.active.bytes += int64(len(raw))
@@ -414,19 +371,18 @@ func (s *Store) PutCampaign(c results.CampaignRecord) error {
 	if c.V > results.Version {
 		return fmt.Errorf("segstore: campaign record v%d is newer than supported v%d", c.V, results.Version)
 	}
-	raw, err := json.Marshal(logLine{Kind: kindCampaign, Campaign: &c})
+	raw, err := results.StoreLine(nil, &c)
 	if err != nil {
-		return fmt.Errorf("segstore: encode campaign: %w", err)
+		return err
 	}
-	raw = append(raw, '\n')
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	if _, err := s.logF.Write(raw); err != nil {
-		return fmt.Errorf("segstore: append campaign: %w", err)
+	if err := s.log.Append(raw); err != nil {
+		return err
 	}
-	s.logBytes += int64(len(raw))
 	s.mu.Lock()
 	s.campaigns[c.Name] = c
+	s.logBytes = s.log.Size()
 	s.mu.Unlock()
 	s.liveBytes[c.Name] = int64(len(raw))
 	var live int64
@@ -452,25 +408,19 @@ func (s *Store) compactLogLocked() error {
 	var buf []byte
 	live := make(map[string]int64, len(recs))
 	for i := range recs {
-		raw, err := json.Marshal(logLine{Kind: kindCampaign, Campaign: &recs[i]})
+		raw, err := results.StoreLine(nil, &recs[i])
 		if err != nil {
-			return fmt.Errorf("segstore: encode campaign: %w", err)
+			return err
 		}
 		buf = append(buf, raw...)
-		buf = append(buf, '\n')
-		live[recs[i].Name] = int64(len(raw)) + 1
+		live[recs[i].Name] = int64(len(raw))
 	}
-	path := filepath.Join(s.dir, campaignsFile)
-	if err := results.WriteFileAtomic(path, buf); err != nil {
+	if err := s.log.Rewrite(buf); err != nil {
 		return err
 	}
-	s.logF.Close() // old inode is gone from the directory
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("segstore: reopen campaigns log: %w", err)
-	}
-	s.logF = f
-	s.logBytes = int64(len(buf))
+	s.mu.Lock()
+	s.logBytes = s.log.Size()
+	s.mu.Unlock()
 	s.liveBytes = live
 	return nil
 }
@@ -564,7 +514,7 @@ func (s *Store) episodesLocked(sh *shard) ([]results.EpisodeRecord, error) {
 	return out, nil
 }
 
-// EpisodeCampaigns lists campaign names holding episode records.
+// EpisodeCampaigns implements results.Store.
 func (s *Store) EpisodeCampaigns() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -593,7 +543,7 @@ func (s *Store) AggregateEpisodes(name string) (*results.CampaignRecord, error) 
 	return &rec, nil
 }
 
-// Stats implements results.StatsProvider from metadata alone. Episode
+// Stats implements results.Store from metadata alone. Episode
 // counts are exact when every shard's fast path proves its keys
 // distinct; a shard off it reports an upper bound and flips Estimated
 // until Compact rewrites it.
@@ -624,13 +574,8 @@ func (s *Store) Sync() error {
 	if s.ro {
 		return nil
 	}
-	var firstErr error
 	s.logMu.Lock()
-	if s.logF != nil {
-		if err := s.logF.Sync(); err != nil {
-			firstErr = err
-		}
-	}
+	firstErr := s.log.Sync()
 	s.logMu.Unlock()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -667,11 +612,8 @@ func (s *Store) Close() error {
 	}
 	gaugeAdd(gSegments, -float64(s.segmentCountLocked()))
 	gaugeAdd(gBytes, -float64(s.recordBytesLocked()))
-	if s.logF != nil {
-		if err := s.logF.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := s.logF.Close(); err != nil && firstErr == nil {
+	if s.log != nil {
+		if err := s.log.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -1035,6 +1035,34 @@ func TestConcurrentAppendsAndQueries(t *testing.T) {
 	}
 }
 
+// TestConcurrentPutCampaignAndStats: Stats reads the campaigns log's
+// length while PutCampaign appends to it; run it under -race.
+func TestConcurrentPutCampaignAndStats(t *testing.T) {
+	s := openSmall(t, t.TempDir())
+	defer s.Close()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			if err := s.PutCampaign(results.NewCampaign("c", "DS-2", 1, true, int64(i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			if _, err := s.Stats(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 // TestCloseAfterRollReopensOnNextSegment: a Close right after a roll
 // leaves the new, empty segment on disk, so a reopen appends there and
 // the sealed segment stays untouched. A store an older writer closed
@@ -1124,5 +1152,63 @@ func TestCloseAfterRollReopensOnNextSegment(t *testing.T) {
 	}
 	if eps, err := s.Episodes(name); err != nil || len(eps) != 4 {
 		t.Fatalf("writer open: %d episodes (%v), want 4", len(eps), err)
+	}
+}
+
+// TestMigrateTornTailRule: migrate drops a torn final record under the
+// readers' rule (results.ScanJSONL) even when a newline or blank lines
+// follow it, and still refuses a torn record with a record after it.
+func TestMigrateTornTailRule(t *testing.T) {
+	for _, tc := range []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"newline", "\n", true},
+		{"blank lines", "\n  \n\n", true},
+		{"record after", "\n" + `{"kind":"campaign","campaign":{"name":"late","v":1}}` + "\n", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := filepath.Join(t.TempDir(), "old.jsonl")
+			fs, err := results.Open(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			storetest.Fill(t, fs, "m", 5)
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(src, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(`{"kind":"episode","epis` + tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			old, loadErr := results.Load(src)
+			dst := filepath.Join(t.TempDir(), "segdir")
+			_, err = MigrateFromJSONL(src, dst, WithSegmentBytes(smallSeg))
+			if !tc.ok {
+				if err == nil || loadErr == nil {
+					t.Fatalf("torn record before a record: migrate err %v, load err %v; want both to fail", err, loadErr)
+				}
+				return
+			}
+			if err != nil || loadErr != nil {
+				t.Fatalf("migrate: %v; load: %v", err, loadErr)
+			}
+			seg, err := Load(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			diffs, err := results.Diff(old, seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(diffs) != 1 || !reflect.DeepEqual(diffs[0].A, diffs[0].B) {
+				t.Fatalf("migration changed the store: %+v", diffs)
+			}
+		})
 	}
 }

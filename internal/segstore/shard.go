@@ -54,9 +54,9 @@ type shard struct {
 	gen    int    // current generation number
 	genDir string // .../c/<escaped-name>/g%06d
 
-	sealed []segMeta // immutable segments, ascending seq
-	active segMeta   // the appendable tail segment
-	w      *os.File  // active segment writer; opened lazily
+	sealed []segMeta    // immutable segments, ascending seq
+	active segMeta      // the appendable tail segment
+	w      *results.Log // active segment writer; opened lazily
 
 	// sealedFast and sealedMaxIdx summarize the sealed segments for the
 	// fast-path check: every sealed segment sorted, ranges strictly
@@ -120,28 +120,58 @@ func (s *shard) recomputeSealedFast() {
 	}
 }
 
-// scanSegment parses a segment file, rebuilding its metadata. The
-// torn-tail rule is the shared one (results.ScanJSONL): an unparsable
-// final line is excluded from the clean length; interior corruption is
-// a hard error.
-func scanSegment(raw []byte, seq int, name string) (segMeta, error) {
+// scanSegment replays segment seq line by line, rebuilding its
+// metadata under the shared torn-tail rule (results.ScanJSONL): an
+// unparsable final line is excluded from the clean length; interior
+// corruption is a hard error. A writer (ro false) opens the segment
+// through results.Log, which repairs its tail; a read-only replay
+// repairs nothing.
+func (s *shard) scanSegment(seq int, ro bool) (segMeta, error) {
 	m := segMeta{seq: seq, sorted: true}
-	good, err := results.ScanJSONL(raw, func(lineno int, line []byte) error {
+	path := s.segPath(seq)
+	replay := func(lineno int, line []byte) error {
 		var ep results.EpisodeRecord
 		if err := json.Unmarshal(line, &ep); err != nil {
 			return fmt.Errorf("%w: %w", results.ErrMalformedLine, err)
 		}
-		if ep.Campaign != name {
-			return fmt.Errorf("segstore: segment %d line %d: campaign %q in shard %q", seq, lineno, ep.Campaign, name)
+		if ep.Campaign != s.name {
+			return fmt.Errorf("segstore: segment %d line %d: campaign %q in shard %q", seq, lineno, ep.Campaign, s.name)
 		}
 		m.add(ep.Index)
 		return nil
-	})
-	if err != nil {
-		return segMeta{}, err
 	}
-	m.bytes = int64(good)
+	var err error
+	if ro {
+		m.bytes, err = results.ReplayLog(path, replay)
+	} else {
+		var l *results.Log
+		if l, err = results.OpenLog(path, replay); err == nil {
+			m.bytes = l.Size()
+			err = l.Close()
+		}
+	}
+	if err != nil {
+		return segMeta{}, fmt.Errorf("segstore: %s: %w", path, err)
+	}
 	return m, nil
+}
+
+// loadSegment reads segment seq's metadata from its .idx when the index
+// matches the segment's size (a stat, not a read: an open never
+// touches record bytes it can avoid), and otherwise scans the segment.
+// It returns the index bytes it read, zero when it scanned.
+func (s *shard) loadSegment(seq int, ro bool) (segMeta, int64, error) {
+	fi, err := os.Stat(s.segPath(seq))
+	if err != nil {
+		return segMeta{}, 0, fmt.Errorf("segstore: missing segment: %w", err)
+	}
+	if raw, err := os.ReadFile(s.idxPath(seq)); err == nil {
+		if m, err := decodeIdx(raw, seq); err == nil && m.bytes == fi.Size() {
+			return m, int64(len(raw)), nil
+		}
+	}
+	m, err := s.scanSegment(seq, ro)
+	return m, 0, err
 }
 
 // add advances a segment's metadata by one record with episode index
@@ -208,52 +238,32 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 			return nil, 0, 0, fmt.Errorf("segstore: remove old manifest: %w", err)
 		}
 	}
-	// Sealed segments: each one's .idx, falling back to a raw scan
-	// (repairing the .idx when we own the store).
-	for _, seq := range seqs[:len(seqs)-1] {
-		m, err := recoverSealed(s, seq, ro, &scanned, &idxBytes)
+	// Each segment's .idx, falling back to a scan, which repairs the
+	// tail when we own the store: a sealed segment can carry a torn
+	// tail too, if a crash hit between the roll's write and its seal.
+	// A scanned sealed segment gets its .idx rewritten; the active
+	// segment's .idx is only a cache that Close writes.
+	for _, seq := range seqs {
+		m, n, err := s.loadSegment(seq, ro)
 		if err != nil {
 			return nil, 0, 0, err
+		}
+		idxBytes += n
+		if n == 0 {
+			scanned += m.bytes
+		}
+		if seq == activeSeq {
+			s.active = m
+			break
+		}
+		if n == 0 && !ro {
+			if err := results.WriteFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
+				return nil, 0, 0, err
+			}
 		}
 		s.sealed = append(s.sealed, m)
 	}
 	s.recomputeSealedFast()
-
-	// Active segment: a clean Close leaves a .idx cache beside it; adopt
-	// it when it still matches the file size (a stat, not a read — the
-	// whole point is never touching record bytes), otherwise scan the
-	// tail.
-	fi, err := os.Stat(s.segPath(activeSeq))
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("segstore: stat active segment: %w", err)
-	}
-	adopted := false
-	if idxRaw, err := os.ReadFile(s.idxPath(activeSeq)); err == nil {
-		if m, err := decodeIdx(idxRaw, activeSeq); err == nil && m.bytes == fi.Size() {
-			idxBytes += int64(len(idxRaw))
-			s.active = m
-			adopted = true
-		}
-	}
-	if !adopted {
-		raw, err := os.ReadFile(s.segPath(activeSeq))
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("segstore: read active segment: %w", err)
-		}
-		m, err := scanSegment(raw, activeSeq, name)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("segstore: %s: %w", s.segPath(activeSeq), err)
-		}
-		scanned += int64(len(raw))
-		if !ro && m.bytes < int64(len(raw)) {
-			// Torn tail from a crash mid-append: cut it so the next
-			// append starts on a clean line boundary.
-			if err := os.Truncate(s.segPath(activeSeq), m.bytes); err != nil {
-				return nil, 0, 0, fmt.Errorf("segstore: drop torn tail: %w", err)
-			}
-		}
-		s.active = m
-	}
 	if !ro {
 		// Generations other than CURRENT are leftovers from a crashed
 		// compaction swap — either direction of the swap is complete, so
@@ -261,46 +271,6 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 		removeStaleGens(dir, gen)
 	}
 	return s, scanned, idxBytes, nil
-}
-
-// recoverSealed loads one sealed segment's metadata from its .idx, or
-// rescans the segment (rewriting the .idx unless read-only).
-func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMeta, error) {
-	segPath := s.segPath(seq)
-	fi, err := os.Stat(segPath)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("segstore: missing segment: %w", err)
-	}
-	if raw, err := os.ReadFile(s.idxPath(seq)); err == nil {
-		if m, err := decodeIdx(raw, seq); err == nil && m.bytes == fi.Size() {
-			*idxBytes += int64(len(raw))
-			return m, nil
-		}
-	}
-	raw, err := os.ReadFile(segPath)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("segstore: read segment: %w", err)
-	}
-	m, err := scanSegment(raw, seq, s.name)
-	if err != nil {
-		return segMeta{}, fmt.Errorf("segstore: %s: %w", segPath, err)
-	}
-	*scanned += int64(len(raw))
-	if m.bytes < int64(len(raw)) {
-		// A sealed segment can carry a torn tail if the crash hit
-		// between the roll's write and its seal bookkeeping.
-		if !ro {
-			if err := os.Truncate(segPath, m.bytes); err != nil {
-				return segMeta{}, fmt.Errorf("segstore: drop torn tail: %w", err)
-			}
-		}
-	}
-	if !ro {
-		if err := results.WriteFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
-			return segMeta{}, err
-		}
-	}
-	return m, nil
 }
 
 // seal closes the active segment: sync, write its .idx, move it to the
@@ -312,9 +282,6 @@ func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMet
 // it as the highest .seg, the one a reopen appends to.
 func (s *shard) seal() error {
 	if s.w != nil {
-		if err := s.w.Sync(); err != nil {
-			return fmt.Errorf("segstore: sync segment: %w", err)
-		}
 		if err := s.w.Close(); err != nil {
 			return fmt.Errorf("segstore: close segment: %w", err)
 		}
@@ -336,11 +303,11 @@ func (s *shard) openWriter() error {
 	if s.w != nil {
 		return nil
 	}
-	f, err := os.OpenFile(s.segPath(s.active.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w, err := results.OpenLogAt(s.segPath(s.active.seq), s.active.bytes)
 	if err != nil {
-		return fmt.Errorf("segstore: open segment: %w", err)
+		return err
 	}
-	s.w = f
+	s.w = w
 	// The active segment's .idx is a close-time scan cache; the appends
 	// about to happen make it stale (a size check guards adoption, but
 	// there is no reason to leave it lying around).
@@ -354,22 +321,16 @@ func (s *shard) openWriter() error {
 // segment is. A shard whose first append never happened has no active
 // segment file, and gets no .idx either.
 func (s *shard) closeWriter() error {
-	var firstErr error
 	if s.w != nil {
-		if err := s.w.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := s.w.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		err := s.w.Close()
 		s.w = nil
+		if err != nil {
+			return err
+		}
 	} else if _, err := os.Stat(s.segPath(s.active.seq)); err != nil {
 		return nil
 	}
-	if err := results.WriteFileAtomic(s.idxPath(s.active.seq), encodeIdx(&s.active)); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return results.WriteFileAtomic(s.idxPath(s.active.seq), encodeIdx(&s.active))
 }
 
 // readCurrent resolves the live generation, tolerating a missing or
