@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/runq"
@@ -250,5 +251,65 @@ func TestLeaseLocalSlotFirst(t *testing.T) {
 			t.Fatalf("rep %d: parked lease: status %d, want 204", rep, r.status)
 		}
 		ts.Close()
+	}
+}
+
+// TestLeaseCompleteRejectsForeignCampaign: a lease holder's
+// POST /runs/{id}/complete may store an aggregate only under its own
+// job's campaign. A foreign name answers 400, stores nothing and leaves
+// the job running; the lease holder's own aggregate then completes it.
+func TestLeaseCompleteRejectsForeignCampaign(t *testing.T) {
+	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { q.Shutdown(context.Background()) })
+	store := results.NewMemStore()
+	url := newTestServerFrom(t, New(store, WithQueue(q))).URL
+	st := postRun(t, url, `{"scenario":"DS-2","mode":"smart","name":"own","runs":2,"seed":10}`)
+	if r := awaitReply(t, postLease(context.Background(), url, `{"worker":"w1"}`), 5*time.Second); r.status != http.StatusOK {
+		t.Fatalf("lease: status %d", r.status)
+	}
+	complete := func(name string) int {
+		t.Helper()
+		agg := results.NewCampaign(name, "DS-2", core.ModeSmart, true, 10)
+		raw, _ := json.Marshal(runq.CompleteRequest{Worker: "w1", Campaign: &agg})
+		resp, err := http.Post(fmt.Sprintf("%s/runs/%d/complete", url, st.ID), "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	campaigns := func() []string {
+		t.Helper()
+		recs, err := store.Campaigns()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, r := range recs {
+			names = append(names, r.Name)
+		}
+		return names
+	}
+
+	if got := complete("other"); got != http.StatusBadRequest {
+		t.Fatalf("complete with a foreign campaign: status %d, want 400", got)
+	}
+	if names := campaigns(); len(names) != 0 {
+		t.Fatalf("a refused complete stored campaigns %v", names)
+	}
+	var cur RunStatus
+	getJSON(t, fmt.Sprintf("%s/runs/%d", url, st.ID), &cur)
+	if cur.State != "running" || cur.Worker != "w1" {
+		t.Fatalf("run after a refused complete = %+v, want running on w1", cur)
+	}
+	if got := complete("own"); got != http.StatusOK {
+		t.Fatalf("complete with the job's campaign: status %d, want 200", got)
+	}
+	getJSON(t, fmt.Sprintf("%s/runs/%d", url, st.ID), &cur)
+	if names := campaigns(); cur.State != "done" || len(names) != 1 || names[0] != "own" {
+		t.Fatalf("after the lease holder's complete: state %q, campaigns %v", cur.State, names)
 	}
 }

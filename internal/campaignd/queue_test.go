@@ -187,6 +187,54 @@ func TestServeSSEOrdering(t *testing.T) {
 	}
 }
 
+// TestServeSSESubscriberCap: a run takes runq.MaxSubscribersPerRun
+// event streams; one more answers 429 and keeps no subscription, and
+// once a stream hangs up, exactly one more fits again.
+func TestServeSSESubscriberCap(t *testing.T) {
+	_, url := remoteOnly(t, 30*time.Second) // the run stays queued
+	st := postRun(t, url, `{"scenario":"DS-2","mode":"smart","name":"watched","runs":2,"seed":1}`)
+	events := fmt.Sprintf("%s/runs/%d/events", url, st.ID)
+	open := func() *http.Response {
+		t.Helper()
+		resp, err := http.Get(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	var streams []*http.Response
+	for i := 0; i < runq.MaxSubscribersPerRun; i++ {
+		resp := open()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream %d: status %d, want 200", i, resp.StatusCode)
+		}
+		streams = append(streams, resp)
+	}
+	for i := 0; i < 3; i++ {
+		if resp := open(); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("stream past the cap: status %d, want 429", resp.StatusCode)
+		}
+	}
+	// The server unsubscribes a stream once it sees the hang-up.
+	streams[0].Body.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp := open()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
+			t.Fatalf("stream after a hang-up: status %d, want 200", resp.StatusCode)
+		}
+		resp.Body.Close()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if resp := open(); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second stream after one hang-up: status %d, want 429", resp.StatusCode)
+	}
+}
+
 // TestServeSSECancelMidRun: DELETE /runs/{id} mid-run terminates the
 // event stream with a "cancelled" event and the job's engine context.
 func TestServeSSECancelMidRun(t *testing.T) {

@@ -455,13 +455,18 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, r *http.Request) {
 // "progress" event per state change or episode completion, then one
 // terminal "done", "failed" or "cancelled" event, after which the
 // stream closes. A subscriber to an already-terminal run gets just
-// the terminal event.
+// the terminal event. A run that already has runq.MaxSubscribersPerRun
+// streams answers 429.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	id, ok := runID(w, r)
 	if !ok {
 		return
 	}
 	job, ch, unsub, err := s.queue.Subscribe(id)
+	if errors.Is(err, runq.ErrTooManySubscribers) {
+		writeError(w, http.StatusTooManyRequests, "run %d already has %d event streams", id, runq.MaxSubscribersPerRun)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusNotFound, "no run %d", id)
 		return
@@ -691,6 +696,9 @@ func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
+// handleComplete stores a worker's campaign aggregate and completes
+// its job. As for episodes, the lease gates who may complete and the
+// job gates what: the aggregate must be the job's own campaign.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	id, ok := runID(w, r)
 	if !ok {
@@ -705,6 +713,15 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Campaign != nil {
+		job, ok := s.queue.Get(id)
+		if !ok {
+			writeError(w, http.StatusNotFound, "no run %d", id)
+			return
+		}
+		if name := job.Request.RecordName(); req.Campaign.Name != name {
+			writeError(w, http.StatusBadRequest, "aggregate is for campaign %q, job %d writes %q", req.Campaign.Name, id, name)
+			return
+		}
 		if err := s.store.PutCampaign(*req.Campaign); err != nil {
 			writeError(w, http.StatusInternalServerError, "store aggregate: %v", err)
 			return

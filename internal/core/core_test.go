@@ -11,7 +11,6 @@ import (
 	"github.com/robotack/robotack/internal/sensor"
 	"github.com/robotack/robotack/internal/sim"
 	"github.com/robotack/robotack/internal/stats"
-	"github.com/robotack/robotack/internal/track"
 )
 
 func TestClassifyTrajectory(t *testing.T) {
@@ -199,8 +198,7 @@ func TestTrajectoryHijackerShiftsDetectedBox(t *testing.T) {
 	box := geom.R(90, 50, 14, 12)
 	img.FillRect(box, 0.9)
 
-	th := NewTrajectoryHijacker(DefaultTrajectoryHijackerConfig(), track.DefaultConfig(),
-		VectorMoveOut, true, 12)
+	th := NewTrajectoryHijacker(VectorMoveOut, true, 12)
 	det := newHijackDetection(box)
 	step := th.Perturb(img, det, box, sim.ClassVehicle)
 	if step <= 0 {
@@ -221,13 +219,11 @@ func TestTrajectoryHijackerShiftsDetectedBox(t *testing.T) {
 }
 
 func TestTrajectoryHijackerStealthBudget(t *testing.T) {
-	trkCfg := track.DefaultConfig()
-	cfg := DefaultTrajectoryHijackerConfig()
 	box := geom.R(90, 50, 14, 12)
-	th := NewTrajectoryHijacker(cfg, trkCfg, VectorMoveOut, true, 100)
+	th := NewTrajectoryHijacker(VectorMoveOut, true, 100)
 
-	np := trkCfg.VehicleNoise
-	budget := cfg.StealthFraction*(math.Abs(np.MuX)+np.SigmaX)*box.W + 1e-9
+	np := detect.VehicleNoise
+	budget := stealthFraction*(math.Abs(np.MuX)+np.SigmaX)*box.W + 1e-9
 	img := sensor.NewImage(192, 108)
 	for i := 0; i < 10; i++ {
 		img.Clear(0.05)
@@ -242,10 +238,9 @@ func TestTrajectoryHijackerStealthBudget(t *testing.T) {
 }
 
 func TestTrajectoryHijackerReachesOmegaThenHolds(t *testing.T) {
-	trkCfg := track.DefaultConfig()
 	box := geom.R(60, 50, 14, 12)
 	const omega = 20.0
-	th := NewTrajectoryHijacker(DefaultTrajectoryHijackerConfig(), trkCfg, VectorMoveOut, true, omega)
+	th := NewTrajectoryHijacker(VectorMoveOut, true, omega)
 	img := sensor.NewImage(192, 108)
 	for i := 0; i < 30; i++ {
 		img.Clear(0.05)
@@ -270,8 +265,7 @@ func TestTrajectoryHijackerDisappearErases(t *testing.T) {
 	box := geom.R(90, 50, 14, 12)
 	img.FillRect(box, 0.9)
 
-	th := NewTrajectoryHijacker(DefaultTrajectoryHijackerConfig(), track.DefaultConfig(),
-		VectorDisappear, true, 0)
+	th := NewTrajectoryHijacker(VectorDisappear, true, 0)
 	th.Perturb(img, newHijackDetection(box), box, sim.ClassVehicle)
 
 	cfg := detect.DefaultConfig()
@@ -325,7 +319,7 @@ func TestMalwareSmartLaunchesOnApproach(t *testing.T) {
 	if log.K < 1 || log.K > DefaultSafetyHijackerConfig().KMaxVehicle {
 		t.Errorf("K = %d out of bounds", log.K)
 	}
-	np := track.DefaultConfig().VehicleNoise
+	np := detect.VehicleNoise
 	// Stealth: no single-frame shift may exceed ~1 sigma of the noise
 	// envelope for plausible box widths (<= 30 px at launch range).
 	if log.MaxStepPx > (math.Abs(np.MuX)+np.SigmaX)*30 {

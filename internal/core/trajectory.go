@@ -10,50 +10,35 @@ import (
 	"github.com/robotack/robotack/internal/track"
 )
 
-// TrajectoryHijackerConfig parametrizes the how-to-attack mechanics
-// (paper §IV-C, Eq. 4).
-type TrajectoryHijackerConfig struct {
-	// StealthFraction scales the per-frame shift inside the Kalman
+// Trajectory hijacker tuning (paper §IV-C, Eq. 4): shifts up to ~0.9
+// sigma per frame, staying within 85% of the association gate.
+const (
+	// stealthFraction scales the per-frame shift inside the Kalman
 	// noise envelope: omega_t in [mu - sigma, mu + sigma] of the
 	// class's characterized measurement noise.
-	StealthFraction float64
-	// GateFraction caps the cumulative displacement of the reported box
+	stealthFraction float64 = 0.9
+	// gateFraction caps the cumulative displacement of the reported box
 	// from the (replica) tracker's prediction at this fraction of the
 	// association gate — the M <= lambda constraint that keeps the
 	// detection associated with its original tracker. It is ignored for
 	// Disappear (the paper relaxes the constraint there).
-	GateFraction float64
-	// MaxStepM caps the per-frame drift in ground meters: drifting
+	gateFraction float64 = 0.85
+	// maxStepM caps the per-frame drift in ground meters: drifting
 	// faster than the fusion follows would dissociate the camera
 	// evidence from the fused object and waste the perturbation.
-	MaxStepM float64
-	// Background and Foreground are the raster intensities used when
+	maxStepM float64 = 0.3
+	// background and foreground are the raster intensities used when
 	// painting and erasing silhouette strips.
-	Background, Foreground float64
-}
-
-// DefaultTrajectoryHijackerConfig returns the tuning used in the
-// reproduction: shifts up to ~0.9 sigma per frame, staying within 85%
-// of the association gate.
-func DefaultTrajectoryHijackerConfig() TrajectoryHijackerConfig {
-	return TrajectoryHijackerConfig{
-		StealthFraction: 0.9,
-		GateFraction:    0.85,
-		MaxStepM:        0.3,
-		Background:      0.05,
-		Foreground:      0.9,
-	}
-}
+	background float64 = 0.05
+	foreground float64 = 0.9
+)
 
 // TrajectoryHijacker perturbs camera frames so the target's detected
 // bounding box drifts laterally (Move_Out / Move_In) or vanishes
-// (Disappear). It runs a replica of the ADS tracker configuration to
-// honor the association constraint of Eq. 4 — the threat model grants
-// the attacker the ADS source code (§III-B).
+// (Disappear). It uses the ADS tracker's association gate to honor the
+// constraint of Eq. 4 — the threat model grants the attacker the ADS
+// source code (§III-B).
 type TrajectoryHijacker struct {
-	cfg    TrajectoryHijackerConfig
-	trkCfg track.Config
-
 	vector Vector
 	// direction is +1 to shift the box toward larger u (image right),
 	// -1 toward smaller u.
@@ -64,7 +49,7 @@ type TrajectoryHijacker struct {
 	// delay postpones the drift (Move_In times the fake cut-in to
 	// materialize only when the EV is too close to brake comfortably).
 	delay int
-	// stepCapPx is MaxStepM converted to pixels at the target's depth.
+	// stepCapPx is maxStepM converted to pixels at the target's depth.
 	stepCapPx float64
 	// offsetPx is the accumulated applied shift.
 	offsetPx float64
@@ -99,14 +84,12 @@ func (th *TrajectoryHijacker) SetStepCapPx(px float64) {
 // NewTrajectoryHijacker prepares a hijack of the given vector.
 // directionRight selects the lateral shift direction; targetOffsetPx is
 // Omega expressed in pixels at the target's depth.
-func NewTrajectoryHijacker(cfg TrajectoryHijackerConfig, trkCfg track.Config, v Vector, directionRight bool, targetOffsetPx float64) *TrajectoryHijacker {
+func NewTrajectoryHijacker(v Vector, directionRight bool, targetOffsetPx float64) *TrajectoryHijacker {
 	dir := -1.0
 	if directionRight {
 		dir = 1.0
 	}
 	return &TrajectoryHijacker{
-		cfg:            cfg,
-		trkCfg:         trkCfg,
 		vector:         v,
 		direction:      dir,
 		targetOffsetPx: math.Abs(targetOffsetPx),
@@ -132,7 +115,7 @@ func (th *TrajectoryHijacker) Perturb(img *sensor.Image, det detect.Detection, a
 		// Fig. 5. The association constraint is relaxed (paper §IV-C).
 		th.shiftFrames++ // K' accumulates until the track actually drops
 		grow := geom.R(det.Raw.Min.X-1, det.Raw.Min.Y-1, det.Raw.W+2, det.Raw.H+2)
-		img.FillRect(grow, th.cfg.Background)
+		img.FillRect(grow, background)
 		return 0
 	}
 	if th.delay > 0 {
@@ -142,19 +125,16 @@ func (th *TrajectoryHijacker) Perturb(img *sensor.Image, det detect.Detection, a
 
 	// Per-frame stealth budget: within [mu-sigma, mu+sigma] of the
 	// class noise model, normalized by box width (§IV-C).
-	np := th.trkCfg.VehicleNoise
-	if cls == sim.ClassPedestrian {
-		np = th.trkCfg.PedestrianNoise
-	}
-	budget := th.cfg.StealthFraction * (math.Abs(np.MuX) + np.SigmaX) * det.Raw.W
+	np := detect.Noise(cls)
+	budget := stealthFraction * (math.Abs(np.MuX) + np.SigmaX) * det.Raw.W
 	if th.stepCapPx > 0 && budget > th.stepCapPx {
 		budget = th.stepCapPx
 	}
 
 	// Association constraint M <= lambda: the shifted box center must
-	// stay within GateFraction of the gate around the ADS tracker's
+	// stay within gateFraction of the gate around the ADS tracker's
 	// predicted center.
-	gate := th.cfg.GateFraction * th.trkCfg.Gate(cls, adsPredicted.W)
+	gate := gateFraction * track.Gate(cls, adsPredicted.W)
 	predCenter := adsPredicted.Center().X
 	trueCenter := det.Raw.Center().X
 
@@ -191,12 +171,12 @@ func (th *TrajectoryHijacker) applyShift(img *sensor.Image, box geom.Rect) {
 	shifted := box.Translate(geom.V(off, 0))
 	// Erase the original silhouette area not covered by the shifted box.
 	if math.Abs(off) >= box.W {
-		img.FillRectAA(box, th.cfg.Background)
+		img.FillRectAA(box, background)
 	} else if off > 0 {
-		img.FillRectAA(geom.R(box.Min.X, box.Min.Y, off, box.H), th.cfg.Background)
+		img.FillRectAA(geom.R(box.Min.X, box.Min.Y, off, box.H), background)
 	} else {
-		img.FillRectAA(geom.R(shifted.Min.X+shifted.W, box.Min.Y, -off, box.H), th.cfg.Background)
+		img.FillRectAA(geom.R(shifted.Min.X+shifted.W, box.Min.Y, -off, box.H), background)
 	}
 	// Paint the shifted silhouette.
-	img.FillRectAA(shifted, th.cfg.Foreground)
+	img.FillRectAA(shifted, foreground)
 }

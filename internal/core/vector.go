@@ -94,10 +94,6 @@ func ClassifyTrajectory(relY, velY, deadband float64) Trajectory {
 
 // MatcherConfig parametrizes the scenario matcher.
 type MatcherConfig struct {
-	// VyDeadband separates "keep" from lateral motion.
-	VyDeadband float64
-	// LaneHalfWidth decides in-lane membership of the target.
-	LaneHalfWidth float64
 	// PreferDisappearFor chooses between the interchangeable
 	// Move_Out/Disappear cells of Table I: the paper found Disappear
 	// better suited to pedestrians (small attack window) and Move_Out
@@ -107,12 +103,12 @@ type MatcherConfig struct {
 
 // DefaultMatcherConfig returns the paper's choices.
 func DefaultMatcherConfig() MatcherConfig {
-	return MatcherConfig{
-		VyDeadband:         0.35,
-		LaneHalfWidth:      1.75,
-		PreferDisappearFor: sim.ClassPedestrian,
-	}
+	return MatcherConfig{PreferDisappearFor: sim.ClassPedestrian}
 }
+
+// vyDeadband separates "keep" from lateral motion in Table I's
+// trajectory classes.
+const vyDeadband float64 = 0.35
 
 // Matcher is the rule-based scenario matcher (intentionally rule-based
 // to minimize execution time and evade detection, §IV-A).
@@ -127,8 +123,8 @@ func NewMatcher(cfg MatcherConfig) *Matcher { return &Matcher{cfg: cfg} }
 // class, it returns the attack vector to use, or VectorNone when the
 // configuration is not attackable (the "—" cells).
 func (m *Matcher) Match(relY, velY float64, width float64, cls sim.Class) Vector {
-	inLane := math.Abs(relY) < m.cfg.LaneHalfWidth+width/2
-	traj := ClassifyTrajectory(relY, velY, m.cfg.VyDeadband)
+	inLane := math.Abs(relY) < laneHalf+width/2
+	traj := ClassifyTrajectory(relY, velY, vyDeadband)
 
 	outOrDisappear := VectorMoveOut
 	if cls == m.cfg.PreferDisappearFor {

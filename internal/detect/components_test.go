@@ -69,7 +69,7 @@ func referenceComponents(img *sensor.Image, th float64, minArea int) (boxes []ge
 // refBottom is the detector's bottom-edge refinement from before the
 // labeler carried edge statistics: it reads the row just below box
 // through At.
-func refBottom(cfg Config, img *sensor.Image, box geom.Rect) float64 {
+func refBottom(img *sensor.Image, box geom.Rect) float64 {
 	edge := box.Min.Y + box.H
 	y := int(edge)
 	if y >= img.H {
@@ -84,22 +84,14 @@ func refBottom(cfg Config, img *sensor.Image, box geom.Rect) float64 {
 	if n == 0 {
 		return edge
 	}
-	span := cfg.Foreground - cfg.Background
-	if span <= 0 {
-		return edge
-	}
-	return edge + geom.Clamp((sum/float64(n)-cfg.Background)/span, 0, 1)
+	return edge + geom.Clamp((sum/float64(n)-background)/(foreground-background), 0, 1)
 }
 
 // refCenterU is the detector's horizontal-center refinement from before
 // the labeler carried edge statistics: it reads the columns just left
 // and right of box through At.
-func refCenterU(cfg Config, img *sensor.Image, box geom.Rect) float64 {
+func refCenterU(img *sensor.Image, box geom.Rect) float64 {
 	y0, y1 := int(box.Min.Y), int(box.Min.Y+box.H)
-	span := cfg.Foreground - cfg.Background
-	if span <= 0 {
-		return box.Center().X
-	}
 	colFrac := func(x int) float64 {
 		if x < 0 || x >= img.W {
 			return 0
@@ -112,7 +104,7 @@ func refCenterU(cfg Config, img *sensor.Image, box geom.Rect) float64 {
 		if n == 0 {
 			return 0
 		}
-		return geom.Clamp((sum/float64(n)-cfg.Background)/span, 0, 1)
+		return geom.Clamp((sum/float64(n)-background)/(foreground-background), 0, 1)
 	}
 	left := box.Min.X - colFrac(int(box.Min.X)-1)
 	right := box.Min.X + box.W + colFrac(int(box.Min.X+box.W))
@@ -126,13 +118,13 @@ func referenceDetections(cfg Config, img *sensor.Image) []Detection {
 	var dets []Detection
 	for i, box := range boxes {
 		cls := sim.ClassVehicle
-		if box.H/box.W >= cfg.PedestrianAspect {
+		if box.H/box.W >= pedestrianAspect {
 			cls = sim.ClassPedestrian
 		}
 		dets = append(dets, Detection{
 			Box: box, Raw: box,
-			Bottom:  refBottom(cfg, img, box),
-			CenterU: refCenterU(cfg, img, box),
+			Bottom:  refBottom(img, box),
+			CenterU: refCenterU(img, box),
 			Class:   cls, Area: areas[i],
 			Score: geom.Clamp(float64(areas[i])/40.0, 0.3, 1.0),
 		})

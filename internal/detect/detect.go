@@ -85,52 +85,47 @@ type Detection struct {
 
 // Config parametrizes a Detector.
 type Config struct {
-	// Threshold is the foreground intensity cut.
+	// Threshold is the foreground intensity cut. Kept a field:
+	// TestComponentsMatchReference and FuzzComponents run the detector
+	// at other thresholds.
 	Threshold float64
-	// MinArea is the minimum component pixel mass to report.
+	// MinArea is the minimum component pixel mass to report. Kept a
+	// field: TestComponentsMatchReference and FuzzComponents run the
+	// detector at other minimum areas.
 	MinArea int
-	// PedestrianAspect is the height/width ratio above which a
-	// component is classified as a pedestrian.
-	PedestrianAspect float64
-	// Background and Foreground are the expected raster intensities,
-	// used to decode fractional boundary coverage for sub-pixel edge
-	// refinement.
-	Background, Foreground float64
-	// NoiseCoreFrac and NoiseTailProb shape the center-error sampling
-	// as a variance-preserving core/tail mixture: with probability
-	// 1-NoiseTailProb the error is drawn at NoiseCoreFrac*sigma, else
-	// from the matching heavy tail. The FITTED sigma equals the
-	// configured class sigma either way — this is what reconciles the
-	// paper's large fitted sigmas (pedestrian x: 2.01 box widths) with
-	// its short misdetection runs: most boxes are tightly localized,
-	// and the occasional gross outlier fails the IoU-0.6 bar.
-	NoiseCoreFrac, NoiseTailProb float64
-	// Vehicle and Pedestrian noise/miss models.
-	VehicleNoise    NoiseParams
-	PedestrianNoise NoiseParams
-	VehicleMiss     MissParams
-	PedestrianMiss  MissParams
 	// DisableNoise turns off both noise processes (used by the
 	// attacker's own inference copy and by unit tests).
 	DisableNoise bool
 }
 
-// DefaultConfig returns the Fig. 5-calibrated configuration.
+// DefaultConfig returns the configuration of the ADS's detector.
 func DefaultConfig() Config {
-	return Config{
-		Threshold:        0.5,
-		MinArea:          2,
-		PedestrianAspect: 1.45,
-		Background:       0.05,
-		Foreground:       0.9,
-		NoiseCoreFrac:    0.15,
-		NoiseTailProb:    0.15,
-		VehicleNoise:     VehicleNoise,
-		PedestrianNoise:  PedestrianNoise,
-		VehicleMiss:      VehicleMiss,
-		PedestrianMiss:   PedestrianMiss,
-	}
+	return Config{Threshold: 0.5, MinArea: 2}
 }
+
+// Detector tuning. The noise and miss-run models are the Fig. 5 fits
+// above.
+const (
+	// pedestrianAspect is the height/width ratio above which a
+	// component is classified as a pedestrian.
+	pedestrianAspect float64 = 1.45
+	// background and foreground are the expected raster intensities,
+	// used to decode fractional boundary coverage for sub-pixel edge
+	// refinement; span is the intensity a full-coverage line adds.
+	background float64 = 0.05
+	foreground float64 = 0.9
+	span               = foreground - background
+	// noiseCoreFrac and noiseTailProb shape the center-error sampling
+	// as a variance-preserving core/tail mixture: with probability
+	// 1-noiseTailProb the error is drawn at noiseCoreFrac*sigma, else
+	// from the matching heavy tail. The FITTED sigma equals the
+	// class's Fig. 5 sigma either way — this is what reconciles the
+	// paper's large fitted sigmas (pedestrian x: 2.01 box widths) with
+	// its short misdetection runs: most boxes are tightly localized,
+	// and the occasional gross outlier fails the IoU-0.6 bar.
+	noiseCoreFrac float64 = 0.15
+	noiseTailProb float64 = 0.15
+)
 
 // Detector is the stateful detector surrogate. It is stateful only for
 // the misdetection-run model, which needs to remember which component
@@ -186,7 +181,7 @@ func (d *Detector) Detect(img *sensor.Image) []Detection {
 		if c.Area < d.cfg.MinArea {
 			continue
 		}
-		cls := d.classify(c.Box)
+		cls := classify(c.Box)
 		tr := d.associate(c.Box)
 		missLeft := 0
 		if tr != nil {
@@ -201,7 +196,7 @@ func (d *Detector) Detect(img *sensor.Image) []Detection {
 			next = append(next, detTrack{box: c.Box, missLeft: missLeft})
 			continue
 		default:
-			mp := d.missParams(cls)
+			mp := missParams(cls)
 			if d.rng.Bernoulli(mp.StartProb) {
 				run := d.sampleRun(mp, c.Box.H)
 				// This frame counts as the first frame of the run.
@@ -212,10 +207,10 @@ func (d *Detector) Detect(img *sensor.Image) []Detection {
 		next = append(next, detTrack{box: c.Box})
 
 		box := c.Box
-		bottom := d.refineBottom(c)
-		centerU := d.refineCenterU(c)
+		bottom := refineBottom(c)
+		centerU := refineCenterU(c)
 		if !d.cfg.DisableNoise {
-			np := d.noiseParams(cls)
+			np := Noise(cls)
 			scale := d.noiseScale()
 			dx := d.rng.Normal(np.MuX, np.SigmaX*scale) * box.W
 			dy := d.rng.Normal(np.MuY, np.SigmaY*scale) * box.H
@@ -246,39 +241,36 @@ func (d *Detector) sampleRun(mp MissParams, boxH float64) int {
 }
 
 // noiseScale draws the core/tail mixture factor such that the overall
-// variance equals the configured sigma^2:
+// variance equals the class's sigma^2:
 // (1-p)*core^2 + p*tail^2 = 1.
 func (d *Detector) noiseScale() float64 {
-	p := d.cfg.NoiseTailProb
-	core := d.cfg.NoiseCoreFrac
-	if p <= 0 || p >= 1 {
-		return 1
-	}
+	const p, core = noiseTailProb, noiseCoreFrac
 	if d.rng.Bernoulli(p) {
 		return math.Sqrt((1 - (1-p)*core*core) / p)
 	}
 	return core
 }
 
-func (d *Detector) missParams(cls sim.Class) MissParams {
+func missParams(cls sim.Class) MissParams {
 	if cls == sim.ClassPedestrian {
-		return d.cfg.PedestrianMiss
+		return PedestrianMiss
 	}
-	return d.cfg.VehicleMiss
+	return VehicleMiss
 }
 
-func (d *Detector) noiseParams(cls sim.Class) NoiseParams {
+// Noise returns the Fig. 5 bounding-box center error model of a class.
+func Noise(cls sim.Class) NoiseParams {
 	if cls == sim.ClassPedestrian {
-		return d.cfg.PedestrianNoise
+		return PedestrianNoise
 	}
-	return d.cfg.VehicleNoise
+	return VehicleNoise
 }
 
-func (d *Detector) classify(box geom.Rect) sim.Class {
+func classify(box geom.Rect) sim.Class {
 	if box.W <= 0 {
 		return sim.ClassVehicle
 	}
-	if box.H/box.W >= d.cfg.PedestrianAspect {
+	if box.H/box.W >= pedestrianAspect {
 		return sim.ClassPedestrian
 	}
 	return sim.ClassVehicle
@@ -306,33 +298,24 @@ func (d *Detector) associate(box geom.Rect) *detTrack {
 // refineBottom recovers the sub-pixel bottom edge of a component from
 // the anti-aliased partial-coverage intensity of the row just below its
 // full-coverage extent.
-func (d *Detector) refineBottom(c *sensor.Component) float64 {
-	edge := c.Box.Min.Y + c.Box.H
-	span := d.cfg.Foreground - d.cfg.Background
-	if span <= 0 {
-		return edge
-	}
-	return edge + d.coverage(c.Below, c.BelowIn, span)
+func refineBottom(c *sensor.Component) float64 {
+	return c.Box.Min.Y + c.Box.H + coverage(c.Below, c.BelowIn)
 }
 
 // refineCenterU recovers the sub-pixel horizontal center from the
 // partial-coverage intensity of the columns just outside the component.
-func (d *Detector) refineCenterU(c *sensor.Component) float64 {
+func refineCenterU(c *sensor.Component) float64 {
 	box := c.Box
-	span := d.cfg.Foreground - d.cfg.Background
-	if span <= 0 {
-		return box.Center().X
-	}
-	left := box.Min.X - d.coverage(c.Left, c.LeftIn, span)
-	right := box.Min.X + box.W + d.coverage(c.Right, c.RightIn, span)
+	left := box.Min.X - coverage(c.Left, c.LeftIn)
+	right := box.Min.X + box.W + coverage(c.Right, c.RightIn)
 	return (left + right) / 2
 }
 
 // coverage decodes the mean intensity of a boundary row or column into
 // the fraction of it the object covers: 0 for a line outside the raster.
-func (d *Detector) coverage(mean float64, in bool, span float64) float64 {
+func coverage(mean float64, in bool) float64 {
 	if !in {
 		return 0
 	}
-	return geom.Clamp((mean-d.cfg.Background)/span, 0, 1)
+	return geom.Clamp((mean-background)/span, 0, 1)
 }

@@ -167,8 +167,8 @@ func TestPedestrianMissRunsShorterThanVehicle(t *testing.T) {
 	var ped, veh []float64
 	for i := 0; i < 20000; i++ {
 		// One run at the reference small-box height of 4 px.
-		ped = append(ped, float64(det.sampleRun(det.missParams(sim.ClassPedestrian), 4)))
-		veh = append(veh, float64(det.sampleRun(det.missParams(sim.ClassVehicle), 4)))
+		ped = append(ped, float64(det.sampleRun(missParams(sim.ClassPedestrian), 4)))
+		veh = append(veh, float64(det.sampleRun(missParams(sim.ClassVehicle), 4)))
 	}
 	if stats.Mean(ped) >= stats.Mean(veh) {
 		t.Errorf("mean ped run %v should be < mean veh run %v", stats.Mean(ped), stats.Mean(veh))
@@ -187,23 +187,27 @@ func TestPedestrianMissRunsShorterThanVehicle(t *testing.T) {
 }
 
 func TestResetClearsMissState(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VehicleMiss.StartProb = 1.0 // always start a run
-	cfg.VehicleMiss.LongProb = 0
-	det := New(cfg, stats.NewRNG(3))
 	img := sensor.NewImage(64, 48)
 	img.FillRect(geom.R(10, 10, 8, 6), 0.9)
+	det := New(DefaultConfig(), stats.NewRNG(3))
+	// The component is mid-way through a miss run.
+	det.prev = append(det.prev, detTrack{box: geom.R(10, 10, 8, 6), missLeft: 50})
 	if got := det.Detect(img); len(got) != 0 {
-		t.Fatalf("first frame should start a miss run, got %d detections", len(got))
+		t.Fatalf("a frame inside a miss run should report nothing, got %d detections", len(got))
 	}
 	det.Reset()
 	if len(det.prev) != 0 {
 		t.Error("Reset did not clear state")
 	}
-	// A post-Reset frame must behave like a first frame: the always-miss
-	// config starts a fresh run instead of continuing the old one.
-	if got := det.Detect(img); len(got) != 0 {
-		t.Fatalf("post-Reset frame should start a fresh miss run, got %d detections", len(got))
+	// A post-Reset frame must behave like a fresh detector's first frame
+	// on the same noise stream instead of continuing the old run.
+	det.SetRNG(stats.NewRNG(3))
+	want := New(DefaultConfig(), stats.NewRNG(3)).Detect(img)
+	if len(want) != 1 {
+		t.Fatalf("fresh detector reports %d detections, want 1", len(want))
+	}
+	if got := det.Detect(img); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("post-Reset frame = %+v, fresh detector %+v", got, want)
 	}
 }
 

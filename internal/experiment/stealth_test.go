@@ -19,7 +19,7 @@ import (
 // failed attack still looks like detector noise, and its shift time K'
 // never exceeds the attack it belongs to.
 func TestSmartCampaignsRespectStealthCaps(t *testing.T) {
-	caps := core.DefaultConfig(core.ModeSmart).Safety
+	caps := core.DefaultSafetyHijackerConfig()
 	const runs = 40
 	for _, c := range TableIICampaigns() {
 		if c.Mode != core.ModeSmart {

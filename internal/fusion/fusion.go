@@ -24,114 +24,96 @@ import (
 	"github.com/robotack/robotack/internal/track"
 )
 
-// Config parametrizes the fusion stage.
+// Config holds what the planner and the attacker's safety model share
+// with the fusion stage.
 type Config struct {
-	// Decay multiplies every object's confidence each frame.
-	Decay float64
-	// CameraGain is added when a camera detection confirms the object
+	// Confident is the confidence level at which the planner treats the
+	// object as real. Exported here so the planner and the attacker's
+	// safety model agree on it. Kept a field: Planner.Plan reads it from
+	// the fusion.Config that the bench passes in.
+	Confident float64
+}
+
+// DefaultConfig returns the fusion configuration used across the
+// reproduction.
+func DefaultConfig() Config { return Config{Confident: 0.5} }
+
+// Fusion tuning. With these constants a camera-only object (pedestrian
+// beyond LiDAR range) fades from confident to ignored in ~13-14 frames
+// of camera suppression, and a dual-sensor vehicle in ~24 frames —
+// matching the K values the paper reports for Disappear attacks
+// (Table II).
+const (
+	// decay multiplies every object's confidence each frame.
+	decay float64 = 0.95
+	// cameraGain is added when a camera detection confirms the object
 	// this frame (a coasting track does not count).
-	CameraGain float64
-	// LidarGain is added when a LiDAR return confirms an object that
+	cameraGain float64 = 0.08
+	// lidarGain is added when a LiDAR return confirms an object that
 	// the camera also confirmed this frame.
-	LidarGain float64
-	// LidarAloneGainVehicle and LidarAloneGainPedestrian are the
+	lidarGain float64 = 0.05
+	// lidarAloneGainVehicle and lidarAloneGainPedestrian are the
 	// discounted gains when only the LiDAR sees the object (sensor
 	// disagreement, §VI-C). The pedestrian gain is much weaker: a small
 	// point cluster with no camera confirmation barely registers, which
 	// is why suppressing ~14 camera frames erases a pedestrian from the
 	// world model while a vehicle takes ~24 (paper Table II K values).
-	LidarAloneGainVehicle    float64
-	LidarAloneGainPedestrian float64
+	lidarAloneGainVehicle    float64 = 0.015
+	lidarAloneGainPedestrian float64 = 0.004
 	// LidarTrustFrames(Vehicle|Pedestrian): after this many consecutive
 	// LiDAR-alone confirmations, the fusion concludes the camera is the
 	// one failing and promotes the object to full LiDAR gain. This
 	// re-registration delay is what bounds the Disappear attack's
 	// blindness window (paper §VI-C: fusion "delays the object
 	// registration ... because of disagreement").
-	LidarTrustFramesVehicle    int
-	LidarTrustFramesPedestrian int
-	// LateralGate is the lateral ground-distance gate (meters) for
+	LidarTrustFramesVehicle    int = 75
+	LidarTrustFramesPedestrian int = 60
+	// lateralGate is the lateral ground-distance gate (meters) for
 	// associating sensor evidence with fusion objects. Exceeding it —
 	// which is exactly what a Move_Out hijack induces — dissociates the
 	// LiDAR from the camera-backed object.
-	LateralGate float64
-	// LongGateFrac scales the longitudinal gate with depth: mono-camera
+	lateralGate float64 = 1.8
+	// longGateFrac scales the longitudinal gate with depth: mono-camera
 	// depth error grows roughly linearly with range, so the gate must
-	// too. The gate is max(LongGateMin, LongGateFrac * depth).
-	LongGateFrac float64
-	LongGateMin  float64
-	// DropBelow removes an object whose confidence falls under it.
-	DropBelow float64
-	// VelBeta is the alpha-beta velocity smoothing factor for the
-	// longitudinal axis; VelBetaLateral is the (slower) lateral one —
+	// too. The gate is max(longGateMin, longGateFrac * depth).
+	longGateFrac float64 = 0.2
+	longGateMin  float64 = 3.0
+	// dropBelow removes an object whose confidence falls under it.
+	dropBelow float64 = 0.008
+	// velBeta is the alpha-beta velocity smoothing factor for the
+	// longitudinal axis; velBetaLateral is the (slower) lateral one —
 	// lateral velocity differentiates the noisiest camera axis, so it
 	// needs heavier smoothing to avoid phantom cut-ins.
-	VelBeta        float64
-	VelBetaLateral float64
-	// CamLateralWeight and CamLongitudinalWeight blend camera vs LiDAR
+	velBeta        float64 = 0.25
+	velBetaLateral float64 = 0.12
+	// camLateralWeight and camLongitudinalWeight blend camera vs LiDAR
 	// positions when both confirm: the camera wins laterally (better
 	// angular resolution), the LiDAR owns longitudinal range (direct
 	// ranging; mono-camera depth is quantization-limited).
-	CamLateralWeight      float64
-	CamLongitudinalWeight float64
-	// Confident is the confidence level at which the planner treats the
-	// object as real. Exported here so the planner and the attacker's
-	// safety model agree on it.
-	Confident float64
-	// MaxLatStep and MaxLongStep rate-limit camera-sourced position
+	camLateralWeight      float64 = 0.65
+	camLongitudinalWeight float64 = 0
+	// maxLatStep and maxLongStep rate-limit camera-sourced position
 	// updates of established objects (m per frame): physical objects do
 	// not teleport, so a fresh (noisy) camera track re-association must
 	// not yank a confident object sideways into the EV corridor.
-	MaxLatStep  float64
-	MaxLongStep float64
-	// CamCreateMaxDepth bounds new-object creation from camera-only
+	maxLatStep  float64 = 0.35
+	maxLongStep float64 = 2.0
+	// camCreateMaxDepth bounds new-object creation from camera-only
 	// evidence: beyond it, mono-camera depth is too unreliable to seed
 	// the world model (existing objects may still be updated).
-	CamCreateMaxDepth float64
-	// GhostMissFrames drops an object that has had no sensor
+	camCreateMaxDepth float64 = 55
+	// ghostMissFrames drops an object that has had no sensor
 	// confirmation for this many frames and no recent LiDAR backing —
 	// it is stale extrapolation, not evidence.
-	GhostMissFrames int
-	// ProbationFrames caps a camera-only newborn's confidence below the
+	ghostMissFrames int = 12
+	// probationFrames caps a camera-only newborn's confidence below the
 	// planner threshold until its mono-depth estimate has had time to
 	// converge: a single noisy bounding box must not conjure a braking
 	// target out of thin air.
-	ProbationFrames int
-	// ProbationCap is that confidence cap.
-	ProbationCap float64
-}
-
-// DefaultConfig returns the fusion tuning used across the reproduction.
-// With these constants a camera-only object (pedestrian beyond LiDAR
-// range) fades from confident to ignored in ~13-14 frames of camera
-// suppression, and a dual-sensor vehicle in ~24 frames — matching the
-// K values the paper reports for Disappear attacks (Table II).
-func DefaultConfig() Config {
-	return Config{
-		Decay:                      0.95,
-		CameraGain:                 0.08,
-		LidarGain:                  0.05,
-		LidarAloneGainVehicle:      0.015,
-		LidarAloneGainPedestrian:   0.004,
-		LidarTrustFramesVehicle:    75,
-		LidarTrustFramesPedestrian: 60,
-		LateralGate:                1.8,
-		LongGateFrac:               0.2,
-		LongGateMin:                3.0,
-		DropBelow:                  0.008,
-		VelBeta:                    0.25,
-		VelBetaLateral:             0.12,
-		CamLateralWeight:           0.65,
-		CamLongitudinalWeight:      0,
-		Confident:                  0.5,
-		MaxLatStep:                 0.35,
-		MaxLongStep:                2.0,
-		CamCreateMaxDepth:          55,
-		GhostMissFrames:            12,
-		ProbationFrames:            8,
-		ProbationCap:               0.45,
-	}
-}
+	probationFrames int = 8
+	// probationCap is that confidence cap.
+	probationCap float64 = 0.45
+)
 
 // Velocity spikes beyond these bounds (m/s) are association or
 // quantization artifacts, not physics, and are excluded from the
@@ -189,7 +171,6 @@ func (o *Object) Confident(cfg *Config) bool { return o.Confidence >= cfg.Confid
 // reaped Object structs — is struct-owned and reused across frames,
 // so a warm Step performs no heap allocations.
 type Fusion struct {
-	cfg     Config
 	cam     *sensor.Camera
 	objects []*Object
 	nextID  int
@@ -201,12 +182,12 @@ type Fusion struct {
 
 // New creates a fusion stage using the camera geometry for
 // back-projection of image tracks.
-func New(cfg Config, cam *sensor.Camera) *Fusion {
-	return &Fusion{cfg: cfg, cam: cam, nextID: 1}
+func New(cam *sensor.Camera) *Fusion {
+	return &Fusion{cam: cam, nextID: 1}
 }
 
 // Config returns the fusion configuration.
-func (f *Fusion) Config() Config { return f.cfg }
+func (f *Fusion) Config() Config { return DefaultConfig() }
 
 // Reset drops all fused objects, recycling them for the next episode.
 func (f *Fusion) Reset() {
@@ -231,7 +212,7 @@ type camObs struct {
 func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float64) []Object {
 	// Decay first: confirmation this frame must fight the decay.
 	for _, o := range f.objects {
-		o.Confidence *= f.cfg.Decay
+		o.Confidence *= decay
 		o.Age++
 		o.MissFrames++
 		o.CameraSeen = false
@@ -288,7 +269,7 @@ func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float6
 			tgt = f.nearest(ob.rel, func(o *Object) bool { return !o.CameraSeen })
 		}
 		if tgt == nil {
-			if ob.rel.X > f.cfg.CamCreateMaxDepth {
+			if ob.rel.X > camCreateMaxDepth {
 				continue // mono-depth too unreliable to seed an object
 			}
 			tgt = f.newObject(ob.class, ob.rel)
@@ -302,20 +283,20 @@ func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float6
 		}
 		// The camera always owns the lateral estimate; it only supplies
 		// range when no recent LiDAR fix exists. Established objects
-		// move at most MaxLat/LongStep per frame.
+		// move at most maxLatStep/maxLongStep per frame.
 		newRel := ob.rel
 		if tgt.lidarFresh > 0 {
 			newRel.X = tgt.Rel.X
 		}
 		if tgt.hasPrev && tgt.Confidence > 0.35 {
-			newRel.Y = tgt.Rel.Y + geom.Clamp(newRel.Y-tgt.Rel.Y, -f.cfg.MaxLatStep, f.cfg.MaxLatStep)
-			newRel.X = tgt.Rel.X + geom.Clamp(newRel.X-tgt.Rel.X, -f.cfg.MaxLongStep, f.cfg.MaxLongStep)
+			newRel.Y = tgt.Rel.Y + geom.Clamp(newRel.Y-tgt.Rel.Y, -maxLatStep, maxLatStep)
+			newRel.X = tgt.Rel.X + geom.Clamp(newRel.X-tgt.Rel.X, -maxLongStep, maxLongStep)
 		}
 		tgt.Rel = newRel
 		tgt.Size = sizeFor(ob.class, ob.width)
 		if !ob.coasting {
 			tgt.CameraSeen = true
-			tgt.Confidence += f.cfg.CameraGain
+			tgt.Confidence += cameraGain
 			tgt.MissFrames = 0
 		}
 	}
@@ -336,10 +317,10 @@ func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float6
 		if tgt.CameraSeen {
 			// Agreement: full gain and a camera/LiDAR position blend.
 			tgt.lidarStreak = 0
-			tgt.Confidence += f.cfg.LidarGain
+			tgt.Confidence += lidarGain
 			tgt.Rel = geom.V(
-				f.cfg.CamLongitudinalWeight*tgt.Rel.X+(1-f.cfg.CamLongitudinalWeight)*ld.RelPos.X,
-				f.cfg.CamLateralWeight*tgt.Rel.Y+(1-f.cfg.CamLateralWeight)*ld.RelPos.Y,
+				camLongitudinalWeight*tgt.Rel.X+(1-camLongitudinalWeight)*ld.RelPos.X,
+				camLateralWeight*tgt.Rel.Y+(1-camLateralWeight)*ld.RelPos.Y,
 			)
 			tgt.MissFrames = 0
 		} else {
@@ -347,12 +328,12 @@ func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float6
 			// Persistent LiDAR-alone evidence eventually wins: after the
 			// class's trust delay, the object re-registers on LiDAR.
 			tgt.lidarStreak++
-			gain, trust := f.cfg.LidarAloneGainVehicle, f.cfg.LidarTrustFramesVehicle
+			gain, trust := lidarAloneGainVehicle, LidarTrustFramesVehicle
 			if tgt.Class == sim.ClassPedestrian {
-				gain, trust = f.cfg.LidarAloneGainPedestrian, f.cfg.LidarTrustFramesPedestrian
+				gain, trust = lidarAloneGainPedestrian, LidarTrustFramesPedestrian
 			}
 			if tgt.lidarStreak >= trust {
-				gain = f.cfg.LidarGain
+				gain = lidarGain
 			}
 			tgt.Confidence += gain
 			tgt.MissFrames = 0 // a LiDAR return is still a sensor fix
@@ -370,22 +351,22 @@ func (f *Fusion) Step(tracks []*track.Track, lidar []sensor.Detection, dt float6
 	live := f.objects[:0]
 	for _, o := range f.objects {
 		o.Confidence = geom.Clamp(o.Confidence, 0, 1)
-		if o.Age < f.cfg.ProbationFrames && o.Confidence > f.cfg.ProbationCap {
-			o.Confidence = f.cfg.ProbationCap
+		if o.Age < probationFrames && o.Confidence > probationCap {
+			o.Confidence = probationCap
 		}
 		if o.hasPrev && dt > 0 {
 			raw := o.Rel.Sub(o.prevRel).Scale(1 / dt)
 			if raw.X > -maxCredibleVelX && raw.X < maxCredibleVelX {
-				o.Vel.X += f.cfg.VelBeta * (raw.X - o.Vel.X)
+				o.Vel.X += velBeta * (raw.X - o.Vel.X)
 			}
 			if raw.Y > -maxCredibleVelY && raw.Y < maxCredibleVelY {
-				o.Vel.Y += f.cfg.VelBetaLateral * (raw.Y - o.Vel.Y)
+				o.Vel.Y += velBetaLateral * (raw.Y - o.Vel.Y)
 			}
 		}
 		o.prevRel = o.Rel
 		o.hasPrev = true
-		ghost := o.MissFrames > f.cfg.GhostMissFrames && o.lidarFresh == 0
-		if o.Confidence >= f.cfg.DropBelow && !ghost {
+		ghost := o.MissFrames > ghostMissFrames && o.lidarFresh == 0
+		if o.Confidence >= dropBelow && !ghost {
 			live = append(live, o)
 		} else {
 			f.free = append(f.free, o)
@@ -413,12 +394,12 @@ func (f *Fusion) findByTrack(trackID int) *Object {
 // inGate reports whether two ground positions fall within the
 // anisotropic association gate.
 func (f *Fusion) inGate(a, b geom.Vec2) bool {
-	longGate := f.cfg.LongGateFrac * b.X
-	if longGate < f.cfg.LongGateMin {
-		longGate = f.cfg.LongGateMin
+	longGate := longGateFrac * b.X
+	if longGate < longGateMin {
+		longGate = longGateMin
 	}
 	dx, dy := a.X-b.X, a.Y-b.Y
-	return dx <= longGate && -dx <= longGate && dy <= f.cfg.LateralGate && -dy <= f.cfg.LateralGate
+	return dx <= longGate && -dx <= longGate && dy <= lateralGate && -dy <= lateralGate
 }
 
 // nearest returns the closest eligible object within the anisotropic
@@ -429,9 +410,9 @@ func (f *Fusion) inGate(a, b geom.Vec2) bool {
 func (f *Fusion) nearest(rel geom.Vec2, eligible func(*Object) bool) *Object {
 	var best *Object
 	bestDist := 0.0
-	longGate := f.cfg.LongGateFrac * rel.X
-	if longGate < f.cfg.LongGateMin {
-		longGate = f.cfg.LongGateMin
+	longGate := longGateFrac * rel.X
+	if longGate < longGateMin {
+		longGate = longGateMin
 	}
 	for _, o := range f.objects {
 		if eligible != nil && !eligible(o) {
@@ -439,7 +420,7 @@ func (f *Fusion) nearest(rel geom.Vec2, eligible func(*Object) bool) *Object {
 		}
 		dx := o.Rel.X - rel.X
 		dy := o.Rel.Y - rel.Y
-		if dx > longGate || -dx > longGate || dy > f.cfg.LateralGate || -dy > f.cfg.LateralGate {
+		if dx > longGate || -dx > longGate || dy > lateralGate || -dy > lateralGate {
 			continue
 		}
 		if d := rel.Dist(o.Rel); best == nil || d < bestDist {
@@ -484,7 +465,7 @@ func (f *Fusion) mergeDuplicates() {
 			if drop.CameraSeen && !keep.CameraSeen {
 				keep.CameraSeen = true
 				keep.CameraTrackID = drop.CameraTrackID
-				keep.Confidence += f.cfg.CameraGain
+				keep.Confidence += cameraGain
 				keep.MissFrames = 0
 			}
 			keep.LidarSeen = keep.LidarSeen || drop.LidarSeen

@@ -21,11 +21,11 @@ func lidarDet(x, y float64, cls sim.Class) sensor.Detection {
 
 func TestLidarOnlyDiscountThenTrustPromotion(t *testing.T) {
 	cfg := DefaultConfig()
-	f := New(cfg, sensor.DefaultCamera())
+	f := New(sensor.DefaultCamera())
 	var objs []Object
 	// During the disagreement window the object must stay below the
 	// planner threshold.
-	for i := 0; i < cfg.LidarTrustFramesVehicle-2; i++ {
+	for i := 0; i < LidarTrustFramesVehicle-2; i++ {
 		objs = f.Step(nil, []sensor.Detection{lidarDet(40, 0, sim.ClassVehicle)}, dt)
 		if len(objs) != 1 {
 			t.Fatalf("frame %d: objects = %d, want 1", i, len(objs))
@@ -37,7 +37,7 @@ func TestLidarOnlyDiscountThenTrustPromotion(t *testing.T) {
 	}
 	o := objs[0]
 	// Near the LiDAR-alone equilibrium of c' = decay*c + gain.
-	want := cfg.LidarAloneGainVehicle / (1 - cfg.Decay)
+	want := lidarAloneGainVehicle / (1 - decay)
 	if math.Abs(o.Confidence-want) > 0.06 {
 		t.Errorf("confidence %v, want equilibrium ~%v", o.Confidence, want)
 	}
@@ -54,8 +54,7 @@ func TestLidarOnlyDiscountThenTrustPromotion(t *testing.T) {
 }
 
 func TestDecayReachesDropThreshold(t *testing.T) {
-	cfg := DefaultConfig()
-	f := New(cfg, sensor.DefaultCamera())
+	f := New(sensor.DefaultCamera())
 	// Build a LiDAR-backed object, then cut all sensors.
 	for i := 0; i < 50; i++ {
 		f.Step(nil, []sensor.Detection{lidarDet(40, 0, sim.ClassVehicle)}, dt)
@@ -72,7 +71,7 @@ func TestDecayReachesDropThreshold(t *testing.T) {
 }
 
 func TestLidarObjectsForDistinctActorsStaySeparate(t *testing.T) {
-	f := New(DefaultConfig(), sensor.DefaultCamera())
+	f := New(sensor.DefaultCamera())
 	var objs []Object
 	for i := 0; i < 60; i++ {
 		objs = f.Step(nil, []sensor.Detection{
@@ -86,7 +85,7 @@ func TestLidarObjectsForDistinctActorsStaySeparate(t *testing.T) {
 }
 
 func TestMergeAbsorbsDuplicate(t *testing.T) {
-	f := New(DefaultConfig(), sensor.DefaultCamera())
+	f := New(sensor.DefaultCamera())
 	// Spawn two same-class lidar objects that drift onto the same spot.
 	f.Step(nil, []sensor.Detection{lidarDet(40, 0, sim.ClassVehicle)}, dt)
 	f.Step(nil, []sensor.Detection{lidarDet(48, 1.5, sim.ClassVehicle)}, dt)
@@ -100,7 +99,7 @@ func TestMergeAbsorbsDuplicate(t *testing.T) {
 }
 
 func TestVelocityEstimateFromLidar(t *testing.T) {
-	f := New(DefaultConfig(), sensor.DefaultCamera())
+	f := New(sensor.DefaultCamera())
 	var objs []Object
 	x := 60.0
 	for i := 0; i < 90; i++ {
@@ -116,7 +115,7 @@ func TestVelocityEstimateFromLidar(t *testing.T) {
 }
 
 func TestResetClears(t *testing.T) {
-	f := New(DefaultConfig(), sensor.DefaultCamera())
+	f := New(sensor.DefaultCamera())
 	f.Step(nil, []sensor.Detection{lidarDet(40, 0, sim.ClassVehicle)}, dt)
 	f.Reset()
 	if len(f.objects) != 0 {

@@ -77,11 +77,11 @@ func (d *Dense) backwardInto(in, grad, x []float64, nz []int32, dx bool) {
 	}
 }
 
-// gather appends to idx the indices in [lo, hi) at which x is nonzero
-// (every index, if all is set), in ascending order. NaN is nonzero.
-func gather(idx []int32, x []float64, lo, hi int, all bool) []int32 {
+// gather appends to idx the indices in [lo, hi) at which x is nonzero,
+// in ascending order. NaN is nonzero.
+func gather(idx []int32, x []float64, lo, hi int) []int32 {
 	for i := lo; i < hi; i++ {
-		if all || x[i] != 0 {
+		if x[i] != 0 {
 			idx = append(idx, int32(i))
 		}
 	}
@@ -151,32 +151,24 @@ func NewRegressor(inputDim int, rng *stats.RNG) *Network {
 // the layer.
 const gatherBlock = 128
 
-// negZeroBits is the bit pattern of -0.
-const negZeroBits = 1 << 63
-
 // ForwardInto computes y = Wx + b into dst and returns dst re-sliced to
-// the output width. dst must not alias x. It sums only the nonzero
-// inputs, which is exact for finite weights: a zero input adds ±0, and
-// adding ±0 leaves a float64 sum unchanged unless the sum is -0. A sum
-// that starts at a bias other than -0 never becomes -0 (only -0 + -0
-// is -0, and exact cancellation rounds to +0), so a layer holding a -0
-// bias keeps the dense sum. NaN inputs are nonzero and always summed.
-// Four outputs share each pass over the gathered inputs, and each
-// output still adds its terms one at a time in ascending input order.
+// the output width. dst must not alias x, and no bias may be -0. It
+// sums only the nonzero inputs, which is exact for finite weights: a
+// zero input adds ±0, and adding ±0 leaves a float64 sum unchanged
+// unless the sum is -0. A sum that starts at a bias other than -0 never
+// becomes -0 (only -0 + -0 is -0, and exact cancellation rounds to +0).
+// No network the program builds or trains holds a -0 bias: NewDense
+// starts every bias at +0, and Adam's p -= step turns no bias but a -0
+// one into -0. NaN inputs are nonzero and always summed. Four outputs
+// share each pass over the gathered inputs, and each output still adds
+// its terms one at a time in ascending input order.
 func (d *Dense) ForwardInto(dst, x []float64) []float64 {
 	out := dst[:d.Out]
 	x = x[:d.In]
 	copy(out, d.B)
-	dense := false
-	for _, b := range d.B {
-		if math.Float64bits(b) == negZeroBits {
-			dense = true
-			break
-		}
-	}
 	var buf [gatherBlock]int32
 	for lo := 0; lo < len(x); lo += gatherBlock {
-		d.addRows(out, x, gather(buf[:0], x, lo, min(lo+gatherBlock, len(x)), dense))
+		d.addRows(out, x, gather(buf[:0], x, lo, min(lo+gatherBlock, len(x))))
 	}
 	return out
 }
@@ -546,7 +538,7 @@ func (t *Trainer) backward(grad []float64) {
 		if s.keep != nil {
 			reluDropoutBack(grad, s.keep)
 		}
-		s.nz = gather(s.nz[:0], s.x, 0, len(s.x), false)
+		s.nz = gather(s.nz[:0], s.x, 0, len(s.x))
 		clear(s.gin)
 		t.n.Layers[i].backwardInto(s.gin, grad, s.x, s.nz, s.gin != nil)
 		grad = s.gin

@@ -50,9 +50,10 @@ type Pipeline struct {
 }
 
 // New builds a pipeline around the given camera geometry. rng feeds the
-// detector's noise processes; pass cfg detect.Config with DisableNoise
-// for a deterministic stack.
-func New(cam *sensor.Camera, detCfg detect.Config, trkCfg track.Config, fusCfg fusion.Config, rng *stats.RNG) *Pipeline {
+// detector's noise processes; a detCfg with DisableNoise builds the
+// deterministic stack the malware runs, and rng may then be nil.
+func New(cam *sensor.Camera, detCfg detect.Config, rng *stats.RNG) *Pipeline {
+	trkCfg := track.DefaultConfig()
 	if detCfg.DisableNoise {
 		// The tracker's measurement debiasing compensates the
 		// detector's characterized error means; with noise disabled it
@@ -63,13 +64,13 @@ func New(cam *sensor.Camera, detCfg detect.Config, trkCfg track.Config, fusCfg f
 	return &Pipeline{
 		Detector: detect.New(detCfg, rng),
 		Tracker:  track.NewTracker(trkCfg),
-		Fusion:   fusion.New(fusCfg, cam),
+		Fusion:   fusion.New(cam),
 	}
 }
 
-// NewDefault builds a pipeline with all default configurations.
+// NewDefault builds the ADS's pipeline.
 func NewDefault(cam *sensor.Camera, rng *stats.RNG) *Pipeline {
-	return New(cam, detect.DefaultConfig(), track.DefaultConfig(), fusion.DefaultConfig(), rng)
+	return New(cam, detect.DefaultConfig(), rng)
 }
 
 // Process runs one frame through the stack and returns the fused world

@@ -9,14 +9,13 @@ import (
 	"github.com/robotack/robotack/internal/geom"
 	"github.com/robotack/robotack/internal/sensor"
 	"github.com/robotack/robotack/internal/sim"
-	"github.com/robotack/robotack/internal/track"
 )
 
 // noiselessPipeline returns a deterministic stack for behavioural tests.
 func noiselessPipeline(cam *sensor.Camera) *Pipeline {
 	detCfg := detect.DefaultConfig()
 	detCfg.DisableNoise = true
-	return New(cam, detCfg, track.DefaultConfig(), fusion.DefaultConfig(), nil)
+	return New(cam, detCfg, nil)
 }
 
 func pedWorld(depth, lateral float64) *sim.World {
@@ -129,7 +128,7 @@ func TestLidarOnlyObjectDiscountedThenTrusted(t *testing.T) {
 	blank.Clear(0.05)
 	cfg := p.Fusion.Config()
 	var objs []fusion.Object
-	for i := 0; i < cfg.LidarTrustFramesVehicle-2; i++ {
+	for i := 0; i < fusion.LidarTrustFramesVehicle-2; i++ {
 		objs = p.Process(blank, lidar.Scan(w))
 		if confidentCount(objs, cfg) != 0 {
 			t.Fatalf("frame %d: LiDAR-only object confident during the disagreement window", i)

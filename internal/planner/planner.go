@@ -41,71 +41,60 @@ func (m Mode) String() string {
 
 // Config parametrizes the longitudinal planner.
 type Config struct {
-	Safety SafetyConfig
-	// DriveDecel is the deceleration the planner uses willingly in
-	// normal driving (gentler than the safety model's ComfortDecel,
-	// which calibrates the d_stop metric).
-	DriveDecel float64
 	// CruiseSpeed is the set speed in m/s.
 	CruiseSpeed float64
-	// Headway is the desired time gap behind a lead vehicle (s).
-	Headway float64
-	// StandstillGap is the desired gap at rest (m). With Headway 2.0 s
-	// and the DS-1 lead speed of ~7 m/s this settles at the paper's
-	// ~20 m following distance.
-	StandstillGap float64
-	// SpeedGain converts speed error to acceleration.
-	SpeedGain float64
-	// GapGain and ClosingGain form the ACC follow law.
-	GapGain, ClosingGain float64
-	// EBDecel is the deceleration demand (m/s^2) above which the
-	// planner escalates to emergency braking.
-	EBDecel float64
-	// EBBrake is the emergency brake strength (m/s^2, positive).
-	EBBrake float64
-	// PedCautionSpeed caps speed while a moving pedestrian is near the
-	// corridor (DS-4 golden behaviour: slow to ~35 kph).
-	PedCautionSpeed float64
-	// PedCautionLateral is the lateral half-width of the caution band
-	// beyond the EV corridor.
-	PedCautionLateral float64
-	// PedCautionRange is the look-ahead for pedestrian caution (m).
-	PedCautionRange float64
-	// VyDeadband ignores lateral velocities below it when predicting
-	// corridor entry (suppresses phantom cut-ins from differentiated
-	// camera noise).
-	VyDeadband float64
-	// EntryStreak is how many consecutive frames an object must be
-	// predicted to enter the corridor before the planner reacts to it
-	// (objects physically inside the corridor react immediately).
-	EntryStreak int
-	// EBConfirmFrames requires the EB condition to hold this many
-	// consecutive frames before escalating, unless the demand is
-	// overwhelming (>1.5x EBDecel).
-	EBConfirmFrames int
 }
 
-// DefaultConfig returns the planner tuning used by the reproduction.
+// DefaultConfig returns the planner configuration for a scenario's
+// cruise speed.
 func DefaultConfig(cruiseSpeed float64) Config {
-	return Config{
-		Safety:            DefaultSafetyConfig(),
-		DriveDecel:        2.0,
-		CruiseSpeed:       cruiseSpeed,
-		Headway:           2.0,
-		StandstillGap:     6.0,
-		SpeedGain:         0.8,
-		GapGain:           0.35,
-		ClosingGain:       0.9,
-		EBDecel:           4.0,
-		EBBrake:           7.0,
-		PedCautionSpeed:   sim.Kph(35),
-		PedCautionLateral: 2.2,
-		PedCautionRange:   55,
-		VyDeadband:        0.3,
-		EntryStreak:       3,
-		EBConfirmFrames:   2,
-	}
+	return Config{CruiseSpeed: cruiseSpeed}
 }
+
+// Planner tuning used by the reproduction.
+const (
+	// driveDecel is the deceleration the planner uses willingly in
+	// normal driving (gentler than the safety model's ComfortDecel,
+	// which calibrates the d_stop metric).
+	driveDecel float64 = 2.0
+	// headway is the desired time gap behind a lead vehicle (s).
+	headway float64 = 2.0
+	// standstillGap is the desired gap at rest (m). With headway 2.0 s
+	// and the DS-1 lead speed of ~7 m/s this settles at the paper's
+	// ~20 m following distance.
+	standstillGap float64 = 6.0
+	// speedGain converts speed error to acceleration.
+	speedGain float64 = 0.8
+	// gapGain and closingGain form the ACC follow law.
+	gapGain     float64 = 0.35
+	closingGain float64 = 0.9
+	// ebDecel is the deceleration demand (m/s^2) above which the
+	// planner escalates to emergency braking.
+	ebDecel float64 = 4.0
+	// ebBrake is the emergency brake strength (m/s^2, positive).
+	ebBrake float64 = 7.0
+	// pedCautionLateral is the lateral half-width of the caution band
+	// beyond the EV corridor.
+	pedCautionLateral float64 = 2.2
+	// pedCautionRange is the look-ahead for pedestrian caution (m).
+	pedCautionRange float64 = 55
+	// vyDeadband ignores lateral velocities below it when predicting
+	// corridor entry (suppresses phantom cut-ins from differentiated
+	// camera noise).
+	vyDeadband float64 = 0.3
+	// entryStreak is how many consecutive frames an object must be
+	// predicted to enter the corridor before the planner reacts to it
+	// (objects physically inside the corridor react immediately).
+	entryStreak int = 3
+	// ebConfirmFrames requires the EB condition to hold this many
+	// consecutive frames before escalating, unless the demand is
+	// overwhelming (>1.5x ebDecel).
+	ebConfirmFrames int = 2
+)
+
+// pedCautionSpeed caps speed while a moving pedestrian is near the
+// corridor (DS-4 golden behaviour: slow to ~35 kph).
+var pedCautionSpeed = sim.Kph(35)
 
 // Decision is the planner output for one frame.
 type Decision struct {
@@ -124,8 +113,9 @@ type Decision struct {
 
 // Planner is the longitudinal planner + PID actuation chain.
 type Planner struct {
-	cfg Config
-	pid *PID
+	cfg    Config
+	safety SafetyConfig
+	pid    *PID
 
 	ebLatch     int         // frames remaining in the EB hold
 	ebPending   int         // consecutive frames the EB condition held
@@ -154,6 +144,7 @@ type Planner struct {
 func New(cfg Config) *Planner {
 	return &Planner{
 		cfg:         cfg,
+		safety:      DefaultSafetyConfig(),
 		pid:         NewPID(),
 		entryStreak: make(map[int]int),
 		yRef:        make(map[int]float64),
@@ -183,13 +174,12 @@ func (p *Planner) Reconfigure(cfg Config) {
 
 // selectTarget picks the nearest confident in-path object, requiring
 // predicted (not yet physical) corridor entries to persist for
-// EntryStreak frames before they count — one noisy frame of lateral
+// entryStreak frames before they count — one noisy frame of lateral
 // velocity must not brake the EV.
 func (p *Planner) selectTarget(objs []fusion.Object, fcfg *fusion.Config, ev *sim.EV, road *sim.Road) (float64, *Target) {
-	cfg := &p.cfg
 	clear(p.seen)
 	seen := p.seen
-	best := cfg.Safety.MaxDSafe
+	best := p.safety.MaxDSafe
 	var target *Target
 	for i := range objs {
 		o := &objs[i]
@@ -206,22 +196,22 @@ func (p *Planner) selectTarget(objs []fusion.Object, fcfg *fusion.Config, ev *si
 		}
 		if !inNow {
 			vy := o.Vel.Y
-			if math.Abs(vy) < cfg.VyDeadband {
+			if math.Abs(vy) < vyDeadband {
 				vy = 0
 			}
 			horizon := CorridorHorizonFor(o.Class)
 			if InCorridorNowOrSoon(o.Rel.Y, vy, o.Size.Width, ev.Size.Width, horizon, *road) {
 				seen[o.ID] = true
-				if p.entryStreak[o.ID] < 2*cfg.EntryStreak {
+				if p.entryStreak[o.ID] < 2*entryStreak {
 					p.entryStreak[o.ID]++
 				}
-				eligible = p.entryStreak[o.ID] >= cfg.EntryStreak
+				eligible = p.entryStreak[o.ID] >= entryStreak
 			} else if s := p.entryStreak[o.ID]; s > 0 {
 				// Hysteresis: decay instead of reset, so one noisy frame
 				// does not drop an entering object.
 				seen[o.ID] = true
 				p.entryStreak[o.ID] = s - 1
-				eligible = s-1 >= cfg.EntryStreak
+				eligible = s-1 >= entryStreak
 			}
 		}
 		if !eligible {
@@ -248,20 +238,19 @@ func (p *Planner) selectTarget(objs []fusion.Object, fcfg *fusion.Config, ev *si
 
 // Plan computes the actuation command from the fused world model.
 func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road sim.Road) Decision {
-	cfg := &p.cfg
 	dsafe, target := p.selectTarget(objs, &fcfg, &ev, &road)
-	dstop := cfg.Safety.DStop(ev.Speed)
+	dstop := p.safety.DStop(ev.Speed)
 	delta := dsafe - dstop
 
-	targetSpeed := cfg.CruiseSpeed
+	targetSpeed := p.cfg.CruiseSpeed
 	mode := ModeCruise
 	if p.pedestrianCaution(objs, &ev, &road) {
 		p.cautionHold = 30
 	} else if p.cautionHold > 0 {
 		p.cautionHold--
 	}
-	if p.cautionHold > 0 && targetSpeed > cfg.PedCautionSpeed {
-		targetSpeed = cfg.PedCautionSpeed
+	if p.cautionHold > 0 && targetSpeed > pedCautionSpeed {
+		targetSpeed = pedCautionSpeed
 	}
 
 	// Object permanence for a recently lost close corridor target: do
@@ -277,7 +266,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 	// Base law: track the target speed. Re-acceleration is capped at a
 	// comfortable rate — the EV does not floor the pedal the instant
 	// the corridor looks clear.
-	raw := geom.Clamp(cfg.SpeedGain*(targetSpeed-ev.Speed), -cfg.DriveDecel, cruiseAccelCap)
+	raw := geom.Clamp(speedGain*(targetSpeed-ev.Speed), -driveDecel, cruiseAccelCap)
 	targetID := 0
 
 	// Precautionary braking for an actively crossing pedestrian: begin
@@ -294,7 +283,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 	if p.crossingHold > 0 {
 		room := math.Max(p.crossingRelX-ev.Size.Length/2-9, 0.3)
 		req := ev.Speed * ev.Speed / (2 * room)
-		if req > 0.5*cfg.DriveDecel {
+		if req > 0.5*driveDecel {
 			raw = math.Min(raw, -math.Max(req, 0.8))
 			mode = ModeBrake
 		}
@@ -302,12 +291,12 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 
 	if target != nil {
 		targetID = target.Object.ID
-		desiredGap := cfg.StandstillGap + cfg.Headway*ev.Speed
+		desiredGap := standstillGap + headway*ev.Speed
 		gapErr := target.Gap - desiredGap
 
 		// Physics of the encounter: deceleration needed to stop before
 		// the obstacle's rear with margin.
-		margin := cfg.StandstillGap * 0.5
+		margin := standstillGap * 0.5
 		room := math.Max(target.Gap-margin, 0.3)
 		closing := math.Max(target.Closing, ev.Speed*0.3)
 		required := 0.0
@@ -317,7 +306,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 
 		// ACC follow law, floored by the physical requirement so the
 		// planner does not over-brake for distant slow targets.
-		follow := cfg.GapGain*gapErr - cfg.ClosingGain*target.Closing
+		follow := gapGain*gapErr - closingGain*target.Closing
 		if floor := -(required*1.2 + 0.3); follow < floor {
 			follow = floor
 		}
@@ -333,7 +322,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 			ev.Speed > 0.2 {
 			stopRoom := math.Max(target.Gap-9, 0.3)
 			reqPed := ev.Speed * ev.Speed / (2 * stopRoom)
-			raw = math.Min(raw, -math.Max(reqPed, cfg.DriveDecel))
+			raw = math.Min(raw, -math.Max(reqPed, driveDecel))
 			if required < reqPed {
 				required = reqPed
 			}
@@ -341,16 +330,16 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 		}
 
 		// Escalate through Brake to EmergencyBrake. The EB condition
-		// must persist EBConfirmFrames unless the demand is extreme,
+		// must persist ebConfirmFrames unless the demand is extreme,
 		// and only close-range demands qualify (a 4+ m/s^2 "need" at
 		// long range is a perception artifact, not an emergency).
-		if required > cfg.DriveDecel {
+		if required > driveDecel {
 			raw = math.Min(raw, -required)
 			mode = ModeBrake
 		}
-		if required > cfg.EBDecel && target.Gap < 32 {
+		if required > ebDecel && target.Gap < 32 {
 			p.ebPending++
-			if p.ebPending >= cfg.EBConfirmFrames || required > 1.5*cfg.EBDecel {
+			if p.ebPending >= ebConfirmFrames || required > 1.5*ebDecel {
 				mode = ModeEmergencyBrake
 			}
 		} else {
@@ -364,9 +353,9 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 			p.lostTargetFor = 20
 			p.lostSpeed = math.Max(ev.Speed-target.Closing, 0)
 		}
-		if target.Gap <= cfg.StandstillGap && ev.Speed < 0.5 {
+		if target.Gap <= standstillGap && ev.Speed < 0.5 {
 			mode = ModeStop
-			raw = -cfg.DriveDecel
+			raw = -driveDecel
 		}
 	}
 
@@ -383,7 +372,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 
 	var accel float64
 	if mode == ModeEmergencyBrake {
-		raw = -cfg.EBBrake
+		raw = -ebBrake
 		accel = p.pid.Override(raw)
 	} else {
 		accel = p.pid.Update(raw, sim.DT)
@@ -402,6 +391,10 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 // cruiseAccelCap bounds comfortable re-acceleration (m/s^2).
 const cruiseAccelCap = 1.2
 
+// crossingConfidence is the evidence level at which a crossing
+// pedestrian triggers precautionary braking.
+const crossingConfidence float64 = 0.45
+
 // pedCautionConfidence is the evidence level at which a moving
 // pedestrian already warrants slowing down — deliberately below the
 // reaction threshold for braking targets (defence in depth for
@@ -415,10 +408,10 @@ func (p *Planner) crossingPedestrian(objs []fusion.Object, ev *sim.EV, road *sim
 	var best *fusion.Object
 	for i := range objs {
 		o := &objs[i]
-		if o.Class != sim.ClassPedestrian || o.Confidence < p.cfg.Safety.crossingConfidence() {
+		if o.Class != sim.ClassPedestrian || o.Confidence < crossingConfidence {
 			continue
 		}
-		if o.Rel.X < 2 || o.Rel.X > p.cfg.PedCautionRange {
+		if o.Rel.X < 2 || o.Rel.X > pedCautionRange {
 			continue
 		}
 		// Maintain the slow lateral reference for displacement
@@ -431,12 +424,12 @@ func (p *Planner) crossingPedestrian(objs []fusion.Object, ev *sim.EV, road *sim
 		p.yRef[o.ID] = ref
 
 		toCenter := road.EVLaneCenter() - o.Rel.Y
-		velCrossing := math.Abs(o.Vel.Y) >= p.cfg.VyDeadband && toCenter*o.Vel.Y > 0
+		velCrossing := math.Abs(o.Vel.Y) >= vyDeadband && toCenter*o.Vel.Y > 0
 		dispCrossing := math.Abs(ref-road.EVLaneCenter())-math.Abs(o.Rel.Y-road.EVLaneCenter()) > 0.55
 		if !velCrossing && !dispCrossing {
 			continue // not moving toward the lane center
 		}
-		if math.Abs(o.Rel.Y-road.EVLaneCenter()) > (ev.Size.Width+0.6)/2+p.cfg.PedCautionLateral+1.5 {
+		if math.Abs(o.Rel.Y-road.EVLaneCenter()) > (ev.Size.Width+0.6)/2+pedCautionLateral+1.5 {
 			continue
 		}
 		if best == nil || o.Rel.X < best.Rel.X {
@@ -449,13 +442,13 @@ func (p *Planner) crossingPedestrian(objs []fusion.Object, ev *sim.EV, road *sim
 // pedestrianCaution reports whether a plausibly-real moving pedestrian
 // is close enough to the corridor to warrant a speed cap.
 func (p *Planner) pedestrianCaution(objs []fusion.Object, ev *sim.EV, road *sim.Road) bool {
-	half := (ev.Size.Width+0.6)/2 + p.cfg.PedCautionLateral
+	half := (ev.Size.Width+0.6)/2 + pedCautionLateral
 	for i := range objs {
 		o := &objs[i]
 		if o.Class != sim.ClassPedestrian || o.Confidence < pedCautionConfidence {
 			continue
 		}
-		if o.Rel.X < 2 || o.Rel.X > p.cfg.PedCautionRange {
+		if o.Rel.X < 2 || o.Rel.X > pedCautionRange {
 			continue
 		}
 		moving := o.Vel.Sub(geom.V(-ev.Speed, 0)).Norm() > 0.4 // absolute motion

@@ -91,7 +91,7 @@ func TestDSafeSelectsNearestConfident(t *testing.T) {
 func TestDSafeClearCorridor(t *testing.T) {
 	cfg := DefaultConfig(sim.Kph(45))
 	d := New(cfg).Plan(nil, fusion.DefaultConfig(), sim.DefaultEV(), sim.DefaultRoad())
-	if d.TargetID != 0 || d.DSafe != cfg.Safety.MaxDSafe {
+	if d.TargetID != 0 || d.DSafe != DefaultSafetyConfig().MaxDSafe {
 		t.Errorf("dsafe = %v target = %d, want max and none", d.DSafe, d.TargetID)
 	}
 }
@@ -260,7 +260,7 @@ func TestEmergencyBrakeOnSuddenObstacle(t *testing.T) {
 	if d.Mode != ModeEmergencyBrake {
 		t.Fatalf("mode = %v, want emergency-brake", d.Mode)
 	}
-	if d.Accel > -p.cfg.EBBrake+1e-9 {
+	if d.Accel > -ebBrake+1e-9 {
 		t.Errorf("accel = %v, want immediate max braking (PID bypass)", d.Accel)
 	}
 }

@@ -15,15 +15,18 @@ import (
 // SafetyConfig parametrizes the safety model.
 type SafetyConfig struct {
 	// ComfortDecel is the "maximum comfortable deceleration" of
-	// Definition 3, in m/s^2.
+	// Definition 3, in m/s^2. Kept a field: the bench holds a
+	// SafetyConfig and calls its methods.
 	ComfortDecel float64
-	// ReactionTime adds a reaction distance v * t to d_stop.
+	// ReactionTime adds a reaction distance v * t to d_stop. Kept a
+	// field: the bench holds a SafetyConfig and calls its methods.
 	ReactionTime float64
-	// MaxDSafe caps d_safe when no obstacle is in the corridor.
+	// MaxDSafe caps d_safe when no obstacle is in the corridor. Kept a
+	// field: the bench reads it.
 	MaxDSafe float64
 	// AccidentDelta is the delta below which a run counts as an
 	// accident: 4 m, the LGSVL halt limitation adopted by the paper
-	// (§II-C, Definition 5).
+	// (§II-C, Definition 5). Kept a field: the bench reads it.
 	AccidentDelta float64
 }
 
@@ -39,10 +42,6 @@ func DefaultSafetyConfig() SafetyConfig {
 		AccidentDelta: 4.0,
 	}
 }
-
-// crossingConfidence is the evidence level at which a crossing
-// pedestrian triggers precautionary braking.
-func (c SafetyConfig) crossingConfidence() float64 { return 0.45 }
 
 // DStop is Definition 3: the distance travelled before a complete stop
 // under the maximum comfortable deceleration, including the reaction

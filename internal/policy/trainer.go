@@ -46,13 +46,9 @@ type TrainerConfig struct {
 	Generations int
 	Population  int
 	// Sigma is the initial mutation scale as a fraction of each
-	// parameter bound's range (default 0.15); SigmaDecay multiplies
-	// it per generation (default 0.9).
-	Sigma      float64
-	SigmaDecay float64
-	// CrashWeight weights crashes against emergency brakes in the
-	// fitness (default 2 — the paper's headline metric is accidents).
-	CrashWeight float64
+	// parameter bound's range (default 0.15); sigmaDecay multiplies
+	// it per generation.
+	Sigma float64
 	// BaseSeed anchors every derived seed.
 	BaseSeed int64
 	// Oracles are the trained safety-hijacker oracles candidates
@@ -85,14 +81,17 @@ func (cfg *TrainerConfig) withDefaults() TrainerConfig {
 	if out.Sigma <= 0 {
 		out.Sigma = 0.15
 	}
-	if out.SigmaDecay <= 0 {
-		out.SigmaDecay = 0.9
-	}
-	if out.CrashWeight <= 0 {
-		out.CrashWeight = 2
-	}
 	return out
 }
+
+// Search tuning.
+const (
+	// sigmaDecay multiplies the mutation scale per generation.
+	sigmaDecay float64 = 0.9
+	// crashWeight weights crashes against emergency brakes in the
+	// fitness (the paper's headline metric is accidents).
+	crashWeight float64 = 2
+)
 
 // Candidate is one evaluated point of the search space.
 type Candidate struct {
@@ -172,7 +171,7 @@ func Train(eng *engine.Engine, cfg TrainerConfig) (SearchResult, error) {
 	elite := Candidate{Gen: -1, Index: -1, Params: DefaultParams(), Fitness: math.Inf(-1)}
 
 	for gen := 0; gen < cfg.Generations; gen++ {
-		sigma := cfg.Sigma * math.Pow(cfg.SigmaDecay, float64(gen))
+		sigma := cfg.Sigma * math.Pow(sigmaDecay, float64(gen))
 		best := Candidate{Fitness: math.Inf(-1)}
 		for cand := 0; cand < cfg.Population; cand++ {
 			p := elite.Params
@@ -211,7 +210,7 @@ func Train(eng *engine.Engine, cfg TrainerConfig) (SearchResult, error) {
 
 // evaluate scores one parameter vector: the battery runs with the
 // candidate policy under seeds derived from (BaseSeed, gen, cand), and
-// the fitness is the EB rate plus CrashWeight times the crash rate,
+// the fitness is the EB rate plus crashWeight times the crash rate,
 // pooled across the battery. Persisted evaluations resume.
 func evaluate(eng *engine.Engine, cfg TrainerConfig, p Params, gen, cand int) (Candidate, error) {
 	pol, err := New(p)
@@ -240,7 +239,7 @@ func evaluate(eng *engine.Engine, cfg TrainerConfig, p Params, gen, cand int) (C
 		out.Crashes += r.Crashes
 	}
 	if out.Runs > 0 {
-		out.Fitness = (float64(out.EBs) + cfg.CrashWeight*float64(out.Crashes)) / float64(out.Runs)
+		out.Fitness = (float64(out.EBs) + crashWeight*float64(out.Crashes)) / float64(out.Runs)
 	}
 	return out, nil
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // Errors the queue's operations return; the HTTP layer maps them to
-// status codes (404, 409).
+// status codes (404, 409, 429).
 var (
 	// ErrNotFound means no job has the given id.
 	ErrNotFound = errors.New("runq: no such job")
@@ -28,7 +28,18 @@ var (
 	ErrLeaseLost = errors.New("runq: lease lost")
 	// ErrClosed means the queue is shutting down.
 	ErrClosed = errors.New("runq: queue closed")
+	// ErrTooManySubscribers means the job already has
+	// MaxSubscribersPerRun event subscribers.
+	ErrTooManySubscribers = errors.New("runq: too many event subscribers for this job")
 )
+
+// MaxSubscribersPerRun bounds one job's event subscribers. Each holds a
+// 64-event buffer, and every event of the job is sent to all of them
+// under the queue lock, so without a bound the clients watching one run
+// could grow the server's memory and every queue operation's lock hold
+// without limit. A run has one waiting client in normal use; 32 leaves
+// room for dashboards and retries.
+const MaxSubscribersPerRun = 32
 
 // Executor runs one leased job to completion. Implementations must
 // return promptly with ctx.Err() once ctx is cancelled, and must call
@@ -366,13 +377,17 @@ func (q *Queue) Cancel(id int) error {
 // snapshot (taken atomically with the registration, so no event is
 // missed in between) and the event channel. The returned func
 // unsubscribes; slow subscribers lose oldest events first, never the
-// terminal one.
+// terminal one. A job with MaxSubscribersPerRun subscribers takes no
+// more until one unsubscribes.
 func (q *Queue) Subscribe(id int) (Job, <-chan Event, func(), error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
 		return Job{}, nil, nil, ErrNotFound
+	}
+	if len(q.subs[id]) >= MaxSubscribersPerRun {
+		return Job{}, nil, nil, ErrTooManySubscribers
 	}
 	ch := make(chan Event, 64)
 	if q.subs[id] == nil {

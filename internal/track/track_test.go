@@ -221,7 +221,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	}
 	tracks = tr.Step([]detect.Detection{det(b.Translate(geom.V(1, 0)), sim.ClassVehicle)})
 	if !tracks[0].Confirmed {
-		t.Fatal("track should confirm after MinHits")
+		t.Fatal("track should confirm after minHits")
 	}
 	id := tracks[0].ID
 
@@ -244,16 +244,15 @@ func TestTrackerLifecycle(t *testing.T) {
 }
 
 func TestTrackerDeletesAfterMaxMisses(t *testing.T) {
-	cfg := DefaultConfig()
-	tr := NewTracker(cfg)
+	tr := NewTracker(DefaultConfig())
 	b := geom.R(50, 40, 12, 9)
 	tr.Step([]detect.Detection{det(b, sim.ClassVehicle)})
 	tr.Step([]detect.Detection{det(b, sim.ClassVehicle)})
-	for i := 0; i <= cfg.MaxMisses; i++ {
+	for i := 0; i <= maxMisses; i++ {
 		tr.Step(nil)
 	}
 	if n := len(tr.Tracks()); n != 0 {
-		t.Errorf("tracks = %d, want 0 after MaxMisses", n)
+		t.Errorf("tracks = %d, want 0 after maxMisses", n)
 	}
 }
 
@@ -299,11 +298,10 @@ func TestTrackerGateRejectsFarDetection(t *testing.T) {
 }
 
 func TestGateClassDependence(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Gate(sim.ClassPedestrian, 10) <= cfg.Gate(sim.ClassVehicle, 10) {
+	if Gate(sim.ClassPedestrian, 10) <= Gate(sim.ClassVehicle, 10) {
 		t.Error("pedestrian gate should be wider (noisier class)")
 	}
-	if cfg.Gate(sim.ClassVehicle, 0.1) != cfg.GateFloorPx {
+	if Gate(sim.ClassVehicle, 0.1) != gateFloorPx {
 		t.Error("gate floor not applied")
 	}
 }

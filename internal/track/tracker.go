@@ -6,24 +6,9 @@ import (
 	"github.com/robotack/robotack/internal/sim"
 )
 
-// Config parametrizes the tracker lifecycle and association gates.
+// Config holds the detector error model the tracker's measurement
+// noise and debiasing assume.
 type Config struct {
-	// MinHits detections before a track is confirmed.
-	MinHits int
-	// MaxMisses consecutive predicted-only frames before deletion. This
-	// is the temporal redundancy ("redundancy in time", §I) that masks
-	// transient misdetections — and that the Disappear attack must
-	// outlast.
-	MaxMisses int
-	// GateWidths is the association gate as a multiple of the predicted
-	// box width, per class. It reflects the class's measured noise: the
-	// noisier the detector for a class, the wider the tracker must gate.
-	VehicleGateWidths    float64
-	PedestrianGateWidths float64
-	// GateFloorPx is the minimum gate in pixels.
-	GateFloorPx float64
-	// DimsAlpha is the EMA factor for box dimensions.
-	DimsAlpha float64
 	// Vehicle and Pedestrian measurement noise (normalized units, from
 	// the Fig. 5 characterization) used to set the Kalman R matrix.
 	VehicleNoise    detect.NoiseParams
@@ -31,32 +16,48 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used by the reproduction's
-// ADS and — because the threat model grants the attacker the ADS source
-// code — by the malware's own inference copy.
+// ADS and by the malware's replica of its tracker.
 func DefaultConfig() Config {
 	return Config{
-		MinHits:              2,
-		MaxMisses:            12,
-		VehicleGateWidths:    2.0,
-		PedestrianGateWidths: 4.0,
-		GateFloorPx:          10,
-		DimsAlpha:            0.3,
-		VehicleNoise:         detect.VehicleNoise,
-		PedestrianNoise:      detect.PedestrianNoise,
+		VehicleNoise:    detect.VehicleNoise,
+		PedestrianNoise: detect.PedestrianNoise,
 	}
 }
+
+// Tracker lifecycle and association tuning. The threat model grants
+// the attacker the ADS source code, so the malware's replica tracker
+// and trajectory hijacker use the same constants.
+const (
+	// minHits detections before a track is confirmed.
+	minHits int = 2
+	// maxMisses consecutive predicted-only frames before deletion. This
+	// is the temporal redundancy ("redundancy in time", §I) that masks
+	// transient misdetections — and that the Disappear attack must
+	// outlast.
+	maxMisses int = 12
+	// vehicleGateWidths and pedestrianGateWidths are the association
+	// gate as a multiple of the predicted box width, per class. They
+	// reflect the class's measured noise: the noisier the detector for
+	// a class, the wider the tracker must gate.
+	vehicleGateWidths    float64 = 2.0
+	pedestrianGateWidths float64 = 4.0
+	// gateFloorPx is the minimum gate in pixels.
+	gateFloorPx float64 = 10
+	// dimsAlpha is the EMA factor for box dimensions.
+	dimsAlpha float64 = 0.3
+)
 
 // Gate returns the maximum center distance (pixels) at which a
 // detection can associate with a track whose predicted box has the
 // given width, for the given class. The trajectory hijacker uses the
 // same formula (threat model: attacker knows the ADS internals) as its
 // lambda constraint in Eq. 4.
-func (c *Config) Gate(cls sim.Class, boxW float64) float64 {
-	k := c.VehicleGateWidths
+func Gate(cls sim.Class, boxW float64) float64 {
+	k := vehicleGateWidths
 	if cls == sim.ClassPedestrian {
-		k = c.PedestrianGateWidths
+		k = pedestrianGateWidths
 	}
-	return geom.Max(k*boxW, c.GateFloorPx)
+	return geom.Max(k*boxW, gateFloorPx)
 }
 
 // NoiseStd returns the per-axis measurement noise standard deviation in
@@ -173,7 +174,7 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 		for i, t := range tr.tracks {
 			row := flat[i*nD : (i+1)*nD]
 			pbox := t.Box()
-			gate := tr.cfg.Gate(t.Class, pbox.W)
+			gate := Gate(t.Class, pbox.W)
 			for j := range dets {
 				d := &dets[j]
 				dist := pbox.Center().Dist(d.Box.Center())
@@ -224,11 +225,11 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 			t.Misses++
 			continue
 		}
-		t.W += tr.cfg.DimsAlpha * (d.Box.W - t.W)
-		t.H += tr.cfg.DimsAlpha * (d.Box.H - t.H)
+		t.W += dimsAlpha * (d.Box.W - t.W)
+		t.H += dimsAlpha * (d.Box.H - t.H)
 		t.Misses = 0
 		t.Hits++
-		if t.Hits >= tr.cfg.MinHits {
+		if t.Hits >= minHits {
 			t.Confirmed = true
 		}
 	}
@@ -254,7 +255,7 @@ func (tr *Tracker) Step(dets []detect.Detection) []*Track {
 	// (nearly) the same box are one object; the older one wins.
 	live := tr.tracks[:0]
 	for _, t := range tr.tracks {
-		if t.Misses <= tr.cfg.MaxMisses {
+		if t.Misses <= maxMisses {
 			live = append(live, t)
 		} else {
 			tr.free = append(tr.free, t)

@@ -38,6 +38,190 @@ var testSeams = map[string]string{
 	"trace.CollectSink.Spans":      "Test seam: the tests that collect spans read them back through it.",
 }
 
+// defaultOnlyFields are the exported config fields that only their own
+// package's Default functions set and that stay fields, each with the
+// reason it stays. The field's doc comment carries the same sentence.
+var defaultOnlyFields = map[string]string{
+	"fusion.Config.Confident":            "Kept a field: Planner.Plan reads it from the fusion.Config that the bench passes in.",
+	"planner.SafetyConfig.ComfortDecel":  "Kept a field: the bench holds a SafetyConfig and calls its methods.",
+	"planner.SafetyConfig.ReactionTime":  "Kept a field: the bench holds a SafetyConfig and calls its methods.",
+	"planner.SafetyConfig.MaxDSafe":      "Kept a field: the bench reads it.",
+	"planner.SafetyConfig.AccidentDelta": "Kept a field: the bench reads it.",
+	"detect.Config.Threshold":            "Kept a field: TestComponentsMatchReference and FuzzComponents run the detector at other thresholds.",
+	"detect.Config.MinArea":              "Kept a field: TestComponentsMatchReference and FuzzComponents run the detector at other minimum areas.",
+}
+
+// TestNoDefaultOnlyConfig fails on tuning that nothing varies: an
+// exported field without a struct tag of a struct type under internal/
+// whose name ends in Config, when every write of it in the non-test
+// files of the root and bench modules, if there is any, sits in a
+// function of the field's own package whose name contains Default. A
+// write is a keyed or positional composite-literal element, an
+// assignment, an increment or decrement, or taking the address, of the
+// field or of anything reached through it. A write of the enclosing
+// function's own parameter is the caller's write, so a Default
+// constructor that only passes a value through does not count. Such a
+// field is a constant in disguise; a field in defaultOnlyFields is
+// exempt and must say why in its doc.
+func TestNoDefaultOnlyConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	l := newLoader()
+	if err := l.addModule(".", modulePath, "bench"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.addModule("bench", benchModulePath, ""); err != nil {
+		t.Fatal(err)
+	}
+	type field struct {
+		name string
+		id   *ast.Ident
+		doc  *ast.CommentGroup
+	}
+	fields := map[*types.Var]*field{}
+	for _, path := range l.order {
+		pkg, err := l.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(path, modulePath+"/internal/") {
+			continue
+		}
+		for _, f := range l.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || !strings.HasSuffix(ts.Name.Name, "Config") {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fd := range st.Fields.List {
+					if fd.Tag != nil {
+						continue
+					}
+					for _, id := range fd.Names {
+						if id.IsExported() {
+							v := l.info.Defs[id].(*types.Var)
+							fields[v] = &field{pkg.Name() + "." + ts.Name.Name + "." + id.Name, id, fd.Doc}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// varied holds the fields that some write outside their package's
+	// Default functions sets.
+	varied := map[*types.Var]bool{}
+	for _, path := range l.order {
+		for _, f := range l.files[path] {
+			for _, decl := range f.Decls {
+				// inDefault marks a function whose name contains
+				// Default; params holds its parameters.
+				inDefault, params := false, map[types.Object]bool{}
+				if fd, ok := decl.(*ast.FuncDecl); ok && strings.Contains(fd.Name.Name, "Default") {
+					inDefault = true
+					for _, p := range fd.Type.Params.List {
+						for _, id := range p.Names {
+							params[l.info.Defs[id]] = true
+						}
+					}
+				}
+				// record notes a write of field fv with value v (nil
+				// when the write has none).
+				record := func(fv *types.Var, v ast.Expr) {
+					fv = fv.Origin()
+					own := inDefault && fv.Pkg().Path() == path
+					if id, ok := v.(*ast.Ident); ok && params[l.info.Uses[id]] {
+						own = false
+					}
+					if !own {
+						varied[fv] = true
+					}
+				}
+				// write records a write of every field along the
+				// selector path x.
+				write := func(x, v ast.Expr) {
+					for {
+						sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
+						if !ok {
+							return
+						}
+						if fv, ok := l.info.Uses[sel.Sel].(*types.Var); ok && fv.IsField() {
+							record(fv, v)
+						}
+						x = sel.X
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							var v ast.Expr
+							if len(n.Rhs) == len(n.Lhs) {
+								v = n.Rhs[i]
+							}
+							write(lhs, v)
+						}
+					case *ast.IncDecStmt:
+						write(n.X, nil)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X, nil)
+						}
+					case *ast.CompositeLit:
+						t := l.info.Types[n].Type
+						if p, ok := t.(*types.Pointer); ok {
+							t = p.Elem()
+						}
+						st, ok := t.Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								record(l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value)
+							} else {
+								record(st.Field(i), el)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var problems []string
+	kept := map[string]bool{}
+	for v, fd := range fields {
+		if varied[v] {
+			continue
+		}
+		if reason, ok := defaultOnlyFields[fd.name]; ok {
+			kept[fd.name] = true
+			if !strings.Contains(strings.Join(strings.Fields(fd.doc.Text()), " "), reason) {
+				problems = append(problems, fmt.Sprintf("%s: %s: doc comment lacks its reason %q", l.pos(fd.id), fd.name, reason))
+			}
+			continue
+		}
+		problems = append(problems, fmt.Sprintf("%s: nothing but its package's Default functions sets %s", l.pos(fd.id), fd.name))
+	}
+	for name := range defaultOnlyFields {
+		if !kept[name] {
+			problems = append(problems, fmt.Sprintf("defaultOnlyFields: %s is not a field only Default functions set", name))
+		}
+	}
+	slices.Sort(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
 // TestNoTestOnlyCode type-checks every non-test file of the root module
 // and of the bench module, as go/build selects them for this host, and
 // fails on any package-level function, method or type under internal/
