@@ -132,9 +132,9 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Local tracing: one root span covers the sweep; engine-job and
-	// sampled episode spans (with frame-stage breakdowns) nest under it
-	// via the engine's context.
+	// Local tracing: one root span covers the sweep; engine-job spans
+	// nest under it via the engine's context, and each episode annotates
+	// its job's span with its frame-stage breakdown.
 	if tracer != nil {
 		tid := trace.DeriveTraceID("robotack-campaign", *seed)
 		root := tracer.StartSpan(trace.SpanContext{Tracer: tracer, TraceID: tid},

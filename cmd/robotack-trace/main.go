@@ -1,9 +1,9 @@
 // Command robotack-trace inspects the span traces robotack-serve and
 // robotack-campaign record with -trace: deterministic, cross-process
 // traces that follow one campaign run from POST /runs through queue
-// wait, lease or local dispatch, the worker's engine, and — for
-// sampled episodes and slow exemplars — down to per-frame perception
-// stage timings.
+// wait, lease or local dispatch and the worker's engine down to every
+// episode's per-frame perception stage timings, which the episode
+// records on its engine-job span.
 //
 // Subcommands (all take the trace directory as their last argument):
 //
@@ -11,7 +11,7 @@
 //	tree          <dir>    render each trace's span tree (or one, with -trace)
 //	critical-path <dir>    the chain of last-finishing spans plus a breakdown:
 //	                       queue wait vs lease latency vs compute
-//	slowest       <dir>    the slowest episode spans with frame-stage breakdowns
+//	slowest       <dir>    the slowest episodes with frame-stage breakdowns
 //	chrome        <dir>    export Chrome trace_event JSON (load in chrome://tracing
 //	                       or https://ui.perfetto.dev)
 //
@@ -174,7 +174,7 @@ func runCriticalPath(args []string) error {
 
 func runSlowest(args []string) error {
 	fs := flag.NewFlagSet("slowest", flag.ContinueOnError)
-	n := fs.Int("n", 8, "how many episode spans to show")
+	n := fs.Int("n", 8, "how many episodes to show")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

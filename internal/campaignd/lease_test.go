@@ -254,11 +254,16 @@ func TestLeaseLocalSlotFirst(t *testing.T) {
 	}
 }
 
-// TestLeaseCompleteRejectsForeignCampaign: a lease holder's
-// POST /runs/{id}/complete may store an aggregate only under its own
-// job's campaign. A foreign name answers 400, stores nothing and leaves
-// the job running; the lease holder's own aggregate then completes it.
-func TestLeaseCompleteRejectsForeignCampaign(t *testing.T) {
+// completion is a 2-run DS-2 job named "own", leased to w1 on a
+// remote-only queue, for the POST /runs/{id}/complete tests.
+type completion struct {
+	t     *testing.T
+	url   string
+	id    int
+	store *results.MemStore
+}
+
+func newCompletion(t *testing.T) *completion {
 	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -270,46 +275,86 @@ func TestLeaseCompleteRejectsForeignCampaign(t *testing.T) {
 	if r := awaitReply(t, postLease(context.Background(), url, `{"worker":"w1"}`), 5*time.Second); r.status != http.StatusOK {
 		t.Fatalf("lease: status %d", r.status)
 	}
-	complete := func(name string) int {
-		t.Helper()
-		agg := results.NewCampaign(name, "DS-2", core.ModeSmart, true, 10)
-		raw, _ := json.Marshal(runq.CompleteRequest{Worker: "w1", Campaign: &agg})
-		resp, err := http.Post(fmt.Sprintf("%s/runs/%d/complete", url, st.ID), "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	campaigns := func() []string {
-		t.Helper()
-		recs, err := store.Campaigns()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, r := range recs {
-			names = append(names, r.Name)
-		}
-		return names
-	}
+	return &completion{t: t, url: url, id: st.ID, store: store}
+}
 
-	if got := complete("other"); got != http.StatusBadRequest {
-		t.Fatalf("complete with a foreign campaign: status %d, want 400", got)
+// aggregate folds runs episodes into an aggregate named name.
+func aggregate(name string, runs int) *results.CampaignRecord {
+	agg := results.NewCampaign(name, "DS-2", core.ModeSmart, true, 10)
+	for i := 0; i < runs; i++ {
+		agg.Fold(results.EpisodeRecord{Campaign: name, Index: i, Seed: 10 + int64(i), Scenario: "DS-2", Mode: core.ModeSmart})
 	}
-	if names := campaigns(); len(names) != 0 {
-		t.Fatalf("a refused complete stored campaigns %v", names)
+	return &agg
+}
+
+// complete posts w1's completion with agg (nil: none) and returns the
+// status.
+func (c *completion) complete(agg *results.CampaignRecord) int {
+	c.t.Helper()
+	raw, _ := json.Marshal(runq.CompleteRequest{Worker: "w1", Campaign: agg})
+	resp, err := http.Post(fmt.Sprintf("%s/runs/%d/complete", c.url, c.id), "application/json", bytes.NewReader(raw))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// refused posts a completion that must answer 400, store nothing and
+// leave the job running under w1's lease.
+func (c *completion) refused(what string, agg *results.CampaignRecord) {
+	c.t.Helper()
+	if got := c.complete(agg); got != http.StatusBadRequest {
+		c.t.Fatalf("complete %s: status %d, want 400", what, got)
+	}
+	if recs, _ := c.store.Campaigns(); len(recs) != 0 {
+		c.t.Fatalf("complete %s stored %d campaigns", what, len(recs))
 	}
 	var cur RunStatus
-	getJSON(t, fmt.Sprintf("%s/runs/%d", url, st.ID), &cur)
+	getJSON(c.t, fmt.Sprintf("%s/runs/%d", c.url, c.id), &cur)
 	if cur.State != "running" || cur.Worker != "w1" {
-		t.Fatalf("run after a refused complete = %+v, want running on w1", cur)
+		c.t.Fatalf("run after a refused complete %s = %+v, want running on w1", what, cur)
 	}
-	if got := complete("own"); got != http.StatusOK {
-		t.Fatalf("complete with the job's campaign: status %d, want 200", got)
+}
+
+// accepted posts the job's own full aggregate, which completes it.
+func (c *completion) accepted() {
+	c.t.Helper()
+	if got := c.complete(aggregate("own", 2)); got != http.StatusOK {
+		c.t.Fatalf("complete with the job's aggregate: status %d, want 200", got)
 	}
-	getJSON(t, fmt.Sprintf("%s/runs/%d", url, st.ID), &cur)
-	if names := campaigns(); cur.State != "done" || len(names) != 1 || names[0] != "own" {
-		t.Fatalf("after the lease holder's complete: state %q, campaigns %v", cur.State, names)
+	var cur RunStatus
+	getJSON(c.t, fmt.Sprintf("%s/runs/%d", c.url, c.id), &cur)
+	recs, _ := c.store.Campaigns()
+	if cur.State != "done" || len(recs) != 1 || recs[0].Name != "own" || recs[0].Runs != 2 {
+		c.t.Fatalf("after the lease holder's complete: state %q, campaigns %+v", cur.State, recs)
 	}
+}
+
+// TestLeaseCompleteRejectsForeignCampaign: a lease holder's
+// POST /runs/{id}/complete may store an aggregate only under its own
+// job's campaign. A foreign name answers 400, stores nothing and leaves
+// the job running; the lease holder's own aggregate then completes it.
+func TestLeaseCompleteRejectsForeignCampaign(t *testing.T) {
+	c := newCompletion(t)
+	c.refused("with a foreign campaign", aggregate("other", 2))
+	c.accepted()
+}
+
+// TestLeaseCompleteRequiresAggregate: a completion without an aggregate
+// would end the job done with nothing stored; it answers 400 and the
+// job stays running.
+func TestLeaseCompleteRequiresAggregate(t *testing.T) {
+	c := newCompletion(t)
+	c.refused("without an aggregate", nil)
+	c.accepted()
+}
+
+// TestLeaseCompleteRejectsRunCountMismatch: the aggregate must fold
+// exactly the job's runs, no fewer and no more.
+func TestLeaseCompleteRejectsRunCountMismatch(t *testing.T) {
+	c := newCompletion(t)
+	c.refused("with 1 of 2 runs", aggregate("own", 1))
+	c.refused("with 3 of 2 runs", aggregate("own", 3))
+	c.accepted()
 }

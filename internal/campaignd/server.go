@@ -26,6 +26,7 @@ import (
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/obs"
+	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/runq"
 )
@@ -660,10 +661,12 @@ func (s *Server) handleWorkerEpisodes(w http.ResponseWriter, r *http.Request) {
 
 // handleWorkerSpans ingests a traced job's forwarded worker spans into
 // the server's trace sink, so one sink holds the whole cross-process
-// trace. The lease gates who may post; the trace-ID check gates what —
-// a worker's spans can only land on its own job's trace. Spans are
-// observability, not results: with tracing off server-side they are
-// accepted and dropped.
+// trace. The lease gates who may post; the checks gate what — a
+// worker's spans can only land on its own job's trace, and only within
+// trace.CheckBounds, beyond which one record would make the sink's
+// directory unreadable. A batch with one bad span is refused whole.
+// Spans are observability, not results: with tracing off server-side
+// they are accepted and dropped.
 func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
 	id, ok := runID(w, r)
 	if !ok {
@@ -690,7 +693,13 @@ func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
 					"span %s is for trace %s, job %d traces %s", sp.SpanID, sp.TraceID, id, job.Trace.TraceID)
 				return
 			}
-			tr.Emit(sp) // Service stays the worker's name
+			if err := trace.CheckBounds(uint64(len(sp.Stages)), uint64(len(sp.Attrs))); err != nil {
+				writeError(w, http.StatusBadRequest, "span %s: %v", sp.SpanID, err)
+				return
+			}
+		}
+		for i := range req.Spans {
+			tr.Emit(&req.Spans[i]) // Service stays the worker's name
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
@@ -698,7 +707,9 @@ func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
 
 // handleComplete stores a worker's campaign aggregate and completes
 // its job. As for episodes, the lease gates who may complete and the
-// job gates what: the aggregate must be the job's own campaign.
+// job gates what: the aggregate is required, and it must be the job's
+// own campaign over all of the job's runs. A refused completion leaves
+// the job running under its lease.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	id, ok := runID(w, r)
 	if !ok {
@@ -712,20 +723,26 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		workerError(w, err)
 		return
 	}
-	if req.Campaign != nil {
-		job, ok := s.queue.Get(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no run %d", id)
-			return
-		}
-		if name := job.Request.RecordName(); req.Campaign.Name != name {
-			writeError(w, http.StatusBadRequest, "aggregate is for campaign %q, job %d writes %q", req.Campaign.Name, id, name)
-			return
-		}
-		if err := s.store.PutCampaign(*req.Campaign); err != nil {
-			writeError(w, http.StatusInternalServerError, "store aggregate: %v", err)
-			return
-		}
+	job, ok := s.queue.Get(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no run %d", id)
+		return
+	}
+	agg := req.Campaign
+	switch name := job.Request.RecordName(); {
+	case agg == nil:
+		writeError(w, http.StatusBadRequest, "completion of job %d carries no aggregate", id)
+		return
+	case agg.Name != name:
+		writeError(w, http.StatusBadRequest, "aggregate is for campaign %q, job %d writes %q", agg.Name, id, name)
+		return
+	case agg.Runs != job.Total:
+		writeError(w, http.StatusBadRequest, "aggregate folds %d runs, job %d has %d", agg.Runs, id, job.Total)
+		return
+	}
+	if err := s.store.PutCampaign(*agg); err != nil {
+		writeError(w, http.StatusInternalServerError, "store aggregate: %v", err)
+		return
 	}
 	if err := s.queue.Complete(id, req.Worker); err != nil {
 		workerError(w, err)

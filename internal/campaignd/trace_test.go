@@ -92,7 +92,7 @@ func TestLeaseCarriesTraceHeaders(t *testing.T) {
 		TraceID: lease.Job.Trace.TraceID,
 		SpanID:  trace.ID(trace.DeriveSpanID(wantTID, 1, trace.StreamWorkerJob)),
 		Parent:  trace.ID(gotSpan),
-		Name:    "worker-job", Service: "w1", Start: 1, Dur: 2, Sampled: true,
+		Name:    "worker-job", Service: "w1", Start: 1, Dur: 2,
 	}
 	spansPath := fmt.Sprintf("/runs/%d/spans", st.ID)
 
@@ -121,13 +121,79 @@ func TestLeaseCarriesTraceHeaders(t *testing.T) {
 	}
 }
 
+// TestLeaseSpansOutOfBoundsRefused: a forwarded span with more stages
+// or attributes than a segment record holds would make the trace
+// directory unreadable, since the decoder refuses the whole segment. The
+// endpoint answers 400 for a batch holding one, writes none of that
+// batch, and the directory still reads afterwards.
+func TestLeaseSpansOutOfBoundsRefused(t *testing.T) {
+	dir := t.TempDir()
+	sink, err := trace.NewFileSink(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := trace.New("serve", sink)
+	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(5*time.Second), runq.WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Shutdown(context.Background())
+	url := newTestServerFrom(t, New(results.NewMemStore(), WithQueue(q))).URL
+	st := postRun(t, url, `{"scenario":"DS-2","mode":"smart","name":"bounded","runs":2,"seed":10}`)
+	r := awaitReply(t, postLease(context.Background(), url, `{"worker":"w1"}`), 5*time.Second)
+	if r.status != http.StatusOK {
+		t.Fatalf("lease: status %d", r.status)
+	}
+	tid := r.lease.Job.Trace.TraceID
+	span := func(key uint64, stages, attrs int) trace.SpanData {
+		return trace.SpanData{TraceID: tid, SpanID: trace.ID(trace.DeriveSpanID(uint64(tid), key, trace.StreamEngineJob)),
+			Name: "engine-job", Service: "w1", Start: 1, Dur: 2,
+			Stages: make([]int64, stages), Attrs: make([]trace.Attr, attrs)}
+	}
+	post := func(spans ...trace.SpanData) int {
+		t.Helper()
+		raw, _ := json.Marshal(runq.SpansRequest{Worker: "w1", Spans: spans})
+		resp, err := http.Post(fmt.Sprintf("%s/runs/%d/spans", url, st.ID), "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(span(1, 1, 0), span(2, trace.MaxStages+1, 0), span(3, 1, 0)); got != http.StatusBadRequest {
+		t.Errorf("batch with a %d-stage span: status %d, want 400", trace.MaxStages+1, got)
+	}
+	if got := post(span(4, 0, 65)); got != http.StatusBadRequest {
+		t.Errorf("span with 65 attrs: status %d, want 400", got)
+	}
+	if got := post(span(5, trace.MaxStages, 64)); got != http.StatusOK {
+		t.Errorf("span at the bounds: status %d, want 200", got)
+	}
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := trace.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("trace directory unreadable after the refused spans: %v", err)
+	}
+	var workerSpans []trace.ID
+	for _, sp := range spans {
+		if sp.Service == "w1" {
+			workerSpans = append(workerSpans, sp.SpanID)
+		}
+	}
+	if want := span(5, 0, 0).SpanID; len(workerSpans) != 1 || workerSpans[0] != want {
+		t.Errorf("worker spans in the directory %v, want only the accepted %s", workerSpans, want)
+	}
+}
+
 // TestWorkerTraceContinuity is the cross-process tracing proof: a real
 // runq.Worker executes a traced job against the service, and the
 // server's single sink ends up holding one trace whose spans cross the
-// process boundary — queue spans from the "serve" side, worker-job/
-// engine-job/episode spans from the worker — all under the same
-// deterministic trace ID, with the lease-protocol headers present on
-// the worker's requests.
+// process boundary — queue spans from the "serve" side, the worker-job
+// span and one engine-job span per episode, annotated by it, from the
+// worker — all under the same deterministic trace ID, with the
+// lease-protocol headers present on the worker's requests.
 func TestWorkerTraceContinuity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -190,10 +256,25 @@ func TestWorkerTraceContinuity(t *testing.T) {
 		}
 		names[sp.Name]++
 	}
-	for _, want := range []string{"run", "queue-wait", "lease", "worker-job", "engine-job", "episode"} {
+	for _, want := range []string{"run", "queue-wait", "lease", "worker-job", "engine-job"} {
 		if names[want] == 0 {
 			t.Errorf("trace has no %q span (have %v)", want, names)
 		}
+	}
+	if names["episode"] != 0 {
+		t.Errorf("trace has %d separate episode spans; episodes annotate their engine-job spans", names["episode"])
+	}
+	// Both episodes of the job (seeds 300 and 301) are annotated
+	// engine-job spans under the worker's job span.
+	workerJob := trace.ID(trace.DeriveSpanID(uint64(wantTID), 1, trace.StreamWorkerJob))
+	seeds := map[int64]bool{}
+	for _, sp := range tr.Spans {
+		if sp.Name == "engine-job" && sp.Parent == workerJob && sp.Episode() && sp.SampledFrames > 0 && len(sp.Stages) > 0 {
+			seeds[sp.Seed] = true
+		}
+	}
+	if len(seeds) != 2 || !seeds[300] || !seeds[301] {
+		t.Errorf("annotated engine-job spans under worker-job carry seeds %v, want 300 and 301", seeds)
 	}
 	if tr.Root == nil || tr.Root.Name != "run" {
 		t.Error("root span missing or not the run span")
@@ -206,8 +287,8 @@ func TestWorkerTraceContinuity(t *testing.T) {
 		t.Errorf("critical path too shallow: %d nodes", len(path))
 	}
 	bd := trace.Summarize(tr)
-	if bd.Exec <= 0 || bd.Episodes == 0 {
-		t.Errorf("breakdown missing exec/episodes: %+v", bd)
+	if bd.Exec <= 0 || bd.Episodes != 2 {
+		t.Errorf("breakdown missing exec or not counting 2 episodes: %+v", bd)
 	}
 
 	// Header continuity: the worker's in-run requests carried the job's

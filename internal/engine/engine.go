@@ -184,7 +184,10 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 	// Trace context, resolved once per batch: when the engine's context
 	// carries an active span (the lease or worker-job span), every job
 	// gets its own child span whose ID derives from the job's seed — so
-	// reruns of the same campaign produce identical span IDs.
+	// reruns of the same campaign produce identical span IDs. The span
+	// carries the seed and is the job context's live span, which an
+	// episode run as the job annotates (trace.SpanFromContext); the
+	// engine finishes it when the job returns.
 	sc, traced := trace.FromContext(e.ctx)
 
 	idx := make(chan int)
@@ -221,6 +224,7 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 				if traced {
 					sp = sc.Tracer.StartSpan(sc, "engine-job",
 						trace.DeriveSpanID(sc.TraceID, uint64(seed), trace.StreamEngineJob))
+					sp.SetSeed(seed)
 					runCtx = sp.Context(jobCtx)
 				}
 				v, err := jobs[i](runCtx, seed)

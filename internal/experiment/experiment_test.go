@@ -414,11 +414,14 @@ func TestBatchedCampaignBitIdentical(t *testing.T) {
 // TestCampaignTracesInert: span tracing never feeds back into results —
 // the same campaign persists byte-identical episode and aggregate
 // records with tracing off and on, even while the traced run writes
-// real spans through the durable binary sink.
+// real spans through the durable binary sink. Those spans are one per
+// engine job, each annotated by its episode: its seed, its frames and
+// its stage latencies, and no separate episode span.
 func TestCampaignTracesInert(t *testing.T) {
 	c := Campaign{Name: "traced-inert", Scenario: scenario.DS2, Mode: core.ModeSmart,
 		PreferDisappearFor: sim.ClassPedestrian, ExpectCrashes: true}
 
+	const runs = 8
 	runOnce := func(traced bool) []byte {
 		t.Helper()
 		ctx := context.Background()
@@ -430,18 +433,20 @@ func TestCampaignTracesInert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Sample 1-in-2 so both the annotated and the exemplar
-			// episode paths execute.
-			tr = trace.New("test", sink, trace.WithSampleEvery(2))
+			tr = trace.New("test", sink)
 			tid := trace.DeriveTraceID("traced-inert", 500)
 			ctx = trace.NewContext(ctx, trace.SpanContext{
 				Tracer: tr, TraceID: tid, SpanID: trace.DeriveSpanID(tid, 0, trace.StreamRun)})
 		}
 		mem := results.NewMemStore()
 		res, err := RunCampaignOn(engine.New(engine.WithWorkers(4), engine.WithContext(ctx)),
-			c, 8, 500, nil, WithSink(mem))
+			c, runs, 500, nil, WithSink(mem))
 		if err != nil {
 			t.Fatalf("traced=%v: %v", traced, err)
+		}
+		eps, err := mem.Episodes("traced-inert")
+		if err != nil {
+			t.Fatal(err)
 		}
 		if traced {
 			if err := tr.Close(); err != nil {
@@ -451,13 +456,21 @@ func TestCampaignTracesInert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(spans) == 0 {
-				t.Fatal("traced run emitted no spans; the inertness claim would be vacuous")
+			if len(spans) != runs {
+				t.Fatalf("traced run emitted %d spans, want one engine-job span per episode (%d)", len(spans), runs)
 			}
-		}
-		eps, err := mem.Episodes("traced-inert")
-		if err != nil {
-			t.Fatal(err)
+			frames := make(map[int64]int, len(eps))
+			for _, ep := range eps {
+				frames[ep.Seed] = ep.Frames
+			}
+			for _, sp := range spans {
+				f, ok := frames[sp.Seed]
+				delete(frames, sp.Seed)
+				if sp.Name != "engine-job" || !ok || int(sp.Frames) != f || sp.SampledFrames == 0 || len(sp.Stages) == 0 {
+					t.Errorf("span %s %+v is not the engine-job span of one episode, annotated with its seed, its %d frames and its stages",
+						sp.Name, sp, f)
+				}
+			}
 		}
 		raw, err := json.Marshal(struct {
 			Result   CampaignResult

@@ -2,8 +2,8 @@ package experiment
 
 // Frame-pipeline instrumentation. Each perception stage of the Fig. 1
 // loop gets a latency histogram series (stage label), plus frame and
-// episode throughput counters; when the episode runs under an active
-// trace span, the same clock reads also accumulate into the span's
+// episode throughput counters; when the episode runs as a traced
+// engine job, the same clock reads also accumulate into the job span's
 // per-stage slots. Recording is observational only: it reads the wall
 // clock and bumps atomics, and never touches seeds, RNG streams or
 // result fields, so instrumented campaigns are bit-identical to
@@ -76,8 +76,8 @@ func (s *Scratch) frameObsHandles() *frameObs {
 
 // stageClock times consecutive stages within one sampled frame: each
 // tick observes the span since the previous tick into the stage's
-// histogram and into the episode span's stage slot (when the frame is
-// span-annotated), then restarts. The zero clock, on unsampled frames,
+// histogram and into the job span's stage slot (when the episode is
+// traced), then restarts. The zero clock, on unsampled frames,
 // is free — every tick is a branch.
 type stageClock struct {
 	t  time.Time

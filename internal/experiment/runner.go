@@ -157,6 +157,8 @@ type Episode struct {
 	recycle bool
 
 	// Observation only (see obs.go): never read back by the episode.
+	// sp is the span of the engine job the episode runs as, nil when
+	// untraced; its owner finishes it.
 	fo *frameObs
 	sp *trace.Span
 
@@ -174,7 +176,9 @@ type Episode struct {
 // resets s's pipeline, LiDAR, planner and, for an attack, malware, each
 // on its stream derived from cfg.Seed. The Episode is s's own, so a
 // pooled episode allocates nothing new. Step checks ctx before every
-// 16th frame, and a trace span context in ctx gives the episode a span.
+// 16th frame. When ctx carries a live trace span, the engine job's span
+// for an episode run as an engine job, the episode annotates it with
+// its frames and stage latencies; it never finishes it.
 func (s *Scratch) Start(ctx context.Context, cfg RunConfig) (*Episode, error) {
 	scn, err := scenario.InstantiateSource(cfg.source(), &s.arena, reseed(&s.scnRNG, cfg.Seed))
 	if err != nil {
@@ -217,9 +221,7 @@ func (s *Scratch) Start(ctx context.Context, cfg RunConfig) (*Episode, error) {
 	// (TestNoTestOnlyCode), and the episode is bit-identical with
 	// tracing on, off, or absent (TestCampaignTracesInert).
 	e.fo = s.frameObsHandles()
-	if sc, ok := trace.FromContext(ctx); ok {
-		e.sp = sc.Tracer.StartEpisode(sc, cfg.Seed)
-	}
+	e.sp = trace.SpanFromContext(ctx)
 
 	e.res.MinDelta = e.safety.MaxDSafe
 	if e.recycle {
@@ -293,15 +295,13 @@ func (e *Episode) Step() bool {
 	return true
 }
 
-// finish ends the episode: the scratch gets its trace array back, the
-// span finishes, and an episode that ran to its end has its outcome
-// settled.
+// finish ends the episode: the scratch gets its trace array back, and
+// an episode that ran to its end has its outcome settled.
 func (e *Episode) finish() {
 	e.over = true
 	if e.recycle {
 		e.s.trace = e.res.DeltaTrace
 	}
-	e.sp.Finish()
 	if e.err != nil {
 		return
 	}

@@ -44,8 +44,8 @@ func (f *Flags) RegisterFTDC(fs *flag.FlagSet) {
 }
 
 // RegisterTrace adds -trace: a span-segment ring capped at
-// trace.DefaultCapBytes, with episode spans sampled 1 in
-// trace.DefaultSampleEvery.
+// trace.DefaultCapBytes. Every episode is recorded: it annotates its
+// engine job's span with its frames and stage latencies.
 func (f *Flags) RegisterTrace(fs *flag.FlagSet) {
 	fs.StringVar(&f.traceDir, "trace", "", "directory for span-trace segments (inspect with robotack-trace); empty: tracing off")
 }

@@ -12,7 +12,8 @@ import (
 // The analysis layer behind cmd/robotack-trace: group a sink's spans
 // into traces, render trees, walk the critical path, rank the slowest
 // episodes, and export Chrome trace_event JSON. Pure functions over
-// []SpanData so they are testable without a fleet.
+// []SpanData so they are testable without a fleet. An episode is the
+// engine-job span it annotated (SpanData.Episode).
 
 // Trace is one trace's spans, start-ordered, with the root resolved.
 type Trace struct {
@@ -130,8 +131,8 @@ func FormatList(w io.Writer, traces []*Trace) {
 }
 
 // FormatTree renders the trace as an indented span tree. Spans whose
-// parent never reached the sink (unsampled episodes' children, a
-// fragment trace) are rendered as extra roots.
+// parent never reached the sink (a fragment trace, a parent the ring
+// cap dropped) are rendered as extra roots.
 func FormatTree(w io.Writer, t *Trace, stageNames []string) {
 	kids := t.children()
 	have := make(map[ID]bool, len(t.Spans))
@@ -145,14 +146,11 @@ func FormatTree(w io.Writer, t *Trace, stageNames []string) {
 		for _, a := range d.Attrs {
 			fmt.Fprintf(w, " %s=%s", a.Key, a.Value)
 		}
-		if d.Name == "episode" {
+		if d.Episode() {
 			fmt.Fprintf(w, " seed=%d frames=%d", d.Seed, d.Frames)
-			if d.Exemplar {
-				fmt.Fprint(w, " exemplar")
-			}
 		}
 		fmt.Fprintln(w)
-		if d.Name == "episode" && len(d.Stages) > 0 {
+		if d.Episode() && len(d.Stages) > 0 {
 			fmt.Fprintf(w, "%s  stages: %s\n", indent, formatStages(d, stageNames))
 		}
 		for _, c := range kids[d.SpanID] {
@@ -248,7 +246,7 @@ type Breakdown struct {
 	LeaseLatency time.Duration // lease grant → worker-job start, per remote attempt
 	Compute      time.Duration // sum of engine-job spans (CPU-side wall)
 	EngineJobs   int
-	Episodes     int           // episode spans that reached the sink
+	Episodes     int           // engine-job spans an episode annotated
 	EpisodeTime  time.Duration // their summed duration
 	Stages       []int64       // summed estimated stage nanoseconds
 }
@@ -281,7 +279,8 @@ func Summarize(t *Trace) Breakdown {
 		case "engine-job":
 			b.Compute += time.Duration(d.Dur)
 			b.EngineJobs++
-		case "episode":
+		}
+		if d.Episode() {
 			b.Episodes++
 			b.EpisodeTime += time.Duration(d.Dur)
 			scale := 1.0
@@ -360,14 +359,13 @@ func FormatCriticalPath(w io.Writer, t *Trace, stageNames []string) {
 	}
 }
 
-// Slowest returns the n slowest episode spans across all traces,
-// slowest first — the sampled ones plus the exemplars that were
-// retained precisely because they were slow.
+// Slowest returns the n slowest episodes' spans across all traces,
+// slowest first.
 func Slowest(traces []*Trace, n int) []SpanData {
 	var eps []SpanData
 	for _, t := range traces {
 		for i := range t.Spans {
-			if t.Spans[i].Name == "episode" {
+			if t.Spans[i].Episode() {
 				eps = append(eps, t.Spans[i])
 			}
 		}
@@ -383,12 +381,8 @@ func Slowest(traces []*Trace, n int) []SpanData {
 // breakdowns.
 func FormatSlowest(w io.Writer, traces []*Trace, n int, stageNames []string) {
 	for _, d := range Slowest(traces, n) {
-		kind := "sampled"
-		if d.Exemplar {
-			kind = "exemplar"
-		}
-		fmt.Fprintf(w, "episode seed=%d dur=%s frames=%d service=%s trace=%s %s\n",
-			d.Seed, time.Duration(d.Dur).Round(time.Microsecond), d.Frames, d.Service, d.TraceID, kind)
+		fmt.Fprintf(w, "episode seed=%d dur=%s frames=%d service=%s trace=%s\n",
+			d.Seed, time.Duration(d.Dur).Round(time.Microsecond), d.Frames, d.Service, d.TraceID)
 		if len(d.Stages) > 0 {
 			fmt.Fprintf(w, "  stages: %s\n", formatStages(&d, stageNames))
 		}
@@ -450,12 +444,9 @@ func WriteChrome(w io.Writer, spans []SpanData) error {
 		lanes[tid] = d.End()
 		laneEnds[d.Service] = lanes
 		args := map[string]any{"trace": d.TraceID.String()}
-		if d.Name == "episode" {
+		if d.Episode() {
 			args["seed"] = d.Seed
 			args["frames"] = d.Frames
-			if d.Exemplar {
-				args["exemplar"] = true
-			}
 		}
 		for _, a := range d.Attrs {
 			args[a.Key] = a.Value

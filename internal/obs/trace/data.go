@@ -47,16 +47,16 @@ func ParseID(s string) (ID, error) {
 // FormatTraceparent renders the W3C-style traceparent header the lease
 // protocol carries: version 00, the 128-bit trace-id field holding our
 // 64-bit trace ID zero-padded, the parent span ID, and the sampled
-// flag always set (sampling here is per-episode, decided downstream).
+// flag always set (a traced run records every span).
 func FormatTraceparent(traceID, spanID uint64) string {
 	return fmt.Sprintf("00-%032x-%016x-01", traceID, spanID)
 }
 
 // SpanData is one completed span — the unit the sinks persist and the
 // worker protocol forwards. Durations and timestamps are nanoseconds;
-// Stages holds per-frame-stage accumulated latency for episode spans
-// (indexed by the caller's stage constants, perception.Stage* for the
-// frame loop).
+// Stages holds per-frame-stage accumulated latency for a span an
+// episode annotated (indexed by the caller's stage constants,
+// perception.Stage* for the frame loop).
 type SpanData struct {
 	TraceID ID     `json:"trace"`
 	SpanID  ID     `json:"span"`
@@ -66,14 +66,11 @@ type SpanData struct {
 	Start   int64  `json:"start_ns"`
 	Dur     int64  `json:"dur_ns"`
 
-	// Episode fields.
+	// Engine-job fields: the job's seed and, when the job ran an
+	// episode, its frames (Episode).
 	Seed          int64 `json:"seed,omitempty"`
 	Frames        int32 `json:"frames,omitempty"`
 	SampledFrames int32 `json:"sampled_frames,omitempty"`
-	Sampled       bool  `json:"sampled,omitempty"`
-	// Exemplar marks a span that escaped sampling by being one of the
-	// slowest episodes its tracer saw.
-	Exemplar bool `json:"exemplar,omitempty"`
 
 	Stages []int64 `json:"stages,omitempty"`
 	Attrs  []Attr  `json:"attrs,omitempty"`
@@ -81,6 +78,10 @@ type SpanData struct {
 
 // End is the span's end timestamp in nanoseconds.
 func (d *SpanData) End() int64 { return d.Start + d.Dur }
+
+// Episode reports whether an episode annotated the span: a job span
+// that ran an episode counts its frames, any other span has none.
+func (d *SpanData) Episode() bool { return d.Frames > 0 }
 
 // Attr returns the named attribute's value ("" when absent).
 func (d *SpanData) Attr(key string) string {

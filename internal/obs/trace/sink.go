@@ -55,8 +55,10 @@ func (c *CollectSink) Spans() []SpanData {
 // died mid-write) costs at most the final record; decode stops cleanly
 // at the tear.
 
-// fileMagic opens every segment file.
-const fileMagic = "robotack-trace\x01"
+// fileMagic opens every segment file. Its last byte is the record
+// format's version, so a reader refuses a segment of another version
+// (bad magic) instead of misparsing its records.
+const fileMagic = "robotack-trace\x02"
 
 // DefaultSegmentBytes is the segment roll threshold.
 const DefaultSegmentBytes = 4 << 20
@@ -75,11 +77,14 @@ type FileSink struct {
 	capBytes int64
 
 	mu      sync.Mutex
-	f       *os.File
+	f       *os.File // the active segment, nil once closed
 	w       *bufio.Writer
 	seq     int
 	written int64
 	scratch []byte
+	// err is the first write or roll error. It breaks the sink: later
+	// spans are dropped, and Close returns it.
+	err error
 }
 
 // SinkOption configures a FileSink.
@@ -164,13 +169,20 @@ func (s *FileSink) openSegmentLocked() error {
 	}
 	s.f = f
 	s.w = bufio.NewWriter(f)
-	if _, err := s.w.WriteString(fileMagic); err != nil {
-		f.Close()
-		return err
-	}
+	s.w.WriteString(fileMagic) // fits the empty buffer; Flush reports any error
 	s.written = int64(len(fileMagic))
 	s.seq++
 	return nil
+}
+
+// closeSegmentLocked flushes and closes the active segment.
+func (s *FileSink) closeSegmentLocked() error {
+	err := s.w.Flush()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	s.f, s.w = nil, nil
+	return err
 }
 
 // enforceCapLocked deletes oldest segments while the directory exceeds
@@ -197,58 +209,44 @@ func (s *FileSink) enforceCapLocked() error {
 }
 
 // Emit implements Sink: encode, append, roll the segment when full.
-// Errors are swallowed after marking the sink broken — tracing must
-// never take the serving path down with it.
+// Tracing must never take the serving path down with it, so Emit
+// reports nothing: its first error breaks the sink, and Close returns
+// it.
 func (s *FileSink) Emit(d *SpanData) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
+	if s.err != nil || s.f == nil {
 		return
 	}
 	s.scratch = appendSpan(s.scratch[:0], d)
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(s.scratch)))
-	if _, err := s.w.Write(lenBuf[:n]); err != nil {
-		s.w = nil
+	if _, s.err = s.w.Write(lenBuf[:n]); s.err != nil {
 		return
 	}
-	if _, err := s.w.Write(s.scratch); err != nil {
-		s.w = nil
+	if _, s.err = s.w.Write(s.scratch); s.err != nil {
 		return
 	}
 	s.written += int64(n + len(s.scratch))
 	if s.written >= s.segBytes {
-		s.w.Flush()
-		s.f.Close()
-		if err := s.openSegmentLocked(); err != nil {
-			s.w = nil
+		if s.err = s.closeSegmentLocked(); s.err == nil {
+			s.err = s.openSegmentLocked()
 		}
 	}
 }
 
-// Close flushes and closes the active segment.
+// Close flushes and closes the active segment. It returns the sink's
+// first error: a failed write or roll, or this flush and close.
 func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
+	if s.f != nil {
+		if err := s.closeSegmentLocked(); s.err == nil {
+			s.err = err
+		}
 	}
-	var err error
-	if s.w != nil {
-		err = s.w.Flush()
-	}
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f, s.w = nil, nil
-	return err
+	return s.err
 }
-
-// Span flags in the binary record.
-const (
-	flagSampled  = 1 << 0
-	flagExemplar = 1 << 1
-)
 
 // appendSpan encodes d onto buf.
 func appendSpan(buf []byte, d *SpanData) []byte {
@@ -262,14 +260,6 @@ func appendSpan(buf []byte, d *SpanData) []byte {
 	buf = binary.AppendVarint(buf, d.Seed)
 	buf = binary.AppendUvarint(buf, uint64(d.Frames))
 	buf = binary.AppendUvarint(buf, uint64(d.SampledFrames))
-	var flags byte
-	if d.Sampled {
-		flags |= flagSampled
-	}
-	if d.Exemplar {
-		flags |= flagExemplar
-	}
-	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(d.Stages)))
 	for _, v := range d.Stages {
 		buf = binary.AppendVarint(buf, v)
@@ -320,19 +310,6 @@ func (c *cursor) varint() int64 {
 	return v
 }
 
-func (c *cursor) byte() byte {
-	if c.err != nil {
-		return 0
-	}
-	if c.off >= len(c.b) {
-		c.err = fmt.Errorf("trace: truncated record")
-		return 0
-	}
-	v := c.b[c.off]
-	c.off++
-	return v
-}
-
 func (c *cursor) str() string {
 	n := int(c.uvarint())
 	if c.err != nil {
@@ -345,6 +322,25 @@ func (c *cursor) str() string {
 	s := string(c.b[c.off : c.off+n])
 	c.off += n
 	return s
+}
+
+// maxRecordAttrs bounds a record's attributes. A live span keeps at
+// most maxAttrs, but Emit writes whatever a SpanData carries.
+const maxRecordAttrs = 64
+
+// CheckBounds reports whether a span with the given numbers of stages
+// and attributes fits a segment record: at most MaxStages and 64. The
+// decoder refuses a record beyond them, and with it the whole segment,
+// so a writer of spans from elsewhere (the worker-span endpoint) must
+// refuse such a span first.
+func CheckBounds(stages, attrs uint64) error {
+	if stages > MaxStages {
+		return fmt.Errorf("trace: record claims %d stages", stages)
+	}
+	if attrs > maxRecordAttrs {
+		return fmt.Errorf("trace: record claims %d attrs", attrs)
+	}
+	return nil
 }
 
 // decodeSpan decodes one record payload.
@@ -361,12 +357,9 @@ func decodeSpan(b []byte) (SpanData, error) {
 	d.Seed = c.varint()
 	d.Frames = int32(c.uvarint())
 	d.SampledFrames = int32(c.uvarint())
-	flags := c.byte()
-	d.Sampled = flags&flagSampled != 0
-	d.Exemplar = flags&flagExemplar != 0
 	if n := c.uvarint(); n > 0 && c.err == nil {
-		if n > MaxStages {
-			return d, fmt.Errorf("trace: record claims %d stages", n)
+		if err := CheckBounds(n, 0); err != nil {
+			return d, err
 		}
 		d.Stages = make([]int64, n)
 		for i := range d.Stages {
@@ -374,8 +367,8 @@ func decodeSpan(b []byte) (SpanData, error) {
 		}
 	}
 	if n := c.uvarint(); n > 0 && c.err == nil {
-		if n > 64 {
-			return d, fmt.Errorf("trace: record claims %d attrs", n)
+		if err := CheckBounds(0, n); err != nil {
+			return d, err
 		}
 		d.Attrs = make([]Attr, n)
 		for i := range d.Attrs {

@@ -7,10 +7,11 @@
 // span when the run is submitted, runq records queue-wait, dispatch/
 // lease, heartbeat and requeue spans, robotack-worker continues the
 // trace across the process boundary (the lease protocol carries
-// traceparent-style headers), the engine emits one span per job, and
-// the experiment runner emits sampled per-episode spans annotated with
+// traceparent-style headers), and the engine emits one span per job.
+// An episode annotates its engine job's span with its frame counts and
 // the frame-stage latencies the perception.Stage* instrumentation
-// points already time.
+// points already time, so every episode of a traced campaign reaches
+// the sink.
 //
 // Determinism is the same contract the engine makes: every trace and
 // span ID is derived with a SplitMix64 finalizer from values that are
@@ -52,7 +53,7 @@ func DeriveTraceID(name string, seed int64) uint64 {
 }
 
 // Streams partition the span-ID space so spans keyed by the same value
-// (a job's attempt number, an episode's seed) cannot collide across
+// (a job's attempt number, an engine job's seed) cannot collide across
 // span kinds. Both ends of the lease protocol derive the same IDs from
 // the same (traceID, key, stream) triple — that is what lets a worker
 // parent its spans under the server's lease span without the server
@@ -65,33 +66,17 @@ const (
 	StreamRequeue
 	StreamWorkerJob
 	StreamEngineJob
-	StreamEpisode
 )
 
 // DeriveSpanID derives a deterministic span ID within a trace. key is
 // the span's natural identity in its stream: the lease attempt for
-// queue spans, the derived episode seed for episode spans. Never zero.
+// queue spans, the derived job seed for engine-job spans. Never zero.
 func DeriveSpanID(traceID, key, stream uint64) uint64 {
 	id := splitmix(traceID ^ splitmix(key*0x9e3779b97f4a7c15^stream))
 	if id == 0 {
 		id = 1
 	}
 	return id
-}
-
-// sampleSalt decorrelates the sampling decision from the span-ID
-// derivation so "every Nth span" is not systematically aligned with
-// any seed pattern.
-const sampleSalt = 0x5bd1e995
-
-// SampleDecision reports whether a span with the given ID is sampled
-// at rate 1-in-n. The decision is a pure function of (spanID, n), so
-// the same episodes are sampled on every rerun — and on every worker.
-func SampleDecision(spanID, n uint64) bool {
-	if n <= 1 {
-		return true
-	}
-	return splitmix(spanID^sampleSalt)%n == 0
 }
 
 // SpanContext carries the active trace through context.Context and
@@ -101,6 +86,10 @@ type SpanContext struct {
 	Tracer  *Tracer
 	TraceID uint64
 	SpanID  uint64
+
+	// span is the live span behind SpanID when Span.Context built this
+	// context (SpanFromContext), nil when it was built from IDs alone.
+	span *Span
 }
 
 type ctxKey struct{}
@@ -118,7 +107,15 @@ func FromContext(ctx context.Context) (SpanContext, bool) {
 	return sc, sc.Tracer != nil && sc.TraceID != 0
 }
 
-// Frame-stage slots on an episode span. Callers annotate stages by
+// SpanFromContext returns the live span that Span.Context made the
+// active parent of ctx, or nil (which every Span method accepts). For
+// an episode run as an engine job it is the job's span.
+func SpanFromContext(ctx context.Context) *Span {
+	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
+	return sc.span
+}
+
+// Frame-stage slots on a span. Callers annotate stages by
 // index (the experiment runner uses perception.Stage* constants, which
 // fit); MaxStages bounds the fixed per-span array so annotation stays
 // allocation-free.
@@ -138,9 +135,8 @@ type Attr struct {
 // recycled on Finish; all methods are nil-receiver safe so untraced
 // code paths cost one branch. A Span must not be touched after Finish.
 type Span struct {
-	tracer  *Tracer
-	start   time.Time
-	episode bool
+	tracer *Tracer
+	start  time.Time
 
 	d       SpanData
 	nstages int
@@ -149,57 +145,22 @@ type Span struct {
 	attrs   [maxAttrs]Attr
 }
 
-// Tracer creates, samples, pools and emits spans for one service (a
-// server or worker process, named in every span it emits).
+// Tracer creates, pools and emits spans for one service (a server or
+// worker process, named in every span it emits).
 type Tracer struct {
 	service string
 	sink    Sink
-	sampleN uint64
 	pool    sync.Pool
-
-	mu   sync.Mutex
-	slow []SpanData
-}
-
-// Option configures a Tracer.
-type Option func(*Tracer)
-
-// DefaultSampleEvery is the default episode sampling rate: 1 episode
-// in 16 gets a full span. Frame-stage annotation within a sampled
-// episode reuses the metrics' own 1-in-16 frame sampling.
-const DefaultSampleEvery = 16
-
-// DefaultSlowExemplars is how many of the slowest unsampled episodes a
-// tracer retains and emits (flagged as exemplars) when it closes.
-const DefaultSlowExemplars = 8
-
-// WithSampleEvery sets the episode sampling rate to 1-in-n: n = 1
-// samples every episode, and n < 1 keeps DefaultSampleEvery. Test seam:
-// TestFrameStepZeroAllocs and TestCampaignTracesInert set the sampling
-// rate with it.
-func WithSampleEvery(n int) Option {
-	return func(t *Tracer) {
-		if n >= 1 {
-			t.sampleN = uint64(n)
-		}
-	}
 }
 
 // New creates a Tracer emitting to sink under the given service name.
 // A nil sink means the tracer drops everything (NopSink).
-func New(service string, sink Sink, opts ...Option) *Tracer {
+func New(service string, sink Sink) *Tracer {
 	if sink == nil {
 		sink = NopSink{}
 	}
-	t := &Tracer{
-		service: service,
-		sink:    sink,
-		sampleN: DefaultSampleEvery,
-	}
+	t := &Tracer{service: service, sink: sink}
 	t.pool.New = func() any { return new(Span) }
-	for _, opt := range opts {
-		opt(t)
-	}
 	return t
 }
 
@@ -219,24 +180,7 @@ func (t *Tracer) StartSpan(sc SpanContext, name string, spanID uint64) *Span {
 		Name:    name,
 		Service: t.service,
 		Start:   s.start.UnixNano(),
-		Sampled: true,
 	}
-	return s
-}
-
-// StartEpisode begins an episode span whose ID derives from the
-// episode's seed — identical across reruns and across whichever
-// process executes the job. Unsampled episode spans are not emitted on
-// Finish; they compete for a slow-exemplar slot instead.
-func (t *Tracer) StartEpisode(sc SpanContext, seed int64) *Span {
-	if t == nil {
-		return nil
-	}
-	spanID := DeriveSpanID(sc.TraceID, uint64(seed), StreamEpisode)
-	s := t.StartSpan(sc, "episode", spanID)
-	s.episode = true
-	s.d.Seed = seed
-	s.d.Sampled = SampleDecision(spanID, t.sampleN)
 	return s
 }
 
@@ -255,49 +199,11 @@ func (t *Tracer) Emit(d *SpanData) {
 	t.sink.Emit(d)
 }
 
-// offerSlow competes an unsampled finished episode for an exemplar
-// slot: the DefaultSlowExemplars slowest survive, by wall duration.
-func (t *Tracer) offerSlow(d *SpanData) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.slow) < DefaultSlowExemplars {
-		t.slow = append(t.slow, d.Clone())
-		return
-	}
-	min := 0
-	for i := 1; i < len(t.slow); i++ {
-		if t.slow[i].Dur < t.slow[min].Dur {
-			min = i
-		}
-	}
-	if d.Dur > t.slow[min].Dur {
-		t.slow[min] = d.Clone()
-	}
-}
-
-// Flush emits the retained slow-episode exemplars (flagged Exemplar)
-// and clears them. Close calls it; callers with long-lived tracers may
-// call it at job boundaries so exemplars land near their run.
-func (t *Tracer) Flush() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	slow := t.slow
-	t.slow = nil
-	t.mu.Unlock()
-	for i := range slow {
-		slow[i].Exemplar = true
-		t.sink.Emit(&slow[i])
-	}
-}
-
-// Close flushes exemplars and closes the sink if it is closable.
+// Close closes the sink if it is closable and returns its error.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
-	t.Flush()
 	if c, ok := t.sink.(interface{ Close() error }); ok {
 		return c.Close()
 	}
@@ -305,7 +211,8 @@ func (t *Tracer) Close() error {
 }
 
 // Context returns ctx with this span as the active parent, so children
-// started under the returned context nest beneath it.
+// started under the returned context nest beneath it and in-process
+// work under it can annotate it (SpanFromContext).
 func (s *Span) Context(ctx context.Context) context.Context {
 	if s == nil {
 		return ctx
@@ -314,7 +221,16 @@ func (s *Span) Context(ctx context.Context) context.Context {
 		Tracer:  s.tracer,
 		TraceID: uint64(s.d.TraceID),
 		SpanID:  uint64(s.d.SpanID),
+		span:    s,
 	})
+}
+
+// SetSeed records the seed the span's job ran with.
+func (s *Span) SetSeed(seed int64) {
+	if s == nil {
+		return
+	}
+	s.d.Seed = seed
 }
 
 // StageAdd accumulates d of stage latency into the span's stage slot.
@@ -352,9 +268,8 @@ func (s *Span) SetAttr(key, value string) {
 	s.nattrs++
 }
 
-// Finish completes the span: sampled spans go to the sink, unsampled
-// episode spans compete for a slow-exemplar slot, and the Span returns
-// to the pool either way. The span must not be used afterwards.
+// Finish completes the span: it goes to the sink, and the Span returns
+// to the pool. The span must not be used afterwards.
 func (s *Span) Finish() {
 	if s == nil {
 		return
@@ -367,11 +282,7 @@ func (s *Span) Finish() {
 	if s.nattrs > 0 {
 		s.d.Attrs = s.attrs[:s.nattrs]
 	}
-	if s.episode && !s.d.Sampled {
-		t.offerSlow(&s.d)
-	} else {
-		t.sink.Emit(&s.d)
-	}
+	t.sink.Emit(&s.d)
 	*s = Span{}
 	t.pool.Put(s)
 }

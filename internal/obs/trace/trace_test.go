@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,7 +43,7 @@ func TestDeriveIDsDeterministic(t *testing.T) {
 	}
 	seen := map[uint64]uint64{}
 	for _, stream := range []uint64{StreamRun, StreamQueueWait, StreamLease, StreamHeartbeat,
-		StreamRequeue, StreamWorkerJob, StreamEngineJob, StreamEpisode} {
+		StreamRequeue, StreamWorkerJob, StreamEngineJob} {
 		id := DeriveSpanID(a, 1, stream)
 		if prev, dup := seen[id]; dup {
 			t.Errorf("streams %d and %d collide on span ID %x", prev, stream, id)
@@ -70,44 +72,10 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSampleDecision: deterministic, exhaustive at n<=1, and roughly
-// 1-in-n over a run of derived episode span IDs.
-func TestSampleDecision(t *testing.T) {
-	tid := DeriveTraceID("sample", 9)
-	if !SampleDecision(tid, 0) || !SampleDecision(tid, 1) {
-		t.Error("n <= 1 must sample everything")
-	}
-	const n, total = 16, 4096
-	hits := 0
-	for seed := int64(0); seed < total; seed++ {
-		id := DeriveSpanID(tid, uint64(seed), StreamEpisode)
-		if SampleDecision(id, n) != SampleDecision(id, n) {
-			t.Fatal("SampleDecision not deterministic")
-		}
-		if SampleDecision(id, n) {
-			hits++
-		}
-	}
-	// Loose bounds: the point is "about 1/16", not an exact binomial.
-	if hits < total/n/2 || hits > total/n*2 {
-		t.Errorf("sampled %d of %d at 1-in-%d; expected near %d", hits, total, n, total/n)
-	}
-}
-
-// TestWithSampleEvery: n = 1 samples every episode and n > 1 sets the
-// rate, but n < 1 keeps the default rather than sampling everything as
-// SampleDecision does for n <= 1.
-func TestWithSampleEvery(t *testing.T) {
-	for n, want := range map[int]uint64{-1: DefaultSampleEvery, 0: DefaultSampleEvery, 1: 1, 4: 4} {
-		if got := New("s", nil, WithSampleEvery(n)).sampleN; got != want {
-			t.Errorf("WithSampleEvery(%d) samples 1 in %d, want 1 in %d", n, got, want)
-		}
-	}
-}
-
 // TestSpanLifecycle drives a parent/child pair through a CollectSink
 // and checks everything the analysis layer depends on: parent linkage,
-// service stamping, stage and attr capture, duration.
+// service stamping, the live span in the child's context, seed, stage
+// and attr capture, duration.
 func TestSpanLifecycle(t *testing.T) {
 	sink := &CollectSink{}
 	tr := New("test-svc", sink)
@@ -119,7 +87,14 @@ func TestSpanLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("FromContext lost the span context")
 	}
+	if SpanFromContext(root.Context(t.Context())) != root {
+		t.Fatal("SpanFromContext lost the live span")
+	}
+	if SpanFromContext(NewContext(t.Context(), SpanContext{Tracer: tr, TraceID: sc.TraceID, SpanID: sc.SpanID})) != nil {
+		t.Error("a context built from IDs alone has a live span")
+	}
 	child := tr.StartSpan(sc, "engine-job", DeriveSpanID(tid, 42, StreamEngineJob))
+	child.SetSeed(42)
 	child.StageAdd(0, 3*time.Millisecond)
 	child.StageAdd(2, time.Millisecond)
 	child.StageAdd(0, time.Millisecond)
@@ -146,8 +121,11 @@ func TestSpanLifecycle(t *testing.T) {
 		c.Stages[0] != want[0] || c.Stages[1] != want[1] || c.Stages[2] != want[2] {
 		t.Errorf("stages = %v, want %v", c.Stages, want)
 	}
-	if c.Frames != 2 || c.SampledFrames != 1 {
-		t.Errorf("frames = %d/%d, want 2/1", c.SampledFrames, c.Frames)
+	if c.Frames != 2 || c.SampledFrames != 1 || !c.Episode() || r.Episode() {
+		t.Errorf("frames = %d/%d, want 2/1, and only the child an episode", c.SampledFrames, c.Frames)
+	}
+	if c.Seed != 42 || r.Seed != 0 {
+		t.Errorf("seeds = %d, %d, want 42 on the child only", c.Seed, r.Seed)
 	}
 	if r.Attr("campaign") != "life" {
 		t.Errorf("root attr campaign = %q", r.Attr("campaign"))
@@ -165,92 +143,46 @@ func TestNilSafety(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil tracer returned non-nil span")
 	}
-	sp = tr.StartEpisode(SpanContext{}, 1)
+	sp.SetSeed(1)
 	sp.StageAdd(0, time.Millisecond)
 	sp.FrameDone(true)
 	sp.SetAttr("k", "v")
 	ctx := sp.Context(t.Context())
-	if _, ok := FromContext(ctx); ok {
+	if _, ok := FromContext(ctx); ok || SpanFromContext(ctx) != nil {
 		t.Error("nil span produced an active context")
 	}
 	sp.Finish()
 	tr.Emit(&SpanData{})
-	tr.Flush()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEpisodeSamplingAndExemplars: unsampled episodes are withheld at
-// Finish, the DefaultSlowExemplars slowest survive as exemplars, and
-// Flush emits them flagged.
-func TestEpisodeSamplingAndExemplars(t *testing.T) {
-	sink := &CollectSink{}
-	// sampleN huge: no episode is sampled, all compete for the slots.
-	tr := New("w", sink, WithSampleEvery(1<<30))
-	tid := DeriveTraceID("ex", 3)
-	sc := SpanContext{Tracer: tr, TraceID: tid}
-	// Two more episodes than slots, 1..10 ms in shuffled order: the two
-	// fastest, seeds 0 (1 ms) and 3 (2 ms), lose their slots.
-	durs := make([]time.Duration, DefaultSlowExemplars+2)
-	for i := range durs {
-		durs[i] = time.Duration((i*7)%len(durs)+1) * time.Millisecond
-	}
-	for i, d := range durs {
-		sp := tr.StartEpisode(sc, int64(i))
-		if sp.d.Sampled {
-			t.Fatalf("episode %d sampled at rate 1-in-2^30", i)
-		}
-		sp.start = sp.start.Add(-d) // backdate so Finish sees ~d of wall time
-		sp.Finish()
-	}
-	if n := len(sink.Spans()); n != 0 {
-		t.Fatalf("%d spans emitted before Flush, want 0", n)
-	}
-	tr.Flush()
-	spans := sink.Spans()
-	if len(spans) != DefaultSlowExemplars {
-		t.Fatalf("got %d exemplars, want %d", len(spans), DefaultSlowExemplars)
-	}
-	for _, sp := range spans {
-		if !sp.Exemplar {
-			t.Errorf("exemplar flag missing on seed %d", sp.Seed)
-		}
-		if sp.Seed == 0 || sp.Seed == 3 {
-			t.Errorf("seed %d survived; want all but the two fastest (0 and 3)", sp.Seed)
-		}
-	}
-	// Flush drained the slots; a second flush emits nothing.
-	tr.Flush()
-	if n := len(sink.Spans()); n != DefaultSlowExemplars {
-		t.Errorf("second Flush emitted %d more spans", n-DefaultSlowExemplars)
-	}
-}
-
 // makeSpans builds a plausible cross-process trace for analysis tests:
-// root → queue-wait + lease → worker-job → engine-job → episodes.
+// root → queue-wait + lease → worker-job → three engine jobs, two of
+// them episodes (frames, seed, stages) and one not.
 func makeSpans(tid uint64, base int64) []SpanData {
 	ms := int64(time.Millisecond)
 	id := func(key, stream uint64) ID { return ID(DeriveSpanID(tid, key, stream)) }
 	spans := []SpanData{
 		{TraceID: ID(tid), SpanID: id(0, StreamRun), Name: "run", Service: "serve",
-			Start: base, Dur: 100 * ms, Sampled: true,
+			Start: base, Dur: 100 * ms,
 			Attrs: []Attr{{Key: "campaign", Value: "DS-2-Smart-R"}}},
 		{TraceID: ID(tid), SpanID: id(1, StreamQueueWait), Parent: id(0, StreamRun),
-			Name: "queue-wait", Service: "serve", Start: base, Dur: 20 * ms, Sampled: true},
+			Name: "queue-wait", Service: "serve", Start: base, Dur: 20 * ms},
 		{TraceID: ID(tid), SpanID: id(1, StreamLease), Parent: id(0, StreamRun),
-			Name: "lease", Service: "serve", Start: base + 20*ms, Dur: 80 * ms, Sampled: true},
+			Name: "lease", Service: "serve", Start: base + 20*ms, Dur: 80 * ms},
 		{TraceID: ID(tid), SpanID: id(1, StreamWorkerJob), Parent: id(1, StreamLease),
-			Name: "worker-job", Service: "w1", Start: base + 25*ms, Dur: 70 * ms, Sampled: true},
+			Name: "worker-job", Service: "w1", Start: base + 25*ms, Dur: 70 * ms},
 		{TraceID: ID(tid), SpanID: id(7, StreamEngineJob), Parent: id(1, StreamWorkerJob),
-			Name: "engine-job", Service: "w1", Start: base + 26*ms, Dur: 68 * ms, Sampled: true},
-		{TraceID: ID(tid), SpanID: id(1001, StreamEpisode), Parent: id(7, StreamEngineJob),
-			Name: "episode", Service: "w1", Start: base + 27*ms, Dur: 30 * ms,
-			Seed: 1001, Frames: 32, SampledFrames: 2, Sampled: true,
+			Name: "engine-job", Service: "w1", Start: base + 26*ms, Dur: 5 * ms, Seed: 7},
+		{TraceID: ID(tid), SpanID: id(1001, StreamEngineJob), Parent: id(1, StreamWorkerJob),
+			Name: "engine-job", Service: "w1", Start: base + 27*ms, Dur: 30 * ms,
+			Seed: 1001, Frames: 32, SampledFrames: 2,
 			Stages: []int64{10 * ms, 5 * ms}},
-		{TraceID: ID(tid), SpanID: id(1002, StreamEpisode), Parent: id(7, StreamEngineJob),
-			Name: "episode", Service: "w1", Start: base + 58*ms, Dur: 35 * ms,
-			Seed: 1002, Frames: 32, SampledFrames: 2, Sampled: true},
+		{TraceID: ID(tid), SpanID: id(1002, StreamEngineJob), Parent: id(1, StreamWorkerJob),
+			Name: "engine-job", Service: "w1", Start: base + 58*ms, Dur: 35 * ms,
+			Seed: 1002, Frames: 32, SampledFrames: 2},
 	}
 	return spans
 }
@@ -286,7 +218,7 @@ func TestAnalyze(t *testing.T) {
 	for i, n := range path {
 		names[i] = n.Span.Name
 	}
-	want := "run>lease>worker-job>engine-job>episode"
+	want := "run>lease>worker-job>engine-job"
 	if got := strings.Join(names, ">"); got != want {
 		t.Errorf("critical path = %s, want %s", got, want)
 	}
@@ -301,8 +233,12 @@ func TestAnalyze(t *testing.T) {
 	if bd.LeaseLatency != 5*time.Millisecond {
 		t.Errorf("lease latency = %v, want 5ms", bd.LeaseLatency)
 	}
-	if bd.Episodes != 2 || bd.EngineJobs != 1 {
-		t.Errorf("counts: %d episodes, %d jobs", bd.Episodes, bd.EngineJobs)
+	if bd.Episodes != 2 || bd.EngineJobs != 3 || bd.EpisodeTime != 65*time.Millisecond {
+		t.Errorf("counts: %d episodes (%v), %d jobs; want 2 (65ms), 3", bd.Episodes, bd.EpisodeTime, bd.EngineJobs)
+	}
+	// Stages scale from the 2 sampled frames to all 32.
+	if want := []int64{160 * int64(time.Millisecond), 80 * int64(time.Millisecond)}; !reflect.DeepEqual(bd.Stages, want) {
+		t.Errorf("stage estimate = %v, want %v", bd.Stages, want)
 	}
 
 	slow := Slowest(traces, 1)
@@ -318,16 +254,28 @@ func TestAnalyze(t *testing.T) {
 	buf.Reset()
 	FormatCriticalPath(&buf, tr, []string{"sensor", "malware"})
 	out := buf.String()
-	if !strings.Contains(out, "queue-wait") || !strings.Contains(out, "critical path:") {
+	if !strings.Contains(out, "queue-wait") || !strings.Contains(out, "critical path:") ||
+		!strings.Contains(out, "across 3 engine jobs") || !strings.Contains(out, "episodes       2 in sink") {
 		t.Errorf("FormatCriticalPath output incomplete:\n%s", out)
+	}
+	buf.Reset()
+	FormatTree(&buf, tr, []string{"sensor", "malware"})
+	if out := buf.String(); strings.Count(out, "seed=") != 2 || strings.Count(out, "stages: ") != 1 {
+		t.Errorf("FormatTree marks other than the two episodes, or the staged one's stages:\n%s", out)
+	}
+	buf.Reset()
+	FormatSlowest(&buf, traces, 0, []string{"sensor", "malware"})
+	if out := buf.String(); strings.Count(out, "episode seed=") != 2 || !strings.Contains(out, "sensor=160ms malware=80ms (est from 2/32 frames)") {
+		t.Errorf("FormatSlowest output:\n%s", out)
 	}
 	buf.Reset()
 	if err := WriteChrome(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	chrome := buf.String()
-	if !strings.Contains(chrome, `"traceEvents"`) || !strings.Contains(chrome, `"ph":"X"`) {
-		t.Errorf("chrome export malformed:\n%s", chrome)
+	if !strings.Contains(chrome, `"traceEvents"`) || !strings.Contains(chrome, `"ph":"X"`) ||
+		strings.Count(chrome, `"frames":32`) != 2 {
+		t.Errorf("chrome export malformed or without the two episodes' frames:\n%s", chrome)
 	}
 }
 
@@ -353,7 +301,7 @@ func TestFileSinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra := SpanData{TraceID: ID(tid), SpanID: 99, Name: "late", Service: "s2", Start: 1, Dur: 2, Sampled: true}
+	extra := SpanData{TraceID: ID(tid), SpanID: 99, Name: "late", Service: "s2", Start: 1, Dur: 2}
 	sink2.Emit(&extra)
 	if err := sink2.Close(); err != nil {
 		t.Fatal(err)
@@ -366,14 +314,8 @@ func TestFileSinkRoundTrip(t *testing.T) {
 	if len(got) != len(in)+1 {
 		t.Fatalf("decoded %d spans, want %d", len(got), len(in)+1)
 	}
-	for i := range in {
-		a, b := in[i], got[i]
-		if a.SpanID != b.SpanID || a.Name != b.Name || a.Start != b.Start || a.Dur != b.Dur ||
-			a.Seed != b.Seed || a.Frames != b.Frames || a.SampledFrames != b.SampledFrames ||
-			a.Sampled != b.Sampled || a.Service != b.Service || len(a.Stages) != len(b.Stages) ||
-			len(a.Attrs) != len(b.Attrs) {
-			t.Errorf("span %d mismatch:\n in: %+v\nout: %+v", i, a, b)
-		}
+	if !reflect.DeepEqual(got[:len(in)], in) {
+		t.Errorf("decoded spans differ:\n in: %+v\nout: %+v", in, got[:len(in)])
 	}
 	if got[len(got)-1].Name != "late" {
 		t.Errorf("second process's span lost: %+v", got[len(got)-1])
@@ -389,7 +331,7 @@ func TestFileSinkRingCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := SpanData{TraceID: 1, SpanID: 2, Name: "filler-span-name", Service: "svc",
-		Start: 1, Dur: 2, Sampled: true,
+		Start: 1, Dur: 2,
 		Attrs: []Attr{{Key: "pad", Value: strings.Repeat("x", 64)}}}
 	for i := 0; i < 500; i++ {
 		sp.SpanID = ID(i + 1)
@@ -437,7 +379,7 @@ func TestFileSinkTornTail(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		sink.Emit(&SpanData{TraceID: 1, SpanID: ID(i + 1), Name: "s", Service: "svc",
-			Start: int64(i), Dur: 1, Sampled: true})
+			Start: int64(i), Dur: 1})
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -462,17 +404,95 @@ func TestFileSinkTornTail(t *testing.T) {
 	}
 }
 
+// errFull stands in for a full disk.
+var errFull = errors.New("no space left on device")
+
+type fullWriter struct{}
+
+func (fullWriter) Write([]byte) (int, error) { return 0, errFull }
+
+// TestFileSinkReportsWriteError: the first failed write, or a failed
+// flush when a segment rolls, breaks the sink, and Close returns that
+// error instead of nil.
+func TestFileSinkReportsWriteError(t *testing.T) {
+	sp := SpanData{TraceID: 1, SpanID: 2, Name: "engine-job", Service: "svc", Start: 1, Dur: 2}
+	for _, c := range []struct {
+		name     string
+		segBytes int64
+		buf      int
+	}{
+		{"write", DefaultSegmentBytes, 16}, // the record outgrows the buffer: Write fails
+		{"roll", 1, 4096},                  // the record fits; the roll's Flush fails
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sink, err := NewFileSink(t.TempDir(), 0, WithSegmentBytes(c.segBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink.w = bufio.NewWriterSize(fullWriter{}, c.buf)
+			sink.Emit(&sp)
+			if !errors.Is(sink.err, errFull) {
+				t.Fatalf("sink error after a failed %s = %v, want %v", c.name, sink.err, errFull)
+			}
+			sink.Emit(&sp) // dropped by the broken sink
+			if err := sink.Close(); !errors.Is(err, errFull) {
+				t.Errorf("Close() = %v, want %v", err, errFull)
+			}
+		})
+	}
+}
+
+// TestDecodeRefusesV1Segment: a version 1 segment, whose records carry
+// a flags byte, has the old magic, and DecodeAll refuses it rather than
+// reading its records one byte out of step.
+func TestDecodeRefusesV1Segment(t *testing.T) {
+	// v1 put a flags byte after SampledFrames. With that field and the
+	// stage and attribute counts all zero, one more zero byte makes a v2
+	// record a v1 record.
+	rec := appendSpan(nil, &SpanData{TraceID: 1, SpanID: 2, Name: "episode", Service: "svc", Frames: 3})
+	rec = append(rec, 0)
+	seg := binary.AppendUvarint([]byte("robotack-trace\x01"), uint64(len(rec)))
+	seg = append(seg, rec...)
+	spans, err := DecodeAll(bytes.NewReader(seg))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") || len(spans) != 0 {
+		t.Fatalf("v1 segment decoded to %d spans, err %v; want a bad-magic error", len(spans), err)
+	}
+}
+
+// TestCheckBounds: the decoder refuses exactly the records CheckBounds
+// refuses, so a writer that checks first never writes a segment the
+// reader rejects.
+func TestCheckBounds(t *testing.T) {
+	for _, c := range []struct {
+		stages, attrs int
+		ok            bool
+	}{
+		{MaxStages, maxRecordAttrs, true},
+		{MaxStages + 1, 0, false},
+		{0, maxRecordAttrs + 1, false},
+	} {
+		d := SpanData{TraceID: 1, SpanID: 2, Name: "n", Service: "s",
+			Stages: make([]int64, c.stages), Attrs: make([]Attr, c.attrs)}
+		seg := []byte(fileMagic)
+		rec := appendSpan(nil, &d)
+		seg = binary.AppendUvarint(seg, uint64(len(rec)))
+		seg = append(seg, rec...)
+		_, decErr := DecodeAll(bytes.NewReader(seg))
+		chkErr := CheckBounds(uint64(c.stages), uint64(c.attrs))
+		if (decErr == nil) != c.ok || (chkErr == nil) != c.ok {
+			t.Errorf("%d stages, %d attrs: decode %v, CheckBounds %v; want ok=%v from both", c.stages, c.attrs, decErr, chkErr, c.ok)
+		}
+	}
+}
+
 // TestStageAddZeroAllocs is the hot-path contract for the per-frame
 // annotation calls: StageAdd and FrameDone on a live span allocate
 // nothing.
 func TestStageAddZeroAllocs(t *testing.T) {
-	tr := New("z", NopSink{}, WithSampleEvery(1))
+	tr := New("z", NopSink{})
 	tid := DeriveTraceID("z", 1)
-	sp := tr.StartEpisode(SpanContext{Tracer: tr, TraceID: tid}, 7)
+	sp := tr.StartSpan(SpanContext{Tracer: tr, TraceID: tid}, "engine-job", DeriveSpanID(tid, 7, StreamEngineJob))
 	defer sp.Finish()
-	if !sp.d.Sampled {
-		t.Fatal("sample-every-1 episode not sampled")
-	}
 	allocs := testing.AllocsPerRun(100, func() {
 		sp.StageAdd(0, time.Microsecond)
 		sp.StageAdd(3, time.Microsecond)

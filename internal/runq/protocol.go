@@ -78,8 +78,10 @@ type EpisodesRequest struct {
 }
 
 // SpansRequest forwards a traced job's completed worker-side spans
-// (worker-job, engine-job, episode) into the server's trace sink, so
-// one sink holds the whole cross-process trace.
+// (worker-job, and engine-job spans the episodes annotated) into the
+// server's trace sink, so one sink holds the whole cross-process trace.
+// The server refuses the batch if a span is on another trace or
+// exceeds trace.CheckBounds.
 type SpansRequest struct {
 	Worker string           `json:"worker"`
 	Spans  []trace.SpanData `json:"spans"`

@@ -500,7 +500,8 @@ func (q *Queue) dispatchLocked() {
 		ctx, cancel := context.WithCancel(q.ctx)
 		if q.traced(j) {
 			// The local executor's engine runs under the dispatch span,
-			// so engine-job and episode spans nest into this trace.
+			// so its engine-job spans, which the episodes annotate, nest
+			// into this trace.
 			ctx = trace.NewContext(ctx, trace.SpanContext{
 				Tracer:  q.tracer,
 				TraceID: uint64(j.Trace.TraceID),

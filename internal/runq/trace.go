@@ -87,7 +87,6 @@ func (q *Queue) traceDequeuedLocked(j *Job, now time.Time) {
 		Name:    "queue-wait",
 		Start:   j.enqueuedAt.UnixNano(),
 		Dur:     now.Sub(j.enqueuedAt).Nanoseconds(),
-		Sampled: true,
 		Attrs:   []trace.Attr{{Key: "attempt", Value: strconv.Itoa(j.Attempt)}},
 	})
 }
@@ -106,7 +105,6 @@ func (q *Queue) traceHeartbeatLocked(j *Job, now time.Time) {
 		Parent:  trace.ID(execSpanID(j.Trace, j.Attempt)),
 		Name:    "heartbeat",
 		Start:   now.UnixNano(),
-		Sampled: true,
 		Attrs:   []trace.Attr{{Key: "worker", Value: j.Worker}},
 	})
 }
@@ -130,7 +128,6 @@ func (q *Queue) traceExecEndLocked(j *Job, now time.Time, outcome string) {
 		Name:    name,
 		Start:   j.executingAt.UnixNano(),
 		Dur:     now.Sub(j.executingAt).Nanoseconds(),
-		Sampled: true,
 		Attrs: []trace.Attr{
 			{Key: "worker", Value: j.Worker},
 			{Key: "attempt", Value: strconv.Itoa(j.Attempt)},
@@ -155,7 +152,6 @@ func (q *Queue) traceRequeuedLocked(j *Job, now time.Time) {
 		Parent:  j.Trace.Root,
 		Name:    "requeue",
 		Start:   now.UnixNano(),
-		Sampled: true,
 		Attrs:   []trace.Attr{{Key: "attempt", Value: strconv.Itoa(j.Attempt)}},
 	})
 }
@@ -176,7 +172,6 @@ func (q *Queue) traceRunEndLocked(j *Job, now time.Time, state State) {
 		Name:    "run",
 		Start:   start.UnixNano(),
 		Dur:     now.Sub(start).Nanoseconds(),
-		Sampled: true,
 		Attrs: []trace.Attr{
 			{Key: "campaign", Value: j.Request.RecordName()},
 			{Key: "mode", Value: j.Request.Mode},

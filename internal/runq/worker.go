@@ -307,18 +307,17 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	r := &run{w: w, jobID: job.ID, cancel: cancel}
 	r.total.Store(int64(job.Total))
 
-	// A traced job gets a per-job tracer whose spans (worker-job,
-	// engine-job, sampled episodes, slow exemplars) forward to the
-	// server's sink: the worker-job span nests under the attempt's lease
-	// span (both sides derive its ID from the journaled TraceRef), and
-	// engine-job/episode spans nest under worker-job via the context.
+	// A traced job gets a per-job tracer whose spans (worker-job and one
+	// engine-job per episode, which the episode annotates) forward to
+	// the server's sink: the worker-job span nests under the attempt's
+	// lease span (both sides derive its ID from the journaled TraceRef),
+	// and engine-job spans nest under worker-job via the context.
 	var jobSpan *trace.Span
-	var tr *trace.Tracer
 	var fwd *spanForwarder
 	if job.Trace != nil {
 		r.traceparent = job.Trace.Traceparent(job.Attempt)
 		fwd = &spanForwarder{r: r}
-		tr = trace.New(w.Name, fwd)
+		tr := trace.New(w.Name, fwd)
 		sc := trace.SpanContext{
 			Tracer:  tr,
 			TraceID: uint64(job.Trace.TraceID),
@@ -339,8 +338,7 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	// Spans must land before the completion report: the server gates the
 	// spans endpoint on the lease, which completion releases.
 	jobSpan.Finish()
-	if tr != nil {
-		tr.Close()
+	if fwd != nil {
 		fwd.flush()
 	}
 

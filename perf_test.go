@@ -24,12 +24,14 @@ import (
 // DS-1 (detections, confirmed tracks, fused objects, a braking target)
 // and for smart DS-2, whose malware runs its own perception stack and
 // attacks inside the measured frames. Both run with metrics recording
-// and under a sample-every-1 trace, so the proof covers the
-// instrumented loop. A first run of the same episode warms the
-// Scratch: every free list reaches that trajectory's high-water mark,
-// and the trajectory is fixed by the seed. Lest it pass vacuously, it fails if the episode
+// and traced, each episode annotating its own engine-job span as it
+// does when the engine runs it, so the proof covers the instrumented
+// loop. A first run of the same episode warms the Scratch: every free
+// list reaches that trajectory's high-water mark, and the trajectory is
+// fixed by the seed. Lest it pass vacuously, it fails if the episode
 // ends early, if the planner targets no fused object in the stepped
-// frames, or if no sampled, stage-annotated episode span is recorded.
+// frames, or if the measured episode's job span does not count its
+// frames and hold time in exactly the stages the episode ran.
 func TestFrameStepZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -42,21 +44,26 @@ func TestFrameStepZeroAllocs(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sink := &trace.CollectSink{}
-			tracer := trace.New("perf", sink, trace.WithSampleEvery(1))
-			ctx := trace.NewContext(context.Background(),
-				trace.SpanContext{Tracer: tracer, TraceID: trace.DeriveTraceID("perf", c.cfg.Seed)})
+			tracer := trace.New("perf", sink)
+			tid := trace.DeriveTraceID("perf", c.cfg.Seed)
 			s := experiment.NewScratch()
-			start := func() *experiment.Episode {
-				ep, err := s.Start(ctx, c.cfg)
+			// start begins the episode as the engine runs a job: under a
+			// job span, which the caller finishes.
+			start := func() (*experiment.Episode, *trace.Span) {
+				sp := tracer.StartSpan(trace.SpanContext{Tracer: tracer, TraceID: tid}, "engine-job",
+					trace.DeriveSpanID(tid, uint64(c.cfg.Seed), trace.StreamEngineJob))
+				ep, err := s.Start(sp.Context(context.Background()), c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return ep
+				return ep, sp
 			}
-			for ep := start(); ep.Step(); {
+			warm, warmSpan := start()
+			for warm.Step() {
 			}
+			warmSpan.Finish()
 
-			ep := start()
+			ep, sp := start()
 			for range 44 {
 				ep.Step()
 			}
@@ -86,21 +93,24 @@ func TestFrameStepZeroAllocs(t *testing.T) {
 			}
 			for ep.Step() {
 			}
-			if res, _ := ep.Result(); c.cfg.Attack.Mode != 0 && (res.LaunchFrame < 60 || res.LaunchFrame >= 316) {
+			res, _ := ep.Result()
+			if c.cfg.Attack.Mode != 0 && (res.LaunchFrame < 60 || res.LaunchFrame >= 316) {
 				t.Fatalf("attack launched %v at frame %d, want a launch inside the measured frames", res.Launched, res.LaunchFrame)
 			}
+			sp.Finish()
 
-			// The measured episode's span: sampled, and annotated on its
-			// sampled frames in every stage it ran.
+			// The measured episode's job span: every frame it ran, and
+			// time in every stage it ran on the sampled frames.
 			spans := sink.Spans()
 			if len(spans) != 2 {
-				t.Fatalf("recorded %d spans, want the warm-up's and the measured episode's", len(spans))
+				t.Fatalf("recorded %d spans, want the warm-up's and the measured episode's job spans", len(spans))
 			}
-			sp := spans[1]
-			if sp.Name != "episode" || !sp.Sampled || sp.SampledFrames == 0 || len(sp.Stages) != perception.NumStages {
-				t.Fatalf("no sampled, stage-annotated episode span recorded: %+v", sp)
+			d := spans[1]
+			if d.Name != "engine-job" || int(d.Frames) != res.Frames || d.SampledFrames == 0 ||
+				len(d.Stages) != perception.NumStages {
+				t.Fatalf("job span %+v does not carry the episode's %d frames and its stage annotations", d, res.Frames)
 			}
-			for i, ns := range sp.Stages {
+			for i, ns := range d.Stages {
 				if ran := i != perception.StageMalware || c.cfg.Attack.Mode != 0; (ns > 0) != ran {
 					t.Errorf("span stage %s holds %d ns, want time iff the stage ran", perception.StageNames[i], ns)
 				}

@@ -30,7 +30,6 @@ var testSeams = map[string]string{
 	"sensor.Image.Clone":           "Test seam: TestImageClone and the detect and experiment tests copy frames with it.",
 	"runq.WithCompactionThreshold": "Test seam: TestJournalCompactionReplayEquivalent compacts a small journal with it.",
 	"campaignd.WithExecutor":       "Test seam: the campaignd queue tests run jobs on stub executors through it.",
-	"trace.WithSampleEvery":        "Test seam: TestFrameStepZeroAllocs and TestCampaignTracesInert set the sampling rate with it.",
 	"trace.WithSegmentBytes":       "Test seam: TestFileSinkRingCap rolls small segments with it.",
 	"segstore.WithSegmentBytes":    "Test seam: the multi-segment segstore tests and benchmarks roll small segments with it.",
 	"segstore.Store.OpenStats":     "Test seam: TestOpenReadsIndexesNotRecords checks what an open read through it.",
