@@ -234,14 +234,12 @@ func run() error {
 	fmt.Println("\n=== Fig. 7 ===")
 	fmt.Print(experiment.FormatFig7(withRecs))
 
+	smart, random := experiment.SplitByMode(withRecs)
 	fmt.Println("\n=== Fig. 8 ===")
-	smart := withRecs[:len(withRecs)-1] // exclude the random baseline
 	fmt.Print(experiment.FormatFig8(experiment.Fig8Bins(smart, 10, 6.7), smart))
 
 	fmt.Println("\n=== Headline summary (paper §VI) ===")
-	fmt.Print(experiment.FormatSummary(
-		experiment.Summarize(smart),
-		experiment.Summarize(withRecs[len(withRecs)-1:])))
+	fmt.Print(experiment.FormatSummary(experiment.Summarize(smart), experiment.Summarize(random)))
 	return nil
 }
 

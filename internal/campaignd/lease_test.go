@@ -9,15 +9,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
+	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/runq"
+	"github.com/robotack/robotack/internal/scenario"
 )
 
 const parkDelay = 50 * time.Millisecond
@@ -103,7 +109,7 @@ func TestLeaseParkedWokenByFailRequeue(t *testing.T) {
 	}
 	ch := postLease(context.Background(), url, `{"worker":"w2","wait_ms":10000}`)
 	time.Sleep(parkDelay)
-	raw, _ := json.Marshal(runq.FailRequest{Worker: "w1", Error: "worker shut down", Requeue: true})
+	raw, _ := json.Marshal(runq.FailRequest{Holder: runq.Holder{Worker: "w1", Attempt: 1}, Error: "worker shut down", Requeue: true})
 	resp, err := http.Post(fmt.Sprintf("%s/runs/%d/fail", url, st.ID), "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -254,14 +260,85 @@ func TestLeaseLocalSlotFirst(t *testing.T) {
 	}
 }
 
-// completion is a 2-run DS-2 job named "own", leased to w1 on a
-// remote-only queue, for the POST /runs/{id}/complete tests.
+// TestLeaseStaleAttemptFenced: a request written for a past attempt is
+// refused even when the same worker holds the current one. w1's
+// attempt 1 expires under a 200 ms lease, w1 leases attempt 2, and a
+// POST /fail for attempt 1 answers 409 and leaves attempt 2 running,
+// which then completes the run. A request with no attempt is refused
+// the same way.
+func TestLeaseStaleAttemptFenced(t *testing.T) {
+	q, url := remoteOnly(t, 200*time.Millisecond)
+	st := postRun(t, url, `{"scenario":"DS-2","mode":"smart","name":"fenced","runs":2,"seed":10}`)
+	if r := awaitReply(t, postLease(context.Background(), url, `{"worker":"w1"}`), 5*time.Second); r.status != http.StatusOK || r.lease.Job.Attempt != 1 {
+		t.Fatalf("first lease: status %d, %+v", r.status, r.lease.Job)
+	}
+	// Without a heartbeat attempt 1 expires, and the parked request
+	// takes the requeued job.
+	r := awaitReply(t, postLease(context.Background(), url, `{"worker":"w1","wait_ms":10000}`), 10*time.Second)
+	if r.status != http.StatusOK || r.lease.Job.ID != st.ID || r.lease.Job.Attempt != 2 {
+		t.Fatalf("second lease: status %d, %+v", r.status, r.lease.Job)
+	}
+	c := &completion{t: t, url: url, id: st.ID}
+	attempt2 := runq.Holder{Worker: "w1", Attempt: 2}
+	stop := c.keepAlive(attempt2)
+	defer stop()
+
+	stale := runq.FailRequest{Holder: runq.Holder{Worker: "w1", Attempt: 1}, Error: "attempt 1 gave up"}
+	if got := c.post("fail", stale); got != http.StatusConflict {
+		t.Fatalf("fail for attempt 1 while attempt 2 runs: status %d, want 409", got)
+	}
+	if got := c.post("fail", runq.FailRequest{Holder: runq.Holder{Worker: "w1"}, Error: "no attempt"}); got != http.StatusConflict {
+		t.Fatalf("fail without an attempt: status %d, want 409", got)
+	}
+	if got := c.post("episodes", runq.EpisodesRequest{Holder: attempt2, Episodes: []results.EpisodeRecord{
+		episode("fenced", 0, 10), episode("fenced", 1, 11)}}); got != http.StatusOK {
+		t.Fatalf("attempt 2's episodes: status %d", got)
+	}
+	if got := c.post("complete", runq.CompleteRequest{Holder: attempt2}); got != http.StatusOK {
+		t.Fatalf("attempt 2's completion: status %d", got)
+	}
+	if j, _ := q.Get(st.ID); j.State != runq.StateDone || j.Attempt != 2 {
+		t.Fatalf("run ended %s at attempt %d (%s), want done at attempt 2", j.State, j.Attempt, j.Error)
+	}
+}
+
+// TestHeartbeatCannotChangeTotal: a job's total is its request's runs.
+// A heartbeat that reports a total of its own changes nothing, done
+// never passes the total, and an episode beyond it is still refused.
+func TestHeartbeatCannotChangeTotal(t *testing.T) {
+	c := newCompletion(t)
+	if got := c.postRaw("heartbeat", `{"worker":"w1","attempt":1,"done":1,"total":1000}`); got != http.StatusOK {
+		t.Fatalf("heartbeat: status %d", got)
+	}
+	if cur := c.status(); cur.Done != 1 || cur.Total != 2 {
+		t.Fatalf("after a heartbeat claiming 1/1000: %d/%d, want 1/2", cur.Done, cur.Total)
+	}
+	if got := c.post("episodes", runq.EpisodesRequest{Holder: w1, Episodes: []results.EpisodeRecord{episode("own", 999, 1009)}}); got != http.StatusBadRequest {
+		t.Fatalf("episode 999 of a 2-run job: status %d, want 400", got)
+	}
+	if eps, _ := c.store.Episodes("own"); len(eps) != 0 {
+		t.Fatalf("refused episode stored: %+v", eps)
+	}
+	if got := c.post("heartbeat", runq.HeartbeatRequest{Holder: w1, Done: 1000}); got != http.StatusOK {
+		t.Fatalf("heartbeat: status %d", got)
+	}
+	if cur := c.status(); cur.Done != 2 || cur.Total != 2 {
+		t.Fatalf("after a heartbeat claiming 1000 done: %d/%d, want 2/2", cur.Done, cur.Total)
+	}
+}
+
+// completion is a 2-run DS-2 job named "own" (seed 10), leased to w1
+// at attempt 1 on a remote-only queue, for the POST
+// /runs/{id}/complete tests.
 type completion struct {
 	t     *testing.T
 	url   string
 	id    int
 	store *results.MemStore
 }
+
+// w1 holds a completion's lease.
+var w1 = runq.Holder{Worker: "w1", Attempt: 1}
 
 func newCompletion(t *testing.T) *completion {
 	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(5*time.Second))
@@ -278,21 +355,26 @@ func newCompletion(t *testing.T) *completion {
 	return &completion{t: t, url: url, id: st.ID, store: store}
 }
 
-// aggregate folds runs episodes into an aggregate named name.
-func aggregate(name string, runs int) *results.CampaignRecord {
-	agg := results.NewCampaign(name, "DS-2", core.ModeSmart, true, 10)
-	for i := 0; i < runs; i++ {
-		agg.Fold(results.EpisodeRecord{Campaign: name, Index: i, Seed: 10 + int64(i), Scenario: "DS-2", Mode: core.ModeSmart})
-	}
-	return &agg
+// episode is a stored smart DS-2 episode of campaign name.
+func episode(name string, index int, seed int64) results.EpisodeRecord {
+	return results.EpisodeRecord{V: results.Version, Campaign: name, Index: index, Seed: seed,
+		Scenario: "DS-2", Mode: core.ModeSmart, Launched: true, EB: index == 0, Frames: 50}
 }
 
-// complete posts w1's completion with agg (nil: none) and returns the
-// status.
-func (c *completion) complete(agg *results.CampaignRecord) int {
+// post sends body as JSON to the job's route POST /runs/{id}/{verb} and
+// returns the status.
+func (c *completion) post(verb string, body any) int {
 	c.t.Helper()
-	raw, _ := json.Marshal(runq.CompleteRequest{Worker: "w1", Campaign: agg})
-	resp, err := http.Post(fmt.Sprintf("%s/runs/%d/complete", c.url, c.id), "application/json", bytes.NewReader(raw))
+	raw, err := json.Marshal(body)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return c.postRaw(verb, string(raw))
+}
+
+func (c *completion) postRaw(verb, body string) int {
+	c.t.Helper()
+	resp, err := http.Post(fmt.Sprintf("%s/runs/%d/%s", c.url, c.id, verb), "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -300,61 +382,159 @@ func (c *completion) complete(agg *results.CampaignRecord) int {
 	return resp.StatusCode
 }
 
-// refused posts a completion that must answer 400, store nothing and
-// leave the job running under w1's lease.
-func (c *completion) refused(what string, agg *results.CampaignRecord) {
+func (c *completion) status() RunStatus {
 	c.t.Helper()
-	if got := c.complete(agg); got != http.StatusBadRequest {
-		c.t.Fatalf("complete %s: status %d, want 400", what, got)
+	var cur RunStatus
+	getJSON(c.t, fmt.Sprintf("%s/runs/%d", c.url, c.id), &cur)
+	return cur
+}
+
+// keepAlive heartbeats h's lease in the background until the returned
+// func is called.
+func (c *completion) keepAlive(h runq.Holder) (stop func()) {
+	done := make(chan struct{})
+	stopped := make(chan struct{})
+	raw, _ := json.Marshal(runq.HeartbeatRequest{Holder: h})
+	go func() {
+		defer close(stopped)
+		for {
+			if resp, err := http.Post(fmt.Sprintf("%s/runs/%d/heartbeat", c.url, c.id), "application/json", bytes.NewReader(raw)); err == nil {
+				resp.Body.Close()
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-stopped
+	}
+}
+
+// refused posts w1's completion, which must answer 409, store no
+// aggregate and leave the job running under w1's lease.
+func (c *completion) refused(what string) {
+	c.t.Helper()
+	if got := c.post("complete", runq.CompleteRequest{Holder: w1}); got != http.StatusConflict {
+		c.t.Fatalf("complete %s: status %d, want 409", what, got)
 	}
 	if recs, _ := c.store.Campaigns(); len(recs) != 0 {
 		c.t.Fatalf("complete %s stored %d campaigns", what, len(recs))
 	}
-	var cur RunStatus
-	getJSON(c.t, fmt.Sprintf("%s/runs/%d", c.url, c.id), &cur)
-	if cur.State != "running" || cur.Worker != "w1" {
+	if cur := c.status(); cur.State != "running" || cur.Worker != "w1" || cur.Attempt != 1 {
 		c.t.Fatalf("run after a refused complete %s = %+v, want running on w1", what, cur)
 	}
 }
 
-// accepted posts the job's own full aggregate, which completes it.
+// accepted posts w1's completion, which folds the job's stored
+// episodes into the stored aggregate and completes the job.
 func (c *completion) accepted() {
 	c.t.Helper()
-	if got := c.complete(aggregate("own", 2)); got != http.StatusOK {
-		c.t.Fatalf("complete with the job's aggregate: status %d, want 200", got)
+	if got := c.post("complete", runq.CompleteRequest{Holder: w1}); got != http.StatusOK {
+		c.t.Fatalf("complete with every episode stored: status %d, want 200", got)
 	}
-	var cur RunStatus
-	getJSON(c.t, fmt.Sprintf("%s/runs/%d", c.url, c.id), &cur)
+	eps, _ := c.store.Episodes("own")
+	want := results.Aggregate(results.NewCampaign("own", "DS-2", core.ModeSmart, true, 10), eps)
 	recs, _ := c.store.Campaigns()
-	if cur.State != "done" || len(recs) != 1 || recs[0].Name != "own" || recs[0].Runs != 2 {
-		c.t.Fatalf("after the lease holder's complete: state %q, campaigns %+v", cur.State, recs)
+	if cur := c.status(); cur.State != "done" || len(recs) != 1 || !reflect.DeepEqual(recs[0], want) {
+		c.t.Fatalf("after the lease holder's complete: state %q, campaigns %+v, want %+v", cur.State, recs, want)
 	}
 }
 
-// TestLeaseCompleteRejectsForeignCampaign: a lease holder's
-// POST /runs/{id}/complete may store an aggregate only under its own
-// job's campaign. A foreign name answers 400, stores nothing and leaves
-// the job running; the lease holder's own aggregate then completes it.
-func TestLeaseCompleteRejectsForeignCampaign(t *testing.T) {
+// storeEpisodes posts w1's episodes for the job.
+func (c *completion) storeEpisodes(eps ...results.EpisodeRecord) {
+	c.t.Helper()
+	if got := c.post("episodes", runq.EpisodesRequest{Holder: w1, Episodes: eps}); got != http.StatusOK {
+		c.t.Fatalf("episodes: status %d", got)
+	}
+}
+
+// TestCompletionRefusedWhileEpisodesMissing: the server folds the
+// job's aggregate from its stored episodes, so a completion before all
+// of them are stored answers 409, stores nothing and leaves the job
+// running; once the last one lands the same completion succeeds.
+func TestCompletionRefusedWhileEpisodesMissing(t *testing.T) {
 	c := newCompletion(t)
-	c.refused("with a foreign campaign", aggregate("other", 2))
+	c.refused("with no episode stored")
+	c.storeEpisodes(episode("own", 1, 11))
+	c.refused("with episode 0 missing")
+	c.storeEpisodes(episode("own", 0, 10))
 	c.accepted()
 }
 
-// TestLeaseCompleteRequiresAggregate: a completion without an aggregate
-// would end the job done with nothing stored; it answers 400 and the
-// job stays running.
-func TestLeaseCompleteRequiresAggregate(t *testing.T) {
+// TestCompletionRefusesForeignSeed: an episode stored under the job's
+// campaign and index but run with another seed than the job derives
+// for that index is not the job's episode; completion waits until the
+// job's own episode replaces it.
+func TestCompletionRefusesForeignSeed(t *testing.T) {
 	c := newCompletion(t)
-	c.refused("without an aggregate", nil)
+	c.storeEpisodes(episode("own", 0, 10), episode("own", 1, 99))
+	c.refused("with episode 1 run on seed 99")
+	c.storeEpisodes(episode("own", 1, 11))
 	c.accepted()
 }
 
-// TestLeaseCompleteRejectsRunCountMismatch: the aggregate must fold
-// exactly the job's runs, no fewer and no more.
-func TestLeaseCompleteRejectsRunCountMismatch(t *testing.T) {
-	c := newCompletion(t)
-	c.refused("with 1 of 2 runs", aggregate("own", 1))
-	c.refused("with 3 of 2 runs", aggregate("own", 3))
-	c.accepted()
+// dropFirstEpisodes is a worker transport that drops the first POST
+// /runs/{id}/episodes: the request never reaches the server, and the
+// worker sees a transport error.
+type dropFirstEpisodes struct{ dropped atomic.Bool }
+
+func (d *dropFirstEpisodes) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/episodes") && d.dropped.CompareAndSwap(false, true) {
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, errors.New("connection reset by the test transport")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestWorkerDroppedUploadRequeues: an episodes post that gets no answer
+// hands the job back instead of failing it. The 16-run job's only
+// batch is dropped, attempt 2 runs it again, and the stored aggregate
+// equals an in-process run of the same request.
+func TestWorkerDroppedUploadRequeues(t *testing.T) {
+	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Shutdown(context.Background())
+	store := results.NewMemStore()
+	url := newTestServerFrom(t, New(store, WithQueue(q))).URL
+	st := postRun(t, url, `{"scenario":"DS-2","mode":"smart","name":"dropped","runs":16,"seed":300}`)
+
+	ctx, stop := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer stop()
+	w := &runq.Worker{Server: url, Name: "w1", Workers: 2, Poll: 20 * time.Millisecond,
+		Client: &http.Client{Transport: &dropFirstEpisodes{}}}
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		_ = w.Run(ctx)
+	}()
+	final := waitRun(t, url, st.ID, 2*time.Minute)
+	stop()
+	<-workerDone
+	if final.State != "done" || final.Attempt != 2 {
+		t.Fatalf("run with a dropped upload ended %q at attempt %d (%s), want done at attempt 2", final.State, final.Attempt, final.Error)
+	}
+
+	local := results.NewMemStore()
+	c := experiment.Campaign{Name: "dropped", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
+	if _, err := experiment.RunCampaignOn(engine.New(), c, 16, 300, nil, experiment.WithSink(local)); err != nil {
+		t.Fatal(err)
+	}
+	diffs, err := results.Diff(store, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diffs) != 1 {
+		t.Fatalf("diff covers %d campaigns, want 1", len(diffs))
+	}
+	if d := diffs[0]; d.A == nil || d.B == nil || !reflect.DeepEqual(d.A, d.B) {
+		t.Errorf("served aggregate differs from an in-process run:\nserved %+v\nlocal  %+v", d.A, d.B)
+	}
 }

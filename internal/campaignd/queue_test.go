@@ -416,10 +416,11 @@ func TestWorkerProtocol(t *testing.T) {
 
 	// Foreign heartbeats conflict; the owner's succeed and show up in
 	// the run status.
-	if resp, _ := post(fmt.Sprintf("/runs/%d/heartbeat", st.ID), runq.HeartbeatRequest{Worker: "w2"}); resp.StatusCode != http.StatusConflict {
+	w1 := runq.Holder{Worker: "w1", Attempt: 1}
+	if resp, _ := post(fmt.Sprintf("/runs/%d/heartbeat", st.ID), runq.HeartbeatRequest{Holder: runq.Holder{Worker: "w2", Attempt: 1}}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("foreign heartbeat: status %d, want 409", resp.StatusCode)
 	}
-	if resp, _ := post(fmt.Sprintf("/runs/%d/heartbeat", st.ID), runq.HeartbeatRequest{Worker: "w1", Done: 1, Total: 2}); resp.StatusCode != http.StatusOK {
+	if resp, _ := post(fmt.Sprintf("/runs/%d/heartbeat", st.ID), runq.HeartbeatRequest{Holder: w1, Done: 1}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("heartbeat: status %d", resp.StatusCode)
 	}
 	var cur RunStatus
@@ -433,7 +434,7 @@ func TestWorkerProtocol(t *testing.T) {
 		{V: results.Version, Campaign: "proto", Index: 0, Seed: 10, Scenario: "DS-2", Mode: core.ModeSmart, Launched: true, EB: true, Frames: 50},
 		{V: results.Version, Campaign: "proto", Index: 1, Seed: 11, Scenario: "DS-2", Mode: core.ModeSmart, Launched: true, Frames: 50},
 	}
-	if resp, _ := post(fmt.Sprintf("/runs/%d/episodes", st.ID), runq.EpisodesRequest{Worker: "w1", Episodes: eps}); resp.StatusCode != http.StatusOK {
+	if resp, _ := post(fmt.Sprintf("/runs/%d/episodes", st.ID), runq.EpisodesRequest{Holder: w1, Episodes: eps}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("episodes: status %d", resp.StatusCode)
 	}
 	stored, err := store.Episodes("proto")
@@ -441,9 +442,8 @@ func TestWorkerProtocol(t *testing.T) {
 		t.Fatalf("stored episodes = %d (%v), want 2", len(stored), err)
 	}
 
-	// Complete with the aggregate.
-	agg := results.Aggregate(results.NewCampaign("proto", "DS-2", core.ModeSmart, true, 10), eps)
-	if resp, _ := post(fmt.Sprintf("/runs/%d/complete", st.ID), runq.CompleteRequest{Worker: "w1", Campaign: &agg}); resp.StatusCode != http.StatusOK {
+	// Complete: the server folds the stored episodes.
+	if resp, _ := post(fmt.Sprintf("/runs/%d/complete", st.ID), runq.CompleteRequest{Holder: w1}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("complete: status %d", resp.StatusCode)
 	}
 	getJSON(t, fmt.Sprintf("%s/runs/%d", ts.URL, st.ID), &cur)
@@ -455,7 +455,7 @@ func TestWorkerProtocol(t *testing.T) {
 	if rec.Runs != 2 || rec.EBs != 1 {
 		t.Fatalf("served aggregate = %+v", rec)
 	}
-	if resp, _ := post(fmt.Sprintf("/runs/%d/heartbeat", st.ID), runq.HeartbeatRequest{Worker: "w1"}); resp.StatusCode != http.StatusConflict {
+	if resp, _ := post(fmt.Sprintf("/runs/%d/heartbeat", st.ID), runq.HeartbeatRequest{Holder: w1}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("post-completion heartbeat: status %d, want 409", resp.StatusCode)
 	}
 
@@ -465,7 +465,7 @@ func TestWorkerProtocol(t *testing.T) {
 	if resp, _ := post("/lease", runq.LeaseRequest{Worker: "w1"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("lease 2: status %d", resp.StatusCode)
 	}
-	if resp, _ := post(fmt.Sprintf("/runs/%d/fail", st2.ID), runq.FailRequest{Worker: "w1", Error: "worker shut down", Requeue: true}); resp.StatusCode != http.StatusOK {
+	if resp, _ := post(fmt.Sprintf("/runs/%d/fail", st2.ID), runq.FailRequest{Holder: w1, Error: "worker shut down", Requeue: true}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fail-requeue: status %d", resp.StatusCode)
 	}
 	getJSON(t, fmt.Sprintf("%s/runs/%d", ts.URL, st2.ID), &cur)
@@ -647,14 +647,10 @@ func TestServeRejectsOversizedScenarios(t *testing.T) {
 }
 
 // TestServeRequestBounds: a run of exactly runq.MaxRuns episodes is
-// accepted (the queue is remote-only, so nothing executes it); a body
-// beyond its route's limit answers 413 and queues or appends nothing;
-// and /complete accepts the largest aggregate a MaxRuns smart run can
-// fold, whose measured size sizes maxCompleteBytes.
+// accepted (the queue is remote-only, so nothing executes it), and a
+// body beyond the one 1 MiB limit answers 413 on every route and
+// queues, appends or completes nothing.
 func TestServeRequestBounds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds an 83 MiB aggregate")
-	}
 	store := results.NewMemStore()
 	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(time.Minute))
 	if err != nil {
@@ -693,7 +689,8 @@ func TestServeRequestBounds(t *testing.T) {
 		t.Fatalf("lease: status %d", got)
 	}
 	// A batch of valid episodes for the leased job, too many for one body.
-	batch := runq.EpisodesRequest{Worker: "w1"}
+	w1 := runq.Holder{Worker: "w1", Attempt: 1}
+	batch := runq.EpisodesRequest{Holder: w1}
 	for i := 0; i < 8192; i++ {
 		batch.Episodes = append(batch.Episodes, results.EpisodeRecord{Campaign: "max", Index: i, Scenario: "DS-2", Mode: core.ModeSmart})
 	}
@@ -708,28 +705,12 @@ func TestServeRequestBounds(t *testing.T) {
 		t.Fatalf("oversized batch appended %d episodes", len(eps))
 	}
 
-	// The largest aggregate a MaxRuns smart run folds: every episode
-	// launched and unsuccessful ("false" is the longer bool), two-digit
-	// K and K', and every float at its longest JSON form (24 bytes).
-	agg := results.NewCampaign("max", "DS-2", core.ModeSmart, true, 1)
-	longest := -1.2345678901234567e-300
-	ep := results.EpisodeRecord{Launched: true, K: 99, KPrime: 99, MinDelta: longest, PredictedDelta: longest, RealizedDelta: longest}
-	for i := 0; i < runq.MaxRuns; i++ {
-		agg.Fold(ep)
+	// A completion carries no aggregate, so it has the same limit.
+	raw = []byte(`{"worker":"w1","attempt":1,"padding":"` + name + `"}`)
+	if got := post(fmt.Sprintf("/runs/%d/complete", st.ID), raw); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized completion: status %d, want 413", got)
 	}
-	raw, err = json.Marshal(runq.CompleteRequest{Worker: "w1", Campaign: &agg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg = results.CampaignRecord{}
-	t.Logf("MaxRuns smart aggregate: %.1f MiB", float64(len(raw))/(1<<20))
-	if len(raw) > maxCompleteBytes {
-		t.Fatalf("MaxRuns aggregate is %d bytes, beyond the %d-byte /complete limit", len(raw), maxCompleteBytes)
-	}
-	if got := post(fmt.Sprintf("/runs/%d/complete", st.ID), raw); got != http.StatusOK {
-		t.Fatalf("complete with a MaxRuns aggregate: status %d", got)
-	}
-	if final, _ := q.Get(st.ID); final.State != runq.StateDone {
-		t.Fatalf("job state %q after complete, want done", final.State)
+	if j, _ := q.Get(st.ID); j.State != runq.StateRunning {
+		t.Fatalf("job state %q after an oversized completion, want running", j.State)
 	}
 }

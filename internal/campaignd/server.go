@@ -4,7 +4,9 @@
 // campaign runs on a durable run queue (internal/runq) — jobs survive
 // restarts, execute under a bounded local concurrency, can be leased
 // by remote robotack-worker processes, stream their episodes into the
-// same store, and report live progress over Server-Sent Events. It is
+// same store, and report live progress over Server-Sent Events. The
+// store is the one source of a served run's results: a remote job's
+// aggregate is the server's fold of the episodes it stored. It is
 // the many-clients face of the results API — robotack-campaign writes
 // a store on one machine, robotack-serve makes it queryable, diffable
 // and extendable for everyone else.
@@ -22,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/obs"
@@ -65,14 +66,17 @@ func httpSeconds(pattern string) *obs.Histogram {
 //	GET    /runs/{id}/events           live progress over Server-Sent Events
 //	DELETE /runs/{id}                  cancel a queued or running job
 //
-// Remote-worker protocol (see runq's protocol types):
+// Remote-worker protocol (see runq's protocol types). Every request
+// after the lease names the worker and the attempt it holds; one that
+// does not hold the job's current lease answers 409:
 //
 //	POST /lease                        lease the next queued job, waiting up
 //	                                   to wait_ms for one on an empty queue
 //	POST /runs/{id}/heartbeat          keep the lease alive, report progress
 //	POST /runs/{id}/episodes           stream episode records into the store
 //	POST /runs/{id}/spans              forward a traced job's worker spans
-//	POST /runs/{id}/complete           deliver the final aggregate
+//	POST /runs/{id}/complete           store the fold of the job's stored
+//	                                   episodes (409 while one is missing)
 //	POST /runs/{id}/fail               fail or hand back the job
 type Server struct {
 	store    results.Store
@@ -217,13 +221,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// aggregate returns the stored aggregate for name, recomputing it from
-// episode records when the campaign was interrupted before its
-// aggregate landed.
-func (s *Server) aggregate(name string) (*results.CampaignRecord, error) {
-	return results.AggregateFor(s.store, name)
-}
-
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	recs, err := s.store.Campaigns()
 	if err != nil {
@@ -235,7 +232,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	rec, err := s.aggregate(name)
+	rec, err := results.AggregateFor(s.store, name)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -263,7 +260,7 @@ func (s *Server) handleEpisodes(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCampaignSummary(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	rec, err := s.aggregate(name)
+	rec, err := results.AggregateFor(s.store, name)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -284,23 +281,8 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, experiment.FormatTableII(recs))
-	robo, base := splitByMode(recs)
+	robo, base := experiment.SplitByMode(recs)
 	fmt.Fprintf(w, "\n%s", experiment.FormatSummary(experiment.Summarize(robo), experiment.Summarize(base)))
-}
-
-// splitByMode separates the smart campaigns from the random baseline
-// for the headline summary, matching robotack-campaign's headline:
-// golden (mode 0) and noSH campaigns belong to neither side.
-func splitByMode(recs []results.CampaignRecord) (robo, base []results.CampaignRecord) {
-	for _, r := range recs {
-		switch r.Mode {
-		case core.ModeSmart:
-			robo = append(robo, r)
-		case core.ModeRandom:
-			base = append(base, r)
-		}
-	}
-	return robo, base
 }
 
 // handleStores reports the served store's size and format — the cheap
@@ -320,12 +302,12 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	switch {
 	case q.Get("a") != "" && q.Get("b") != "":
-		ra, err := s.aggregate(q.Get("a"))
+		ra, err := results.AggregateFor(s.store, q.Get("a"))
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		rb, err := s.aggregate(q.Get("b"))
+		rb, err := results.AggregateFor(s.store, q.Get("b"))
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
@@ -379,7 +361,7 @@ func statusOf(j runq.Job) RunStatus {
 }
 
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[RunRequest](w, r, maxBodyBytes)
+	req, ok := decodeBody[RunRequest](w, r)
 	if !ok {
 		return
 	}
@@ -463,7 +445,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	job, ch, unsub, err := s.queue.Subscribe(id)
+	ev, ch, unsub, err := s.queue.Subscribe(id)
 	if errors.Is(err, runq.ErrTooManySubscribers) {
 		writeError(w, http.StatusTooManyRequests, "run %d already has %d event streams", id, runq.MaxSubscribersPerRun)
 		return
@@ -483,16 +465,8 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	// The snapshot was taken atomically with the subscription, so the
-	// client always sees the current state first and no event between
-	// subscribe and snapshot is lost. EventOf re-reads the job, which
-	// may already have advanced past the snapshot — that is fine, the
-	// subscription channel replays anything newer — but it must not be
-	// missing, so fall back to the snapshot on a race with deletion.
-	ev, ok := s.queue.EventOf(job.ID)
-	if !ok {
-		ev = runq.Event{ID: job.ID, State: job.State, Done: job.Done, Total: job.Total, Error: job.Error}
-	}
+	// The opening event was taken under the subscription's lock, so the
+	// client sees the current state first and no later event is lost.
 	writeSSE(w, ev)
 	fl.Flush()
 	if ev.State.Terminal() {
@@ -540,23 +514,17 @@ func workerError(w http.ResponseWriter, err error) {
 	}
 }
 
-// Request-body limits. Every body but /complete's is a run request, a
-// lease, heartbeat or fail report, or one worker batch (16 episodes or
-// 128 spans): kilobytes. /complete carries the campaign aggregate,
-// whose per-episode slices grow with runs; a runq.MaxRuns smart
-// aggregate with every episode launched and every float at its longest
-// JSON form measures 83 MiB (TestServeRequestBounds).
-const (
-	maxBodyBytes     = 1 << 20
-	maxCompleteBytes = 96 << 20
-)
+// maxBodyBytes limits every request body: a run request, a lease,
+// heartbeat, completion or fail report, or one worker batch (16
+// episodes or 128 spans) is kilobytes.
+const maxBodyBytes = 1 << 20
 
-// decodeBody decodes a JSON request body of at most limit bytes,
+// decodeBody decodes a JSON request body of at most maxBodyBytes,
 // answering 413 beyond the limit and 400 for malformed JSON or for
 // anything but whitespace after the one value.
-func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64) (T, bool) {
+func decodeBody[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	err := dec.Decode(&v)
 	if err == nil {
 		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
@@ -575,7 +543,7 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64) (T, 
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[runq.LeaseRequest](w, r, maxBodyBytes)
+	req, ok := decodeBody[runq.LeaseRequest](w, r)
 	if !ok {
 		return
 	}
@@ -604,11 +572,11 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.HeartbeatRequest](w, r, maxBodyBytes)
+	req, ok := decodeBody[runq.HeartbeatRequest](w, r)
 	if !ok {
 		return
 	}
-	if err := s.queue.Heartbeat(id, req.Worker, req.Done, req.Total); err != nil {
+	if err := s.queue.Heartbeat(id, req.Holder, req.Done); err != nil {
 		workerError(w, err)
 		return
 	}
@@ -623,22 +591,18 @@ func (s *Server) handleWorkerEpisodes(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.EpisodesRequest](w, r, maxBodyBytes)
+	req, ok := decodeBody[runq.EpisodesRequest](w, r)
 	if !ok {
 		return
 	}
-	if err := s.queue.CheckLease(id, req.Worker); err != nil {
+	job, err := s.queue.CheckLease(id, req.Holder)
+	if err != nil {
 		workerError(w, err)
 		return
 	}
 	// The lease gates who may write; this gates what they write — a
 	// worker can only append into its own job's campaign and index
 	// range, never clobber another campaign's records.
-	job, ok := s.queue.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no run %d", id)
-		return
-	}
 	name := job.Request.RecordName()
 	for _, ep := range req.Episodes {
 		if ep.Campaign != name {
@@ -672,17 +636,13 @@ func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.SpansRequest](w, r, maxBodyBytes)
+	req, ok := decodeBody[runq.SpansRequest](w, r)
 	if !ok {
 		return
 	}
-	if err := s.queue.CheckLease(id, req.Worker); err != nil {
+	job, err := s.queue.CheckLease(id, req.Holder)
+	if err != nil {
 		workerError(w, err)
-		return
-	}
-	job, ok := s.queue.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no run %d", id)
 		return
 	}
 	if tr := s.queue.Tracer(); tr != nil && job.Trace != nil {
@@ -705,46 +665,39 @@ func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// handleComplete stores a worker's campaign aggregate and completes
-// its job. As for episodes, the lease gates who may complete and the
-// job gates what: the aggregate is required, and it must be the job's
-// own campaign over all of the job's runs. A refused completion leaves
-// the job running under its lease.
+// handleComplete stores the fold of the job's stored episodes
+// (runq.Job.Fold) as its aggregate and completes it. While an episode
+// is missing or ran with a foreign seed it answers 409 and the job
+// stays running, so lease expiry and a resumed attempt heal the run.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	id, ok := runID(w, r)
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.CompleteRequest](w, r, maxCompleteBytes)
+	req, ok := decodeBody[runq.CompleteRequest](w, r)
 	if !ok {
 		return
 	}
-	if err := s.queue.CheckLease(id, req.Worker); err != nil {
+	job, err := s.queue.CheckLease(id, req.Holder)
+	if err != nil {
 		workerError(w, err)
 		return
 	}
-	job, ok := s.queue.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no run %d", id)
+	eps, err := s.store.Episodes(job.Request.RecordName())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "read episodes: %v", err)
 		return
 	}
-	agg := req.Campaign
-	switch name := job.Request.RecordName(); {
-	case agg == nil:
-		writeError(w, http.StatusBadRequest, "completion of job %d carries no aggregate", id)
-		return
-	case agg.Name != name:
-		writeError(w, http.StatusBadRequest, "aggregate is for campaign %q, job %d writes %q", agg.Name, id, name)
-		return
-	case agg.Runs != job.Total:
-		writeError(w, http.StatusBadRequest, "aggregate folds %d runs, job %d has %d", agg.Runs, id, job.Total)
+	agg, err := job.Fold(eps)
+	if err != nil {
+		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	if err := s.store.PutCampaign(*agg); err != nil {
+	if err := s.store.PutCampaign(agg); err != nil {
 		writeError(w, http.StatusInternalServerError, "store aggregate: %v", err)
 		return
 	}
-	if err := s.queue.Complete(id, req.Worker); err != nil {
+	if err := s.queue.Complete(id, req.Holder); err != nil {
 		workerError(w, err)
 		return
 	}
@@ -756,11 +709,11 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeBody[runq.FailRequest](w, r, maxBodyBytes)
+	req, ok := decodeBody[runq.FailRequest](w, r)
 	if !ok {
 		return
 	}
-	if err := s.queue.Fail(id, req.Worker, req.Error, req.Requeue); err != nil {
+	if err := s.queue.Fail(id, req.Holder, req.Error, req.Requeue); err != nil {
 		workerError(w, err)
 		return
 	}

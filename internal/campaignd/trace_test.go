@@ -96,15 +96,15 @@ func TestLeaseCarriesTraceHeaders(t *testing.T) {
 	}
 	spansPath := fmt.Sprintf("/runs/%d/spans", st.ID)
 
-	if resp := post(spansPath, "w2", runq.SpansRequest{Worker: "w2", Spans: []trace.SpanData{sp}}); resp.StatusCode != http.StatusConflict {
+	if resp := post(spansPath, "w2", runq.SpansRequest{Holder: runq.Holder{Worker: "w2", Attempt: 1}, Spans: []trace.SpanData{sp}}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("foreign worker spans: status %d, want 409", resp.StatusCode)
 	}
 	bad := sp
 	bad.TraceID++
-	if resp := post(spansPath, "w1", runq.SpansRequest{Worker: "w1", Spans: []trace.SpanData{bad}}); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(spansPath, "w1", runq.SpansRequest{Holder: runq.Holder{Worker: "w1", Attempt: 1}, Spans: []trace.SpanData{bad}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("foreign trace spans: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post(spansPath, "w1", runq.SpansRequest{Worker: "w1", Spans: []trace.SpanData{sp}}); resp.StatusCode != http.StatusOK {
+	if resp := post(spansPath, "w1", runq.SpansRequest{Holder: runq.Holder{Worker: "w1", Attempt: 1}, Spans: []trace.SpanData{sp}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner spans: status %d", resp.StatusCode)
 	}
 	found := false
@@ -152,7 +152,7 @@ func TestLeaseSpansOutOfBoundsRefused(t *testing.T) {
 	}
 	post := func(spans ...trace.SpanData) int {
 		t.Helper()
-		raw, _ := json.Marshal(runq.SpansRequest{Worker: "w1", Spans: spans})
+		raw, _ := json.Marshal(runq.SpansRequest{Holder: runq.Holder{Worker: "w1", Attempt: 1}, Spans: spans})
 		resp, err := http.Post(fmt.Sprintf("%s/runs/%d/spans", url, st.ID), "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)

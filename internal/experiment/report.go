@@ -201,6 +201,21 @@ type Summary struct {
 	VehRuns, VehSuccess int
 }
 
+// SplitByMode separates the smart campaigns from the random baseline,
+// each in the order given, for the headline summary and Fig. 8: golden
+// (mode 0) and noSH campaigns belong to neither side.
+func SplitByMode(recs []results.CampaignRecord) (robo, base []results.CampaignRecord) {
+	for _, r := range recs {
+		switch r.Mode {
+		case core.ModeSmart:
+			robo = append(robo, r)
+		case core.ModeRandom:
+			base = append(base, r)
+		}
+	}
+	return robo, base
+}
+
 // Summarize folds campaign records into the headline aggregates.
 func Summarize(recs []results.CampaignRecord) Summary {
 	var s Summary

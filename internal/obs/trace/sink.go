@@ -51,9 +51,11 @@ func (c *CollectSink) Spans() []SpanData {
 // The durable sink: FTDC-style length-delimited binary records in
 // rotating segment files inside one directory, with a total-size cap —
 // a ring, so tracing is always-on without unbounded disk growth.
-// Like the FTDC capture and the runq journal, a torn tail (the process
-// died mid-write) costs at most the final record; decode stops cleanly
-// at the tear.
+// Each record goes to the file in one write, unbuffered, so a span is
+// in the file once Emit returns and a killed process loses none of
+// them. Like the FTDC capture and the runq journal, a torn tail (the
+// process died mid-write) costs at most the final record; decode stops
+// cleanly at the tear.
 
 // fileMagic opens every segment file. Its last byte is the record
 // format's version, so a reader refuses a segment of another version
@@ -78,10 +80,11 @@ type FileSink struct {
 
 	mu      sync.Mutex
 	f       *os.File // the active segment, nil once closed
-	w       *bufio.Writer
 	seq     int
 	written int64
-	scratch []byte
+	// span and rec are Emit's reused buffers: the encoded span, and the
+	// record written for it (its length prefix, then the span).
+	span, rec []byte
 	// err is the first write or roll error. It breaks the sink: later
 	// spans are dropped, and Close returns it.
 	err error
@@ -167,21 +170,20 @@ func (s *FileSink) openSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("trace: open segment: %w", err)
 	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	s.w.WriteString(fileMagic) // fits the empty buffer; Flush reports any error
-	s.written = int64(len(fileMagic))
 	s.seq++
+	if _, err := f.WriteString(fileMagic); err != nil {
+		f.Close()
+		return fmt.Errorf("trace: write segment magic: %w", err)
+	}
+	s.f = f
+	s.written = int64(len(fileMagic))
 	return nil
 }
 
-// closeSegmentLocked flushes and closes the active segment.
+// closeSegmentLocked closes the active segment.
 func (s *FileSink) closeSegmentLocked() error {
-	err := s.w.Flush()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f, s.w = nil, nil
+	err := s.f.Close()
+	s.f = nil
 	return err
 }
 
@@ -208,26 +210,23 @@ func (s *FileSink) enforceCapLocked() error {
 	return nil
 }
 
-// Emit implements Sink: encode, append, roll the segment when full.
-// Tracing must never take the serving path down with it, so Emit
-// reports nothing: its first error breaks the sink, and Close returns
-// it.
+// Emit implements Sink: encode, append the record in one write, roll
+// the segment when full. Tracing must never take the serving path down
+// with it, so Emit reports nothing: its first error breaks the sink,
+// and Close returns it.
 func (s *FileSink) Emit(d *SpanData) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil || s.f == nil {
 		return
 	}
-	s.scratch = appendSpan(s.scratch[:0], d)
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(s.scratch)))
-	if _, s.err = s.w.Write(lenBuf[:n]); s.err != nil {
+	s.span = appendSpan(s.span[:0], d)
+	s.rec = binary.AppendUvarint(s.rec[:0], uint64(len(s.span)))
+	s.rec = append(s.rec, s.span...)
+	if _, s.err = s.f.Write(s.rec); s.err != nil {
 		return
 	}
-	if _, s.err = s.w.Write(s.scratch); s.err != nil {
-		return
-	}
-	s.written += int64(n + len(s.scratch))
+	s.written += int64(len(s.rec))
 	if s.written >= s.segBytes {
 		if s.err = s.closeSegmentLocked(); s.err == nil {
 			s.err = s.openSegmentLocked()
@@ -235,8 +234,8 @@ func (s *FileSink) Emit(d *SpanData) {
 	}
 }
 
-// Close flushes and closes the active segment. It returns the sink's
-// first error: a failed write or roll, or this flush and close.
+// Close closes the active segment. It returns the sink's first error:
+// a failed write or roll, or this close.
 func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

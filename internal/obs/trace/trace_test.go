@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -404,39 +404,60 @@ func TestFileSinkTornTail(t *testing.T) {
 	}
 }
 
-// errFull stands in for a full disk.
-var errFull = errors.New("no space left on device")
-
-type fullWriter struct{}
-
-func (fullWriter) Write([]byte) (int, error) { return 0, errFull }
+// TestFileSinkDurableWithoutClose: a span is in its segment file once
+// Emit returns, so a process killed before Close loses none of them:
+// spans emitted into a sink that is never closed all read back.
+func TestFileSinkDurableWithoutClose(t *testing.T) {
+	dir := t.TempDir()
+	sink, err := NewFileSink(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close() // after the read: the file descriptor only
+	in := makeSpans(DeriveTraceID("killed", 9), int64(time.Hour))
+	for i := range in {
+		sink.Emit(&in[i])
+	}
+	got, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, in) {
+		t.Fatalf("read back %d of %d spans emitted into an unclosed sink", len(got), len(in))
+	}
+}
 
 // TestFileSinkReportsWriteError: the first failed write, or a failed
-// flush when a segment rolls, breaks the sink, and Close returns that
+// roll to the next segment, breaks the sink, and Close returns that
 // error instead of nil.
 func TestFileSinkReportsWriteError(t *testing.T) {
 	sp := SpanData{TraceID: 1, SpanID: 2, Name: "engine-job", Service: "svc", Start: 1, Dur: 2}
 	for _, c := range []struct {
 		name     string
 		segBytes int64
-		buf      int
+		breakFS  func(s *FileSink, dir string)
+		want     error
 	}{
-		{"write", DefaultSegmentBytes, 16}, // the record outgrows the buffer: Write fails
-		{"roll", 1, 4096},                  // the record fits; the roll's Flush fails
+		// The active segment's file fails the record's write.
+		{"write", DefaultSegmentBytes, func(s *FileSink, _ string) { s.f.Close() }, os.ErrClosed},
+		// The record lands in the unlinked segment; the roll cannot
+		// open the next one.
+		{"roll", 1, func(_ *FileSink, dir string) { os.RemoveAll(dir) }, fs.ErrNotExist},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sink, err := NewFileSink(t.TempDir(), 0, WithSegmentBytes(c.segBytes))
+			dir := filepath.Join(t.TempDir(), "trace")
+			sink, err := NewFileSink(dir, 0, WithSegmentBytes(c.segBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink.w = bufio.NewWriterSize(fullWriter{}, c.buf)
+			c.breakFS(sink, dir)
 			sink.Emit(&sp)
-			if !errors.Is(sink.err, errFull) {
-				t.Fatalf("sink error after a failed %s = %v, want %v", c.name, sink.err, errFull)
+			if !errors.Is(sink.err, c.want) {
+				t.Fatalf("sink error after a failed %s = %v, want %v", c.name, sink.err, c.want)
 			}
 			sink.Emit(&sp) // dropped by the broken sink
-			if err := sink.Close(); !errors.Is(err, errFull) {
-				t.Errorf("Close() = %v, want %v", err, errFull)
+			if err := sink.Close(); !errors.Is(err, c.want) {
+				t.Errorf("Close() = %v, want %v", err, c.want)
 			}
 		})
 	}

@@ -2,11 +2,13 @@ package runq
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/results"
+	"github.com/robotack/robotack/internal/scenario"
 )
 
 // LocalExecutor runs jobs in-process with the analytic oracle: each job
@@ -41,23 +43,34 @@ func (e LocalExecutor) Execute(ctx context.Context, job Job, progress func(done,
 	return err
 }
 
+// identity is the empty campaign record the request's episodes fold
+// into: record name, source label, mode, crash eligibility (a queued
+// run always counts crashes) and base seed. ExecuteRequest runs under
+// it and Job.Fold folds under it, so the two records agree.
+func (r *Request) identity() (results.CampaignRecord, scenario.Source, error) {
+	mode, err := ParseMode(r.Mode)
+	if err != nil {
+		return results.CampaignRecord{}, nil, err
+	}
+	src, err := r.Source()
+	if err != nil {
+		return results.CampaignRecord{}, nil, err
+	}
+	return results.NewCampaign(r.RecordName(), src.Label(), mode, true, r.Seed), src, nil
+}
+
 // ExecuteRequest runs one request's batch on eng and returns its
 // aggregate. It is the shared execution path of the local dispatcher
 // and the remote worker: both produce records under the request's
-// record name, via whatever sink/resume options the caller wires in.
+// identity, via whatever sink/resume options the caller wires in.
 func ExecuteRequest(eng *engine.Engine, req Request, oracles map[core.Vector]core.Oracle, opts ...experiment.RunOption) (results.CampaignRecord, error) {
-	mode, err := ParseMode(req.Mode)
+	meta, src, err := req.identity()
 	if err != nil {
 		return results.CampaignRecord{}, err
 	}
-	src, err := req.Source()
-	if err != nil {
-		return results.CampaignRecord{}, err
-	}
-	name := req.RecordName()
-	opts = append(opts, experiment.WithRecordName(name))
-	if mode == 0 {
-		g, err := experiment.RunGoldenOn(eng, src, req.Runs, req.Seed, opts...)
+	opts = append(opts, experiment.WithRecordName(meta.Name))
+	if meta.Mode == 0 {
+		g, err := experiment.RunGoldenOn(eng, src, req.Runs, meta.BaseSeed, opts...)
 		return g.CampaignRecord, err
 	}
 	var pol core.TriggerPolicy
@@ -68,12 +81,30 @@ func ExecuteRequest(eng *engine.Engine, req Request, oracles map[core.Vector]cor
 		}
 	}
 	c := experiment.Campaign{
-		Name:          name,
+		Name:          meta.Name,
 		Scenario:      src,
-		Mode:          mode,
-		ExpectCrashes: true,
+		Mode:          meta.Mode,
+		ExpectCrashes: meta.ExpectCrashes,
 		Policy:        pol,
 	}
-	r, err := experiment.RunCampaignOn(eng, c, req.Runs, req.Seed, oracles, opts...)
+	r, err := experiment.RunCampaignOn(eng, c, req.Runs, meta.BaseSeed, oracles, opts...)
 	return r.CampaignRecord, err
+}
+
+// Fold folds the job's stored episodes — one per index, sorted by
+// index, as results.Store.Episodes returns them — into the aggregate
+// ExecuteRequest computes from the same episodes. It refuses while an
+// index in [0, Total) is missing, or holds an episode run with a seed
+// other than the one the engine derives for that index.
+func (j *Job) Fold(eps []results.EpisodeRecord) (results.CampaignRecord, error) {
+	meta, _, err := j.Request.identity()
+	if err != nil {
+		return results.CampaignRecord{}, err
+	}
+	for i := 0; i < j.Total; i++ {
+		if seed := engine.AdditiveSeeds(meta.BaseSeed, i); i >= len(eps) || eps[i].Index != i || eps[i].Seed != seed {
+			return results.CampaignRecord{}, fmt.Errorf("job %d: no episode %d of %d with seed %d is stored", j.ID, i, j.Total, seed)
+		}
+	}
+	return results.Aggregate(meta, eps[:j.Total]), nil
 }

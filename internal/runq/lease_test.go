@@ -116,7 +116,7 @@ func TestLeaseParkedWokenByRequeue(t *testing.T) {
 			}
 			ch := parkLease(t, q, context.Background(), "w2", 10*time.Second)
 			if by == "fail" {
-				if err := q.Fail(sub.ID, "w1", "worker shut down", true); err != nil {
+				if err := q.Fail(sub.ID, Holder{Worker: "w1", Attempt: 1}, "worker shut down", true); err != nil {
 					t.Fatal(err)
 				}
 			} // else: w1 never heartbeats and the sweeper requeues the job.

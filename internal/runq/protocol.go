@@ -8,16 +8,23 @@ import (
 )
 
 // The wire types of the remote-worker protocol. A worker process on
-// another machine drives the queue over five verbs:
+// another machine drives the queue over six verbs:
 //
 //	POST /lease                  LeaseRequest  → LeaseResponse; on an empty queue the
 //	                             request parks up to wait_ms (capped at MaxLeaseWait)
 //	                             for a job, then answers 204
-//	POST /runs/{id}/heartbeat    HeartbeatRequest; 409 means the lease is lost
+//	POST /runs/{id}/heartbeat    HeartbeatRequest: extends the lease, reports progress
 //	POST /runs/{id}/episodes     EpisodesRequest, streamed in batches as episodes complete
 //	POST /runs/{id}/spans        SpansRequest, the worker's trace spans (traced jobs only)
-//	POST /runs/{id}/complete     CompleteRequest with the final aggregate
+//	POST /runs/{id}/complete     CompleteRequest: the server folds the job's stored
+//	                             episodes into its aggregate; 409 while one is missing
 //	POST /runs/{id}/fail         FailRequest (requeue=true hands the job back)
+//
+// Every request after the lease names its Holder: the worker and the
+// attempt its lease was granted for. A request whose holder is not the
+// job's current one (the job was cancelled, requeued or leased again,
+// maybe to the same worker) answers 409, and so does one with no
+// attempt: workers and server ship from one build, so none omits it.
 //
 // Every worker request also identifies itself in headers: WorkerHeader
 // names the worker, and — for requests belonging to a traced job —
@@ -27,7 +34,9 @@ import (
 //
 // Episode records flow through the server into the served results
 // store, so a worker crash loses nothing that was acknowledged: the
-// requeued job's next attempt resumes from exactly those episodes.
+// requeued job's next attempt resumes from exactly those episodes. The
+// store is also the one source of the job's aggregate: the worker
+// uploads episodes, never a fold of them.
 
 // WorkerHeader names the requesting worker on every lease-protocol
 // request (the JSON bodies repeat it; the header makes it visible to
@@ -40,8 +49,8 @@ const TraceparentHeader = "Traceparent"
 
 // LeaseRequest asks for the next queued job.
 type LeaseRequest struct {
-	// Worker is the worker's self-chosen name; heartbeats, episode
-	// appends and completion must carry the same name.
+	// Worker is the worker's self-chosen name; every later request of
+	// the lease carries it, with the attempt, in its Holder.
 	Worker string `json:"worker"`
 	// WaitMillis is how long the request may wait on an empty queue
 	// for a job to arrive, in milliseconds; the server caps it at
@@ -63,17 +72,24 @@ type LeaseResponse struct {
 	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
 }
 
-// HeartbeatRequest extends the lease and reports progress.
+// Holder names the lease a worker request acts under: the worker, and
+// the attempt (Job.Attempt) its lease was granted for.
+type Holder struct {
+	Worker  string `json:"worker"`
+	Attempt int    `json:"attempt"`
+}
+
+// HeartbeatRequest extends the lease and reports progress. The job's
+// total is its request's runs; a heartbeat cannot change it.
 type HeartbeatRequest struct {
-	Worker string `json:"worker"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
+	Holder
+	Done int `json:"done"`
 }
 
 // EpisodesRequest streams completed episode records into the served
 // store.
 type EpisodesRequest struct {
-	Worker   string                  `json:"worker"`
+	Holder
 	Episodes []results.EpisodeRecord `json:"episodes"`
 }
 
@@ -83,22 +99,22 @@ type EpisodesRequest struct {
 // The server refuses the batch if a span is on another trace or
 // exceeds trace.CheckBounds.
 type SpansRequest struct {
-	Worker string           `json:"worker"`
-	Spans  []trace.SpanData `json:"spans"`
+	Holder
+	Spans []trace.SpanData `json:"spans"`
 }
 
-// CompleteRequest finishes a job, delivering the campaign aggregate
-// the worker folded.
+// CompleteRequest finishes a job. It carries no aggregate: the server
+// folds the job's stored episodes itself (Job.Fold).
 type CompleteRequest struct {
-	Worker   string                  `json:"worker"`
-	Campaign *results.CampaignRecord `json:"campaign,omitempty"`
+	Holder
 }
 
 // FailRequest reports a failed or abandoned execution.
 type FailRequest struct {
-	Worker string `json:"worker"`
-	Error  string `json:"error,omitempty"`
-	// Requeue hands the job back to the queue (a worker shutting down)
-	// instead of failing it terminally.
+	Holder
+	Error string `json:"error,omitempty"`
+	// Requeue hands the job back to the queue (a worker shutting down,
+	// or one whose episodes upload got no answer) instead of failing it
+	// terminally.
 	Requeue bool `json:"requeue,omitempty"`
 }

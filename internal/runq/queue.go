@@ -23,8 +23,8 @@ var (
 	// ErrNotFound means no job has the given id.
 	ErrNotFound = errors.New("runq: no such job")
 	// ErrLeaseLost means the caller no longer holds the job: it was
-	// cancelled, requeued after a missed heartbeat, or leased by
-	// someone else. The worker must abandon the run.
+	// cancelled, requeued after a missed heartbeat, or leased again, to
+	// anyone under a later attempt. The worker must abandon the run.
 	ErrLeaseLost = errors.New("runq: lease lost")
 	// ErrClosed means the queue is shutting down.
 	ErrClosed = errors.New("runq: queue closed")
@@ -373,21 +373,21 @@ func (q *Queue) Cancel(id int) error {
 	return nil
 }
 
-// Subscribe registers for a job's events, returning the job's current
-// snapshot (taken atomically with the registration, so no event is
-// missed in between) and the event channel. The returned func
+// Subscribe registers for a job's events, returning its opening event
+// (the current state, taken under the registration's lock, so no event
+// is missed in between) and the event channel. The returned func
 // unsubscribes; slow subscribers lose oldest events first, never the
 // terminal one. A job with MaxSubscribersPerRun subscribers takes no
 // more until one unsubscribes.
-func (q *Queue) Subscribe(id int) (Job, <-chan Event, func(), error) {
+func (q *Queue) Subscribe(id int) (Event, <-chan Event, func(), error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
-		return Job{}, nil, nil, ErrNotFound
+		return Event{}, nil, nil, ErrNotFound
 	}
 	if len(q.subs[id]) >= MaxSubscribersPerRun {
-		return Job{}, nil, nil, ErrTooManySubscribers
+		return Event{}, nil, nil, ErrTooManySubscribers
 	}
 	ch := make(chan Event, 64)
 	if q.subs[id] == nil {
@@ -402,7 +402,7 @@ func (q *Queue) Subscribe(id int) (Job, <-chan Event, func(), error) {
 			delete(q.subs, id)
 		}
 	}
-	return *j, ch, unsub, nil
+	return q.eventLocked(j), ch, unsub, nil
 }
 
 // eventLocked builds the job's Event enriched with derived telemetry:
@@ -410,7 +410,7 @@ func (q *Queue) Subscribe(id int) (Job, <-chan Event, func(), error) {
 // ones. Both come from queue-internal derived state, never from the
 // journal.
 func (q *Queue) eventLocked(j *Job) Event {
-	ev := j.event()
+	ev := Event{ID: j.ID, State: j.State, Done: j.Done, Total: j.Total, Error: j.Error}
 	switch j.State {
 	case StateQueued:
 		for i, id := range q.pending {
@@ -425,18 +425,6 @@ func (q *Queue) eventLocked(j *Job) Event {
 		}
 	}
 	return ev
-}
-
-// EventOf returns the job's current enriched event snapshot — what a
-// new SSE subscriber should see first.
-func (q *Queue) EventOf(id int) (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return Event{}, false
-	}
-	return q.eventLocked(j), true
 }
 
 // publishLocked fans the job's current state out to its subscribers.
@@ -467,20 +455,25 @@ func (q *Queue) journalLocked(j *Job) {
 	}
 }
 
-// progress records episode completions reported by an executor or a
-// heartbeat. Progress only moves forward.
-func (q *Queue) progress(id int, done, total int) {
+// progress records episode completions the local executor reports.
+func (q *Queue) progress(id int, done int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok || j.State != StateRunning || done <= j.Done {
+	if j, ok := q.jobs[id]; ok && j.State == StateRunning {
+		q.progressLocked(j, done)
+	}
+}
+
+// progressLocked records a running job's episode completions, reported
+// by its executor or a heartbeat. Done only moves forward and never
+// passes Total, which is the request's runs.
+func (q *Queue) progressLocked(j *Job, done int) {
+	done = min(done, j.Total)
+	if done <= j.Done {
 		return
 	}
 	j.Done = done
-	if total > 0 {
-		j.Total = total
-	}
-	q.observeRateLocked(id, done)
+	q.observeRateLocked(j.ID, done)
 	q.publishLocked(j)
 }
 
@@ -529,7 +522,7 @@ func (q *Queue) dispatchLocked() {
 // queue is shutting down — requeued for the next process to resume.
 func (q *Queue) runLocal(ctx context.Context, cancel context.CancelFunc, job Job) {
 	defer q.wg.Done()
-	err := q.exec.Execute(ctx, job, func(done, total int) { q.progress(job.ID, done, total) })
+	err := q.exec.Execute(ctx, job, func(done, _ int) { q.progress(job.ID, done) })
 	cancel()
 
 	q.mu.Lock()
@@ -699,67 +692,58 @@ func (q *Queue) releaseParkedLocked() {
 // LeaseTTL reports the heartbeat deadline workers must beat.
 func (q *Queue) LeaseTTL() time.Duration { return q.leaseTTL }
 
-// remotelyLeasedBy reports whether worker holds a live remote lease on
-// the job. The lease-expiry check (!lease.IsZero()) structurally bars
-// remote operations from touching locally-dispatched jobs, whatever
-// name a worker chose.
-func (j *Job) remotelyLeasedBy(worker string) bool {
-	return j.State == StateRunning && j.Worker == worker && !j.lease.IsZero()
-}
-
-// Heartbeat extends a remote worker's lease and records progress. It
-// returns ErrLeaseLost when the worker no longer holds the job — the
-// signal to abandon the run.
-func (q *Queue) Heartbeat(id int, worker string, done, total int) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// heldLocked returns the job h holds a live remote lease on, the one
+// lease check of every worker request after the lease: a local job's
+// lease is zero, so no worker name reaches it, and an attempt that is
+// not the current one, or none, is ErrLeaseLost like a foreign worker.
+func (q *Queue) heldLocked(id int, h Holder) (*Job, error) {
 	j, ok := q.jobs[id]
 	if !ok {
-		return ErrNotFound
+		return nil, ErrNotFound
 	}
-	if !j.remotelyLeasedBy(worker) {
-		return ErrLeaseLost
+	if j.State != StateRunning || j.lease.IsZero() || j.Worker != h.Worker || j.Attempt != h.Attempt {
+		return nil, ErrLeaseLost
+	}
+	return j, nil
+}
+
+// Heartbeat extends h's lease and records progress. It returns
+// ErrLeaseLost when h no longer holds the job — the signal to abandon
+// the run.
+func (q *Queue) Heartbeat(id int, h Holder, done int) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	j, err := q.heldLocked(id, h)
+	if err != nil {
+		return err
 	}
 	now := time.Now()
 	j.lease = now.Add(q.leaseTTL)
 	qRenewed.Add(1)
 	q.traceHeartbeatLocked(j, now)
-	if done > j.Done {
-		j.Done = done
-		if total > 0 {
-			j.Total = total
-		}
-		q.observeRateLocked(id, done)
-		q.publishLocked(j)
-	}
+	q.progressLocked(j, done)
 	return nil
 }
 
-// CheckLease verifies that worker still holds the running job —
-// the gate for streamed episode appends.
-func (q *Queue) CheckLease(id int, worker string) error {
+// CheckLease returns the job h holds — the gate for streamed episode
+// appends, forwarded spans and completion.
+func (q *Queue) CheckLease(id int, h Holder) (Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return ErrNotFound
+	j, err := q.heldLocked(id, h)
+	if err != nil {
+		return Job{}, err
 	}
-	if !j.remotelyLeasedBy(worker) {
-		return ErrLeaseLost
-	}
-	return nil
+	return *j, nil
 }
 
 // Complete marks a remotely executed job done.
-func (q *Queue) Complete(id int, worker string) error {
+func (q *Queue) Complete(id int, h Holder) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return ErrNotFound
-	}
-	if !j.remotelyLeasedBy(worker) {
-		return ErrLeaseLost
+	j, err := q.heldLocked(id, h)
+	if err != nil {
+		return err
 	}
 	q.finishLocked(j, StateDone, "")
 	return nil
@@ -768,19 +752,16 @@ func (q *Queue) Complete(id int, worker string) error {
 // Fail records a remote execution failure. With requeue the job goes
 // back to the front of the queue (a worker shutting down mid-run);
 // without it the job is terminally failed.
-func (q *Queue) Fail(id int, worker, msg string, requeue bool) error {
+func (q *Queue) Fail(id int, h Holder, msg string, requeue bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return ErrNotFound
-	}
-	if !j.remotelyLeasedBy(worker) {
-		return ErrLeaseLost
+	j, err := q.heldLocked(id, h)
+	if err != nil {
+		return err
 	}
 	if requeue {
 		q.log.Warn("worker returned job; requeueing",
-			"job", id, "worker", worker, "attempt", j.Attempt, "err", msg)
+			"job", id, "worker", h.Worker, "attempt", j.Attempt, "err", msg)
 		q.requeueLocked(j)
 		q.dispatchLocked()
 	} else {

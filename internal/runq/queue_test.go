@@ -88,13 +88,13 @@ func req(name string, runs int) runq.Request {
 // terminal state, returning the final event.
 func waitTerminal(t *testing.T, q *runq.Queue, id int, timeout time.Duration) runq.Event {
 	t.Helper()
-	job, ch, unsub, err := q.Subscribe(id)
+	ev, ch, unsub, err := q.Subscribe(id)
 	if err != nil {
 		t.Fatalf("subscribe %d: %v", id, err)
 	}
 	defer unsub()
-	if job.State.Terminal() {
-		return runq.Event{ID: job.ID, State: job.State, Done: job.Done, Total: job.Total, Error: job.Error}
+	if ev.State.Terminal() {
+		return ev
 	}
 	deadline := time.After(timeout)
 	for {
@@ -225,14 +225,24 @@ func TestLeaseHeartbeatExpiryAndResume(t *testing.T) {
 	if _, ok := q.Lease(context.Background(), "w2", 0); ok {
 		t.Fatal("second lease should find an empty queue")
 	}
-	if err := q.Heartbeat(j1.ID, "w2", 0, 0); !errors.Is(err, runq.ErrLeaseLost) {
+	w1 := runq.Holder{Worker: "w1", Attempt: 1}
+	if err := q.Heartbeat(j1.ID, runq.Holder{Worker: "w2", Attempt: 1}, 0); !errors.Is(err, runq.ErrLeaseLost) {
 		t.Errorf("foreign heartbeat = %v, want ErrLeaseLost", err)
 	}
-	if err := q.Heartbeat(j1.ID, "w1", 2, 4); err != nil {
+	if err := q.Heartbeat(j1.ID, runq.Holder{Worker: "w1"}, 1); !errors.Is(err, runq.ErrLeaseLost) {
+		t.Errorf("heartbeat without an attempt = %v, want ErrLeaseLost", err)
+	}
+	if err := q.Heartbeat(j1.ID, w1, 2); err != nil {
 		t.Errorf("own heartbeat = %v", err)
 	}
 	if j, _ := q.Get(j1.ID); j.Done != 2 {
 		t.Errorf("heartbeat progress = %d, want 2", j.Done)
+	}
+	if err := q.Heartbeat(j1.ID, w1, 9); err != nil {
+		t.Errorf("own heartbeat = %v", err)
+	}
+	if j, _ := q.Get(j1.ID); j.Done != 4 || j.Total != 4 {
+		t.Errorf("heartbeat of 9 done on a 4-run job = %d/%d, want 4/4", j.Done, j.Total)
 	}
 
 	// Stop heartbeating; the sweeper requeues the job.
@@ -252,16 +262,20 @@ func TestLeaseHeartbeatExpiryAndResume(t *testing.T) {
 	if !ok || j2.Attempt != 2 || !j2.Request.Resume {
 		t.Fatalf("re-lease = %+v ok=%v, want attempt 2 with resume", j2, ok)
 	}
-	if err := q.Heartbeat(j2.ID, "w1", 3, 4); !errors.Is(err, runq.ErrLeaseLost) {
+	if err := q.Heartbeat(j2.ID, w1, 3); !errors.Is(err, runq.ErrLeaseLost) {
 		t.Errorf("stale worker heartbeat = %v, want ErrLeaseLost", err)
 	}
-	if err := q.Complete(j2.ID, "w2"); err != nil {
+	w2 := runq.Holder{Worker: "w2", Attempt: 2}
+	if err := q.Complete(j2.ID, runq.Holder{Worker: "w2", Attempt: 1}); !errors.Is(err, runq.ErrLeaseLost) {
+		t.Errorf("complete for a past attempt = %v, want ErrLeaseLost", err)
+	}
+	if err := q.Complete(j2.ID, w2); err != nil {
 		t.Fatal(err)
 	}
 	if j, _ := q.Get(j2.ID); j.State != runq.StateDone {
 		t.Errorf("state after complete = %s", j.State)
 	}
-	if err := q.Complete(j2.ID, "w2"); !errors.Is(err, runq.ErrLeaseLost) {
+	if err := q.Complete(j2.ID, w2); !errors.Is(err, runq.ErrLeaseLost) {
 		t.Errorf("double complete = %v, want ErrLeaseLost", err)
 	}
 }
@@ -278,7 +292,7 @@ func TestFailRequeueHandsJobBack(t *testing.T) {
 	if _, ok := q.Lease(context.Background(), "w1", 0); !ok {
 		t.Fatal("lease failed")
 	}
-	if err := q.Fail(sub.ID, "w1", "worker shut down", true); err != nil {
+	if err := q.Fail(sub.ID, runq.Holder{Worker: "w1", Attempt: 1}, "worker shut down", true); err != nil {
 		t.Fatal(err)
 	}
 	j, _ := q.Get(sub.ID)
@@ -288,7 +302,7 @@ func TestFailRequeueHandsJobBack(t *testing.T) {
 	if _, ok := q.Lease(context.Background(), "w2", 0); !ok {
 		t.Fatal("requeued job not leasable")
 	}
-	if err := q.Fail(sub.ID, "w2", "boom", false); err != nil {
+	if err := q.Fail(sub.ID, runq.Holder{Worker: "w2", Attempt: 2}, "boom", false); err != nil {
 		t.Fatal(err)
 	}
 	if j, _ := q.Get(sub.ID); j.State != runq.StateFailed || j.Error != "boom" {

@@ -99,8 +99,3 @@ type Event struct {
 	QueuePos int    `json:"queue_pos,omitempty"`
 	Error    string `json:"error,omitempty"`
 }
-
-// event builds the job's current Event snapshot.
-func (j *Job) event() Event {
-	return Event{ID: j.ID, State: j.State, Done: j.Done, Total: j.Total, Error: j.Error}
-}

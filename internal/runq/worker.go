@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -24,7 +25,8 @@ import (
 // Worker is the remote-worker client: it leases jobs from a
 // robotack-serve queue over HTTP, executes them on a local engine,
 // heartbeats while they run, streams episode records back into the
-// served store as they complete, and reports the final aggregate.
+// served store as they complete, and reports completion, from which
+// the server folds the stored episodes into the job's aggregate.
 // Several Workers on several machines drain one queue concurrently.
 type Worker struct {
 	// Server is the queue server's base URL, e.g. "http://host:8077".
@@ -190,11 +192,17 @@ func (w *Worker) RunOne(ctx context.Context) (ran bool, err error) {
 // episodes.
 const postBatch = 16
 
+// errUploadDropped marks an episodes post that got no answer (a
+// transport error, not a status): the worker hands the job back.
+var errUploadDropped = errors.New("episodes upload dropped")
+
 // run is the per-lease state shared by the engine's progress callback,
 // the heartbeat loop and the episode sink.
 type run struct {
 	w     *Worker
 	jobID int
+	// h is the lease every request of the run acts under.
+	h Holder
 	// traceparent is the job's trace-context header value ("" for
 	// untraced jobs), set on every request the run makes.
 	traceparent string
@@ -202,7 +210,6 @@ type run struct {
 	cancel context.CancelFunc
 	lost   atomic.Bool
 	done   atomic.Int64
-	total  atomic.Int64
 	// buf holds completed episodes awaiting a flush. Append is called
 	// only from the engine's single-goroutine result fold, so no lock.
 	buf []results.EpisodeRecord
@@ -232,10 +239,10 @@ func (r *run) flush() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	status, err := r.w.postJSON(ctx, fmt.Sprintf("/runs/%d/episodes", r.jobID), r.traceparent,
-		EpisodesRequest{Worker: r.w.Name, Episodes: batch}, nil)
+		EpisodesRequest{Holder: r.h, Episodes: batch}, nil)
 	first, last := batch[0].Index, batch[len(batch)-1].Index
 	if err != nil {
-		return fmt.Errorf("stream episodes %d..%d: %w", first, last, err)
+		return fmt.Errorf("stream episodes %d..%d: %w: %w", first, last, errUploadDropped, err)
 	}
 	if status == http.StatusConflict || status == http.StatusNotFound {
 		r.loseLease()
@@ -276,7 +283,7 @@ func (r *run) heartbeat(ctx context.Context, ttl time.Duration, stop <-chan stru
 			return
 		case <-t.C:
 		}
-		hb := HeartbeatRequest{Worker: r.w.Name, Done: int(r.done.Load()), Total: int(r.total.Load())}
+		hb := HeartbeatRequest{Holder: r.h, Done: int(r.done.Load())}
 		status, err := r.w.postJSON(ctx, fmt.Sprintf("/runs/%d/heartbeat", r.jobID), r.traceparent, hb, nil)
 		switch {
 		case err != nil:
@@ -304,8 +311,7 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	job := lease.Job
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r := &run{w: w, jobID: job.ID, cancel: cancel}
-	r.total.Store(int64(job.Total))
+	r := &run{w: w, jobID: job.ID, h: Holder{Worker: w.Name, Attempt: job.Attempt}, cancel: cancel}
 
 	// A traced job gets a per-job tracer whose spans (worker-job and one
 	// engine-job per episode, which the episode annotates) forward to
@@ -333,7 +339,7 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 	defer close(stop)
 	go r.heartbeat(jobCtx, time.Duration(lease.LeaseTTLMillis)*time.Millisecond, stop)
 
-	rec, err := w.executeJob(jobCtx, job, r)
+	err := w.executeJob(jobCtx, job, r)
 
 	// Spans must land before the completion report: the server gates the
 	// spans endpoint on the lease, which completion releases.
@@ -364,14 +370,15 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 		// The server already requeued or cancelled the job; silence is
 		// the protocol.
 	case err == nil:
-		report("complete", CompleteRequest{Worker: w.Name, Campaign: &rec})
-		w.log().Info("job done", "worker", w.Name, "job", job.ID, "runs", rec.Runs)
-	case ctx.Err() != nil:
-		// Worker shutdown: hand the job back promptly instead of
-		// waiting for the lease to expire.
-		report("fail", FailRequest{Worker: w.Name, Error: "worker shut down", Requeue: true})
+		report("complete", CompleteRequest{Holder: r.h})
+		w.log().Info("job done", "worker", w.Name, "job", job.ID, "runs", job.Total)
+	case ctx.Err() != nil || errors.Is(err, errUploadDropped):
+		// Worker shutdown, or episodes the server may not have stored:
+		// hand the job back now instead of when the lease expires; the
+		// next attempt re-runs only what the server did not store.
+		report("fail", FailRequest{Holder: r.h, Error: err.Error(), Requeue: true})
 	default:
-		report("fail", FailRequest{Worker: w.Name, Error: err.Error()})
+		report("fail", FailRequest{Holder: r.h, Error: err.Error()})
 		w.log().Warn("job failed", "worker", w.Name, "job", job.ID, "err", err)
 	}
 }
@@ -413,7 +420,7 @@ func (f *spanForwarder) flush() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	status, err := f.r.w.postJSON(ctx, fmt.Sprintf("/runs/%d/spans", f.r.jobID), f.r.traceparent,
-		SpansRequest{Worker: f.r.w.Name, Spans: batch}, nil)
+		SpansRequest{Holder: f.r.h, Spans: batch}, nil)
 	switch {
 	case err != nil:
 		f.r.w.log().Warn("span forward failed",
@@ -427,17 +434,17 @@ func (f *spanForwarder) flush() {
 // executeJob runs the job's batch on a local engine, streaming fresh
 // episodes to the server and resuming from the served store's
 // episodes when the lease says to.
-func (w *Worker) executeJob(ctx context.Context, job Job, r *run) (results.CampaignRecord, error) {
+func (w *Worker) executeJob(ctx context.Context, job Job, r *run) error {
 	opts := []experiment.RunOption{experiment.WithSink(r)}
 	if job.Request.Resume {
 		prior, err := w.fetchEpisodes(ctx, job.Request.RecordName())
 		if err != nil {
-			return results.CampaignRecord{}, fmt.Errorf("fetch resume episodes: %w", err)
+			return fmt.Errorf("fetch resume episodes: %w", err)
 		}
 		mem := results.NewMemStore()
 		for _, ep := range prior {
 			if err := mem.Append(ep); err != nil {
-				return results.CampaignRecord{}, err
+				return err
 			}
 		}
 		opts = append(opts, experiment.WithResume(mem))
@@ -445,18 +452,15 @@ func (w *Worker) executeJob(ctx context.Context, job Job, r *run) (results.Campa
 	eng := engine.New(
 		engine.WithContext(ctx),
 		engine.WithWorkers(w.Workers),
-		engine.WithProgress(func(done, total int) {
-			r.done.Store(int64(done))
-			r.total.Store(int64(total))
-		}),
+		engine.WithProgress(func(done, _ int) { r.done.Store(int64(done)) }),
 	)
-	rec, err := ExecuteRequest(eng, job.Request, w.Oracles, opts...)
+	_, err := ExecuteRequest(eng, job.Request, w.Oracles, opts...)
 	// Episodes still buffered must land before the outcome is reported
 	// (a completed job's records are durable, a failed one's resumable).
 	if ferr := r.flush(); ferr != nil && err == nil {
 		err = ferr
 	}
-	return rec, err
+	return err
 }
 
 // fetchEpisodes pulls a campaign's already-persisted episodes from
