@@ -248,7 +248,7 @@ func run() error {
 // malware and the random baseline — plus, with -policy, the artifact's
 // trigger — each over the same seeds.
 func runCustom(eng *engine.Engine, src scenario.Source, runs int, seed int64, oracles map[core.Vector]core.Oracle, pol core.TriggerPolicy, polLabel string, opts []experiment.RunOption) error {
-	golden, err := experiment.RunGoldenOn(eng, src, runs, seed, opts...)
+	golden, err := experiment.RunCampaignOn(eng, experiment.Golden(src), runs, seed, nil, opts...)
 	if err != nil {
 		return err
 	}

@@ -11,8 +11,8 @@
 // An idle worker's lease request parks on the server until a job
 // arrives (a long poll), so a queued job starts without waiting out a
 // poll interval. -poll is the minimum interval between lease requests
-// when a server answers without waiting: one that predates long-poll
-// leases, or one shutting down.
+// when the server answers without waiting: it paces them against a
+// queue that is shutting down, which answers 204 at once.
 //
 // Usage:
 //

@@ -327,7 +327,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 // parameters, plus mode/runs/seed and — for smart-mode runs — an
 // optional inline attack-policy artifact ("policy": the JSON
 // robotack-search writes). Queued and leased workers evaluate the
-// policy instead of the built-in fixed trigger.
+// policy instead of the paper's trigger.
 type RunRequest = runq.Request
 
 // RunStatus is the progress of one queued run.

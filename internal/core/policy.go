@@ -2,8 +2,8 @@ package core
 
 import "github.com/robotack/robotack/internal/sim"
 
-// PolicyInput is the malware's per-frame view handed to an attack
-// policy once a matched target is available: the oracle input state,
+// PolicyInput is the malware's per-frame view handed to its trigger
+// once a matched target is available: the oracle input state,
 // the scenario matcher's Table I vector, and the target's class and
 // image-relevant geometry. It carries everything a policy needs to
 // decide WHEN to fire and HOW to shape the injection without giving it
@@ -26,13 +26,11 @@ type PolicyInput struct {
 	Width float64
 }
 
-// PolicyDecision is an attack policy's answer: whether to launch this
-// frame, with what vector, for how long, and how to shape the injected
+// PolicyDecision is a trigger's answer: whether to launch this frame,
+// with what vector, for how long, and how to shape the injected
 // trajectory. The zero shaping values (OffsetScale 0, OffsetBiasM 0,
-// StepScale 0, Delay 0) mean "exactly the paper's geometry" — the
-// launch path treats 0 scales as 1.0 and applies no bias or delay, so
-// a decision carrying only Attack/Vector/K/PredictedDelta reproduces
-// the fixed trigger bit for bit.
+// StepScale 0, Delay 0) mean "exactly the paper's geometry": the
+// launch treats 0 scales as 1.0 and applies no bias or delay.
 type PolicyDecision struct {
 	Attack bool
 	// Vector replaces the matcher's choice (the masking choice: the
@@ -57,11 +55,13 @@ type PolicyDecision struct {
 	StepScale float64
 }
 
-// TriggerPolicy is the adaptive-attack hook: smart-mode malware with a
-// policy installed consults it instead of the built-in fixed
-// safety-hijacking trigger whenever the matcher proposes an attackable
-// target. The safety hijacker (with its per-episode oracles) is passed
-// in so policies can run oracle searches under their own thresholds.
+// TriggerPolicy decides when the malware attacks: the malware consults
+// its trigger whenever the matcher proposes an attackable target. Smart
+// mode's trigger is PaperTrigger unless Config.Policy sets another,
+// Config.Forced's ForcedPlan is the trigger of training-data runs, and
+// R w/o SH's fires at a random frame. The safety hijacker (with its
+// per-episode oracles) is passed in so policies can run oracle
+// searches under their own thresholds.
 //
 // Implementations must be stateless and goroutine-safe: one policy
 // value is shared by every worker of a campaign batch, and Consult may
@@ -70,4 +70,19 @@ type PolicyDecision struct {
 // being a pure function of its inputs.
 type TriggerPolicy interface {
 	Consult(in PolicyInput, sh *SafetyHijacker) (PolicyDecision, error)
+}
+
+// PaperTrigger is the paper's safety hijacker (§IV-B) as a trigger:
+// Eq. 2's oracle search under the default thresholds, with no geometry
+// shaping. It is smart mode's trigger when Config.Policy is nil.
+type PaperTrigger struct{}
+
+// Consult implements TriggerPolicy.
+func (PaperTrigger) Consult(in PolicyInput, sh *SafetyHijacker) (PolicyDecision, error) {
+	dec, err := sh.Decide(in.State, in.Vector, in.Class)
+	return PolicyDecision{
+		Attack:         dec.Attack,
+		K:              dec.K,
+		PredictedDelta: dec.PredictedDelta,
+	}, err
 }

@@ -28,10 +28,17 @@ type Campaign struct {
 	// obstacle to hit), matching the "—" cells of Table II.
 	ExpectCrashes bool
 	// Policy drives smart-mode episodes through an attack policy
-	// instead of the built-in fixed trigger (nil: the paper's
-	// trigger). The policy value is shared across the batch's
-	// workers, so it must be stateless (see core.TriggerPolicy).
+	// instead of the paper's trigger (nil: core.PaperTrigger). The
+	// policy value is shared across the batch's workers, so it must be
+	// stateless (see core.TriggerPolicy).
 	Policy core.TriggerPolicy
+}
+
+// Golden is the attack-free baseline on src: mode 0, named "golden-"
+// and the scenario label, counting crashes (the sanity baseline: the
+// paper's golden runs are incident-free).
+func Golden(src scenario.Source) Campaign {
+	return Campaign{Name: "golden-" + src.Label(), Scenario: src, ExpectCrashes: true}
 }
 
 // TableIICampaigns returns the seven campaigns of Table II, in the
@@ -65,7 +72,7 @@ func (c Campaign) WithoutSH() Campaign {
 }
 
 // WithPolicy derives the policy-driven variant of a smart campaign:
-// same scenario and seeds, with the fixed trigger replaced by p. The
+// same scenario and seeds, with the paper trigger replaced by p. The
 // suffix keeps the variant's records distinct from the paper trigger's
 // so the two evaluate side by side in one store.
 func (c Campaign) WithPolicy(suffix string, p core.TriggerPolicy) Campaign {
@@ -81,14 +88,6 @@ func (c Campaign) WithPolicy(suffix string, p core.TriggerPolicy) Campaign {
 // format, diffs compare and resumed campaigns rebuild bit-identically.
 type CampaignResult struct {
 	Campaign Campaign
-	results.CampaignRecord
-}
-
-// GoldenResult pairs an attack-free baseline's scenario source with
-// its persistent aggregate (sanity baseline: the paper's golden runs
-// are incident-free).
-type GoldenResult struct {
-	Source scenario.Source
 	results.CampaignRecord
 }
 
@@ -144,11 +143,9 @@ func RecordEpisode(campaign string, index int, seed int64, scenarioLabel string,
 type runOptions struct {
 	sink   results.Sink
 	resume results.Store
-	record string
 }
 
-// RunOption configures persistence and resumption for
-// RunCampaignOn/RunGoldenOn.
+// RunOption configures persistence and resumption for RunCampaignOn.
 type RunOption func(*runOptions)
 
 // WithSink streams every freshly executed episode's record to s in
@@ -161,81 +158,82 @@ func WithSink(s results.Sink) RunOption {
 }
 
 // WithResume folds episodes already persisted in s (keyed by the
-// campaign record name and episode index) back into the aggregate
-// instead of re-running them. Stored episodes must carry the seed the
-// engine derives for their index; a mismatch fails the episode rather
-// than silently mixing seed streams. The resumed aggregate is
-// bit-identical to an uninterrupted run's.
+// campaign name and episode index) back into the aggregate instead of
+// re-running them. Stored episodes must carry the seed the engine
+// derives for their index; a mismatch fails the episode rather than
+// silently mixing seed streams. The resumed aggregate is bit-identical
+// to an uninterrupted run's.
 func WithResume(s results.Store) RunOption {
 	return func(o *runOptions) { o.resume = s }
 }
 
-// WithRecordName overrides the campaign key used for persisted
-// records (default: the campaign's name, or "golden-" + the scenario
-// label for golden runs).
-func WithRecordName(name string) RunOption {
-	return func(o *runOptions) { o.record = name }
-}
-
-// recordedRun is the shared shape of a recorded batch: campaigns and
-// golden baselines differ only in identity and job construction.
-type recordedRun struct {
-	kind          string // "campaign" | "golden", for error messages
-	name          string // record / resume key
-	errName       string // name used in error messages
-	scenarioLabel string
-	mode          core.Mode
-	expectCrashes bool
-	runs          int
-	baseSeed      int64
-	mkJob         func(i int) engine.Job
-	opts          runOptions
-}
-
-// execute runs the batch on eng, folding completed episodes into the
-// aggregate in submission order and streaming fresh ones to the sink.
+// RunCampaignOn executes runs episodes of the campaign with seeds
+// derived from baseSeed on eng, which controls worker count,
+// cancellation and progress reporting. Records persist under c.Name.
+// The aggregate is bit-identical to a sequential run: episode seeds
+// depend only on (baseSeed, index) and results fold in index order.
 // Every per-run failure is collected (errors.Join), not just the
-// first; a canceled batch additionally joins the context error.
-func execute(eng *engine.Engine, rr recordedRun) (results.CampaignRecord, error) {
+// first. On cancellation the partial aggregate is returned with the
+// context's error joined onto any per-run failures. Options attach a
+// results sink and resume a previously persisted campaign.
+func RunCampaignOn(eng *engine.Engine, c Campaign, runs int, baseSeed int64, oracles map[core.Vector]core.Oracle, opts ...RunOption) (CampaignResult, error) {
+	var o runOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
 	// Every worker gets one episode Scratch for the whole batch:
 	// pipelines, frame buffers and oracle clones are reused across the
 	// episodes that worker runs.
 	eng = withEpisodeScratch(eng)
-	rec := results.NewCampaign(rr.name, rr.scenarioLabel, rr.mode, rr.expectCrashes, rr.baseSeed)
+	label := c.Scenario.Label()
+	res := CampaignResult{Campaign: c, CampaignRecord: results.NewCampaign(c.Name, label, c.Mode, c.ExpectCrashes, baseSeed)}
 
 	resumed := make(map[int]results.EpisodeRecord)
-	if rr.opts.resume != nil {
-		prior, err := rr.opts.resume.Episodes(rr.name)
+	if o.resume != nil {
+		prior, err := o.resume.Episodes(c.Name)
 		if err != nil {
-			return rec, fmt.Errorf("%s %s: resume: %w", rr.kind, rr.errName, err)
+			return res, fmt.Errorf("campaign %s: resume: %w", c.Name, err)
 		}
 		for _, p := range prior {
-			if p.Index >= 0 && p.Index < rr.runs {
+			if p.Index >= 0 && p.Index < runs {
 				resumed[p.Index] = p
 			}
 		}
 	}
 
-	jobs := make([]engine.Job, rr.runs)
+	attack := AttackSetup{
+		Mode:               c.Mode,
+		PreferDisappearFor: c.PreferDisappearFor,
+		Policy:             c.Policy,
+		// Episodes run concurrently; trained oracles keep per-call
+		// inference scratch, so each worker's Scratch clones them once
+		// and reuses the clones for every episode it runs.
+		Oracles: oracles,
+	}
+	run := func(ctx context.Context, seed int64) (any, error) {
+		return RunCtx(ctx, RunConfig{Source: c.Scenario, Seed: seed, Attack: attack, recycleTrace: true})
+	}
+	jobs := make([]engine.Job, runs)
 	for i := range jobs {
-		if p, ok := resumed[i]; ok {
-			jobs[i] = func(ctx context.Context, seed int64) (any, error) {
-				if p.Seed != seed {
-					return nil, fmt.Errorf("stored episode ran with seed %d but this run derives %d; refusing to mix seed streams", p.Seed, seed)
-				}
-				return p, nil
+		p, ok := resumed[i]
+		if !ok {
+			jobs[i] = run
+			continue
+		}
+		jobs[i] = func(ctx context.Context, seed int64) (any, error) {
+			if p.Seed != seed {
+				return nil, fmt.Errorf("stored episode ran with seed %d but this run derives %d; refusing to mix seed streams", p.Seed, seed)
 			}
-		} else {
-			jobs[i] = rr.mkJob(i)
+			return p, nil
 		}
 	}
 
 	var errs []error
 	delivered := 0
-	for r := range eng.StreamOrdered(rr.baseSeed, jobs) {
+	for r := range eng.StreamOrdered(baseSeed, jobs) {
 		delivered++
 		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("%s %s run %d: %w", rr.kind, rr.errName, r.Index, r.Err))
+			errs = append(errs, fmt.Errorf("campaign %s run %d: %w", c.Name, r.Index, r.Err))
 			continue
 		}
 		var ep results.EpisodeRecord
@@ -244,20 +242,20 @@ func execute(eng *engine.Engine, rr recordedRun) (results.CampaignRecord, error)
 		case results.EpisodeRecord:
 			ep = v
 		case RunResult:
-			ep = RecordEpisode(rr.name, r.Index, r.Seed, rr.scenarioLabel, rr.mode, rr.expectCrashes, v)
+			ep = RecordEpisode(c.Name, r.Index, r.Seed, label, c.Mode, c.ExpectCrashes, v)
 			fresh = true
 		default:
-			errs = append(errs, fmt.Errorf("%s %s run %d: unexpected result type %T", rr.kind, rr.errName, r.Index, r.Value))
+			errs = append(errs, fmt.Errorf("campaign %s run %d: unexpected result type %T", c.Name, r.Index, r.Value))
 			continue
 		}
-		rec.Fold(ep)
-		if fresh && rr.opts.sink != nil {
-			if err := rr.opts.sink.Append(ep); err != nil {
-				errs = append(errs, fmt.Errorf("%s %s run %d: persist: %w", rr.kind, rr.errName, r.Index, err))
+		res.Fold(ep)
+		if fresh && o.sink != nil {
+			if err := o.sink.Append(ep); err != nil {
+				errs = append(errs, fmt.Errorf("campaign %s run %d: persist: %w", c.Name, r.Index, err))
 			}
 		}
 	}
-	if delivered < rr.runs {
+	if delivered < runs {
 		if err := eng.Context().Err(); err != nil {
 			errs = append(errs, err)
 		}
@@ -266,92 +264,11 @@ func execute(eng *engine.Engine, rr recordedRun) (results.CampaignRecord, error)
 		// Only a fully successful batch gets its aggregate stored;
 		// episodes-without-aggregate is the durable marker of an
 		// interrupted campaign.
-		if st, ok := rr.opts.sink.(results.Store); ok {
-			if err := st.PutCampaign(rec); err != nil {
-				errs = append(errs, fmt.Errorf("%s %s: persist aggregate: %w", rr.kind, rr.errName, err))
+		if st, ok := o.sink.(results.Store); ok {
+			if err := st.PutCampaign(res.CampaignRecord); err != nil {
+				errs = append(errs, fmt.Errorf("campaign %s: persist aggregate: %w", c.Name, err))
 			}
 		}
 	}
-	return rec, errors.Join(errs...)
-}
-
-// RunCampaignOn executes runs episodes of the campaign with seeds
-// derived from baseSeed on eng, which controls worker count,
-// cancellation and progress reporting. The aggregate is bit-identical
-// to a sequential run: episode seeds depend only on (baseSeed, index)
-// and results fold in index order. On cancellation the partial
-// aggregate is returned along with the context's error joined onto any
-// per-run failures. Options attach a results sink and resume a
-// previously persisted campaign.
-func RunCampaignOn(eng *engine.Engine, c Campaign, runs int, baseSeed int64, oracles map[core.Vector]core.Oracle, opts ...RunOption) (CampaignResult, error) {
-	var o runOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	name := c.Name
-	if o.record != "" {
-		name = o.record
-	}
-	rec, err := execute(eng, recordedRun{
-		kind:          "campaign",
-		name:          name,
-		errName:       c.Name,
-		scenarioLabel: c.Scenario.Label(),
-		mode:          c.Mode,
-		expectCrashes: c.ExpectCrashes,
-		runs:          runs,
-		baseSeed:      baseSeed,
-		opts:          o,
-		mkJob: func(i int) engine.Job {
-			return func(ctx context.Context, seed int64) (any, error) {
-				return RunCtx(ctx, RunConfig{
-					Source:       c.Scenario,
-					Seed:         seed,
-					recycleTrace: true,
-					Attack: AttackSetup{
-						Mode:               c.Mode,
-						PreferDisappearFor: c.PreferDisappearFor,
-						Policy:             c.Policy,
-						// Episodes run concurrently; trained oracles keep
-						// per-call inference scratch, so each worker's
-						// Scratch clones them once and reuses the clones
-						// for every episode it runs.
-						Oracles: oracles,
-					},
-				})
-			}
-		},
-	})
-	return CampaignResult{Campaign: c, CampaignRecord: rec}, err
-}
-
-// RunGoldenOn executes attack-free episodes on eng. Records persist
-// under "golden-" + the scenario label unless WithRecordName overrides
-// it.
-func RunGoldenOn(eng *engine.Engine, src scenario.Source, runs int, baseSeed int64, opts ...RunOption) (GoldenResult, error) {
-	var o runOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	name := "golden-" + src.Label()
-	if o.record != "" {
-		name = o.record
-	}
-	rec, err := execute(eng, recordedRun{
-		kind:          "golden",
-		name:          name,
-		errName:       src.Label(),
-		scenarioLabel: src.Label(),
-		mode:          0,
-		expectCrashes: true,
-		runs:          runs,
-		baseSeed:      baseSeed,
-		opts:          o,
-		mkJob: func(i int) engine.Job {
-			return func(ctx context.Context, seed int64) (any, error) {
-				return RunCtx(ctx, RunConfig{Source: src, Seed: seed, recycleTrace: true})
-			}
-		},
-	})
-	return GoldenResult{Source: src, CampaignRecord: rec}, err
+	return res, errors.Join(errs...)
 }

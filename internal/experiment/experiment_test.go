@@ -27,7 +27,7 @@ func TestGoldenRunsMostlySafe(t *testing.T) {
 		t.Skip("campaign test")
 	}
 	for id := scenario.DS1; id <= scenario.DS5; id++ {
-		res, err := RunGoldenOn(engine.New(), id, 10, 900)
+		res, err := RunCampaignOn(engine.New(), Golden(id), 10, 900, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestSmartAttackBeatsGoldenOnPedestrians(t *testing.T) {
 	if atk.Launched < 8 {
 		t.Fatalf("launched %d/10; the smart malware should fire in nearly every DS-2 run", atk.Launched)
 	}
-	golden, err := RunGoldenOn(engine.New(), scenario.DS2, 10, 300)
+	golden, err := RunCampaignOn(engine.New(), Golden(scenario.DS2), 10, 300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestRandomBaselineWeakerThanSmartOnPed(t *testing.T) {
 func TestGoldenErrorsCarryScenarioAndRun(t *testing.T) {
 	// ID 0 is invalid, so every episode fails; the aggregate error must
 	// name the scenario and the run index like campaign errors do.
-	_, err := RunGoldenOn(engine.New(engine.WithWorkers(1)), scenario.ID(0), 3, 1)
+	_, err := RunCampaignOn(engine.New(engine.WithWorkers(1)), Golden(scenario.ID(0)), 3, 1, nil)
 	if err == nil {
 		t.Fatal("golden runs on an invalid scenario must fail")
 	}
-	if want := "golden DS-?(0) run 0:"; !strings.Contains(err.Error(), want) {
+	if want := "campaign golden-DS-?(0) run 0:"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not contain %q", err, want)
 	}
 }
@@ -121,7 +121,7 @@ func TestCampaignOnGeneratedSource(t *testing.T) {
 		t.Errorf("generated-source campaign not deterministic:\n%+v\n%+v", a, b)
 	}
 
-	golden, err := RunGoldenOn(engine.New(), src, 10, 4200)
+	golden, err := RunCampaignOn(engine.New(), Golden(src), 10, 4200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

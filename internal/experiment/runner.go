@@ -33,18 +33,15 @@ type AttackSetup struct {
 	// malware's delta estimate drops below DeltaInject, for K frames —
 	// the paper's training-data collection procedure (§IV-B).
 	Forced *ForcedPlan
-	// Policy, when set, replaces smart mode's built-in fixed trigger:
-	// the malware consults it per frame for when to fire and how to
-	// shape the injection (see core.TriggerPolicy / internal/policy).
-	// Nil reproduces the paper's trigger bit-identically.
+	// Policy, when set, replaces smart mode's trigger,
+	// core.PaperTrigger: the malware consults it per frame for when to
+	// fire and how to shape the injection (see core.TriggerPolicy and
+	// internal/policy).
 	Policy core.TriggerPolicy
 }
 
 // ForcedPlan is a scripted attack for training-data generation.
-type ForcedPlan struct {
-	DeltaInject float64
-	K           int
-}
+type ForcedPlan = core.ForcedPlan
 
 // RunConfig fully describes one episode.
 type RunConfig struct {
@@ -208,9 +205,7 @@ func (s *Scratch) Start(ctx context.Context, cfg RunConfig) (*Episode, error) {
 		if cfg.Attack.PreferDisappearFor != 0 {
 			mcfg.Matcher.PreferDisappearFor = cfg.Attack.PreferDisappearFor
 		}
-		if fp := cfg.Attack.Forced; fp != nil {
-			mcfg.Forced = &core.ForcedPlan{DeltaInject: fp.DeltaInject, K: fp.K}
-		}
+		mcfg.Forced = cfg.Attack.Forced
 		mcfg.Policy = cfg.Attack.Policy
 		e.malware = s.malwareFor(mcfg, cfg.Attack.Oracles, reseed(&s.malRNG, cfg.Seed*31337+7))
 	}

@@ -57,7 +57,6 @@ type Encoder struct {
 	names  []string
 	prev   []uint64
 	prevTS int64
-	wrote  bool
 	buf    []byte
 }
 
@@ -96,7 +95,6 @@ func (e *Encoder) Encode(ts int64, samples []Sample) error {
 		}
 		e.prev = make([]uint64, len(e.names))
 		e.prevTS = 0
-		e.wrote = false
 	}
 	e.w.WriteByte('D')
 	e.putVarint(ts - e.prevTS)
@@ -106,7 +104,6 @@ func (e *Encoder) Encode(ts int64, samples []Sample) error {
 		e.putVarint(int64(bits - e.prev[i]))
 		e.prev[i] = bits
 	}
-	e.wrote = true
 	return e.flushErr()
 }
 
@@ -124,7 +121,10 @@ func sameSchema(names []string, samples []Sample) bool {
 	return true
 }
 
-// Decode reads a full capture stream back into snapshots.
+// Decode reads a capture stream back into snapshots. A torn tail — a
+// final chunk cut short by a process that died mid-write — ends the
+// decode cleanly with every whole snapshot before it, as the trace
+// sink's DecodeAll does. Anything else malformed is an error.
 func Decode(r io.Reader) ([]Snapshot, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(ftdcMagic))
@@ -152,7 +152,7 @@ func Decode(r io.Reader) ([]Snapshot, error) {
 		case 'S':
 			n, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("ftdc: schema count: %w", err)
+				return torn(out, fmt.Errorf("ftdc: schema count: %w", err))
 			}
 			if n > maxFTDCSeries {
 				return nil, fmt.Errorf("ftdc: schema of %d series, more than %d", n, maxFTDCSeries)
@@ -161,14 +161,14 @@ func Decode(r io.Reader) ([]Snapshot, error) {
 			for i := range names {
 				l, err := binary.ReadUvarint(br)
 				if err != nil {
-					return nil, fmt.Errorf("ftdc: name length: %w", err)
+					return torn(out, fmt.Errorf("ftdc: name length: %w", err))
 				}
 				if l > maxFTDCName {
 					return nil, fmt.Errorf("ftdc: series name of %d bytes, more than %d", l, maxFTDCName)
 				}
 				b := make([]byte, l)
 				if _, err := io.ReadFull(br, b); err != nil {
-					return nil, fmt.Errorf("ftdc: name bytes: %w", err)
+					return torn(out, fmt.Errorf("ftdc: name bytes: %w", err))
 				}
 				names[i] = string(b)
 			}
@@ -180,14 +180,14 @@ func Decode(r io.Reader) ([]Snapshot, error) {
 			}
 			dts, err := binary.ReadVarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("ftdc: timestamp delta: %w", err)
+				return torn(out, fmt.Errorf("ftdc: timestamp delta: %w", err))
 			}
 			prevTS += dts
 			snap := Snapshot{TS: prevTS, Metrics: make(map[string]float64, len(names))}
 			for i, name := range names {
 				d, err := binary.ReadVarint(br)
 				if err != nil {
-					return nil, fmt.Errorf("ftdc: series delta: %w", err)
+					return torn(out, fmt.Errorf("ftdc: series delta: %w", err))
 				}
 				prev[i] += uint64(d)
 				snap.Metrics[name] = math.Float64frombits(prev[i])
@@ -197,6 +197,15 @@ func Decode(r io.Reader) ([]Snapshot, error) {
 			return nil, fmt.Errorf("ftdc: unknown chunk type %q", kind)
 		}
 	}
+}
+
+// torn ends a decode at err. A stream that ends inside a chunk is a
+// torn tail, which keeps out, the snapshots before it.
+func torn(out []Snapshot, err error) ([]Snapshot, error) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return out, nil
+	}
+	return nil, err
 }
 
 // Capture is a running periodic snapshotter; Stop for a final sample

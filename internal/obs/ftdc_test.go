@@ -76,10 +76,69 @@ func TestFTDCRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestFTDCTornTail cuts a capture with a mid-capture schema change at
+// every offset: a cut inside the magic is refused, and any later cut
+// decodes, without error, to exactly the snapshots whose chunks lie
+// whole before it, bit for bit.
+func TestFTDCTornTail(t *testing.T) {
+	var buf bytes.Buffer
+	enc, err := NewEncoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // capture length after each snapshot
+	for i, samples := range [][]Sample{
+		{{"a_total", 0}, {"b_gauge", -1.5}},
+		{{"a_total", 300}, {"b_gauge", math.Inf(1)}},
+		{{"a_total", 301}, {"b_gauge", 2.25}, {"c_total", 1e300}},
+		{{"a_total", 302}, {"b_gauge", -0.125}, {"c_total", 7}},
+		{{"a_total", 1 << 40}, {"b_gauge", math.NaN()}, {"c_total", 8}},
+	} {
+		if err := enc.Encode(int64(1000+1500*i), samples); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	full := buf.Bytes()
+	want, err := Decode(bytes.NewReader(full))
+	if err != nil || len(want) != len(ends) {
+		t.Fatalf("whole capture: %d snapshots (%v), want %d", len(want), err, len(ends))
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		got, err := Decode(bytes.NewReader(full[:cut]))
+		if cut < len(ftdcMagic) {
+			if err == nil {
+				t.Errorf("cut at %d, inside the magic: decoding succeeded", cut)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		if len(got) != whole {
+			t.Fatalf("cut at %d: %d snapshots, want %d", cut, len(got), whole)
+		}
+		for i, s := range got {
+			if s.TS != want[i].TS || len(s.Metrics) != len(want[i].Metrics) {
+				t.Fatalf("cut at %d, snapshot %d: ts %d with %d series, want ts %d with %d", cut, i, s.TS, len(s.Metrics), want[i].TS, len(want[i].Metrics))
+			}
+			for name, v := range want[i].Metrics {
+				if got, ok := s.Metrics[name]; !ok || math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("cut at %d, snapshot %d: %s = %v, want %v", cut, i, name, got, v)
+				}
+			}
+		}
+	}
+}
+
 // FuzzFTDCDecode: Decode returns an error, never crashes, on any input,
 // and whatever it accepts round-trips through the Encoder bit for bit.
 // The seed corpus in testdata/fuzz holds a real robotack-campaign
-// capture.
+// capture, and the same capture with its last 3 bytes cut off.
 func FuzzFTDCDecode(f *testing.F) {
 	f.Add([]byte(ftdcMagic + "S\xdd\xdd\xdd\xdd\xddD"))
 	f.Fuzz(func(t *testing.T, data []byte) {

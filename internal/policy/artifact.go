@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"github.com/robotack/robotack/internal/core"
 )
 
 // Version is the artifact schema version. Readers reject artifacts
@@ -16,7 +18,8 @@ const Version = 1
 
 // Artifact kinds.
 const (
-	// KindPaper names the paper's fixed safety-hijacking trigger.
+	// KindPaper names the paper's safety-hijacking trigger,
+	// core.PaperTrigger.
 	KindPaper = "paper"
 	// KindParam names a parameterized (typically trained) policy.
 	KindParam = "param"
@@ -26,7 +29,7 @@ const (
 // descriptions (robotack-campaign -list-policies).
 func Kinds() []struct{ Kind, Desc string } {
 	return []struct{ Kind, Desc string }{
-		{KindPaper, "the paper's fixed safety-hijacking trigger (§IV-B), as a policy"},
+		{KindPaper, "the paper's safety-hijacking trigger (§IV-B), smart mode's default"},
 		{KindParam, "parameterized trigger thresholds + injection geometry (train with robotack-search)"},
 	}
 }
@@ -103,7 +106,7 @@ func (a *Artifact) Build() (Policy, error) {
 	}
 	switch a.Kind {
 	case KindPaper:
-		return PaperTrigger{}, nil
+		return core.PaperTrigger{}, nil
 	default:
 		return &ParamPolicy{P: *a.Params}, nil
 	}

@@ -1,13 +1,13 @@
 // Package policy closes the loop between campaigns and the malware:
-// instead of the paper's fixed safety-hijacking trigger, the malware
-// consults an attack policy every frame — WHEN to fire and WHAT to
-// inject (fake-obstacle placement and drift speed, masking choice,
-// timing jitter). The package ships the paper's trigger as a policy
-// (PaperTrigger, bit-identical to the built-in path), a parameterized
-// family over trigger thresholds and injection geometry (ParamPolicy)
-// with a versioned JSON artifact format, and a deterministic
-// evolution-strategy trainer that searches the parameter space by
-// running generations of campaigns on the engine. Related work (MERLIN,
+// in place of the paper's safety-hijacking trigger (core.PaperTrigger),
+// the malware consults an attack policy every frame — WHEN to fire and
+// WHAT to inject (fake-obstacle placement and drift speed, masking
+// choice, timing jitter). The package ships a parameterized family
+// over trigger thresholds and injection geometry (ParamPolicy) whose
+// DefaultParams member is the paper's trigger, a versioned JSON
+// artifact format (kind "paper" builds core.PaperTrigger itself), and
+// a deterministic evolution-strategy trainer that searches the
+// parameter space by running generations of campaigns on the engine. Related work (MERLIN,
 // MAB-Malware) shows searched attacks dominate hard-coded ones; the
 // allocation-free frame pipeline makes that search affordable here —
 // hundreds of deterministic episode evaluations per second per machine.
@@ -25,26 +25,6 @@ import (
 // implementations decide when to trigger and how to shape the injected
 // trajectory, and must be stateless and goroutine-safe.
 type Policy = core.TriggerPolicy
-
-// PaperTrigger is the paper's fixed safety-hijacking trigger expressed
-// as a policy: it runs the safety hijacker's Eq. 2 oracle search under
-// the configured thresholds and applies no geometry shaping. Campaigns
-// driven by it are bit-identical to the built-in smart-mode trigger
-// (enforced by TestPaperTriggerBitIdentical).
-type PaperTrigger struct{}
-
-var _ Policy = PaperTrigger{}
-
-// Consult implements Policy by delegating to the safety hijacker
-// exactly as the built-in trigger does.
-func (PaperTrigger) Consult(in core.PolicyInput, sh *core.SafetyHijacker) (core.PolicyDecision, error) {
-	dec, err := sh.Decide(in.State, in.Vector, in.Class)
-	return core.PolicyDecision{
-		Attack:         dec.Attack,
-		K:              dec.K,
-		PredictedDelta: dec.PredictedDelta,
-	}, err
-}
 
 // Params is the searchable attack-policy parameter vector: the trigger
 // thresholds of the safety hijacker (when to fire), the injection
@@ -81,7 +61,8 @@ type Params struct {
 }
 
 // DefaultParams returns the paper-equivalent parameters: evaluating
-// them reproduces the fixed trigger's decisions.
+// them reproduces core.PaperTrigger's decisions, so the trainer's
+// generation 0 is the paper's trigger.
 func DefaultParams() Params {
 	sh := core.DefaultSafetyHijackerConfig()
 	return Params{

@@ -34,16 +34,29 @@ func runTableII(t *testing.T, pol core.TriggerPolicy, runs int, seed int64) *res
 	return store
 }
 
-// TestPaperTriggerBitIdentical is the zero-drift proof for the policy
-// subsystem: the Table II battery driven through PaperTrigger must be
-// byte-identical, store record for store record, to the built-in
-// smart-mode trigger (Policy == nil).
+// defaultPolicy is ParamPolicy at DefaultParams, the trainer's
+// generation 0.
+func defaultPolicy(t *testing.T) *ParamPolicy {
+	t.Helper()
+	pol, err := New(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
+// TestPaperTriggerBitIdentical holds the parameterized family to the
+// paper's trigger at DefaultParams, which is what makes the trainer's
+// generation 0 the paper's trigger: the Table II battery driven
+// through ParamPolicy(DefaultParams()) must be byte-identical, store
+// record for store record, to smart mode's core.PaperTrigger (Policy
+// == nil).
 func TestPaperTriggerBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table II battery")
 	}
 	legacy := runTableII(t, nil, 6, 1000)
-	viaPolicy := runTableII(t, PaperTrigger{}, 6, 1000)
+	viaPolicy := runTableII(t, defaultPolicy(t), 6, 1000)
 
 	diffs, err := results.Diff(legacy, viaPolicy)
 	if err != nil {
@@ -51,7 +64,7 @@ func TestPaperTriggerBitIdentical(t *testing.T) {
 	}
 	for _, d := range diffs {
 		if d.RunsDelta != 0 || d.EBRateDelta != 0 || d.CrashRateDelta != 0 {
-			t.Errorf("campaign %s drifted under PaperTrigger: %+v", d.Name, d)
+			t.Errorf("campaign %s drifted under DefaultParams: %+v", d.Name, d)
 		}
 	}
 
@@ -79,10 +92,11 @@ func TestPaperTriggerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPaperTriggerFrameByFrame asserts PaperTrigger reproduces the
-// legacy in-line trigger's full episode outcome — launch frame, vector,
-// K, and the per-frame DeltaTrace — on DS-1..DS-5.
+// TestPaperTriggerFrameByFrame asserts ParamPolicy(DefaultParams())
+// reproduces the paper trigger's full episode outcome — launch frame,
+// vector, K, and the per-frame DeltaTrace — on DS-1..DS-5.
 func TestPaperTriggerFrameByFrame(t *testing.T) {
+	pol := defaultPolicy(t)
 	for _, id := range []scenario.ID{scenario.DS1, scenario.DS2, scenario.DS3, scenario.DS4, scenario.DS5} {
 		for _, seed := range []int64{1, 77, 4242} {
 			legacy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
@@ -94,13 +108,13 @@ func TestPaperTriggerFrameByFrame(t *testing.T) {
 			}
 			viaPolicy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
 				Scenario: id, Seed: seed,
-				Attack: experiment.AttackSetup{Mode: core.ModeSmart, Policy: PaperTrigger{}},
+				Attack: experiment.AttackSetup{Mode: core.ModeSmart, Policy: pol},
 			})
 			if err != nil {
 				t.Fatalf("%v seed %d (policy): %v", id, seed, err)
 			}
 			if !reflect.DeepEqual(legacy, viaPolicy) {
-				t.Errorf("%v seed %d: PaperTrigger episode differs from legacy trigger:\nlegacy %+v\npolicy %+v",
+				t.Errorf("%v seed %d: DefaultParams episode differs from the paper trigger:\npaper  %+v\npolicy %+v",
 					id, seed, legacy, viaPolicy)
 			}
 		}
@@ -112,10 +126,7 @@ func TestPaperTriggerFrameByFrame(t *testing.T) {
 // the fixed trigger, which is what lets the search start from the
 // reproduction's behavior.
 func TestDefaultParamsMatchPaper(t *testing.T) {
-	pol, err := New(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pol := defaultPolicy(t)
 	for _, id := range []scenario.ID{scenario.DS1, scenario.DS2, scenario.DS3} {
 		legacy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
 			Scenario: id, Seed: 1234,
@@ -235,7 +246,7 @@ func TestPaperArtifactBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := pol.(PaperTrigger); !ok {
+	if _, ok := pol.(core.PaperTrigger); !ok {
 		t.Fatalf("paper artifact built %T", pol)
 	}
 }

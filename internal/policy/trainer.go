@@ -219,16 +219,13 @@ func evaluate(eng *engine.Engine, cfg TrainerConfig, p Params, gen, cand int) (C
 	}
 	seed := EvalSeed(cfg.BaseSeed, gen, cand)
 	out := Candidate{Gen: gen, Index: cand, Seed: seed, Params: p}
+	var opts []experiment.RunOption
+	if cfg.Store != nil {
+		opts = append(opts, experiment.WithSink(cfg.Store), experiment.WithResume(cfg.Store))
+	}
 	for _, c := range cfg.Battery {
+		c.Name = RecordName(gen, cand, c.Name)
 		c.Policy = pol
-		opts := []experiment.RunOption{
-			experiment.WithRecordName(RecordName(gen, cand, c.Name)),
-		}
-		if cfg.Store != nil {
-			opts = append(opts,
-				experiment.WithSink(cfg.Store),
-				experiment.WithResume(cfg.Store))
-		}
 		r, err := experiment.RunCampaignOn(eng, c, cfg.Runs, seed, cfg.Oracles, opts...)
 		if err != nil {
 			return out, err

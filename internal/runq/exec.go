@@ -68,11 +68,6 @@ func ExecuteRequest(eng *engine.Engine, req Request, oracles map[core.Vector]cor
 	if err != nil {
 		return results.CampaignRecord{}, err
 	}
-	opts = append(opts, experiment.WithRecordName(meta.Name))
-	if meta.Mode == 0 {
-		g, err := experiment.RunGoldenOn(eng, src, req.Runs, meta.BaseSeed, opts...)
-		return g.CampaignRecord, err
-	}
 	var pol core.TriggerPolicy
 	if req.Policy != nil {
 		pol, err = req.Policy.Build()

@@ -55,7 +55,8 @@ type LeaseRequest struct {
 	// WaitMillis is how long the request may wait on an empty queue
 	// for a job to arrive, in milliseconds; the server caps it at
 	// MaxLeaseWait. Zero or absent asks for an answer at once. A
-	// server that predates the field ignores it and answers at once.
+	// queue that is shutting down answers 204 at once, whatever the
+	// wait.
 	WaitMillis int64 `json:"wait_ms,omitempty"`
 }
 

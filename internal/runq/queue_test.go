@@ -416,7 +416,7 @@ func TestCrashReplayBitIdentical(t *testing.T) {
 	)
 	c := experiment.Campaign{Name: "crashy", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
 	_, err = experiment.RunCampaignOn(eng, c, request.Runs, request.Seed, nil,
-		experiment.WithSink(crashStore), experiment.WithRecordName("crashy"))
+		experiment.WithSink(crashStore))
 	ccancel()
 	if err == nil {
 		t.Fatal("interrupted run should report the cancellation")

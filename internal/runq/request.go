@@ -30,7 +30,7 @@ type Request struct {
 	Mode string `json:"mode"`
 	// Policy is an inline attack-policy artifact for smart-mode runs:
 	// queued and remote workers evaluate the policy instead of the
-	// built-in fixed trigger. Journaled verbatim like Spec, so a
+	// paper's trigger. Journaled verbatim like Spec, so a
 	// policy-driven job survives restarts with no registry state.
 	Policy *policy.Artifact `json:"policy,omitempty"`
 	// Name keys the persisted records (default "<scenario>-<mode>").

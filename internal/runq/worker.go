@@ -39,9 +39,10 @@ type Worker struct {
 	// (nil: the analytic oracle).
 	Oracles map[core.Vector]core.Oracle
 	// Poll is the minimum interval between lease requests when a server
-	// answers without waiting (default 1s): one that predates long-poll
-	// leases, or one shutting down. Against a server that parks empty
-	// lease requests the worker leases again as soon as one returns.
+	// answers without waiting (default 1s): it paces them against a
+	// queue that is shutting down, which answers 204 at once. An empty
+	// lease request that the server parked for its wait is followed by
+	// the next at once.
 	Poll time.Duration
 	// Client is the HTTP client (default http.DefaultClient). A Timeout
 	// on it must exceed the 10 s a lease request may wait on the server.
