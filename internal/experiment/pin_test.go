@@ -13,6 +13,7 @@ import (
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
+	"github.com/robotack/robotack/internal/nn"
 	"github.com/robotack/robotack/internal/policy"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
@@ -127,6 +128,65 @@ func TestAttackPathDigests(t *testing.T) {
 	}
 	if len(got) != len(attackPathDigests) {
 		t.Errorf("%d digests computed, %d pinned", len(got), len(attackPathDigests))
+	}
+}
+
+// oracleFitDigests are the SHA-256 digests of the production oracle fit
+// at pinSeed, per vector: of the fitted weights then biases of every
+// layer (layer order, row-major), and of the nn.Result bits (TrainMSE,
+// ValMSE, ValMAE).
+var oracleFitDigests = map[string][2]string{
+	"Disappear": {
+		"5506b31d34671fc47461e6c1e12989e0801d185a1de8c9f9e7657f5404c4409a",
+		"5ca89249283e863ee931872ae56b7bb334458dd670f6223e1cd6ef409fbe6acb",
+	},
+	"Move_Out": {
+		"6e96bf13884da3e0105f4838d0ef779b5f99ff5639d8629fc2ab04ffb0b3b990",
+		"14b21635679d404c1aaffcf6b277c87136b5f84addfd7667caf76578f1247cf9",
+	},
+	"Move_In": {
+		"d2a4cf9ffda0f2cbd1c4ab3ef8b8572e1430ab13dc89df45a10e6dcec065cae4",
+		"2e76e0059f027bd0383faffd644a3c5189dedbd578d95b9b3e6df1d86a4aabb6",
+	},
+}
+
+// TestOracleFitDigests holds the 60-epoch recipe that robotack-campaign
+// fits its oracles with, on the DefaultOracleSpecs data, to the digests
+// above, so the training kernels can be restructured against a
+// full-size reference. The bits are amd64's: another architecture may
+// fuse multiply-adds.
+func TestOracleFitDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the three oracle datasets and fits 60 epochs each")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	_, infos, err := experiment.TrainOraclesOn(engine.New(engine.WithWorkers(2)),
+		experiment.DefaultOracleSpecs(), pinSeed, nn.DefaultTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != len(oracleFitDigests) {
+		t.Fatalf("%d oracles fitted, %d pinned", len(infos), len(oracleFitDigests))
+	}
+	for _, info := range infos {
+		weights := sha256.New()
+		for _, d := range info.Net.Layers {
+			for _, p := range [][]float64{d.W, d.B} {
+				for _, v := range p {
+					writeFloat(weights, v)
+				}
+			}
+		}
+		result := sha256.New()
+		for _, v := range []float64{info.Result.TrainMSE, info.Result.ValMSE, info.Result.ValMAE} {
+			writeFloat(result, v)
+		}
+		got := [2]string{hex.EncodeToString(weights.Sum(nil)), hex.EncodeToString(result.Sum(nil))}
+		if want := oracleFitDigests[info.Vector.String()]; got != want {
+			t.Errorf("%v: weight, result digests %s, %s; want %s, %s", info.Vector, got[0], got[1], want[0], want[1])
+		}
 	}
 }
 
