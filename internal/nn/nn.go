@@ -38,41 +38,40 @@ func NewDense(in, out int, rng *stats.RNG) *Dense {
 	return d
 }
 
-// backwardInto accumulates the parameter gradients for upstream
-// gradient grad at layer input x, whose nonzero entries nz indexes in
-// ascending order. If dx is set it also adds dL/dx at the entries nz
-// indexes into in, which the caller zeroes. The layer below every
-// Dense layer but the first is a hidden layer's ReLU and dropout, whose
-// output is 0 at every other entry and whose backward pass writes a
-// literal 0 there whatever dL/dx holds; nothing reads the first
-// layer's dL/dx.
-func (d *Dense) backwardInto(in, grad, x []float64, nz []int32, dx bool) {
-	x = x[:d.In]
-	for o := 0; o < d.Out; o++ {
-		g := grad[o]
-		if g == 0 {
-			// An exactly-zero upstream gradient (a ReLU-inactive or
-			// dropped unit: about half of each hidden layer in training)
-			// would add ±0 to every accumulator below. Accumulators
-			// start at +0, and a float64 sum that starts at +0 is never
-			// -0 (+0 + -0 is +0, exact cancellation rounds to +0), so
-			// adding ±0 leaves each one unchanged bit for bit: skipping
-			// the row is exact for finite inputs and weights. The same
-			// argument skips the weight-gradient terms of zero inputs.
-			continue
+// backwardInto accumulates d's parameter gradients for the rows o that
+// rows lists, each with upstream gradient grad[o]*scale, at layer input
+// x, whose nonzero entries nz lists in ascending order. If gin is set it
+// also writes dL/dx into gin at the entries nz lists, zeroing them
+// first; its other entries keep stale values. Only listed rows and
+// inputs add terms, which is exact for finite weights and inputs when
+// every unlisted row's gradient is 0: each term left out is ±0, every
+// accumulator starts at +0, and a float64 sum that starts at +0 is never
+// -0 (+0 + -0 is +0, exact cancellation rounds to +0), so adding ±0
+// leaves it unchanged bit for bit. A listed row whose gradient is 0
+// adds only such terms.
+func (d *Dense) backwardInto(gin, grad, x []float64, rows, nz []int32, scale float64) {
+	if gin != nil {
+		for _, k := range nz {
+			gin[k] = 0
 		}
+	}
+	in := d.In
+	x = x[:in]
+	for _, o := range rows {
+		g := grad[o] * scale
 		d.gb[o] += g
-		row := d.W[o*d.In : (o+1)*d.In][:len(x)]
-		grow := d.gw[o*d.In : (o+1)*d.In][:len(x)]
-		if dx {
-			for _, i := range nz {
-				grow[i] += g * x[i]
-				in[i] += g * row[i]
+		row := d.W[int(o)*in:][:in]
+		grow := d.gw[int(o)*in:][:in]
+		if gin != nil {
+			gin := gin[:in]
+			for _, k := range nz {
+				grow[k] += g * x[k]
+				gin[k] += g * row[k]
 			}
 			continue
 		}
-		for _, i := range nz {
-			grow[i] += g * x[i]
+		for _, k := range nz {
+			grow[k] += g * x[k]
 		}
 	}
 }
@@ -100,31 +99,28 @@ const (
 // reluDropout is a hidden layer's ReLU and then its inverted dropout,
 // in place on the layer's activation h. keep holds one draw per unit:
 // a unit passes, scaled by dropScale, where it is active (h > 0) and
-// kept, and becomes +0 elsewhere. On return keep marks the units that
-// passed.
-func reluDropout(h []float64, keep []bool) {
-	keep = keep[:len(h)]
+// kept, and becomes +0 elsewhere. It writes the units that passed, in
+// ascending order, to the front of passed, which must have capacity for
+// len(h), and returns them. Those are exactly h's nonzero entries on
+// return: a positive v times dropScale (> 1) rounds to no less than v.
+// About half of a hidden layer's units pass, at random, so the loop
+// selects with masks instead of a branch that would often mispredict.
+func reluDropout(h []float64, keep []bool, passed []int32) []int32 {
+	keep, passed = keep[:len(h)], passed[:len(h)]
+	n := 0
 	for i, v := range h {
-		if keep[i] && v > 0 {
-			h[i] = v * dropScale
-		} else {
-			keep[i] = false
-			h[i] = 0
+		var pass uint64 // all ones where the unit passes
+		if v > 0 {
+			pass = ^uint64(0)
 		}
-	}
-}
-
-// reluDropoutBack is reluDropout's backward pass, in place on dL/dh:
-// the units keep marks as passed scale by dropScale, the rest become +0.
-func reluDropoutBack(grad []float64, keep []bool) {
-	keep = keep[:len(grad)]
-	for i, g := range grad {
-		if keep[i] {
-			grad[i] = g * dropScale
-		} else {
-			grad[i] = 0
+		if !keep[i] {
+			pass = 0
 		}
+		h[i] = math.Float64frombits(math.Float64bits(v*dropScale) & pass)
+		passed[n] = int32(i)
+		n += int(pass & 1)
 	}
+	return passed[:n]
 }
 
 // Network is the safety hijacker's regressor: dense layers with a ReLU
@@ -425,11 +421,11 @@ func Train(n *Network, train, val Dataset, cfg TrainConfig, rng *stats.RNG) (Res
 
 // Trainer fits a network one epoch at a time. NewTrainer validates the
 // recipe and data, each Epoch call runs the next epoch, and Result
-// evaluates. Every activation, gradient and dropout mask lives in
-// buffers the Trainer allocates once, so the per-sample loop does not
-// allocate. The float64 operations and the draws from rng run in the
-// same order however the epochs are spread over time, so the weights
-// depend only on how many epochs ran. A Trainer may move between
+// evaluates. Every activation, gradient, dropout mask and nonzero-input
+// list lives in buffers the Trainer allocates once, so the per-sample
+// loop does not allocate. The float64 operations and the draws from rng
+// run in the same order however the epochs are spread over time, so the
+// weights depend only on how many epochs ran. A Trainer may move between
 // goroutines between calls if the hand-off is synchronized, and serves
 // one goroutine at a time.
 type Trainer struct {
@@ -441,13 +437,16 @@ type Trainer struct {
 	slots      []trainSlot
 	epoch      int
 	loss       [1]float64 // dL/d(output) of the current sample
+	lossRows   [1]int32   // the output row the loss reads: row 0
 }
 
 // trainSlot is one layer's training buffers: its input for the current
 // sample (aliasing the slot below's out, or the dataset row) and the
-// indices of that input's nonzero entries, its activation, its input
-// gradient (none for the first layer) and, for a hidden layer, its
-// dropout mask.
+// ascending indices of that input's nonzero entries, its activation,
+// its input gradient (none for the first layer) and, for a hidden
+// layer, its dropout draws. A hidden slot's list is written by the
+// fused ReLU and dropout of the layer below, which passes exactly the
+// units that are nonzero.
 type trainSlot struct {
 	x, out, gin []float64
 	nz          []int32
@@ -505,43 +504,51 @@ func (t *Trainer) Epoch() bool {
 			out := t.forward(t.train.X[j])
 			// d(MSE)/d(out) = 2*(out - y)
 			t.loss[0] = 2 * (out[0] - t.train.Y[j])
-			t.backward(t.loss[:])
+			t.backward()
 		}
 		t.opt.Step(t.n, end-start)
 	}
 	return t.epoch < t.cfg.Epochs
 }
 
-// forward runs the network in training mode on x into the slots. Each
-// hidden layer draws one Bernoulli(dropoutRate) per unit, in unit
-// order, whatever the unit's sign, and drops the unit on true.
+// forward runs the network in training mode on x into the slots. It
+// gathers x's nonzero entries once; every layer sums over the list in
+// its slot, and each hidden layer's fused ReLU and dropout writes the
+// list of the slot above. Each hidden layer draws one
+// Bernoulli(dropoutRate) per unit, in unit order, whatever the unit's
+// sign, and drops the unit on true.
 func (t *Trainer) forward(x []float64) []float64 {
+	t.slots[0].nz = gather(t.slots[0].nz[:0], x, 0, len(x))
 	for i, d := range t.n.Layers {
 		s := &t.slots[i]
-		s.x = x
-		x = d.ForwardInto(s.out, x)
+		s.x, x = x, s.out
+		copy(x, d.B)
+		d.addRows(x, s.x, s.nz)
 		if s.keep != nil {
 			for j := range s.keep {
 				s.keep[j] = !t.rng.Bernoulli(dropoutRate)
 			}
-			reluDropout(x, s.keep)
+			up := &t.slots[i+1]
+			up.nz = reluDropout(x, s.keep, up.nz[:0])
 		}
 	}
 	return x
 }
 
-// backward propagates grad, dL/d(output) of the sample forward last
-// ran, down the slots, accumulating every layer's parameter gradients.
-func (t *Trainer) backward(grad []float64) {
+// backward propagates the loss gradient of the sample forward last ran
+// down the slots, accumulating every layer's parameter gradients. The
+// output layer visits the row the loss reads. A hidden layer visits only
+// the units that passed its ReLU and dropout, which the slot above
+// lists, and scales their gradients by dropScale; every other unit's
+// gradient is exactly 0. Each layer adds its terms at its nonzero inputs
+// alone, and its input gradient holds values only at those entries,
+// which are the rows the layer below visits.
+func (t *Trainer) backward() {
+	grad, rows, scale := t.loss[:], t.lossRows[:], 1.0
 	for i := len(t.n.Layers) - 1; i >= 0; i-- {
 		s := &t.slots[i]
-		if s.keep != nil {
-			reluDropoutBack(grad, s.keep)
-		}
-		s.nz = gather(s.nz[:0], s.x, 0, len(s.x))
-		clear(s.gin)
-		t.n.Layers[i].backwardInto(s.gin, grad, s.x, s.nz, s.gin != nil)
-		grad = s.gin
+		t.n.Layers[i].backwardInto(s.gin, grad, s.x, rows, s.nz, scale)
+		grad, rows, scale = s.gin, s.nz, dropScale
 	}
 }
 

@@ -22,15 +22,18 @@ func TestDenseForward(t *testing.T) {
 // units instead of drawn: dropout keeps every unit, and the kept units
 // still scale by 1/(1-0.1).
 func fixedForward(tr *Trainer, x []float64) []float64 {
+	tr.slots[0].nz = gather(tr.slots[0].nz[:0], x, 0, len(x))
 	for i, d := range tr.n.Layers {
 		s := &tr.slots[i]
-		s.x = x
-		x = d.ForwardInto(s.out, x)
+		s.x, x = x, s.out
+		copy(x, d.B)
+		d.addRows(x, s.x, s.nz)
 		if s.keep != nil {
 			for j, v := range x {
 				s.keep[j] = v > 0
 			}
-			reluDropout(x, s.keep)
+			up := &tr.slots[i+1]
+			up.nz = reluDropout(x, s.keep, up.nz[:0])
 		}
 	}
 	return x
@@ -56,7 +59,8 @@ func TestGradientCheck(t *testing.T) {
 	// Fresh layers hold zero gradients; backpropagate dL/dout through
 	// the stack, last layer first.
 	out := fixedForward(tr, x)
-	tr.backward([]float64{2 * (out[0] - y)})
+	tr.loss[0] = 2 * (out[0] - y)
+	tr.backward()
 
 	const eps = 1e-6
 	for li, d := range n.Layers {
@@ -81,19 +85,118 @@ func TestGradientCheck(t *testing.T) {
 }
 
 // TestReLU: the fused kernel passes only active, kept units, scaled by
-// 1/(1-0.1), and its backward pass lets the gradient through those
-// units alone.
+// 1/(1-0.1), and lists exactly those units, in ascending order, after
+// what the list already held.
 func TestReLU(t *testing.T) {
-	h := []float64{-1, 0, 2, 3}
-	keep := []bool{true, true, true, false}
-	reluDropout(h, keep)
-	if h[0] != 0 || h[1] != 0 || h[2] != 2/(1-0.1) || h[3] != 0 {
-		t.Errorf("h = %v", h)
+	h := []float64{-1, 0, 2, 3, 0.5, math.Copysign(0, -1), math.NaN()}
+	keep := []bool{true, true, true, false, true, true, true}
+	passed := reluDropout(h, keep, make([]int32, 0, len(h)))
+	want := []float64{0, 0, 2 / (1 - 0.1), 0, 0.5 / (1 - 0.1), 0, 0}
+	for i := range want {
+		if math.Float64bits(h[i]) != math.Float64bits(want[i]) {
+			t.Errorf("h = %v, want %v", h, want)
+			break
+		}
 	}
-	grad := []float64{1, 1, 1, 1}
-	reluDropoutBack(grad, keep)
-	if grad[0] != 0 || grad[1] != 0 || grad[2] != 1/(1-0.1) || grad[3] != 0 {
-		t.Errorf("grad = %v", grad)
+	if len(passed) != 2 || passed[0] != 2 || passed[1] != 4 {
+		t.Errorf("passed = %v, want [2 4]", passed)
+	}
+}
+
+// nonzero returns the ascending indices of x's nonzero entries.
+func nonzero(x []float64) []int32 {
+	var idx []int32
+	for i, v := range x {
+		if v != 0 {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
+// TestTrainerListsNonzeroInputs: after a training forward pass, every
+// slot lists exactly the ascending indices of its input's nonzero
+// entries, for rows of +0, -0, negative and positive entries. A hidden
+// layer whose units are all inactive lists none, and backward then
+// leaves every gradient below it at +0, though the earlier samples left
+// stale values in the input-gradient buffers.
+func TestTrainerListsNonzeroInputs(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rows := [][]float64{
+		{0.5, 0, -1.25, negZero, 2, -0.75},
+		{negZero, 3, 0, 0, -2, 1},
+		{0, 0, 0, 0, 0, 0},
+		{negZero, negZero, -1, -2, negZero, 0},
+		{1, 2, 3, 4, 5, 6},
+	}
+	rng := stats.NewRNG(31)
+	n := stack(rng, 6, 40, 30, 20, 1)
+	tr, err := NewTrainer(n, Dataset{X: rows, Y: make([]float64, len(rows))}, Dataset{}, DefaultTrainConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(row int) {
+		t.Helper()
+		for i, s := range tr.slots {
+			want := nonzero(s.x)
+			if len(s.nz) != len(want) {
+				t.Fatalf("row %d slot %d: list %v, nonzero inputs %v", row, i, s.nz, want)
+			}
+			for j := range want {
+				if s.nz[j] != want[j] {
+					t.Fatalf("row %d slot %d: list %v, nonzero inputs %v", row, i, s.nz, want)
+				}
+			}
+		}
+	}
+	listed := make([]int, len(tr.slots))
+	for r, x := range rows {
+		tr.forward(x)
+		check(r)
+		for i, s := range tr.slots {
+			listed[i] += len(s.nz)
+		}
+		tr.loss[0] = 1
+		tr.backward()
+	}
+	for i, c := range listed {
+		if c == 0 {
+			t.Fatalf("slot %d listed no input in any row", i)
+		}
+	}
+
+	// Kill the second hidden layer: every unit's pre-activation is -1.
+	dead := n.Layers[1]
+	clear(dead.W)
+	for i := range dead.B {
+		dead.B[i] = -1
+	}
+	for _, g := range tr.opt.grads {
+		clear(g)
+	}
+	for r, x := range rows {
+		tr.forward(x)
+		check(r)
+		if len(tr.slots[2].nz) != 0 {
+			t.Fatalf("row %d: dead layer lists %v", r, tr.slots[2].nz)
+		}
+		tr.loss[0] = 1
+		tr.backward()
+	}
+	for li, d := range n.Layers[:2] {
+		for _, p := range []struct {
+			name  string
+			grads []float64
+		}{{"W", d.gw}, {"B", d.gb}} {
+			for j, g := range p.grads {
+				if math.Float64bits(g) != 0 {
+					t.Fatalf("layer %d grad %s[%d] = %v below a dead layer, want +0", li, p.name, j, g)
+				}
+			}
+		}
+	}
+	if n.Layers[3].gb[0] == 0 {
+		t.Fatal("output bias gradient is 0: the loss did not reach the output layer")
 	}
 }
 
