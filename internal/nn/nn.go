@@ -40,21 +40,23 @@ func NewDense(in, out int, rng *stats.RNG) *Dense {
 
 // backwardInto accumulates d's parameter gradients for the rows o that
 // rows lists, each with upstream gradient grad[o]*scale, at layer input
-// x, whose nonzero entries nz lists in ascending order. If gin is set it
-// also writes dL/dx into gin at the entries nz lists, zeroing them
-// first; its other entries keep stale values. Only listed rows and
-// inputs add terms, which is exact for finite weights and inputs when
-// every unlisted row's gradient is 0: each term left out is ±0, every
-// accumulator starts at +0, and a float64 sum that starts at +0 is never
-// -0 (+0 + -0 is +0, exact cancellation rounds to +0), so adding ±0
-// leaves it unchanged bit for bit. A listed row whose gradient is 0
-// adds only such terms.
+// x, whose nonzero entries nz lists in ascending order; grad is read at
+// the listed rows only. If gin is set it also writes dL/dx into gin at
+// the entries nz lists, zeroing them first; its other entries keep
+// stale values. Only listed rows and inputs add terms, which is exact
+// for finite weights and inputs when every unlisted row's gradient is
+// 0: each term left out is ±0, every accumulator starts at +0, and a
+// float64 sum that starts at +0 is never -0 (+0 + -0 is +0, exact
+// cancellation rounds to +0), so adding ±0 leaves it unchanged bit for
+// bit. A listed row whose gradient is 0 adds only such terms.
 func (d *Dense) backwardInto(gin, grad, x []float64, rows, nz []int32, scale float64) {
 	if gin != nil {
 		for _, k := range nz {
 			gin[k] = 0
 		}
 	}
+	// Every slice the inner loops index has length in, so the compiler
+	// checks one index per term instead of one per access.
 	in := d.In
 	x = x[:in]
 	for _, o := range rows {

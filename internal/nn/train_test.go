@@ -13,9 +13,11 @@ import (
 	"github.com/robotack/robotack/internal/stats"
 )
 
-// syntheticOracleData builds n samples shaped like the safety hijacker's
-// training data: 4-wide inputs [delta, vrel, arel, k] and a smooth
-// nonlinear safety-potential label.
+// syntheticOracleData builds n synthetic samples, a four-wide stand-in
+// for the safety hijacker's training data, whose rows are six-wide
+// (core.EncodeDim: δ, vrel.x, vrel.y, arel.x, arel.y, k·DT), with a
+// smooth nonlinear label. TestTrainGolden's bits depend on these rows
+// as they are.
 func syntheticOracleData(n int, seed int64) Dataset {
 	rng := stats.NewRNG(seed)
 	var ds Dataset
@@ -222,8 +224,8 @@ func TestTrainAllocsIndependentOfSamples(t *testing.T) {
 }
 
 // BenchmarkTrain is one oracle-sized fit: the safety hijacker's network
-// on 1,204 four-wide samples (the Disappear oracle's data volume) split
-// 60/40, 20 epochs of batch 32.
+// on 1,204 synthetic four-wide samples (an oracle's data volume; the
+// program's oracle rows are six-wide) split 60/40, 20 epochs of batch 32.
 func BenchmarkTrain(b *testing.B) {
 	ds := syntheticOracleData(1204, 3)
 	train, val := ds.Split(0.6, stats.NewRNG(4))
