@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/robotack/robotack/internal/stats"
@@ -85,8 +86,7 @@ func TestGradientCheck(t *testing.T) {
 }
 
 // TestReLU: the fused kernel passes only active, kept units, scaled by
-// 1/(1-0.1), and lists exactly those units, in ascending order, after
-// what the list already held.
+// 1/(1-0.1), and lists exactly those units, in ascending order.
 func TestReLU(t *testing.T) {
 	h := []float64{-1, 0, 2, 3, 0.5, math.Copysign(0, -1), math.NaN()}
 	keep := []bool{true, true, true, false, true, true, true}
@@ -138,14 +138,8 @@ func TestTrainerListsNonzeroInputs(t *testing.T) {
 	check := func(row int) {
 		t.Helper()
 		for i, s := range tr.slots {
-			want := nonzero(s.x)
-			if len(s.nz) != len(want) {
+			if want := nonzero(s.x); !slices.Equal(s.nz, want) {
 				t.Fatalf("row %d slot %d: list %v, nonzero inputs %v", row, i, s.nz, want)
-			}
-			for j := range want {
-				if s.nz[j] != want[j] {
-					t.Fatalf("row %d slot %d: list %v, nonzero inputs %v", row, i, s.nz, want)
-				}
 			}
 		}
 	}
