@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -705,6 +706,86 @@ func TestCompactExported(t *testing.T) {
 	defer ro.Close()
 	if _, err := ro.Compact(); err == nil {
 		t.Error("Compact on a read-only store did not fail")
+	}
+}
+
+// compactLayoutDigests pins TestCompactLayoutDigest's store, per roll
+// threshold: the SHA-256 of its manifest, one "path size sha256" line
+// per file in path order.
+var compactLayoutDigests = map[int64]string{
+	700:  "5d8620a8401f41292e7ff098bbd63d34e35126577fc177e98be0f086e56fcc31",
+	2000: "b60a7472d3a514c3a6ca15aa04303b5a451e3b9044c699b0227db5eb13a17d7a",
+}
+
+// TestCompactLayoutDigest pins the bytes of every file a store writes
+// on both segment write paths. Shard "a" takes out-of-order re-appends,
+// so Compact rewrites it into generation 1, which then takes more
+// appends; shard "b" is appended in index order and stays on its live
+// generation. Then both get aggregates and the store is closed.
+func TestCompactLayoutDigest(t *testing.T) {
+	for segBytes, want := range compactLayoutDigests {
+		t.Run(fmt.Sprint(segBytes), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, WithSegmentBytes(segBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendEp := func(ep results.EpisodeRecord) {
+				t.Helper()
+				if err := s.Append(ep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 23; i++ {
+				appendEp(storetest.Episode("a", i))
+				if i < 9 {
+					appendEp(storetest.Episode("b", i))
+				}
+			}
+			for _, i := range []int{4, 17, 0, 9, 22} { // a re-run of five episodes
+				ep := storetest.Episode("a", i)
+				ep.Frames += 1000
+				appendEp(ep)
+			}
+			if n, err := s.Compact(); err != nil || n != 1 {
+				t.Fatalf("Compact = (%d, %v), want 1 shard rewritten", n, err)
+			}
+			for i := 23; i < 30; i++ {
+				appendEp(storetest.Episode("a", i))
+			}
+			for _, name := range []string{"a", "b"} {
+				rec, err := s.AggregateEpisodes(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.PutCampaign(*rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			var manifest strings.Builder
+			err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+				if err != nil || d.IsDir() || d.Name() == lockFileName {
+					return err
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				rel, err := filepath.Rel(dir, path)
+				fmt.Fprintf(&manifest, "%s %d %x\n", filepath.ToSlash(rel), len(raw), sha256.Sum256(raw))
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(manifest.String()))); got != want {
+				t.Errorf("layout digest %s, want %s; files:\n%s", got, want, manifest.String())
+			}
+		})
 	}
 }
 
