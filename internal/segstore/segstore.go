@@ -279,6 +279,18 @@ func (s *Store) OpenStats() OpenStats { return s.openStats }
 var errReadOnly = errors.New("segstore: store is read-only")
 var errClosed = errors.New("segstore: store is closed")
 
+// writable is the check Append, PutCampaign and Compact share: it
+// refuses a read-only or closed store.
+func (s *Store) writable() error {
+	if s.ro {
+		return errReadOnly
+	}
+	if s.closed.Load() {
+		return errClosed
+	}
+	return nil
+}
+
 // getShard returns the campaign's shard, creating its directory tree
 // on first append.
 func (s *Store) getShard(name string, create bool) (*shard, error) {
@@ -293,21 +305,12 @@ func (s *Store) getShard(name string, create bool) (*shard, error) {
 	if sh = s.shards[name]; sh != nil {
 		return sh, nil
 	}
-	dir := filepath.Join(s.dir, shardsDir, escapeName(name))
-	genDir := filepath.Join(dir, genName(0))
-	if err := os.MkdirAll(genDir, 0o755); err != nil {
+	sh = newShard(filepath.Join(s.dir, shardsDir, escapeName(name)), name, 0)
+	if err := os.MkdirAll(sh.genDir, 0o755); err != nil {
 		return nil, fmt.Errorf("segstore: create shard: %w", err)
 	}
-	if err := results.WriteFileAtomic(filepath.Join(dir, currentFile), []byte(genName(0)+"\n")); err != nil {
+	if err := sh.writeCurrent(); err != nil {
 		return nil, err
-	}
-	sh = &shard{
-		name:       name,
-		dir:        dir,
-		gen:        0,
-		genDir:     genDir,
-		active:     segMeta{seq: 0, sorted: true},
-		sealedFast: true,
 	}
 	s.shards[name] = sh
 	gaugeAdd(gSegments, 1)
@@ -317,44 +320,42 @@ func (s *Store) getShard(name string, create bool) (*shard, error) {
 // Append implements results.Sink. The record is on disk (modulo OS
 // buffering, as with FileStore) before it is visible to queries.
 func (s *Store) Append(ep results.EpisodeRecord) error {
-	if s.ro {
-		return errReadOnly
-	}
-	if s.closed.Load() {
-		return errClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if ep.V > results.Version {
 		return fmt.Errorf("segstore: episode record v%d is newer than supported v%d", ep.V, results.Version)
 	}
-	raw, err := json.Marshal(ep)
+	raw, err := encodeEpisode(ep)
 	if err != nil {
-		return fmt.Errorf("segstore: encode episode: %w", err)
+		return err
 	}
-	raw = append(raw, '\n')
 	sh, err := s.getShard(ep.Campaign, true)
 	if err != nil {
 		return err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.openWriter(); err != nil {
+	rolled, err := sh.append(raw, ep.Index, s.segBytes)
+	if err != nil {
 		return err
 	}
-	if err := sh.w.Append(raw); err != nil {
-		return err
-	}
-	sh.active.add(ep.Index)
-	sh.active.bytes += int64(len(raw))
 	mAppends.Add(1)
 	gaugeAdd(gBytes, float64(len(raw)))
-	if sh.active.bytes >= s.segBytes {
-		if err := sh.seal(); err != nil {
-			return err
-		}
+	if rolled {
 		mRolls.Add(1)
 		gaugeAdd(gSegments, 1)
 	}
 	return nil
+}
+
+// encodeEpisode renders ep as one segment line.
+func encodeEpisode(ep results.EpisodeRecord) ([]byte, error) {
+	raw, err := json.Marshal(ep)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: encode episode: %w", err)
+	}
+	return append(raw, '\n'), nil
 }
 
 // PutCampaign implements results.Store: aggregates append to the
@@ -362,11 +363,8 @@ func (s *Store) Append(ep results.EpisodeRecord) error {
 // place — staged and renamed, runq-style — once it is mostly dead
 // upserts.
 func (s *Store) PutCampaign(c results.CampaignRecord) error {
-	if s.ro {
-		return errReadOnly
-	}
-	if s.closed.Load() {
-		return errClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if c.V > results.Version {
 		return fmt.Errorf("segstore: campaign record v%d is newer than supported v%d", c.V, results.Version)

@@ -584,7 +584,8 @@ func TestCompactionRestoresFastPath(t *testing.T) {
 	if err != nil || sh == nil {
 		t.Fatal(err)
 	}
-	// A worker retry re-appends an old index out of order.
+	// A second write of the campaign key re-appends an old index out of
+	// order.
 	if err := s.Append(storetest.Episode("cmp", 3)); err != nil {
 		t.Fatal(err)
 	}

@@ -57,12 +57,12 @@ type shard struct {
 	sealed []segMeta    // immutable segments, ascending seq
 	active segMeta      // the appendable tail segment
 	w      *results.Log // active segment writer; opened lazily
+}
 
-	// sealedFast and sealedMaxIdx summarize the sealed segments for the
-	// fast-path check: every sealed segment sorted, ranges strictly
-	// ascending in seq order. Maintained O(1) per seal.
-	sealedFast   bool
-	sealedMaxIdx int
+// newShard returns an empty shard of campaign name at generation gen
+// of dir; its first append creates segment 0.
+func newShard(dir, name string, gen int) *shard {
+	return &shard{name: name, dir: dir, gen: gen, genDir: filepath.Join(dir, genName(gen)), active: segMeta{sorted: true}}
 }
 
 func genName(gen int) string            { return fmt.Sprintf("g%06d", gen) }
@@ -73,12 +73,25 @@ func (s *shard) idxPath(seq int) string { return filepath.Join(s.genDir, idxName
 
 // fastPath reports whether the shard's episode indexes are provably
 // distinct and ascending across segments — the condition under which
-// Episodes can concatenate segments without a last-wins fold.
+// Episodes can concatenate segments without a last-wins fold: every
+// segment sorted, and each segment that holds records starting above
+// the highest index before it. It reads segment headers, not records.
 func (s *shard) fastPath() bool {
-	if !s.sealedFast || !s.active.sorted {
+	if !s.active.sorted {
 		return false
 	}
-	return s.active.n == 0 || len(s.sealed) == 0 || s.active.minIdx > s.sealedMaxIdx
+	maxIdx, seen := 0, false
+	for i := range s.sealed {
+		m := &s.sealed[i]
+		if m.n == 0 {
+			continue
+		}
+		if !m.sorted || (seen && m.minIdx <= maxIdx) {
+			return false
+		}
+		maxIdx, seen = m.maxIdx, true
+	}
+	return s.active.n == 0 || len(s.sealed) == 0 || s.active.minIdx > maxIdx
 }
 
 // episodes reports the shard's record count: exact when the fast path
@@ -97,27 +110,6 @@ func (s *shard) bytes() int64 {
 		b += s.sealed[i].bytes
 	}
 	return b
-}
-
-// recomputeSealedFast rebuilds the O(1)-maintained summary from the
-// full sealed list (used after open and compaction).
-func (s *shard) recomputeSealedFast() {
-	s.sealedFast = true
-	s.sealedMaxIdx = 0
-	first := true
-	for i := range s.sealed {
-		m := &s.sealed[i]
-		if m.n == 0 {
-			continue
-		}
-		if !m.sorted || (!first && m.minIdx <= s.sealedMaxIdx) {
-			s.sealedFast = false
-		}
-		if first || m.maxIdx > s.sealedMaxIdx {
-			s.sealedMaxIdx = m.maxIdx
-		}
-		first = false
-	}
 }
 
 // scanSegment replays segment seq line by line, rebuilding its
@@ -175,8 +167,8 @@ func (s *shard) loadSegment(seq int, ro bool) (segMeta, int64, error) {
 }
 
 // add advances a segment's metadata by one record with episode index
-// idx — shared by the live append path, segment scans and Compact so
-// all derive identical state.
+// idx — shared by shard.append and segment scans so both derive
+// identical state.
 func (m *segMeta) add(idx int) {
 	if m.n == 0 {
 		m.minIdx, m.maxIdx = idx, idx
@@ -201,15 +193,12 @@ func (m *segMeta) add(idx int) {
 // It reports the bytes of raw segment data it had to parse and of index
 // metadata it read, feeding OpenStats.
 func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
-	s := &shard{name: name, dir: dir}
 	var scanned, idxBytes int64
-
 	gen, err := readCurrent(dir)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	s.gen = gen
-	s.genDir = filepath.Join(dir, genName(gen))
+	s := newShard(dir, name, gen)
 
 	seqs, orphans, err := listSegs(s.genDir)
 	if err != nil {
@@ -227,8 +216,6 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 	if len(seqs) == 0 {
 		// A freshly created (or crash-interrupted-at-birth) generation:
 		// start segment 0 empty.
-		s.active = segMeta{seq: 0, sorted: true}
-		s.sealedFast = true
 		return s, 0, 0, nil
 	}
 	activeSeq := seqs[len(seqs)-1]
@@ -257,13 +244,12 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 			break
 		}
 		if n == 0 && !ro {
-			if err := results.WriteFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
+			if err := s.writeIdx(&m); err != nil {
 				return nil, 0, 0, err
 			}
 		}
 		s.sealed = append(s.sealed, m)
 	}
-	s.recomputeSealedFast()
 	if !ro {
 		// Generations other than CURRENT are leftovers from a crashed
 		// compaction swap — either direction of the swap is complete, so
@@ -273,27 +259,41 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 	return s, scanned, idxBytes, nil
 }
 
-// seal closes the active segment: sync, write its .idx, move it to the
-// sealed list, and start the next segment. The ordering makes every
-// crash window recoverable: the segment's own bytes are durable before
-// any metadata describes them, and metadata is rebuilt from segments
-// whenever it is missing or stale. The next segment's file is created
-// here, not on its first append, so a Close before that append leaves
-// it as the highest .seg, the one a reopen appends to.
-func (s *shard) seal() error {
-	if s.w != nil {
-		if err := s.w.Close(); err != nil {
-			return fmt.Errorf("segstore: close segment: %w", err)
-		}
-		s.w = nil
+// append is the one way a record reaches a segment: it writes raw, one
+// encoded record with episode index idx, to the active segment, opening
+// its writer if needed, advances the segment's metadata and seals the
+// segment once it holds segBytes. It reports whether the segment
+// rolled. Store.Append and Compact's staged generation both write
+// through it.
+func (s *shard) append(raw []byte, idx int, segBytes int64) (rolled bool, err error) {
+	if err := s.openWriter(); err != nil {
+		return false, err
 	}
-	m := s.active
-	if err := results.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil {
+	if err := s.w.Append(raw); err != nil {
+		return false, err
+	}
+	s.active.add(idx)
+	s.active.bytes += int64(len(raw))
+	if s.active.bytes < segBytes {
+		return false, nil
+	}
+	return true, s.seal()
+}
+
+// seal closes the active segment and writes its .idx (closeWriter),
+// moves it to the sealed list, and starts the next segment. The
+// ordering makes every crash window recoverable: the segment's own
+// bytes are durable before any metadata describes them, and metadata
+// is rebuilt from segments whenever it is missing or stale. The next
+// segment's file is created here, not on its first append, so a Close
+// before that append leaves it as the highest .seg, the one a reopen
+// appends to.
+func (s *shard) seal() error {
+	if err := s.closeWriter(); err != nil {
 		return err
 	}
-	s.sealed = append(s.sealed, m)
-	s.recomputeSealedFast() // sealing is rare; the rescan is segment count, not records
-	s.active = segMeta{seq: m.seq + 1, sorted: true}
+	s.sealed = append(s.sealed, s.active)
+	s.active = segMeta{seq: s.active.seq + 1, sorted: true}
 	return s.openWriter()
 }
 
@@ -315,22 +315,45 @@ func (s *shard) openWriter() error {
 	return nil
 }
 
-// closeWriter seals nothing; it writes the active segment's .idx as a
-// scan cache for the next open and releases the descriptor, so open
-// cost stays a few dozen bytes per shard no matter how full the active
-// segment is. A shard whose first append never happened has no active
-// segment file, and gets no .idx either.
+// closeWriter syncs and closes the active segment's writer and writes
+// the segment's .idx: the sealed index when seal calls it, and a scan
+// cache for the next open when Close does, so open cost stays a few
+// dozen bytes per shard no matter how full the active segment is. A
+// shard whose first append never happened has no active segment file,
+// and gets no .idx either.
 func (s *shard) closeWriter() error {
 	if s.w != nil {
 		err := s.w.Close()
 		s.w = nil
 		if err != nil {
-			return err
+			return fmt.Errorf("segstore: close segment: %w", err)
 		}
 	} else if _, err := os.Stat(s.segPath(s.active.seq)); err != nil {
 		return nil
 	}
-	return results.WriteFileAtomic(s.idxPath(s.active.seq), encodeIdx(&s.active))
+	return s.writeIdx(&s.active)
+}
+
+// dropWriter closes the active segment's writer, if one is open,
+// without writing an index.
+func (s *shard) dropWriter() {
+	if s.w != nil {
+		s.w.Close()
+		s.w = nil
+	}
+}
+
+// writeIdx is the one writer of .idx files: through closeWriter for a
+// segment the roll seals and for Close's scan cache, and directly for a
+// sealed segment that open had to rescan.
+func (s *shard) writeIdx(m *segMeta) error {
+	return results.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(m))
+}
+
+// writeCurrent makes the shard's generation the live one: the commit
+// point of a new shard and of Compact's generation swap.
+func (s *shard) writeCurrent() error {
+	return results.WriteFileAtomic(filepath.Join(s.dir, currentFile), []byte(genName(s.gen)+"\n"))
 }
 
 // readCurrent resolves the live generation, tolerating a missing or
