@@ -444,11 +444,16 @@ func (c *completion) accepted() {
 	}
 }
 
-// storeEpisodes posts w1's episodes for the job.
+// storeEpisodes appends eps to the server's store directly, as any
+// writer of the job's record name leaves them: a worker's upload, or an
+// earlier run under the same name, whose seeds need not be the job's.
+// The upload itself refuses a foreign seed (TestLeaseUploadRefusedWhole).
 func (c *completion) storeEpisodes(eps ...results.EpisodeRecord) {
 	c.t.Helper()
-	if got := c.post("episodes", runq.EpisodesRequest{Holder: w1, Episodes: eps}); got != http.StatusOK {
-		c.t.Fatalf("episodes: status %d", got)
+	for _, ep := range eps {
+		if err := c.store.Append(ep); err != nil {
+			c.t.Fatal(err)
+		}
 	}
 }
 
@@ -475,6 +480,42 @@ func TestCompletionRefusesForeignSeed(t *testing.T) {
 	c.refused("with episode 1 run on seed 99")
 	c.storeEpisodes(episode("own", 1, 11))
 	c.accepted()
+}
+
+// TestLeaseUploadRefusedWhole: POST /runs/{id}/episodes checks every
+// record of a batch before it appends any. A batch holding an episode
+// run on another seed than the job derives for its index, or a record
+// newer than this build reads, answers 400 and stores nothing; the job
+// stays running under w1's lease, and the job's own episodes then
+// complete it.
+func TestLeaseUploadRefusedWhole(t *testing.T) {
+	newer := episode("own", 1, 11)
+	newer.V = results.Version + 1
+	for _, tc := range []struct {
+		name string
+		bad  results.EpisodeRecord
+	}{
+		{"foreign-seed", episode("own", 1, 99)},
+		{"newer-record", newer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCompletion(t)
+			if got := c.post("episodes", runq.EpisodesRequest{Holder: w1, Episodes: []results.EpisodeRecord{episode("own", 0, 10), tc.bad}}); got != http.StatusBadRequest {
+				t.Fatalf("batch with a %s: status %d, want 400", tc.name, got)
+			}
+			if eps, _ := c.store.Episodes("own"); len(eps) != 0 {
+				t.Fatalf("refused batch stored %d episodes", len(eps))
+			}
+			if cur := c.status(); cur.State != "running" || cur.Worker != "w1" || cur.Attempt != 1 {
+				t.Fatalf("run after a refused batch = %+v, want running on w1", cur)
+			}
+			if got := c.post("episodes", runq.EpisodesRequest{Holder: w1, Episodes: []results.EpisodeRecord{
+				episode("own", 0, 10), episode("own", 1, 11)}}); got != http.StatusOK {
+				t.Fatalf("the job's own episodes: status %d", got)
+			}
+			c.accepted()
+		})
+	}
 }
 
 // dropFirstEpisodes is a worker transport that drops the first POST

@@ -51,13 +51,13 @@ func (e *stepExec) Execute(ctx context.Context, job runq.Job, progress func(done
 		e.mu.Unlock()
 	}()
 	e.started <- job.ID
-	for i := 1; i <= job.Total; i++ {
+	for i := 1; i <= job.Request.Runs; i++ {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-e.step:
 		}
-		progress(i, job.Total)
+		progress(i, job.Request.Runs)
 	}
 	return nil
 }

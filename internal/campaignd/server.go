@@ -351,7 +351,7 @@ func statusOf(j runq.Job) RunStatus {
 		Name:     j.Request.RecordName(),
 		Scenario: j.Request.Label(),
 		Mode:     strings.ToLower(j.Request.Mode),
-		Total:    j.Total,
+		Total:    j.Request.Runs,
 		Done:     j.Done,
 		State:    string(j.State),
 		Attempt:  j.Attempt,
@@ -383,7 +383,7 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("run accepted", "job", job.ID, "campaign", job.Request.RecordName(),
-		"mode", strings.ToLower(job.Request.Mode), "runs", job.Total)
+		"mode", strings.ToLower(job.Request.Mode), "runs", job.Request.Runs)
 	writeJSON(w, http.StatusAccepted, statusOf(job))
 }
 
@@ -601,16 +601,27 @@ func (s *Server) handleWorkerEpisodes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The lease gates who may write; this gates what they write — a
-	// worker can only append into its own job's campaign and index
-	// range, never clobber another campaign's records.
+	// worker can only append its own job's episodes: its campaign, an
+	// index in range, the seed the engine derives for that index and a
+	// record version this build reads. A batch with one bad record is
+	// refused whole, before anything is appended, so a foreign episode
+	// can never block the job's completion or its resume.
 	name := job.Request.RecordName()
 	for _, ep := range req.Episodes {
 		if ep.Campaign != name {
 			writeError(w, http.StatusBadRequest, "episode %d is for campaign %q, job %d writes %q", ep.Index, ep.Campaign, id, name)
 			return
 		}
-		if ep.Index < 0 || ep.Index >= job.Total {
-			writeError(w, http.StatusBadRequest, "episode index %d out of range [0,%d)", ep.Index, job.Total)
+		if ep.V > results.Version {
+			writeError(w, http.StatusBadRequest, "episode %d is record v%d, newer than supported v%d", ep.Index, ep.V, results.Version)
+			return
+		}
+		if ep.Index < 0 || ep.Index >= job.Request.Runs {
+			writeError(w, http.StatusBadRequest, "episode index %d out of range [0,%d)", ep.Index, job.Request.Runs)
+			return
+		}
+		if seed := engine.AdditiveSeeds(job.Request.Seed, ep.Index); ep.Seed != seed {
+			writeError(w, http.StatusBadRequest, "episode %d ran with seed %d, job %d derives %d", ep.Index, ep.Seed, id, seed)
 			return
 		}
 	}

@@ -89,17 +89,18 @@ func ExecuteRequest(eng *engine.Engine, req Request, oracles map[core.Vector]cor
 // Fold folds the job's stored episodes — one per index, sorted by
 // index, as results.Store.Episodes returns them — into the aggregate
 // ExecuteRequest computes from the same episodes. It refuses while an
-// index in [0, Total) is missing, or holds an episode run with a seed
+// index in [0, Request.Runs) is missing, or holds an episode run with a seed
 // other than the one the engine derives for that index.
 func (j *Job) Fold(eps []results.EpisodeRecord) (results.CampaignRecord, error) {
 	meta, _, err := j.Request.identity()
 	if err != nil {
 		return results.CampaignRecord{}, err
 	}
-	for i := 0; i < j.Total; i++ {
+	runs := j.Request.Runs
+	for i := 0; i < runs; i++ {
 		if seed := engine.AdditiveSeeds(meta.BaseSeed, i); i >= len(eps) || eps[i].Index != i || eps[i].Seed != seed {
-			return results.CampaignRecord{}, fmt.Errorf("job %d: no episode %d of %d with seed %d is stored", j.ID, i, j.Total, seed)
+			return results.CampaignRecord{}, fmt.Errorf("job %d: no episode %d of %d with seed %d is stored", j.ID, i, runs, seed)
 		}
 	}
-	return results.Aggregate(meta, eps[:j.Total]), nil
+	return results.Aggregate(meta, eps[:runs]), nil
 }

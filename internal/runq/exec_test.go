@@ -45,7 +45,7 @@ func TestJobFoldMatchesExecuteRequest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				job := runq.Job{ID: 1, Request: req, Total: req.Runs}
+				job := runq.Job{ID: 1, Request: req}
 				got, err := job.Fold(eps)
 				if err != nil {
 					t.Fatal(err)

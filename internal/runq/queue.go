@@ -292,7 +292,7 @@ func (q *Queue) Submit(req Request) (Job, error) {
 		// it stays stable across attempts yet unique per job.
 		req.Name = fmt.Sprintf("%s-%s-job%d", req.Label(), strings.ToLower(req.Mode), q.nextID)
 	}
-	j := &Job{ID: q.nextID, Request: req, State: StateQueued, Total: req.Runs}
+	j := &Job{ID: q.nextID, Request: req, State: StateQueued}
 	if q.tracer != nil {
 		j.Trace = newTraceRef(req)
 		now := time.Now()
@@ -410,7 +410,7 @@ func (q *Queue) Subscribe(id int) (Event, <-chan Event, func(), error) {
 // ones. Both come from queue-internal derived state, never from the
 // journal.
 func (q *Queue) eventLocked(j *Job) Event {
-	ev := Event{ID: j.ID, State: j.State, Done: j.Done, Total: j.Total, Error: j.Error}
+	ev := Event{ID: j.ID, State: j.State, Done: j.Done, Total: j.Request.Runs, Error: j.Error}
 	switch j.State {
 	case StateQueued:
 		for i, id := range q.pending {
@@ -466,9 +466,9 @@ func (q *Queue) progress(id int, done int) {
 
 // progressLocked records a running job's episode completions, reported
 // by its executor or a heartbeat. Done only moves forward and never
-// passes Total, which is the request's runs.
+// passes the request's runs.
 func (q *Queue) progressLocked(j *Job, done int) {
-	done = min(done, j.Total)
+	done = min(done, j.Request.Runs)
 	if done <= j.Done {
 		return
 	}
@@ -562,9 +562,9 @@ func (q *Queue) finishLocked(j *Job, state State, msg string) {
 	j.lease = time.Time{}
 	switch state {
 	case StateDone:
-		j.Done = j.Total
+		j.Done = j.Request.Runs
 		qCompleted.Add(1)
-		q.log.Info("job done", append(attrs, "runs", j.Total)...)
+		q.log.Info("job done", append(attrs, "runs", j.Request.Runs)...)
 	case StateFailed:
 		qFailed.Add(1)
 		q.log.Warn("job failed", append(attrs, "err", msg)...)

@@ -51,7 +51,7 @@ func (e *stubExec) Execute(ctx context.Context, job runq.Job, progress func(done
 	if e.started != nil {
 		e.started <- job.ID
 	}
-	for i := 1; i <= job.Total; i++ {
+	for i := 1; i <= job.Request.Runs; i++ {
 		if e.block != nil {
 			select {
 			case <-ctx.Done():
@@ -69,7 +69,7 @@ func (e *stubExec) Execute(ctx context.Context, job runq.Job, progress func(done
 			case <-time.After(step):
 			}
 		}
-		progress(i, job.Total)
+		progress(i, job.Request.Runs)
 	}
 	return e.fail
 }
@@ -105,7 +105,7 @@ func waitTerminal(t *testing.T, q *runq.Queue, id int, timeout time.Duration) ru
 			}
 		case <-deadline:
 			j, _ := q.Get(id)
-			t.Fatalf("job %d still %s (%d/%d) after %v", id, j.State, j.Done, j.Total, timeout)
+			t.Fatalf("job %d still %s (%d/%d) after %v", id, j.State, j.Done, j.Request.Runs, timeout)
 		}
 	}
 }
@@ -241,8 +241,8 @@ func TestLeaseHeartbeatExpiryAndResume(t *testing.T) {
 	if err := q.Heartbeat(j1.ID, w1, 9); err != nil {
 		t.Errorf("own heartbeat = %v", err)
 	}
-	if j, _ := q.Get(j1.ID); j.Done != 4 || j.Total != 4 {
-		t.Errorf("heartbeat of 9 done on a 4-run job = %d/%d, want 4/4", j.Done, j.Total)
+	if j, _ := q.Get(j1.ID); j.Done != 4 || j.Request.Runs != 4 {
+		t.Errorf("heartbeat of 9 done on a 4-run job = %d/%d, want 4/4", j.Done, j.Request.Runs)
 	}
 
 	// Stop heartbeating; the sweeper requeues the job.

@@ -38,9 +38,8 @@ type Job struct {
 	ID      int     `json:"id"`
 	Request Request `json:"request"`
 	State   State   `json:"state"`
-	// Done/Total is episode progress (Total = Request.Runs).
-	Done  int `json:"done"`
-	Total int `json:"total"`
+	// Done counts the episodes finished of Request.Runs.
+	Done int `json:"done"`
 	// Attempt counts how many times the job has been leased for
 	// execution; a job re-leased after a crash or lost heartbeat has
 	// Attempt > 1 and must resume from the store's episodes.

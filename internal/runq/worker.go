@@ -372,7 +372,7 @@ func (w *Worker) execute(ctx context.Context, lease LeaseResponse) {
 		// the protocol.
 	case err == nil:
 		report("complete", CompleteRequest{Holder: r.h})
-		w.log().Info("job done", "worker", w.Name, "job", job.ID, "runs", job.Total)
+		w.log().Info("job done", "worker", w.Name, "job", job.ID, "runs", job.Request.Runs)
 	case ctx.Err() != nil || errors.Is(err, errUploadDropped):
 		// Worker shutdown, or episodes the server may not have stored:
 		// hand the job back now instead of when the lease expires; the

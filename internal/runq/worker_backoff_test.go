@@ -42,7 +42,6 @@ func (s *flakyServer) handler() http.Handler {
 				Job: Job{
 					ID:      1,
 					Request: Request{Scenario: "DS-1", Mode: "smart", Runs: 2, Seed: 5},
-					Total:   2,
 					Attempt: 1,
 				},
 				LeaseTTLMillis: 10_000,
