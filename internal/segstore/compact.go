@@ -92,14 +92,18 @@ func (s *Store) compactShard(sh *shard) (bool, error) {
 			return false, err
 		}
 	}
-	next.dropWriter()
+	if err := next.dropWriter(); err != nil {
+		return false, err
+	}
 	if d, err := os.Open(next.genDir); err == nil {
-		d.Sync()
+		d.Sync() // best effort: not every platform can sync a directory
 		d.Close()
 	}
 
 	// Commit: close the old writer, swap CURRENT, drop the old dir.
-	sh.dropWriter()
+	if err := sh.dropWriter(); err != nil {
+		return false, err
+	}
 	if err := next.writeCurrent(); err != nil {
 		return false, err
 	}

@@ -450,11 +450,10 @@ func (s *Store) Episodes(campaign string) ([]results.EpisodeRecord, error) {
 }
 
 func (s *Store) episodesLocked(sh *shard) ([]results.EpisodeRecord, error) {
-	n, _ := sh.episodes()
+	n, fast := sh.episodes()
 	if n == 0 {
 		return []results.EpisodeRecord{}, nil
 	}
-	fast := sh.fastPath()
 	if fast {
 		mIndexHits.Add(1)
 	} else {

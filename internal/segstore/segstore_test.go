@@ -710,6 +710,37 @@ func TestCompactExported(t *testing.T) {
 	}
 }
 
+// TestFastPathRule checks the fast-path rule on segment headers alone:
+// every segment sorted, and each segment holding records starting above
+// every index before it. An empty segment constrains nothing.
+func TestFastPathRule(t *testing.T) {
+	seg := func(minIdx, maxIdx int, sorted bool) segMeta {
+		return segMeta{n: maxIdx - minIdx + 1, minIdx: minIdx, maxIdx: maxIdx, sorted: sorted}
+	}
+	empty := segMeta{sorted: true}
+	for _, tc := range []struct {
+		name   string
+		sealed []segMeta
+		active segMeta
+		want   bool
+	}{
+		{"empty shard", nil, empty, true},
+		{"active alone", nil, seg(3, 9, true), true},
+		{"ascending", []segMeta{seg(0, 4, true), seg(5, 9, true)}, seg(10, 12, true), true},
+		{"empty active after a roll", []segMeta{seg(0, 4, true)}, empty, true},
+		{"empty sealed segment", []segMeta{seg(0, 4, true), empty, seg(5, 6, true)}, seg(7, 7, true), true},
+		{"active re-appends a sealed index", []segMeta{seg(0, 4, true), seg(5, 9, true)}, seg(3, 3, true), false},
+		{"sealed segments overlap", []segMeta{seg(0, 4, true), seg(4, 6, true)}, empty, false},
+		{"unsorted sealed segment", []segMeta{seg(0, 4, false)}, seg(5, 5, true), false},
+		{"unsorted active", []segMeta{seg(0, 4, true)}, seg(5, 9, false), false},
+	} {
+		sh := &shard{sealed: tc.sealed, active: tc.active}
+		if got := sh.fastPath(); got != tc.want {
+			t.Errorf("%s: fastPath = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // compactLayoutDigests pins TestCompactLayoutDigest's store, per roll
 // threshold: the SHA-256 of its manifest, one "path size sha256" line
 // per file in path order.

@@ -322,25 +322,29 @@ func (s *shard) openWriter() error {
 // shard whose first append never happened has no active segment file,
 // and gets no .idx either.
 func (s *shard) closeWriter() error {
-	if s.w != nil {
-		err := s.w.Close()
-		s.w = nil
-		if err != nil {
-			return fmt.Errorf("segstore: close segment: %w", err)
+	if s.w == nil {
+		if _, err := os.Stat(s.segPath(s.active.seq)); err != nil {
+			return nil
 		}
-	} else if _, err := os.Stat(s.segPath(s.active.seq)); err != nil {
-		return nil
+	}
+	if err := s.dropWriter(); err != nil {
+		return err
 	}
 	return s.writeIdx(&s.active)
 }
 
-// dropWriter closes the active segment's writer, if one is open,
-// without writing an index.
-func (s *shard) dropWriter() {
-	if s.w != nil {
-		s.w.Close()
-		s.w = nil
+// dropWriter syncs and closes the active segment's writer, if one is
+// open, and writes no index.
+func (s *shard) dropWriter() error {
+	if s.w == nil {
+		return nil
 	}
+	err := s.w.Close()
+	s.w = nil
+	if err != nil {
+		return fmt.Errorf("segstore: close segment: %w", err)
+	}
+	return nil
 }
 
 // writeIdx is the one writer of .idx files: through closeWriter for a
