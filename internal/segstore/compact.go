@@ -47,9 +47,9 @@ func (s *Store) Compact() (int, error) {
 
 // compactShard rewrites one shard into generation gen+1: all records,
 // folded last-wins and sorted by episode index, written through the
-// live append path (shard.append) so they roll at the same threshold
-// into the same segments and indexes, then CURRENT swapped and the old
-// generation removed. A crash anywhere leaves either the old complete
+// live append path (shard.append), so the new generation holds the
+// segments and indexes that appending them in index order writes; then
+// CURRENT swapped and the old generation removed. A crash anywhere leaves either the old complete
 // generation or the new one — never a mix — because CURRENT is the
 // single commit point. Reports whether it rewrote anything (a shard
 // already on the fast path is left alone).
