@@ -89,8 +89,8 @@ func ExecuteRequest(eng *engine.Engine, req Request, oracles map[core.Vector]cor
 // Fold folds the job's stored episodes — one per index, sorted by
 // index, as results.Store.Episodes returns them — into the aggregate
 // ExecuteRequest computes from the same episodes. It refuses while an
-// index in [0, Request.Runs) is missing, or holds an episode run with a seed
-// other than the one the engine derives for that index.
+// index in [0, Request.Runs) is missing, or holds an episode run with a
+// seed other than the one the engine derives for that index.
 func (j *Job) Fold(eps []results.EpisodeRecord) (results.CampaignRecord, error) {
 	meta, _, err := j.Request.identity()
 	if err != nil {

@@ -49,10 +49,10 @@ func (s *Store) Compact() (int, error) {
 // folded last-wins and sorted by episode index, written through the
 // live append path (shard.append), so the new generation holds the
 // segments and indexes that appending them in index order writes; then
-// CURRENT swapped and the old generation removed. A crash anywhere leaves either the old complete
-// generation or the new one — never a mix — because CURRENT is the
-// single commit point. Reports whether it rewrote anything (a shard
-// already on the fast path is left alone).
+// CURRENT swapped and the old generation removed. A crash anywhere
+// leaves either the old complete generation or the new one — never a
+// mix — because CURRENT is the single commit point. Reports whether it
+// rewrote anything (a shard already on the fast path is left alone).
 func (s *Store) compactShard(sh *shard) (bool, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
