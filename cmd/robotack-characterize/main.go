@@ -22,6 +22,7 @@ import (
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/obs"
+	"github.com/robotack/robotack/internal/results"
 )
 
 func main() {
@@ -62,7 +63,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
+		if err := results.WriteFileAtomic(*out, append(raw, '\n')); err != nil {
 			return err
 		}
 		fmt.Printf("characterization written to %s\n", *out)

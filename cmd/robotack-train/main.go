@@ -24,6 +24,7 @@ import (
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/nn"
 	"github.com/robotack/robotack/internal/obs"
+	"github.com/robotack/robotack/internal/results"
 )
 
 func main() {
@@ -86,7 +87,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*report, append(raw, '\n'), 0o644); err != nil {
+		if err := results.WriteFileAtomic(*report, append(raw, '\n')); err != nil {
 			return err
 		}
 		fmt.Printf("training report written to %s\n", *report)

@@ -484,8 +484,9 @@ func TestCompletionRefusesForeignSeed(t *testing.T) {
 
 // TestLeaseUploadRefusedWhole: POST /runs/{id}/episodes checks every
 // record of a batch before it appends any. A batch holding an episode
-// run on another seed than the job derives for its index, or a record
-// newer than this build reads, answers 400 and stores nothing; the job
+// the job does not own — run on another seed than the job derives for
+// its index, a record newer than this build reads, another campaign's
+// record or a negative index — answers 400 and stores nothing; the job
 // stays running under w1's lease, and the job's own episodes then
 // complete it.
 func TestLeaseUploadRefusedWhole(t *testing.T) {
@@ -497,6 +498,8 @@ func TestLeaseUploadRefusedWhole(t *testing.T) {
 	}{
 		{"foreign-seed", episode("own", 1, 99)},
 		{"newer-record", newer},
+		{"other-campaign", episode("other", 1, 11)},
+		{"negative-index", episode("own", -1, 9)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCompletion(t)
@@ -536,46 +539,64 @@ func (d *dropFirstEpisodes) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestWorkerDroppedUploadRequeues: an episodes post that gets no answer
 // hands the job back instead of failing it. The 16-run job's only
 // batch is dropped, attempt 2 runs it again, and the stored aggregate
-// equals an in-process run of the same request.
+// equals an in-process run of the same request. Attempt 2 resumes from
+// the store, so it also ends done when an earlier run under the same
+// record name left episode 5 there on another seed: the job does not
+// own that episode, so the resumed attempt re-runs it.
 func TestWorkerDroppedUploadRequeues(t *testing.T) {
-	q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Shutdown(context.Background())
-	store := results.NewMemStore()
-	url := newTestServerFrom(t, New(store, WithQueue(q))).URL
-	st := postRun(t, url, `{"scenario":"DS-2","mode":"smart","name":"dropped","runs":16,"seed":300}`)
+	for _, tc := range []struct {
+		name  string
+		stale []results.EpisodeRecord
+	}{
+		{"clean-store", nil},
+		{"foreign-seed-stored", []results.EpisodeRecord{episode("dropped", 5, 99)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := runq.Open("", runq.WithMaxConcurrent(0), runq.WithLeaseTTL(5*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Shutdown(context.Background())
+			store := results.NewMemStore()
+			for _, ep := range tc.stale {
+				if err := store.Append(ep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			url := newTestServerFrom(t, New(store, WithQueue(q))).URL
+			st := postRun(t, url, `{"scenario":"DS-2","mode":"smart","name":"dropped","runs":16,"seed":300}`)
 
-	ctx, stop := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer stop()
-	w := &runq.Worker{Server: url, Name: "w1", Workers: 2, Poll: 20 * time.Millisecond,
-		Client: &http.Client{Transport: &dropFirstEpisodes{}}}
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		_ = w.Run(ctx)
-	}()
-	final := waitRun(t, url, st.ID, 2*time.Minute)
-	stop()
-	<-workerDone
-	if final.State != "done" || final.Attempt != 2 {
-		t.Fatalf("run with a dropped upload ended %q at attempt %d (%s), want done at attempt 2", final.State, final.Attempt, final.Error)
-	}
+			ctx, stop := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer stop()
+			w := &runq.Worker{Server: url, Name: "w1", Workers: 2, Poll: 20 * time.Millisecond,
+				Client: &http.Client{Transport: &dropFirstEpisodes{}}}
+			workerDone := make(chan struct{})
+			go func() {
+				defer close(workerDone)
+				_ = w.Run(ctx)
+			}()
+			final := waitRun(t, url, st.ID, 2*time.Minute)
+			stop()
+			<-workerDone
+			if final.State != "done" || final.Attempt != 2 {
+				t.Fatalf("run with a dropped upload ended %q at attempt %d (%s), want done at attempt 2", final.State, final.Attempt, final.Error)
+			}
 
-	local := results.NewMemStore()
-	c := experiment.Campaign{Name: "dropped", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
-	if _, err := experiment.RunCampaignOn(engine.New(), c, 16, 300, nil, experiment.WithSink(local)); err != nil {
-		t.Fatal(err)
-	}
-	diffs, err := results.Diff(store, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 1 {
-		t.Fatalf("diff covers %d campaigns, want 1", len(diffs))
-	}
-	if d := diffs[0]; d.A == nil || d.B == nil || !reflect.DeepEqual(d.A, d.B) {
-		t.Errorf("served aggregate differs from an in-process run:\nserved %+v\nlocal  %+v", d.A, d.B)
+			local := results.NewMemStore()
+			c := experiment.Campaign{Name: "dropped", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
+			if _, err := experiment.RunCampaignOn(engine.New(), c, 16, 300, nil, experiment.WithSink(local)); err != nil {
+				t.Fatal(err)
+			}
+			diffs, err := results.Diff(store, local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(diffs) != 1 {
+				t.Fatalf("diff covers %d campaigns, want 1", len(diffs))
+			}
+			if d := diffs[0]; d.A == nil || d.B == nil || !reflect.DeepEqual(d.A, d.B) {
+				t.Errorf("served aggregate differs from an in-process run:\nserved %+v\nlocal  %+v", d.A, d.B)
+			}
+		})
 	}
 }

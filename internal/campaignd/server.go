@@ -6,7 +6,10 @@
 // by remote robotack-worker processes, stream their episodes into the
 // same store, and report live progress over Server-Sent Events. The
 // store is the one source of a served run's results: a remote job's
-// aggregate is the server's fold of the episodes it stored. It is
+// aggregate is the server's fold of the job's own episodes it stored
+// (runq.Job.Fold). Every worker route after the lease goes through one
+// gate (leased), which parses the run id, decodes the body, checks the
+// lease and maps the route's error to its status. It is
 // the many-clients face of the results API — robotack-campaign writes
 // a store on one machine, robotack-serve makes it queryable, diffable
 // and extendable for everyone else.
@@ -68,14 +71,15 @@ func httpSeconds(pattern string) *obs.Histogram {
 //
 // Remote-worker protocol (see runq's protocol types). Every request
 // after the lease names the worker and the attempt it holds; one that
-// does not hold the job's current lease answers 409:
+// does not hold the job's current lease answers 409, and one with an
+// episode the job does not own (runq.Job.Own) answers 400:
 //
 //	POST /lease                        lease the next queued job, waiting up
 //	                                   to wait_ms for one on an empty queue
 //	POST /runs/{id}/heartbeat          keep the lease alive, report progress
 //	POST /runs/{id}/episodes           stream episode records into the store
 //	POST /runs/{id}/spans              forward a traced job's worker spans
-//	POST /runs/{id}/complete           store the fold of the job's stored
+//	POST /runs/{id}/complete           store the fold of the job's own stored
 //	                                   episodes (409 while one is missing)
 //	POST /runs/{id}/fail               fail or hand back the job
 type Server struct {
@@ -166,11 +170,15 @@ func New(store results.Store, opts ...Option) *Server {
 	s.handle("GET /runs/{id}/events", s.handleRunEvents)
 	s.handle("DELETE /runs/{id}", s.handleRunCancel)
 	s.handle("POST /lease", s.handleLease)
-	s.handle("POST /runs/{id}/heartbeat", s.handleHeartbeat)
-	s.handle("POST /runs/{id}/episodes", s.handleWorkerEpisodes)
-	s.handle("POST /runs/{id}/spans", s.handleWorkerSpans)
-	s.handle("POST /runs/{id}/complete", s.handleComplete)
-	s.handle("POST /runs/{id}/fail", s.handleFail)
+	leased(s, "POST /runs/{id}/heartbeat", func(job runq.Job, req runq.HeartbeatRequest) error {
+		return s.queue.Heartbeat(job.ID, req.Holder, req.Done)
+	})
+	leased(s, "POST /runs/{id}/episodes", s.workerEpisodes)
+	leased(s, "POST /runs/{id}/spans", s.workerSpans)
+	leased(s, "POST /runs/{id}/complete", s.complete)
+	leased(s, "POST /runs/{id}/fail", func(job runq.Job, req runq.FailRequest) error {
+		return s.queue.Fail(job.ID, req.Holder, req.Error, req.Requeue)
+	})
 	return s
 }
 
@@ -501,17 +509,49 @@ func writeSSE(w http.ResponseWriter, ev runq.Event) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, raw)
 }
 
-// workerError maps queue errors to protocol statuses: 404 for unknown
-// jobs, 409 for lost leases (the worker's signal to abandon the run).
-func workerError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, runq.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, runq.ErrLeaseLost):
-		writeError(w, http.StatusConflict, "%v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
+// statusError is a lease-gated route's refusal, with the status it
+// answers.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e statusError) Error() string { return e.err.Error() }
+
+// leased registers a worker route after the lease; it is the one lease
+// gate. It parses {id}, decodes the body of at most maxBodyBytes and
+// checks that the request's holder holds the job's current lease, then
+// runs fn on the job. An error answers its statusError status, 404 for
+// runq.ErrNotFound, 409 for runq.ErrLeaseLost (the worker's signal to
+// abandon the run) and 500 otherwise; success answers {"ok":true}.
+func leased[T interface{ Lease() runq.Holder }](s *Server, pattern string, fn func(job runq.Job, req T) error) {
+	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
+		id, ok := runID(w, r)
+		if !ok {
+			return
+		}
+		req, ok := decodeBody[T](w, r)
+		if !ok {
+			return
+		}
+		job, err := s.queue.CheckLease(id, req.Lease())
+		if err == nil {
+			err = fn(job, req)
+		}
+		var se statusError
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		case errors.As(err, &se):
+			writeError(w, se.status, "%v", err)
+		case errors.Is(err, runq.ErrNotFound):
+			writeError(w, http.StatusNotFound, "%v", err)
+		case errors.Is(err, runq.ErrLeaseLost):
+			writeError(w, http.StatusConflict, "%v", err)
+		default:
+			writeError(w, http.StatusInternalServerError, "%v", err)
+		}
+	})
 }
 
 // maxBodyBytes limits every request body: a run request, a lease,
@@ -567,166 +607,72 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	id, ok := runID(w, r)
-	if !ok {
-		return
-	}
-	req, ok := decodeBody[runq.HeartbeatRequest](w, r)
-	if !ok {
-		return
-	}
-	if err := s.queue.Heartbeat(id, req.Holder, req.Done); err != nil {
-		workerError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// handleWorkerEpisodes appends a worker's completed episodes to the
-// served store — through the same Sink interface local runs use, so
-// an episode acknowledged here is as durable as a local one.
-func (s *Server) handleWorkerEpisodes(w http.ResponseWriter, r *http.Request) {
-	id, ok := runID(w, r)
-	if !ok {
-		return
-	}
-	req, ok := decodeBody[runq.EpisodesRequest](w, r)
-	if !ok {
-		return
-	}
-	job, err := s.queue.CheckLease(id, req.Holder)
-	if err != nil {
-		workerError(w, err)
-		return
-	}
-	// The lease gates who may write; this gates what they write — a
-	// worker can only append its own job's episodes: its campaign, an
-	// index in range, the seed the engine derives for that index and a
-	// record version this build reads. A batch with one bad record is
-	// refused whole, before anything is appended, so a foreign episode
-	// can never block the job's completion or its resume.
-	name := job.Request.RecordName()
+// workerEpisodes appends a worker's completed episodes to the served
+// store — through the same Sink interface local runs use, so an
+// episode acknowledged here is as durable as a local one. The lease
+// gates who may write; runq.Job.Own gates what they write. A batch
+// with one episode the job does not own is refused whole, before
+// anything is appended, so a foreign episode can never block the job's
+// completion or its resume.
+func (s *Server) workerEpisodes(job runq.Job, req runq.EpisodesRequest) error {
 	for _, ep := range req.Episodes {
-		if ep.Campaign != name {
-			writeError(w, http.StatusBadRequest, "episode %d is for campaign %q, job %d writes %q", ep.Index, ep.Campaign, id, name)
-			return
-		}
-		if ep.V > results.Version {
-			writeError(w, http.StatusBadRequest, "episode %d is record v%d, newer than supported v%d", ep.Index, ep.V, results.Version)
-			return
-		}
-		if ep.Index < 0 || ep.Index >= job.Request.Runs {
-			writeError(w, http.StatusBadRequest, "episode index %d out of range [0,%d)", ep.Index, job.Request.Runs)
-			return
-		}
-		if seed := engine.AdditiveSeeds(job.Request.Seed, ep.Index); ep.Seed != seed {
-			writeError(w, http.StatusBadRequest, "episode %d ran with seed %d, job %d derives %d", ep.Index, ep.Seed, id, seed)
-			return
+		if err := job.Own(ep); err != nil {
+			return statusError{http.StatusBadRequest, err}
 		}
 	}
 	for _, ep := range req.Episodes {
 		if err := s.store.Append(ep); err != nil {
-			writeError(w, http.StatusInternalServerError, "append episode %d: %v", ep.Index, err)
-			return
+			return fmt.Errorf("append episode %d: %w", ep.Index, err)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	return nil
 }
 
-// handleWorkerSpans ingests a traced job's forwarded worker spans into
-// the server's trace sink, so one sink holds the whole cross-process
-// trace. The lease gates who may post; the checks gate what — a
-// worker's spans can only land on its own job's trace, and only within
+// workerSpans ingests a traced job's forwarded worker spans into the
+// server's trace sink, so one sink holds the whole cross-process trace.
+// The lease gates who may post; the checks gate what — a worker's spans
+// can only land on its own job's trace, and only within
 // trace.CheckBounds, beyond which one record would make the sink's
 // directory unreadable. A batch with one bad span is refused whole.
 // Spans are observability, not results: with tracing off server-side
 // they are accepted and dropped.
-func (s *Server) handleWorkerSpans(w http.ResponseWriter, r *http.Request) {
-	id, ok := runID(w, r)
-	if !ok {
-		return
+func (s *Server) workerSpans(job runq.Job, req runq.SpansRequest) error {
+	tr := s.queue.Tracer()
+	if tr == nil || job.Trace == nil {
+		return nil
 	}
-	req, ok := decodeBody[runq.SpansRequest](w, r)
-	if !ok {
-		return
-	}
-	job, err := s.queue.CheckLease(id, req.Holder)
-	if err != nil {
-		workerError(w, err)
-		return
-	}
-	if tr := s.queue.Tracer(); tr != nil && job.Trace != nil {
-		for i := range req.Spans {
-			sp := &req.Spans[i]
-			if sp.TraceID != job.Trace.TraceID {
-				writeError(w, http.StatusBadRequest,
-					"span %s is for trace %s, job %d traces %s", sp.SpanID, sp.TraceID, id, job.Trace.TraceID)
-				return
-			}
-			if err := trace.CheckBounds(uint64(len(sp.Stages)), uint64(len(sp.Attrs))); err != nil {
-				writeError(w, http.StatusBadRequest, "span %s: %v", sp.SpanID, err)
-				return
-			}
+	for i := range req.Spans {
+		sp := &req.Spans[i]
+		if sp.TraceID != job.Trace.TraceID {
+			return statusError{http.StatusBadRequest,
+				fmt.Errorf("span %s is for trace %s, job %d traces %s", sp.SpanID, sp.TraceID, job.ID, job.Trace.TraceID)}
 		}
-		for i := range req.Spans {
-			tr.Emit(&req.Spans[i]) // Service stays the worker's name
+		if err := trace.CheckBounds(uint64(len(sp.Stages)), uint64(len(sp.Attrs))); err != nil {
+			return statusError{http.StatusBadRequest, fmt.Errorf("span %s: %w", sp.SpanID, err)}
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	for i := range req.Spans {
+		tr.Emit(&req.Spans[i]) // Service stays the worker's name
+	}
+	return nil
 }
 
-// handleComplete stores the fold of the job's stored episodes
-// (runq.Job.Fold) as its aggregate and completes it. While an episode
-// is missing or ran with a foreign seed it answers 409 and the job
-// stays running, so lease expiry and a resumed attempt heal the run.
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	id, ok := runID(w, r)
-	if !ok {
-		return
-	}
-	req, ok := decodeBody[runq.CompleteRequest](w, r)
-	if !ok {
-		return
-	}
-	job, err := s.queue.CheckLease(id, req.Holder)
-	if err != nil {
-		workerError(w, err)
-		return
-	}
+// complete stores the fold of the job's stored episodes
+// (runq.Job.Fold) as its aggregate and completes it. While an index
+// holds no episode the job owns it answers 409 and the job stays
+// running, so lease expiry and a resumed attempt, which re-runs every
+// episode the job does not own, heal the run.
+func (s *Server) complete(job runq.Job, req runq.CompleteRequest) error {
 	eps, err := s.store.Episodes(job.Request.RecordName())
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "read episodes: %v", err)
-		return
+		return fmt.Errorf("read episodes: %w", err)
 	}
 	agg, err := job.Fold(eps)
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
-		return
+		return statusError{http.StatusConflict, err}
 	}
 	if err := s.store.PutCampaign(agg); err != nil {
-		writeError(w, http.StatusInternalServerError, "store aggregate: %v", err)
-		return
+		return fmt.Errorf("store aggregate: %w", err)
 	}
-	if err := s.queue.Complete(id, req.Holder); err != nil {
-		workerError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
-	id, ok := runID(w, r)
-	if !ok {
-		return
-	}
-	req, ok := decodeBody[runq.FailRequest](w, r)
-	if !ok {
-		return
-	}
-	if err := s.queue.Fail(id, req.Holder, req.Error, req.Requeue); err != nil {
-		workerError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	return s.queue.Complete(job.ID, req.Holder)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"github.com/robotack/robotack/internal/core"
+	"github.com/robotack/robotack/internal/results"
 )
 
 // Version is the artifact schema version. Readers reject artifacts
@@ -125,13 +126,14 @@ func (a *Artifact) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Save writes the artifact to path in canonical form.
+// Save replaces the artifact at path in canonical form, atomically
+// (results.WriteFileAtomic): a failed write leaves the previous file.
 func (a *Artifact) Save(path string) error {
 	raw, err := a.Marshal()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, raw, 0o644)
+	return results.WriteFileAtomic(path, raw)
 }
 
 // Parse decodes an artifact strictly — unknown fields are schema

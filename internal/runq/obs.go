@@ -51,24 +51,19 @@ func (q *Queue) gaugesLocked() {
 	qRunning.Set(float64(running))
 }
 
-// rateState tracks one running job's episode throughput for SSE
+// rateState tracks one running attempt's episode throughput for SSE
 // progress events: an exponential moving average over the deltas the
-// executor (or remote heartbeats) report. Derived state only — never
-// journaled, rebuilt from scratch on restart.
+// executor (or remote heartbeats) report. Each job carries its own,
+// reset when an attempt starts. Derived state only — never journaled,
+// rebuilt from scratch on restart.
 type rateState struct {
 	lastDone int
 	lastTime time.Time
 	eps      float64
 }
 
-// observeLocked folds a progress report into the job's rate estimate.
-func (q *Queue) observeRateLocked(id, done int) {
-	rs := q.rates[id]
-	now := time.Now()
-	if rs == nil {
-		q.rates[id] = &rateState{lastDone: done, lastTime: now}
-		return
-	}
+// observe folds a progress report into the rate estimate.
+func (rs *rateState) observe(done int, now time.Time) {
 	dt := now.Sub(rs.lastTime).Seconds()
 	if done <= rs.lastDone || dt <= 0 {
 		return
@@ -82,6 +77,3 @@ func (q *Queue) observeRateLocked(id, done int) {
 	rs.lastDone = done
 	rs.lastTime = now
 }
-
-// dropRateLocked forgets a job's rate state once it leaves Running.
-func (q *Queue) dropRateLocked(id int) { delete(q.rates, id) }

@@ -80,6 +80,11 @@ type Holder struct {
 	Attempt int    `json:"attempt"`
 }
 
+// Lease is the lease the request acts under: every request type after
+// the lease embeds a Holder, so campaignd's one lease gate reads it
+// from any of them.
+func (h Holder) Lease() Holder { return h }
+
 // HeartbeatRequest extends the lease and reports progress. The job's
 // total is its request's runs; a heartbeat cannot change it.
 type HeartbeatRequest struct {

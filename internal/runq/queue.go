@@ -67,9 +67,7 @@ type Queue struct {
 	journal *results.Log
 	lockf   *os.File // held for the queue's lifetime (dir exclusivity)
 	subs    map[int]map[chan Event]bool
-	rates   map[int]*rateState         // per running job, derived, unjournaled
 	cancels map[int]context.CancelFunc // local in-flight jobs
-	running int                        // local in-flight count
 	parked  []*parkedLease             // lease requests waiting for a job, oldest first
 	closed  bool
 	started bool
@@ -144,7 +142,6 @@ func Open(dir string, opts ...Option) (*Queue, error) {
 		log:              obs.Discard(),
 		jobs:             make(map[int]*Job),
 		subs:             make(map[int]map[chan Event]bool),
-		rates:            make(map[int]*rateState),
 		cancels:          make(map[int]context.CancelFunc),
 	}
 	for _, opt := range opts {
@@ -267,7 +264,6 @@ func (q *Queue) requeueLocked(j *Job) {
 	j.lease = time.Time{}
 	q.pending = append([]int{j.ID}, q.pending...)
 	qRequeued.Add(1)
-	q.dropRateLocked(j.ID)
 	q.journalLocked(j)
 	q.publishLocked(j)
 	q.gaugesLocked()
@@ -420,9 +416,7 @@ func (q *Queue) eventLocked(j *Job) Event {
 			}
 		}
 	case StateRunning:
-		if rs := q.rates[j.ID]; rs != nil {
-			ev.EpsPerSec = rs.eps
-		}
+		ev.EpsPerSec = j.rate.eps
 	}
 	return ev
 }
@@ -473,7 +467,7 @@ func (q *Queue) progressLocked(j *Job, done int) {
 		return
 	}
 	j.Done = done
-	q.observeRateLocked(j.ID, done)
+	j.rate.observe(done, time.Now())
 	q.publishLocked(j)
 }
 
@@ -487,9 +481,8 @@ func (q *Queue) dispatchLocked() {
 	if q.closed {
 		return
 	}
-	for q.started && q.running < q.maxConcurrent && len(q.pending) > 0 {
+	for q.started && len(q.cancels) < q.maxConcurrent && len(q.pending) > 0 {
 		j := q.startLocked(LocalWorker)
-		q.running++
 		ctx, cancel := context.WithCancel(q.ctx)
 		if q.traced(j) {
 			// The local executor's engine runs under the dispatch span,
@@ -527,7 +520,6 @@ func (q *Queue) runLocal(ctx context.Context, cancel context.CancelFunc, job Job
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.running--
 	delete(q.cancels, job.ID)
 	j := q.jobs[job.ID]
 	switch {
@@ -572,7 +564,6 @@ func (q *Queue) finishLocked(j *Job, state State, msg string) {
 		qCancelled.Add(1)
 		q.log.Info("job cancelled", attrs...)
 	}
-	q.dropRateLocked(j.ID)
 	q.journalLocked(j)
 	q.publishLocked(j)
 	q.gaugesLocked()
@@ -673,7 +664,7 @@ func (q *Queue) startLocked(worker string) *Job {
 	}
 	qLeased.Add(1)
 	q.traceDequeuedLocked(j, now)
-	q.observeRateLocked(id, j.Done)
+	j.rate = rateState{lastDone: j.Done, lastTime: now}
 	q.journalLocked(j)
 	q.publishLocked(j)
 	q.gaugesLocked()
@@ -725,8 +716,8 @@ func (q *Queue) Heartbeat(id int, h Holder, done int) error {
 	return nil
 }
 
-// CheckLease returns the job h holds — the gate for streamed episode
-// appends, forwarded spans and completion.
+// CheckLease returns the job h holds — the lease gate of every worker
+// request after the lease.
 func (q *Queue) CheckLease(id int, h Holder) (Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

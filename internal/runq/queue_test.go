@@ -352,7 +352,9 @@ func TestGracefulShutdownRequeuesInFlight(t *testing.T) {
 // and partial episodes in the results store; a restart with the same
 // queue dir replays the journal, requeues the job, and re-executes it
 // with resume so the final aggregates are byte-identical to an
-// uninterrupted run's.
+// uninterrupted run's. That holds too when an earlier run under the
+// same record name left episode 5 in the store on another seed: the
+// job does not own it, so the resumed attempt re-runs it.
 func TestCrashReplayBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -381,103 +383,121 @@ func TestCrashReplayBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	refStore.Close()
-
-	// Crash: journal says the job is running (leased, never finished)
-	// and the store holds the episodes that completed before the kill.
-	crashDir := t.TempDir()
-	crashPath := filepath.Join(crashDir, "store.jsonl")
-	q0, err := runq.Open(filepath.Join(crashDir, "queue"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q0.Submit(request); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q0.Lease(context.Background(), "doomed", 0); !ok {
-		t.Fatal("lease failed")
-	}
-	if err := q0.Close(); err != nil { // kill -9: no state transition hits the journal
-		t.Fatal(err)
-	}
-
-	crashStore, err := results.Open(crashPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cctx, ccancel := context.WithCancel(context.Background())
-	eng := engine.New(
-		engine.WithContext(cctx),
-		engine.WithWorkers(2),
-		engine.WithProgress(func(done, total int) {
-			if done >= 2 {
-				ccancel() // the process dies after two episodes landed
-			}
-		}),
-	)
-	c := experiment.Campaign{Name: "crashy", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
-	_, err = experiment.RunCampaignOn(eng, c, request.Runs, request.Seed, nil,
-		experiment.WithSink(crashStore))
-	ccancel()
-	if err == nil {
-		t.Fatal("interrupted run should report the cancellation")
-	}
-	partial, err := crashStore.Episodes("crashy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(partial) == 0 || len(partial) >= request.Runs {
-		t.Fatalf("crash left %d episodes, want a strict partial batch", len(partial))
-	}
-	crashStore.Close()
-
-	// Restart with the same queue dir and store: the job replays as
-	// queued and re-executes with resume.
-	q1, err := runq.Open(filepath.Join(crashDir, "queue"), runq.WithMaxConcurrent(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store1, err := results.Open(crashPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, ok := q1.Get(1)
-	if !ok || j.State != runq.StateQueued || !j.Resume() {
-		t.Fatalf("replayed job = %+v ok=%v, want queued with resume", j, ok)
-	}
-	q1.Start(runq.LocalExecutor{Store: store1, Workers: 4})
-	if ev := waitTerminal(t, q1, 1, 2*time.Minute); ev.State != runq.StateDone {
-		t.Fatalf("resumed run ended %s: %s", ev.State, ev.Error)
-	}
-	if err := q1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	store1.Close()
-
-	// The acceptance check: results.Diff reports no movement, and the
-	// aggregates are byte-identical.
 	ref, err := results.Load(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := results.Load(crashPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffs, err := results.Diff(ref, crashed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diffs {
-		if d.RunsDelta != 0 || d.EBRateDelta != 0 || d.CrashRateDelta != 0 {
-			t.Errorf("diff %s moved: %+v", d.Name, d)
-		}
-	}
-	refRecs, _ := ref.Campaigns()
-	crashRecs, _ := crashed.Campaigns()
-	ra, _ := json.Marshal(refRecs)
-	rb, _ := json.Marshal(crashRecs)
-	if string(ra) != string(rb) {
-		t.Errorf("aggregates diverged:\nuninterrupted: %s\ncrash+resume:  %s", ra, rb)
+
+	stale := results.EpisodeRecord{V: results.Version, Campaign: "crashy", Index: 5, Seed: 99,
+		Scenario: "DS-2", Mode: core.ModeSmart, ExpectCrashes: true, Launched: true, EB: true, Frames: 50}
+	for _, tc := range []struct {
+		name  string
+		stale []results.EpisodeRecord
+	}{
+		{"partial-batch", nil},
+		{"foreign-seed-stored", []results.EpisodeRecord{stale}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Crash: journal says the job is running (leased, never
+			// finished) and the store holds the episodes that completed
+			// before the kill.
+			crashDir := t.TempDir()
+			crashPath := filepath.Join(crashDir, "store.jsonl")
+			q0, err := runq.Open(filepath.Join(crashDir, "queue"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q0.Submit(request); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := q0.Lease(context.Background(), "doomed", 0); !ok {
+				t.Fatal("lease failed")
+			}
+			if err := q0.Close(); err != nil { // kill -9: no state transition hits the journal
+				t.Fatal(err)
+			}
+
+			crashStore, err := results.Open(crashPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cctx, ccancel := context.WithCancel(context.Background())
+			eng := engine.New(
+				engine.WithContext(cctx),
+				engine.WithWorkers(2),
+				engine.WithProgress(func(done, total int) {
+					if done >= 2 {
+						ccancel() // the process dies after two episodes landed
+					}
+				}),
+			)
+			c := experiment.Campaign{Name: "crashy", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
+			_, err = experiment.RunCampaignOn(eng, c, request.Runs, request.Seed, nil,
+				experiment.WithSink(crashStore))
+			ccancel()
+			if err == nil {
+				t.Fatal("interrupted run should report the cancellation")
+			}
+			partial, err := crashStore.Episodes("crashy")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(partial) == 0 || len(partial) >= request.Runs {
+				t.Fatalf("crash left %d episodes, want a strict partial batch", len(partial))
+			}
+			for _, ep := range tc.stale {
+				if err := crashStore.Append(ep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashStore.Close()
+
+			// Restart with the same queue dir and store: the job replays
+			// as queued and re-executes with resume.
+			q1, err := runq.Open(filepath.Join(crashDir, "queue"), runq.WithMaxConcurrent(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			store1, err := results.Open(crashPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, ok := q1.Get(1)
+			if !ok || j.State != runq.StateQueued || !j.Resume() {
+				t.Fatalf("replayed job = %+v ok=%v, want queued with resume", j, ok)
+			}
+			q1.Start(runq.LocalExecutor{Store: store1, Workers: 4})
+			if ev := waitTerminal(t, q1, 1, 2*time.Minute); ev.State != runq.StateDone {
+				t.Fatalf("resumed run ended %s: %s", ev.State, ev.Error)
+			}
+			if err := q1.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			store1.Close()
+
+			// The acceptance check: results.Diff reports no movement, and
+			// the aggregates are byte-identical.
+			crashed, err := results.Load(crashPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffs, err := results.Diff(ref, crashed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diffs {
+				if d.RunsDelta != 0 || d.EBRateDelta != 0 || d.CrashRateDelta != 0 {
+					t.Errorf("diff %s moved: %+v", d.Name, d)
+				}
+			}
+			refRecs, _ := ref.Campaigns()
+			crashRecs, _ := crashed.Campaigns()
+			ra, _ := json.Marshal(refRecs)
+			rb, _ := json.Marshal(crashRecs)
+			if string(ra) != string(rb) {
+				t.Errorf("aggregates diverged:\nuninterrupted: %s\ncrash+resume:  %s", ra, rb)
+			}
+		})
 	}
 }
 

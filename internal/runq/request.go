@@ -37,8 +37,8 @@ type Request struct {
 	Name string `json:"name,omitempty"`
 	Runs int    `json:"runs"`
 	Seed int64  `json:"seed"`
-	// Resume folds episodes already stored under Name instead of
-	// re-running them.
+	// Resume folds the job's own episodes already stored under Name
+	// (Job.Own) instead of re-running them; the rest run.
 	Resume bool `json:"resume,omitempty"`
 }
 

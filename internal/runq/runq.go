@@ -1,15 +1,22 @@
 // Package runq is the durable campaign run queue behind the HTTP
 // service: jobs (a run request plus id and state) persist to an
 // append-only JSONL journal, a dispatcher executes at most a bounded
-// number of jobs at once on per-job engines, and remote worker
-// processes on other machines lease jobs over HTTP, heartbeat while
-// they run them, and stream episode records back into the served
-// store. The paper's evaluation is thousands of episodes per
-// (scenario, mode) cell; the queue is what lets many clients submit
-// such sweeps and survive restarts — on reopen the journal replays
-// (last state wins, like the results store) and interrupted jobs
-// re-execute bit-identically through experiment.WithResume, because
-// every already-persisted episode folds back instead of re-running.
+// number of jobs at once, and remote worker processes on other
+// machines lease jobs over HTTP, heartbeat while they run them, and
+// stream episode records back into the served store. The paper's
+// evaluation is thousands of episodes per (scenario, mode) cell; the
+// queue is what lets many clients submit such sweeps and survive
+// restarts — on reopen the journal replays (last state wins, like the
+// results store) and interrupted jobs re-execute bit-identically.
+//
+// A leased job takes one path, whether the local slot or a worker runs
+// it. Job.Own is the one rule for which stored episodes are the job's:
+// its record name, a record version this build reads, an index in
+// [0, Request.Runs) and the seed the engine derives for that index.
+// Both executors hand the job to one runner (Job.run), which builds the
+// job's engine and, on a resuming attempt, reuses exactly the job's own
+// stored episodes and re-runs the rest; Job.Fold folds exactly the
+// job's own episodes into the aggregate a remote completion stores.
 package runq
 
 import "time"
@@ -64,10 +71,14 @@ type Job struct {
 	enqueuedAt  time.Time
 	executingAt time.Time
 	hbSeq       uint32
+	// rate is the current attempt's episode throughput, for progress
+	// events; unjournaled, reset when an attempt starts.
+	rate rateState
 }
 
-// Resume reports whether executing the job must fold episodes already
-// persisted in the results store instead of re-running them: either
+// Resume reports whether executing the job must fold its own episodes
+// already persisted in the results store instead of re-running them:
+// either
 // the client asked for it, or a previous attempt already streamed
 // episodes that a bit-identical aggregate has to reuse. A queued job
 // with any past attempt resumes; a running one resumes when an

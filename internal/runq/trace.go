@@ -72,6 +72,20 @@ func (q *Queue) traced(j *Job) bool {
 	return q.tracer != nil && j.Trace != nil
 }
 
+// spanLocked emits one of the job's lifecycle spans, running from
+// start to now (a point span starts now).
+func (q *Queue) spanLocked(j *Job, name string, id, parent uint64, start, now time.Time, attrs ...trace.Attr) {
+	q.tracer.Emit(&trace.SpanData{
+		TraceID: j.Trace.TraceID,
+		SpanID:  trace.ID(id),
+		Parent:  trace.ID(parent),
+		Name:    name,
+		Start:   start.UnixNano(),
+		Dur:     now.Sub(start).Nanoseconds(),
+		Attrs:   attrs,
+	})
+}
+
 // traceDequeuedLocked closes the attempt's queue-wait span when the
 // job leaves the queue for execution (local dispatch or remote lease).
 // Attempt has already been incremented.
@@ -80,15 +94,8 @@ func (q *Queue) traceDequeuedLocked(j *Job, now time.Time) {
 	if !q.traced(j) || j.enqueuedAt.IsZero() {
 		return
 	}
-	q.tracer.Emit(&trace.SpanData{
-		TraceID: j.Trace.TraceID,
-		SpanID:  trace.ID(trace.DeriveSpanID(uint64(j.Trace.TraceID), uint64(j.Attempt), trace.StreamQueueWait)),
-		Parent:  j.Trace.Root,
-		Name:    "queue-wait",
-		Start:   j.enqueuedAt.UnixNano(),
-		Dur:     now.Sub(j.enqueuedAt).Nanoseconds(),
-		Attrs:   []trace.Attr{{Key: "attempt", Value: strconv.Itoa(j.Attempt)}},
-	})
+	q.spanLocked(j, "queue-wait", trace.DeriveSpanID(uint64(j.Trace.TraceID), uint64(j.Attempt), trace.StreamQueueWait),
+		uint64(j.Trace.Root), j.enqueuedAt, now, trace.Attr{Key: "attempt", Value: strconv.Itoa(j.Attempt)})
 }
 
 // traceHeartbeatLocked emits a point span per lease renewal, nested
@@ -99,14 +106,8 @@ func (q *Queue) traceHeartbeatLocked(j *Job, now time.Time) {
 	}
 	j.hbSeq++
 	key := uint64(j.Attempt)<<32 | uint64(j.hbSeq)
-	q.tracer.Emit(&trace.SpanData{
-		TraceID: j.Trace.TraceID,
-		SpanID:  trace.ID(trace.DeriveSpanID(uint64(j.Trace.TraceID), key, trace.StreamHeartbeat)),
-		Parent:  trace.ID(execSpanID(j.Trace, j.Attempt)),
-		Name:    "heartbeat",
-		Start:   now.UnixNano(),
-		Attrs:   []trace.Attr{{Key: "worker", Value: j.Worker}},
-	})
+	q.spanLocked(j, "heartbeat", trace.DeriveSpanID(uint64(j.Trace.TraceID), key, trace.StreamHeartbeat),
+		execSpanID(j.Trace, j.Attempt), now, now, trace.Attr{Key: "worker", Value: j.Worker})
 }
 
 // traceExecEndLocked closes the attempt's dispatch/lease span with its
@@ -121,19 +122,10 @@ func (q *Queue) traceExecEndLocked(j *Job, now time.Time, outcome string) {
 	if j.Worker == LocalWorker {
 		name = "dispatch"
 	}
-	q.tracer.Emit(&trace.SpanData{
-		TraceID: j.Trace.TraceID,
-		SpanID:  trace.ID(execSpanID(j.Trace, j.Attempt)),
-		Parent:  j.Trace.Root,
-		Name:    name,
-		Start:   j.executingAt.UnixNano(),
-		Dur:     now.Sub(j.executingAt).Nanoseconds(),
-		Attrs: []trace.Attr{
-			{Key: "worker", Value: j.Worker},
-			{Key: "attempt", Value: strconv.Itoa(j.Attempt)},
-			{Key: "outcome", Value: outcome},
-		},
-	})
+	q.spanLocked(j, name, execSpanID(j.Trace, j.Attempt), uint64(j.Trace.Root), j.executingAt, now,
+		trace.Attr{Key: "worker", Value: j.Worker},
+		trace.Attr{Key: "attempt", Value: strconv.Itoa(j.Attempt)},
+		trace.Attr{Key: "outcome", Value: outcome})
 	j.executingAt = time.Time{}
 }
 
@@ -146,14 +138,8 @@ func (q *Queue) traceRequeuedLocked(j *Job, now time.Time) {
 		return
 	}
 	q.traceExecEndLocked(j, now, "requeue")
-	q.tracer.Emit(&trace.SpanData{
-		TraceID: j.Trace.TraceID,
-		SpanID:  trace.ID(trace.DeriveSpanID(uint64(j.Trace.TraceID), uint64(j.Attempt), trace.StreamRequeue)),
-		Parent:  j.Trace.Root,
-		Name:    "requeue",
-		Start:   now.UnixNano(),
-		Attrs:   []trace.Attr{{Key: "attempt", Value: strconv.Itoa(j.Attempt)}},
-	})
+	q.spanLocked(j, "requeue", trace.DeriveSpanID(uint64(j.Trace.TraceID), uint64(j.Attempt), trace.StreamRequeue),
+		uint64(j.Trace.Root), now, now, trace.Attr{Key: "attempt", Value: strconv.Itoa(j.Attempt)})
 }
 
 // traceRunEndLocked closes the root span when the job reaches a
@@ -166,16 +152,8 @@ func (q *Queue) traceRunEndLocked(j *Job, now time.Time, state State) {
 	if start.IsZero() {
 		start = now
 	}
-	q.tracer.Emit(&trace.SpanData{
-		TraceID: j.Trace.TraceID,
-		SpanID:  j.Trace.Root,
-		Name:    "run",
-		Start:   start.UnixNano(),
-		Dur:     now.Sub(start).Nanoseconds(),
-		Attrs: []trace.Attr{
-			{Key: "campaign", Value: j.Request.RecordName()},
-			{Key: "mode", Value: j.Request.Mode},
-			{Key: "state", Value: string(state)},
-		},
-	})
+	q.spanLocked(j, "run", uint64(j.Trace.Root), 0, start, now,
+		trace.Attr{Key: "campaign", Value: j.Request.RecordName()},
+		trace.Attr{Key: "mode", Value: j.Request.Mode},
+		trace.Attr{Key: "state", Value: string(state)})
 }

@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"github.com/robotack/robotack/internal/core"
-	"github.com/robotack/robotack/internal/engine"
-	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/results"
@@ -432,30 +430,12 @@ func (f *spanForwarder) flush() {
 	}
 }
 
-// executeJob runs the job's batch on a local engine, streaming fresh
-// episodes to the server and resuming from the served store's
-// episodes when the lease says to.
+// executeJob runs the job on the one runner (Job.run), streaming fresh
+// episodes to the server; a resuming attempt reads the served store's
+// episodes of the job's record name.
 func (w *Worker) executeJob(ctx context.Context, job Job, r *run) error {
-	opts := []experiment.RunOption{experiment.WithSink(r)}
-	if job.Request.Resume {
-		prior, err := w.fetchEpisodes(ctx, job.Request.RecordName())
-		if err != nil {
-			return fmt.Errorf("fetch resume episodes: %w", err)
-		}
-		mem := results.NewMemStore()
-		for _, ep := range prior {
-			if err := mem.Append(ep); err != nil {
-				return err
-			}
-		}
-		opts = append(opts, experiment.WithResume(mem))
-	}
-	eng := engine.New(
-		engine.WithContext(ctx),
-		engine.WithWorkers(w.Workers),
-		engine.WithProgress(func(done, _ int) { r.done.Store(int64(done)) }),
-	)
-	_, err := ExecuteRequest(eng, job.Request, w.Oracles, opts...)
+	err := job.run(ctx, w.Workers, w.Oracles, func(done, _ int) { r.done.Store(int64(done)) }, r,
+		func(name string) ([]results.EpisodeRecord, error) { return w.fetchEpisodes(ctx, name) })
 	// Episodes still buffered must land before the outcome is reported
 	// (a completed job's records are durable, a failed one's resumable).
 	if ferr := r.flush(); ferr != nil && err == nil {

@@ -380,7 +380,7 @@ func (s *Store) PutCampaign(c results.CampaignRecord) error {
 	}
 	s.mu.Lock()
 	s.campaigns[c.Name] = c
-	s.logBytes = s.log.Size()
+	s.syncLogBytesLocked()
 	s.mu.Unlock()
 	s.liveBytes[c.Name] = int64(len(raw))
 	var live int64
@@ -417,10 +417,19 @@ func (s *Store) compactLogLocked() error {
 		return err
 	}
 	s.mu.Lock()
-	s.logBytes = s.log.Size()
+	s.syncLogBytesLocked()
 	s.mu.Unlock()
 	s.liveBytes = live
 	return nil
+}
+
+// syncLogBytesLocked takes the campaigns log's new clean length into
+// logBytes and moves the bytes gauge by the change (caller holds logMu
+// and mu).
+func (s *Store) syncLogBytesLocked() {
+	n := s.log.Size()
+	gaugeAdd(gBytes, float64(n-s.logBytes))
+	s.logBytes = n
 }
 
 // Campaigns implements results.Store.

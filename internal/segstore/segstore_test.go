@@ -1109,6 +1109,52 @@ func TestCampaignLogCompaction(t *testing.T) {
 	}
 }
 
+// TestBytesGaugeTracksStats: robotack_segstore_bytes moves with every
+// write by exactly what Stats' BytesEstimate counts — segment appends,
+// campaigns-log upserts and a campaigns-log compaction — and Close
+// takes back all of it.
+func TestBytesGaugeTracksStats(t *testing.T) {
+	dir := t.TempDir()
+	base := gBytes.Value()
+	s := openSmall(t, dir)
+	check := func(what string) int64 {
+		t.Helper()
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := gBytes.Value() - base; got != float64(st.BytesEstimate) {
+			t.Fatalf("after %s: gauge moved by %.0f, Stats counts %d bytes", what, got, st.BytesEstimate)
+		}
+		return st.BytesEstimate
+	}
+	for i := 0; i < 10; i++ {
+		if err := s.Append(storetest.Episode("g", i)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("append %d", i))
+	}
+	rec := results.NewCampaign("g", "DS-2", 1, true, 0)
+	prev, compacted := check("the appends"), false
+	for i := 0; i < 4000 && !compacted; i++ {
+		rec.Runs = i
+		if err := s.PutCampaign(rec); err != nil {
+			t.Fatal(err)
+		}
+		n := check(fmt.Sprintf("upsert %d", i))
+		compacted, prev = n < prev, n
+	}
+	if !compacted {
+		t.Fatal("4000 upserts never compacted the campaigns log")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := gBytes.Value(); got != base {
+		t.Fatalf("gauge after Close = %.0f, want its value before Open, %.0f", got, base)
+	}
+}
+
 func TestConcurrentAppendsAndQueries(t *testing.T) {
 	s := openSmall(t, t.TempDir())
 	defer s.Close()
