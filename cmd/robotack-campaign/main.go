@@ -56,7 +56,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		runs         = flag.Int("runs", 40, "episodes per campaign (paper: 101-185)")
 		seed         = flag.Int64("seed", 1000, "base seed")
@@ -64,7 +64,7 @@ func run() error {
 		workers      = flag.Int("workers", engine.DefaultWorkers(), "parallel episode workers")
 		scenarioFile = flag.String("scenario-file", "", "evaluate a JSON scenario spec instead of Table II")
 		generate     = flag.Bool("generate", false, "evaluate procedurally generated scenarios instead of Table II")
-		list         = flag.Bool("list-scenarios", false, "list registered scenario specs and exit")
+		list         = flag.Bool("list-scenarios", false, "list the built-in scenario catalog and exit")
 		policyFile   = flag.String("policy", "", "evaluate this policy artifact's trigger side-by-side with the paper trigger")
 		listPolicies = flag.Bool("list-policies", false, "list known policy artifact kinds and exit")
 		out          = flag.String("out", "", "append episode and campaign records to this results store (JSONL file or segstore directory, autodetected)")
@@ -117,11 +117,17 @@ func run() error {
 
 	var opts []experiment.RunOption
 	if *out != "" {
-		store, err := segstore.OpenAny(*out)
-		if err != nil {
-			return err
+		store, openErr := segstore.OpenAny(*out)
+		if openErr != nil {
+			return openErr
 		}
-		defer store.Close()
+		// Close syncs each active segment and writes its index, so its
+		// error is the sweep's (run's named result).
+		defer func() {
+			if cerr := store.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		opts = append(opts, experiment.WithSink(store))
 		if *resume {
 			opts = append(opts, experiment.WithResume(store))

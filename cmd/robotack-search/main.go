@@ -36,7 +36,6 @@ import (
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/policy"
 	"github.com/robotack/robotack/internal/scenario"
-	"github.com/robotack/robotack/internal/scenegen"
 	"github.com/robotack/robotack/internal/segstore"
 )
 
@@ -47,7 +46,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		scenarios   = flag.String("scenarios", "DS-1,DS-2,DS-3,DS-4", "comma-separated battery of smart-mode scenarios to score candidates on")
 		runs        = flag.Int("runs", 12, "episodes per battery scenario per candidate")
@@ -108,21 +107,32 @@ func run() error {
 		cfg.Oracles = oracles
 	}
 
+	// The store's Close syncs and indexes its segments and the log's is
+	// its last write, so each close error is the search's (run's named
+	// result) unless the search already failed.
 	if *storePath != "" {
-		store, err := segstore.OpenAny(*storePath)
-		if err != nil {
-			return err
+		store, openErr := segstore.OpenAny(*storePath)
+		if openErr != nil {
+			return openErr
 		}
-		defer store.Close()
+		defer func() {
+			if cerr := store.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		cfg.Store = store
 		logger.Info("evaluation store open", "store", *storePath, "resumable", true)
 	}
 	if *logPath != "" {
-		f, err := os.Create(*logPath)
-		if err != nil {
-			return err
+		f, createErr := os.Create(*logPath)
+		if createErr != nil {
+			return createErr
 		}
-		defer f.Close()
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		cfg.Log = f
 	}
 
@@ -146,8 +156,7 @@ func run() error {
 }
 
 // parseBattery builds the smart-mode evaluation battery from a
-// comma-separated scenario list, with the unknown-scenario error style
-// of the rest of the tooling.
+// comma-separated list of catalog names (scenario.Named).
 func parseBattery(list string) ([]experiment.Campaign, error) {
 	var battery []experiment.Campaign
 	for _, name := range strings.Split(list, ",") {
@@ -155,12 +164,13 @@ func parseBattery(list string) ([]experiment.Campaign, error) {
 		if name == "" {
 			continue
 		}
-		if _, ok := scenegen.Lookup(name); !ok {
-			return nil, fmt.Errorf("unknown scenario %q (have %v)", name, scenegen.Names())
+		src, err := scenario.Named(name)
+		if err != nil {
+			return nil, err
 		}
 		battery = append(battery, experiment.Campaign{
 			Name:          name + "-search",
-			Scenario:      scenario.Named(name),
+			Scenario:      src,
 			Mode:          core.ModeSmart,
 			ExpectCrashes: true,
 		})

@@ -3,7 +3,7 @@
 // on the camera link — and prints the outcome. The episode is
 // submitted through the execution engine, so Ctrl-C aborts it cleanly.
 //
-// The scenario can come from the built-in registry (DS-1..DS-5), from a
+// The scenario can come from the built-in catalog (DS-1..DS-5), from a
 // declarative JSON spec file, or from the procedural generator.
 //
 // Usage:
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
@@ -45,7 +46,7 @@ func run() error {
 		scenarioID   = flag.Int("scenario", 1, "driving scenario 1-5 (paper DS-1..DS-5)")
 		scenarioFile = flag.String("scenario-file", "", "JSON scenario spec file (overrides -scenario)")
 		generate     = flag.Bool("generate", false, "procedurally generate the scenario from -seed")
-		list         = flag.Bool("list-scenarios", false, "list registered scenario specs and exit")
+		list         = flag.Bool("list-scenarios", false, "list the built-in scenario catalog and exit")
 		mode         = flag.String("mode", "smart", "attack mode: golden | smart | nosh | random")
 		vector       = flag.String("vector", "", "steer Table I's Move_Out/Disappear choice: disappear-vehicles | disappear-pedestrians")
 		seed         = flag.Int64("seed", 1, "episode seed")
@@ -80,16 +81,8 @@ func run() error {
 	}
 
 	setup := experiment.AttackSetup{}
-	switch *mode {
-	case "golden":
-	case "smart":
-		setup.Mode = core.ModeSmart
-	case "nosh":
-		setup.Mode = core.ModeNoSH
-	case "random":
-		setup.Mode = core.ModeRandom
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	if setup.Mode, err = core.ParseMode(*mode); err != nil {
+		return err
 	}
 	switch *vector {
 	case "":
@@ -141,11 +134,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer store.Close()
 		// One-shot probes share a campaign key per (scenario, mode, seed)
 		// so repeated identical invocations overwrite rather than pile up.
-		key := fmt.Sprintf("sim-%s-%s-seed%d", src.Label(), *mode, *seed)
-		if err := store.Append(experiment.RecordEpisode(key, 0, *seed, src.Label(), setup.Mode, true, res)); err != nil {
+		key := fmt.Sprintf("sim-%s-%s-seed%d", src.Label(), strings.ToLower(*mode), *seed)
+		err = store.Append(experiment.RecordEpisode(key, 0, *seed, src.Label(), setup.Mode, true, res))
+		// Close syncs the segment and writes its index: its error is the
+		// write's.
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 		fmt.Printf("episode record appended to %s (campaign %q)\n", *out, key)

@@ -26,12 +26,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/perception"
+	"github.com/robotack/robotack/internal/results"
 )
 
 func main() {
@@ -215,18 +217,14 @@ func runChrome(args []string) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("no spans in %s", fs.Arg(0))
 	}
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	}
-	w := bufio.NewWriter(dst)
-	if err := trace.WriteChrome(w, spans); err != nil {
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, spans); err != nil {
 		return err
 	}
-	return w.Flush()
+	if *out != "" {
+		// Replaced whole: a failed export leaves the previous file.
+		return results.WriteFileAtomic(*out, buf.Bytes())
+	}
+	_, err = os.Stdout.Write(buf.Bytes())
+	return err
 }

@@ -583,7 +583,7 @@ func TestWorkerDroppedUploadRequeues(t *testing.T) {
 			}
 
 			local := results.NewMemStore()
-			c := experiment.Campaign{Name: "dropped", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
+			c := experiment.Campaign{Name: "dropped", Scenario: scenario.DS2, Mode: core.ModeSmart, ExpectCrashes: true}
 			if _, err := experiment.RunCampaignOn(engine.New(), c, 16, 300, nil, experiment.WithSink(local)); err != nil {
 				t.Fatal(err)
 			}

@@ -533,7 +533,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 
 	// A local run of the same campaign produces the identical record.
 	local := results.NewMemStore()
-	c := experiment.Campaign{Name: "remote-ds2", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
+	c := experiment.Campaign{Name: "remote-ds2", Scenario: scenario.DS2, Mode: core.ModeSmart, ExpectCrashes: true}
 	if _, err := experiment.RunCampaignOn(engine.New(), c, 4, 300, nil, experiment.WithSink(local)); err != nil {
 		t.Fatal(err)
 	}

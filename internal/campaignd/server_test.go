@@ -178,6 +178,7 @@ func TestServeLaunchValidation(t *testing.T) {
 	for _, body := range []string{
 		`{"scenario":"DS-2","mode":"warp","runs":2,"seed":1}`,                            // bad mode
 		`{"scenario":"DS-99","mode":"smart","runs":2,"seed":1}`,                          // unknown scenario
+		`{"scenario":"ds-2","mode":"smart","runs":2,"seed":1}`,                           // catalog names are case-sensitive
 		`{"scenario":"DS-2","mode":"smart","runs":0,"seed":1}`,                           // no runs
 		`{"mode":"smart","runs":2,"seed":1}`,                                             // no scenario source
 		`{"scenario":"DS-2","generate":{},"mode":"smart","runs":2,"seed":1}`,             // two sources

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -159,15 +160,21 @@ func Fig8Bins(recs []results.CampaignRecord, nbins int, maxErr float64) []Fig8Bi
 	return bins
 }
 
-// FormatFig8 renders the prediction-error study.
+// FormatFig8 renders the prediction-error study. Fig8Bins clamps every
+// error above its range into the last bin, so that bar prints
+// open-ended, as [lo, +Inf).
 func FormatFig8(bins []Fig8Bin, recs []results.CampaignRecord) string {
 	var b strings.Builder
 	b.WriteString("Fig. 8(a) — attack success probability vs |oracle prediction error| (m)\n")
-	for _, bin := range bins {
+	for i, bin := range bins {
 		if bin.N == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  [%4.1f, %4.1f) n=%3d success=%.2f\n", bin.ErrLo, bin.ErrHi, bin.N, bin.SuccessRate)
+		hi := bin.ErrHi
+		if i == len(bins)-1 {
+			hi = math.Inf(1)
+		}
+		fmt.Fprintf(&b, "  [%4.1f, %4.1f) n=%3d success=%.2f\n", bin.ErrLo, hi, bin.N, bin.SuccessRate)
 	}
 	b.WriteString("Fig. 8(b) — predicted vs realized delta_{t+K} (m)\n")
 	for i := range recs {

@@ -100,6 +100,23 @@ func TestFigureFormatters(t *testing.T) {
 	}
 }
 
+// TestFormatFig8LastBinOpenEnded: Fig8Bins clamps an error above
+// maxErr into the last bin, so FormatFig8 prints that bar open-ended
+// rather than as a range that excludes what it holds.
+func TestFormatFig8LastBinOpenEnded(t *testing.T) {
+	rec := results.NewCampaign("fig8", "DS-2", core.ModeSmart, true, 1)
+	rec.Predicted, rec.Realized, rec.Successes = []float64{0.5, 9}, []float64{0, 0}, []bool{true, false}
+	out := FormatFig8(Fig8Bins([]results.CampaignRecord{rec}, 10, 6.7), nil)
+	for _, want := range []string{
+		"  [ 0.0,  0.7) n=  1 success=1.00\n",
+		"  [ 6.0, +Inf) n=  1 success=0.00\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Fig. 8 output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestFig8BinsEdgeCases(t *testing.T) {
 	mk := func(pred, real []float64, succ []bool) results.CampaignRecord {
 		rec := results.NewCampaign("fig8", "DS-2", core.ModeSmart, true, 1)

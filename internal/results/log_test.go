@@ -2,6 +2,7 @@ package results_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,7 +100,7 @@ func logCases() []logCase {
 			return opened(string(raw), err, func(i int) error {
 				_, err := q.Submit(runq.Request{Scenario: "DS-2", Mode: "smart", Name: fmt.Sprint("job-", i), Runs: 2, Seed: 300})
 				return err
-			}, q.Close)
+			}, func() error { return q.Shutdown(context.Background()) })
 		},
 	}, {
 		name: "campaigns log",

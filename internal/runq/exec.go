@@ -65,7 +65,7 @@ func (j Job) run(ctx context.Context, workers int, oracles map[core.Vector]core.
 // run always counts crashes) and base seed. ExecuteRequest runs under
 // it and Job.Fold folds under it, so the two records agree.
 func (r *Request) identity() (results.CampaignRecord, scenario.Source, error) {
-	mode, err := ParseMode(r.Mode)
+	mode, err := core.ParseMode(r.Mode)
 	if err != nil {
 		return results.CampaignRecord{}, nil, err
 	}

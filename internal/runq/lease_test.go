@@ -135,7 +135,7 @@ func TestLeaseIdleWaitThenEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
+	defer q.Shutdown(context.Background())
 	const wait = 150 * time.Millisecond
 	start := time.Now()
 	if _, ok := q.Lease(context.Background(), "w1", wait); ok {
@@ -158,8 +158,10 @@ func TestLeaseIdleWaitThenEmpty(t *testing.T) {
 	}
 }
 
-// TestLeaseReleasedByShutdownAndClose: both ways of stopping the queue
-// answer every parked request at once, and later requests too.
+// TestLeaseReleasedByShutdownAndClose: Shutdown answers every parked
+// request at once, and later requests too, on a started queue
+// ("shutdown") and on one that was only opened, which it closes
+// ("close").
 func TestLeaseReleasedByShutdownAndClose(t *testing.T) {
 	for _, stop := range []string{"shutdown", "close"} {
 		t.Run(stop, func(t *testing.T) {
@@ -173,12 +175,7 @@ func TestLeaseReleasedByShutdownAndClose(t *testing.T) {
 			a := parkLease(t, q, context.Background(), "w1", time.Minute)
 			b := parkLease(t, q, context.Background(), "w2", time.Minute)
 			start := time.Now()
-			if stop == "shutdown" {
-				err = q.Shutdown(context.Background())
-			} else {
-				err = q.Close()
-			}
-			if err != nil {
+			if err := q.Shutdown(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			for _, ch := range []<-chan leaseResult{a, b} {
@@ -212,7 +209,7 @@ func TestLeaseCancelledLeasesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer q.Close()
+		defer q.Shutdown(context.Background())
 		ctx, cancel := context.WithCancel(context.Background())
 		ch := parkLease(t, q, ctx, "w1", time.Minute)
 		cancel()
@@ -230,7 +227,7 @@ func TestLeaseCancelledLeasesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer q.Close()
+		defer q.Shutdown(context.Background())
 		sub, err := q.Submit(leaseReq("queued"))
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +246,7 @@ func TestLeaseCancelledLeasesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer q.Close()
+		defer q.Shutdown(context.Background())
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		p := &parkedLease{ctx: ctx, worker: "w1", grant: make(chan Job, 1)}

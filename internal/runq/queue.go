@@ -794,18 +794,6 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 	return waitErr
 }
 
-// Close flushes and releases the journal file and answers any parked
-// lease requests without waiting for in-flight work — the teardown for
-// queues that were never started (journal writers, tests). Started
-// queues should use Shutdown.
-func (q *Queue) Close() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.releaseParkedLocked()
-	return q.closeFilesLocked()
-}
-
 // closeFilesLocked flushes and closes the journal and releases the
 // queue directory's lock.
 func (q *Queue) closeFilesLocked() error {

@@ -334,7 +334,7 @@ func TestGracefulShutdownRequeuesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q2.Close()
+	defer q2.Shutdown(context.Background())
 	j, ok := q2.Get(sub.ID)
 	if !ok || j.State != runq.StateQueued {
 		t.Fatalf("after restart job = %+v ok=%v, want queued", j, ok)
@@ -413,7 +413,7 @@ func TestCrashReplayBitIdentical(t *testing.T) {
 			if _, ok := q0.Lease(context.Background(), "doomed", 0); !ok {
 				t.Fatal("lease failed")
 			}
-			if err := q0.Close(); err != nil { // kill -9: no state transition hits the journal
+			if err := q0.Shutdown(context.Background()); err != nil { // kill -9: no state transition hits the journal
 				t.Fatal(err)
 			}
 
@@ -431,7 +431,7 @@ func TestCrashReplayBitIdentical(t *testing.T) {
 					}
 				}),
 			)
-			c := experiment.Campaign{Name: "crashy", Scenario: scenario.Named("DS-2"), Mode: core.ModeSmart, ExpectCrashes: true}
+			c := experiment.Campaign{Name: "crashy", Scenario: scenario.DS2, Mode: core.ModeSmart, ExpectCrashes: true}
 			_, err = experiment.RunCampaignOn(eng, c, request.Runs, request.Seed, nil,
 				experiment.WithSink(crashStore))
 			ccancel()
@@ -513,7 +513,7 @@ func TestTornJournalTailTolerated(t *testing.T) {
 	if _, err := q0.Submit(req("survivor", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q0.Close(); err != nil {
+	if err := q0.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -542,14 +542,14 @@ func TestTornJournalTailTolerated(t *testing.T) {
 	if _, err := q1.Submit(req("after-repair", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q1.Close(); err != nil {
+	if err := q1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	q2, err := runq.Open(dir)
 	if err != nil {
 		t.Fatalf("journal corrupt after repair+append: %v", err)
 	}
-	defer q2.Close()
+	defer q2.Shutdown(context.Background())
 	if len(q2.Jobs()) != 2 {
 		t.Fatalf("jobs after repair = %+v", q2.Jobs())
 	}
@@ -579,14 +579,14 @@ func TestQueueDirLocked(t *testing.T) {
 	if _, err := runq.Open(dir); err == nil {
 		t.Fatal("second Open on a locked queue dir must fail")
 	}
-	if err := q1.Close(); err != nil {
+	if err := q1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	q2, err := runq.Open(dir)
 	if err != nil {
 		t.Fatalf("lock not released on close: %v", err)
 	}
-	q2.Close()
+	q2.Shutdown(context.Background())
 }
 
 // TestJournalCompactionReplayEquivalent: startup compaction must
@@ -631,7 +631,7 @@ func TestJournalCompactionReplayEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	refJobs := qRef.Jobs()
-	if err := qRef.Close(); err != nil {
+	if err := qRef.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -641,7 +641,7 @@ func TestJournalCompactionReplayEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	compactJobs := qC.Jobs()
-	if err := qC.Close(); err != nil {
+	if err := qC.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(refJobs, compactJobs) {
@@ -666,7 +666,7 @@ func TestJournalCompactionReplayEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer qAgain.Close()
+	defer qAgain.Shutdown(context.Background())
 	if got := qAgain.Jobs(); !reflect.DeepEqual(got, refJobs) {
 		t.Errorf("replay after compaction differs:\nref: %+v\ngot: %+v", refJobs, got)
 	}

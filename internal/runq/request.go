@@ -11,13 +11,13 @@ import (
 )
 
 // Request describes one campaign run to queue: what to run (exactly
-// one of a registered scenario name, an inline declarative spec, or
+// one of a built-in scenario name, an inline declarative spec, or
 // procedural-generator parameters), the attack mode, and the batch
 // shape. Requests are journaled verbatim, so an inline spec survives a
-// restart without any registry state.
+// restart without any server-side state.
 type Request struct {
-	// Scenario names a registered spec ("DS-1".."DS-5" or anything
-	// registered in scenegen).
+	// Scenario names a spec in the built-in catalog ("DS-1".."DS-5");
+	// scenario.Named checks it.
 	Scenario string `json:"scenario,omitempty"`
 	// Spec is an inline declarative scenario, compiled per episode.
 	Spec *scenegen.Spec `json:"spec,omitempty"`
@@ -31,7 +31,7 @@ type Request struct {
 	// Policy is an inline attack-policy artifact for smart-mode runs:
 	// queued and remote workers evaluate the policy instead of the
 	// paper's trigger. Journaled verbatim like Spec, so a
-	// policy-driven job survives restarts with no registry state.
+	// policy-driven job survives restarts with no server-side state.
 	Policy *policy.Artifact `json:"policy,omitempty"`
 	// Name keys the persisted records (default "<scenario>-<mode>").
 	Name string `json:"name,omitempty"`
@@ -48,29 +48,13 @@ type Request struct {
 // beyond any sweep the paper's evaluation needs.
 const MaxRuns = 1_000_000
 
-// ParseMode maps the request's mode string to the core attack mode
-// (golden, the attack-free baseline, is mode 0).
-func ParseMode(s string) (core.Mode, error) {
-	switch strings.ToLower(s) {
-	case "golden":
-		return 0, nil
-	case "smart":
-		return core.ModeSmart, nil
-	case "nosh":
-		return core.ModeNoSH, nil
-	case "random":
-		return core.ModeRandom, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want golden|smart|nosh|random)", s)
-	}
-}
-
 // Validate checks the request without touching the engine: the mode
 // parses, runs is in [1, MaxRuns], and exactly one scenario source is given
-// and well-formed. It is the POST-time gate — a journaled job is
-// always executable.
+// and well-formed (a name resolves through scenario.Named, as Source
+// resolves it). It is the POST-time gate — a journaled job is always
+// executable.
 func (r *Request) Validate() error {
-	mode, err := ParseMode(r.Mode)
+	mode, err := core.ParseMode(r.Mode)
 	if err != nil {
 		return err
 	}
@@ -100,8 +84,8 @@ func (r *Request) Validate() error {
 	}
 	switch {
 	case r.Scenario != "":
-		if _, ok := scenegen.Lookup(r.Scenario); !ok {
-			return fmt.Errorf("unknown scenario %q (have %v)", r.Scenario, scenegen.Names())
+		if _, err := scenario.Named(r.Scenario); err != nil {
+			return err
 		}
 	case r.Spec != nil:
 		if err := r.Spec.Validate(); err != nil {
@@ -121,7 +105,7 @@ func (r *Request) Validate() error {
 func (r *Request) Source() (scenario.Source, error) {
 	switch {
 	case r.Scenario != "":
-		return scenario.Named(r.Scenario), nil
+		return scenario.Named(r.Scenario)
 	case r.Spec != nil:
 		return scenario.FromSpec(r.Spec), nil
 	case r.Generate != nil:

@@ -11,7 +11,7 @@ import (
 
 // This file preserves the original hand-coded scenario builders
 // verbatim (as legacyDS1..legacyDS5) and proves that the declarative
-// registry specs replay them bit for bit: same RNG consumption order,
+// catalog specs replay them bit for bit: same RNG consumption order,
 // same float arithmetic, same actor IDs, same behavior values. Any
 // drift in the scenegen compiler or the built-in specs fails here.
 
@@ -40,7 +40,7 @@ func legacyDS1(rng *stats.RNG) *Scenario {
 	}
 	id := w.AddActor(tv)
 	return &Scenario{
-		ID: DS1, Name: "DS-1", World: w,
+		Name: "DS-1", World: w,
 		TargetID: id, TargetClass: sim.ClassVehicle,
 		CruiseSpeed: sim.Kph(45), Duration: 40,
 	}
@@ -63,7 +63,7 @@ func legacyDS2(rng *stats.RNG) *Scenario {
 	}
 	id := w.AddActor(ped)
 	return &Scenario{
-		ID: DS2, Name: "DS-2", World: w,
+		Name: "DS-2", World: w,
 		TargetID: id, TargetClass: sim.ClassPedestrian,
 		CruiseSpeed: sim.Kph(45), Duration: 30,
 	}
@@ -80,7 +80,7 @@ func legacyDS3(rng *stats.RNG) *Scenario {
 	}
 	id := w.AddActor(tv)
 	return &Scenario{
-		ID: DS3, Name: "DS-3", World: w,
+		Name: "DS-3", World: w,
 		TargetID: id, TargetClass: sim.ClassVehicle,
 		CruiseSpeed: sim.Kph(45), Duration: 20,
 	}
@@ -100,7 +100,7 @@ func legacyDS4(rng *stats.RNG) *Scenario {
 	}
 	id := w.AddActor(ped)
 	return &Scenario{
-		ID: DS4, Name: "DS-4", World: w,
+		Name: "DS-4", World: w,
 		TargetID: id, TargetClass: sim.ClassPedestrian,
 		CruiseSpeed: sim.Kph(45), Duration: 20,
 	}
@@ -108,7 +108,7 @@ func legacyDS4(rng *stats.RNG) *Scenario {
 
 func legacyDS5(rng *stats.RNG) *Scenario {
 	s := legacyDS1(rng)
-	s.ID, s.Name = DS5, "DS-5"
+	s.Name = "DS-5"
 	w := s.World
 	n := 3
 	if rng != nil {
@@ -170,7 +170,7 @@ func TestRegistryBuildsMatchLegacyBuilders(t *testing.T) {
 				t.Fatalf("%v seed %d: %v", id, seed, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v seed %d: registry build differs from legacy builder\n got %+v\nwant %+v",
+				t.Fatalf("%v seed %d: catalog build differs from legacy builder\n got %+v\nwant %+v",
 					id, seed, got, want)
 			}
 			// The RNG streams must also be left in the same state, so

@@ -3,9 +3,10 @@
 // (jaywalking pedestrian), DS-3 (parked vehicle), DS-4 (pedestrian
 // walking toward the EV in the parking lane), DS-5 (mixed traffic, the
 // random-attack baseline scenario) — plus anything expressed as a
-// scenegen spec: named registry entries, JSON spec files and
-// procedurally generated worlds all build into the same Scenario type
-// through the Source interface.
+// scenegen spec: names in the built-in catalog, JSON spec files and
+// procedurally generated worlds all compile into the one world type,
+// Scenario (scenegen.Compiled), through the Source interface. Named is
+// the one check of a scenario name.
 //
 // All built-in scenarios run on a 50 kph road with the EV cruising at
 // 45 kph, as in the paper. Every Source instantiates into a reusable
@@ -17,14 +18,14 @@ package scenario
 import (
 	"fmt"
 
-	"github.com/robotack/robotack/internal/sim"
+	"github.com/robotack/robotack/internal/scenegen"
 )
 
 // ID enumerates the paper's driving scenarios.
 type ID int
 
-// Driving scenarios DS-1 through DS-5, each compiled from its built-in
-// scenegen registry spec (scenegen.DS1Spec..DS5Spec).
+// Driving scenarios DS-1 through DS-5, each compiled from its spec in
+// the built-in scenegen catalog (scenegen.DS1Spec..DS5Spec).
 const (
 	// DS1 is the vehicle-following scenario: a target vehicle cruises
 	// at 25 kph, 60 m ahead of the EV, in the EV lane. Golden
@@ -66,30 +67,7 @@ func (id ID) String() string {
 	return dsNames[id-DS1]
 }
 
-// idFromName recovers the paper ID from a canonical scenario name, or
-// zero. Allocation-free, unlike scanning All() with String().
-func idFromName(name string) ID {
-	for i, n := range dsNames {
-		if n == name {
-			return DS1 + ID(i)
-		}
-	}
-	return 0
-}
-
 // Scenario is a ready-to-run simulation plus the metadata the
-// experiment harness needs.
-type Scenario struct {
-	// ID is the paper scenario this world came from, or zero for
-	// spec-file and generated scenarios.
-	ID          ID
-	Name        string
-	World       *sim.World
-	TargetID    sim.ActorID // the scripted target object (TO)
-	TargetClass sim.Class
-	CruiseSpeed float64 // EV target speed handed to the planner (m/s)
-	Duration    float64 // seconds to simulate
-}
-
-// Frames returns the scenario length in camera frames.
-func (s *Scenario) Frames() int { return int(s.Duration * sim.CameraHz) }
+// experiment harness needs: a compiled scenegen spec. Its Name carries
+// the paper scenario ("DS-1".."DS-5") for catalog worlds.
+type Scenario = scenegen.Compiled

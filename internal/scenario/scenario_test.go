@@ -23,8 +23,8 @@ func build(t *testing.T, id ID, rng *stats.RNG) *Scenario {
 func TestBuildAll(t *testing.T) {
 	for id := DS1; id <= DS5; id++ {
 		s := build(t, id, nil)
-		if s.ID != id {
-			t.Errorf("%v: ID = %v", id, s.ID)
+		if s.Name != id.String() {
+			t.Errorf("%v: Name = %q", id, s.Name)
 		}
 		if s.World == nil || len(s.World.Actors) == 0 {
 			t.Fatalf("%v: empty world", id)
@@ -165,14 +165,18 @@ func TestNilJitterIsNominal(t *testing.T) {
 	}
 }
 
-// TestSources covers the Source implementations: IDs, named registry
-// lookups, in-memory specs and the procedural generator all produce
-// runnable scenarios, and equal seeds give equal worlds (each
-// instantiated into its own fresh arena).
+// TestSources covers the Source implementations: IDs, catalog names,
+// in-memory specs and the procedural generator all produce runnable
+// scenarios, and equal seeds give equal worlds (each instantiated into
+// its own fresh arena).
 func TestSources(t *testing.T) {
+	named, err := Named("DS-2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	srcs := []Source{
 		DS2,
-		Named("DS-2"),
+		named,
 		FromSpec(scenegen.DS2Spec()),
 		FromGenerator(scenegen.NewGenerator(scenegen.DefaultSpace())),
 	}
@@ -209,8 +213,8 @@ func TestSources(t *testing.T) {
 			t.Errorf("%s: differs from DS2", src.Label())
 		}
 	}
-	if _, err := Named("no-such-scenario").Instantiate(NewArena(), nil); err == nil {
-		t.Error("unknown name must fail to instantiate")
+	if _, err := Named("no-such-scenario"); err == nil {
+		t.Error("unknown name must fail to resolve")
 	}
 }
 
@@ -221,9 +225,13 @@ func TestSources(t *testing.T) {
 // reused across scenarios — and must leave the rng stream in the same
 // state.
 func TestArenaInstantiateBitIdentical(t *testing.T) {
+	named, err := Named("DS-5")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sources := []Source{
 		DS1, DS2, DS3, DS4, DS5,
-		Named("DS-5"),
+		named,
 		FromSpec(scenegen.DS2Spec()),
 		FromGenerator(scenegen.NewGenerator(scenegen.DefaultSpace())),
 		FromGenerator(scenegen.NewGenerator(scenegen.Space{MaxExtras: 12})),
@@ -241,7 +249,7 @@ func TestArenaInstantiateBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.ID != want.ID || got.Name != want.Name || got.TargetID != want.TargetID ||
+			if got.Name != want.Name || got.TargetID != want.TargetID ||
 				got.TargetClass != want.TargetClass || got.CruiseSpeed != want.CruiseSpeed ||
 				got.Duration != want.Duration {
 				t.Fatalf("%s round %d: header mismatch: got %+v want %+v", src.Label(), round, got, want)

@@ -8,10 +8,10 @@ import (
 )
 
 // Source is anything that can instantiate a scenario for an episode: a
-// paper ID, a named registry spec, an in-memory spec (e.g. loaded from
-// a JSON file) or a procedural generator. The experiment harness takes
-// a Source wherever it used to take an ID; ID itself implements Source,
-// so existing call sites pass IDs unchanged.
+// paper ID, a catalog name resolved by Named, an in-memory spec (e.g.
+// loaded from a JSON file) or a procedural generator. The experiment
+// harness takes a Source wherever it used to take an ID; ID itself
+// implements Source, so existing call sites pass IDs unchanged.
 //
 // Instantiate draws every random choice from rng, so one episode seed
 // maps to exactly one world regardless of worker scheduling. Sources
@@ -29,12 +29,24 @@ type Source interface {
 // Label implements Source.
 func (id ID) Label() string { return id.String() }
 
-// Instantiate implements Source: it compiles the ID's registry spec.
+// Instantiate implements Source: it compiles the ID's catalog spec.
 func (id ID) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
-	if id < DS1 || id > DS5 {
+	spec, ok := scenegen.Lookup(id.String())
+	if !ok {
 		return nil, fmt.Errorf("scenario: unknown scenario %s", id)
 	}
-	return namedSource(id.String()).Instantiate(ar, rng)
+	return ar.Compile(spec, rng)
+}
+
+// Named resolves name in the built-in scenegen catalog and returns the
+// source that compiles its spec. It is the one check of a scenario
+// name: a name that passes it never fails to resolve again.
+func Named(name string) (Source, error) {
+	spec, ok := scenegen.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown scenario %q (have %v)", name, scenegen.Names())
+	}
+	return FromSpec(spec), nil
 }
 
 // FromSpec returns a Source that compiles the given spec each episode.
@@ -46,23 +58,7 @@ type specSource struct{ spec *scenegen.Spec }
 func (s specSource) Label() string { return s.spec.Name }
 
 func (s specSource) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
-	return ar.compile(s.spec, rng)
-}
-
-// Named returns a Source that resolves name in the scenegen registry at
-// instantiation time.
-func Named(name string) Source { return namedSource(name) }
-
-type namedSource string
-
-func (n namedSource) Label() string { return string(n) }
-
-func (n namedSource) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
-	spec, ok := scenegen.Lookup(string(n))
-	if !ok {
-		return nil, fmt.Errorf("scenario: no registered scenario %q (have %v)", string(n), scenegen.Names())
-	}
-	return ar.compile(spec, rng)
+	return ar.Compile(s.spec, rng)
 }
 
 // FromGenerator returns a Source that samples a fresh procedural
@@ -81,9 +77,9 @@ func (g genSource) Instantiate(ar *Arena, rng *stats.RNG) (*Scenario, error) {
 	if rng == nil {
 		rng = stats.NewRNG(0)
 	}
-	spec, err := g.gen.Generate(&ar.gen, rng, "generated")
+	spec, err := g.gen.Generate(ar, rng, "generated")
 	if err != nil {
 		return nil, err
 	}
-	return ar.compile(spec, nil)
+	return ar.Compile(spec, nil)
 }

@@ -2,20 +2,6 @@ package scenegen
 
 import "github.com/robotack/robotack/internal/sim"
 
-// The paper's five driving scenarios (§V-C, Fig. 4) expressed as
-// declarative specs. These replay the historical hand-built scenario
-// builders bit for bit — the scenario package's golden-equivalence test
-// enforces it — so every jitter base/spread, the sampling order
-// (BehaviorFirst on the DS-1 target vehicle) and DS-5's randomized
-// traffic count are part of the contract.
-func init() {
-	MustRegister(DS1Spec())
-	MustRegister(DS2Spec())
-	MustRegister(DS3Spec())
-	MustRegister(DS4Spec())
-	MustRegister(DS5Spec())
-}
-
 // DS1Spec is the vehicle-following scenario: a target vehicle cruises
 // at 25 kph, 60 m ahead of the EV, in the EV lane.
 func DS1Spec() *Spec {

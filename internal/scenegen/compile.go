@@ -9,16 +9,19 @@ import (
 )
 
 // Compiled is a spec instantiated into a ready-to-run world plus the
-// metadata the experiment harness needs. The scenario package wraps it
-// into its Scenario type.
+// metadata the experiment harness needs; the scenario package calls it
+// Scenario.
 type Compiled struct {
 	Name        string
 	World       *sim.World
-	TargetID    sim.ActorID
+	TargetID    sim.ActorID // the scripted target object (TO)
 	TargetClass sim.Class
-	CruiseSpeed float64
-	Duration    float64
+	CruiseSpeed float64 // EV target speed handed to the planner (m/s)
+	Duration    float64 // seconds to simulate
 }
+
+// Frames returns the scenario length in camera frames.
+func (c *Compiled) Frames() int { return int(c.Duration * sim.CameraHz) }
 
 // Compile instantiates the spec into the arena: it draws every
 // jittered parameter from rng (nil: nominal values) in declaration

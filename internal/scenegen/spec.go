@@ -2,10 +2,11 @@
 // declarative Spec describes a road, the EV, a duration and a list of
 // actor specs (behavior kind + parameters, each numeric field carrying
 // an optional jitter half-width), and compiles into a ready-to-run
-// simulator world. Specs round-trip through JSON, live in a named
-// registry (the paper's DS-1..DS-5 are built in), and can be sampled
-// procedurally from a parameterized Space for scenario-diversity
-// campaigns far beyond the paper's five hand-built worlds.
+// simulator world, a Compiled. Specs round-trip through JSON, and can
+// be sampled procedurally from a parameterized Space for
+// scenario-diversity campaigns far beyond the paper's five hand-built
+// worlds. The paper's DS-1..DS-5 form the built-in catalog, a fixed
+// table that Lookup and Names read; nothing registers more.
 package scenegen
 
 import (
@@ -22,7 +23,7 @@ import (
 
 // Param is a scalar scenario parameter with an optional uniform jitter.
 // Sampling draws base + U(-jitter, +jitter), exactly like the historical
-// hand-built scenario builders, so registry specs replay those builders
+// hand-built scenario builders, so catalog specs replay those builders
 // bit for bit.
 type Param struct {
 	Base   float64 `json:"base"`
@@ -42,7 +43,7 @@ func PJ(base, jitter float64) Param { return Param{Base: base, Jitter: jitter} }
 // Sample draws the parameter's value. A nil rng (or zero jitter) yields
 // the nominal base without consuming randomness — the same contract as
 // the historical builders' jitter helper, which the bit-identity of
-// registry-built DS scenarios depends on.
+// catalog-built DS scenarios depends on.
 func (p Param) Sample(rng *stats.RNG) float64 {
 	v := p.Base
 	if rng != nil && p.Jitter != 0 {
@@ -103,7 +104,7 @@ type ActorSpec struct {
 
 	// BehaviorFirst draws the behavior's jitter before the position's.
 	// The hand-built DS-1 sampled the target vehicle's speed before its
-	// gap; this flag preserves that stream order so registry builds stay
+	// gap; this flag preserves that stream order so catalog builds stay
 	// bit-identical.
 	BehaviorFirst bool `json:"behavior_first,omitempty"`
 
