@@ -71,6 +71,26 @@ func TestSeedDerivation(t *testing.T) {
 		}
 		seen[seed] = true
 	}
+
+	// The policy search and bench/ derive their episode seeds here, so
+	// the derivation's values are pinned, negative indices included.
+	for _, p := range []struct {
+		base  int64
+		index int
+		want  int64
+	}{
+		{4000, 0, 3089666837950670904},
+		{4000, -1, 2495521213556563461},
+		{4000, 7, -1859740857242841436},
+		{4000, -1001, -8783853453224222794},
+		{100, 1, 2532601429470541124},
+		{-5, 3, -2167467587980096447},
+		{5, -1, -1585678240641251629},
+	} {
+		if got := SplitMixSeeds(p.base, p.index); got != p.want {
+			t.Errorf("SplitMixSeeds(%d, %d) = %d, want %d", p.base, p.index, got, p.want)
+		}
+	}
 }
 
 func TestCancellationReturnsPartialResults(t *testing.T) {

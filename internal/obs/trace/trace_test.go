@@ -33,6 +33,17 @@ func TestDeriveIDsDeterministic(t *testing.T) {
 	if DeriveTraceID("DS-3-Smart-R", 500) == a {
 		t.Error("name change did not change the trace ID")
 	}
+	// A server and a worker derive each other's IDs, and reruns must
+	// reproduce them, so the values are pinned.
+	if a != 0xff8f05bf5c721140 {
+		t.Errorf("DeriveTraceID(DS-2-Smart-R, 500) = %#x, want 0xff8f05bf5c721140", a)
+	}
+	if id := DeriveSpanID(a, 1, StreamLease); id != 0xa3220fdb19d677ce {
+		t.Errorf("lease span ID = %#x, want 0xa3220fdb19d677ce", id)
+	}
+	if id := DeriveSpanID(a, 500, StreamEngineJob); id != 0x3e2b2ef72308cec4 {
+		t.Errorf("engine-job span ID = %#x, want 0x3e2b2ef72308cec4", id)
+	}
 
 	lease := DeriveSpanID(a, 1, StreamLease)
 	if lease == 0 {

@@ -201,12 +201,20 @@ func TestReseedMatchesFresh(t *testing.T) {
 }
 
 // TestSplitSeedMatchesSplit: Split(parent) and Reseed(SplitSeed(parent))
-// must yield identical child streams from identical parent states.
+// must yield identical child streams from identical parent states, and
+// the derived seeds themselves are pinned.
 func TestSplitSeedMatchesSplit(t *testing.T) {
 	a, b := NewRNG(99), NewRNG(99)
 	child := a.Split()
 	recycled := NewRNG(0)
-	recycled.Reseed(b.SplitSeed())
+	split := b.SplitSeed()
+	if split != -3327136571604815712 {
+		t.Errorf("NewRNG(99).SplitSeed() = %d, want -3327136571604815712", split)
+	}
+	if next := b.SplitSeed(); next != 8227141484032969922 {
+		t.Errorf("second SplitSeed of NewRNG(99) = %d, want 8227141484032969922", next)
+	}
+	recycled.Reseed(split)
 	for i := 0; i < 50; i++ {
 		if got, want := recycled.Uniform(0, 1), child.Uniform(0, 1); got != want {
 			t.Fatalf("draw %d: recycled child %v, split child %v", i, got, want)
