@@ -11,17 +11,18 @@ import (
 )
 
 // TestStoreCloseErrorsReported: a segstore's Close syncs each active
-// segment and writes its .idx, so a CLI that drops that error reports
-// success for a store it did not finish. Each binary writes a store
-// once; then every shard's .idx stage (000000.idx.tmp) is made a
+// segment and writes its .idx, so a program that drops that error
+// reports success for a store it did not finish. Each binary writes a
+// store once; then every shard's .idx stage (000000.idx.tmp) is made a
 // directory, and the same run again (the campaign with -resume) must
 // exit non-zero with stderr naming 000000.idx.
 func TestStoreCloseErrorsReported(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds two binaries")
+		t.Skip("builds three binaries")
 	}
 	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(os.PathSeparator), "./cmd/robotack-campaign", "./cmd/robotack-sim")
+	build := exec.Command("go", "build", "-o", bin+string(os.PathSeparator),
+		"./cmd/robotack-campaign", "./cmd/robotack-sim", "./examples/scenario_sweep")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -32,6 +33,7 @@ func TestStoreCloseErrorsReported(t *testing.T) {
 	}{
 		{"robotack-sim", []string{"-scenario", "1", "-mode", "smart", "-seed", "1"}, nil},
 		{"robotack-campaign", []string{"-generate", "-train=false", "-runs", "1", "-seed", "1"}, []string{"-resume"}},
+		{"scenario_sweep", nil, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.bin, func(t *testing.T) {

@@ -1,7 +1,7 @@
 // Command robotack-sim runs one closed-loop episode — a driving
 // scenario with the full ADS stack, optionally with RoboTack installed
-// on the camera link — and prints the outcome. The episode is
-// submitted through the execution engine, so Ctrl-C aborts it cleanly.
+// on the camera link — and prints the outcome. The episode runs on a
+// signal context, so Ctrl-C aborts it cleanly.
 //
 // The scenario can come from the built-in catalog (DS-1..DS-5), from a
 // declarative JSON spec file, or from the procedural generator.
@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"github.com/robotack/robotack/internal/core"
-	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/scenario"
@@ -96,24 +95,15 @@ func run() error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng := engine.New(engine.WithWorkers(1), engine.WithContext(ctx))
 	logger.Debug("episode starting", "scenario", src.Label(), "mode", *mode, "seed", *seed)
-
-	// A one-job batch: the additive derivation hands the job exactly
-	// the -seed value.
-	batch, err := eng.RunAll(*seed, []engine.Job{
-		func(ctx context.Context, jobSeed int64) (any, error) {
-			return experiment.RunCtx(ctx, experiment.RunConfig{
-				Source: src,
-				Seed:   jobSeed,
-				Attack: setup,
-			})
-		},
+	res, err := experiment.RunCtx(ctx, experiment.RunConfig{
+		Source: src,
+		Seed:   *seed,
+		Attack: setup,
 	})
 	if err != nil {
 		return err
 	}
-	res := batch[0].Value.(experiment.RunResult)
 
 	fmt.Printf("scenario %s, mode %s, seed %d: %d frames simulated\n",
 		src.Label(), *mode, *seed, res.Frames)

@@ -5,7 +5,7 @@
 // The printout shows the EV yielding in the golden run and driving into
 // the conflict once the hijack displaces the perceived pedestrian.
 // After the trace, the same attack is surveyed across a batch of seeds
-// streamed off the engine's worker pool as episodes complete.
+// run on the engine's worker pool and printed in seed order.
 package main
 
 import (
@@ -52,9 +52,9 @@ func main() {
 		log2.Launched, log2.Vector, log2.K, log2.KPrime)
 	fmt.Printf("outcome: halted(accident)=%v final EV speed=%.1f m/s\n", w.Halted, w.EV.Speed)
 
-	// Survey the same attack across a batch of seeds: episodes stream
-	// off the worker pool in completion order, each seeded from
-	// (baseSeed, index) so the batch replays exactly.
+	// Survey the same attack across a batch of seeds: episodes run on
+	// the worker pool, each seeded from (baseSeed, index), and stream
+	// out in index order, so the survey prints the same on every run.
 	const surveyRuns = 8
 	fmt.Printf("\nstreaming the same attack across %d seeds:\n", surveyRuns)
 	jobs := make([]engine.Job, surveyRuns)
@@ -70,7 +70,7 @@ func main() {
 			})
 		}
 	}
-	for r := range engine.New().Stream(seed, jobs) {
+	for r := range engine.New().StreamOrdered(seed, jobs) {
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}

@@ -49,6 +49,12 @@ type outcome struct {
 }
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run() (err error) {
 	outPath := flag.String("out", "", "persist episode/campaign records to this results store (JSONL file or segstore directory, autodetected)")
 	flag.Parse()
 
@@ -61,7 +67,7 @@ func main() {
 		seed := int64(baseSeed + i)
 		spec, err := gen.Generate(ar, stats.NewRNG(seed), fmt.Sprintf("gen-%03d", i))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		eps = append(eps,
 			episode{spec: spec, seed: seed, attacked: false},
@@ -86,7 +92,7 @@ func main() {
 			return outcome{actors: len(ep.spec.Actors), attacked: ep.attacked, res: res}, nil
 		})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Bucket by initial traffic density (actor count incl. the target).
@@ -139,11 +145,17 @@ func main() {
 	// a cross-version diff) can consume without re-simulating.
 	var store results.Store = results.NewMemStore()
 	if *outPath != "" {
-		fs, err := segstore.OpenAny(*outPath)
-		if err != nil {
-			log.Fatal(err)
+		fs, openErr := segstore.OpenAny(*outPath)
+		if openErr != nil {
+			return openErr
 		}
-		defer fs.Close()
+		// Close syncs each active segment and writes its index, so its
+		// error is the sweep's (run's named result).
+		defer func() {
+			if cerr := fs.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		store = fs
 	}
 	campaignKey := func(attacked bool) (string, core.Mode) {
@@ -156,18 +168,18 @@ func main() {
 		key, mode := campaignKey(o.attacked)
 		ep := experiment.RecordEpisode(key, j/2, eps[j].seed, eps[j].spec.Name, mode, true, o.res)
 		if err := store.Append(ep); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	for _, attacked := range []bool{false, true} {
 		key, mode := campaignKey(attacked)
 		stored, err := store.Episodes(key)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rec := results.Aggregate(results.NewCampaign(key, "generated", mode, true, baseSeed), stored)
 		if err := store.PutCampaign(rec); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -190,7 +202,7 @@ func main() {
 	// The headline attack effect, computed purely from stored records.
 	recs, err := store.Campaigns()
 	if err != nil || len(recs) != 2 {
-		log.Fatalf("stored campaigns: %v (%d records)", err, len(recs))
+		return fmt.Errorf("stored campaigns: %v (%d records)", err, len(recs))
 	}
 	d := results.DiffRecords("golden → smart", &recs[0], &recs[1])
 	fmt.Printf("\nfrom the results store (%d stored campaigns):\n", len(recs))
@@ -199,4 +211,5 @@ func main() {
 	if *outPath != "" {
 		fmt.Printf("  records saved to %s — try: robotack-serve -store %s\n", *outPath, *outPath)
 	}
+	return nil
 }

@@ -63,7 +63,7 @@ func httpSeconds(pattern string) *obs.Histogram {
 //
 // Run-queue endpoints:
 //
-//	POST   /runs                       queue a campaign (JSON body: RunRequest)
+//	POST   /runs                       queue a campaign (JSON body: runq.Request)
 //	GET    /runs                       all queued runs' statuses
 //	GET    /runs/{id}                  one run's status and progress
 //	GET    /runs/{id}/events           live progress over Server-Sent Events
@@ -330,14 +330,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// RunRequest is the POST /runs body: exactly one of a registered
-// scenario name, an inline declarative spec, or procedural-generator
-// parameters, plus mode/runs/seed and — for smart-mode runs — an
-// optional inline attack-policy artifact ("policy": the JSON
-// robotack-search writes). Queued and leased workers evaluate the
-// policy instead of the paper's trigger.
-type RunRequest = runq.Request
-
 // RunStatus is the progress of one queued run.
 type RunStatus struct {
 	ID       int    `json:"id"`
@@ -369,7 +361,7 @@ func statusOf(j runq.Job) RunStatus {
 }
 
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[RunRequest](w, r)
+	req, ok := decodeBody[runq.Request](w, r)
 	if !ok {
 		return
 	}

@@ -6,8 +6,12 @@
 // golden baselines, training-data generation, the Fig. 5
 // characterization) submits its episodes through an Engine.
 //
+// A batch runs one of two ways: StreamOrdered yields each job's
+// Result as soon as every lower-index job has delivered, for consumers
+// that fold or persist incrementally, and Map collects typed outputs.
+//
 // Determinism is the central contract: each job receives a seed
-// derived from (baseSeed, jobIndex) only, and RunAll returns results
+// derived from (baseSeed, jobIndex) only, and both entry points deliver
 // in submission order, so aggregates are bit-identical regardless of
 // worker count or completion order.
 package engine
@@ -21,6 +25,7 @@ import (
 
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
+	"github.com/robotack/robotack/internal/stats"
 )
 
 // Job-level instrumentation: latency and throughput of individual
@@ -59,13 +64,10 @@ func AdditiveSeeds(baseSeed int64, index int) int64 {
 }
 
 // SplitMixSeeds is an alternative derivation that decorrelates nearby
-// indices with a SplitMix64 finalizer, for workloads where adjacent
-// additive seeds would correlate.
+// indices with the SplitMix64 finalizer (stats.Mix64), for workloads
+// where adjacent additive seeds would correlate.
 func SplitMixSeeds(baseSeed int64, index int) int64 {
-	z := uint64(baseSeed) + uint64(index)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(stats.Mix64(uint64(baseSeed) + uint64(index)*stats.Golden64))
 }
 
 // Engine runs batches of jobs on a fixed-size worker pool.
@@ -90,8 +92,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithContext attaches a cancellation context: once it is canceled,
-// no further jobs are dispatched and RunAll/Stream return promptly
-// with the results completed so far.
+// no further jobs are dispatched, StreamOrdered closes its channel
+// once the jobs already running have delivered, and Map returns the
+// context's error.
 func WithContext(ctx context.Context) Option {
 	return func(e *Engine) { e.ctx = ctx }
 }
@@ -160,15 +163,13 @@ func (e *Engine) Workers() int { return e.workers }
 // distinguish a canceled batch from a completed one.
 func (e *Engine) Context() context.Context { return e.ctx }
 
-// Stream executes the batch and returns a channel that yields one
-// Result per completed job, in completion order. The channel is
-// closed once every dispatched job has finished; on cancellation no
-// further jobs start but every job that did run still delivers its
-// Result. Seeds are derived from (baseSeed, index), never from
-// scheduling, so consumers may re-order freely without losing
-// reproducibility. The channel is buffered to the batch size, so a
-// consumer may stop ranging early without stranding the workers.
-func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
+// stream executes the batch and returns a channel that yields one
+// Result per completed job, in completion order, for StreamOrdered to
+// reorder. The channel is closed once every dispatched job has
+// finished; on cancellation no further jobs start but every job that
+// did run still delivers its Result. The channel is buffered to the
+// batch size, so delivery never blocks a worker.
+func (e *Engine) stream(baseSeed int64, jobs []Job) <-chan Result {
 	// Full-batch buffering keeps delivery non-blocking: a completed
 	// job's result is never dropped in a cancellation race and never
 	// pins a worker to an abandoned consumer.
@@ -253,17 +254,18 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 // lower-index job has been delivered. This is the ordering hook that
 // lets a consumer fold aggregates or append to an external log
 // incrementally — episode k lands before episode k+1 — while the jobs
-// themselves still run on the full worker pool. Like Stream, the
-// channel is buffered to the batch size and closes once every
-// dispatched job has delivered; on cancellation the jobs that did
-// complete after a gap are flushed at the end, still in index order.
+// themselves still run on the full worker pool. The channel is
+// buffered to the batch size, so a consumer may stop ranging early
+// without stranding the workers, and it closes once every dispatched
+// job has delivered; on cancellation the jobs that did complete after
+// a gap are flushed at the end, still in index order.
 func (e *Engine) StreamOrdered(baseSeed int64, jobs []Job) <-chan Result {
 	out := make(chan Result, len(jobs))
 	go func() {
 		defer close(out)
 		pending := make(map[int]Result)
 		next := 0
-		for r := range e.Stream(baseSeed, jobs) {
+		for r := range e.stream(baseSeed, jobs) {
 			pending[r.Index] = r
 			for {
 				rr, ok := pending[next]
@@ -289,33 +291,11 @@ func (e *Engine) StreamOrdered(baseSeed int64, jobs []Job) <-chan Result {
 	return out
 }
 
-// RunAll executes the batch and returns the collected results ordered
-// by job index. The returned error is the context's error if the run
-// was canceled (the results then cover only the jobs that finished),
-// otherwise the first per-job error by index (all results are still
-// returned so callers can aggregate the successes).
-func (e *Engine) RunAll(baseSeed int64, jobs []Job) ([]Result, error) {
-	results := make([]Result, 0, len(jobs))
-	for r := range e.StreamOrdered(baseSeed, jobs) {
-		results = append(results, r)
-	}
-	if len(results) < len(jobs) {
-		if err := e.ctx.Err(); err != nil {
-			return results, err
-		}
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return results, r.Err
-		}
-	}
-	return results, nil
-}
-
 // Map is the typed batch helper: it runs fn once per item and returns
-// the outputs in item order. On cancellation the returned slice covers
-// the completed prefix semantics of RunAll: entries whose jobs never
-// ran hold zero values and the context error is returned.
+// the outputs in item order. A failed item's output is the zero value.
+// On cancellation the error is the context's, and items whose jobs
+// never ran hold zero values too; otherwise it is the first failed
+// item's error by index, with every other output filled in.
 func Map[T, R any](e *Engine, baseSeed int64, items []T, fn func(ctx context.Context, seed int64, item T) (R, error)) ([]R, error) {
 	jobs := make([]Job, len(items))
 	for i := range items {
@@ -324,12 +304,24 @@ func Map[T, R any](e *Engine, baseSeed int64, items []T, fn func(ctx context.Con
 			return fn(ctx, seed, item)
 		}
 	}
-	results, err := e.RunAll(baseSeed, jobs)
 	out := make([]R, len(items))
-	for _, r := range results {
-		if r.Err == nil && r.Value != nil {
+	var firstErr error
+	ran := 0
+	for r := range e.StreamOrdered(baseSeed, jobs) {
+		ran++
+		switch {
+		case r.Err != nil:
+			if firstErr == nil {
+				firstErr = r.Err
+			}
+		case r.Value != nil:
 			out[r.Index] = r.Value.(R)
 		}
 	}
-	return out, err
+	if ran < len(jobs) {
+		if err := e.ctx.Err(); err != nil {
+			return out, err
+		}
+	}
+	return out, firstErr
 }

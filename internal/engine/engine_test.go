@@ -24,17 +24,28 @@ func episode(ctx context.Context, seed int64) (any, error) {
 	return v, nil
 }
 
-func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
+// collect ranges StreamOrdered and returns every delivered Result,
+// failing the test on a job error.
+func collect(t *testing.T, e *Engine, baseSeed int64, jobs []Job) []Result {
+	t.Helper()
+	var rs []Result
+	for r := range e.StreamOrdered(baseSeed, jobs) {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", r.Index, r.Err)
+		}
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+func TestStreamOrderedDeterministicAcrossWorkers(t *testing.T) {
 	jobs := make([]Job, 64)
 	for i := range jobs {
 		jobs[i] = episode
 	}
 	var want []Result
 	for _, workers := range []int{1, 4, 8} {
-		got, err := New(WithWorkers(workers)).RunAll(42, jobs)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		got := collect(t, New(WithWorkers(workers)), 42, jobs)
 		if len(got) != len(jobs) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(jobs))
 		}
@@ -53,11 +64,7 @@ func TestSeedDerivation(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = func(_ context.Context, seed int64) (any, error) { return seed, nil }
 	}
-	results, err := New(WithWorkers(2)).RunAll(100, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
+	for i, r := range collect(t, New(WithWorkers(2)), 100, jobs) {
 		if r.Index != i || r.Seed != 100+int64(i) || r.Value.(int64) != r.Seed {
 			t.Errorf("result %d = %+v, want additive seed %d", i, r, 100+int64(i))
 		}
@@ -98,20 +105,6 @@ func TestCancellationReturnsPartialResults(t *testing.T) {
 	defer cancel()
 
 	const n = 128
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = func(ctx context.Context, seed int64) (any, error) {
-			if seed >= 3 { // let a few jobs through, then stall on ctx
-				select {
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-time.After(5 * time.Second):
-					return nil, errors.New("cancellation never arrived")
-				}
-			}
-			return seed, nil
-		}
-	}
 	eng := New(WithWorkers(4), WithContext(ctx), WithProgress(func(done, total int) {
 		if done == 3 {
 			cancel()
@@ -119,15 +112,36 @@ func TestCancellationReturnsPartialResults(t *testing.T) {
 	}))
 
 	start := time.Now()
-	results, err := eng.RunAll(0, jobs)
+	out, err := Map(eng, 0, make([]struct{}, n), func(ctx context.Context, seed int64, _ struct{}) (int64, error) {
+		if seed >= 3 { // let a few jobs through, then stall on ctx
+			select {
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			case <-time.After(5 * time.Second):
+				return 0, errors.New("cancellation never arrived")
+			}
+		}
+		return seed + 1, nil
+	})
 	if err == nil {
 		t.Fatal("canceled run returned nil error")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(results) == 0 || len(results) >= n {
-		t.Errorf("got %d results, want partial (0 < n < %d)", len(results), n)
+	if len(out) != n {
+		t.Fatalf("got %d outputs, want one per item (%d)", len(out), n)
+	}
+	// Jobs 0-2 completed before the cancellation; every other item
+	// stalled or never ran, and holds the zero value.
+	for i, v := range out {
+		want := int64(0)
+		if i < 3 {
+			want = int64(i) + 1
+		}
+		if v != want {
+			t.Errorf("output %d = %d, want %d", i, v, want)
+		}
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("cancellation took %v, want prompt return", elapsed)
@@ -140,7 +154,7 @@ func TestStreamDeliversAllJobs(t *testing.T) {
 		jobs[i] = episode
 	}
 	seen := map[int]bool{}
-	for r := range New(WithWorkers(4)).Stream(7, jobs) {
+	for r := range New(WithWorkers(4)).stream(7, jobs) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -169,30 +183,29 @@ func TestProgressReachesTotal(t *testing.T) {
 			t.Errorf("total = %d, want 10", total)
 		}
 	}))
-	if _, err := eng.RunAll(1, jobs); err != nil {
-		t.Fatal(err)
-	}
+	collect(t, eng, 1, jobs)
 	if len(calls) != 10 || calls[len(calls)-1] != 10 {
 		t.Errorf("progress calls = %v, want monotone 1..10", calls)
 	}
 }
 
-func TestRunAllSurfacesJobError(t *testing.T) {
+func TestMapSurfacesJobError(t *testing.T) {
 	boom := errors.New("boom")
-	jobs := []Job{
-		func(context.Context, int64) (any, error) { return 1, nil },
-		func(context.Context, int64) (any, error) { return nil, boom },
-		func(context.Context, int64) (any, error) { return 3, nil },
-	}
-	results, err := New(WithWorkers(2)).RunAll(0, jobs)
+	out, err := Map(New(WithWorkers(2)), 0, []int{1, 2, 3, 4},
+		func(_ context.Context, _ int64, item int) (int, error) {
+			if item%2 == 0 {
+				return item, fmt.Errorf("item %d: %w", item, boom)
+			}
+			return 10 * item, nil
+		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want all 3 (failures included)", len(results))
+	if err.Error() != "item 2: boom" {
+		t.Errorf("err = %v, want the first failed item's (item 2)", err)
 	}
-	if results[1].Err == nil || results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("error attached to wrong result: %+v", results)
+	if want := []int{10, 0, 30, 0}; !reflect.DeepEqual(out, want) {
+		t.Errorf("outputs = %v, want %v (failed items zero, the rest filled in)", out, want)
 	}
 }
 
@@ -301,9 +314,7 @@ func TestWorkerStateOnePerWorker(t *testing.T) {
 			return nil, nil
 		}
 	}
-	if _, err := eng.RunAll(0, js); err != nil {
-		t.Fatal(err)
-	}
+	collect(t, eng, 0, js)
 	if n := created.Load(); n < 1 || n > 3 {
 		t.Errorf("created %d worker states, want between 1 and the pool size 3", n)
 	}
@@ -323,26 +334,17 @@ func TestWorkerStateAbsent(t *testing.T) {
 	job := func(ctx context.Context, _ int64) (any, error) {
 		return WorkerState(ctx), nil
 	}
-	rs, err := base.RunAll(0, []Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := collect(t, base, 0, []Job{job})
 	if rs[0].Value != nil {
 		t.Errorf("WorkerState without a factory = %v, want nil", rs[0].Value)
 	}
 
 	derived := base.With(WithWorkerState(func() any { return 42 }))
-	rs, err = derived.RunAll(0, []Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs = collect(t, derived, 0, []Job{job})
 	if rs[0].Value != 42 {
 		t.Errorf("derived engine job state = %v, want 42", rs[0].Value)
 	}
-	rs, err = base.RunAll(0, []Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs = collect(t, base, 0, []Job{job})
 	if rs[0].Value != nil {
 		t.Errorf("With mutated the base engine: state = %v, want nil", rs[0].Value)
 	}

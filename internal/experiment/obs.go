@@ -78,7 +78,7 @@ func (s *Scratch) frameObsHandles() *frameObs {
 // tick observes the span since the previous tick into the stage's
 // histogram and into the job span's stage slot (when the episode is
 // traced), then restarts. The zero clock, on unsampled frames,
-// is free — every tick is a branch.
+// is free — tick is only the branch, and inlines.
 type stageClock struct {
 	t  time.Time
 	on bool
@@ -90,9 +90,14 @@ func startStageClock(sp *trace.Span) stageClock {
 }
 
 func (c *stageClock) tick(fo *frameObs, stage int) {
-	if !c.on {
-		return
+	if c.on {
+		c.lap(fo, stage)
 	}
+}
+
+// lap is a sampled frame's tick: it records the stage's time and
+// restarts the clock.
+func (c *stageClock) lap(fo *frameObs, stage int) {
 	now := time.Now()
 	d := now.Sub(c.t)
 	fo.stage[stage].Observe(d.Seconds())

@@ -39,6 +39,17 @@ func pooledJobs(cfg RunConfig, n int) []engine.Job {
 	return jobs
 }
 
+// runPooled ranges the batch through StreamOrdered and returns the
+// first job error by index.
+func runPooled(eng *engine.Engine, jobs []engine.Job) error {
+	for r := range eng.StreamOrdered(0, jobs) {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
+}
+
 // BenchmarkEpisodePooled measures episodes back to back on one
 // worker's Scratch — the campaign execution path. The allocs/op gap
 // against BenchmarkEpisode (which rebuilds a Scratch per episode) is
@@ -52,7 +63,7 @@ func BenchmarkEpisodePooled(b *testing.B) {
 			jobs := pooledJobs(c.cfg, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
-			if _, err := eng.RunAll(0, jobs); err != nil {
+			if err := runPooled(eng, jobs); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "episodes/s")
@@ -85,7 +96,7 @@ func TestPooledEpisodeAllocBudget(t *testing.T) {
 				eng := withEpisodeScratch(engine.New(engine.WithWorkers(1)))
 				jobs := pooledJobs(c.cfg, n)
 				return testing.AllocsPerRun(3, func() {
-					if _, err := eng.RunAll(0, jobs); err != nil {
+					if err := runPooled(eng, jobs); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -76,19 +76,13 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 
 	// One shared scratch for the whole batch, via a 1-worker engine.
 	eng := withEpisodeScratch(engine.New(engine.WithWorkers(1)))
-	jobs := make([]engine.Job, len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i]
-		jobs[i] = func(ctx context.Context, _ int64) (any, error) {
-			return RunCtx(ctx, cfg)
-		}
-	}
-	rs, err := eng.RunAll(0, jobs)
+	pooled, err := engine.Map(eng, 0, cfgs, func(ctx context.Context, _ int64, cfg RunConfig) (RunResult, error) {
+		return RunCtx(ctx, cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range rs {
-		got := r.Value.(RunResult)
+	for i, got := range pooled {
 		if !sameRunResult(got, fresh[i]) {
 			t.Errorf("episode %d: pooled run differs from fresh run:\npooled: %+v\nfresh:  %+v", i, got, fresh[i])
 		}
@@ -175,21 +169,17 @@ func TestMalwareResetMatchesNew(t *testing.T) {
 		// Same episode on a scratch that already hosted a random-mode
 		// malware (forces the Reset path).
 		eng := withEpisodeScratch(engine.New(engine.WithWorkers(1)))
-		jobs := []engine.Job{
-			func(ctx context.Context, _ int64) (any, error) {
-				return RunCtx(ctx, RunConfig{Scenario: scenario.DS5, Seed: seed + 1000,
-					Attack: AttackSetup{Mode: core.ModeRandom}})
-			},
-			func(ctx context.Context, _ int64) (any, error) {
-				return RunCtx(ctx, RunConfig{Scenario: scenario.DS5, Seed: seed,
-					Attack: AttackSetup{Mode: core.ModeRandom}})
-			},
+		cfgs := []RunConfig{
+			{Scenario: scenario.DS5, Seed: seed + 1000, Attack: AttackSetup{Mode: core.ModeRandom}},
+			{Scenario: scenario.DS5, Seed: seed, Attack: AttackSetup{Mode: core.ModeRandom}},
 		}
-		rs, err := eng.RunAll(0, jobs)
+		rs, err := engine.Map(eng, 0, cfgs, func(ctx context.Context, _ int64, cfg RunConfig) (RunResult, error) {
+			return RunCtx(ctx, cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rs[1].Value.(RunResult); !sameRunResult(got, a) {
+		if got := rs[1]; !sameRunResult(got, a) {
 			t.Errorf("seed %d: episode after malware reset differs:\nreset: %+v\nfresh: %+v", seed, got, a)
 		}
 	}

@@ -165,27 +165,37 @@ func FormatTree(w io.Writer, t *Trace, stageNames []string) {
 	}
 }
 
-// formatStages renders an episode's accumulated stage latencies,
-// scaled from the sampled frames back to a full-episode estimate.
-func formatStages(d *SpanData, names []string) string {
+// stageEstimate is the full-episode estimate of stage slot i: the
+// span's stage time, which accumulates over its sampled frames only,
+// scaled by frames over sampled frames.
+func (d *SpanData) stageEstimate(i int) time.Duration {
 	scale := 1.0
 	if d.SampledFrames > 0 && d.Frames > 0 {
 		scale = float64(d.Frames) / float64(d.SampledFrames)
 	}
+	return time.Duration(float64(d.Stages[i]) * scale)
+}
+
+// stageName names stage slot i: names[i], or stage<i> past its end.
+func stageName(names []string, i int) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("stage%d", i)
+}
+
+// formatStages renders an episode's accumulated stage latencies,
+// scaled from the sampled frames back to a full-episode estimate.
+func formatStages(d *SpanData, names []string) string {
 	var b strings.Builder
 	for i, v := range d.Stages {
 		if v == 0 {
 			continue
 		}
-		name := fmt.Sprintf("stage%d", i)
-		if i < len(names) {
-			name = names[i]
-		}
 		if b.Len() > 0 {
 			b.WriteString(" ")
 		}
-		est := time.Duration(float64(v) * scale)
-		fmt.Fprintf(&b, "%s=%s", name, est.Round(time.Microsecond))
+		fmt.Fprintf(&b, "%s=%s", stageName(names, i), d.stageEstimate(i).Round(time.Microsecond))
 	}
 	if d.SampledFrames > 0 && d.SampledFrames != d.Frames {
 		fmt.Fprintf(&b, " (est from %d/%d frames)", d.SampledFrames, d.Frames)
@@ -283,15 +293,11 @@ func Summarize(t *Trace) Breakdown {
 		if d.Episode() {
 			b.Episodes++
 			b.EpisodeTime += time.Duration(d.Dur)
-			scale := 1.0
-			if d.SampledFrames > 0 && d.Frames > 0 {
-				scale = float64(d.Frames) / float64(d.SampledFrames)
-			}
-			for si, v := range d.Stages {
+			for si := range d.Stages {
 				for len(b.Stages) <= si {
 					b.Stages = append(b.Stages, 0)
 				}
-				b.Stages[si] += int64(float64(v) * scale)
+				b.Stages[si] += int64(d.stageEstimate(si))
 			}
 		}
 	}
@@ -348,11 +354,7 @@ func FormatCriticalPath(w io.Writer, t *Trace, stageNames []string) {
 				if v == 0 {
 					continue
 				}
-				name := fmt.Sprintf("stage%d", i)
-				if i < len(stageNames) {
-					name = stageNames[i]
-				}
-				parts = append(parts, fmt.Sprintf("%s %.0f%%", name, 100*float64(v)/float64(total)))
+				parts = append(parts, fmt.Sprintf("%s %.0f%%", stageName(stageNames, i), 100*float64(v)/float64(total)))
 			}
 			fmt.Fprintf(w, "  stage mix      %s\n", strings.Join(parts, ", "))
 		}

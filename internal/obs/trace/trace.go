@@ -1,7 +1,8 @@
 // Package trace is the fleet's span tracer, built in the style of
-// internal/obs: dependency-free, allocation-free on the hot path, and
-// strictly observational — tracing an episode must never change its
-// result bytes.
+// internal/obs: allocation-free on the hot path and strictly
+// observational — tracing an episode must never change its result
+// bytes. Its one import from this module is internal/stats, a leaf
+// package, for the SplitMix64 finalizer.
 //
 // A trace follows one campaign run end to end: campaignd opens a root
 // span when the run is submitted, runq records queue-wait, dispatch/
@@ -14,27 +15,25 @@
 // the sink.
 //
 // Determinism is the same contract the engine makes: every trace and
-// span ID is derived with a SplitMix64 finalizer from values that are
-// themselves pure functions of (baseSeed, jobIndex) — so a re-run of
-// the same campaign produces byte-identical IDs, and a server and a
-// worker can each derive the other's span IDs without exchanging them.
+// span ID is derived with the SplitMix64 finalizer (stats.Mix64) from
+// values that are themselves pure functions of (baseSeed, jobIndex) —
+// so a re-run of the same campaign produces byte-identical IDs, and a
+// server and a worker can each derive the other's span IDs without
+// exchanging them.
 package trace
 
 import (
 	"context"
 	"sync"
 	"time"
+
+	"github.com/robotack/robotack/internal/stats"
 )
 
-// splitmix is the SplitMix64 finalizer — the same mixing constants as
-// engine.SplitMixSeeds, so ID quality matches the seed derivation the
-// repo already trusts.
-func splitmix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// splitmix is one SplitMix64 step from state z: the mixer the engine's
+// SplitMixSeeds and RNG.SplitSeed use, so ID quality matches the seed
+// derivation the repo already trusts.
+func splitmix(z uint64) uint64 { return stats.Mix64(z + stats.Golden64) }
 
 // DeriveTraceID derives the deterministic trace ID of one campaign run
 // from its record name and base seed: FNV-1a over the name, mixed with
@@ -72,7 +71,7 @@ const (
 // the span's natural identity in its stream: the lease attempt for
 // queue spans, the derived job seed for engine-job spans. Never zero.
 func DeriveSpanID(traceID, key, stream uint64) uint64 {
-	id := splitmix(traceID ^ splitmix(key*0x9e3779b97f4a7c15^stream))
+	id := splitmix(traceID ^ splitmix(key*stats.Golden64^stream))
 	if id == 0 {
 		id = 1
 	}

@@ -101,7 +101,7 @@ func (a *Artifact) Validate() error {
 }
 
 // Build validates the artifact and constructs the runnable policy.
-func (a *Artifact) Build() (Policy, error) {
+func (a *Artifact) Build() (core.TriggerPolicy, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}

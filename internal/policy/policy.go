@@ -20,12 +20,6 @@ import (
 	"github.com/robotack/robotack/internal/core"
 )
 
-// Policy is the attack-policy contract the malware consults per frame.
-// It is core.TriggerPolicy re-exported at the subsystem boundary:
-// implementations decide when to trigger and how to shape the injected
-// trajectory, and must be stateless and goroutine-safe.
-type Policy = core.TriggerPolicy
-
 // Params is the searchable attack-policy parameter vector: the trigger
 // thresholds of the safety hijacker (when to fire), the injection
 // geometry (where the fake obstacle goes and how fast it drifts),
@@ -168,7 +162,7 @@ type ParamPolicy struct {
 	P Params
 }
 
-var _ Policy = (*ParamPolicy)(nil)
+var _ core.TriggerPolicy = (*ParamPolicy)(nil)
 
 // New builds a ParamPolicy after validating p.
 func New(p Params) (*ParamPolicy, error) {
@@ -178,7 +172,7 @@ func New(p Params) (*ParamPolicy, error) {
 	return &ParamPolicy{P: p}, nil
 }
 
-// Consult implements Policy.
+// Consult implements core.TriggerPolicy.
 func (pp *ParamPolicy) Consult(in core.PolicyInput, sh *core.SafetyHijacker) (core.PolicyDecision, error) {
 	v := in.Vector
 	if pp.P.SwapMasking {

@@ -36,10 +36,22 @@ func (g *RNG) Split() *RNG {
 // would hand a child — callers that recycle a pooled child RNG feed it
 // to Reseed instead of allocating a fresh stream.
 func (g *RNG) SplitSeed() int64 {
-	z := uint64(g.r.Int63()) + 0x9e3779b97f4a7c15
+	return int64(Mix64(uint64(g.r.Int63()) + Golden64))
+}
+
+// Golden64 is SplitMix64's increment, the odd integer nearest 2^64
+// over the golden ratio: a SplitMix64 stream's n-th state is its seed
+// plus n*Golden64.
+const Golden64 uint64 = 0x9e3779b97f4a7c15
+
+// Mix64 is the SplitMix64 finalizer, a bijection on uint64 that
+// spreads every input bit over the output. It is the repo's one seed
+// mixer: RNG.SplitSeed, engine.SplitMixSeeds and the trace and span
+// IDs all derive through it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return z ^ (z >> 31)
 }
 
 // IntN returns a uniform sample in [0, n).
