@@ -111,12 +111,15 @@ func TestCancellationReturnsPartialResults(t *testing.T) {
 		}
 	}))
 
+	// A stalled job fails with its own error, so the check below sees
+	// that Map reports the context's error, not the first job's.
+	errStalled := errors.New("stalled until canceled")
 	start := time.Now()
 	out, err := Map(eng, 0, make([]struct{}, n), func(ctx context.Context, seed int64, _ struct{}) (int64, error) {
 		if seed >= 3 { // let a few jobs through, then stall on ctx
 			select {
 			case <-ctx.Done():
-				return 0, ctx.Err()
+				return 0, errStalled
 			case <-time.After(5 * time.Second):
 				return 0, errors.New("cancellation never arrived")
 			}
