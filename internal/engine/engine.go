@@ -1,4 +1,4 @@
-// Package engine is the repo's single episode-execution API: a
+// Package engine is the repo's single batch-execution API: a
 // worker-pool runner for batches of independent closed-loop jobs.
 // The paper's evaluation (Table II, Figs. 6-8) is hundreds of
 // independent episodes per campaign, which makes campaigns
