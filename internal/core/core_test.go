@@ -116,6 +116,76 @@ func TestSafetyHijackerDecide(t *testing.T) {
 	}
 }
 
+// TestDecideEq2Property checks Eq. 2 against its definition on seeded
+// random states, every vector and both classes, under thresholds drawn
+// from the policy search space: the hijacker attacks iff f(KMax) <=
+// gamma and f(KMax) is not NaN; it then attacks for K = max(KMin, k*),
+// with k* the smallest k >= 1 with f(k) <= gamma by linear scan, and
+// records f(K) as its forecast. The analytic oracle never rises in k
+// (TestAnalyticOracleMonotoneInK), so the binary search must find k*
+// exactly.
+func TestDecideEq2Property(t *testing.T) {
+	const decisions = 20000
+	rng := stats.NewRNG(2)
+	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(), nil)
+	vectors := [...]Vector{VectorMoveOut, VectorMoveIn, VectorDisappear}
+	launches := 0
+	for i := 0; i < decisions; i++ {
+		cfg := SafetyHijackerConfig{
+			Gamma:          rng.Uniform(2, 30),
+			GammaMoveIn:    rng.Uniform(-6, 10),
+			KMin:           1 + rng.IntN(12),
+			KMaxVehicle:    8 + rng.IntN(59-8+1),
+			KMaxPedestrian: 8 + rng.IntN(31-8+1),
+		}
+		s := State{
+			Delta:   rng.Uniform(-5, 80),
+			VRel:    geom.V(rng.Uniform(-20, 5), rng.Uniform(-3, 3)),
+			ARel:    geom.V(rng.Uniform(-3, 3), rng.Uniform(-3, 3)),
+			EVSpeed: rng.Uniform(0, 20),
+		}
+		v := vectors[rng.IntN(len(vectors))]
+		cls := sim.ClassVehicle
+		if rng.Bernoulli(0.5) {
+			cls = sim.ClassPedestrian
+		}
+		dec, err := sh.DecideWith(cfg, s, v, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		f := NewAnalyticOracle(v)
+		gamma := cfg.Gamma
+		if v == VectorMoveIn {
+			gamma = cfg.GammaMoveIn
+		}
+		fMax := f.PredictDelta(s, cfg.KMax(cls))
+		if want := fMax <= gamma && !math.IsNaN(fMax); dec.Attack != want {
+			t.Fatalf("decision %d (%v, %v, %+v, %+v): attack %v, want %v (f(KMax) = %v, gamma %v)",
+				i, v, cls, cfg, s, dec.Attack, want, fMax, gamma)
+		}
+		if !dec.Attack {
+			continue
+		}
+		launches++
+		kStar := 1
+		for f.PredictDelta(s, kStar) > gamma {
+			kStar++
+		}
+		if want := max(cfg.KMin, kStar); dec.K != want {
+			t.Fatalf("decision %d (%v, %v, %+v, %+v): K = %d, want max(KMin %d, k* %d) = %d",
+				i, v, cls, cfg, s, dec.K, cfg.KMin, kStar, want)
+		}
+		if want := f.PredictDelta(s, dec.K); dec.PredictedDelta != want {
+			t.Fatalf("decision %d: forecast %v, want f(K=%d) = %v", i, dec.PredictedDelta, dec.K, want)
+		}
+	}
+	if launches == 0 || launches == decisions {
+		t.Fatalf("%d launches of %d decisions: the draw does not exercise both outcomes", launches, decisions)
+	}
+	t.Logf("%d decisions, %d launches", decisions, launches)
+}
+
 func TestSafetyHijackerKMaxClassBound(t *testing.T) {
 	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(), nil)
 	if sh.cfg.KMax(sim.ClassPedestrian) >= sh.cfg.KMax(sim.ClassVehicle) {
