@@ -48,20 +48,24 @@ type Oracle interface {
 // comparison point for the learned oracle's error study (Fig. 8).
 type AnalyticOracle struct {
 	Vector Vector
-	// BlindAccel is the assumed mean EV acceleration while the attack
+}
+
+// Analytic oracle tuning.
+const (
+	// blindAccel is the assumed mean EV acceleration while the attack
 	// blinds the planner to the target (Move_Out/Disappear).
-	BlindAccel float64
-	// ClosingFactor discounts the current closing speed: the ADS keeps
+	blindAccel float64 = 0.5
+	// closingFactor discounts the current closing speed: the ADS keeps
 	// braking through the early attack frames (temporal compensation),
 	// so the realized decline of delta is slower than raw kinematics.
-	ClosingFactor float64
-}
+	closingFactor float64 = 0.6
+)
 
 var _ Oracle = (*AnalyticOracle)(nil)
 
 // NewAnalyticOracle builds the analytic oracle for a vector.
 func NewAnalyticOracle(v Vector) *AnalyticOracle {
-	return &AnalyticOracle{Vector: v, BlindAccel: 0.5, ClosingFactor: 0.6}
+	return &AnalyticOracle{Vector: v}
 }
 
 // PredictDelta implements Oracle.
@@ -78,11 +82,11 @@ func (o *AnalyticOracle) PredictDelta(s State, k int) float64 {
 		// Move_Out / Disappear: the planner stops braking for the
 		// target, so the EV drifts back toward its cruise speed while
 		// the true gap closes.
-		closing := -s.VRel.X * o.ClosingFactor
+		closing := -s.VRel.X * closingFactor
 		if closing < 0 {
 			closing = 0
 		}
-		return s.Delta - closing*t - 0.5*o.BlindAccel*t*t
+		return s.Delta - closing*t - 0.5*blindAccel*t*t
 	}
 }
 
