@@ -1,6 +1,6 @@
 // Command robotack-search trains an adaptive attack policy: a
 // (1+lambda) evolution strategy mutates the paper trigger's thresholds
-// and injection geometry (internal/policy.Params) and scores each
+// and injection geometry (core.SafetyHijackerConfig) and scores each
 // candidate by running smart-mode campaigns, exactly the way
 // robotack-campaign scores the paper's trigger.
 //

@@ -1,6 +1,6 @@
 // Search an attack policy and compare it with the paper's trigger.
-// A tiny (1+lambda) evolution strategy mutates the fixed trigger's
-// thresholds and injection geometry (internal/policy.Params), scoring
+// A tiny (1+lambda) evolution strategy mutates the paper trigger's
+// thresholds and injection geometry (core.SafetyHijackerConfig), scoring
 // each candidate on smart-mode DS-1/DS-2 campaigns; the winner is then
 // evaluated side by side with the paper trigger on fresh seeds. The
 // whole program is deterministic — run it twice and every byte of

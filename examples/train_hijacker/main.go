@@ -50,8 +50,8 @@ func main() {
 		fmt.Printf("  k=%2d -> delta %.1f m\n", k, oracle.PredictDelta(state, k))
 	}
 
-	sh := core.NewSafetyHijacker(core.DefaultSafetyHijackerConfig(), oracles)
-	dec, err := sh.Decide(state, core.VectorDisappear, sim.ClassPedestrian)
+	sh := core.NewSafetyHijacker(oracles)
+	dec, err := sh.Decide(core.DefaultSafetyHijackerConfig(), state, core.VectorDisappear, sim.ClassPedestrian)
 	if err != nil {
 		log.Fatal(err)
 	}

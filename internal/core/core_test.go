@@ -78,12 +78,13 @@ func TestAnalyticOracleMonotoneInK(t *testing.T) {
 }
 
 func TestSafetyHijackerDecide(t *testing.T) {
-	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(), nil)
+	cfg := DefaultSafetyHijackerConfig()
+	sh := NewSafetyHijacker(nil)
 
 	// Far target, low closing speed: no K <= KMax pushes delta below
 	// gamma, so the attack must not launch.
 	far := State{Delta: 80, VRel: geom.V(-2, 0), EVSpeed: 12.5}
-	dec, err := sh.Decide(far, VectorMoveOut, sim.ClassVehicle)
+	dec, err := sh.Decide(cfg, far, VectorMoveOut, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,24 +94,24 @@ func TestSafetyHijackerDecide(t *testing.T) {
 
 	// Close target with real closing speed: attack with a finite K.
 	near := State{Delta: 22, VRel: geom.V(-5.5, 0), EVSpeed: 12.5}
-	dec, err = sh.Decide(near, VectorMoveOut, sim.ClassVehicle)
+	dec, err = sh.Decide(cfg, near, VectorMoveOut, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dec.Attack {
 		t.Fatal("should attack from delta=22")
 	}
-	if dec.K < 1 || dec.K > sh.cfg.KMax(sim.ClassVehicle) {
+	if dec.K < 1 || dec.K > cfg.KMax(sim.ClassVehicle) {
 		t.Errorf("K = %d outside bounds", dec.K)
 	}
-	if dec.PredictedDelta > DefaultSafetyHijackerConfig().Gamma+1e-9 {
+	if dec.PredictedDelta > cfg.Gamma+1e-9 {
 		t.Errorf("predicted delta %v above gamma", dec.PredictedDelta)
 	}
 
 	// Binary search returns the MINIMAL such k: k-1 must not suffice.
 	if dec.K > 1 {
 		o := NewAnalyticOracle(VectorMoveOut)
-		if o.PredictDelta(near, dec.K-1) <= DefaultSafetyHijackerConfig().Gamma {
+		if o.PredictDelta(near, dec.K-1) <= cfg.Gamma {
 			t.Errorf("K=%d is not minimal", dec.K)
 		}
 	}
@@ -127,7 +128,7 @@ func TestSafetyHijackerDecide(t *testing.T) {
 func TestDecideEq2Property(t *testing.T) {
 	const decisions = 20000
 	rng := stats.NewRNG(2)
-	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(), nil)
+	sh := NewSafetyHijacker(nil)
 	vectors := [...]Vector{VectorMoveOut, VectorMoveIn, VectorDisappear}
 	launches := 0
 	for i := 0; i < decisions; i++ {
@@ -149,7 +150,7 @@ func TestDecideEq2Property(t *testing.T) {
 		if rng.Bernoulli(0.5) {
 			cls = sim.ClassPedestrian
 		}
-		dec, err := sh.DecideWith(cfg, s, v, cls)
+		dec, err := sh.Decide(cfg, s, v, cls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +188,8 @@ func TestDecideEq2Property(t *testing.T) {
 }
 
 func TestSafetyHijackerKMaxClassBound(t *testing.T) {
-	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(), nil)
-	if sh.cfg.KMax(sim.ClassPedestrian) >= sh.cfg.KMax(sim.ClassVehicle) {
+	cfg := DefaultSafetyHijackerConfig()
+	if cfg.KMax(sim.ClassPedestrian) >= cfg.KMax(sim.ClassVehicle) {
 		t.Error("pedestrian KMax must be smaller (tighter stealth window)")
 	}
 }

@@ -148,48 +148,67 @@ func (o *NNOracle) PredictDelta(s State, k int) float64 {
 // own.
 func (o *NNOracle) CloneOracle() Oracle { return &NNOracle{Net: o.Net} }
 
-// SafetyHijackerConfig parametrizes the when-to-attack decision.
+// SafetyHijackerConfig is smart mode's trigger (§IV-B): Eq. 2's
+// thresholds and stealth caps decide when to launch and for how long,
+// and the remaining fields shape the launch. The default is the
+// paper's trigger; the policy search (internal/policy) looks for a
+// stronger one, and the JSON names are those of its artifacts.
 type SafetyHijackerConfig struct {
 	// Gamma is the predicted safety potential below which the attack is
 	// worth launching (the paper's predefined 10 m threshold, §III-D).
-	Gamma float64
+	Gamma float64 `json:"gamma"`
 	// GammaMoveIn is the tighter threshold for Move_In attacks: a fake
 	// cut-in only forces emergency braking if it materializes when the
 	// EV is too close to brake comfortably, so the attack aims at the
 	// accident-level potential (delta ~ 4 m).
-	GammaMoveIn float64
+	GammaMoveIn float64 `json:"gamma_move_in"`
+	// KMin is the minimum duration worth launching.
+	KMin int `json:"k_min"`
 	// KMaxVehicle and KMaxPedestrian bound the attack duration at the
 	// 99th percentile of the characterized natural misdetection runs
 	// (Fig. 5: ~59 and ~31 frames), so a failed attack still looks like
 	// detector noise to an IDS.
-	KMaxVehicle    int
-	KMaxPedestrian int
-	// KMin is the minimum duration worth launching.
-	KMin int
+	KMaxVehicle    int `json:"k_max_vehicle"`
+	KMaxPedestrian int `json:"k_max_pedestrian"`
+	// Delay postpones the perturbation onset by this many frames after
+	// launch (timing jitter; ignored for Disappear).
+	Delay int `json:"delay"`
+	// OffsetScale multiplies the planned lateral displacement Omega.
+	OffsetScale float64 `json:"offset_scale"`
+	// OffsetBiasM adds meters to Omega after scaling.
+	OffsetBiasM float64 `json:"offset_bias_m"`
+	// StepScale multiplies the Move_Out per-frame drift cap (the fake
+	// obstacle's apparent lateral speed).
+	StepScale float64 `json:"step_scale"`
+	// SwapMasking flips the interchangeable Move_Out/Disappear cells of
+	// Table I: targets the matcher would mask with Move_Out get
+	// Disappear and vice versa.
+	SwapMasking bool `json:"swap_masking"`
 }
 
-// DefaultSafetyHijackerConfig returns the paper's thresholds.
+// DefaultSafetyHijackerConfig returns the paper's trigger: its
+// thresholds and stealth caps, and the launch geometry unshaped.
 func DefaultSafetyHijackerConfig() SafetyHijackerConfig {
 	return SafetyHijackerConfig{
 		Gamma:          10,
 		GammaMoveIn:    -2,
+		KMin:           4,
 		KMaxVehicle:    59,
 		KMaxPedestrian: 31,
-		KMin:           4,
+		OffsetScale:    1,
+		StepScale:      1,
 	}
 }
 
-// SafetyHijacker decides when to attack and for how many frames
-// (paper §IV-B, Eq. 2).
+// SafetyHijacker holds one episode's oracles for Eq. 2 (paper §IV-B).
 type SafetyHijacker struct {
-	cfg     SafetyHijackerConfig
 	oracles map[Vector]Oracle
 }
 
 // NewSafetyHijacker creates a safety hijacker with one oracle per
 // attack vector. Vectors without an entry fall back to the analytic
 // oracle.
-func NewSafetyHijacker(cfg SafetyHijackerConfig, oracles map[Vector]Oracle) *SafetyHijacker {
+func NewSafetyHijacker(oracles map[Vector]Oracle) *SafetyHijacker {
 	all := map[Vector]Oracle{
 		VectorMoveOut:   NewAnalyticOracle(VectorMoveOut),
 		VectorMoveIn:    NewAnalyticOracle(VectorMoveIn),
@@ -198,7 +217,7 @@ func NewSafetyHijacker(cfg SafetyHijackerConfig, oracles map[Vector]Oracle) *Saf
 	for v, o := range oracles {
 		all[v] = o
 	}
-	return &SafetyHijacker{cfg: cfg, oracles: all}
+	return &SafetyHijacker{oracles: all}
 }
 
 // KMax returns the configured stealth bound on attack duration for a
@@ -219,20 +238,15 @@ type Decision struct {
 	PredictedDelta float64
 }
 
-// Decide evaluates Eq. 2: the minimal k <= KMax with predicted
-// delta_{t+k} <= gamma, found by binary search (f_alpha is
-// non-increasing in k for the scenarios considered, §IV-B). Attack is
-// false when even KMax frames cannot push the safety potential below
-// gamma.
-func (sh *SafetyHijacker) Decide(s State, v Vector, cls sim.Class) (Decision, error) {
-	return sh.DecideWith(sh.cfg, s, v, cls)
-}
-
-// DecideWith evaluates Eq. 2 under an alternative threshold
-// configuration, consulting the hijacker's oracles. It is the hook for
-// parameterized attack policies: a policy searches the same oracle
-// under its own gamma / K bounds without rebuilding the hijacker.
-func (sh *SafetyHijacker) DecideWith(cfg SafetyHijackerConfig, s State, v Vector, cls sim.Class) (Decision, error) {
+// Decide evaluates Eq. 2 under cfg's thresholds with the oracle of
+// vector v: K is the smallest k <= KMax with forecast delta_{t+k} <=
+// gamma, raised to KMin. Attack is false when the KMax forecast is
+// above gamma or NaN. The k comes from a binary search, which finds
+// the smallest one only if the forecast never rises in k. The analytic
+// oracle never does (TestAnalyticOracleMonotoneInK); a trained one may,
+// and then the search returns some k whose forecast is at most gamma
+// (ROADMAP item 4).
+func (sh *SafetyHijacker) Decide(cfg SafetyHijackerConfig, s State, v Vector, cls sim.Class) (Decision, error) {
 	oracle, ok := sh.oracles[v]
 	if !ok {
 		return Decision{}, fmt.Errorf("core: no oracle for vector %v", v)

@@ -3,13 +3,11 @@ package core
 import "github.com/robotack/robotack/internal/sim"
 
 // PolicyInput is the malware's per-frame view handed to its trigger
-// once a matched target is available: the oracle input state,
-// the scenario matcher's Table I vector, and the target's class and
-// image-relevant geometry. It carries everything a policy needs to
-// decide WHEN to fire and HOW to shape the injection without giving it
-// access to ADS or simulator ground truth (the §III-B threat model is
-// unchanged — policies see only what the malware's own camera-side
-// pipeline reconstructs).
+// once a matched target is available: the frame, the oracle input
+// state, the scenario matcher's Table I vector and the target's class.
+// It gives a trigger no access to ADS or simulator ground truth (the
+// §III-B threat model is unchanged: triggers see only what the
+// malware's own camera-side pipeline reconstructs).
 type PolicyInput struct {
 	// Frame is the episode frame index.
 	Frame int
@@ -20,10 +18,6 @@ type PolicyInput struct {
 	Vector Vector
 	// Class is the target's perceived class.
 	Class sim.Class
-	// RelY is the target's lateral position in the EV frame (m).
-	RelY float64
-	// Width is the target's perceived width (m).
-	Width float64
 }
 
 // PolicyDecision is a trigger's answer: whether to launch this frame,
@@ -57,11 +51,11 @@ type PolicyDecision struct {
 
 // TriggerPolicy decides when the malware attacks: the malware consults
 // its trigger whenever the matcher proposes an attackable target. Smart
-// mode's trigger is PaperTrigger unless Config.Policy sets another,
-// Config.Forced's ForcedPlan is the trigger of training-data runs, and
-// R w/o SH's fires at a random frame. The safety hijacker (with its
-// per-episode oracles) is passed in so policies can run oracle
-// searches under their own thresholds.
+// mode's trigger is the default SafetyHijackerConfig unless
+// Config.Policy sets another, Config.Forced's ForcedPlan is the trigger
+// of training-data runs, and R w/o SH's fires at a random frame. The
+// safety hijacker (with its per-episode oracles) is passed in so
+// triggers can run Eq. 2's oracle search under their own thresholds.
 //
 // Implementations must be stateless and goroutine-safe: one policy
 // value is shared by every worker of a campaign batch, and Consult may
@@ -72,17 +66,37 @@ type TriggerPolicy interface {
 	Consult(in PolicyInput, sh *SafetyHijacker) (PolicyDecision, error)
 }
 
-// PaperTrigger is the paper's safety hijacker (§IV-B) as a trigger:
-// Eq. 2's oracle search under the default thresholds, with no geometry
-// shaping. It is smart mode's trigger when Config.Policy is nil.
-type PaperTrigger struct{}
+// paperTrigger is smart mode's trigger when Config.Policy is nil. It
+// is boxed once here: boxing the config in Reset would allocate per
+// episode.
+var paperTrigger TriggerPolicy = DefaultSafetyHijackerConfig()
 
-// Consult implements TriggerPolicy.
-func (PaperTrigger) Consult(in PolicyInput, sh *SafetyHijacker) (PolicyDecision, error) {
-	dec, err := sh.Decide(in.State, in.Vector, in.Class)
+// Consult implements TriggerPolicy: it applies the masking swap, runs
+// Eq. 2 under cfg's thresholds and shapes the launch with cfg's delay,
+// offset and step. A scale of 1 and a bias of 0 leave the launch
+// geometry's bits as they are, so the default is the paper's trigger.
+func (cfg SafetyHijackerConfig) Consult(in PolicyInput, sh *SafetyHijacker) (PolicyDecision, error) {
+	v := in.Vector
+	if cfg.SwapMasking {
+		switch v {
+		case VectorMoveOut:
+			v = VectorDisappear
+		case VectorDisappear:
+			v = VectorMoveOut
+		}
+	}
+	dec, err := sh.Decide(cfg, in.State, v, in.Class)
+	if err != nil || !dec.Attack {
+		return PolicyDecision{PredictedDelta: dec.PredictedDelta}, err
+	}
 	return PolicyDecision{
-		Attack:         dec.Attack,
+		Attack:         true,
+		Vector:         v,
 		K:              dec.K,
 		PredictedDelta: dec.PredictedDelta,
-	}, err
+		Delay:          cfg.Delay,
+		OffsetScale:    cfg.OffsetScale,
+		OffsetBiasM:    cfg.OffsetBiasM,
+		StepScale:      cfg.StepScale,
+	}, nil
 }

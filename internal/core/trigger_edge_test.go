@@ -35,10 +35,9 @@ func edgeState() State {
 // vectors wrong.
 func TestDecideMissingOracle(t *testing.T) {
 	sh := &SafetyHijacker{
-		cfg:     DefaultSafetyHijackerConfig(),
 		oracles: map[Vector]Oracle{}, // deliberately empty: bypass the constructor's analytic fallback
 	}
-	_, err := sh.Decide(edgeState(), VectorDisappear, sim.ClassVehicle)
+	_, err := sh.Decide(DefaultSafetyHijackerConfig(), edgeState(), VectorDisappear, sim.ClassVehicle)
 	if err == nil {
 		t.Fatal("Decide with no oracle for the vector returned no error")
 	}
@@ -52,9 +51,8 @@ func TestDecideMissingOracle(t *testing.T) {
 // would fall through to the binary search and launch a full-kMax
 // attack on a garbage prediction; the trigger holds fire explicitly.
 func TestDecideNaNForecast(t *testing.T) {
-	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(),
-		map[Vector]Oracle{VectorDisappear: nanOracle{}})
-	dec, err := sh.Decide(edgeState(), VectorDisappear, sim.ClassVehicle)
+	sh := NewSafetyHijacker(map[Vector]Oracle{VectorDisappear: nanOracle{}})
+	dec, err := sh.Decide(DefaultSafetyHijackerConfig(), edgeState(), VectorDisappear, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +71,8 @@ func TestDecideNaNForecast(t *testing.T) {
 // duration cannot push the potential below gamma, the trigger holds
 // fire and reports the forecast it based that on.
 func TestDecideNoAttackBeyondKMax(t *testing.T) {
-	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(),
-		map[Vector]Oracle{VectorMoveOut: farOracle{}})
-	dec, err := sh.Decide(edgeState(), VectorMoveOut, sim.ClassVehicle)
+	sh := NewSafetyHijacker(map[Vector]Oracle{VectorMoveOut: farOracle{}})
+	dec, err := sh.Decide(DefaultSafetyHijackerConfig(), edgeState(), VectorMoveOut, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +88,8 @@ func TestDecideNoAttackBeyondKMax(t *testing.T) {
 // KMin frames — shorter injections are not worth the exposure.
 func TestDecideKMinClamp(t *testing.T) {
 	cfg := DefaultSafetyHijackerConfig()
-	sh := NewSafetyHijacker(cfg, map[Vector]Oracle{VectorDisappear: cliffOracle{}})
-	dec, err := sh.Decide(edgeState(), VectorDisappear, sim.ClassPedestrian)
+	sh := NewSafetyHijacker(map[Vector]Oracle{VectorDisappear: cliffOracle{}})
+	dec, err := sh.Decide(cfg, edgeState(), VectorDisappear, sim.ClassPedestrian)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +101,14 @@ func TestDecideKMinClamp(t *testing.T) {
 	}
 }
 
-// TestDecideWithOverridesThresholds: DecideWith consults the same
-// oracles under caller thresholds — the parameterized-policy hook.
+// TestDecideWithOverridesThresholds: Decide with another config
+// consults the same oracles under that config's thresholds, as a
+// searched trigger does.
 func TestDecideWithOverridesThresholds(t *testing.T) {
-	sh := NewSafetyHijacker(DefaultSafetyHijackerConfig(), nil)
+	sh := NewSafetyHijacker(nil)
 	s := State{Delta: 30, VRel: geom.Vec2{X: -8}, EVSpeed: 12}
 
-	base, err := sh.Decide(s, VectorDisappear, sim.ClassVehicle)
+	base, err := sh.Decide(DefaultSafetyHijackerConfig(), s, VectorDisappear, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +116,7 @@ func TestDecideWithOverridesThresholds(t *testing.T) {
 	// A stricter (lower) gamma needs more frames; a tiny KMax refuses.
 	strict := DefaultSafetyHijackerConfig()
 	strict.Gamma = 2
-	sdec, err := sh.DecideWith(strict, s, VectorDisappear, sim.ClassVehicle)
+	sdec, err := sh.Decide(strict, s, VectorDisappear, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,20 +127,11 @@ func TestDecideWithOverridesThresholds(t *testing.T) {
 	tiny := DefaultSafetyHijackerConfig()
 	tiny.KMaxVehicle = 1
 	tiny.KMin = 1
-	tdec, err := sh.DecideWith(tiny, s, VectorDisappear, sim.ClassVehicle)
+	tdec, err := sh.Decide(tiny, s, VectorDisappear, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tdec.Attack && base.Attack && base.K > 1 {
 		t.Error("KMax=1 config still attacked although the default needed more frames")
-	}
-
-	// DecideWith with the hijacker's own config is Decide exactly.
-	same, err := sh.DecideWith(DefaultSafetyHijackerConfig(), s, VectorDisappear, sim.ClassVehicle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != base {
-		t.Errorf("DecideWith(default) = %+v, Decide = %+v", same, base)
 	}
 }

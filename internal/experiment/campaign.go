@@ -28,9 +28,9 @@ type Campaign struct {
 	// obstacle to hit), matching the "—" cells of Table II.
 	ExpectCrashes bool
 	// Policy drives smart-mode episodes through an attack policy
-	// instead of the paper's trigger (nil: core.PaperTrigger). The
-	// policy value is shared across the batch's workers, so it must be
-	// stateless (see core.TriggerPolicy).
+	// instead of the paper's trigger (nil: the default
+	// core.SafetyHijackerConfig). The policy value is shared across the
+	// batch's workers, so it must be stateless (see core.TriggerPolicy).
 	Policy core.TriggerPolicy
 }
 

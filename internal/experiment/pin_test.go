@@ -14,7 +14,6 @@ import (
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
 	"github.com/robotack/robotack/internal/nn"
-	"github.com/robotack/robotack/internal/policy"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
 )
@@ -42,15 +41,11 @@ const (
 
 // pinCampaigns lists each attack path's campaigns on DS-1..DS-5: the
 // golden runs, smart mode under the paper's trigger and under a shaped
-// ParamPolicy (onset delay, offset and step scales, swapped masking),
-// R w/o SH and Baseline-Random.
-func pinCampaigns(t *testing.T) map[string][]experiment.Campaign {
-	p := policy.DefaultParams()
-	p.Delay, p.OffsetScale, p.OffsetBiasM, p.StepScale, p.SwapMasking = 6, 1.4, 0.3, 0.7, true
-	shaped, err := policy.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+// one (onset delay, offset and step scales, swapped masking), R w/o SH
+// and Baseline-Random.
+func pinCampaigns() map[string][]experiment.Campaign {
+	shaped := core.DefaultSafetyHijackerConfig()
+	shaped.Delay, shaped.OffsetScale, shaped.OffsetBiasM, shaped.StepScale, shaped.SwapMasking = 6, 1.4, 0.3, 0.7, true
 	smart := []experiment.Campaign{{Name: "DS-5-R", Scenario: scenario.DS5, Mode: core.ModeSmart, ExpectCrashes: true}}
 	for _, c := range experiment.TableIICampaigns() {
 		if c.Mode == core.ModeSmart {
@@ -82,7 +77,7 @@ func TestAttackPathDigests(t *testing.T) {
 	}
 	eng := engine.New(engine.WithWorkers(2))
 	got := make(map[string]string)
-	for name, cs := range pinCampaigns(t) {
+	for name, cs := range pinCampaigns() {
 		h := sha256.New()
 		store := results.NewMemStore()
 		launched := 0

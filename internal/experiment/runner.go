@@ -33,10 +33,10 @@ type AttackSetup struct {
 	// malware's delta estimate drops below DeltaInject, for K frames —
 	// the paper's training-data collection procedure (§IV-B).
 	Forced *ForcedPlan
-	// Policy, when set, replaces smart mode's trigger,
-	// core.PaperTrigger: the malware consults it per frame for when to
-	// fire and how to shape the injection (see core.TriggerPolicy and
-	// internal/policy).
+	// Policy, when set, replaces smart mode's trigger, the default
+	// core.SafetyHijackerConfig: the malware consults it per frame for
+	// when to fire and how to shape the injection (see
+	// core.TriggerPolicy and internal/policy).
 	Policy core.TriggerPolicy
 }
 

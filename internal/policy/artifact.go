@@ -20,9 +20,10 @@ const Version = 1
 // Artifact kinds.
 const (
 	// KindPaper names the paper's safety-hijacking trigger,
-	// core.PaperTrigger.
+	// core.DefaultSafetyHijackerConfig.
 	KindPaper = "paper"
-	// KindParam names a parameterized (typically trained) policy.
+	// KindParam names a trigger given by its params (typically
+	// trained).
 	KindParam = "param"
 )
 
@@ -55,7 +56,7 @@ type Artifact struct {
 	// Name labels the policy in reports (default: the kind).
 	Name string `json:"name,omitempty"`
 	// Params is required for kind "param" and forbidden otherwise.
-	Params *Params `json:"params,omitempty"`
+	Params *core.SafetyHijackerConfig `json:"params,omitempty"`
 
 	// Search provenance, stamped by the trainer (zero for artifacts
 	// written by hand).
@@ -94,7 +95,7 @@ func (a *Artifact) Validate() error {
 		if a.Params == nil {
 			return fmt.Errorf("policy: kind %q requires params", KindParam)
 		}
-		return a.Params.Validate()
+		return validate(*a.Params)
 	default:
 		return fmt.Errorf("policy: unknown policy kind %q (have %v)", a.Kind, kindNames())
 	}
@@ -107,9 +108,9 @@ func (a *Artifact) Build() (core.TriggerPolicy, error) {
 	}
 	switch a.Kind {
 	case KindPaper:
-		return core.PaperTrigger{}, nil
+		return core.DefaultSafetyHijackerConfig(), nil
 	default:
-		return &ParamPolicy{P: *a.Params}, nil
+		return *a.Params, nil
 	}
 }
 

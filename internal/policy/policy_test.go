@@ -34,29 +34,17 @@ func runTableII(t *testing.T, pol core.TriggerPolicy, runs int, seed int64) *res
 	return store
 }
 
-// defaultPolicy is ParamPolicy at DefaultParams, the trainer's
-// generation 0.
-func defaultPolicy(t *testing.T) *ParamPolicy {
-	t.Helper()
-	pol, err := New(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pol
-}
-
-// TestPaperTriggerBitIdentical holds the parameterized family to the
-// paper's trigger at DefaultParams, which is what makes the trainer's
-// generation 0 the paper's trigger: the Table II battery driven
-// through ParamPolicy(DefaultParams()) must be byte-identical, store
-// record for store record, to smart mode's core.PaperTrigger (Policy
-// == nil).
+// TestPaperTriggerBitIdentical holds the explicit default trigger, the
+// trainer's generation 0, to smart mode without a policy: the Table II
+// battery driven through core.DefaultSafetyHijackerConfig() as
+// Config.Policy must be byte-identical, store record for store record,
+// to the same battery with Policy == nil.
 func TestPaperTriggerBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table II battery")
 	}
 	legacy := runTableII(t, nil, 6, 1000)
-	viaPolicy := runTableII(t, defaultPolicy(t), 6, 1000)
+	viaPolicy := runTableII(t, core.DefaultSafetyHijackerConfig(), 6, 1000)
 
 	diffs, err := results.Diff(legacy, viaPolicy)
 	if err != nil {
@@ -64,7 +52,7 @@ func TestPaperTriggerBitIdentical(t *testing.T) {
 	}
 	for _, d := range diffs {
 		if d.RunsDelta != 0 || d.EBRateDelta != 0 || d.CrashRateDelta != 0 {
-			t.Errorf("campaign %s drifted under DefaultParams: %+v", d.Name, d)
+			t.Errorf("campaign %s drifted under the explicit default: %+v", d.Name, d)
 		}
 	}
 
@@ -92,11 +80,12 @@ func TestPaperTriggerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPaperTriggerFrameByFrame asserts ParamPolicy(DefaultParams())
-// reproduces the paper trigger's full episode outcome — launch frame,
-// vector, K, and the per-frame DeltaTrace — on DS-1..DS-5.
+// TestPaperTriggerFrameByFrame asserts the explicit default trigger
+// reproduces smart mode's full episode outcome without a policy —
+// launch frame, vector, K, and the per-frame DeltaTrace — on
+// DS-1..DS-5.
 func TestPaperTriggerFrameByFrame(t *testing.T) {
-	pol := defaultPolicy(t)
+	pol := core.DefaultSafetyHijackerConfig()
 	for _, id := range []scenario.ID{scenario.DS1, scenario.DS2, scenario.DS3, scenario.DS4, scenario.DS5} {
 		for _, seed := range []int64{1, 77, 4242} {
 			legacy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
@@ -114,19 +103,19 @@ func TestPaperTriggerFrameByFrame(t *testing.T) {
 				t.Fatalf("%v seed %d (policy): %v", id, seed, err)
 			}
 			if !reflect.DeepEqual(legacy, viaPolicy) {
-				t.Errorf("%v seed %d: DefaultParams episode differs from the paper trigger:\npaper  %+v\npolicy %+v",
+				t.Errorf("%v seed %d: the explicit default's episode differs from the nil policy's:\npaper  %+v\npolicy %+v",
 					id, seed, legacy, viaPolicy)
 			}
 		}
 	}
 }
 
-// TestDefaultParamsMatchPaper: the parameterized family contains the
-// paper's trigger at DefaultParams — evaluating it is bit-identical to
-// the fixed trigger, which is what lets the search start from the
-// reproduction's behavior.
+// TestDefaultParamsMatchPaper: the search's generation-0 params, the
+// default config, are the paper's trigger — evaluating them as a policy
+// is bit-identical to smart mode without one, which is what lets the
+// search start from the reproduction's behavior.
 func TestDefaultParamsMatchPaper(t *testing.T) {
-	pol := defaultPolicy(t)
+	pol := core.DefaultSafetyHijackerConfig()
 	for _, id := range []scenario.ID{scenario.DS1, scenario.DS2, scenario.DS3} {
 		legacy, err := experiment.RunCtx(context.Background(), experiment.RunConfig{
 			Scenario: id, Seed: 1234,
@@ -143,13 +132,13 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(legacy, viaParams) {
-			t.Errorf("%v: ParamPolicy(DefaultParams) differs from the paper trigger", id)
+			t.Errorf("%v: the default config as a policy differs from the nil policy", id)
 		}
 	}
 }
 
 func TestArtifactRoundTrip(t *testing.T) {
-	p := DefaultParams()
+	p := core.DefaultSafetyHijackerConfig()
 	p.Gamma = 13.25
 	p.SwapMasking = true
 	p.Delay = 7
@@ -188,7 +177,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 func TestArtifactErrors(t *testing.T) {
-	params := DefaultParams()
+	params := core.DefaultSafetyHijackerConfig()
 	bad := params
 	bad.Gamma = 99
 	cases := []struct {
@@ -231,10 +220,10 @@ func TestArtifactErrors(t *testing.T) {
 
 func TestClampAndMutateStayInBounds(t *testing.T) {
 	rng := stats.NewRNG(7)
-	p := DefaultParams()
+	p := core.DefaultSafetyHijackerConfig()
 	for i := 0; i < 200; i++ {
 		p = mutate(p, 0.5, rng)
-		if err := p.Validate(); err != nil {
+		if err := validate(p); err != nil {
 			t.Fatalf("mutation %d left bounds: %v", i, err)
 		}
 	}
@@ -246,8 +235,8 @@ func TestPaperArtifactBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := pol.(core.PaperTrigger); !ok {
-		t.Fatalf("paper artifact built %T", pol)
+	if cfg, ok := pol.(core.SafetyHijackerConfig); !ok || cfg != core.DefaultSafetyHijackerConfig() {
+		t.Fatalf("paper artifact built %T %+v, want the default core.SafetyHijackerConfig", pol, pol)
 	}
 }
 

@@ -95,10 +95,10 @@ const (
 
 // Candidate is one evaluated point of the search space.
 type Candidate struct {
-	Gen    int    `json:"gen"`
-	Index  int    `json:"cand"`
-	Seed   int64  `json:"seed"`
-	Params Params `json:"params"`
+	Gen    int                       `json:"gen"`
+	Index  int                       `json:"cand"`
+	Seed   int64                     `json:"seed"`
+	Params core.SafetyHijackerConfig `json:"params"`
 
 	Runs     int     `json:"runs"`
 	Launched int     `json:"launched"`
@@ -145,9 +145,10 @@ func RecordName(gen, cand int, campaign string) string {
 // Train searches policy parameters with a (1+lambda) evolution
 // strategy: each generation re-evaluates the elite (candidate 0) and
 // Population-1 Gaussian mutations of it on that generation's seeds,
-// then keeps the fittest. Generation 0's elite is DefaultParams — the
-// paper's trigger — so the search starts from the reproduction's
-// behavior and every later elite beat it on like-for-like seeds.
+// then keeps the fittest. Generation 0's elite is the default
+// core.SafetyHijackerConfig — the paper's trigger — so the search
+// starts from the reproduction's behavior and every later elite beat
+// it on like-for-like seeds.
 //
 // Candidate evaluations run on eng (worker pool, cancellation,
 // per-episode progress); a cancelled search returns the best candidate
@@ -168,7 +169,7 @@ func Train(eng *engine.Engine, cfg TrainerConfig) (SearchResult, error) {
 		progress = func(string, ...any) {}
 	}
 	var res SearchResult
-	elite := Candidate{Gen: -1, Index: -1, Params: DefaultParams(), Fitness: math.Inf(-1)}
+	elite := Candidate{Gen: -1, Index: -1, Params: core.DefaultSafetyHijackerConfig(), Fitness: math.Inf(-1)}
 
 	for gen := 0; gen < cfg.Generations; gen++ {
 		sigma := cfg.Sigma * math.Pow(sigmaDecay, float64(gen))
@@ -212,11 +213,7 @@ func Train(eng *engine.Engine, cfg TrainerConfig) (SearchResult, error) {
 // candidate policy under seeds derived from (BaseSeed, gen, cand), and
 // the fitness is the EB rate plus crashWeight times the crash rate,
 // pooled across the battery. Persisted evaluations resume.
-func evaluate(eng *engine.Engine, cfg TrainerConfig, p Params, gen, cand int) (Candidate, error) {
-	pol, err := New(p)
-	if err != nil {
-		return Candidate{}, err
-	}
+func evaluate(eng *engine.Engine, cfg TrainerConfig, p core.SafetyHijackerConfig, gen, cand int) (Candidate, error) {
 	seed := EvalSeed(cfg.BaseSeed, gen, cand)
 	out := Candidate{Gen: gen, Index: cand, Seed: seed, Params: p}
 	var opts []experiment.RunOption
@@ -225,7 +222,7 @@ func evaluate(eng *engine.Engine, cfg TrainerConfig, p Params, gen, cand int) (C
 	}
 	for _, c := range cfg.Battery {
 		c.Name = RecordName(gen, cand, c.Name)
-		c.Policy = pol
+		c.Policy = p
 		r, err := experiment.RunCampaignOn(eng, c, cfg.Runs, seed, cfg.Oracles, opts...)
 		if err != nil {
 			return out, err
@@ -272,10 +269,10 @@ func logLine(w io.Writer, c Candidate) error {
 
 // eliteLine is the per-generation selection record in the search log.
 type eliteLine struct {
-	Gen     int     `json:"gen"`
-	Elite   int     `json:"elite_cand"`
-	Fitness float64 `json:"fitness"`
-	Params  Params  `json:"params"`
+	Gen     int                       `json:"gen"`
+	Elite   int                       `json:"elite_cand"`
+	Fitness float64                   `json:"fitness"`
+	Params  core.SafetyHijackerConfig `json:"params"`
 }
 
 func logElite(w io.Writer, gen int, best Candidate) error {
