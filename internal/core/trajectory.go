@@ -96,8 +96,8 @@ func NewTrajectoryHijacker(v Vector, directionRight bool, targetOffsetPx float64
 	}
 }
 
-// ShiftFrames returns K': how many frames were needed to build up the
-// full offset (Fig. 7).
+// ShiftFrames returns K' (Fig. 7): the frames that enlarged the offset,
+// or for Disappear every frame that erased the target.
 func (th *TrajectoryHijacker) ShiftFrames() int { return th.shiftFrames }
 
 // Offset returns the currently applied lateral offset in pixels.
@@ -113,7 +113,10 @@ func (th *TrajectoryHijacker) Perturb(img *sensor.Image, det detect.Detection, a
 		// Erase the silhouette entirely: the detector sees background,
 		// a misdetection indistinguishable from the natural runs of
 		// Fig. 5. The association constraint is relaxed (paper §IV-C).
-		th.shiftFrames++ // K' accumulates until the track actually drops
+		// K' counts every erased frame: no code checks when the ADS's
+		// track drops, so a Disappear K' is the attacked frames with a
+		// detection (ROADMAP item 4).
+		th.shiftFrames++
 		grow := geom.R(det.Raw.Min.X-1, det.Raw.Min.Y-1, det.Raw.W+2, det.Raw.H+2)
 		img.FillRect(grow, background)
 		return 0
