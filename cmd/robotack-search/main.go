@@ -4,10 +4,11 @@
 // candidate by running smart-mode campaigns, exactly the way
 // robotack-campaign scores the paper's trigger.
 //
-// The search is deterministic end to end: every mutation and every
-// episode seed derives from (-seed, generation, candidate), so the same
-// invocation reproduces the same artifact and the same search log byte
-// for byte, at any -workers value. With -store, candidate evaluations
+// The search is deterministic end to end: every mutation derives from
+// (-seed, generation, candidate) and every episode seed from (-seed,
+// generation), so a generation's candidates are scored on the same
+// episodes, and the same invocation reproduces the same artifact and
+// the same search log byte for byte, at any -workers value. With -store, candidate evaluations
 // persist as they finish and an interrupted search resumes
 // mid-candidate (Ctrl-C is safe).
 //

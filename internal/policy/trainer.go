@@ -29,10 +29,11 @@ var (
 
 // TrainerConfig shapes a policy search: the evaluation battery, the
 // generational budget, and the determinism anchors. Every stochastic
-// choice — mutations and episode seeds alike — derives from
-// (BaseSeed, generation, candidate), so a search run is byte-
-// reproducible: the same config produces the same artifact and the
-// same log, candidate by candidate.
+// choice derives from BaseSeed: a candidate's mutation from
+// (generation, candidate), and the episode seeds from the generation
+// alone, so a generation's candidates are scored on the same episodes.
+// A search run is byte-reproducible: the same config produces the same
+// artifact and the same log, candidate by candidate.
 type TrainerConfig struct {
 	// Battery is the evaluation battery: smart-mode campaigns the
 	// candidates are scored on. The trainer overrides each campaign's
@@ -124,11 +125,12 @@ func seedIndex(gen, cand, stream int) int {
 	return (gen<<17 | cand<<1 | stream)
 }
 
-// EvalSeed is the campaign base seed for candidate (gen, cand): every
-// episode seed of the evaluation derives from it, so re-running any
+// EvalSeed is the campaign base seed of generation gen: every episode
+// seed of every candidate's evaluation in that generation derives from
+// it, so the candidates compete on the same episodes and re-running any
 // candidate reproduces its score exactly.
-func EvalSeed(baseSeed int64, gen, cand int) int64 {
-	return engine.SplitMixSeeds(baseSeed, seedIndex(gen, cand, 0))
+func EvalSeed(baseSeed int64, gen int) int64 {
+	return engine.SplitMixSeeds(baseSeed, seedIndex(gen, 0, 0))
 }
 
 // mutationSeed drives candidate (gen, cand)'s parameter draw.
@@ -210,11 +212,11 @@ func Train(eng *engine.Engine, cfg TrainerConfig) (SearchResult, error) {
 }
 
 // evaluate scores one parameter vector: the battery runs with the
-// candidate policy under seeds derived from (BaseSeed, gen, cand), and
+// candidate policy under the generation's seeds (EvalSeed), and
 // the fitness is the EB rate plus crashWeight times the crash rate,
 // pooled across the battery. Persisted evaluations resume.
 func evaluate(eng *engine.Engine, cfg TrainerConfig, p core.SafetyHijackerConfig, gen, cand int) (Candidate, error) {
-	seed := EvalSeed(cfg.BaseSeed, gen, cand)
+	seed := EvalSeed(cfg.BaseSeed, gen)
 	out := Candidate{Gen: gen, Index: cand, Seed: seed, Params: p}
 	var opts []experiment.RunOption
 	if cfg.Store != nil {

@@ -2,6 +2,8 @@ package policy
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"github.com/robotack/robotack/internal/core"
@@ -113,18 +115,67 @@ func TestTrainRejectsBadBattery(t *testing.T) {
 	}
 }
 
-// TestSeedDerivationDistinct: evaluation and mutation streams never
-// collide across a realistic search envelope.
-func TestSeedDerivationDistinct(t *testing.T) {
-	seen := map[int64][2]int{}
-	for gen := 0; gen < 20; gen++ {
-		for cand := 0; cand < 32; cand++ {
-			for _, s := range []int64{EvalSeed(7, gen, cand), mutationSeed(7, gen, cand)} {
-				if prev, dup := seen[s]; dup {
-					t.Fatalf("seed collision: (%d,%d) vs %v -> %d", gen, cand, prev, s)
-				}
-				seen[s] = [2]int{gen, cand}
+// TestTrainScoresGenerationOnOneSeed: every candidate of a generation
+// is scored on the same episodes, so the elite is chosen on a
+// like-for-like comparison rather than on its own luckier seeds. In the
+// search log, each generation's candidate lines carry one seed, and no
+// two generations share one.
+func TestTrainScoresGenerationOnOneSeed(t *testing.T) {
+	var log bytes.Buffer
+	cfg := searchCfg(nil, &log)
+	if _, err := Train(engine.New(engine.WithWorkers(2)), cfg); err != nil {
+		t.Fatal(err)
+	}
+	seeds := map[int][]int64{} // per generation, one seed per candidate line
+	for _, line := range bytes.Split(bytes.TrimSpace(log.Bytes()), []byte("\n")) {
+		var l struct {
+			Gen  int   `json:"gen"`
+			Cand *int  `json:"cand"`
+			Seed int64 `json:"seed"`
+		}
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if l.Cand != nil { // not the generation's elite line
+			seeds[l.Gen] = append(seeds[l.Gen], l.Seed)
+		}
+	}
+	if len(seeds) != cfg.Generations {
+		t.Fatalf("log holds candidates of %d generations, want %d", len(seeds), cfg.Generations)
+	}
+	genOf := map[int64]int{}
+	for gen, s := range seeds {
+		if len(s) != cfg.Population {
+			t.Errorf("generation %d: %d candidate lines, want %d", gen, len(s), cfg.Population)
+		}
+		for _, seed := range s {
+			if seed != s[0] {
+				t.Errorf("generation %d scored its candidates on seeds %v, want one", gen, s)
+				break
 			}
+		}
+		if prev, dup := genOf[s[0]]; dup {
+			t.Errorf("generations %d and %d share seed %d", prev, gen, s[0])
+		}
+		genOf[s[0]] = gen
+	}
+}
+
+// TestSeedDerivationDistinct: evaluation seeds differ across
+// generations, and no mutation seed equals another mutation seed or any
+// evaluation seed, across a realistic search envelope.
+func TestSeedDerivationDistinct(t *testing.T) {
+	seen := map[int64]string{}
+	add := func(s int64, what string) {
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("seed collision: %s vs %s -> %d", what, prev, s)
+		}
+		seen[s] = what
+	}
+	for gen := 0; gen < 20; gen++ {
+		add(EvalSeed(7, gen), fmt.Sprintf("evaluation of gen %d", gen))
+		for cand := 0; cand < 32; cand++ {
+			add(mutationSeed(7, gen, cand), fmt.Sprintf("mutation (%d,%d)", gen, cand))
 		}
 	}
 }
