@@ -6,10 +6,10 @@
 // versioned JSON artifact format (kind "paper" builds the default
 // config) and a deterministic evolution-strategy trainer that searches
 // the config's space by running generations of campaigns on the
-// engine. Related work (MERLIN, MAB-Malware) shows searched attacks
-// dominate hard-coded ones; the allocation-free frame pipeline makes
-// that search affordable here — hundreds of deterministic episode
-// evaluations per second per machine.
+// engine. Related work (MERLIN, MAB-Malware) searches its attacks too
+// and reports them on held-out samples; the allocation-free frame
+// pipeline makes the search affordable here — hundreds of
+// deterministic episode evaluations per second per machine.
 package policy
 
 import (
