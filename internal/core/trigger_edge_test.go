@@ -106,11 +106,14 @@ func TestDecideKMinClamp(t *testing.T) {
 // searched trigger does.
 func TestDecideWithOverridesThresholds(t *testing.T) {
 	sh := NewSafetyHijacker(nil)
-	s := State{Delta: 30, VRel: geom.Vec2{X: -8}, EVSpeed: 12}
+	s := State{Delta: 20, VRel: geom.Vec2{X: -8}, EVSpeed: 12}
 
 	base, err := sh.Decide(DefaultSafetyHijackerConfig(), s, VectorDisappear, sim.ClassVehicle)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !base.Attack || base.K <= 1 {
+		t.Fatalf("default config decided %+v; the state must launch an attack longer than 1 frame", base)
 	}
 
 	// A stricter (lower) gamma needs more frames; a tiny KMax refuses.
@@ -120,8 +123,8 @@ func TestDecideWithOverridesThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Attack && sdec.Attack && sdec.K <= base.K {
-		t.Errorf("stricter gamma chose K=%d, not longer than the default's K=%d", sdec.K, base.K)
+	if !sdec.Attack || sdec.K <= base.K {
+		t.Errorf("stricter gamma decided %+v, not a longer attack than the default's K=%d", sdec, base.K)
 	}
 
 	tiny := DefaultSafetyHijackerConfig()
@@ -131,7 +134,7 @@ func TestDecideWithOverridesThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tdec.Attack && base.Attack && base.K > 1 {
-		t.Error("KMax=1 config still attacked although the default needed more frames")
+	if tdec.Attack {
+		t.Errorf("KMax=1 config attacked (%+v) although the default needed K=%d", tdec, base.K)
 	}
 }
