@@ -46,10 +46,23 @@ func (s *hungarianScratch) grow(dim, n int) {
 	s.out = s.out[:n]
 }
 
-// solve runs the Jonker-Volgenant style shortest augmenting path
-// formulation of Kuhn-Munkres on cost (rows = workers, cols = jobs)
-// and returns assignment[r] = assigned column (or -1). The returned
-// slice aliases the scratch and is valid until the next solve call.
+// solve returns an optimal assignment for cost (rows = workers, cols =
+// jobs): assignment[r] = assigned column (or -1). The returned slice
+// aliases the scratch and is valid until the next solve call.
+//
+// When the feasible entries, those in [0, Forbidden), already form a
+// matching (at most one per row and per column) and every other entry
+// is Forbidden, solve returns exactly those pairs and leaves the rest
+// of the rows at -1. Otherwise, a NaN, a negative entry or one above
+// Forbidden included, it runs the full solver, jv. The shortcut is
+// exact for a caller that drops pairs costing Forbidden or more, as
+// the Tracker does: a padded assignment that leaves out a feasible
+// pair of cost c pays Forbidden in its place, and Forbidden - c > 0,
+// so every optimal assignment takes all the feasible pairs, and those
+// pairs are the only ones that survive the filter. Forbidden is 1e6
+// and a gated tracker cost at most 2, so the margin is six orders of
+// magnitude. Most frames, with one detection per track, take this
+// path.
 func (s *hungarianScratch) solve(cost [][]float64) []int {
 	n := len(cost)
 	if n == 0 {
@@ -61,22 +74,42 @@ func (s *hungarianScratch) solve(cost [][]float64) []int {
 			m = len(row)
 		}
 	}
-	if m == 0 {
-		s.grow(0, n)
-		out := s.out
-		for i := range out {
-			out[i] = -1
-		}
-		return out
-	}
-
 	// Pad to a square dim x dim matrix with Forbidden costs so every
 	// row gets a (possibly dummy) column.
-	dim := n
-	if m > dim {
-		dim = m
-	}
+	dim := max(n, m)
 	s.grow(dim, n)
+	out, taken := s.out, s.used[:m]
+	for i := range out {
+		out[i] = -1
+	}
+	for j := range taken {
+		taken[j] = false
+	}
+	for i, row := range cost {
+		for j, c := range row {
+			if c == Forbidden {
+				continue
+			}
+			if !(c >= 0 && c < Forbidden) || out[i] >= 0 || taken[j] {
+				return s.jv(cost, n, m, dim)
+			}
+			out[i], taken[j] = j, true
+		}
+	}
+	return out
+}
+
+// jv runs the Jonker-Volgenant style shortest augmenting path
+// formulation of Kuhn-Munkres on cost, an n x m matrix padded to dim x
+// dim, with the scratch grown for dim.
+//
+// A row whose search finds every column outside its tree at a reduced
+// cost of NaN or +Inf (a row of NaN costs, say, which a track with a
+// NaN state produces) cannot be matched, and jv leaves it unassigned.
+// Taking the search's step of +Inf there would make every such cost
+// NaN and repeat the same step for ever, so this only changes what
+// happens to inputs that never returned.
+func (s *hungarianScratch) jv(cost [][]float64, n, m, dim int) []int {
 	w := dim + 1
 	for i := 1; i <= dim; i++ {
 		for j := 1; j <= dim; j++ {
@@ -120,6 +153,10 @@ func (s *hungarianScratch) solve(cost [][]float64) []int {
 					j1 = j
 				}
 			}
+			if j1 == 0 {
+				j0 = 0 // row i stays unmatched
+				break
+			}
 			for j := 0; j <= dim; j++ {
 				if used[j] {
 					u[p[j]] += delta
@@ -133,13 +170,10 @@ func (s *hungarianScratch) solve(cost [][]float64) []int {
 				break
 			}
 		}
-		for {
+		for j0 != 0 {
 			j1 := way[j0]
 			p[j0] = p[j1]
 			j0 = j1
-			if j0 == 0 {
-				break
-			}
 		}
 	}
 
