@@ -30,11 +30,16 @@ type Camera struct {
 // DefaultCamera returns the camera used across the reproduction:
 // 192x108 pixels (1/10 of the paper's 1920x1080) with a ~60 degree
 // horizontal field of view.
+//
+// The focal length is half the width over tan(30 degrees),
+// 192/2 / math.Tan(30*math.Pi/180), written as the bits amd64 computes
+// for it (166.2768775266122): math.Tan may round differently where the
+// compiler fuses its multiply-adds, as on arm64, and every projection
+// reads F.
 func DefaultCamera() *Camera {
-	w := 192
 	return &Camera{
-		W: w, H: 108,
-		F:           float64(w) / 2 / math.Tan(30*math.Pi/180),
+		W: 192, H: 108,
+		F:           math.Float64frombits(0x4064c8dc2e42397f),
 		MountHeight: 1.4,
 		MinDepth:    3,
 		MaxDepth:    130,
@@ -134,6 +139,26 @@ func (s *relDepthSorter) Len() int           { return len(s.rel) }
 func (s *relDepthSorter) Less(i, j int) bool { return s.rel[i].Pos.X > s.rel[j].Pos.X }
 func (s *relDepthSorter) Swap(i, j int)      { s.rel[i], s.rel[j] = s.rel[j], s.rel[i] }
 
+// sortFarToNear sorts buf.rel far to near in exactly sort.Sort's
+// order. On 12 or fewer elements sort.Sort's pdqsort runs only its
+// insertion sort (insertionSort in $GOROOT/src/sort/zsortinterface.go),
+// which this loop repeats on the slice itself, with the same comparison
+// and the same swaps, without calling through sort.Interface. Longer
+// slices go through sort.Sort.
+func (buf *CaptureBuffer) sortFarToNear() {
+	rel := buf.rel
+	if len(rel) > 12 {
+		buf.sorter.rel = rel
+		sort.Sort(&buf.sorter)
+		return
+	}
+	for i := 1; i < len(rel); i++ {
+		for j := i; j > 0 && rel[j].Pos.X > rel[j-1].Pos.X; j-- {
+			rel[j], rel[j-1] = rel[j-1], rel[j]
+		}
+	}
+}
+
 // CaptureInto renders the world into buf's frame, reusing its image
 // and slices: zero heap allocations once the buffer is warm. The
 // returned frame (and its image) is valid until the next CaptureInto
@@ -148,8 +173,7 @@ func (c *Camera) CaptureInto(buf *CaptureBuffer, w *sim.World, frameIndex int) *
 
 	rel := w.RelativeInto(buf.rel)
 	buf.rel = rel
-	buf.sorter.rel = rel
-	sort.Sort(&buf.sorter)
+	buf.sortFarToNear()
 
 	truth := buf.frame.Truth[:0]
 	for i := range rel {

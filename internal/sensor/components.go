@@ -94,6 +94,14 @@ func cutIndex(idx, cuts []int, n int) []int {
 
 // paint sets every cell to base, then applies the writes in order, each
 // to the cells inside its box.
+//
+// An anti-aliased write's cuts make its first and last column cells
+// one pixel wide, so in each of its rows the first cell has column
+// class 0, the last (when there are two or more) class 2 and every one
+// between class 1. paint works out the row's three blends once, as
+// write.apply would per pixel: coverage c = cy*cx, then (1-c)*p + c*v,
+// skipped where c <= 0. Each cell gets the same two products and the
+// same sum.
 func (g *cellGrid) paint(base float64, ws []write) {
 	nx, ny := len(g.xs)-1, len(g.ys)-1
 	if cap(g.vals) < nx*ny {
@@ -108,14 +116,42 @@ func (g *cellGrid) paint(base float64, ws []write) {
 		w := &ws[i]
 		c0, c1 := g.xi[w.x0], g.xi[w.x1]
 		for r := g.yi[w.y0]; r < g.yi[w.y1]; r++ {
-			ry := class(g.ys[r], w.y0, w.y1)
 			row := vals[r*nx+c0 : r*nx+c1]
-			for k := range row {
-				w.apply(&row[k], ry, class(g.xs[c0+k], w.x0, w.x1))
+			if !w.aa {
+				for k := range row {
+					row[k] = w.v
+				}
+				continue
+			}
+			cy := w.cy[class(g.ys[r], w.y0, w.y1)]
+			var a, b [3]float64
+			var on [3]bool
+			for k, cx := range w.cx {
+				c := cy * cx
+				a[k], b[k], on[k] = 1-c, c*w.v, !(c <= 0)
+			}
+			last := len(row) - 1
+			if on[0] {
+				blend(&row[0], a[0], b[0])
+			}
+			if on[1] {
+				for k := 1; k < last; k++ {
+					blend(&row[k], a[1], b[1])
+				}
+			}
+			if last > 0 && on[2] {
+				blend(&row[last], a[2], b[2])
 			}
 		}
 	}
 }
+
+// blend sets *p to a*p + b, write.apply's blend with a = 1-c and
+// b = c*v precomputed. It writes through the pointer, as apply does;
+// which NaN payload a sum of two NaNs keeps depends on the order the
+// compiler gives the addition, and TestCellPaintMatchesAt holds every
+// cell to apply's result on such sums.
+func blend(p *float64, a, b float64) { *p = a*(*p) + b }
 
 // cell returns the intensity of cell (c, r), or the base when c or r
 // lies outside the grid.

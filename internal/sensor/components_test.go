@@ -142,6 +142,52 @@ func artImage(w, h, ox, oy int, base float64, art []string) mirror {
 	return m
 }
 
+// TestCellPaintMatchesAt paints overlapping anti-aliased fills, one
+// and two pixels wide among them, two of zero width or height (whose
+// coverage is 0, so they must leave their pixels alone), and a Set,
+// over bases and values that include NaNs with distinct payloads and
+// infinities, and holds every painted cell to At at each of its
+// pixels, bit for bit.
+func TestCellPaintMatchesAt(t *testing.T) {
+	specials := []float64{
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+		math.Inf(-1), math.Inf(1), 0.05, 0.9,
+	}
+	fills := []geom.Rect{
+		geom.R(1.3, 1.6, 6.4, 4.2), geom.R(2.5, 0.5, 5.5, 7.25), geom.R(0.2, 2.5, 9.5, 2.25),
+		geom.R(8.25, 1.5, 0.5, 0.25), geom.R(9.75, 4.5, 1, 1.75),
+		geom.R(4.5, 2.25, 0, 3), geom.R(6.5, 7.5, 2.25, 0),
+	}
+	for _, base := range specials {
+		for _, v := range specials {
+			for _, v2 := range specials {
+				im := NewImage(12, 9)
+				im.Clear(base)
+				for i, r := range fills {
+					im.FillRectAA(r, [2]float64{v, v2}[i%2])
+				}
+				im.Set(3, 3, specials[0])
+				g := &im.grid
+				g.cut(im.writes, 0, 0, im.W, im.H, im.W, im.H)
+				g.paint(im.base, im.writes)
+				for r := 0; r+1 < len(g.ys); r++ {
+					for c := 0; c+1 < len(g.xs); c++ {
+						cell := math.Float64bits(g.cell(c, r))
+						for y := g.ys[r]; y < g.ys[r+1]; y++ {
+							for x := g.xs[c]; x < g.xs[c+1]; x++ {
+								if px := math.Float64bits(im.At(x, y)); cell != px {
+									t.Fatalf("base %v, values %v and %v: cell (%d, %d) is %#x, pixel (%d, %d) %#x",
+										base, v, v2, c, r, cell, x, y, px)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestComponentsMatchReference(t *testing.T) {
 	cases := []struct {
 		name string

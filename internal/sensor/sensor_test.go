@@ -2,7 +2,9 @@ package sensor
 
 import (
 	"math"
+	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -407,6 +409,55 @@ func TestCaptureOcclusionOrder(t *testing.T) {
 	if frame.Truth[0].Depth < frame.Truth[1].Depth {
 		t.Error("truth should be ordered far to near")
 	}
+}
+
+// TestDefaultFocalMatchesFormula holds the focal-length literal to the
+// formula it stands for, on amd64, whose bits it holds.
+func TestDefaultFocalMatchesFormula(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the literal holds amd64's math.Tan bits; %s may round differently", runtime.GOARCH)
+	}
+	c := DefaultCamera()
+	want := float64(c.W) / 2 / math.Tan(30*math.Pi/180)
+	if math.Float64bits(c.F) != math.Float64bits(want) {
+		t.Errorf("F = %v (%#x), formula %v (%#x)", c.F, math.Float64bits(c.F), want, math.Float64bits(want))
+	}
+}
+
+// TestCaptureRenderOrder holds CaptureInto's render order to sort.Sort
+// on relDepthSorter for worlds of 0 to 20 actors whose depths repeat
+// and include NaN, so ties and unordered values meet both the inline
+// insertion sort (12 or fewer) and pdqsort (more).
+func TestCaptureRenderOrder(t *testing.T) {
+	depths := []float64{math.NaN(), -3, 5, 5, 20, 20, 40, 60, 60.5, 130, 200}
+	rng := stats.NewRNG(11)
+	c := DefaultCamera()
+	var buf CaptureBuffer
+	for n := 0; n <= 20; n++ {
+		for trial := 0; trial < 40; trial++ {
+			w := newSensorWorld()
+			for range n {
+				x, y := depths[rng.IntN(len(depths))], rng.Uniform(-6, 6)
+				w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(x, y), Size: sim.SizeCar, Behavior: sim.Parked{}})
+			}
+			want := w.RelativeInto(nil)
+			sort.Sort(&relDepthSorter{want})
+			c.CaptureInto(&buf, w, 0)
+			for i := range want {
+				if buf.rel[i].ID != want[i].ID {
+					t.Fatalf("%d actors, trial %d: render order %v, sort.Sort's %v", n, trial, ids(buf.rel), ids(want))
+				}
+			}
+		}
+	}
+}
+
+func ids(rel []sim.RelState) []sim.ActorID {
+	out := make([]sim.ActorID, len(rel))
+	for i := range rel {
+		out[i] = rel[i].ID
+	}
+	return out
 }
 
 func TestCaptureSkipsBehind(t *testing.T) {
