@@ -8,10 +8,10 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
+	"github.com/robotack/robotack/internal/geom"
 	"github.com/robotack/robotack/internal/obs/trace"
 	"github.com/robotack/robotack/internal/perception"
 	"github.com/robotack/robotack/internal/planner"
@@ -115,7 +115,7 @@ func targetDelta(w *sim.World, targetID sim.ActorID, safety planner.SafetyConfig
 		return safety.MaxDSafe
 	}
 	gap := (a.Pos.X - a.Size.Length/2) - (w.EV.Pos.X + w.EV.Size.Length/2)
-	gap = math.Max(math.Min(gap, safety.MaxDSafe), 0)
+	gap = geom.Max(geom.Min(gap, safety.MaxDSafe), 0)
 	return safety.Delta(gap, w.EV.Speed)
 }
 

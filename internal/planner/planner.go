@@ -221,7 +221,7 @@ func (p *Planner) selectTarget(objs []fusion.Object, fcfg *fusion.Config, ev *si
 		if gap < -o.Size.Length {
 			continue
 		}
-		gap = math.Max(gap, 0)
+		gap = geom.Max(gap, 0)
 		if gap < best {
 			best = gap
 			p.tgt = Target{Object: *o, Gap: gap, Closing: -o.Vel.X}
@@ -259,7 +259,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 	if target == nil && p.lostTargetFor > 0 {
 		p.lostTargetFor--
 		if cap := p.lostSpeed + 1.5; targetSpeed > cap {
-			targetSpeed = math.Max(cap, 1)
+			targetSpeed = geom.Max(cap, 1)
 		}
 	}
 
@@ -281,10 +281,10 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 		p.crossingRelX -= ev.Speed * sim.DT
 	}
 	if p.crossingHold > 0 {
-		room := math.Max(p.crossingRelX-ev.Size.Length/2-9, 0.3)
+		room := geom.Max(p.crossingRelX-ev.Size.Length/2-9, 0.3)
 		req := ev.Speed * ev.Speed / (2 * room)
 		if req > 0.5*driveDecel {
-			raw = math.Min(raw, -math.Max(req, 0.8))
+			raw = geom.Min(raw, -geom.Max(req, 0.8))
 			mode = ModeBrake
 		}
 	}
@@ -297,8 +297,8 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 		// Physics of the encounter: deceleration needed to stop before
 		// the obstacle's rear with margin.
 		margin := standstillGap * 0.5
-		room := math.Max(target.Gap-margin, 0.3)
-		closing := math.Max(target.Closing, ev.Speed*0.3)
+		room := geom.Max(target.Gap-margin, 0.3)
+		closing := geom.Max(target.Closing, ev.Speed*0.3)
 		required := 0.0
 		if closing > 0 {
 			required = closing * closing / (2 * room)
@@ -320,9 +320,9 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 		if target.Object.Class == sim.ClassPedestrian &&
 			road.InEVCorridor(target.Object.Rel.Y, target.Object.Size.Width, ev.Size.Width) &&
 			ev.Speed > 0.2 {
-			stopRoom := math.Max(target.Gap-9, 0.3)
+			stopRoom := geom.Max(target.Gap-9, 0.3)
 			reqPed := ev.Speed * ev.Speed / (2 * stopRoom)
-			raw = math.Min(raw, -math.Max(reqPed, driveDecel))
+			raw = geom.Min(raw, -geom.Max(reqPed, driveDecel))
 			if required < reqPed {
 				required = reqPed
 			}
@@ -334,7 +334,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 		// and only close-range demands qualify (a 4+ m/s^2 "need" at
 		// long range is a perception artifact, not an emergency).
 		if required > driveDecel {
-			raw = math.Min(raw, -required)
+			raw = geom.Min(raw, -required)
 			mode = ModeBrake
 		}
 		if required > ebDecel && target.Gap < 32 {
@@ -351,7 +351,7 @@ func (p *Planner) Plan(objs []fusion.Object, fcfg fusion.Config, ev sim.EV, road
 		// buffers).
 		if target.Gap < 40 {
 			p.lostTargetFor = 20
-			p.lostSpeed = math.Max(ev.Speed-target.Closing, 0)
+			p.lostSpeed = geom.Max(ev.Speed-target.Closing, 0)
 		}
 		if target.Gap <= standstillGap && ev.Speed < 0.5 {
 			mode = ModeStop

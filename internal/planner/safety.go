@@ -6,9 +6,8 @@
 package planner
 
 import (
-	"math"
-
 	"github.com/robotack/robotack/internal/fusion"
+	"github.com/robotack/robotack/internal/geom"
 	"github.com/robotack/robotack/internal/sim"
 )
 
@@ -104,7 +103,7 @@ func (c SafetyConfig) GroundTruthDelta(w *sim.World) float64 {
 	gap, _, ok := w.GroundTruthGap()
 	dsafe := c.MaxDSafe
 	if ok {
-		dsafe = math.Max(math.Min(gap, c.MaxDSafe), 0)
+		dsafe = geom.Max(geom.Min(gap, c.MaxDSafe), 0)
 	}
 	return c.Delta(dsafe, w.EV.Speed)
 }

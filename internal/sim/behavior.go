@@ -54,7 +54,7 @@ func (t *TriggeredCross) Step(a *Actor, w *World, dt float64) {
 		}
 	}
 	dy := t.ToY - a.Pos.Y
-	if math.Abs(dy) < math.Max(t.CrossSpeed*dt, 1e-6) {
+	if math.Abs(dy) < geom.Max(t.CrossSpeed*dt, 1e-6) {
 		a.Pos.Y = t.ToY
 		a.Vel = geom.Vec2{}
 		return

@@ -35,8 +35,8 @@ func (s *SafeCruise) Step(a *Actor, w *World, dt float64) {
 	if gap < 1e8 {
 		// Speed that lets the actor stop within the available gap under
 		// its braking limit, on top of the lead's speed.
-		room := math.Max(gap-s.Standstill, 0)
-		target = math.Min(target, leadSpeed+math.Sqrt(2*s.MaxAccel*room*0.5))
+		room := geom.Max(gap-s.Standstill, 0)
+		target = geom.Min(target, leadSpeed+math.Sqrt(2*s.MaxAccel*room*0.5))
 		if gap < s.Standstill {
 			target = 0
 		}
